@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint speclint codelint test chaos bench bench-all bench-full figures examples serve-demo clean
+.PHONY: install lint speclint codelint test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -44,6 +44,14 @@ chaos:
 # "no clock syscalls when disabled" guarantee by tests/obs/test_profiler.py.
 bench:
 	$(PYTHON) benchmarks/harness.py --baseline BENCH_pipeline.json --tolerance 0.25
+
+# Smoke run of the wire-to-alert benchmark (benchmarks/e2e/README.md): a
+# tenth-size traced and untraced pass of all five workloads with every
+# verdict checked, then the benchmark's own tests.  Catches a refactor
+# that breaks one of the entry points the benchmark shims from outside.
+bench-e2e-quick:
+	$(PYTHON) benchmarks/e2e/run.py --quick
+	PYTHONPATH=src $(PYTHON) -m pytest -q benchmarks/e2e/tests
 
 # Every benchmark in benchmarks/ (paper tables, figures, capacity tests).
 bench-all:

@@ -224,9 +224,9 @@ def test_sharded_batch_throughput(benchmark):
 
     Four concurrent calls, one per shard (Call-IDs chosen so the CRC-32
     assignment covers all four shards), media interleaved round-robin in
-    one time-ordered batch.  The serial backend on one core measures the
-    facade's routing overhead against ``test_rtp_analysis_throughput``;
-    docs/SCALING.md covers the multi-core process-pool backend.
+    one time-ordered batch.  On one core this measures the facade's
+    routing overhead against ``test_rtp_analysis_throughput``
+    (docs/SCALING.md).
     """
     from repro.vids import ShardedVids, shard_for_call
 
@@ -267,7 +267,7 @@ def test_sharded_batch_throughput(benchmark):
     benchmark.pedantic(burst, setup=build_batch, rounds=ROUNDS, iterations=1)
     rate = 2000 / benchmark.stats["mean"]
     print(f"\nSharded RTP batch rate: {rate:,.0f} packets/s of real time "
-          f"(4 shards, serial backend)")
+          f"(4 shards)")
     assert sharded.metrics.rtp_packets >= 2000 * ROUNDS
     # Every packet matched a media route: none fell to the orphan path.
     per_shard = [s.metrics.rtp_packets for s in sharded.shards]

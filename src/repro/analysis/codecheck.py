@@ -39,11 +39,6 @@ Rule catalog (``docs/CODECHECK.md``):
     only be *rebound* at their designated wiring sites; anywhere else a
     rebind silently splits the aggregate view the rate patterns need.
 
-``SI002 pool-boundary``
-    Callables submitted across the process-pool boundary must be
-    module-level functions (lambdas, closures, and bound methods do not
-    pickle).
-
 Suppression: a ``# noqa: CC001`` (etc.) comment on the flagged source
 line silences that finding, with the same per-line semantics as
 ``tools/lint.py``.  Cross-run acceptance goes through the committed
@@ -98,8 +93,6 @@ RULES: Dict[str, Tuple[str, Severity, str]] = {
               "state value outside the copy_state plain-data domain"),
     "SI001": ("shard-shared-mutation", Severity.ERROR,
               "shard-shared tracker rebound outside its wiring sites"),
-    "SI002": ("pool-boundary", Severity.WARNING,
-              "non-picklable callable crossing the process-pool boundary"),
     "CX001": ("codecheck-config", Severity.ERROR,
               "analyzer spec references a missing module/class/function"),
 }
@@ -1085,7 +1078,7 @@ def _check_plain_state(tree: SourceTree, out: _Collector) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rule: shard-state isolation (SI001/SI002)
+# Rule: shard-state isolation (SI001)
 # ---------------------------------------------------------------------------
 
 class _ScopeWalker:
@@ -1137,44 +1130,6 @@ def _check_shard_isolation(tree: SourceTree, out: _Collector,
                     hint="mutate the shared object in place, or do the "
                          "rewiring in a designated site "
                          "(codecheck.SHARED_STATE_SITES)")
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr == "submit" and node.args:
-                module_level = {
-                    n.name for n in module.body
-                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
-                worker = node.args[0]
-                problem = ""
-                if isinstance(worker, ast.Lambda):
-                    problem = "a lambda"
-                elif isinstance(worker, ast.Attribute):
-                    problem = f"a bound callable ({ast.unparse(worker)})"
-                elif isinstance(worker, ast.Name) and \
-                        worker.id not in module_level:
-                    # Imported names resolve at the worker; only names that
-                    # exist in this module but not at module level (nested
-                    # defs) are known-unpicklable.
-                    nested = any(
-                        isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and n.name == worker.id
-                        for n in ast.walk(module))
-                    if nested:
-                        problem = f"a nested function ({worker.id})"
-                for arg in node.args[1:]:
-                    if isinstance(arg, ast.Lambda):
-                        problem = problem or "a lambda argument"
-                    elif isinstance(arg, ast.Name) and arg.id == "self":
-                        problem = problem or "self (the whole facade)"
-                if problem:
-                    out.add(
-                        "SI002",
-                        f"{scope or '<module>'} submits {problem} across "
-                        f"the process-pool boundary; it will not pickle",
-                        path=rel, line=node.lineno,
-                        scope=scope or "<module>",
-                        subject=f"line{node.lineno}",
-                        hint="pass a module-level function and plain-data "
-                             "arguments to pool.submit")
 
 
 # ---------------------------------------------------------------------------

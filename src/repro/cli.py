@@ -578,34 +578,20 @@ def _cmd_perf(args) -> int:
     import cProfile
     import pstats
 
-    from .efsm import ManualClock
     from .netsim import Datagram, Endpoint
     from .rtp import RtpPacket
     from .sip import SipRequest
-    from .vids import (DEFAULT_CLUSTER_CONFIG, DEFAULT_CONFIG, ShardedVids,
-                       SupervisedCluster, Vids)
+    from .vids import DEFAULT_CLUSTER_CONFIG, build_pipeline
 
     sdp = ("v=0\r\no=- 1 1 IN IP4 10.1.0.11\r\ns=c\r\n"
            "c=IN IP4 10.1.0.11\r\nt=0 0\r\nm=audio {port} RTP/AVP 18\r\n"
            "a=rtpmap:18 G729/8000\r\n")
-    clock = ManualClock()
-    if args.supervise:
-        cluster = DEFAULT_CLUSTER_CONFIG
-        if args.checkpoint_cadence is not None:
-            cluster = cluster.with_overrides(
-                checkpoint_cadence=args.checkpoint_cadence)
-        vids = SupervisedCluster(shards=max(args.shards, 1),
-                                 config=DEFAULT_CONFIG,
-                                 clock_now=clock.now,
-                                 timer_scheduler=clock.schedule,
+    cluster = DEFAULT_CLUSTER_CONFIG
+    if args.checkpoint_cadence is not None:
+        cluster = cluster.with_overrides(
+            checkpoint_cadence=args.checkpoint_cadence)
+    vids, clock = build_pipeline(shards=args.shards, supervise=args.supervise,
                                  cluster=cluster)
-    elif args.shards > 1:
-        vids = ShardedVids(shards=args.shards, config=DEFAULT_CONFIG,
-                           clock_now=clock.now,
-                           timer_scheduler=clock.schedule)
-    else:
-        vids = Vids(config=DEFAULT_CONFIG, clock_now=clock.now,
-                    timer_scheduler=clock.schedule)
 
     def workload() -> None:
         # Each call: one INVITE-with-SDP, then the RTP burst through the

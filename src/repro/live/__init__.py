@@ -16,7 +16,8 @@ Both expose ``live_*`` metric families (:class:`LiveMetrics`) through
 the obs registry next to the pipeline's ``vids_*`` counters.
 """
 
-from .frontend import UdpFrontend, build_pipeline
+from ..vids.replay import build_pipeline
+from .frontend import UdpFrontend
 from .metrics import LiveMetrics
 from .pcap import (DecodeStats, PcapError, PcapNgWriter, PcapWriter,
                    load_pcap, read_pcap, write_pcap)

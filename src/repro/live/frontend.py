@@ -28,50 +28,18 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from ..efsm.system import ManualClock
 from ..netsim.address import Endpoint
 from ..netsim.packet import Datagram
 from ..obs import Observability
 from ..sip.constants import DEFAULT_SIP_PORT
-from ..vids.cluster import (DEFAULT_CLUSTER_CONFIG, ClusterConfig,
-                            SupervisedCluster)
-from ..vids.config import DEFAULT_CONFIG, VidsConfig
-from ..vids.ids import Vids
-from ..vids.sharding import ShardedVids
+from ..vids.config import DEFAULT_CONFIG
+from ..vids.replay import Pipeline, drain_horizon
 from .metrics import LiveMetrics
 
-__all__ = ["UdpFrontend", "build_pipeline"]
-
-Pipeline = Union[Vids, ShardedVids, SupervisedCluster]
-
-
-def build_pipeline(config: VidsConfig = DEFAULT_CONFIG,
-                   shards: int = 1,
-                   supervise: bool = False,
-                   cluster: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
-                   obs: Optional[Observability] = None,
-                   ) -> Tuple[Pipeline, ManualClock]:
-    """A pipeline + the manual clock that drives its timers.
-
-    The same topology switch the scenario runner and ``replay_trace``
-    use: plain :class:`Vids`, a :class:`ShardedVids` facade, or a
-    :class:`SupervisedCluster` (``supervise=True``).
-    """
-    clock = ManualClock()
-    if supervise:
-        pipeline: Pipeline = SupervisedCluster(
-            shards=max(shards, 1), config=config, clock_now=clock.now,
-            timer_scheduler=clock.schedule, obs=obs, cluster=cluster)
-    elif shards > 1:
-        pipeline = ShardedVids(shards=shards, config=config,
-                               clock_now=clock.now,
-                               timer_scheduler=clock.schedule, obs=obs)
-    else:
-        pipeline = Vids(config=config, clock_now=clock.now,
-                        timer_scheduler=clock.schedule, obs=obs)
-    return pipeline, clock
+__all__ = ["UdpFrontend"]
 
 
 class _TapProtocol(asyncio.DatagramProtocol):
@@ -192,9 +160,8 @@ class UdpFrontend:
             self._pump_task = None
         self.flush()
         if drain:
-            config = getattr(self.pipeline, "config", DEFAULT_CONFIG)
-            self.clock.advance(config.bye_inflight_timer
-                               + config.closed_record_linger + 1.0)
+            self.clock.advance(drain_horizon(
+                getattr(self.pipeline, "config", DEFAULT_CONFIG)))
             flush_shed = getattr(self.pipeline, "flush_shed_interval", None)
             if flush_shed is not None:
                 flush_shed()

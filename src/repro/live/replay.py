@@ -13,12 +13,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Union
 
 from ..netsim.faults import ShardFaultPlan
-from ..vids.cluster import (DEFAULT_CLUSTER_CONFIG, ClusterConfig,
-                            SupervisedCluster)
+from ..vids.cluster import DEFAULT_CLUSTER_CONFIG, ClusterConfig
 from ..vids.config import DEFAULT_CONFIG, VidsConfig
-from ..vids.ids import Vids
-from ..vids.replay import CapturedPacket, replay_trace
-from ..vids.sharding import ShardedVids
+from ..vids.replay import CapturedPacket, Pipeline, replay_trace
 from .pcap import DecodeStats, load_pcap
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -59,13 +56,12 @@ def replay_pcap(source: str,
                 config: VidsConfig = DEFAULT_CONFIG,
                 obs: Optional["Observability"] = None,
                 shards: int = 1,
-                backend: str = "serial",
                 supervise: bool = False,
                 cluster: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
                 fault_plan: Optional[ShardFaultPlan] = None,
                 rebase: Union[bool, str] = "auto",
                 stats: Optional[DecodeStats] = None,
-                ) -> Union[Vids, ShardedVids, SupervisedCluster]:
+                ) -> Pipeline:
     """Decode ``source`` (pcap/pcapng) and analyse it offline.
 
     Same knobs and return type as :func:`repro.vids.replay.replay_trace`;
@@ -74,5 +70,5 @@ def replay_pcap(source: str,
     """
     capture = rebase_capture(load_pcap(source, stats=stats), rebase)
     return replay_trace(capture, config=config, obs=obs, shards=shards,
-                        backend=backend, supervise=supervise,
-                        cluster=cluster, fault_plan=fault_plan)
+                        supervise=supervise, cluster=cluster,
+                        fault_plan=fault_plan)

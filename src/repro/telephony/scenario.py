@@ -15,17 +15,15 @@ pattern, making the comparison paired.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..netsim.faults import FaultyLink, ShardFaultPlan, inject_faults
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..obs import Observability
-from ..vids.cluster import (DEFAULT_CLUSTER_CONFIG, ClusterConfig,
-                            SupervisedCluster)
+from ..vids.cluster import DEFAULT_CLUSTER_CONFIG, ClusterConfig
 from ..vids.config import DEFAULT_CONFIG, VidsConfig
-from ..vids.ids import Vids
-from ..vids.sharding import ShardedVids
+from ..vids.replay import Pipeline, build_pipeline
 from .callgen import CallWorkload, WorkloadParams
 from .enterprise import EnterpriseTestbed, TestbedParams, build_testbed
 from .phone import CallRecordStats
@@ -81,7 +79,7 @@ class ScenarioResult:
 
     params: ScenarioParams
     calls: List[CallRecordStats]
-    vids: Optional[Union[Vids, ShardedVids, SupervisedCluster]]
+    vids: Optional[Pipeline]
     cpu_utilization: float
     elapsed: float
     workload: CallWorkload
@@ -190,19 +188,12 @@ def run_scenario(params: ScenarioParams) -> ScenarioResult:
     sim = testbed.sim
 
     obs = params.obs
-    vids: Optional[Union[Vids, ShardedVids, SupervisedCluster]] = None
+    vids: Optional[Pipeline] = None
     if params.with_vids:
-        if params.supervise:
-            vids = SupervisedCluster(
-                shards=max(params.shards, 1), sim=sim,
-                config=params.vids_config, obs=obs,
-                cluster=params.cluster_config,
-                fault_plan=params.shard_fault_plan)
-        elif params.shards > 1:
-            vids = ShardedVids(shards=params.shards, sim=sim,
-                               config=params.vids_config, obs=obs)
-        else:
-            vids = Vids(sim=sim, config=params.vids_config, obs=obs)
+        vids, _ = build_pipeline(
+            config=params.vids_config, shards=params.shards,
+            supervise=params.supervise, cluster=params.cluster_config,
+            obs=obs, fault_plan=params.shard_fault_plan, sim=sim)
         testbed.attach_processor(vids)
 
     if obs is not None and obs.registry is not None:

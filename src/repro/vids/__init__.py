@@ -40,7 +40,13 @@ from .patterns import (
     build_invite_flood_machine,
     build_media_spam_machine,
 )
-from .replay import CapturedPacket, RecordingProcessor, replay_trace
+from .replay import (
+    CapturedPacket,
+    RecordingProcessor,
+    build_pipeline,
+    drain_horizon,
+    replay_trace,
+)
 from .sharding import ShardedVids, shard_for_call
 from .rtp_machine import RTP_ATTACK_STATES, RTP_STATES, build_rtp_machine
 from .scenarios import (
@@ -108,9 +114,11 @@ __all__ = [
     "VidsConfig",
     "VidsMetrics",
     "build_invite_flood_machine",
+    "build_pipeline",
     "build_media_spam_machine",
     "build_rtp_machine",
     "build_sip_machine",
+    "drain_horizon",
     "estimate_state_bytes",
     "estimate_value_bytes",
     "replay_trace",

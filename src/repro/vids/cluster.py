@@ -37,6 +37,11 @@ call it hosts.  This module adds the supervision tier over
   queue, and queue overflow degrades into the existing watermark-
   shedding accounting instead of growing without bound.
 
+Packets arrive through the one ingest loop (:mod:`repro.vids.ingest`),
+whose ``admit`` hook here is :meth:`ShardSupervisor.dispatch` — the one
+place that evaluates member health, credits, the parked queue and the
+checkpoint countdown.
+
 Chaos inputs come from :class:`~repro.netsim.faults.ShardFaultPlan` —
 deterministic kill/hang/slow-member injections at absolute simulation
 times, same reproducibility contract as link faults.
@@ -55,19 +60,22 @@ from ..netsim.engine import Simulator
 from ..netsim.faults import ShardFaultPlan
 from ..netsim.packet import Datagram
 from .alerts import Alert, AlertManager, AttackType
-from .classifier import PacketKind
 from .config import DEFAULT_CONFIG, VidsConfig
 from .factbase import MediaKey
 from .ids import Vids
+from .ingest import ingest
 from .metrics import VidsMetrics
 from .sharding import ShardedVids, shard_for_call
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import Observability
 
+#: ``shard_for_call`` is re-exported, not called here: external tooling
+#: that patches the routing hash (the benchmark's span shims) patches it
+#: on every module that ever routed.
 __all__ = ["ClusterConfig", "DEFAULT_CLUSTER_CONFIG", "ClusterMetrics",
            "MemberState", "ShardCheckpoint", "ShardMember",
-           "ShardSupervisor", "SupervisedCluster"]
+           "ShardSupervisor", "SupervisedCluster", "shard_for_call"]
 
 
 @dataclass(frozen=True)
@@ -218,6 +226,7 @@ class ShardMember:
     restart_attempts: int = 0
     next_restart_at: float = 0.0
     packets_since_checkpoint: int = 0
+    #: Packets processed as of the last checkpoint or restore.
     packet_seq: int = 0
     checkpoint: Optional[ShardCheckpoint] = None
     #: Remaining dispatch credits (None: credit gate disabled).
@@ -274,6 +283,12 @@ class ShardSupervisor:
         self.sharded = sharded
         self.config = config
         self.fault_plan = fault_plan
+        #: Whether :meth:`dispatch` can ever refuse a packet.  Members
+        #: degrade only through the fault plan's injections and park
+        #: packets only when unreachable or out of credit, so without a
+        #: plan and a credit gate every member always admits.
+        self._gated = (fault_plan is not None
+                       or config.credit_limit is not None)
         self.clock_now = sharded.clock_now
         self.timer_scheduler = sharded.timer_scheduler
         self.metrics = ClusterMetrics()
@@ -284,9 +299,9 @@ class ShardSupervisor:
                         credits=config.credit_limit)
             for index, shard in enumerate(sharded.shards)
         ]
-        #: Per-call routing overrides installed by migration, consulted
-        #: by :meth:`SupervisedCluster.shard_index` before the hash.
-        self.call_routes: Dict[str, int] = {}
+        #: Per-call routing overrides installed by migration: the facade's
+        #: own table, which its ``shard_index`` consults before the hash.
+        self.call_routes: Dict[str, int] = sharded.call_routes
         #: One record per down/restore cycle, for loss-window forensics.
         self.incidents: List[Dict[str, Any]] = []
         self._started = False
@@ -445,25 +460,47 @@ class ShardSupervisor:
 
     # -- dispatch / backpressure ----------------------------------------------
 
-    def dispatch(self, index: int, classified, when: float) -> float:
-        """Admit one classified packet to a member, or park it."""
+    def dispatch(self, index: int, classified, when: float,
+                 parked: bool = False) -> float:
+        """Admit one classified packet to a member, or park it.
+
+        The one place that evaluates member health, credits and the
+        parked queue, runs the member's ``process_classified``, and
+        counts down to its next checkpoint.  ``parked`` marks a packet
+        coming off the member's own queue: :meth:`_drain_queue` already
+        decided its admission.
+        """
         member = self.members[index]
-        if (member.queue or not self._reachable(member, when)
-                or not self._has_credit(member)):
-            # Arrival order must survive backpressure: once anything is
-            # queued, new packets go behind it.
-            cost = self._enqueue(member, classified, when)
-            if self._reachable(member, when):
-                cost += self._drain_queue(member, when)
-            return cost
-        if member.credits is not None:
-            member.credits -= 1
-        return self._process_on(member, classified, when)
+        gated = self._gated
+        if gated and not parked:
+            reachable = self._reachable(member, when)
+            credits = member.credits
+            if (member.queue or not reachable
+                    or (credits is not None and credits <= 0)):
+                # Arrival order must survive backpressure: once anything
+                # is queued, new packets go behind it.
+                self._enqueue(member, classified, when)
+                return self._drain_queue(member, when) if reachable else 0.0
+            if credits is not None:
+                member.credits = credits - 1
+        cost = member.vids.process_classified(classified, when)
+        if gated and self.fault_plan is not None and self.fault_plan.slowdowns:
+            factor = self.fault_plan.slow_factor(index, when)
+            if factor > 1.0:
+                # A degraded member takes longer per packet: inflate the
+                # charged service time so backlog/shedding/backpressure
+                # all see the slowdown.
+                extra = cost * (factor - 1.0)
+                member.vids.metrics.cpu_time += extra
+                member.vids._busy_until += extra
+                cost += extra
+        since = member.packets_since_checkpoint = \
+            member.packets_since_checkpoint + 1
+        if since >= self.config.checkpoint_cadence:
+            self.take_checkpoint(member)
+        return cost
 
-    def _has_credit(self, member: ShardMember) -> bool:
-        return member.credits is None or member.credits > 0
-
-    def _enqueue(self, member: ShardMember, classified, when: float) -> float:
+    def _enqueue(self, member: ShardMember, classified, when: float) -> None:
         if len(member.queue) >= self.config.admission_queue_limit:
             # Overflow degrades into shedding: the packet is forwarded
             # fail-open and never inspected, same contract as the
@@ -474,9 +511,8 @@ class ShardSupervisor:
                 self._trace.emit("backpressure-drop", when,
                                  shard=member.index,
                                  queued=len(member.queue))
-            return 0.0
+            return
         member.queue.append((classified, when))
-        return 0.0
 
     def _drain_queue(self, member: ShardMember, now: float,
                      force: bool = False) -> float:
@@ -488,7 +524,7 @@ class ShardSupervisor:
                 member.credits -= 1
             classified, when = member.queue.popleft()
             self.metrics.packets_requeued += 1
-            total += self._process_on(member, classified, when)
+            total += self.dispatch(member.index, classified, when, True)
         return total
 
     def _replenish(self, member: ShardMember, now: float) -> None:
@@ -497,27 +533,6 @@ class ShardSupervisor:
             member.credits = self.config.credit_limit
         if member.queue:
             self._drain_queue(member, now)
-
-    def _process_on(self, member: ShardMember, classified,
-                    when: float) -> float:
-        vids = member.vids
-        cost = vids.process_classified(classified, when)
-        plan = self.fault_plan
-        if plan is not None and plan.slowdowns:
-            factor = plan.slow_factor(member.index, when)
-            if factor > 1.0:
-                # A degraded member takes longer per packet: inflate the
-                # charged service time so backlog/shedding/backpressure
-                # all see the slowdown.
-                extra = cost * (factor - 1.0)
-                vids.metrics.cpu_time += extra
-                vids._busy_until += extra
-                cost += extra
-        member.packet_seq += 1
-        member.packets_since_checkpoint += 1
-        if member.packets_since_checkpoint >= self.config.checkpoint_cadence:
-            self.take_checkpoint(member)
-        return cost
 
     # -- checkpointing --------------------------------------------------------
 
@@ -553,6 +568,7 @@ class ShardSupervisor:
             else:
                 trackers = self._checkpoint_trackers(vids)
                 stray = set(vids.engine._stray_keys)
+        member.packet_seq += member.packets_since_checkpoint
         checkpoint = ShardCheckpoint(
             shard=member.index,
             taken_at=self.clock_now(),
@@ -656,7 +672,9 @@ class ShardSupervisor:
             self._restore_trackers(vids, checkpoint)
         self.sharded.shards[member.index] = vids
         member.vids = vids
+        # The rebuilt state has seen nothing since its checkpoint.
         member.packet_seq = checkpoint.packet_seq
+        member.packets_since_checkpoint = 0
         if member.index == 0:
             self._rewire_shared_trackers(vids)
         else:
@@ -820,7 +838,7 @@ class SupervisedCluster:
     ):
         self.sharded = ShardedVids(
             shards=shards, sim=sim, config=config, clock_now=clock_now,
-            timer_scheduler=timer_scheduler, obs=obs, backend="serial",
+            timer_scheduler=timer_scheduler, obs=obs,
             default_shard=default_shard)
         self.supervisor = ShardSupervisor(self.sharded, cluster,
                                           fault_plan=fault_plan, obs=obs)
@@ -831,19 +849,14 @@ class SupervisedCluster:
 
     # -- PacketProcessor interface --------------------------------------------
 
+    def shard_index(self, classified) -> int:
+        """Owning shard, honouring migration overrides before the hash."""
+        return self.sharded.shard_index(classified)
+
     def process(self, datagram: Datagram, now: float) -> float:
         """Classify once, dispatch through the supervisor."""
-        sharded = self.sharded
-        try:
-            classified = sharded.classifier.classify(datagram)
-        except Exception as exc:  # crash containment, layer 1
-            if not self.config.crash_containment:
-                raise
-            return self.sharded.shards[
-                sharded.default_shard].contain_classifier_error(
-                    datagram, exc, now)
-        return self.supervisor.dispatch(self.shard_index(classified),
-                                        classified, now)
+        return ingest(self.sharded, ((datagram, now),), None,
+                      self.supervisor.dispatch, self.sharded.shard_index)
 
     def process_batch(self, items, clock=None) -> float:
         """Time-ordered batch ingestion (the replay/offline path).
@@ -851,158 +864,9 @@ class SupervisedCluster:
         Advancing the shared clock between packets is what fires the
         supervisor's heartbeats and the fault plan's injections at their
         scheduled simulation times during a replay.
-
-        The loop inlines routing and the healthy-member dispatch (same
-        trick as :meth:`ShardedVids.process_batch`): a member that is up,
-        queue-empty, and credit-flush takes the packet with no call
-        layers in between, so supervision stays within the documented
-        <=10% overhead budget of the bare sharded facade.  Any pressure —
-        parked packets, faults, exhausted credits, an active slowdown
-        plan — falls back to the supervisor's full dispatch.
         """
-        total = 0.0
-        supervisor = self.supervisor
-        sharded = self.sharded
-        members = supervisor.members
-        classify = sharded.classifier.classify
-        routes_get = sharded._media_routes.get
-        call_routes = supervisor.call_routes
-        n_shards = sharded.n_shards
-        default = sharded.default_shard
-        contain = self.config.crash_containment
-        cadence = supervisor.config.checkpoint_cadence
-        plan = supervisor.fault_plan
-        slow_plan = plan is not None and bool(plan.slowdowns)
-        sip_kind, rtp_kind = PacketKind.SIP, PacketKind.RTP
-        rtcp_kind = PacketKind.RTCP
-        down = MemberState.DOWN
-        if clock is not None:
-            now = clock.now
-            advance = clock.advance
-            current = now()
-        else:
-            advance = None
-            current = None
-        # Lean mode: with no fault plan, no credit gating, and no
-        # rebalance trigger, nothing can change a member's health inside
-        # one batch (heartbeats keep taking their healthy branch), so the
-        # loop pre-binds each member's analysis entry point and settles
-        # the checkpoint counters through a local countdown instead of
-        # two attribute writes per packet.  Any other configuration — or
-        # any member already degraded when the batch starts — takes the
-        # general loop below, which re-evaluates health on every packet.
-        horizon = current if advance is not None else 0.0
-        if (plan is None and supervisor.config.credit_limit is None
-                and supervisor.config.rebalance_backlog is None
-                and all(m.alive and m.state is not down and not m.queue
-                        and m.hung_until <= horizon for m in members)):
-            fast = [m.vids.process_classified for m in members]
-            countdown = [cadence - m.packets_since_checkpoint
-                         for m in members]
-
-            def settle(index: int) -> None:
-                member = members[index]
-                since = cadence - countdown[index]
-                member.packet_seq += since - member.packets_since_checkpoint
-                member.packets_since_checkpoint = since
-
-            regress = sharded.shards[default].metrics
-            try:
-                for datagram, when in items:
-                    if advance is not None:
-                        if when < current:
-                            # Clamped onto the monotonic analysis clock
-                            # (see Vids.process_batch).
-                            regress.time_regressions += 1
-                        elif when > current:
-                            advance(when - current)
-                            current = now()
-                        when = current
-                    try:
-                        classified = classify(datagram)
-                    except Exception as exc:  # crash containment, layer 1
-                        if not contain:
-                            raise
-                        total += sharded.shards[
-                            default].contain_classifier_error(
-                                datagram, exc, when)
-                        continue
-                    kind = classified.kind
-                    if kind is rtp_kind or kind is rtcp_kind:
-                        dst = datagram.dst
-                        index = routes_get((dst.ip, dst.port), default)
-                    elif kind is sip_kind and classified.sip.call_id:
-                        call_id = classified.sip.call_id
-                        index = (call_routes.get(call_id)
-                                 if call_routes else None)
-                        if index is None:
-                            index = shard_for_call(call_id, n_shards)
-                    else:
-                        index = shard_for_call(datagram.src.ip, n_shards)
-                    total += fast[index](classified, when)
-                    left = countdown[index] = countdown[index] - 1
-                    if left <= 0:
-                        settle(index)
-                        supervisor.take_checkpoint(members[index])
-                        countdown[index] = cadence
-            finally:
-                for index in range(len(members)):
-                    settle(index)
-            return total
-        regress = sharded.shards[default].metrics
-        for datagram, when in items:
-            if advance is not None:
-                if when < current:
-                    # Clamped onto the monotonic analysis clock (see
-                    # Vids.process_batch).
-                    regress.time_regressions += 1
-                elif when > current:
-                    advance(when - current)
-                    current = now()
-                when = current
-            try:
-                classified = classify(datagram)
-            except Exception as exc:  # crash containment, layer 1
-                if not contain:
-                    raise
-                total += sharded.shards[default].contain_classifier_error(
-                    datagram, exc, when)
-                continue
-            kind = classified.kind
-            if kind is rtp_kind or kind is rtcp_kind:
-                dst = datagram.dst
-                index = routes_get((dst.ip, dst.port), default)
-            elif kind is sip_kind and classified.sip.call_id:
-                call_id = classified.sip.call_id
-                index = call_routes.get(call_id) if call_routes else None
-                if index is None:
-                    index = shard_for_call(call_id, n_shards)
-            else:
-                index = shard_for_call(datagram.src.ip, n_shards)
-            member = members[index]
-            if (member.queue or not member.alive or member.state is down
-                    or when < member.hung_until or slow_plan
-                    or (member.credits is not None and member.credits <= 0)):
-                total += supervisor.dispatch(index, classified, when)
-                continue
-            if member.credits is not None:
-                member.credits -= 1
-            total += member.vids.process_classified(classified, when)
-            member.packet_seq += 1
-            member.packets_since_checkpoint += 1
-            if member.packets_since_checkpoint >= cadence:
-                supervisor.take_checkpoint(member)
-        return total
-
-    def shard_index(self, classified) -> int:
-        """Owning shard, honouring migration overrides before the hash."""
-        routes = self.supervisor.call_routes
-        if routes and classified.kind is PacketKind.SIP \
-                and classified.sip is not None and classified.sip.call_id:
-            override = routes.get(classified.sip.call_id)
-            if override is not None:
-                return override
-        return self.sharded.shard_index(classified)
+        return ingest(self.sharded, items, clock, self.supervisor.dispatch,
+                      self.sharded.shard_index)
 
     # -- aggregation (delegated to the sharded facade) -------------------------
 

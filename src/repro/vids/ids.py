@@ -28,6 +28,7 @@ from .config import DEFAULT_CONFIG, VidsConfig
 from .distributor import EventDistributor
 from .engine import AnalysisEngine
 from .factbase import CallStateFactBase
+from .ingest import ingest
 from .metrics import VidsMetrics
 from .patterns.invite_flood import InviteFloodTracker
 from .patterns.media_spam import OrphanMediaTracker
@@ -199,26 +200,20 @@ class Vids:
         ``ids-internal`` alert; the packet is still forwarded by the
         inline device (fail-open).
         """
-        profiler = self._profiler
-        if profiler is not None:
-            token = profiler.begin()
-        try:
-            classified = self.classifier.classify(datagram)
-        except Exception as exc:  # crash containment, layer 1
-            if not self.config.crash_containment:
-                raise
-            return self.contain_classifier_error(datagram, exc, now)
-        finally:
-            if profiler is not None:
-                profiler.commit("classify", token)
-        return self.process_classified(classified, now)
+        return ingest(self, ((datagram, now),), None, self.process_classified)
+
+    @property
+    def default_vids(self) -> "Vids":
+        """Where :func:`~repro.vids.ingest.ingest` accounts what no call
+        owns; a sharding facade answers with its default shard."""
+        return self
 
     def contain_classifier_error(self, datagram: Datagram, exc: Exception,
                                  now: float) -> float:
         """Crash containment, layer 1: account a classifier exception.
 
-        Split out of :meth:`process` so a sharding facade that classifies
-        centrally can delegate containment to its default shard.
+        Called by :func:`~repro.vids.ingest.ingest` on ``default_vids``: a
+        facade that classifies centrally accounts it on its default shard.
         """
         self.metrics.packets_processed += 1
         self.metrics.internal_errors += 1
@@ -301,35 +296,12 @@ class Vids:
     def process_batch(self, items, clock=None) -> float:
         """Analyse a time-ordered batch of ``(datagram, time)`` pairs.
 
-        The batched ingestion path used by trace replay and the offline
-        CLI workloads: one call amortizes the per-packet dispatch over a
-        whole capture slice.  When ``clock`` (a
-        :class:`~repro.efsm.system.ManualClock`-compatible object) is
-        given, it is advanced to each packet's timestamp first, so pattern
-        timers (T, T1, linger) fire exactly as they would have online.
-        Real captures are not always time-ordered (multi-NIC pcap merges,
-        clock steps): a timestamp behind the analysis clock is clamped to
-        the clock's current reading and counted in
-        ``metrics.time_regressions`` — the clock never runs backwards,
-        which would corrupt timer scheduling and shed-interval accounting.
-        Returns the total CPU service time charged.
+        The batched ingestion path (trace replay, the live tap, offline
+        CLI workloads): the single pipeline is the one-shard case of
+        :func:`~repro.vids.ingest.ingest`, which documents the clock and
+        timestamp-clamp contract.  Returns the total CPU cost charged.
         """
-        total = 0.0
-        process = self.process
-        if clock is None:
-            for datagram, when in items:
-                total += process(datagram, when)
-            return total
-        now = clock.now
-        advance = clock.advance
-        for datagram, when in items:
-            current = now()
-            if when < current:
-                self.metrics.time_regressions += 1
-            elif when > current:
-                advance(when - current)
-            total += process(datagram, now())
-        return total
+        return ingest(self, items, clock, self.process_classified)
 
     def _distribute(self, classified, now: float) -> None:
         """Route one packet, timing the stage when profiling is on."""

@@ -116,8 +116,6 @@ class VidsMetrics:
     quarantined_drops: int = 0
     #: Quarantined calls released by TTL parole (quarantine_ttl config).
     quarantine_paroles: int = 0
-    #: Pool-backend worker failures contained by the serial in-process retry.
-    pool_worker_failures: int = 0
     #: Capture timestamps that went backwards and were clamped onto the
     #: monotonic analysis clock (multi-NIC pcap merges, clock steps).
     time_regressions: int = 0
@@ -182,7 +180,6 @@ class VidsMetrics:
         ("calls_quarantined", "Calls torn down by quarantine"),
         ("quarantined_drops", "Packets dropped for quarantined calls"),
         ("quarantine_paroles", "Quarantined calls released by TTL parole"),
-        ("pool_worker_failures", "Pool worker failures retried serially"),
         ("time_regressions", "Backward capture timestamps clamped monotonic"),
         ("packets_shed", "Media packets shed during overload"),
         ("shed_events", "Times overload shedding engaged"),
@@ -267,7 +264,6 @@ class VidsMetrics:
             "calls_quarantined": self.calls_quarantined,
             "quarantined_drops": self.quarantined_drops,
             "quarantine_paroles": self.quarantine_paroles,
-            "pool_worker_failures": self.pool_worker_failures,
             "time_regressions": self.time_regressions,
             "packets_shed": self.packets_shed,
             "shed_events": self.shed_events,

@@ -19,17 +19,15 @@ shard so the spam/unsolicited detectors still see the whole stream.
 Cross-call rate detectors (INVITE flood per target, DRDoS per claimed
 source, orphan-media tracking) are shared singletons across shards, which
 is what makes the correctness bar hold: a seeded attack scenario produces
-the identical alert multiset sharded and unsharded (the serial backend
-processes packets in global arrival order).  The opt-in
-``backend="process-pool"`` runs whole-capture batches on a
-``ProcessPoolExecutor`` for true multi-core scale-out, with the caveats
-documented in docs/SCALING.md (static media routing per batch, per-worker
-cross-call detectors).
+the identical alert multiset sharded and unsharded, because packets are
+analysed in global arrival order by the one ingest loop
+(:func:`~repro.vids.ingest.ingest`) and only the post-classifier tail
+runs on the owning shard.  :meth:`ShardedVids.shard_index` is the one
+routing rule; the supervision tier (:mod:`repro.vids.cluster`) uses it too.
 """
 
 from __future__ import annotations
 
-import os
 from functools import partial
 from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
                     Tuple)
@@ -40,9 +38,9 @@ from ..netsim.packet import Datagram
 from .alerts import Alert, AlertManager, AttackType
 from .classifier import PacketClassifier, PacketKind
 from .config import DEFAULT_CONFIG, VidsConfig
-from .distributor import _sdp_fields
 from .factbase import MediaKey
 from .ids import Vids
+from .ingest import ingest
 from .metrics import VidsMetrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,45 +48,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["ShardedVids", "shard_for_call"]
 
-#: Supported execution backends for :meth:`ShardedVids.process_batch`.
-BACKENDS = ("serial", "process-pool")
+#: Bound once: an enum member lookup goes through the metaclass and costs
+#: several plain loads, and the routing rule runs once per packet.
+_SIP, _RTP, _RTCP = PacketKind.SIP, PacketKind.RTP, PacketKind.RTCP
 
 
 def shard_for_call(call_id: str, n_shards: int) -> int:
     """Consistent shard assignment for a Call-ID.
 
     Uses CRC-32, not Python's ``hash()``: the builtin is salted per
-    process (PYTHONHASHSEED), and the assignment must agree between the
-    facade and pool workers — and across replays — to be a routing key.
+    process (PYTHONHASHSEED), and the assignment must agree across
+    processes and replays to be a routing key.
     """
     return crc32(call_id.encode("utf-8", "surrogateescape")) % n_shards
-
-
-def _partition_drain_time(config: VidsConfig) -> float:
-    """Sim-time to run after a partition so pending pattern timers fire."""
-    return config.bye_inflight_timer + config.closed_record_linger + 1.0
-
-
-def _analyze_partition(config: VidsConfig,
-                       items: List[Tuple[float, Datagram]],
-                       drain: float) -> Tuple[List[Alert], VidsMetrics]:
-    """Pool-worker entry: replay one shard's packets on a fresh pipeline.
-
-    Module-level so it pickles under both fork and spawn start methods.
-    Each worker owns a complete Vids with its own manual clock, replays
-    its time-ordered partition, drains pending timers, and returns only
-    picklable results (alerts + metrics) to the parent.
-    """
-    from ..efsm.system import ManualClock
-
-    clock = ManualClock()
-    vids = Vids(config=config, clock_now=clock.now,
-                timer_scheduler=clock.schedule)
-    vids.process_batch(((datagram, when) for when, datagram in items),
-                       clock=clock)
-    clock.advance(drain)
-    vids.flush_shed_interval()
-    return vids.alert_manager.alerts, vids.metrics
 
 
 class ShardedVids:
@@ -111,14 +83,10 @@ class ShardedVids:
         clock_now: Optional[Callable[[], float]] = None,
         timer_scheduler: Optional[Callable] = None,
         obs: Optional["Observability"] = None,
-        backend: str = "serial",
         default_shard: int = 0,
     ):
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; "
-                             f"expected one of {BACKENDS}")
         if not 0 <= default_shard < shards:
             raise ValueError(f"default_shard {default_shard} outside "
                              f"0..{shards - 1}")
@@ -133,7 +101,6 @@ class ShardedVids:
         self.clock_now = clock_now
         self.timer_scheduler = timer_scheduler
         self.n_shards = shards
-        self.backend = backend
         self.default_shard = default_shard
         self.obs = obs
         self._trace = obs.trace if obs is not None else None
@@ -144,6 +111,9 @@ class ShardedVids:
         self.classifier = PacketClassifier()
         #: Media routing table: negotiated (addr, port) -> owning shard.
         self._media_routes: Dict[MediaKey, int] = {}
+        #: Per-call routing overrides, consulted before the hash; empty
+        #: unless a supervisor migrates calls (repro.vids.cluster).
+        self.call_routes: Dict[str, int] = {}
 
         first = Vids(config=config, clock_now=clock_now,
                      timer_scheduler=timer_scheduler, obs=obs,
@@ -170,11 +140,6 @@ class ShardedVids:
             shard.factbase.on_media_route = partial(
                 self._media_route_changed, index)
 
-        #: Results returned by pool workers (merged into the aggregate
-        #: views alongside the live per-shard state).
-        self._pool_alerts: List[Alert] = []
-        self._pool_metrics: List[VidsMetrics] = []
-
         if obs is not None and obs.registry is not None:
             self._register_metrics(obs.registry)
 
@@ -189,212 +154,74 @@ class ShardedVids:
             del self._media_routes[key]
 
     def shard_index(self, classified) -> int:
-        """Which shard owns a classified packet."""
+        """Which shard owns a classified packet — the one routing rule.
+
+        RTP/RTCP follows the media routing table and falls to the default
+        shard when no call negotiated its endpoint.  SIP with a Call-ID
+        follows a migration override (``call_routes``) and otherwise the
+        consistent hash.  Everything else — Call-ID-less SIP, malformed
+        SIP, keepalives, other — hashes on the source address, so
+        stray-request handling stays deterministic and each source's
+        malformed-rate (fuzzing) window accumulates on one shard, exactly
+        as in the single pipeline.
+        """
         kind = classified.kind
-        if kind is PacketKind.SIP:
+        if kind is _RTP or kind is _RTCP:
+            dst = classified.datagram.dst
+            return self._media_routes.get((dst.ip, dst.port),
+                                          self.default_shard)
+        if kind is _SIP:
             call_id = classified.sip.call_id
             if call_id:
+                if self.call_routes:
+                    override = self.call_routes.get(call_id)
+                    if override is not None:
+                        return override
                 return shard_for_call(call_id, self.n_shards)
-            # Call-ID-less SIP: route by source so the stray-request
-            # handling stays deterministic.
-            return shard_for_call(classified.datagram.src.ip, self.n_shards)
-        if kind is PacketKind.RTP or kind is PacketKind.RTCP:
-            datagram = classified.datagram
-            return self._media_routes.get(
-                (datagram.dst.ip, datagram.dst.port), self.default_shard)
-        # MALFORMED_SIP / OTHER: hash on the source address so each
-        # source's malformed-rate (fuzzing) window accumulates on one
-        # shard, exactly as in the single pipeline.
         return shard_for_call(classified.datagram.src.ip, self.n_shards)
+
+    @property
+    def default_vids(self) -> Vids:
+        """The default shard, looked up on every access: a supervisor
+        rebinds ``shards[i]`` when it restarts a member."""
+        return self.shards[self.default_shard]
 
     # -- PacketProcessor interface --------------------------------------------
 
+    def _admit(self, index: int, classified, now: float) -> float:
+        """The owning shard's post-classifier tail."""
+        return self.shards[index].process_classified(classified, now)
+
     def process(self, datagram: Datagram, now: float) -> float:
         """Classify once, route to the owning shard; returns the CPU cost."""
-        profiler = self._profiler
-        if profiler is not None:
-            token = profiler.begin()
-        try:
-            classified = self.classifier.classify(datagram)
-        except Exception as exc:  # crash containment, layer 1
-            if not self.config.crash_containment:
-                raise
-            return self.shards[self.default_shard].contain_classifier_error(
-                datagram, exc, now)
-        finally:
-            if profiler is not None:
-                profiler.commit("classify", token)
-        shard = self.shards[self.shard_index(classified)]
-        return shard.process_classified(classified, now)
+        return ingest(self, ((datagram, now),), None, self._admit,
+                      self.shard_index)
 
     def process_batch(self, items: Iterable[Tuple[Datagram, float]],
                       clock=None) -> float:
         """Analyse a time-ordered batch of ``(datagram, time)`` pairs.
 
-        The serial backend preserves global arrival order across shards
-        (required for alert-multiset equivalence with one Vids); the
-        process-pool backend partitions the batch up front and analyses
-        the partitions in parallel worker processes — see
-        :meth:`_process_batch_pool` for its routing model.
+        Global arrival order is preserved across shards (required for
+        alert-multiset equivalence with one Vids); see
+        :func:`~repro.vids.ingest.ingest` for the clock contract.
         """
-        if self.backend == "process-pool":
-            return self._process_batch_pool(items)
-        total = 0.0
-        if self._profiler is not None:
-            # Profiled path: per-packet process() so the classify stage is
-            # attributed, exactly as the single-packet entry point does.
-            process = self.process
-            if clock is None:
-                for datagram, when in items:
-                    total += process(datagram, when)
-                return total
-            now = clock.now
-            advance = clock.advance
-            regress = self.shards[self.default_shard].metrics
-            for datagram, when in items:
-                current = now()
-                if when < current:
-                    # Clamp backwards capture timestamps onto the monotonic
-                    # analysis clock (see Vids.process_batch).
-                    regress.time_regressions += 1
-                elif when > current:
-                    advance(when - current)
-                total += process(datagram, now())
-            return total
-        # Fast path (no profiler attached): classify and route inline, one
-        # packet per loop iteration with no intermediate call layers — this
-        # is what keeps the serial facade at parity with a bare Vids
-        # (benchmarks/test_scale_throughput.py::test_sharded_batch_throughput).
-        classify = self.classifier.classify
-        shards = self.shards
-        dispatch = [shard.process_classified for shard in shards]
-        routes_get = self._media_routes.get
-        n_shards = self.n_shards
-        default = self.default_shard
-        contain = self.config.crash_containment
-        sip_kind, rtp_kind = PacketKind.SIP, PacketKind.RTP
-        rtcp_kind = PacketKind.RTCP
-        if clock is not None:
-            now = clock.now
-            advance = clock.advance
-            current = now()
-        else:
-            advance = None
-            current = None
-        regress = shards[default].metrics
-        for datagram, when in items:
-            if advance is not None:
-                if when < current:
-                    # Clamped onto the monotonic analysis clock (see
-                    # Vids.process_batch); the default shard accounts the
-                    # regression so sharded counters still sum to the
-                    # single-pipeline totals.
-                    regress.time_regressions += 1
-                elif when > current:
-                    advance(when - current)
-                    current = now()
-                when = current
-            try:
-                classified = classify(datagram)
-            except Exception as exc:  # crash containment, layer 1
-                if not contain:
-                    raise
-                total += shards[default].contain_classifier_error(
-                    datagram, exc, when)
-                continue
-            kind = classified.kind
-            if kind is rtp_kind or kind is rtcp_kind:
-                dst = datagram.dst
-                index = routes_get((dst.ip, dst.port), default)
-            elif kind is sip_kind and classified.sip.call_id:
-                index = shard_for_call(classified.sip.call_id, n_shards)
-            else:
-                index = shard_for_call(datagram.src.ip, n_shards)
-            total += dispatch[index](classified, when)
-        return total
-
-    # -- process-pool backend -------------------------------------------------
-
-    def _partition(self, items: Iterable[Tuple[Datagram, float]],
-                   ) -> List[List[Tuple[float, Datagram]]]:
-        """Statically partition a batch by shard for parallel analysis.
-
-        Media routing cannot use live fact-base callbacks across process
-        boundaries, so the scan pre-builds the routing table from the SDP
-        offers/answers it sees in the SIP stream, in arrival order —
-        media that precedes its negotiation falls to the default shard,
-        just as it would have been orphaned online.
-        """
-        partitions: List[List[Tuple[float, Datagram]]] = [
-            [] for _ in range(self.n_shards)]
-        routes = dict(self._media_routes)
-        classify = self.classifier.classify
-        for datagram, when in items:
-            classified = classify(datagram)
-            kind = classified.kind
-            if kind is PacketKind.SIP:
-                call_id = classified.sip.call_id
-                index = shard_for_call(call_id or datagram.src.ip,
-                                       self.n_shards)
-                fields = _sdp_fields(classified.sip)
-                addr, port = fields.get("sdp_addr"), fields.get("sdp_port")
-                if addr and port:
-                    routes[(str(addr), int(port))] = index
-            elif kind is PacketKind.RTP or kind is PacketKind.RTCP:
-                index = routes.get((datagram.dst.ip, datagram.dst.port),
-                                   self.default_shard)
-            else:
-                index = shard_for_call(datagram.src.ip, self.n_shards)
-            partitions[index].append((when, datagram))
-        return partitions
-
-    def _process_batch_pool(self,
-                            items: Iterable[Tuple[Datagram, float]]) -> float:
-        """Fan a batch out to one worker process per non-empty shard."""
-        from concurrent.futures import ProcessPoolExecutor
-
-        partitions = self._partition(items)
-        jobs = [(index, part) for index, part in enumerate(partitions) if part]
-        if not jobs:
-            return 0.0
-        drain = _partition_drain_time(self.config)
-        workers = min(len(jobs), os.cpu_count() or 1)
-        total = 0.0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(part, pool.submit(_analyze_partition, self.config,
-                                          part, drain)) for _, part in jobs]
-            for part, future in futures:
-                try:
-                    alerts, metrics = future.result()
-                except Exception:
-                    # A dead worker (e.g. BrokenProcessPool) must not
-                    # discard its siblings' results or crash the batch:
-                    # re-analyze the failed partition serially in-process.
-                    alerts, metrics = _analyze_partition(self.config, part,
-                                                         drain)
-                    metrics.pool_worker_failures += 1
-                self._pool_alerts.extend(alerts)
-                self._pool_metrics.append(metrics)
-                total += metrics.cpu_time
-        return total
+        return ingest(self, items, clock, self._admit, self.shard_index)
 
     # -- aggregation ----------------------------------------------------------
 
     @property
     def metrics(self) -> VidsMetrics:
-        """Merged counters across shards (and any pool-batch results).
+        """Merged counters across shards.
 
         Counters sum exactly; the two peaks are summed per-shard peaks,
         an upper bound on the true aggregate high-water mark
         (:meth:`VidsMetrics.merged`).
         """
-        return VidsMetrics.merged(
-            [shard.metrics for shard in self.shards] + self._pool_metrics)
+        return VidsMetrics.merged([shard.metrics for shard in self.shards])
 
     @property
     def alerts(self) -> List[Alert]:
         merged = [alert for shard in self.shards for alert in shard.alerts]
-        merged.extend(self._pool_alerts)
         merged.sort(key=lambda alert: alert.time)
         return merged
 
@@ -405,8 +232,6 @@ class ShardedVids:
         view.alerts = self.alerts
         for shard in self.shards:
             view.counts.update(shard.alert_manager.counts)
-        for alert in self._pool_alerts:
-            view.counts[alert.attack_type] += 1
         return view
 
     def alert_count(self, attack_type: Optional[AttackType] = None) -> int:
@@ -446,7 +271,6 @@ class ShardedVids:
         }
         summary["active_calls"] = self.active_calls
         summary["shards"] = self.n_shards
-        summary["backend"] = self.backend
         summary["media_routes"] = len(self._media_routes)
         summary["per_shard_packets"] = [
             shard.metrics.packets_processed for shard in self.shards]
@@ -479,7 +303,7 @@ class ShardedVids:
         else:
             alert_table = "no alerts"
         return (f"=== sharded vids report (t={self.clock_now():.3f}s, "
-                f"{self.n_shards} shards, backend={self.backend}) ===\n"
+                f"{self.n_shards} shards) ===\n"
                 f"{table}\n\nmedia routes: {len(self._media_routes)}\n\n"
                 f"alerts:\n{alert_table}")
 

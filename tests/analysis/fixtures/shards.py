@@ -1,28 +1,9 @@
 """Seeded shard-isolation violations (codecheck test fixture; AST only)."""
 
 
-def _worker(batch):
-    return len(batch)
-
-
 class Facade:
-    def __init__(self, pool, tracker):
-        self.pool = pool
+    def __init__(self, tracker):
         self.flood_tracker = tracker     # SI001: not a designated site
 
     def reset(self):
         self.flood_tracker = object()    # SI001: rebind splits the alias
-
-    def dispatch(self, batch):
-        self.pool.submit(lambda part: part, batch)    # SI002: lambda
-        self.pool.submit(self.handle, batch)          # SI002: bound method
-
-        def inner(part):
-            return len(part)
-
-        self.pool.submit(inner, batch)                # SI002: nested def
-        self.pool.submit(_worker, self)               # SI002: self crosses
-        return self.pool.submit(_worker, batch)       # fine
-
-    def handle(self, batch):
-        return len(batch)

@@ -162,24 +162,13 @@ def test_non_plain_state_values_flagged():
 
 
 # ---------------------------------------------------------------------------
-# shard isolation (SI001/SI002)
+# shard isolation (SI001)
 # ---------------------------------------------------------------------------
 
 def test_shared_tracker_rebinds_flagged_outside_sites():
     findings = run_fixture(check_isolation=True)
     si001 = by_code(findings, "SI001")
     assert {d.state for d in si001} == {"Facade.__init__", "Facade.reset"}
-
-
-def test_pool_boundary_violations_flagged():
-    findings = run_fixture(check_isolation=True)
-    si002 = by_code(findings, "SI002")
-    messages = " | ".join(d.message for d in si002)
-    assert len(si002) == 4
-    assert "lambda" in messages
-    assert "bound callable" in messages
-    assert "nested function" in messages
-    assert "self" in messages
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,16 @@ pcap files instead of the simulator (docs/DEPLOYMENT.md):
 * Backward capture timestamps (multi-NIC merges, NTP steps on the
   capture host) used to raise ValueError out of every batch path.  They
   are now clamped onto the monotonic analysis clock and counted in
-  ``time_regressions``.
+  ``time_regressions`` — by the one ingest loop, so one case covers
+  every tier, with and without a profiler attached.
 """
 
-from repro.efsm import ManualClock
-from repro.vids import AttackType
+import pytest
+
+from repro.obs import Observability
+from repro.vids import AttackType, ClusterConfig, build_pipeline
 from repro.vids.classifier import (KEEPALIVE_PAYLOADS, PacketClassifier,
                                    PacketKind)
-from repro.vids.cluster import ClusterConfig, SupervisedCluster
 
 from .test_ids import (
     PROXY_A,
@@ -86,37 +88,43 @@ class TestKeepalives:
 def out_of_order_items():
     return [
         (dgram(invite_bytes(), PROXY_A, PROXY_B), 1.0),
-        (dgram(response_bytes(180), PROXY_B, PROXY_A), 0.5),
+        (dgram(response_bytes(180), PROXY_B, PROXY_A), 0.5),   # backwards
+        (dgram(response_bytes(180), PROXY_B, PROXY_A), 1.0),   # equal: fine
         (dgram(response_bytes(200, with_sdp=True), PROXY_B, PROXY_A), 1.2),
     ]
 
 
+TIERS = {
+    "single": {},
+    "sharded": {"shards": 4},
+    "supervised": {"shards": 4, "supervise": True},
+    # A credit gate (however generous) makes the supervisor evaluate
+    # admission on every packet.
+    "supervised-credits": {
+        "shards": 2, "supervise": True,
+        "cluster": ClusterConfig(credit_limit=1_000_000)},
+}
+
+
+@pytest.mark.parametrize("profiled", [False, True], ids=["plain", "profiled"])
+@pytest.mark.parametrize("tier", TIERS)
 class TestTimeRegressions:
-    def test_vids_batch_clamps_and_counts(self):
-        vids, clock = make_vids()
-        vids.process_batch(out_of_order_items(), clock=clock)
+    def make(self, tier, profiled):
+        obs = Observability(profile=True) if profiled else None
+        return build_pipeline(obs=obs, **TIERS[tier])
+
+    def test_batch_clamps_and_counts(self, tier, profiled):
+        pipeline, clock = self.make(tier, profiled)
+        # A one-shot generator: the loop may neither rewind nor size it.
+        pipeline.process_batch(iter(out_of_order_items()), clock=clock)
         assert clock.now() == 1.2  # advanced, never rewound
-        assert vids.metrics.time_regressions == 1
-        assert vids.metrics.packets_processed == 3
-        assert vids.metrics.sip_messages == 3
+        assert pipeline.metrics.time_regressions == 1
+        assert pipeline.metrics.packets_processed == 4
+        assert pipeline.metrics.sip_messages == 4
 
-    def test_cluster_fast_path_clamps(self):
-        clock = ManualClock()
-        cluster = SupervisedCluster(shards=4, clock_now=clock.now,
-                                    timer_scheduler=clock.schedule)
-        cluster.process_batch(out_of_order_items(), clock=clock)
-        assert clock.now() == 1.2
-        assert cluster.metrics.time_regressions == 1
-        assert cluster.metrics.packets_processed == 3
-
-    def test_cluster_general_path_clamps(self):
-        # A credit gate (however generous) disables the lean fast path,
-        # so this drives the supervisor's general dispatch loop.
-        clock = ManualClock()
-        cluster = SupervisedCluster(
-            shards=2, clock_now=clock.now, timer_scheduler=clock.schedule,
-            cluster=ClusterConfig(credit_limit=1_000_000))
-        cluster.process_batch(out_of_order_items(), clock=clock)
-        assert clock.now() == 1.2
-        assert cluster.metrics.time_regressions == 1
-        assert cluster.metrics.packets_processed == 3
+    def test_without_a_clock_timestamps_pass_through(self, tier, profiled):
+        pipeline, clock = self.make(tier, profiled)
+        pipeline.process_batch(iter(out_of_order_items()))
+        assert clock.now() == 0.0  # nobody advanced it
+        assert pipeline.metrics.time_regressions == 0
+        assert pipeline.metrics.packets_processed == 4

@@ -7,15 +7,12 @@ state.  The full alert-multiset equivalence bar lives in
 tests/integration/test_sharded_equivalence.py.
 """
 
-import os
 from zlib import crc32
 
 import pytest
 
 from repro.efsm import ManualClock
 from repro.vids import DEFAULT_CONFIG, ShardedVids, Vids, shard_for_call
-from repro.vids.sharding import BACKENDS
-from repro.vids import sharding as sharding_module
 
 from .test_ids import (
     CALL_ID,
@@ -61,14 +58,10 @@ class TestShardAssignment:
             ShardedVids(shards=0, clock_now=clock.now,
                         timer_scheduler=clock.schedule)
         with pytest.raises(ValueError):
-            ShardedVids(shards=2, backend="threads", clock_now=clock.now,
-                        timer_scheduler=clock.schedule)
-        with pytest.raises(ValueError):
             ShardedVids(shards=2, default_shard=2, clock_now=clock.now,
                         timer_scheduler=clock.schedule)
         with pytest.raises(ValueError):
             ShardedVids(shards=2)  # no clock source at all
-        assert "serial" in BACKENDS and "process-pool" in BACKENDS
 
 
 class TestRouting:
@@ -164,7 +157,6 @@ class TestAggregation:
         assert metrics.packets_processed == 5
         summary = sharded.summary()
         assert summary["shards"] == 4
-        assert summary["backend"] == "serial"
         assert summary["media_routes"] == 2
         assert sum(summary["per_shard_packets"]) == 5
         assert sharded.active_calls == 1
@@ -200,20 +192,6 @@ class TestAggregation:
         batched.process_batch(traffic(), clock=clock_b)
 
         assert batched.summary() == looped.summary()
-
-    def test_batch_clamps_time_travel(self):
-        # Backward capture timestamps (multi-NIC merges, clock steps) must
-        # not abort the batch: the packet is processed at the analysis
-        # clock's current time and the regression is counted.
-        sharded, clock = make_sharded()
-        items = [
-            (dgram(invite_bytes(), PROXY_A, PROXY_B), 1.0),
-            (dgram(response_bytes(180), PROXY_B, PROXY_A), 0.5),
-        ]
-        sharded.process_batch(items, clock=clock)
-        assert clock.now() == 1.0  # never rewound
-        assert sharded.metrics.time_regressions == 1
-        assert sharded.metrics.packets_processed == 2
 
     def test_single_shard_matches_plain_vids(self):
         plain_clock = ManualClock()
@@ -269,81 +247,6 @@ class TestObservability:
         sharded.process(dgram(invite_bytes(), PROXY_A, PROXY_B), clock.now())
         kinds = {event.kind for event in obs.trace.for_call(CALL_ID)}
         assert "classify" in kinds or "route" in kinds
-
-
-class TestProcessPoolBackend:
-    def test_pool_smoke(self):
-        """Tiny batch through the opt-in multi-process backend: the alert
-        and the merged metrics come back from the workers."""
-        items = [
-            (dgram(invite_bytes(), PROXY_A, PROXY_B), 0.0),
-            (dgram(response_bytes(180), PROXY_B, PROXY_A), 0.05),
-            (dgram(response_bytes(200, with_sdp=True), PROXY_B, PROXY_A),
-             0.10),
-            (dgram(bye_bytes(call_id=CALL_ID), "172.16.66.6", CALLER), 0.20),
-        ]
-        sharded, _clock = make_sharded(shards=2, backend="process-pool")
-        sharded.process_batch(items)
-        assert sharded.metrics.sip_messages == 4
-        assert sharded.alert_count() == 1
-        assert sharded.summary()["backend"] == "process-pool"
-
-    def test_partition_routes_media_with_signaling(self):
-        sharded, _clock = make_sharded(shards=4)
-        items = [
-            (dgram(invite_bytes(), PROXY_A, PROXY_B), 0.0),
-            (dgram(rtp_bytes(), CALLEE, CALLER, 20_002, 20_000), 0.05),
-            (dgram(rtp_bytes(), "8.8.8.8", "9.9.9.9", 40_000, 40_001), 0.06),
-        ]
-        partitions = sharded._partition(items)
-        # INVITE and the media towards its offered endpoint co-locate.
-        assert len(partitions[OWNER]) == 2
-        # Unknown media fell to the default shard (or OWNER if they match).
-        sizes = [len(part) for part in partitions]
-        assert sum(sizes) == 3
-        assert len(partitions[sharded.default_shard]) >= 1
-
-
-_PARENT_PID = os.getpid()
-_REAL_ANALYZE = sharding_module._analyze_partition
-
-
-def _suicidal_analyze(config, part, drain):
-    """Pool-worker stand-in that dies hard in the child process only.
-
-    The pool uses the fork start method, so workers inherit the
-    monkeypatched module attribute; the parent-side serial retry runs the
-    real analysis.
-    """
-    if os.getpid() != _PARENT_PID:
-        os._exit(3)
-    return _REAL_ANALYZE(config, part, drain)
-
-
-class TestPoolWorkerFailure:
-    def test_dead_worker_is_retried_serially(self, monkeypatch):
-        """A worker that dies mid-batch (BrokenProcessPool poisons every
-        sibling future) must not discard results or crash the batch: each
-        failed partition is re-analyzed serially in-process and counted."""
-        monkeypatch.setattr(sharding_module, "_analyze_partition",
-                            _suicidal_analyze)
-        items = [
-            (dgram(invite_bytes(), PROXY_A, PROXY_B), 0.0),
-            (dgram(response_bytes(180), PROXY_B, PROXY_A), 0.05),
-            (dgram(response_bytes(200, with_sdp=True), PROXY_B, PROXY_A),
-             0.10),
-            (dgram(bye_bytes(call_id=CALL_ID), "172.16.66.6", CALLER), 0.20),
-            (dgram(invite_bytes(call_id="other@far.side",
-                                branch="z9hG4bKo1", from_tag="of"),
-                   PROXY_A, PROXY_B), 0.30),
-        ]
-        sharded, _clock = make_sharded(shards=2, backend="process-pool")
-        sharded.process_batch(items)
-        # Detection survived the dead workers...
-        assert sharded.metrics.sip_messages == 5
-        assert sharded.alert_count() == 1
-        # ...and every fallback was accounted.
-        assert sharded.metrics.pool_worker_failures >= 1
 
 
 class TestQuarantineMediaRetirement:
