@@ -6,9 +6,8 @@ without profiling: SIP wire parsing, SIP serialization, and raw per-event
 EFSM dispatch (one delivered event through guard evaluation, firing, and
 result recording — no vids bookkeeping around it).
 
-Every benchmark publishes ``extra_info["ops"]`` (operations per round) so
-``benchmarks/harness.py`` can convert mean round time into an ops/s rate
-in BENCH_pipeline.json.
+Every benchmark publishes ``extra_info["ops"]`` (operations per round), so
+the mean round time in a pytest-benchmark report converts to an ops/s rate.
 """
 
 import os

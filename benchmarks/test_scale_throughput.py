@@ -35,8 +35,8 @@ KEEP_UP_THRESHOLDS = {
 #: fraction of the bare sharded rate measured back-to-back in-process.
 SUPERVISED_OVERHEAD_FLOOR = 0.9
 
-#: Measurement rounds per benchmark; ``benchmarks/harness.py --rounds`` and
-#: the CI bench-smoke job override this through the environment.
+#: Measurement rounds per benchmark; the CI bench-smoke job overrides
+#: this through the environment.
 ROUNDS = max(1, int(os.environ.get("REPRO_BENCH_ROUNDS", "3")))
 
 

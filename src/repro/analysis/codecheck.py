@@ -321,9 +321,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
             "_var_shadow": "trace-only changed-variable shadow; a cold "
                            "shadow just re-emits full valuations on the "
                            "next fire after failover",
-            "_anomaly": "opt-in mined-model scoring cursors; scoring "
-                        "restarts per call after failover and raises no "
-                        "alerts, only metrics/trace events",
         },
         record_call="ShardCheckpoint",
         emit_exempt={

@@ -11,28 +11,57 @@ Subcommands:
 - ``speclint`` — statically verify the machine specifications (per-machine
   rules plus cross-machine channel/deadlock analysis; docs/SPECCHECK.md)
   and exit non-zero on ERROR findings;
-- ``perf`` — cProfile a synthetic N-call SIP+RTP workload through the full
-  vids pipeline and print the top-K cumulative hotspots
-  (docs/PERFORMANCE.md);
+- ``codelint`` — statically verify implementation invariants against the
+  committed baseline (docs/CODECHECK.md);
 - ``trace`` — run a short scenario with a seeded attack under full
   observability and print the victim call's forensic timeline (classifier
   verdict → EFSM firings and δ channel messages → alert), with optional
   JSONL trace and Prometheus metrics export (docs/OBSERVABILITY.md);
+- ``mine`` / ``specdiff`` — learn EFSMs from a trace export and diff them
+  against the hand-written specifications (docs/MINING.md);
 - ``serve`` — bind real UDP sockets (passive tap) and feed received SIP/RTP
   traffic through the pipeline live, with graceful SIGTERM drain and an
   optional Prometheus metrics endpoint (docs/DEPLOYMENT.md);
 - ``replay`` — decode a pcap/pcapng capture with the dependency-free codec
   and analyse it offline through the identical ingestion path
   (docs/DEPLOYMENT.md "Forensic replay").
+
+Where time goes: ``trace --profile`` / ``vids_stage_seconds`` at run time,
+``benchmarks/e2e/run.py --trace 1`` (the span ledger) at benchmark time,
+``python -m cProfile -m repro.cli replay --pcap FILE`` per function.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 from typing import List, Optional
 
 __all__ = ["main", "build_parser"]
+
+
+def _add_findings_flags(parser) -> None:
+    """``--json/--strict/--min-severity`` of the three findings reporters."""
+    parser.add_argument("--json", action="store_true",
+                        help="emit findings as a JSON document")
+    parser.add_argument("--strict", action="store_true",
+                        help="exit non-zero on WARNING findings too")
+    parser.add_argument("--min-severity",
+                        choices=("info", "warning", "error"), default="info",
+                        help="lowest severity to report (default info)")
+
+
+def _add_topology_flags(parser) -> None:
+    """``--shards/--supervise``: which tier ``build_pipeline`` builds."""
+    parser.add_argument("--shards", type=int, default=1,
+                        help="analysis shards (default 1: plain Vids; "
+                             "docs/SCALING.md)")
+    parser.add_argument("--supervise", action="store_true",
+                        help="supervise the shards (checkpoint/restore, "
+                             "health-checked failover, backpressure; "
+                             "docs/ROBUSTNESS.md 'Supervision & failover')")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,14 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     speclint = sub.add_parser(
         "speclint",
         help="statically verify the EFSM specifications (spec-lint)")
-    speclint.add_argument("--json", action="store_true",
-                          help="emit findings as a JSON document")
-    speclint.add_argument("--strict", action="store_true",
-                          help="exit non-zero on WARNING findings too")
-    speclint.add_argument("--min-severity", choices=("info", "warning",
-                                                     "error"),
-                          default="info",
-                          help="lowest severity to report (default info)")
+    _add_findings_flags(speclint)
     speclint.add_argument("--no-cross-protocol", action="store_true",
                           help="lint the cross_protocol=False ablation "
                                "machines instead")
@@ -111,14 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="diff only this machine (default: both)")
     specdiff.add_argument("--k", type=int, default=2,
                           help="k-tails merging depth (default 2)")
-    specdiff.add_argument("--json", action="store_true",
-                          help="emit findings as a JSON document")
-    specdiff.add_argument("--strict", action="store_true",
-                          help="exit non-zero on WARNING findings too")
-    specdiff.add_argument("--min-severity", choices=("info", "warning",
-                                                     "error"),
-                          default="info",
-                          help="lowest severity to report (default info)")
+    _add_findings_flags(specdiff)
     specdiff.add_argument("--no-cross-protocol", action="store_true",
                           help="diff against the cross_protocol=False "
                                "ablation machines instead")
@@ -127,14 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
         "codelint",
         help="statically verify implementation invariants (checkpoint "
              "coverage, guard purity, shard isolation)")
-    codelint.add_argument("--json", action="store_true",
-                          help="emit findings as a JSON document")
-    codelint.add_argument("--strict", action="store_true",
-                          help="exit non-zero on new WARNING findings too")
-    codelint.add_argument("--min-severity", choices=("info", "warning",
-                                                     "error"),
-                          default="info",
-                          help="lowest severity to report (default info)")
+    _add_findings_flags(codelint)
     codelint.add_argument("--baseline", metavar="FILE", default=None,
                           help="baseline JSON of accepted findings "
                                "(default tools/codelint_baseline.json next "
@@ -147,34 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     codelint.add_argument("--root", metavar="DIR", default=None,
                           help="package source root to analyze (default: "
                                "the installed repro package)")
-
-    perf = sub.add_parser(
-        "perf", help="profile a synthetic workload; print the hotspots")
-    perf.add_argument("--calls", type=int, default=200,
-                      help="calls to set up and analyze (default 200)")
-    perf.add_argument("--rtp-per-call", type=int, default=50,
-                      help="RTP packets injected per call (default 50)")
-    perf.add_argument("--top", type=int, default=25,
-                      help="hotspot rows to print (default 25)")
-    perf.add_argument("--sort", choices=("cumulative", "tottime"),
-                      default="cumulative",
-                      help="hotspot sort order (default cumulative)")
-    perf.add_argument("--raw", action="store_true",
-                      help="also print the raw pstats table (the default "
-                           "output is the stage rollup + stage-tagged "
-                           "hotspot listing)")
-    perf.add_argument("--shards", type=int, default=1,
-                      help="profile through a ShardedVids facade with N "
-                           "analysis shards (default 1: plain Vids; "
-                           "docs/SCALING.md)")
-    perf.add_argument("--supervise", action="store_true",
-                      help="put the shards under a ShardSupervisor with "
-                           "checkpointing on (docs/ROBUSTNESS.md "
-                           "'Supervision & failover')")
-    perf.add_argument("--checkpoint-cadence", type=int, default=None,
-                      metavar="N",
-                      help="with --supervise: checkpoint every N packets "
-                           "per member (default from ClusterConfig)")
 
     trace = sub.add_parser(
         "trace",
@@ -213,14 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
                             " ('-' for stdout)")
     trace.add_argument("--profile", action="store_true",
                        help="enable per-stage profiling and print the report")
-    trace.add_argument("--shards", type=int, default=1,
-                       help="run the scenario's IDS as a ShardedVids facade "
-                            "with N analysis shards (default 1; "
-                            "docs/SCALING.md)")
-    trace.add_argument("--supervise", action="store_true",
-                       help="supervise the shards (checkpoint/restore, "
-                            "health-checked failover, backpressure; "
-                            "docs/ROBUSTNESS.md 'Supervision & failover')")
+    _add_topology_flags(trace)
     trace.add_argument("--kill-shard", type=int, default=None, metavar="I",
                        help="with --supervise: kill shard I mid-scenario "
                             "(at half the horizon) and let the supervisor "
@@ -238,11 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rtp-range", metavar="LO-HI", default=None,
                        help="inclusive UDP port range to tap for RTP/RTCP "
                             "(e.g. 20000-20019); default: none")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="analysis shards (default 1; docs/SCALING.md)")
-    serve.add_argument("--supervise", action="store_true",
-                       help="supervise the shards (checkpoint/restore, "
-                            "failover; docs/ROBUSTNESS.md)")
+    _add_topology_flags(serve)
     serve.add_argument("--metrics-port", type=int, default=None,
                        help="serve the Prometheus exposition on this TCP "
                             "port (0 for ephemeral; default: off)")
@@ -263,10 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="analyse a pcap/pcapng capture offline (docs/DEPLOYMENT.md)")
     replay.add_argument("--pcap", metavar="FILE", required=True,
                         help="pcap or pcapng capture to decode and analyse")
-    replay.add_argument("--shards", type=int, default=1,
-                        help="analysis shards (default 1)")
-    replay.add_argument("--supervise", action="store_true",
-                        help="run the shards under a supervisor")
+    _add_topology_flags(replay)
     replay.add_argument("--no-rebase", action="store_true",
                         help="keep original timestamps instead of rebasing "
                              "epoch captures to t=0")
@@ -369,19 +335,60 @@ def _cmd_attack_matrix(args) -> int:
     return 0 if detected == len(attacks) else 1
 
 
+def _spec_config(args):
+    """The default config, or its ``--no-cross-protocol`` ablation."""
+    from .vids import DEFAULT_CONFIG
+
+    return DEFAULT_CONFIG.with_overrides(
+        cross_protocol=not args.no_cross_protocol)
+
+
+def _write_dots(directory: str, machines, diagnostics=None) -> None:
+    """One ``<machine name>.dot`` per machine under ``directory``."""
+    from .efsm.dot import to_dot
+
+    os.makedirs(directory, exist_ok=True)
+    for machine in machines:
+        path = os.path.join(directory, f"{machine.name}.dot")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(to_dot(machine, diagnostics=diagnostics))
+            handle.write("\n")
+        print(f"wrote {path}", file=sys.stderr)
+
+
+def _report_findings(args, diagnostics, label: str = "speclint",
+                     extra: Optional[dict] = None, gate=None) -> int:
+    """Print findings as text or JSON; returns the command's exit status.
+
+    ``extra`` adds keys to the JSON document.  ``gate`` is the subset of
+    findings whose severity decides the exit status (codelint: those not
+    in the baseline); by default every finding counts.
+    """
+    from .efsm.diagnostics import (Severity, count_by_severity,
+                                   diagnostics_to_dicts, format_report)
+
+    min_severity = Severity[args.min_severity.upper()]
+    if args.json:
+        counts = count_by_severity(diagnostics)
+        print(json.dumps({
+            "findings": diagnostics_to_dicts(
+                d for d in diagnostics if d.severity >= min_severity),
+            "counts": {str(sev): n for sev, n in sorted(counts.items())},
+            **(extra or {}),
+        }, indent=2, sort_keys=True))
+    else:
+        print(format_report(diagnostics, min_severity=min_severity,
+                            label=label))
+    threshold = Severity.WARNING if args.strict else Severity.ERROR
+    gate = diagnostics if gate is None else gate
+    return 1 if any(d.severity >= threshold for d in gate) else 0
+
+
 def _cmd_machines(args) -> int:
     from .efsm import summarize_machine, to_dot
-    from .vids import build_rtp_machine, build_sip_machine
-    from .vids.patterns import build_invite_flood_machine, \
-        build_media_spam_machine
+    from .vids.speclint import shipped_machines
 
-    machines = [
-        build_sip_machine(),
-        build_rtp_machine(),
-        build_invite_flood_machine(5, 1.0),
-        build_media_spam_machine(50, 160_000),
-    ]
-    for machine in machines:
+    for machine in shipped_machines():
         if args.dot:
             print(to_dot(machine))
         else:
@@ -391,52 +398,14 @@ def _cmd_machines(args) -> int:
 
 
 def _cmd_speclint(args) -> int:
-    import json
-    import os
+    from .vids.speclint import shipped_machines, verify_vids_specs
 
-    from .efsm.diagnostics import (Severity, count_by_severity,
-                                   diagnostics_to_dicts, format_report)
-    from .efsm.dot import to_dot
-    from .vids.config import DEFAULT_CONFIG
-    from .vids.speclint import verify_vids_specs
-
-    config = DEFAULT_CONFIG
-    if args.no_cross_protocol:
-        config = config.with_overrides(cross_protocol=False)
+    config = _spec_config(args)
     diagnostics = verify_vids_specs(config)
-    min_severity = {"info": Severity.INFO, "warning": Severity.WARNING,
-                    "error": Severity.ERROR}[args.min_severity]
-    if args.json:
-        counts = count_by_severity(diagnostics)
-        print(json.dumps({
-            "findings": diagnostics_to_dicts(
-                d for d in diagnostics if d.severity >= min_severity),
-            "counts": {str(sev): n for sev, n in sorted(counts.items())},
-        }, indent=2, sort_keys=True))
-    else:
-        print(format_report(diagnostics, min_severity=min_severity))
+    status = _report_findings(args, diagnostics)
     if args.dot:
-        from .vids.patterns import (build_invite_flood_machine,
-                                    build_media_spam_machine)
-        from .vids.rtp_machine import build_rtp_machine
-        from .vids.sip_machine import build_sip_machine
-        os.makedirs(args.dot, exist_ok=True)
-        machines = [
-            build_sip_machine(config),
-            build_rtp_machine(config),
-            build_invite_flood_machine(config.invite_flood_threshold,
-                                       config.invite_flood_window),
-            build_media_spam_machine(config.media_spam_seq_gap,
-                                     config.media_spam_ts_gap),
-        ]
-        for machine in machines:
-            path = os.path.join(args.dot, f"{machine.name}.dot")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(to_dot(machine, diagnostics=diagnostics))
-                handle.write("\n")
-            print(f"wrote {path}", file=sys.stderr)
-    threshold = Severity.WARNING if args.strict else Severity.ERROR
-    return 1 if any(d.severity >= threshold for d in diagnostics) else 0
+        _write_dots(args.dot, shipped_machines(config), diagnostics)
+    return status
 
 
 def _cmd_codelint(args) -> int:
@@ -446,13 +415,10 @@ def _cmd_codelint(args) -> int:
     committed baseline file is reported but tolerated, so CI fails when a
     change introduces a finding, not because history had one.
     """
-    import json
     from pathlib import Path
 
     from .analysis.codecheck import (analyze, fingerprint, load_baseline,
                                      partition_findings, write_baseline)
-    from .efsm.diagnostics import (Severity, count_by_severity,
-                                   diagnostics_to_dicts, format_report)
 
     root = Path(args.root) if args.root else None
     diagnostics = analyze(root=root)
@@ -479,172 +445,19 @@ def _cmd_codelint(args) -> int:
     baseline = load_baseline(baseline_path) if baseline_path else {}
     new, accepted, stale = partition_findings(diagnostics, baseline)
 
-    min_severity = {"info": Severity.INFO, "warning": Severity.WARNING,
-                    "error": Severity.ERROR}[args.min_severity]
-    if args.json:
-        counts = count_by_severity(diagnostics)
-        print(json.dumps({
-            "findings": diagnostics_to_dicts(
-                d for d in diagnostics if d.severity >= min_severity),
-            "new": [fingerprint(d) for d in new],
-            "baselined": [fingerprint(d) for d in accepted],
-            "stale_baseline": stale,
-            "counts": {str(sev): n for sev, n in sorted(counts.items())},
-        }, indent=2, sort_keys=True))
-    else:
-        print(format_report(diagnostics, min_severity=min_severity,
-                            label="codelint"))
+    status = _report_findings(
+        args, diagnostics, label="codelint", gate=new,
+        extra={"new": [fingerprint(d) for d in new],
+               "baselined": [fingerprint(d) for d in accepted],
+               "stale_baseline": stale})
+    if not args.json:
         if accepted:
             print(f"codelint: {len(accepted)} finding(s) accepted by "
                   f"baseline {baseline_path}")
         for print_ in stale:
             print(f"codelint: stale baseline entry (no longer fires): "
                   f"{print_}", file=sys.stderr)
-    threshold = Severity.WARNING if args.strict else Severity.ERROR
-    return 1 if any(d.severity >= threshold for d in new) else 0
-
-
-#: Pipeline stages for the ``perf`` rollup, in datagram order.  A profiled
-#: function belongs to the first stage whose path fragment matches; stdlib
-#: frames and the synthetic workload itself land in "harness/other".
-_PERF_STAGES = (
-    ("classify", ("vids/classifier.py",)),
-    ("sip-parse", ("sip/message.py", "sip/headers.py", "sip/uri.py",
-                   "sip/sdp.py", "sip/constants.py", "sip/errors.py")),
-    ("rtp-parse", ("rtp/",)),
-    ("distribute", ("vids/distributor.py",)),
-    ("state-machines", ("vids/sip_machine.py", "vids/rtp_machine.py",
-                        "efsm/")),
-    ("factbase", ("vids/factbase.py",)),
-    ("flood-tracking", ("vids/patterns/",)),
-    ("engine", ("vids/ids.py", "vids/engine.py", "vids/alerts.py",
-                "vids/metrics.py")),
-    ("sharding", ("vids/sharding.py", "vids/cluster.py", "vids/sync.py")),
-)
-
-
-def _perf_stage_of(filename: str) -> str:
-    path = filename.replace("\\", "/")
-    for stage, fragments in _PERF_STAGES:
-        if any(f"repro/{fragment}" in path for fragment in fragments):
-            return stage
-    return "harness/other"
-
-
-def _print_stage_hotspots(profile, top: int, sort: str) -> None:
-    """Per-stage rollup + stage-tagged hotspot rows from a cProfile run.
-
-    Own (tottime) seconds sum to the total runtime, so the rollup answers
-    "which stage is the bottleneck" directly; the hotspot rows below it
-    answer "which function inside that stage" without a raw pstats dump.
-    """
-    import pstats
-
-    entries = []  # (stage, func label, primitive calls, own_s, cum_s)
-    own_per_stage: dict = {}
-    for (filename, line, funcname), (calls, _nc, tottime, cumtime, _callers) \
-            in pstats.Stats(profile).stats.items():
-        stage = _perf_stage_of(filename)
-        base = filename.replace("\\", "/").rsplit("/", 1)[-1]
-        label = funcname if base == "~" else f"{funcname} ({base}:{line})"
-        entries.append((stage, label, calls, tottime, cumtime))
-        own_per_stage[stage] = own_per_stage.get(stage, 0.0) + tottime
-
-    total = sum(own_per_stage.values()) or 1.0
-    print("stage rollup (own time; sums to total):")
-    for stage, seconds in sorted(own_per_stage.items(),
-                                 key=lambda item: -item[1]):
-        print(f"  {stage:<16} {seconds:8.3f}s  {seconds / total:6.1%}")
-
-    key = 4 if sort == "cumulative" else 3
-    entries.sort(key=lambda entry: -entry[key])
-    order = "cumulative" if sort == "cumulative" else "own"
-    print(f"\ntop {top} hotspots by {order} time:")
-    print(f"  {'cum_s':>8}  {'own_s':>8}  {'calls':>9}  "
-          f"{'stage':<16} function")
-    for stage, label, calls, own, cum in entries[:top]:
-        print(f"  {cum:8.3f}  {own:8.3f}  {calls:9d}  {stage:<16} {label}")
-
-
-def _cmd_perf(args) -> int:
-    """cProfile the packet pipeline on a synthetic SIP+RTP workload.
-
-    The workload mirrors the throughput benchmarks: each synthetic call is
-    one INVITE-with-SDP through the classifier/distributor/SIP machine,
-    followed by a burst of in-session RTP packets through the media fast
-    path — so the printed hotspots are the ones that matter for the
-    steady-state analysis rate.
-    """
-    import cProfile
-    import pstats
-
-    from .netsim import Datagram, Endpoint
-    from .rtp import RtpPacket
-    from .sip import SipRequest
-    from .vids import DEFAULT_CLUSTER_CONFIG, build_pipeline
-
-    sdp = ("v=0\r\no=- 1 1 IN IP4 10.1.0.11\r\ns=c\r\n"
-           "c=IN IP4 10.1.0.11\r\nt=0 0\r\nm=audio {port} RTP/AVP 18\r\n"
-           "a=rtpmap:18 G729/8000\r\n")
-    cluster = DEFAULT_CLUSTER_CONFIG
-    if args.checkpoint_cadence is not None:
-        cluster = cluster.with_overrides(
-            checkpoint_cadence=args.checkpoint_cadence)
-    vids, clock = build_pipeline(shards=args.shards, supervise=args.supervise,
-                                 cluster=cluster)
-
-    def workload() -> None:
-        # Each call: one INVITE-with-SDP, then the RTP burst through the
-        # batched ingestion path (the sharded facade's bulk entry point;
-        # for plain Vids it is the same per-packet loop).
-        for index in range(args.calls):
-            port = 20_000 + 2 * (index % 1000)
-            invite = SipRequest("INVITE", "sip:bob@b.example.com",
-                                body=sdp.format(port=port))
-            invite.set("Via",
-                       "SIP/2.0/UDP 10.1.0.1:5060;branch=z9hG4bKp%d" % index)
-            invite.set("From", "<sip:alice@a.example.com>;tag=pf%d" % index)
-            invite.set("To", "<sip:u%d@b.example.com>" % index)
-            invite.set("Call-ID", f"perf-{index}@cli")
-            invite.set("CSeq", "1 INVITE")
-            invite.set("Contact", "<sip:alice@10.1.0.11:5060>")
-            invite.set("Content-Type", "application/sdp")
-            clock.advance(0.01)
-            vids.process(Datagram(Endpoint("10.1.0.1", 5060),
-                                  Endpoint("10.2.0.1", 5060),
-                                  invite.serialize()), clock.now())
-            base = clock.now()
-            burst = []
-            for seq in range(args.rtp_per_call):
-                packet = RtpPacket(18, seq + 1, (seq + 1) * 160,
-                                   0xAA00 + index, payload=bytes(20))
-                burst.append((Datagram(Endpoint("10.2.0.11", 30_000),
-                                       Endpoint("10.1.0.11", port),
-                                       packet.serialize()),
-                              base + 0.02 * (seq + 1)))
-            vids.process_batch(burst, clock=clock)
-
-    profile = cProfile.Profile()
-    profile.enable()
-    workload()
-    profile.disable()
-
-    packets = args.calls * (1 + args.rtp_per_call)
-    shard_note = f", {args.shards} shards" if args.shards > 1 else ""
-    if args.supervise:
-        cadence = (args.checkpoint_cadence
-                   if args.checkpoint_cadence is not None
-                   else DEFAULT_CLUSTER_CONFIG.checkpoint_cadence)
-        shard_note += f", supervised (checkpoint every {cadence})"
-    print(f"profiled {args.calls} calls / {packets} packets{shard_note} "
-          f"({vids.metrics.sip_messages} SIP, {vids.metrics.rtp_packets} RTP "
-          f"analyzed, {len(vids.alerts)} alerts)\n")
-    _print_stage_hotspots(profile, args.top, args.sort)
-    if args.raw:
-        print()
-        stats = pstats.Stats(profile, stream=sys.stdout)
-        stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    return 0
+    return status
 
 
 def _cmd_trace(args) -> int:
@@ -655,6 +468,7 @@ def _cmd_trace(args) -> int:
     from .obs import Observability
     from .telephony import (ScenarioParams, TestbedParams, WorkloadParams,
                             run_scenario)
+    from .vids import DEFAULT_CONFIG
 
     factories = {
         "bye": lambda: ByeTeardownAttack(40.0, spoof="none"),
@@ -669,10 +483,8 @@ def _cmd_trace(args) -> int:
     }
     obs = Observability(profile=args.profile,
                         trace_capacity=args.capacity)
-    from .vids.config import DEFAULT_CONFIG
-    vids_config = DEFAULT_CONFIG
-    if args.trace_variables:
-        vids_config = vids_config.with_overrides(trace_variables=True)
+    vids_config = DEFAULT_CONFIG.with_overrides(
+        trace_variables=args.trace_variables)
     factory = factories[args.attack]
     attacks = (factory(),) if factory is not None else ()
     shard_fault_plan = None
@@ -715,13 +527,7 @@ def _cmd_trace(args) -> int:
             handle.write(trace.to_jsonl())
         print(f"wrote trace: {args.jsonl}", file=sys.stderr)
     if args.metrics:
-        text = obs.registry.to_prometheus()
-        if args.metrics == "-":
-            print(text, end="")
-        else:
-            with open(args.metrics, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote metrics: {args.metrics}", file=sys.stderr)
+        _write_prometheus(obs, args.metrics)
     if args.profile and obs.profiler is not None:
         print()
         print(obs.profiler.report())
@@ -743,10 +549,6 @@ def _load_export(path: str):
 
 def _cmd_mine(args) -> int:
     """Learn EFSMs from a trace export and report the evidence."""
-    import json
-    import os
-
-    from .efsm.dot import to_dot
     from .efsm.mine import extract_corpus, mine_machine, replay_sequence
 
     export = _load_export(args.jsonl)
@@ -792,13 +594,7 @@ def _cmd_mine(args) -> int:
                   f"{info['sequences']} sequences / {info['steps']} steps; "
                   f"replay deviations: {replays[name]}")
     if args.dot:
-        os.makedirs(args.dot, exist_ok=True)
-        for name, machine in mined.items():
-            path = os.path.join(args.dot, f"{machine.efsm.name}.dot")
-            with open(path, "w", encoding="utf-8") as handle:
-                handle.write(to_dot(machine.efsm))
-                handle.write("\n")
-            print(f"wrote {path}", file=sys.stderr)
+        _write_dots(args.dot, [machine.efsm for machine in mined.values()])
     if args.strict and (replay_failures or corpus.calls_truncated):
         return 1
     return 0
@@ -806,21 +602,12 @@ def _cmd_mine(args) -> int:
 
 def _cmd_specdiff(args) -> int:
     """Diff mined machines against the hand-written specifications."""
-    import json
-
-    from .efsm.diagnostics import (Severity, count_by_severity,
-                                   diagnostics_to_dicts, format_report)
     from .efsm.mine import extract_corpus, mine_machine
     from .efsm.specdiff import specdiff
-    from .vids.config import DEFAULT_CONFIG
-    from .vids.rtp_machine import build_rtp_machine
-    from .vids.sip_machine import build_sip_machine
+    from .vids.speclint import shipped_machines
 
-    config = DEFAULT_CONFIG
-    if args.no_cross_protocol:
-        config = config.with_overrides(cross_protocol=False)
-    specs = {"sip": build_sip_machine(config),
-             "rtp": build_rtp_machine(config)}
+    sip, rtp = shipped_machines(_spec_config(args))[:2]
+    specs = {"sip": sip, "rtp": rtp}
 
     export = _load_export(args.jsonl)
     corpus = extract_corpus(export)
@@ -836,21 +623,8 @@ def _cmd_specdiff(args) -> int:
             return 2
         mined = mine_machine(sequences, name, k=args.k)
         diagnostics.extend(specdiff(mined, specs[name]))
-
-    min_severity = {"info": Severity.INFO, "warning": Severity.WARNING,
-                    "error": Severity.ERROR}[args.min_severity]
-    if args.json:
-        counts = count_by_severity(diagnostics)
-        print(json.dumps({
-            "findings": diagnostics_to_dicts(
-                d for d in diagnostics if d.severity >= min_severity),
-            "counts": {str(sev): n for sev, n in sorted(counts.items())},
-            "corpus": corpus.summary(),
-        }, indent=2, sort_keys=True))
-    else:
-        print(format_report(diagnostics, min_severity=min_severity))
-    threshold = Severity.WARNING if args.strict else Severity.ERROR
-    return 1 if any(d.severity >= threshold for d in diagnostics) else 0
+    return _report_findings(args, diagnostics,
+                            extra={"corpus": corpus.summary()})
 
 
 def _parse_port_range(text: Optional[str]) -> List[int]:
@@ -876,6 +650,7 @@ def _write_prometheus(obs, path: str) -> None:
 
 
 def _print_alerts(alerts) -> None:
+    print(f"{len(alerts)} alerts")
     for alert in alerts:
         where = alert.machine or "-"
         if alert.state:
@@ -883,13 +658,6 @@ def _print_alerts(alerts) -> None:
         print(f"  t={alert.time:9.3f}  {alert.attack_type.value:<18} "
               f"call={alert.call_id or '-'} src={alert.source or '-'} "
               f"dst={alert.destination or '-'}  [{where}]")
-
-
-def _alert_dict(alert) -> dict:
-    return {"time": alert.time, "attack_type": alert.attack_type.value,
-            "call_id": alert.call_id, "source": alert.source,
-            "destination": alert.destination, "machine": alert.machine,
-            "state": alert.state, "detail": alert.detail}
 
 
 def _cmd_serve(args) -> int:
@@ -953,7 +721,6 @@ def _cmd_serve(args) -> int:
           f"({metrics.sip_messages} SIP, {metrics.rtp_packets} RTP, "
           f"{metrics.keepalive_packets} keepalives), "
           f"{metrics.calls_created} calls")
-    print(f"{len(pipeline.alerts)} alerts")
     _print_alerts(pipeline.alerts)
     if args.metrics:
         _write_prometheus(obs, args.metrics)
@@ -962,8 +729,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_replay(args) -> int:
     """Decode a capture file and analyse it through the vids pipeline."""
-    import json
-
     from .live import replay_pcap
     from .live.pcap import DecodeStats, PcapError
     from .obs import Observability
@@ -983,7 +748,8 @@ def _cmd_replay(args) -> int:
         print(json.dumps({
             "decode": stats.as_dict(),
             "metrics": metrics.summary(),
-            "alerts": [_alert_dict(a) for a in pipeline.alerts],
+            "alerts": [{**vars(a), "attack_type": a.attack_type.value}
+                       for a in pipeline.alerts],
         }, indent=2, sort_keys=True, default=str))
     else:
         print(f"decoded {stats.udp_datagrams} UDP datagrams from "
@@ -997,38 +763,23 @@ def _cmd_replay(args) -> int:
               f"{metrics.malformed_packets} malformed), "
               f"{metrics.calls_created} calls, "
               f"{metrics.time_regressions} time regressions")
-        print(f"{len(pipeline.alerts)} alerts")
         _print_alerts(pipeline.alerts)
     if args.metrics:
         _write_prometheus(obs, args.metrics)
     return 0
 
 
+_COMMANDS = {
+    "scenario": _cmd_scenario, "attack-matrix": _cmd_attack_matrix,
+    "machines": _cmd_machines, "speclint": _cmd_speclint,
+    "codelint": _cmd_codelint, "trace": _cmd_trace, "mine": _cmd_mine,
+    "specdiff": _cmd_specdiff, "serve": _cmd_serve, "replay": _cmd_replay,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
-    if args.command == "attack-matrix":
-        return _cmd_attack_matrix(args)
-    if args.command == "machines":
-        return _cmd_machines(args)
-    if args.command == "speclint":
-        return _cmd_speclint(args)
-    if args.command == "codelint":
-        return _cmd_codelint(args)
-    if args.command == "perf":
-        return _cmd_perf(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "mine":
-        return _cmd_mine(args)
-    if args.command == "specdiff":
-        return _cmd_specdiff(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "replay":
-        return _cmd_replay(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":

@@ -30,8 +30,7 @@ The result is a real :class:`Efsm` built through the ordinary machine API:
 ``validate()``, ``speclint``, and ``to_dot`` work on it unchanged, and
 :func:`replay_sequence` re-delivers a training sequence to prove the model
 accepts it.  ``repro.efsm.specdiff`` diffs mined machines against the
-hand-written specifications; ``repro.vids.anomaly`` scores live calls by
-distance from the mined model.  See docs/MINING.md.
+hand-written specifications.  See docs/MINING.md.
 """
 
 from __future__ import annotations
@@ -572,7 +571,7 @@ class MinedMachine:
 
     @property
     def supports(self) -> Dict[Tuple[str, str, Optional[str], str], int]:
-        """Training-evidence count per transition (the anomaly model input)."""
+        """Training-evidence count per transition."""
         return {key: len(group) for key, group in self.observations.items()}
 
     def summary(self) -> Dict[str, Any]:

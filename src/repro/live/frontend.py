@@ -35,7 +35,6 @@ from ..netsim.address import Endpoint
 from ..netsim.packet import Datagram
 from ..obs import Observability
 from ..sip.constants import DEFAULT_SIP_PORT
-from ..vids.config import DEFAULT_CONFIG
 from ..vids.replay import Pipeline, drain_horizon
 from .metrics import LiveMetrics
 
@@ -117,7 +116,7 @@ class UdpFrontend:
             local_addr=(self.host, self.sip_port))
         self._transports.append(transport)
         self.sip_port = protocol.local[1]
-        self._classifier().sip_ports.add(self.sip_port)
+        self.pipeline.classifier.sip_ports.add(self.sip_port)
         bound_rtp = []
         for port in self.rtp_ports:
             transport, protocol = await loop.create_datagram_endpoint(
@@ -160,11 +159,8 @@ class UdpFrontend:
             self._pump_task = None
         self.flush()
         if drain:
-            self.clock.advance(drain_horizon(
-                getattr(self.pipeline, "config", DEFAULT_CONFIG)))
-            flush_shed = getattr(self.pipeline, "flush_shed_interval", None)
-            if flush_shed is not None:
-                flush_shed()
+            self.clock.advance(drain_horizon(self.pipeline.config))
+            self.pipeline.flush_shed_interval()
         if self._metrics_server is not None:
             self._metrics_server.close()
             await self._metrics_server.wait_closed()
@@ -172,13 +168,6 @@ class UdpFrontend:
         self._shutdown.set()
 
     # -- datapath -------------------------------------------------------------
-
-    def _classifier(self):
-        pipeline = self.pipeline
-        classifier = getattr(pipeline, "classifier", None)
-        if classifier is None:  # SupervisedCluster
-            classifier = pipeline.sharded.classifier
-        return classifier
 
     def _on_datagram(self, data: bytes, addr, local) -> None:
         if self._draining:

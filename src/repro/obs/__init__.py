@@ -37,13 +37,7 @@ from .metrics import (
     PromSample,
     parse_prometheus,
 )
-from .profiler import (
-    StageProfiler,
-    StageStats,
-    disable_profiling,
-    enable_profiling,
-    profiling_enabled,
-)
+from .profiler import StageProfiler, StageStats
 from .timeline import format_event, render_timeline
 from .trace import (
     DEFAULT_TRACE_CAPACITY,
@@ -72,12 +66,9 @@ __all__ = [
     "TraceBus",
     "TraceEvent",
     "TraceExport",
-    "disable_profiling",
-    "enable_profiling",
     "format_event",
     "from_jsonl",
     "parse_prometheus",
-    "profiling_enabled",
     "render_timeline",
 ]
 
@@ -85,19 +76,16 @@ __all__ = [
 class Observability:
     """The bundle a pipeline component receives: trace + metrics + profiler.
 
-    ``profile=None`` (the default) defers to the module-level flag set by
-    :func:`enable_profiling`, so an ``Observability()`` built in a default
-    session traces and meters but never touches a clock.
+    ``profile`` is the one profiling switch: a default ``Observability()``
+    traces and meters but never touches a clock.
     """
 
     def __init__(self, trace: Optional[TraceBus] = None,
                  registry: Optional[MetricsRegistry] = None,
-                 profile: Optional[bool] = None,
+                 profile: bool = False,
                  trace_capacity: int = DEFAULT_TRACE_CAPACITY):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.trace = trace if trace is not None else TraceBus(trace_capacity)
-        if profile is None:
-            profile = profiling_enabled()
         self.profiler: Optional[StageProfiler] = (
             StageProfiler(registry=self.registry) if profile else None)
 

@@ -5,14 +5,11 @@ packet; this module measures the reproduction's *actual* cost per pipeline
 stage (classify / distribute / fire) so regressions are attributable to a
 stage rather than a whole run.
 
-Profiling is off by default and guarded twice:
-
-- a module-level flag (:func:`enable_profiling` /
-  :func:`profiling_enabled`) decides whether an
-  :class:`~repro.obs.Observability` bundle builds a profiler at all;
-- the hot path holds ``profiler = None`` when disabled and guards every
-  timing site with an ``is not None`` check, so the disabled cost is one
-  pointer comparison per stage — no clock syscalls.
+Profiling is off by default: an :class:`~repro.obs.Observability` bundle
+builds a profiler only with ``profile=True``.  The hot path holds
+``profiler = None`` when disabled and guards every timing site with an
+``is not None`` check, so the disabled cost is one pointer comparison per
+stage — no clock syscalls.
 
 The overhead-guard test pins this down by monkeypatching this module's
 ``perf_counter`` to raise: a disabled pipeline must never call it.
@@ -25,32 +22,7 @@ from dataclasses import dataclass
 from time import perf_counter, process_time
 from typing import Any, Dict, Optional, Tuple
 
-__all__ = [
-    "StageStats",
-    "StageProfiler",
-    "enable_profiling",
-    "disable_profiling",
-    "profiling_enabled",
-]
-
-#: Module-level opt-in switch consulted by Observability construction.
-_PROFILING = False
-
-
-def enable_profiling() -> None:
-    """Turn the module-level profiling flag on."""
-    global _PROFILING
-    _PROFILING = True
-
-
-def disable_profiling() -> None:
-    """Turn the module-level profiling flag off (the default)."""
-    global _PROFILING
-    _PROFILING = False
-
-
-def profiling_enabled() -> bool:
-    return _PROFILING
+__all__ = ["StageStats", "StageProfiler"]
 
 
 @dataclass(slots=True)

@@ -13,7 +13,6 @@ The paper's primary contribution.  Architecture (Figure 3):
 """
 
 from .alerts import Alert, AlertManager, AttackType
-from .anomaly import AnomalyModel, AnomalyScorer, CallScore
 from .classifier import ClassifiedPacket, PacketClassifier, PacketKind
 from .cluster import (
     ClusterConfig,
@@ -71,14 +70,11 @@ __all__ = [
     "Alert",
     "AlertManager",
     "AnalysisEngine",
-    "AnomalyModel",
-    "AnomalyScorer",
     "AttackScenario",
     "AttackScenarioDatabase",
     "AttackType",
     "BUILTIN_SCENARIOS",
     "CallRecord",
-    "CallScore",
     "CapturedPacket",
     "RecordingProcessor",
     "CallStateFactBase",

@@ -59,7 +59,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Deque, Dict, List,
 from ..netsim.engine import Simulator
 from ..netsim.faults import ShardFaultPlan
 from ..netsim.packet import Datagram
-from .alerts import Alert, AlertManager, AttackType
+from .alerts import Alert
 from .config import DEFAULT_CONFIG, VidsConfig
 from .factbase import MediaKey
 from .ids import Vids
@@ -111,9 +111,6 @@ class ClusterConfig:
     #: are *not* replenished — the member is falling behind, so admission
     #: slows before the watermark shed has to engage.
     credit_backlog_limit: float = 0.5
-    #: Backlog above which the heartbeat rebalances calls off the hot
-    #: member onto the least-loaded sibling; ``None`` disables.
-    rebalance_backlog: Optional[float] = None
     #: Fraction of a hot member's calls moved per rebalance pass.
     rebalance_fraction: float = 0.5
 
@@ -278,7 +275,6 @@ class ShardSupervisor:
         sharded: ShardedVids,
         config: ClusterConfig = DEFAULT_CLUSTER_CONFIG,
         fault_plan: Optional[ShardFaultPlan] = None,
-        obs: Optional["Observability"] = None,
     ):
         self.sharded = sharded
         self.config = config
@@ -292,7 +288,7 @@ class ShardSupervisor:
         self.clock_now = sharded.clock_now
         self.timer_scheduler = sharded.timer_scheduler
         self.metrics = ClusterMetrics()
-        self.obs = obs if obs is not None else sharded.obs
+        self.obs = sharded.obs
         self._trace = self.obs.trace if self.obs is not None else None
         self.members: List[ShardMember] = [
             ShardMember(index=index, vids=shard,
@@ -374,10 +370,6 @@ class ShardSupervisor:
                     self._replenish(member, now)
                 elif member.queue:
                     self._drain_queue(member, now)
-                if (config.rebalance_backlog is not None
-                        and member.vids.backlog(now)
-                        > config.rebalance_backlog):
-                    self.rebalance(member.index)
                 continue
             member.consecutive_misses += 1
             member.state = MemberState.SUSPECT
@@ -682,8 +674,8 @@ class ShardSupervisor:
         if self.obs is not None and self.obs.registry is not None:
             # The get-or-create registry re-binds every per-shard series
             # to the replacement instance (set_function replaces).
-            self.sharded._register_shard_metrics(self.obs.registry,
-                                                 member.index, vids)
+            vids._register_metrics(self.obs.registry,
+                                   {"shard": str(member.index)})
 
     def _restore_trackers(self, vids: Vids,
                           checkpoint: ShardCheckpoint) -> None:
@@ -813,7 +805,7 @@ class ShardSupervisor:
         ).set_function(self.queue_depth)
 
 
-class SupervisedCluster:
+class SupervisedCluster(ShardedVids):
     """A :class:`ShardedVids` under a :class:`ShardSupervisor`.
 
     Satisfies the same ``PacketProcessor`` protocol as :class:`Vids` and
@@ -836,27 +828,21 @@ class SupervisedCluster:
         fault_plan: Optional[ShardFaultPlan] = None,
         default_shard: int = 0,
     ):
-        self.sharded = ShardedVids(
+        super().__init__(
             shards=shards, sim=sim, config=config, clock_now=clock_now,
             timer_scheduler=timer_scheduler, obs=obs,
             default_shard=default_shard)
-        self.supervisor = ShardSupervisor(self.sharded, cluster,
-                                          fault_plan=fault_plan, obs=obs)
-        self.config = config
+        self.supervisor = ShardSupervisor(self, cluster,
+                                          fault_plan=fault_plan)
         self.cluster_config = cluster
-        self.clock_now = self.sharded.clock_now
         self.supervisor.start()
 
     # -- PacketProcessor interface --------------------------------------------
 
-    def shard_index(self, classified) -> int:
-        """Owning shard, honouring migration overrides before the hash."""
-        return self.sharded.shard_index(classified)
-
     def process(self, datagram: Datagram, now: float) -> float:
         """Classify once, dispatch through the supervisor."""
-        return ingest(self.sharded, ((datagram, now),), None,
-                      self.supervisor.dispatch, self.sharded.shard_index)
+        return ingest(self, ((datagram, now),), None,
+                      self.supervisor.dispatch, self.shard_index)
 
     def process_batch(self, items, clock=None) -> float:
         """Time-ordered batch ingestion (the replay/offline path).
@@ -865,22 +851,10 @@ class SupervisedCluster:
         supervisor's heartbeats and the fault plan's injections at their
         scheduled simulation times during a replay.
         """
-        return ingest(self.sharded, items, clock, self.supervisor.dispatch,
-                      self.sharded.shard_index)
+        return ingest(self, items, clock, self.supervisor.dispatch,
+                      self.shard_index)
 
-    # -- aggregation (delegated to the sharded facade) -------------------------
-
-    @property
-    def shards(self) -> List[Vids]:
-        return self.sharded.shards
-
-    @property
-    def n_shards(self) -> int:
-        return self.sharded.n_shards
-
-    @property
-    def metrics(self) -> VidsMetrics:
-        return self.sharded.metrics
+    # -- supervision views ----------------------------------------------------
 
     @property
     def cluster_metrics(self) -> ClusterMetrics:
@@ -890,40 +864,8 @@ class SupervisedCluster:
     def incidents(self) -> List[Dict[str, Any]]:
         return self.supervisor.incidents
 
-    @property
-    def alerts(self) -> List[Alert]:
-        return self.sharded.alerts
-
-    @property
-    def alert_manager(self) -> AlertManager:
-        return self.sharded.alert_manager
-
-    def alert_count(self, attack_type: Optional[AttackType] = None) -> int:
-        return self.sharded.alert_count(attack_type)
-
-    @property
-    def active_calls(self) -> int:
-        return self.sharded.active_calls
-
-    @property
-    def media_routes(self) -> Dict[MediaKey, int]:
-        return self.sharded.media_routes
-
-    @property
-    def shedding(self) -> bool:
-        return self.sharded.shedding
-
-    def backlog(self, now: Optional[float] = None) -> float:
-        return self.sharded.backlog(now)
-
-    def flush_shed_interval(self, now: Optional[float] = None) -> None:
-        self.sharded.flush_shed_interval(now)
-
-    def collect_garbage(self) -> int:
-        return self.sharded.collect_garbage()
-
     def summary(self) -> dict:
-        summary = self.sharded.summary()
+        summary = super().summary()
         summary["supervised"] = True
         summary["members_up"] = self.supervisor.members_up
         summary["cluster"] = self.supervisor.metrics.summary()
@@ -934,7 +876,7 @@ class SupervisedCluster:
         """The sharded report plus the supervision ledger."""
         from ..analysis.report import format_table
 
-        base = self.sharded.report()
+        base = super().report()
         rows = []
         for member in self.supervisor.members:
             checkpoint_at = (f"{member.checkpoint.taken_at:.3f}"
@@ -949,7 +891,7 @@ class SupervisedCluster:
         cluster = self.supervisor.metrics
         return (f"{base}\n\n=== supervision "
                 f"(members up: {self.supervisor.members_up}"
-                f"/{self.sharded.n_shards}) ===\n{table}\n"
+                f"/{self.n_shards}) ===\n{table}\n"
                 f"checkpoints: {cluster.checkpoints_taken}  "
                 f"restarts: {cluster.members_restarted}  "
                 f"lost packets: {cluster.lost_packets}  "

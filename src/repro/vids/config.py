@@ -18,10 +18,7 @@ Every tunable the paper names is here:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (anomaly -> efsm)
-    from .anomaly import AnomalyModel
+from typing import Optional
 
 __all__ = ["VidsConfig", "DEFAULT_CONFIG"]
 
@@ -125,18 +122,13 @@ class VidsConfig:
     #: with deliberately partial machines.
     verify_specs: bool = True
 
-    # -- Spec mining / anomaly scoring (docs/MINING.md) ------------------------
+    # -- Spec mining (docs/MINING.md) -----------------------------------------
     #: Attach a bounded changed-variables snapshot (``vars``) and the event
     #: arguments (``args``) to every ``fire`` trace event.  Off by default:
     #: the disabled path is a single boolean test and allocates nothing.
     #: Required for guard synthesis in ``repro.efsm.mine`` and for
     #: ``specdiff`` guard probing.
     trace_variables: bool = False
-    #: Optional :class:`~repro.vids.anomaly.AnomalyModel` (built from mined
-    #: machines) scoring live calls by distance from learned behaviour — the
-    #: complementary learning-based detector beside the specification-based
-    #: one.  ``None`` disables scoring entirely.
-    anomaly_model: Optional["AnomalyModel"] = None
 
     # -- Housekeeping --------------------------------------------------------
     #: Idle seconds after which a call record is garbage-collected.

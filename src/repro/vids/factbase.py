@@ -363,15 +363,22 @@ class CallStateFactBase:
         record = self.records.pop(call_id, None)
         if record is None:
             return None
-        self._interned.pop(call_id, None)
-        self._total_bytes -= record._contribution
-        self._dirty.discard(record)
         self.metrics.call_memory_samples.append(
             (record.sip_state_bytes(), record.rtp_state_bytes()))
         self.metrics.calls_deleted += 1
         if self.trace is not None:
             self.trace.emit("call-deleted", self.clock_now(), call_id=call_id,
                             states=record.system.states())
+        self._retire(call_id, record)
+        return record
+
+    def _retire(self, call_id: str, record: CallRecord) -> None:
+        """What :meth:`delete` and :meth:`evict` share once the record is
+        out of ``records``: drop its intern pool, byte total and dirty
+        mark, cancel its timers, retire its media routes."""
+        self._interned.pop(call_id, None)
+        self._total_bytes -= record._contribution
+        self._dirty.discard(record)
         record.system.cancel_all_timers()
         hook = self.on_media_route
         for key in record.media_keys:
@@ -382,7 +389,6 @@ class CallStateFactBase:
             match = self._media_match.get(key)
             if match is not None and match[0] is record:
                 del self._media_match[key]
-        return record
 
     # -- checkpoint / restore (repro.vids.cluster) -----------------------------
 
@@ -435,21 +441,9 @@ class CallStateFactBase:
         record = self.records.pop(call_id, None)
         if record is None:
             return None
-        self._interned.pop(call_id, None)
-        self._total_bytes -= record._contribution
-        self._dirty.discard(record)
-        record.system.cancel_all_timers()
         if self.trace is not None:
             self.trace.emit("call-evicted", self.clock_now(), call_id=call_id)
-        hook = self.on_media_route
-        for key in record.media_keys:
-            if self.media_index.get(key) == call_id:
-                del self.media_index[key]
-                if hook is not None and key not in self.quarantined_media:
-                    hook(key, None)
-            match = self._media_match.get(key)
-            if match is not None and match[0] is record:
-                del self._media_match[key]
+        self._retire(call_id, record)
         return record
 
     # -- quarantine ------------------------------------------------------------

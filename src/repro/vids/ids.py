@@ -149,13 +149,6 @@ class Vids:
         #: populated when ``trace_variables`` is on, so fire events can
         #: carry just the *changed* variables (docs/MINING.md).
         self._var_shadow: Dict[tuple, Dict[str, object]] = {}
-        #: Opt-in learning-based detector: scores live calls by distance
-        #: from a mined model (docs/MINING.md "Anomaly scoring").
-        self._anomaly = None
-        if config.anomaly_model is not None:
-            from .anomaly import AnomalyScorer
-            self._anomaly = AnomalyScorer(
-                config.anomaly_model, self.metrics, trace=self._trace)
         self.flood_tracker = flood_tracker if flood_tracker is not None \
             else InviteFloodTracker(
                 config.invite_flood_threshold, config.invite_flood_window,
@@ -433,8 +426,6 @@ class Vids:
                                  to_state=result.to_state,
                                  deviation=result.deviation,
                                  attack=result.attack)
-        if self._anomaly is not None:
-            self._anomaly.observe(record.call_id, result)
         self.engine.handle_result(record, result)
         # all_final can only flip when a machine *changes* state (deviations
         # and self-loops leave every state where it was) AND the machine
@@ -502,31 +493,41 @@ class Vids:
                          source=alert.source, destination=alert.destination,
                          detail=dict(alert.detail))
 
-    def _register_metrics(self, registry) -> None:
+    def _register_metrics(self, registry,
+                          labels: Optional[Dict[str, str]] = None) -> None:
         """Expose IDS counters/gauges through the obs metrics registry.
 
         Everything is callback-backed: the hot path keeps its bare ``+=``
         increments and the registry reads live values at collect time.
+        With ``labels`` (``{"shard": "3"}``) every family carries those
+        labelnames and this instance backs one labelled child — how a
+        sharded deployment exports per-shard series under the same names.
+        The registry is get-or-create and ``set_function`` replaces, so
+        registering again re-points the series: how a supervisor binds
+        them to a member restarted from checkpoint (repro.vids.cluster).
         """
-        self.metrics.register_with(registry)
-        registry.gauge(
-            "vids_active_calls",
-            "Calls currently monitored in the fact base",
-        ).set_function(lambda: self.factbase.active_calls)
-        registry.gauge(
-            "vids_backlog_seconds",
-            "Unworked analysis CPU time (the shedding signal)",
-        ).set_function(self.backlog)
-        registry.gauge(
-            "vids_shedding",
-            "1 while RTP deep inspection is shed (signaling-only mode)",
-        ).set_function(lambda: 1 if self._shedding else 0)
+        labels = labels or {}
+        self.metrics.register_with(registry, labels=labels)
+        for name, help_text, read in (
+                ("vids_active_calls",
+                 "Calls currently monitored in the fact base",
+                 lambda: self.factbase.active_calls),
+                ("vids_backlog_seconds",
+                 "Unworked analysis CPU time (the shedding signal)",
+                 self.backlog),
+                ("vids_shedding",
+                 "1 while RTP deep inspection is shed (signaling-only mode)",
+                 lambda: 1 if self._shedding else 0)):
+            registry.gauge(name, help_text, labelnames=tuple(labels)).labels(
+                **labels).set_function(read)
         alerts = registry.counter(
             "vids_alerts_total", "Alerts raised, by attack type",
-            labelnames=("attack_type",))
+            labelnames=("attack_type", *labels))
         for attack_type in AttackType:
-            alerts.labels(attack_type=attack_type.value).set_function(
-                partial(self.alert_manager.counts.__getitem__, attack_type))
+            alerts.labels(
+                attack_type=attack_type.value, **labels,
+            ).set_function(partial(
+                self.alert_manager.counts.__getitem__, attack_type))
 
     # -- inspection ----------------------------------------------------------
 

@@ -126,16 +126,6 @@ class VidsMetrics:
     #: Times shedding engaged (>= len(shed_intervals) if still shedding).
     shed_events: int = 0
 
-    # -- mined-model anomaly scoring (docs/MINING.md) -------------------------
-    #: Firings scored against the mined model (anomaly_model configured).
-    anomaly_events_scored: int = 0
-    #: Firings the mined model had no transition for (model deviations).
-    anomaly_deviations: int = 0
-    #: Distinct calls whose behaviour was scored.
-    anomaly_calls_scored: int = 0
-    #: Calls whose normalized score crossed the anomaly threshold.
-    anomaly_flags: int = 0
-
     @property
     def shed_time(self) -> float:
         """Total seconds spent in completed shedding intervals."""
@@ -183,10 +173,6 @@ class VidsMetrics:
         ("time_regressions", "Backward capture timestamps clamped monotonic"),
         ("packets_shed", "Media packets shed during overload"),
         ("shed_events", "Times overload shedding engaged"),
-        ("anomaly_events_scored", "Firings scored against the mined model"),
-        ("anomaly_deviations", "Firings the mined model had no path for"),
-        ("anomaly_calls_scored", "Distinct calls scored by the mined model"),
-        ("anomaly_flags", "Calls flagged above the anomaly threshold"),
     )
     _GAUGE_FIELDS = (
         ("peak_concurrent_calls", "High-water mark of concurrent calls"),
@@ -241,35 +227,6 @@ class VidsMetrics:
         return total
 
     def summary(self) -> Dict[str, Any]:
-        return {
-            "packets_processed": self.packets_processed,
-            "sip_messages": self.sip_messages,
-            "rtp_packets": self.rtp_packets,
-            "rtcp_packets": self.rtcp_packets,
-            "other_packets": self.other_packets,
-            "keepalive_packets": self.keepalive_packets,
-            "malformed_packets": self.malformed_packets,
-            "cpu_time": self.cpu_time,
-            "calls_created": self.calls_created,
-            "calls_deleted": self.calls_deleted,
-            "peak_concurrent_calls": self.peak_concurrent_calls,
-            "peak_state_bytes": self.peak_state_bytes,
-            "mean_sip_state_bytes": self.mean_sip_state_bytes,
-            "mean_rtp_state_bytes": self.mean_rtp_state_bytes,
-            "malformed_sip": self.malformed_sip,
-            "malformed_rtp": self.malformed_rtp,
-            "malformed_rtcp": self.malformed_rtcp,
-            "sdp_parse_failures": self.sdp_parse_failures,
-            "internal_errors": self.internal_errors,
-            "calls_quarantined": self.calls_quarantined,
-            "quarantined_drops": self.quarantined_drops,
-            "quarantine_paroles": self.quarantine_paroles,
-            "time_regressions": self.time_regressions,
-            "packets_shed": self.packets_shed,
-            "shed_events": self.shed_events,
-            "shed_time": self.shed_time,
-            "anomaly_events_scored": self.anomaly_events_scored,
-            "anomaly_deviations": self.anomaly_deviations,
-            "anomaly_calls_scored": self.anomaly_calls_scored,
-            "anomaly_flags": self.anomaly_flags,
-        }
+        """Every exported counter and gauge by field name."""
+        return {name: getattr(self, name)
+                for name, _ in self._COUNTER_FIELDS + self._GAUGE_FIELDS}

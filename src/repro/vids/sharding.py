@@ -319,41 +319,4 @@ class ShardedVids:
             "Negotiated media keys in the shard routing table",
         ).set_function(lambda: len(self._media_routes))
         for index, shard in enumerate(self.shards):
-            self._register_shard_metrics(registry, index, shard)
-
-    def _register_shard_metrics(self, registry, index: int,
-                                shard: Vids) -> None:
-        """(Re-)bind one shard's labelled series to a Vids instance.
-
-        The registry's get-or-create semantics make this idempotent per
-        (family, label): ``set_function`` replaces the callback, which is
-        how a supervisor re-points the series at a member restarted from
-        checkpoint (repro.vids.cluster).
-        """
-        label = str(index)
-        shard.metrics.register_with(registry, labels={"shard": label})
-        registry.gauge(
-            "vids_active_calls",
-            "Calls currently monitored in the fact base",
-            labelnames=("shard",),
-        ).labels(shard=label).set_function(
-            lambda s=shard: s.factbase.active_calls)
-        registry.gauge(
-            "vids_backlog_seconds",
-            "Unworked analysis CPU time (the shedding signal)",
-            labelnames=("shard",),
-        ).labels(shard=label).set_function(shard.backlog)
-        registry.gauge(
-            "vids_shedding",
-            "1 while RTP deep inspection is shed (signaling-only mode)",
-            labelnames=("shard",),
-        ).labels(shard=label).set_function(
-            lambda s=shard: 1 if s.shedding else 0)
-        alerts = registry.counter(
-            "vids_alerts_total", "Alerts raised, by attack type",
-            labelnames=("attack_type", "shard"))
-        for attack_type in AttackType:
-            alerts.labels(
-                attack_type=attack_type.value, shard=label,
-            ).set_function(partial(
-                shard.alert_manager.counts.__getitem__, attack_type))
+            shard._register_metrics(registry, {"shard": str(index)})

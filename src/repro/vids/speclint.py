@@ -27,7 +27,8 @@ from ..efsm.machine import Efsm
 from ..efsm.verify import verify_machine, verify_system
 from .config import DEFAULT_CONFIG, VidsConfig
 
-__all__ = ["PROBE_SAMPLES", "verify_call_system", "verify_vids_specs"]
+__all__ = ["PROBE_SAMPLES", "shipped_machines", "verify_call_system",
+           "verify_vids_specs"]
 
 #: Fingerprints of machine sets that already verified clean this process.
 #: Verification costs tens of milliseconds and every CallStateFactBase
@@ -107,6 +108,29 @@ def verify_call_system(machines: Sequence[Efsm],
     return diagnostics
 
 
+def shipped_machines(config: VidsConfig = DEFAULT_CONFIG) -> List[Efsm]:
+    """Every machine vids ships, as ``config`` parameterises them.
+
+    The per-call SIP and RTP machines first, then the standalone
+    INVITE-flood (Figure 4) and media-spam (Figure 6) pattern machines.
+    """
+    # Imports are local so a broken builder surfaces as a diagnostic-laden
+    # report path, not an import cycle at package-import time.
+    from .patterns.invite_flood import build_invite_flood_machine
+    from .patterns.media_spam import build_media_spam_machine
+    from .rtp_machine import build_rtp_machine
+    from .sip_machine import build_sip_machine
+
+    return [
+        build_sip_machine(config),
+        build_rtp_machine(config),
+        build_invite_flood_machine(config.invite_flood_threshold,
+                                   config.invite_flood_window),
+        build_media_spam_machine(config.media_spam_seq_gap,
+                                 config.media_spam_ts_gap),
+    ]
+
+
 def verify_vids_specs(config: VidsConfig = DEFAULT_CONFIG
                       ) -> List[Diagnostic]:
     """Full spec-lint report over every machine vids ships.
@@ -116,21 +140,9 @@ def verify_vids_specs(config: VidsConfig = DEFAULT_CONFIG
     media-spam pattern machines are standalone, so only the per-machine
     rules apply to them.  Never raises: callers inspect severities.
     """
-    # Imports are local so a broken builder surfaces as a diagnostic-laden
-    # report path, not an import cycle at package-import time.
-    from .patterns.invite_flood import build_invite_flood_machine
-    from .patterns.media_spam import build_media_spam_machine
-    from .rtp_machine import build_rtp_machine
-    from .sip_machine import build_sip_machine
-
+    sip, rtp, *patterns = shipped_machines(config)
     diagnostics: List[Diagnostic] = []
-    diagnostics.extend(verify_system(
-        [build_sip_machine(config), build_rtp_machine(config)],
-        samples=PROBE_SAMPLES))
-    flood = build_invite_flood_machine(config.invite_flood_threshold,
-                                       config.invite_flood_window)
-    spam = build_media_spam_machine(config.media_spam_seq_gap,
-                                    config.media_spam_ts_gap)
-    for machine in (flood, spam):
+    diagnostics.extend(verify_system([sip, rtp], samples=PROBE_SAMPLES))
+    for machine in patterns:
         diagnostics.extend(verify_machine(machine, samples=PROBE_SAMPLES))
     return diagnostics

@@ -77,9 +77,9 @@ def build_mini_voip(seed=0, internet_delay=0.05, internet_loss=0.0):
 def benign_mining_run():
     """One benign traced scenario with variable snapshots, mined once.
 
-    Shared by the mining, specdiff, and anomaly test modules — the
-    scenario run dominates their cost, so they all learn from the same
-    corpus.  ``mean_duration`` sits well below the horizon so teardown
+    Shared by the mining and specdiff test modules — the scenario run
+    dominates their cost, so they both learn from the same corpus.
+    ``mean_duration`` sits well below the horizon so teardown
     (BYE/200/Closed) paths appear in the training traces.
     """
     from types import SimpleNamespace

@@ -1,9 +1,11 @@
 """CLI tests for the vids-repro entry point."""
 
+import argparse
 import json
 
 import pytest
 
+import repro.cli as cli
 from repro.cli import build_parser, main
 
 
@@ -77,6 +79,67 @@ class TestParser:
         assert args.no_cross_protocol
         assert args.dot == "/tmp/dots"
 
+    def test_serve_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        assert args.command == "serve"
+        assert args.host == "0.0.0.0" and args.sip_port == 5060
+        assert args.rtp_range is None
+        assert args.shards == 1 and not args.supervise
+        assert args.metrics_port is None and args.metrics is None
+        assert args.flush_interval == 0.05 and args.max_runtime is None
+
+    def test_replay_defaults(self):
+        args = build_parser().parse_args(["replay", "--pcap", "c.pcap"])
+        assert args.command == "replay" and args.pcap == "c.pcap"
+        assert args.shards == 1 and not args.supervise
+        assert not args.no_rebase and not args.json
+        assert args.metrics is None
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["replay"])
+
+    def test_codelint_defaults(self):
+        args = build_parser().parse_args(["codelint"])
+        assert args.command == "codelint"
+        assert args.min_severity == "info"
+        assert not args.json and not args.strict
+        assert args.baseline is None and args.root is None
+        assert not args.no_baseline and not args.write_baseline
+
+    def test_every_subcommand_has_exactly_one_handler(self):
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+        handlers = {name[len("_cmd_"):].replace("_", "-")
+                    for name in vars(cli) if name.startswith("_cmd_")}
+        assert set(subparsers.choices) == set(cli._COMMANDS) == handlers
+        for name, handler in cli._COMMANDS.items():
+            assert handler.__name__ == "_cmd_" + name.replace("-", "_")
+
+    def test_perf_subcommand_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["perf"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+def attack_capture():
+    """A call in progress, a third-party BYE, then media that keeps
+    flowing: one ``bye-dos`` alert at every tier."""
+    from repro.vids import CapturedPacket
+    from tests.vids.test_ids import ATTACKER, CALLEE, CALLER, bye_bytes, \
+        dgram, rtp_bytes
+    from tests.vids.test_replay import make_capture
+
+    capture = make_capture()[:-2]
+    time = capture[-1].time + 0.02
+    capture.append(CapturedPacket(time, dgram(bye_bytes(), ATTACKER, CALLER)))
+    for index in range(10, 40):
+        time += 0.02
+        capture.append(CapturedPacket(time, dgram(
+            rtp_bytes(seq=index + 1, ts=(index + 1) * 160),
+            CALLER, CALLEE, 20_000, 20_002)))
+    return capture
+
 
 class TestCommands:
     def test_machines_summary(self, capsys):
@@ -148,3 +211,41 @@ class TestCommands:
         assert "mean setup delay" in out
         assert "mean MOS" in out
         assert (tmp_path / "fig9_setup_delay.csv").exists()
+
+    def test_replay_pcap_same_verdict_at_every_tier(self, capsys, tmp_path):
+        from repro.live import write_pcap
+
+        capture = attack_capture()
+        pcap = str(tmp_path / "attack.pcap")
+        write_pcap(pcap, capture)
+
+        assert main(["replay", "--pcap", pcap]) == 0
+        plain = capsys.readouterr().out
+        assert f"decoded {len(capture)} UDP datagrams" in plain
+        assert f"analysed {len(capture)} packets" in plain
+        assert "1 alerts" in plain and "bye-dos" in plain
+
+        assert main(["replay", "--pcap", pcap, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {"decode", "metrics", "alerts"}
+        assert report["decode"]["udp_datagrams"] == len(capture)
+        assert report["metrics"]["packets_processed"] == len(capture)
+        assert [a["attack_type"] for a in report["alerts"]] == ["bye-dos"]
+        assert set(report["alerts"][0]) == {
+            "time", "attack_type", "call_id", "source", "destination",
+            "machine", "state", "detail"}
+
+        assert main(["replay", "--pcap", pcap, "--json",
+                     "--shards", "2", "--supervise"]) == 0
+        supervised = json.loads(capsys.readouterr().out)
+        assert supervised["alerts"] == report["alerts"]
+        assert supervised["metrics"]["packets_processed"] == len(capture)
+
+        assert main(["replay", "--pcap", str(tmp_path / "missing.pcap")]) == 2
+
+    def test_codelint_json_clean_tree(self, capsys):
+        assert main(["codelint", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {"findings", "counts", "new", "baselined",
+                "stale_baseline"} <= set(payload)
+        assert payload["new"] == []

@@ -7,6 +7,8 @@ to the victim call — and the metrics exposition must round-trip through the
 Prometheus parser with the alert counted.
 """
 
+import pytest
+
 from repro.efsm import ManualClock
 from repro.obs import Observability, parse_prometheus
 from repro.vids import Vids
@@ -158,3 +160,39 @@ class TestLifecycleEvents:
         assert vids.active_calls == 0
         (deleted,) = obs.trace.events(kind="call-deleted", call_id=CALL_ID)
         assert deleted.data["states"]["sip"] == "Closed"
+
+
+class TestTraceVariablesFastPath:
+    """``trace_variables`` off (default): no snapshots, no shadow state."""
+
+    @pytest.fixture(scope="class")
+    def default_run(self):
+        from repro.telephony import (ScenarioParams, TestbedParams,
+                                     WorkloadParams, run_scenario)
+
+        obs = Observability(trace_capacity=100_000)
+        result = run_scenario(ScenarioParams(
+            testbed=TestbedParams(seed=7, phones_per_network=2),
+            workload=WorkloadParams(mean_interarrival=20.0,
+                                    mean_duration=30.0, horizon=80.0),
+            with_vids=True, drain_time=60.0, obs=obs))
+        return result, obs
+
+    def test_fire_events_carry_no_snapshots(self, default_run):
+        result, obs = default_run
+        fires = [e for e in obs.trace.events() if e.kind == "fire"]
+        assert fires
+        assert all("vars" not in e.data and "args" not in e.data
+                   for e in fires)
+
+    def test_variable_shadow_stays_empty(self, default_run):
+        result, _ = default_run
+        assert result.vids._var_shadow == {}
+
+    def test_snapshots_present_when_enabled(self, benign_mining_run):
+        fires = [e for e in benign_mining_run.obs.trace.events()
+                 if e.kind == "fire"]
+        assert any(e.data.get("vars") for e in fires)
+        assert any(e.data.get("args") for e in fires)
+        # Channel rides along for the miner on both paths.
+        assert all("channel" in e.data for e in fires)

@@ -3,20 +3,7 @@
 import pytest
 
 import repro.obs.profiler as profiler_mod
-from repro.obs import (
-    MetricsRegistry,
-    Observability,
-    StageProfiler,
-    disable_profiling,
-    enable_profiling,
-    profiling_enabled,
-)
-
-
-@pytest.fixture(autouse=True)
-def _reset_flag():
-    yield
-    disable_profiling()
+from repro.obs import MetricsRegistry, Observability, StageProfiler
 
 
 class TestStageProfiler:
@@ -64,23 +51,10 @@ class TestStageProfiler:
         assert hist.labels(stage="distribute").count == 1
 
 
-class TestProfilingFlag:
-    def test_enable_disable(self):
-        assert not profiling_enabled()
-        enable_profiling()
-        assert profiling_enabled()
-        disable_profiling()
-        assert not profiling_enabled()
-
-    def test_observability_defers_to_flag(self):
-        assert Observability().profiler is None
-        enable_profiling()
-        assert Observability().profiler is not None
-
-    def test_explicit_profile_overrides_flag(self):
-        assert Observability(profile=True).profiler is not None
-        enable_profiling()
-        assert Observability(profile=False).profiler is None
+def test_profiler_is_off_by_default_and_profile_true_builds_it():
+    assert Observability().profiler is None
+    assert Observability(profile=False).profiler is None
+    assert isinstance(Observability(profile=True).profiler, StageProfiler)
 
 
 class TestDisabledOverheadGuard:

@@ -234,13 +234,13 @@ def test_migrate_call_rehomes_sip_and_media_atomically():
     target = 1 - source
     supervised.process(invite_datagram("mig-call@unit"), clock.now())
     media_key = ("10.1.0.11", 20_000)
-    assert supervised.sharded._media_routes.get(media_key) == source
+    assert supervised._media_routes.get(media_key) == source
 
     assert supervisor.migrate_call(source, target, "mig-call@unit")
     # Record moved; facade routing re-homed atomically with it.
     assert supervised.shards[source].factbase.get("mig-call@unit") is None
     assert supervised.shards[target].factbase.get("mig-call@unit") is not None
-    assert supervised.sharded._media_routes.get(media_key) == target
+    assert supervised._media_routes.get(media_key) == target
     assert supervisor.call_routes["mig-call@unit"] == target
     assert supervised.cluster_metrics.calls_migrated == 1
 
@@ -273,7 +273,7 @@ def test_rebalance_moves_calls_to_least_loaded():
     for n in range(4):
         call_id = call_on_shard(hot, shards=3, limit=2000) \
             if n == 0 else f"hot-{n}@unit"
-        classified = supervised.sharded.classifier.classify(
+        classified = supervised.classifier.classify(
             invite_datagram(call_id, from_user=f"h{n}",
                             media_port=22_000 + 2 * n))
         supervisor.dispatch(hot, classified, clock.now())

@@ -62,6 +62,32 @@ def traffic():
     return items
 
 
+@pytest.mark.parametrize("tier", ("single", "sharded", "supervised"))
+def test_every_tier_exposes_one_surface(tier):
+    """What the CLI, replay and the live tap use without asking which tier
+    they were handed."""
+    pipeline, clock = build_pipeline(**TIERS[tier])
+    for name in ("classifier", "config", "metrics", "alerts",
+                 "alert_manager", "flush_shed_interval", "summary", "report",
+                 "process", "process_batch"):
+        assert hasattr(pipeline, name), name
+    assert pipeline.config is DEFAULT_CONFIG
+
+    # ``classifier`` is the object ingest classifies with.
+    seen = []
+    real = pipeline.classifier.classify
+    pipeline.classifier.classify = lambda d: seen.append(d) or real(d)
+    items = traffic()
+    feed(pipeline, clock, "process_batch", items[:5])
+    feed(pipeline, clock, "process", items[5:])
+    assert seen == [datagram for datagram, _ in items]
+
+    single, _ = build_pipeline()
+    assert set(single.summary()) <= set(pipeline.summary())
+    assert pipeline.summary()["packets_processed"] == len(items)
+    assert "alerts:" in pipeline.report()
+
+
 @pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("tier", TIERS)
 def test_profiler_sees_classify_and_distribute_at_every_tier(tier, entry):
@@ -81,8 +107,7 @@ MARKER = b"\xde\xad classifier bug"
 
 def poison_classifier(pipeline):
     """Make the pipeline's one classifier raise on the marker payload."""
-    classifier = getattr(pipeline, "classifier", None) \
-        or pipeline.sharded.classifier
+    classifier = pipeline.classifier
     real = classifier.classify
 
     def classify(datagram):

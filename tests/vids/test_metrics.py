@@ -53,3 +53,18 @@ def test_metrics_empty_means():
     metrics = VidsMetrics()
     assert metrics.mean_sip_state_bytes == 0.0
     assert metrics.mean_rtp_state_bytes == 0.0
+
+
+def test_summary_keys_are_the_declared_counters_and_gauges():
+    """``summary()`` is derived from the registry tables; pin the names so
+    a JSON consumer notices when a field is added or dropped."""
+    assert set(VidsMetrics().summary()) == {
+        "packets_processed", "sip_messages", "rtp_packets", "rtcp_packets",
+        "other_packets", "keepalive_packets", "malformed_packets",
+        "cpu_time", "calls_created", "calls_deleted", "malformed_sip",
+        "malformed_rtp", "malformed_rtcp", "sdp_parse_failures",
+        "internal_errors", "calls_quarantined", "quarantined_drops",
+        "quarantine_paroles", "time_regressions", "packets_shed",
+        "shed_events", "peak_concurrent_calls", "peak_state_bytes",
+        "mean_sip_state_bytes", "mean_rtp_state_bytes", "shed_time",
+    }
