@@ -25,9 +25,8 @@ Rule catalog (``docs/CODECHECK.md``):
     EFSM guard callables must be pure: speclint probes them against
     sampled configurations, and incremental checkpointing versions calls
     by firing counts — a guard that mutates state corrupts both
-    invisibly.  ``ctx.scratch`` writes are the sanctioned memoization
-    slot; :func:`~repro.efsm.machine.allow_impure_guard` marks audited
-    exceptions.
+    invisibly.  :func:`~repro.efsm.machine.allow_impure_guard` marks
+    audited exceptions.
 
 ``PD001 plain-data-state``
     State-variable values must stay inside the plain-data domain
@@ -88,7 +87,7 @@ RULES: Dict[str, Tuple[str, Severity, str]] = {
     "GP002": ("guard-mutating-call", Severity.ERROR,
               "known-mutating method call inside a guard"),
     "GP003": ("guard-side-effect", Severity.ERROR,
-              "timer/emit side effect inside a guard"),
+              "timer side effect inside a guard"),
     "PD001": ("plain-data-state", Severity.WARNING,
               "state value outside the copy_state plain-data domain"),
     "SI001": ("shard-shared-mutation", Severity.ERROR,
@@ -106,7 +105,7 @@ MUTATING_METHODS = frozenset({
 
 #: ``ctx`` methods that are side effects when called from a guard.
 CTX_EFFECT_METHODS = frozenset({
-    "start_timer", "cancel_timer", "cancel_all_timers", "emit",
+    "start_timer", "cancel_timer", "cancel_all_timers",
 })
 
 #: Decorator name that marks an audited impure guard (see
@@ -163,7 +162,6 @@ _CLUSTER = "vids/cluster.py"
 _SNAPSHOT_SIDE = tuple(
     FunctionRef(_CLUSTER, name) for name in (
         "ShardSupervisor.take_checkpoint",
-        "ShardSupervisor._tracker_version",
         "ShardSupervisor._checkpoint_trackers",
         "_snapshot_metrics",
         "_copy_windows",
@@ -204,8 +202,12 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         label="Variables",
         module="efsm/machine.py",
         cls="Variables",
-        snapshot=(FunctionRef("efsm/machine.py", "Variables.snapshot"),),
-        restore=(FunctionRef("efsm/machine.py", "Variables.restore"),),
+        # Locals travel with the owning instance, the shared globals dict
+        # with the owning system.
+        snapshot=(FunctionRef("efsm/machine.py", "EfsmInstance.snapshot"),
+                  FunctionRef("efsm/system.py", "EfsmSystem.snapshot")),
+        restore=(FunctionRef("efsm/machine.py", "EfsmInstance.restore"),
+                 FunctionRef("efsm/system.py", "EfsmSystem.restore")),
     ),
     CheckpointSpec(
         label="EfsmInstance",
@@ -216,13 +218,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         exempt={
             "_timers": "opaque scheduler handles; restore re-arms them "
                        "through start_timer from _timer_meta",
-            "pending_outputs": "per-firing scratch, drained before deliver "
-                               "returns; empty at checkpoint boundaries",
-            "history": "bounded recent-firing log (forensics only); the "
-                       "deliveries counter carries the change signal",
-            "deliveries": "monotonic delivery counter used as a change-"
-                          "version signal; checkpoints re-baseline after "
-                          "restore",
             "on_timer_event": "delivery hook re-wired by the owning "
                               "EfsmSystem when the instance is rebuilt",
         },
@@ -236,8 +231,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         exempt={
             "_channel_list": "flat mirror of channels maintained by "
                              "connect(); no independent state",
-            "results": "bounded recent-firing log (forensics only); the "
-                       "deliveries counter carries the change signal",
             "deliveries": "monotonic firing counter used as a change-"
                           "version signal; checkpoints re-baseline after "
                           "restore",
@@ -247,8 +240,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
             "_attack_matches": "append-only observation log (subset of "
                                "firings); lazily allocated behind the "
                                "attack_matches property",
-            "_undeliverable": "append-only environment-output log; lazily "
-                              "allocated behind the undeliverable property",
         },
     ),
     CheckpointSpec(
@@ -340,7 +331,9 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         snapshot=(FunctionRef(_CLUSTER,
                               "ShardSupervisor._checkpoint_trackers"),),
         restore=(FunctionRef(_CLUSTER,
-                             "ShardSupervisor._restore_trackers"),),
+                             "ShardSupervisor._restore_trackers"),
+                 FunctionRef("vids/patterns/invite_flood.py",
+                             "InviteFloodTracker.machine_for")),
         exempt={
             "_definition": "immutable Figure-4 Efsm definition shared by "
                            "every per-target instance (see the Efsm spec)",
@@ -353,7 +346,14 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         snapshot=(FunctionRef(_CLUSTER,
                               "ShardSupervisor._checkpoint_trackers"),),
         restore=(FunctionRef(_CLUSTER,
-                             "ShardSupervisor._restore_trackers"),),
+                             "ShardSupervisor._restore_trackers"),
+                 FunctionRef("vids/patterns/media_spam.py",
+                             "OrphanMediaTracker.machine_for")),
+        exempt={
+            "_definition": "immutable Figure-6 Efsm definition shared by "
+                           "every per-destination instance (see the Efsm "
+                           "spec)",
+        },
     ),
     CheckpointSpec(
         label="AnalysisEngine",
@@ -366,8 +366,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         exempt={
             "scenarios": "attack-scenario definition database; immutable "
                          "after construction and identical on every member",
-            "deviations": "append-only observation log; the dedup keys "
-                          "(_deviation_keys) are what failover must keep",
         },
     ),
 )
@@ -810,55 +808,6 @@ def _guard_ctx_name(fn: ast.AST, default: str = "ctx") -> str:
     return positional[0].arg if positional else default
 
 
-def _scratch_aliases(fn: ast.AST, accessors: Set[str]) -> Set[str]:
-    """Local names that alias ``ctx.scratch`` (or a sub-object of it).
-
-    Covers the repo's memoization idiom: ``memo = _memo(ctx)`` where
-    ``_memo`` is a same-module scratch accessor, plus direct forms like
-    ``cache = ctx.scratch`` and co-targets of a scratch write
-    (``cache = ctx.scratch = {}``).
-    """
-    aliases: Set[str] = set()
-    for _ in range(2):          # one re-pass settles alias-of-alias chains
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Assign):
-                continue
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if not names:
-                continue
-            value_chain = _attr_chain(node.value)
-            from_scratch = (
-                "scratch" in value_chain
-                or (value_chain and value_chain[0] in aliases)
-                or (isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Name)
-                    and node.value.func.id in accessors)
-                or any("scratch" in _attr_chain(t)
-                       for t in node.targets
-                       if isinstance(t, (ast.Attribute, ast.Subscript)))
-            )
-            if from_scratch:
-                aliases.update(names)
-    return aliases
-
-
-def _scratch_accessors(functions: Mapping[str, List[ast.AST]]) -> Set[str]:
-    """Module functions that return ``ctx.scratch`` (directly or via an
-    alias) — calls to them produce scratch-aliased values."""
-    accessors: Set[str] = set()
-    for _ in range(2):          # settle accessor-calls-accessor chains
-        for name, defs in functions.items():
-            for fn in defs:
-                aliases = _scratch_aliases(fn, accessors)
-                for node in ast.walk(fn):
-                    if not isinstance(node, ast.Return) or node.value is None:
-                        continue
-                    chain = _attr_chain(node.value)
-                    if "scratch" in chain or (chain and chain[0] in aliases):
-                        accessors.add(name)
-    return accessors
-
-
 class _GuardChecker:
     """Purity walk over one guard callable (transitively, same module)."""
 
@@ -867,7 +816,6 @@ class _GuardChecker:
         self.rel = rel
         self.functions = functions
         self.out = out
-        self.accessors = _scratch_accessors(functions)
         self.seen: Set[int] = set()
 
     def check(self, fn: ast.AST, guard_name: str, ctx: str,
@@ -877,22 +825,13 @@ class _GuardChecker:
         self.seen.add(id(fn))
         if _has_allow_decorator(fn):
             return
-        aliases = _scratch_aliases(fn, self.accessors)
         body = fn.body if isinstance(fn.body, list) else [fn.body]
         for stmt in body:
             for node in ast.walk(stmt):
-                self._check_node(node, guard_name, ctx, aliases, depth)
-
-    def _allowed_write(self, chain: List[str], ctx: str,
-                       aliases: Set[str]) -> bool:
-        if not chain:
-            return False
-        if chain[0] == ctx and len(chain) >= 2 and chain[1] == "scratch":
-            return True
-        return chain[0] in aliases
+                self._check_node(node, guard_name, ctx, depth)
 
     def _check_node(self, node: ast.AST, guard: str, ctx: str,
-                    aliases: Set[str], depth: int) -> None:
+                    depth: int) -> None:
         targets: List[ast.AST] = []
         if isinstance(node, ast.Assign):
             targets = list(node.targets)
@@ -902,27 +841,21 @@ class _GuardChecker:
             targets = list(node.targets)
         for target in targets:
             if isinstance(target, (ast.Attribute, ast.Subscript)):
-                chain = _attr_chain(target)
-                if not self._allowed_write(chain, ctx, aliases):
-                    where = ".".join(chain) or "<expression>"
-                    self.out.add(
-                        "GP001",
-                        f"guard {guard!r} writes {where}: guards must be "
-                        f"pure (speclint probes them; checkpoint versioning "
-                        f"assumes firings are the only mutations)",
-                        path=self.rel, line=target.lineno, scope=guard,
-                        subject=where,
-                        hint="move the mutation into the transition action, "
-                             "memoize via ctx.scratch, or decorate with "
-                             "@allow_impure_guard(reason)")
+                where = ".".join(_attr_chain(target)) or "<expression>"
+                self.out.add(
+                    "GP001",
+                    f"guard {guard!r} writes {where}: guards must be "
+                    f"pure (speclint probes them; checkpoint versioning "
+                    f"assumes firings are the only mutations)",
+                    path=self.rel, line=target.lineno, scope=guard,
+                    subject=where,
+                    hint="move the mutation into the transition action or "
+                         "decorate with @allow_impure_guard(reason)")
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Attribute):
                 chain = _attr_chain(node.func)
                 method = node.func.attr
-                if method in MUTATING_METHODS and \
-                        not self._allowed_write(chain[:-1] or chain, ctx,
-                                                aliases) \
-                        and "scratch" not in chain:
+                if method in MUTATING_METHODS:
                     where = ".".join(chain)
                     self.out.add(
                         "GP002",
@@ -935,10 +868,10 @@ class _GuardChecker:
                     self.out.add(
                         "GP003",
                         f"guard {guard!r} calls {ctx}.{method}(): timers "
-                        f"and emissions are side effects",
+                        f"are side effects",
                         path=self.rel, line=node.lineno, scope=guard,
                         subject=method,
-                        hint="start timers / emit events from the action")
+                        hint="start and cancel timers from the action")
             elif isinstance(node.func, ast.Name):
                 for callee in self.functions.get(node.func.id, []):
                     self.check(callee, guard, _guard_ctx_name(callee, ctx),

@@ -9,9 +9,11 @@ This module computes those objects on the transition *structure* (ignoring
 predicate valuations, which over-approximates reachability — sound for
 enumeration of candidate attack patterns):
 
-- :func:`reachable_states` — states reachable from the initial state;
-- :func:`attack_paths` — for every attack state, one shortest transition
-  path from the initial state (the canonical attack pattern);
+- :func:`shortest_paths` — the one forward walk: a shortest transition
+  path from the initial state to every reachable state;
+- :func:`reachable_states` — its key set;
+- :func:`attack_paths` — its restriction to attack states (the canonical
+  attack patterns);
 - :func:`event_coverage` — which alphabet events can ever fire from each
   state (useful for reviewing specification completeness);
 - :func:`summarize_machine` — a human-readable structural summary.
@@ -20,30 +22,43 @@ enumeration of candidate attack patterns):
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
-from .machine import Efsm, Transition
+if TYPE_CHECKING:  # pragma: no cover - machine.py imports this module
+    from .machine import Efsm, Transition
 
-__all__ = ["reachable_states", "coreachable_states", "attack_paths",
-           "event_coverage", "summarize_machine"]
+__all__ = ["shortest_paths", "reachable_states", "coreachable_states",
+           "attack_paths", "event_coverage", "summarize_machine"]
+
+
+def shortest_paths(machine: Efsm,
+                   start: Optional[str] = None
+                   ) -> Dict[str, List[Transition]]:
+    """A shortest transition path from ``start`` (default: the initial
+    state) to every state structurally reachable from it.
+
+    Breadth-first over transitions in declaration order, keeping the
+    first path found to each state.
+    """
+    start = start or machine.initial_state
+    outgoing: Dict[str, List[Transition]] = {}
+    for transition in machine.transitions:
+        outgoing.setdefault(transition.source, []).append(transition)
+    paths: Dict[str, List[Transition]] = {start: []}
+    frontier = deque([start])
+    while frontier:
+        state = frontier.popleft()
+        for transition in outgoing.get(state, ()):
+            if transition.target not in paths:
+                paths[transition.target] = paths[state] + [transition]
+                frontier.append(transition.target)
+    return paths
 
 
 def reachable_states(machine: Efsm,
                      start: Optional[str] = None) -> Set[str]:
     """States structurally reachable from ``start`` (default: initial)."""
-    start = start or machine.initial_state
-    seen = {start}
-    frontier = deque([start])
-    outgoing: Dict[str, List[Transition]] = {}
-    for transition in machine.transitions:
-        outgoing.setdefault(transition.source, []).append(transition)
-    while frontier:
-        state = frontier.popleft()
-        for transition in outgoing.get(state, ()):
-            if transition.target not in seen:
-                seen.add(transition.target)
-                frontier.append(transition.target)
-    return seen
+    return set(shortest_paths(machine, start))
 
 
 def coreachable_states(machine: Efsm,
@@ -77,21 +92,7 @@ def attack_paths(machine: Efsm,
     Returns a mapping attack-state -> list of transitions (the paper's
     "attack pattern"); unreachable attack states are omitted.
     """
-    start = start or machine.initial_state
-    outgoing: Dict[str, List[Transition]] = {}
-    for transition in machine.transitions:
-        outgoing.setdefault(transition.source, []).append(transition)
-
-    # BFS keeping the first (shortest) path to every state.
-    paths: Dict[str, List[Transition]] = {start: []}
-    frontier = deque([start])
-    while frontier:
-        state = frontier.popleft()
-        for transition in outgoing.get(state, ()):
-            if transition.target not in paths:
-                paths[transition.target] = paths[state] + [transition]
-                frontier.append(transition.target)
-
+    paths = shortest_paths(machine, start)
     return {state: path for state, path in paths.items()
             if state in machine.attack_states}
 

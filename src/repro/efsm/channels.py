@@ -30,7 +30,7 @@ def parse_channel(name: str) -> tuple:
     """Split a canonical channel id back into ``(sender, receiver)``.
 
     Returns ``(None, None)`` for non-directional channel names (the timer
-    pseudo-channel, or machine-name shorthands used by ``ctx.emit``).
+    pseudo-channel).
     """
     sender, arrow, receiver = name.partition("->")
     if not arrow or not sender or not receiver:
@@ -46,17 +46,12 @@ class Channel:
         self.receiver = receiver
         self.name = channel_name(sender, receiver)
         self._queue: Deque[Event] = deque()
-        self.enqueued_total = 0
 
     def put(self, event: Event) -> None:
         self._queue.append(event)
-        self.enqueued_total += 1
 
     def get(self) -> Optional[Event]:
         return self._queue.popleft() if self._queue else None
-
-    def peek(self) -> Optional[Event]:
-        return self._queue[0] if self._queue else None
 
     def __len__(self) -> int:
         return len(self._queue)

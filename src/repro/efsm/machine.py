@@ -3,8 +3,10 @@
 Implements Definition 1 of the paper: an EFSM ``M = (Σ, S, v, D, T)`` whose
 transitions are tuples ``<s_t, event, P_t, A_t, q_t>``.  A predicate ``P_t``
 inspects the event's input vector ``x`` and the current state-variable
-vector ``v``; an action ``A_t`` updates ``v`` (and may start timers or emit
-output events ``c!event(x)`` onto synchronization channels).
+vector ``v``; an action ``A_t`` updates ``v`` (and may start timers).  The
+output events ``c!event(x)`` a transition sends onto synchronization
+channels are declared on it as :class:`Output` specs, never sent from
+inside an action, so static analysis sees every send.
 
 Machines are *data*: an :class:`Efsm` is built declaratively (states,
 variables with domains, transitions) and executed by :class:`EfsmInstance`,
@@ -19,7 +21,6 @@ from __future__ import annotations
 import copy
 import io
 import types
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
@@ -33,6 +34,7 @@ from typing import (
     Tuple,
 )
 
+from .analysis import reachable_states
 from .errors import DefinitionError, NondeterminismError
 from .events import TIMER_CHANNEL, Event
 
@@ -57,15 +59,6 @@ _MISSING = object()
 
 #: Types a variable value may hold without needing any copy at all.
 _ATOMIC = (str, int, float, bool, bytes, type(None), frozenset)
-
-#: Recent firings kept per instance for forensics and tests.  The log used
-#: to be unbounded, which pinned every delivered Event/FiringResult for a
-#: call's whole lifetime — on a long-running sensor the cyclic-GC full
-#: collections then scan a heap that grows with *traffic*, not with the
-#: live call table.  Anything that needs "how much happened" reads the
-#: monotonic ``EfsmInstance.deliveries`` counter instead of ``len(history)``.
-HISTORY_KEEP = 32
-
 
 #: Values copy_state refuses: checkpointing them cannot round-trip (a
 #: restored generator/handle would be a different object with lost
@@ -231,20 +224,6 @@ class Variables:
         merged.update(self.local)
         return merged
 
-    def restore(self, merged: Mapping[str, Any]) -> None:
-        """Inverse of :meth:`snapshot`: write a merged vector back.
-
-        Keys currently declared local land in this machine's locals;
-        everything else lands in the shared globals dict — which is
-        mutated *in place*, so co-operating machines holding the same
-        dict observe the restored values immediately.
-        """
-        for name, value in merged.items():
-            if name in self.local:
-                self.local[name] = value
-            else:
-                self.globals[name] = value
-
 
 @dataclass(slots=True)
 class Output:
@@ -280,12 +259,6 @@ class Transition:
     attack: bool = False            # annotated attack signature (s_attack)
     label: str = ""
 
-    def enabled(self, ctx: "TransitionContext") -> bool:
-        if self.channel != ctx.event.channel:
-            return False
-        predicate = self.predicate
-        return True if predicate is None else bool(predicate(ctx))
-
     def describe(self) -> str:
         name = self.label or f"{self.source}--{self.event_name}-->{self.target}"
         return f"{'[ATTACK] ' if self.attack else ''}{name}"
@@ -294,7 +267,7 @@ class Transition:
 class TransitionContext:
     """What a predicate/action can see and do while a transition fires."""
 
-    __slots__ = ("instance", "event", "v", "x", "scratch")
+    __slots__ = ("instance", "event", "v", "x")
 
     def __init__(self, instance: "EfsmInstance", event: Event):
         self.instance = instance
@@ -303,10 +276,6 @@ class TransitionContext:
         self.v: Variables = instance.variables
         #: The event's input vector.
         self.x: Mapping[str, Any] = event.args
-        #: Per-delivery scratch space.  All candidate predicates of one
-        #: delivery see the same context, so guards can memoize shared
-        #: sub-computations here (created lazily; dies with the delivery).
-        self.scratch: Optional[Dict[str, Any]] = None
 
     @property
     def now(self) -> float:
@@ -324,15 +293,6 @@ class TransitionContext:
 
     def cancel_timer(self, name: str) -> None:
         self.instance.cancel_timer(name)
-
-    def emit(self, channel: str, event_name: str,
-             args: Optional[Mapping[str, Any]] = None) -> None:
-        """Dynamically emit ``channel!event_name(args)`` from an action."""
-        pending = self.instance.pending_outputs
-        if pending is None:
-            pending = self.instance.pending_outputs = []
-        pending.append(
-            Event(event_name, dict(args or {}), channel=channel, time=self.now))
 
 
 @dataclass(slots=True)
@@ -501,15 +461,7 @@ class Efsm:
         """Sanity-check the definition; raises :class:`DefinitionError`."""
         if self.initial_state not in self.states:
             raise DefinitionError(f"{self.name}: missing initial state")
-        reachable = {self.initial_state}
-        frontier = [self.initial_state]
-        while frontier:
-            state = frontier.pop()
-            for transition in self.transitions:
-                if transition.source == state and transition.target not in reachable:
-                    reachable.add(transition.target)
-                    frontier.append(transition.target)
-        unreachable = set(self.states) - reachable
+        unreachable = set(self.states) - reachable_states(self)
         if unreachable:
             raise DefinitionError(
                 f"{self.name}: unreachable states: {sorted(unreachable)}")
@@ -529,31 +481,50 @@ class Efsm:
 
     # -- analysis ------------------------------------------------------------
 
+    def enabled_at(self, state: str, event: Event,
+                   valuation: Optional[Mapping[str, Any]] = None
+                   ) -> List[Transition]:
+        """Transitions out of ``state`` whose channel and guard accept ``event``.
+
+        The one guard probe outside live dispatch: a throwaway instance is
+        pinned to ``state`` with ``valuation`` split into its locals and the
+        shared globals, guards are evaluated and nothing fires.  A guard
+        that raises on a (possibly partial) sample counts as not enabled.
+        """
+        probe = EfsmInstance(self)
+        probe.state = state
+        local = probe.variables.local
+        for name, value in (valuation or {}).items():
+            if name in local:
+                local[name] = value
+            else:
+                probe.variables.globals[name] = value
+        ctx = TransitionContext(probe, event)
+        enabled = []
+        for transition in self._index.get((state, event.name), ()):
+            if transition.channel != event.channel:
+                continue
+            try:
+                if transition.predicate is None or transition.predicate(ctx):
+                    enabled.append(transition)
+            except Exception:
+                continue          # guard not probe-able on this sample
+        return enabled
+
     def check_determinism(
         self,
-        configurations: Iterable[Tuple[Dict[str, Any], Event]],
-        clock_now: Callable[[], float] = lambda: 0.0,
+        configurations: Iterable[Tuple[Mapping[str, Any], Event]],
     ) -> None:
         """Verify mutual disjointness of predicates on sampled configurations.
 
-        For each (variable valuation, event) sample, every (state, event)
-        transition group must enable at most one transition; otherwise
+        For each (variable valuation, event) sample, every state must
+        enable at most one transition (:meth:`enabled_at`); otherwise
         :class:`NondeterminismError` is raised.  This is the executable
         counterpart of the paper's P_i ∧ P_j = ∅ requirement.
         """
         for valuation, event in configurations:
-            for (state, event_name), group in self._index.items():
-                if event_name != event.name or len(group) < 2:
-                    continue
-                probe = EfsmInstance(self, clock_now=clock_now)
-                probe.state = state
-                probe.variables.local.update(
-                    {k: v for k, v in valuation.items() if k in probe.variables.local})
-                probe.variables.globals.update(
-                    {k: v for k, v in valuation.items()
-                     if k not in probe.variables.local})
-                ctx = TransitionContext(probe, event)
-                enabled = [t for t in group if t.enabled(ctx)]
+            for state in self.states:
+                enabled = self.enabled_at(state, event, valuation)
                 if len(enabled) > 1:
                     raise NondeterminismError(
                         f"{self.name}: state {state!r} event {event.name!r} "
@@ -569,8 +540,7 @@ class EfsmInstance:
     #: collections scan every live call's objects).
     __slots__ = (
         "definition", "state", "variables", "clock_now", "_timer_scheduler",
-        "_timers", "_timer_meta", "pending_outputs", "history", "deliveries",
-        "on_timer_event",
+        "_timers", "_timer_meta", "on_timer_event",
     )
 
     def __init__(
@@ -601,25 +571,12 @@ class EfsmInstance:
         #: of the opaque scheduler handles, kept so :meth:`snapshot` can
         #: record live timers and :meth:`restore` can re-arm them.
         self._timer_meta: Optional[Dict[str, Tuple[float, Dict[str, Any]]]] = None
-        #: Events queued by ``ctx.emit`` during the current firing; lazy
-        #: (None) — most transitions use declarative outputs instead.
-        self.pending_outputs: Optional[List[Event]] = None
-        #: Bounded recent-firing log (newest last); see :data:`HISTORY_KEEP`.
-        self.history: "deque[FiringResult]" = deque(maxlen=HISTORY_KEEP)
-        #: Monotonic count of every delivery ever made to this instance —
-        #: the change-version signal that ``len(history)`` used to provide
-        #: before the log was bounded.
-        self.deliveries: int = 0
         #: Delivery hook for timer events when no system owns the instance.
         self.on_timer_event: Optional[Callable[[Event], None]] = None
 
     @property
     def name(self) -> str:
         return self.definition.name
-
-    @property
-    def in_attack_state(self) -> bool:
-        return self.state in self.definition.attack_states
 
     @property
     def in_final_state(self) -> bool:
@@ -730,39 +687,38 @@ class EfsmInstance:
         guarded chains fire the first enabled predicate in declaration
         order.  Raises :class:`NondeterminismError` for structurally
         nondeterministic groups (more than one unguarded transition); the
-        reference probe loop (:func:`probed_dispatch`) additionally detects
+        reference scan (:func:`probed_dispatch`) additionally detects
         overlapping predicates at runtime.
         """
         definition = self.definition
-        if not definition.compiled_dispatch:
-            return self._deliver_probed(event)
-        key = (self.state, event.name, event.channel)
-        entry = definition._compiled.get(key)
-        if entry is None:
-            entry = definition._compile_entry(key)
-        kind = entry[0]
         ctx: Optional[TransitionContext] = None
-        if kind == _DIRECT:
-            transition: Optional[Transition] = entry[1]
-        elif kind == _GUARDED:
-            transition = entry[1]
+        transition: Optional[Transition] = None
+        if not definition.compiled_dispatch:
             ctx = TransitionContext(self, event)
-            if not transition.predicate(ctx):  # type: ignore[misc]
-                transition = None
-        elif kind == _DEVIATION:
-            transition = None
-        elif kind == _CHAIN:
-            ctx = TransitionContext(self, event)
-            transition = None
-            for candidate in entry[1]:
-                predicate = candidate.predicate
-                if predicate is None or predicate(ctx):
-                    transition = candidate
-                    break
-        else:  # _CONFLICT: every delivery enables >1 transition
-            raise NondeterminismError(
-                f"{self.name}: state {self.state!r} event {event.name!r} "
-                f"enables {len(entry[1])} transitions")
+            transition = self._scan(ctx)
+        else:
+            key = (self.state, event.name, event.channel)
+            entry = definition._compiled.get(key)
+            if entry is None:
+                entry = definition._compile_entry(key)
+            kind = entry[0]         # _DEVIATION leaves transition None
+            if kind == _DIRECT:
+                transition = entry[1]
+            elif kind == _GUARDED:
+                ctx = TransitionContext(self, event)
+                if entry[1].predicate(ctx):
+                    transition = entry[1]
+            elif kind == _CHAIN:
+                ctx = TransitionContext(self, event)
+                for candidate in entry[1]:
+                    predicate = candidate.predicate
+                    if predicate is None or predicate(ctx):
+                        transition = candidate
+                        break
+            elif kind == _CONFLICT:  # every delivery enables >1 transition
+                raise NondeterminismError(
+                    f"{self.name}: state {self.state!r} event {event.name!r} "
+                    f"enables {len(entry[1])} transitions")
 
         from_state = self.state
         outputs: List[Event] = []
@@ -775,9 +731,6 @@ class EfsmInstance:
                     action(ctx)
                 for output in transition.outputs:
                     outputs.append(output.build(ctx))
-            if self.pending_outputs:
-                outputs.extend(self.pending_outputs)
-                self.pending_outputs = None
             self.state = transition.target
 
         # Packet and timer events are stamped with the clock when built, at
@@ -786,7 +739,7 @@ class EfsmInstance:
         time = event.time
         if time is None:
             time = self.clock_now()
-        result = FiringResult(
+        return FiringResult(
             machine=self.name,
             event=event,
             transition=transition,
@@ -795,63 +748,30 @@ class EfsmInstance:
             outputs=outputs,
             time=time,
         )
-        self.deliveries += 1
-        self.history.append(result)
-        return result
 
-    def _deliver_probed(self, event: Event) -> FiringResult:
-        """Reference delivery: probe every candidate's enabledness.
+    def _scan(self, ctx: TransitionContext) -> Optional[Transition]:
+        """Reference pick: probe every candidate's enabledness.
 
-        The pre-compilation loop, kept verbatim behind
-        :func:`probed_dispatch` as the oracle for dispatch-equivalence
-        tests.  Unlike the compiled path it evaluates *every* candidate
-        predicate, so it also detects overlapping (nondeterministic)
-        guards at runtime.
+        The pre-compilation loop, kept behind :func:`probed_dispatch` as
+        the oracle for dispatch-equivalence tests.  Unlike the compiled
+        table it evaluates *every* candidate predicate, so it also detects
+        overlapping (nondeterministic) guards at runtime.
         """
-        ctx = TransitionContext(self, event)
-        candidates = self.definition.transitions_from(self.state, event.name)
-        transition: Optional[Transition] = None
+        event = ctx.event
         channel = event.channel
-        for candidate in candidates:
-            # Inlined Transition.enabled — this probe loop runs for every
-            # candidate of every delivered event.
+        transition: Optional[Transition] = None
+        for candidate in self.definition.transitions_from(self.state,
+                                                          event.name):
             if candidate.channel != channel:
                 continue
             predicate = candidate.predicate
             if predicate is None or predicate(ctx):
-                if transition is None:
-                    transition = candidate
-                else:
-                    # Error path only: re-evaluate to report the exact count.
-                    enabled = [t for t in candidates if t.enabled(ctx)]
+                if transition is not None:
+                    # Error path only: re-probe to report the exact count.
+                    enabled = self.definition.enabled_at(
+                        self.state, event, self.variables.snapshot())
                     raise NondeterminismError(
                         f"{self.name}: state {self.state!r} event "
                         f"{event.name!r} enables {len(enabled)} transitions")
-
-        from_state = self.state
-        outputs: List[Event] = []
-        if transition is not None:
-            if transition.action is not None:
-                transition.action(ctx)
-            for output in transition.outputs:
-                outputs.append(output.build(ctx))
-            if self.pending_outputs:
-                outputs.extend(self.pending_outputs)
-                self.pending_outputs = None
-            self.state = transition.target
-
-        time = event.time
-        if time is None:
-            time = self.clock_now()
-        result = FiringResult(
-            machine=self.name,
-            event=event,
-            transition=transition,
-            from_state=from_state,
-            to_state=self.state,
-            outputs=outputs,
-            time=time,
-        )
-        self.deliveries += 1
-        self.history.append(result)
-        return result
+                transition = candidate
+        return transition

@@ -20,8 +20,10 @@ The diff never aligns mined states with spec states structurally — every
 training observation carries the spec machine's *recorded* state at firing
 time, so spec guards are probed exactly where the event actually arrived,
 with the recorded argument vector and accumulated variable valuation
-(``VidsConfig.trace_variables``).  Without recorded arguments the diff
-degrades to name-level structural checks and skips guard probing.
+(``VidsConfig.trace_variables``) through :meth:`Efsm.enabled_at` — a guard
+that raises on the bounded, possibly partial recorded data counts as not
+enabled rather than crashing the diff.  Without recorded arguments the
+diff degrades to name-level structural checks and skips guard probing.
 
 Findings reuse the speclint :class:`Diagnostic`/:func:`format_report`
 machinery, so the ``specdiff`` CLI renders and exits like ``speclint``.
@@ -30,46 +32,17 @@ See docs/MINING.md for the rule catalog.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .diagnostics import Diagnostic, Severity
 from .events import Event
-from .machine import Efsm, EfsmInstance, Transition, TransitionContext
+from .machine import Efsm
 from .mine import MinedMachine, Observation
 
 __all__ = ["specdiff", "DEFAULT_SAMPLES_PER_GROUP"]
 
 #: Recorded observations probed per (state, event, channel) group.
 DEFAULT_SAMPLES_PER_GROUP = 5
-
-
-def _probe_enabled(spec: Efsm, state: str, event: Event,
-                   valuation: Mapping[str, Any],
-                   candidates: List[Transition]) -> Optional[Transition]:
-    """First spec transition enabled at ``state`` for one recorded sample.
-
-    Mirrors :meth:`Efsm.check_determinism`'s probing: a throwaway instance
-    pinned to the recorded state, the recorded valuation split into locals
-    vs globals, predicates evaluated without firing actions.  A guard that
-    raises on the (bounded, possibly partial) recorded data counts as
-    not-enabled rather than crashing the diff.
-    """
-    probe = EfsmInstance(spec, clock_now=lambda: event.time or 0.0)
-    probe.state = state
-    local = probe.variables.local
-    for name, value in valuation.items():
-        if name in local:
-            local[name] = value
-        else:
-            probe.variables.globals[name] = value
-    ctx = TransitionContext(probe, event)
-    for transition in candidates:
-        try:
-            if transition.enabled(ctx):
-                return transition
-        except Exception:
-            continue
-    return None
 
 
 def _sample_args(observations: List[Observation]) -> List[Dict[str, Any]]:
@@ -139,13 +112,13 @@ def specdiff(mined: MinedMachine, spec: Efsm,
         for observation in samples:
             event = Event(event_name, observation.args, channel=channel,
                           time=observation.time)
-            enabled = _probe_enabled(spec, state, event,
-                                     observation.valuation, candidates)
-            if enabled is None:
+            enabled = spec.enabled_at(state, event, observation.valuation)
+            if not enabled:
                 continue
             accepted += 1
-            matched.add(id(enabled))
-            if observation.spec_to and enabled.target != observation.spec_to:
+            matched.add(id(enabled[0]))
+            if (observation.spec_to
+                    and enabled[0].target != observation.spec_to):
                 mismatched.append(observation)
         if accepted == 0:
             diagnostics.append(Diagnostic(

@@ -11,14 +11,13 @@ honouring the paper's priority rule.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from functools import partial
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .channels import Channel, channel_name
 from .errors import DefinitionError
 from .events import Event
-from .machine import HISTORY_KEEP, Efsm, EfsmInstance, FiringResult, copy_state
+from .machine import Efsm, EfsmInstance, FiringResult, copy_state
 
 __all__ = ["EfsmSystem", "SystemTemplate", "ManualClock"]
 
@@ -120,9 +119,8 @@ class EfsmSystem:
     #: allocate them.
     __slots__ = (
         "clock_now", "timer_scheduler", "machines", "channels",
-        "_channel_list", "globals", "results", "deliveries",
-        "_deviations", "_attack_matches", "_undeliverable",
-        "on_result", "on_output",
+        "_channel_list", "globals", "deliveries",
+        "_deviations", "_attack_matches", "on_result", "on_output",
     )
 
     def __init__(
@@ -138,23 +136,19 @@ class EfsmSystem:
         #: lets the per-packet empty-channel check skip dict-view creation.
         self._channel_list: List[Channel] = []
         self.globals: Dict[str, Any] = {}
-        #: Bounded recent-firing log (newest last).  ``deliveries`` below is
-        #: the monotonic firing count — change-version consumers must read
-        #: that, not ``len(results)``.
-        self.results: "deque[FiringResult]" = deque(maxlen=HISTORY_KEEP)
-        #: Total firings ever recorded by this system.
+        #: Total firings ever recorded by this system: the one firing
+        #: counter, and the change version checkpoints and size memos key on.
         self.deliveries: int = 0
-        #: Lazily created by the ``deviations``/``attack_matches``/
-        #: ``undeliverable`` properties — sparse, alert-like output.
+        #: Lazily created by the ``deviations``/``attack_matches``
+        #: properties — sparse, alert-like output.
         self._deviations: Optional[List[FiringResult]] = None
         self._attack_matches: Optional[List[FiringResult]] = None
-        self._undeliverable: Optional[List[Event]] = None
         #: Hook invoked for every firing result (the vids analysis engine).
         self.on_result: Optional[Callable[[FiringResult], None]] = None
         #: Hook invoked for every routed output event ``c!event(x)`` —
         #: the δ-messages between machines — with the sending machine's
         #: name.  Also fires for outputs addressed to the environment
-        #: (undeliverable here).  Used by call-scoped tracing.
+        #: (no such machine here).  Used by call-scoped tracing.
         self.on_output: Optional[Callable[[str, Event], None]] = None
 
     @property
@@ -171,15 +165,6 @@ class EfsmSystem:
         existing = self._attack_matches
         if existing is None:
             existing = self._attack_matches = []
-        return existing
-
-    @property
-    def undeliverable(self) -> List[Event]:
-        """Output events addressed to machines this system does not
-        contain (outputs to the environment); kept for inspection."""
-        existing = self._undeliverable
-        if existing is None:
-            existing = self._undeliverable = []
         return existing
 
     # -- construction -------------------------------------------------------
@@ -280,33 +265,19 @@ class EfsmSystem:
             self._route_output(machine, output)
 
     def _route_output(self, sender: str, event: Event) -> None:
-        """Queue an output event onto its channel (created on demand)."""
-        if event.channel is None:
-            return
-        hook = self.on_output
-        if "->" in event.channel:
-            channel = self.channels.get(event.channel)
-            if channel is None:
-                sender_name, _, receiver = event.channel.partition("->")
-                if receiver not in self.machines:
-                    # Output to the environment (no such machine here):
-                    # record it rather than failing the transition.
-                    if hook is not None:
-                        hook(sender, event)
-                    self.undeliverable.append(event)
-                    return
-                channel = self.connect(sender_name, receiver)
-        else:
-            if event.channel not in self.machines:
-                if hook is not None:
-                    hook(sender, event)
-                self.undeliverable.append(event)
+        """Queue an output event onto its channel (created on demand).
+
+        An output addressed to a machine this system does not contain goes
+        to the environment: the hook sees it, nothing is queued.
+        """
+        if self.on_output is not None:
+            self.on_output(sender, event)
+        channel = self.channels.get(event.channel)
+        if channel is None:
+            sender_name, _, receiver = event.channel.partition("->")
+            if receiver not in self.machines:
                 return
-            channel = self.connect(sender, event.channel)
-            event = Event(event.name, event.args, channel=channel.name,
-                          time=event.time)
-        if hook is not None:
-            hook(sender, event)
+            channel = self.connect(sender_name, receiver)
         channel.put(event)
 
     def _drain_channels(self, accumulator: List[FiringResult]) -> None:
@@ -335,7 +306,6 @@ class EfsmSystem:
 
     def _record(self, result: FiringResult) -> None:
         self.deliveries += 1
-        self.results.append(result)
         if result.deviation:
             self.deviations.append(result)
         if result.attack:

@@ -16,9 +16,9 @@ Per-machine rules (:func:`verify_machine`):
 - ``dead-state`` — a reachable non-final state from which no final state is
   reachable (the call record could only ever leave memory via the TTL GC);
 - ``nondeterministic-overlap`` — same (state, event, channel) transitions
-  whose guards are not mutually exclusive, generalizing
-  :meth:`Efsm.check_determinism` with unguarded-pair detection and sampled
-  predicate probing;
+  whose guards are not mutually exclusive: unguarded-pair detection, then
+  the sampled probe :meth:`Efsm.enabled_at` that
+  :meth:`Efsm.check_determinism` loops over too;
 - ``event-coverage-gap`` — alphabet events a state has no transition for
   (informational: deviations *are* the anomaly signal, but the table is how
   one audits specification completeness);
@@ -33,7 +33,7 @@ Cross-machine rules (:func:`verify_system`):
 
 - ``unknown-channel-endpoint`` — a channel naming a machine that is not part
   of the system;
-- ``unmatched-send`` — an emitted ``c!δ`` no receiver ever consumes;
+- ``unmatched-send`` — a ``c!δ`` output no receiver ever consumes;
 - ``unmatched-receive`` — a ``c?δ`` transition nothing ever sends;
 - ``sync-deadlock`` / ``sync-unbounded`` — a bounded product-automaton pass
   over the interacting system that flags reachable configurations where a
@@ -41,8 +41,10 @@ Cross-machine rules (:func:`verify_system`):
   runtime deviation on a *legitimate* trace) or where a FIFO can grow past
   the exploration bound.
 
-Predicate *probing* (calling guard callables against sampled configurations)
-is the only execution performed; machine state is never advanced.
+Predicate *probing* (:meth:`Efsm.enabled_at` against sampled configurations)
+is the only execution performed; machine state is never advanced.  Every
+send is a declarative :class:`~repro.efsm.machine.Output`, so the topology
+and product passes see all of them by construction.
 """
 
 from __future__ import annotations
@@ -63,11 +65,16 @@ from typing import (
     Tuple,
 )
 
-from .analysis import coreachable_states, reachable_states
-from .channels import channel_name, parse_channel
+from .analysis import (
+    coreachable_states,
+    event_coverage,
+    reachable_states,
+    shortest_paths,
+)
+from .channels import parse_channel
 from .diagnostics import Diagnostic, Severity
 from .events import TIMER_CHANNEL, Event
-from .machine import Efsm, EfsmInstance, Transition, TransitionContext
+from .machine import Efsm, Transition
 
 __all__ = ["verify_machine", "verify_system", "RULES"]
 
@@ -97,7 +104,7 @@ RULES: Dict[str, str] = {
                           "never declared",
     "unknown-channel-endpoint": "channel endpoint is not a machine of the "
                                 "system",
-    "unmatched-send": "emitted sync event has no consuming transition in the "
+    "unmatched-send": "sent sync event has no consuming transition in the "
                       "receiver",
     "unmatched-receive": "sync receive that no machine in the system sends",
     "sync-deadlock": "reachable configuration wedges a queued sync event the "
@@ -108,9 +115,9 @@ RULES: Dict[str, str] = {
 }
 
 # ---------------------------------------------------------------------------
-# Source mining: predicates/actions are plain callables, so variable, timer,
-# and dynamic-emit usage is recovered from their (and their same-module
-# helpers') source text.  Best-effort by design: anything unresolvable is
+# Source mining: predicates/actions are plain callables, so variable and
+# timer usage is recovered from their (and their same-module helpers')
+# source text.  Best-effort by design: anything unresolvable is
 # surfaced as an `analysis-incomplete` finding instead of being guessed at.
 # ---------------------------------------------------------------------------
 
@@ -123,9 +130,6 @@ _TIMER_START_RE = re.compile(
     r"\.start_timer\(\s*(?:['\"]([A-Za-z_]\w*)['\"]|([A-Za-z_]\w*))")
 _TIMER_CANCEL_RE = re.compile(
     r"\.cancel_timer\(\s*(?:['\"]([A-Za-z_]\w*)['\"]|([A-Za-z_]\w*))")
-_EMIT_RE = re.compile(
-    r"\.emit\(\s*(?:['\"]([^'\"]+)['\"]|([A-Za-z_]\w*))\s*,"
-    r"\s*(?:['\"]([A-Za-z_]\w*)['\"]|([A-Za-z_]\w*))")
 
 
 def _closure_bindings(fn: Callable) -> Dict[str, Any]:
@@ -183,7 +187,7 @@ def _expand_callables(root: Callable,
 
 
 class _TransitionUsage:
-    """What one transition's callables read, write, start, and emit."""
+    """What one transition's callables read, write, start, and cancel."""
 
     def __init__(self, transition: Transition):
         self.transition = transition
@@ -192,8 +196,6 @@ class _TransitionUsage:
         self.writes: Set[str] = set()
         self.timer_starts: Set[str] = set()
         self.timer_cancels: Set[str] = set()
-        #: Dynamically emitted (channel, event) pairs via ``ctx.emit``.
-        self.emits: Set[Tuple[str, str]] = set()
         self.unresolved: List[str] = []
 
     def _resolve(self, fn: Callable, literal: Optional[str],
@@ -237,13 +239,6 @@ class _TransitionUsage:
                                      "timer")
                 if name:
                     self.timer_cancels.add(name)
-            for match in _EMIT_RE.finditer(source):
-                channel = self._resolve(func, match.group(1), match.group(2),
-                                        "emit channel")
-                event = self._resolve(func, match.group(3), match.group(4),
-                                      "emit event")
-                if channel and event:
-                    self.emits.add((channel, event))
 
 
 def _transition_usages(machine: Efsm) -> List[_TransitionUsage]:
@@ -287,14 +282,12 @@ def _check_reachability(machine: Efsm,
 
 def _check_sinks(machine: Efsm, reachable: Set[str]) -> List[Diagnostic]:
     diagnostics = []
-    outgoing: Dict[str, int] = {}
-    for transition in machine.transitions:
-        outgoing[transition.source] = outgoing.get(transition.source, 0) + 1
+    handled = event_coverage(machine)
     traps = set()
     for state in sorted(reachable):
         if state in machine.final_states or state in machine.attack_states:
             continue
-        if not outgoing.get(state):
+        if not handled[state]:
             traps.add(state)
             diagnostics.append(Diagnostic(
                 "trap-state", Severity.ERROR,
@@ -316,12 +309,6 @@ def _check_sinks(machine: Efsm, reachable: Set[str]) -> List[Diagnostic]:
                 hint="add a path to a final state or mark an absorbing "
                      "state final"))
     return diagnostics
-
-
-def _probe_events(event_name: str, channel: Optional[str],
-                  samples: Sequence[Mapping[str, Any]]) -> List[Event]:
-    return [Event(event_name, dict(args), channel=channel)
-            for args in samples]
 
 
 def _check_determinism(machine: Efsm,
@@ -349,59 +336,42 @@ def _check_determinism(machine: Efsm,
                 hint="give all but one of them mutually exclusive "
                      "predicates"))
             continue
-        witness = _probe_overlap(machine, source, group,
-                                 _probe_events(event_name, channel, samples))
-        if witness is not None:
-            enabled, event = witness
+        for args in samples:
+            enabled = machine.enabled_at(
+                source, Event(event_name, dict(args), channel=channel))
+            if len(enabled) < 2:
+                continue
             diagnostics.append(Diagnostic(
                 "nondeterministic-overlap", Severity.ERROR,
-                f"sampled configuration {dict(event.args)!r} enables "
+                f"sampled configuration {dict(args)!r} enables "
                 f"{len(enabled)} transitions from {source!r} on "
                 f"{event_name!r}: {[t.describe() for t in enabled]}",
                 machine=machine.name, state=source, event=event_name,
                 transition=enabled[0].describe(),
                 data={"transitions": [t.describe() for t in enabled],
-                      "witness_args": dict(event.args)},
+                      "witness_args": dict(args)},
                 hint="make the predicates mutually disjoint (P_i ∧ P_j = ∅)"))
-        elif unguarded:
-            diagnostics.append(Diagnostic(
-                "nondeterministic-overlap", Severity.WARNING,
-                f"unguarded transition {unguarded[0].describe()!r} overlaps "
-                f"{len(group) - 1} guarded alternative(s) from {source!r} on "
-                f"{event_name!r} unless every guard excludes it",
-                machine=machine.name, state=source, event=event_name,
-                transition=unguarded[0].describe(),
-                data={"transitions": describes},
-                hint="guard it with the negation of the other predicates"))
+            break
+        else:
+            if unguarded:
+                diagnostics.append(Diagnostic(
+                    "nondeterministic-overlap", Severity.WARNING,
+                    f"unguarded transition {unguarded[0].describe()!r} "
+                    f"overlaps {len(group) - 1} guarded alternative(s) from "
+                    f"{source!r} on {event_name!r} unless every guard "
+                    f"excludes it",
+                    machine=machine.name, state=source, event=event_name,
+                    transition=unguarded[0].describe(),
+                    data={"transitions": describes},
+                    hint="guard it with the negation of the other "
+                         "predicates"))
     return diagnostics
-
-
-def _probe_overlap(machine: Efsm, source: str, group: Sequence[Transition],
-                   events: Sequence[Event]
-                   ) -> Optional[Tuple[List[Transition], Event]]:
-    """Probe guards against sampled configurations; return a witness."""
-    for event in events:
-        probe = EfsmInstance(machine)
-        probe.state = source
-        ctx = TransitionContext(probe, event)
-        enabled = []
-        for transition in group:
-            try:
-                if transition.enabled(ctx):
-                    enabled.append(transition)
-            except Exception:
-                continue          # guard not probe-able on this sample
-        if len(enabled) > 1:
-            return enabled, event
-    return None
 
 
 def _check_event_coverage(machine: Efsm,
                           reachable: Set[str]) -> List[Diagnostic]:
     diagnostics = []
-    handled: Dict[str, Set[str]] = {state: set() for state in machine.states}
-    for transition in machine.transitions:
-        handled[transition.source].add(transition.event_name)
+    handled = event_coverage(machine)
     for state in sorted(reachable):
         if state in machine.attack_states:
             continue
@@ -515,8 +485,7 @@ def _check_timers(machine: Efsm,
     return diagnostics
 
 
-def _check_channels(machine: Efsm,
-                    usages: Sequence[_TransitionUsage]) -> List[Diagnostic]:
+def _check_channels(machine: Efsm) -> List[Diagnostic]:
     diagnostics = []
     declared = set(machine.channels) | {TIMER_CHANNEL}
     flagged: Set[Tuple[str, str]] = set()
@@ -542,10 +511,6 @@ def _check_channels(machine: Efsm,
         for output in transition.outputs:
             if output.channel not in declared:
                 flag(output.channel, transition, "sends")
-    for usage in usages:
-        for channel, _event in sorted(usage.emits):
-            if channel not in declared:
-                flag(channel, usage.transition, "dynamically emits")
     return diagnostics
 
 
@@ -584,7 +549,7 @@ def verify_machine(machine: Efsm,
     diagnostics.extend(_check_event_coverage(machine, reachable))
     diagnostics.extend(_check_variables(machine, usages))
     diagnostics.extend(_check_timers(machine, usages))
-    diagnostics.extend(_check_channels(machine, usages))
+    diagnostics.extend(_check_channels(machine))
     diagnostics.extend(_check_incomplete(machine, usages))
     return diagnostics
 
@@ -593,56 +558,28 @@ def verify_machine(machine: Efsm,
 # Cross-machine rules
 # ---------------------------------------------------------------------------
 
-def _canonical_sends(machine: Efsm, usages: Sequence[_TransitionUsage],
-                     names: Set[str]
-                     ) -> List[Tuple[str, str, Transition, Optional[str]]]:
-    """All (channel, event, transition, endpoint_error) sends of a machine.
-
-    Channel shorthands (a bare machine name, as accepted by
-    ``EfsmSystem._route_output`` and ``ctx.emit``) are canonicalized to the
-    directional ``sender->receiver`` form.
-    """
-    sends = []
-    raw: List[Tuple[str, str, Transition]] = []
-    for usage in usages:
-        for channel, event in sorted(usage.emits):
-            raw.append((channel, event, usage.transition))
-    for transition in machine.transitions:
-        for output in transition.outputs:
-            raw.append((output.channel, output.event_name, transition))
-    for channel, event, transition in raw:
-        if channel == TIMER_CHANNEL:
-            continue
-        sender, receiver = parse_channel(channel)
-        if sender is None:
-            # Shorthand: the channel names the receiving machine.
-            receiver = channel
-            channel = channel_name(machine.name, receiver)
-        error = receiver if receiver not in names else None
-        sends.append((channel, event, transition, error))
-    return sends
-
-
-def _system_topology(machines: Sequence[Efsm],
-                     usages_by_machine: Mapping[str, Sequence[_TransitionUsage]]
-                     ) -> List[Diagnostic]:
+def _system_topology(machines: Sequence[Efsm]) -> List[Diagnostic]:
     diagnostics = []
     names = {machine.name for machine in machines}
     sends: Dict[Tuple[str, str], List[Tuple[Efsm, Transition]]] = {}
     for machine in machines:
-        for channel, event, transition, endpoint_error in _canonical_sends(
-                machine, usages_by_machine[machine.name], names):
-            if endpoint_error is not None:
-                diagnostics.append(Diagnostic(
-                    "unknown-channel-endpoint", Severity.ERROR,
-                    f"{machine.name!r} sends {event!r} on {channel!r} but "
-                    f"{endpoint_error!r} is not a machine of this system",
-                    machine=machine.name, channel=channel, event=event,
-                    transition=transition.describe(),
-                    hint="fix the channel id or add the missing machine"))
-                continue
-            sends.setdefault((channel, event), []).append(
-                (machine, transition))
+        for transition in machine.transitions:
+            for output in transition.outputs:
+                channel, event = output.channel, output.event_name
+                if channel == TIMER_CHANNEL:
+                    continue
+                receiver = parse_channel(channel)[1]
+                if receiver not in names:
+                    diagnostics.append(Diagnostic(
+                        "unknown-channel-endpoint", Severity.ERROR,
+                        f"{machine.name!r} sends {event!r} on {channel!r} "
+                        f"but {receiver!r} is not a machine of this system",
+                        machine=machine.name, channel=channel, event=event,
+                        transition=transition.describe(),
+                        hint="fix the channel id or add the missing machine"))
+                    continue
+                sends.setdefault((channel, event), []).append(
+                    (machine, transition))
     receives: Dict[Tuple[str, str], List[Tuple[Efsm, Transition]]] = {}
     for machine in machines:
         for transition in machine.transitions:
@@ -682,36 +619,15 @@ def _system_topology(machines: Sequence[Efsm],
     return diagnostics
 
 
-def _witness_to_state(machine: Efsm, target_state: str) -> Optional[List[str]]:
-    """Shortest single-machine event path from the initial state to
-    ``target_state`` (transition labels), or None if unreachable alone."""
-    if machine.initial_state == target_state:
-        return []
-    moves: Dict[str, List[Transition]] = {}
-    for transition in machine.transitions:
-        moves.setdefault(transition.source, []).append(transition)
-    visited = {machine.initial_state}
-    frontier: deque = deque([(machine.initial_state, [])])
-    while frontier:
-        state, path = frontier.popleft()
-        for transition in moves.get(state, ()):
-            if transition.target in visited:
-                continue
-            step = f"{machine.name}: {transition.describe()}"
-            if transition.target == target_state:
-                return path + [step]
-            visited.add(transition.target)
-            frontier.append((transition.target, path + [step]))
-    return None
-
-
 def _send_witness(machine: Efsm, transition: Transition, channel: str,
                   event: str) -> List[str]:
     """Witness trace for an unmatched send: the shortest path of the
     sending machine to the offending transition, then the send itself."""
-    prefix = _witness_to_state(machine, transition.source)
-    if prefix is None:
+    path = shortest_paths(machine).get(transition.source)
+    if path is None:
         prefix = [f"<{transition.source!r} unreachable by free moves alone>"]
+    else:
+        prefix = [f"{machine.name}: {step.describe()}" for step in path]
     return prefix + [f"{machine.name}: {transition.describe()}",
                      f"{channel} ! {event} (never consumed)"]
 
@@ -756,16 +672,6 @@ class _ProductExplorer:
                     key = (i, transition.source, transition.channel,
                            transition.event_name)
                     self.receivers.setdefault(key, []).append(transition)
-
-    def _outputs(self, machine_index: int,
-                 transition: Transition) -> List[Tuple[str, str]]:
-        outputs = []
-        for output in transition.outputs:
-            channel = output.channel
-            if parse_channel(channel)[0] is None:
-                channel = channel_name(self.names[machine_index], channel)
-            outputs.append((channel, output.event_name))
-        return outputs
 
     def _report_stuck(self, receiver_index: int, state: str, channel: str,
                       event: str, trigger: str,
@@ -825,15 +731,15 @@ class _ProductExplorer:
                 step = (f"{self.names[receiver_index]}: "
                         f"{channel} ? {event}")
                 overflow = False
-                for out_channel, out_event in self._outputs(receiver_index,
-                                                            transition):
-                    extended = new_queues.get(out_channel, ()) + (out_event,)
+                for output in transition.outputs:
+                    extended = (new_queues.get(output.channel, ())
+                                + (output.event_name,))
                     if len(extended) > self.queue_bound:
-                        self._report_overflow(out_channel, trigger,
+                        self._report_overflow(output.channel, trigger,
                                               path + (step,))
                         overflow = True
                         break
-                    new_queues[out_channel] = extended
+                    new_queues[output.channel] = extended
                 if overflow:
                     continue
                 for vector, sub_path in self._drain(
@@ -891,8 +797,10 @@ class _ProductExplorer:
                     moved = list(states)
                     moved[i] = transition.target
                     queues: Dict[str, Tuple[str, ...]] = {}
-                    for channel, event in self._outputs(i, transition):
-                        queues[channel] = queues.get(channel, ()) + (event,)
+                    for output in transition.outputs:
+                        queues[output.channel] = (
+                            queues.get(output.channel, ())
+                            + (output.event_name,))
                     step = f"{self.names[i]}: {transition.describe()}"
                     for result, sub_path in self._drain(
                             tuple(moved), queues, transition.describe(),
@@ -923,12 +831,10 @@ def verify_system(machines: Iterable[Efsm],
     """
     machine_list = list(machines)
     diagnostics: List[Diagnostic] = []
-    usages_by_machine = {
-        machine.name: _transition_usages(machine) for machine in machine_list}
     if per_machine:
         for machine in machine_list:
             diagnostics.extend(verify_machine(machine, samples=samples))
-    diagnostics.extend(_system_topology(machine_list, usages_by_machine))
+    diagnostics.extend(_system_topology(machine_list))
     explorer = _ProductExplorer(machine_list, queue_bound=queue_bound,
                                 max_configs=max_configs)
     explorer.explore()

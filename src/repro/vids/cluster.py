@@ -204,7 +204,7 @@ class ShardCheckpoint:
     stray_keys: Optional[set] = None
     #: Change signal behind ``trackers``/``stray_keys`` (drives
     #: incremental reuse, like ``call_versions`` for calls).
-    tracker_version: Optional[Tuple[int, int, int]] = None
+    tracker_version: Optional[Tuple[int, int, int, int]] = None
 
 
 @dataclass
@@ -552,7 +552,13 @@ class ShardSupervisor:
             versions[call_id] = version
         trackers = stray = tracker_version = None
         if member.index == 0:
-            tracker_version = self._tracker_version(vids)
+            # The trackers count their own changes, and the stray-key set
+            # only grows; RTP-dominated traffic moves none of them, so
+            # steady-state checkpoints reuse the previous tracker snapshot.
+            tracker_version = (vids.flood_tracker.version,
+                               vids.source_flood_tracker.version,
+                               vids.orphan_tracker.version,
+                               len(vids.engine._stray_keys))
             if (previous is not None
                     and previous.tracker_version == tracker_version):
                 trackers = previous.trackers
@@ -587,39 +593,20 @@ class ShardSupervisor:
         self.metrics.calls_checkpointed += len(calls)
         return checkpoint
 
-    def _tracker_version(self, vids: Vids) -> Tuple[int, int, int]:
-        """Cheap change signal over the shard-0 shared trackers.
-
-        Tracker machines mutate only through ``deliver`` (observations and
-        timer firings), and every delivery bumps the instance's monotonic
-        ``deliveries`` counter — so machine count + total delivery count
-        detects any change.  Stray media keys and the orphan flagged set are counted
-        directly.  RTP-dominated traffic leaves all of these untouched, so
-        steady-state checkpoints reuse the previous tracker snapshot.
-        """
-        machines = 0
-        deliveries = 0
-        for tracker in (vids.flood_tracker, vids.source_flood_tracker,
-                        vids.orphan_tracker):
-            for instance in tracker.machines.values():
-                machines += 1
-                deliveries += instance.deliveries
-        extras = (len(vids.engine._stray_keys)
-                  + len(vids.orphan_tracker._unsolicited_flagged))
-        return (machines, deliveries, extras)
-
     def _checkpoint_trackers(self, vids: Vids) -> Dict[str, Any]:
+        flood = vids.flood_tracker
+        source_flood = vids.source_flood_tracker
+        orphan = vids.orphan_tracker
         return {
             "flood": {target: instance.snapshot()
-                      for target, instance in vids.flood_tracker
-                      .machines.items()},
+                      for target, instance in flood.machines.items()},
             "source_flood": {target: instance.snapshot()
-                             for target, instance in vids
-                             .source_flood_tracker.machines.items()},
+                             for target, instance
+                             in source_flood.machines.items()},
             "orphan": {destination: instance.snapshot()
-                       for destination, instance in vids.orphan_tracker
-                       .machines.items()},
-            "orphan_flagged": set(vids.orphan_tracker._unsolicited_flagged),
+                       for destination, instance in orphan.machines.items()},
+            "orphan_flagged": set(orphan._unsolicited_flagged),
+            "versions": (flood.version, source_flood.version, orphan.version),
         }
 
     # -- restore --------------------------------------------------------------
@@ -687,15 +674,11 @@ class ShardSupervisor:
             vids.source_flood_tracker.machine_for(target).restore(snapshot)
         orphan = vids.orphan_tracker
         for destination, snapshot in trackers["orphan"].items():
-            from .patterns.media_spam import build_media_spam_machine
-            from ..efsm.machine import EfsmInstance
-            definition = build_media_spam_machine(
-                orphan.seq_gap, orphan.ts_gap,
-                name=f"media_spam[{destination[0]}:{destination[1]}]")
-            instance = EfsmInstance(definition, clock_now=orphan.clock_now)
-            instance.restore(snapshot)
-            orphan.machines[destination] = instance
+            orphan.machine_for(destination).restore(snapshot)
         orphan._unsolicited_flagged = set(trackers["orphan_flagged"])
+        # Last: rebuilding the tables above counted as changes.
+        (vids.flood_tracker.version, vids.source_flood_tracker.version,
+         orphan.version) = trackers["versions"]
         stray = vids.engine._stray_keys
         stray.clear()
         if checkpoint.stray_keys:

@@ -15,7 +15,7 @@ state, event) so retransmission storms don't multiply alerts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import TraceBus
@@ -58,7 +58,6 @@ class AnalysisEngine:
         self.alerts = alerts
         self.clock_now = clock_now
         self.scenarios = scenarios or AttackScenarioDatabase()
-        self.deviations: List[FiringResult] = []
         self._deviation_keys: Set[Tuple] = set()
         self._stray_keys: Set[Tuple] = set()
         #: Call-scoped trace bus (None keeps the hot path untouched).
@@ -141,7 +140,6 @@ class AnalysisEngine:
         return False
 
     def _note_deviation(self, record: CallRecord, result: FiringResult) -> None:
-        self.deviations.append(result)
         key = (record.call_id, result.machine, result.from_state,
                result.event.name)
         if key in self._deviation_keys:

@@ -14,6 +14,7 @@ same branch and are not re-counted).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from ...efsm.events import TIMER_CHANNEL, Event
@@ -108,6 +109,9 @@ class InviteFloodTracker:
         self.timer_scheduler = timer_scheduler
         self.on_attack = on_attack
         self.machines: dict = {}
+        #: Bumped on every change to ``machines`` or to an instance in it;
+        #: checkpoints reuse the previous tracker snapshot while it stands.
+        self.version = 0
         #: One definition shared by every per-target instance (definitions
         #: are immutable and threshold/window are tracker-wide, so building
         #: a fresh Figure-4 machine per flood target only re-derived the
@@ -121,8 +125,21 @@ class InviteFloodTracker:
             instance = EfsmInstance(
                 self._definition, clock_now=self.clock_now,
                 timer_scheduler=self.timer_scheduler)
+            instance.on_timer_event = partial(self._window_expired, target)
             self.machines[target] = instance
+            self.version += 1
         return instance
+
+    def _window_expired(self, target: str, event: Event) -> None:
+        """T1 fired: back in INIT an instance (counter 0, no branches, no
+        timer) equals a fresh one, so the table forgets the target —
+        otherwise every callee and every *claimed* source ever seen stays
+        in memory and in each tracker checkpoint."""
+        instance = self.machines[target]
+        instance.deliver(event)
+        if instance.state == FLOOD_INIT:
+            del self.machines[target]
+        self.version += 1
 
     def observe_invite(self, target: str, event: Event) -> bool:
         """Feed one INVITE observation; returns True when a flood is flagged."""
@@ -137,6 +154,7 @@ class InviteFloodTracker:
                 "seen_branches", ()):
             return False
         result = instance.deliver(event)
+        self.version += 1
         entered_attack = result.attack and result.from_state != result.to_state
         if entered_attack and self.on_attack is not None:
             self.on_attack(target, event)

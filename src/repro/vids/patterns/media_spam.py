@@ -30,6 +30,11 @@ SPAM_ATTACK = "ATTACK_Media_Spam"
 _SEQ_MOD = 1 << 16
 _TS_MOD = 1 << 32
 
+#: Cap on tracked orphan destinations: every ``(ip, port)`` an attacker
+#: sprays costs an instance here and a snapshot in each tracker checkpoint,
+#: so past the cap the longest-idle destination is forgotten.
+_MAX_ORPHAN_DESTINATIONS = 4096
+
 
 def build_media_spam_machine(seq_gap: int, ts_gap: int,
                              name: str = "media_spam") -> Efsm:
@@ -93,24 +98,35 @@ class OrphanMediaTracker:
         on_spam: Optional[Callable[[Tuple[str, int], Event], None]] = None,
         on_unsolicited: Optional[Callable[[Tuple[str, int], Event], None]] = None,
     ):
-        self.seq_gap = seq_gap
-        self.ts_gap = ts_gap
         self.unsolicited_threshold = unsolicited_threshold
         self.clock_now = clock_now
         self.on_spam = on_spam
         self.on_unsolicited = on_unsolicited
+        #: Least recently used first (``machine_for`` re-inserts).
         self.machines: Dict[Tuple[str, int], EfsmInstance] = {}
         self._unsolicited_flagged: set = set()
+        #: Bumped on every change to the two tables above or to an instance
+        #: in them; checkpoints reuse the previous tracker snapshot while it
+        #: stands.
+        self.version = 0
+        #: One Figure-6 definition shared by every per-destination instance.
+        self._definition = build_media_spam_machine(seq_gap, ts_gap)
+
+    def machine_for(self, destination: Tuple[str, int]) -> EfsmInstance:
+        instance = self.machines.pop(destination, None)
+        if instance is None:
+            if len(self.machines) >= _MAX_ORPHAN_DESTINATIONS:
+                self.forget(next(iter(self.machines)))
+            instance = EfsmInstance(self._definition,
+                                    clock_now=self.clock_now)
+            self.version += 1
+        self.machines[destination] = instance
+        return instance
 
     def observe(self, destination: Tuple[str, int], event: Event) -> None:
-        instance = self.machines.get(destination)
-        if instance is None:
-            definition = build_media_spam_machine(
-                self.seq_gap, self.ts_gap,
-                name=f"media_spam[{destination[0]}:{destination[1]}]")
-            instance = EfsmInstance(definition, clock_now=self.clock_now)
-            self.machines[destination] = instance
+        instance = self.machine_for(destination)
         result = instance.deliver(event)
+        self.version += 1
         if (result.attack and result.from_state != result.to_state
                 and self.on_spam is not None):
             self.on_spam(destination, event)
@@ -122,6 +138,7 @@ class OrphanMediaTracker:
                 self.on_unsolicited(destination, event)
 
     def forget(self, destination: Tuple[str, int]) -> None:
-        """Drop tracking state (e.g. when a session is later negotiated)."""
+        """Drop a destination's tracking state."""
         self.machines.pop(destination, None)
         self._unsolicited_flagged.discard(destination)
+        self.version += 1

@@ -38,6 +38,7 @@ from .sync import (
     DELTA_CANCELLED,
     DELTA_SESSION_ANSWER,
     DELTA_SESSION_OFFER,
+    MEDIA_GLOBALS,
     RTP_MACHINE,
     SIP_TO_RTP,
 )
@@ -62,37 +63,10 @@ _SEQ_MOD = 1 << 16
 _TS_MOD = 1 << 32
 
 
-def _memo(ctx: TransitionContext) -> Dict[str, Any]:
-    """Per-delivery memo shared by all candidate guards of one event.
-
-    ``deliver`` evaluates every candidate predicate (and ``is_clean``
-    re-evaluates the attack predicates) against the same context before a
-    single action runs, so read-only sub-computations can be shared safely.
-    """
-    cache = ctx.scratch
-    if cache is None:
-        cache = ctx.scratch = {}
-    return cache
-
-
-def _allowed_pts(ctx: TransitionContext) -> tuple:
-    memo = _memo(ctx)
-    allowed = memo.get("allowed_pts")
-    if allowed is None:
-        allowed = memo["allowed_pts"] = tuple(
-            ctx.v.get("g_offer_pts", ())) + tuple(ctx.v.get("g_answer_pts", ()))
-    return allowed
-
-
 def _dir_state(ctx: TransitionContext) -> Dict[str, Any]:
     """Per-direction tracking record for the packet's direction."""
-    memo = _memo(ctx)
-    record = memo.get("dir_state")
-    if record is None:
-        directions: Dict[str, Dict[str, Any]] = ctx.v.get("directions", {})
-        key = str(ctx.x.get("direction", "unknown"))
-        record = memo["dir_state"] = directions.get(key, {})
-    return record
+    directions: Dict[str, Dict[str, Any]] = ctx.v.get("directions", {})
+    return directions.get(str(ctx.x.get("direction", "unknown")), {})
 
 
 def _seq_gap(last_seq: int, seq: int) -> int:
@@ -123,19 +97,9 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     machine.declare(directions={})
     machine.declare_channel(SIP_TO_RTP)
-    # The media globals are declared by the SIP machine; declare them here
-    # too so a standalone RTP machine (unit tests) has defaults.
-    machine.declare_global(
-        g_offer_addr="",
-        g_offer_port=0,
-        g_offer_pts=(),
-        g_answer_addr="",
-        g_answer_port=0,
-        g_answer_pts=(),
-        g_ptime_ms=20,
-        g_bye_src_ip="",
-        g_bye_src_port=0,
-    )
+    # Declared by the SIP machine too; a standalone RTP machine (unit
+    # tests) needs the defaults as well.
+    machine.declare_global(**MEDIA_GLOBALS)
 
     # ---- session lifecycle driven by δ sync events ----------------------
 
@@ -186,60 +150,39 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     # ---- packet analysis predicates -----------------------------------------
 
-    # Each analysis predicate memoizes its verdict in the per-delivery
-    # scratch space: ``deliver`` probes every candidate transition, and
-    # ``is_clean`` is the conjunction of the attack predicates, so without
-    # the memo each check would run twice per packet.
+    # The benign first match ``is_clean`` evaluates each check once per
+    # packet; an attack guard re-evaluates them, but holds at most once per
+    # call (attack states absorb), so nothing is memoized.
 
     def is_codec_violation(ctx: TransitionContext) -> bool:
-        memo = _memo(ctx)
-        verdict = memo.get("codec")
-        if verdict is None:
-            if not config.detect_codec_change:
-                verdict = False
-            else:
-                allowed = _allowed_pts(ctx)
-                verdict = bool(allowed) and int(ctx.x.get("pt", -1)) not in allowed
-            memo["codec"] = verdict
-        return verdict
+        if not config.detect_codec_change:
+            return False
+        allowed = (tuple(ctx.v.get("g_offer_pts", ()))
+                   + tuple(ctx.v.get("g_answer_pts", ())))
+        return bool(allowed) and int(ctx.x.get("pt", -1)) not in allowed
 
     def is_spam(ctx: TransitionContext) -> bool:
-        memo = _memo(ctx)
-        verdict = memo.get("spam")
-        if verdict is not None:
-            return verdict
         record = _dir_state(ctx)
         if not record:
-            verdict = False
-        elif int(ctx.x.get("ssrc", 0)) != record.get("ssrc"):
-            verdict = True
-        else:
-            seq_jump = _seq_gap(record["seq"], int(ctx.x.get("seq", 0)))
-            ts_jump = _ts_gap(record["ts"], int(ctx.x.get("ts", 0)))
-            verdict = (seq_jump > config.media_spam_seq_gap
-                       or ts_jump > config.media_spam_ts_gap)
-        memo["spam"] = verdict
-        return verdict
+            return False
+        if int(ctx.x.get("ssrc", 0)) != record.get("ssrc"):
+            return True
+        seq_jump = _seq_gap(record["seq"], int(ctx.x.get("seq", 0)))
+        ts_jump = _ts_gap(record["ts"], int(ctx.x.get("ts", 0)))
+        return (seq_jump > config.media_spam_seq_gap
+                or ts_jump > config.media_spam_ts_gap)
 
     def is_flood(ctx: TransitionContext) -> bool:
-        memo = _memo(ctx)
-        verdict = memo.get("flood")
-        if verdict is not None:
-            return verdict
         record = _dir_state(ctx)
         if not record:
-            verdict = False
-        else:
-            window_start = record.get("window_start", 0.0)
-            count = record.get("window_count", 0)
-            if ctx.now - window_start >= config.rtp_flood_window:
-                verdict = False
-            else:
-                ptime_ms = int(ctx.v.get("g_ptime_ms", 20) or 20)
-                expected = (1000.0 / ptime_ms) * config.rtp_flood_window
-                verdict = count + 1 > config.rtp_flood_factor * expected
-        memo["flood"] = verdict
-        return verdict
+            return False
+        if (ctx.now - record.get("window_start", 0.0)
+                >= config.rtp_flood_window):
+            return False
+        ptime_ms = int(ctx.v.get("g_ptime_ms", 20) or 20)
+        expected = (1000.0 / ptime_ms) * config.rtp_flood_window
+        return (record.get("window_count", 0) + 1
+                > config.rtp_flood_factor * expected)
 
     def is_clean(ctx: TransitionContext) -> bool:
         return not (is_codec_violation(ctx) or is_spam(ctx) or is_flood(ctx))
@@ -330,11 +273,7 @@ def _build_disabled_rtp_machine() -> Efsm:
     machine.add_state(INIT, final=True)
     machine.declare(directions={})
     machine.declare_channel(SIP_TO_RTP)
-    machine.declare_global(
-        g_offer_addr="", g_offer_port=0, g_offer_pts=(),
-        g_answer_addr="", g_answer_port=0, g_answer_pts=(),
-        g_ptime_ms=20, g_bye_src_ip="", g_bye_src_port=0,
-    )
+    machine.declare_global(**MEDIA_GLOBALS)
     machine.add_transition(INIT, "RTP_PACKET", INIT, label="ignored")
     for delta in (DELTA_SESSION_OFFER, DELTA_SESSION_ANSWER, DELTA_BYE,
                   DELTA_CANCELLED):

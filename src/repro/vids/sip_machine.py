@@ -40,6 +40,7 @@ from .sync import (
     DELTA_CANCELLED,
     DELTA_SESSION_ANSWER,
     DELTA_SESSION_OFFER,
+    MEDIA_GLOBALS,
     SIP_MACHINE,
     SIP_TO_RTP,
 )
@@ -130,17 +131,7 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
         bye_branch="",
         participants=(),
     )
-    machine.declare_global(
-        g_offer_addr="",
-        g_offer_port=0,
-        g_offer_pts=(),
-        g_answer_addr="",
-        g_answer_port=0,
-        g_answer_pts=(),
-        g_ptime_ms=20,
-        g_bye_src_ip="",
-        g_bye_src_port=0,
-    )
+    machine.declare_global(**MEDIA_GLOBALS)
     machine.declare_channel(SIP_TO_RTP)
 
     cross = config.cross_protocol

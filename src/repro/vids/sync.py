@@ -19,6 +19,7 @@ __all__ = [
     "DELTA_SESSION_ANSWER",
     "DELTA_BYE",
     "DELTA_CANCELLED",
+    "MEDIA_GLOBALS",
 ]
 
 #: Machine names inside each per-call EFSM system.
@@ -34,3 +35,18 @@ DELTA_SESSION_OFFER = "delta_session_offer"    # INVITE carried an SDP offer
 DELTA_SESSION_ANSWER = "delta_session_answer"  # 200 OK carried an SDP answer
 DELTA_BYE = "delta_bye"                        # call teardown began
 DELTA_CANCELLED = "delta_cancelled"            # call setup abandoned
+
+#: The shared (``v.g_*``) variables of a call and their defaults: the media
+#: description the SIP machine publishes and the RTP machine and analysis
+#: engine read.  Both machine builders declare exactly this mapping.
+MEDIA_GLOBALS = dict(
+    g_offer_addr="",
+    g_offer_port=0,
+    g_offer_pts=(),
+    g_answer_addr="",
+    g_answer_port=0,
+    g_answer_pts=(),
+    g_ptime_ms=20,
+    g_bye_src_ip="",
+    g_bye_src_port=0,
+)

@@ -30,8 +30,8 @@ def transitive_writer(ctx):
 def uses_scratch(ctx):
     memo = ctx.scratch
     if memo is None:
-        memo = ctx.scratch = {}
-    memo["ok"] = True            # sanctioned: ctx.scratch memoization
+        memo = ctx.scratch = {}  # GP001: there is no sanctioned memo slot
+    memo["ok"] = True            # GP001: a write like any other
     return memo["ok"]
 
 

@@ -111,22 +111,24 @@ def test_impure_guards_flagged_by_kind():
     gp001_scopes = {d.state for d in by_code(findings, "GP001")}
     assert "writes_state" in gp001_scopes
     assert "transitive_writer" in gp001_scopes    # via the _poke callee
+    assert "uses_scratch" in gp001_scopes         # no memo-slot carve-out
     gp002_scopes = {d.state for d in by_code(findings, "GP002")}
     assert "mutates_list" in gp002_scopes
     assert any(scope.startswith("<lambda") for scope in gp002_scopes)
     assert {d.state for d in by_code(findings, "GP003")} == {"arms_timer"}
 
 
-def test_scratch_memoization_and_audited_guards_pass():
+def test_audited_and_suppressed_guards_pass():
     findings = run_fixture(check_guards=True)
     scopes = {d.state for d in findings}
-    assert "uses_scratch" not in scopes    # ctx.scratch writes sanctioned
     assert "audited" not in scopes         # @allow_impure_guard honored
     assert "suppressed" not in scopes      # per-line "# noqa: GP001"
 
 
-def test_scratch_alias_through_module_accessor_passes():
-    # The shipped rtp_machine idiom: memo = _memo(ctx); memo[key] = value.
+def test_scratch_memo_through_module_accessor_is_flagged():
+    # The retired rtp_machine idiom: memo = _memo(ctx); memo[key] = value.
+    # A per-delivery memo is a plain GP001 write, in the accessor and in
+    # the guard that fills it.
     source = (
         "def _memo(ctx):\n"
         "    cache = ctx.scratch\n"
@@ -147,7 +149,10 @@ def test_scratch_alias_through_module_accessor_passes():
     findings = analyze(root=FIXTURES, overrides={"aliased.py": source},
                        specs=(), check_plain_state=False,
                        check_isolation=False)
-    assert not [d for d in findings if d.machine == "aliased.py"]
+    flagged = [d for d in findings if d.machine == "aliased.py"]
+    assert {d.data["code"] for d in flagged} == {"GP001"}
+    assert {d.data["line"] for d in flagged} == {4, 10}
+    assert {d.state for d in flagged} == {"cached"}
 
 
 # ---------------------------------------------------------------------------

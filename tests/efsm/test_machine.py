@@ -51,13 +51,6 @@ def test_deviation_when_no_transition():
     assert result.from_state == result.to_state == "locked"
 
 
-def test_history_records_firings():
-    instance = EfsmInstance(turnstile())
-    instance.deliver(Event("coin"))
-    instance.deliver(Event("push"))
-    assert [r.event.name for r in instance.history] == ["coin", "push"]
-
-
 def test_predicates_select_transition():
     machine = Efsm("gate", "idle")
     machine.add_state("open")
@@ -70,7 +63,7 @@ def test_predicates_select_transition():
     instance = EfsmInstance(machine)
     result = instance.deliver(Event("badge", {"valid": False}))
     assert result.attack
-    assert instance.in_attack_state
+    assert instance.state == "alarm"
 
 
 def test_attack_flag_inferred_from_target_state():
@@ -103,6 +96,66 @@ def test_check_determinism_samples():
         machine.check_determinism([({}, Event("go", {"n": 1}))])
     # Disjoint sample: no overlap detected.
     machine.check_determinism([({}, Event("go", {"n": -1}))])
+
+
+class TestEnabledAt:
+    """``Efsm.enabled_at``: the one guard probe outside live dispatch."""
+
+    @staticmethod
+    def gate():
+        machine = Efsm("gate", "idle")
+        machine.add_state("open")
+        machine.declare(limit=3)
+        machine.declare_global(g_mode="strict")
+        machine.declare_channel("peer->gate")
+        ran = []
+        machine.add_transition(
+            "idle", "badge", "open",
+            predicate=lambda ctx: ctx.x["n"] <= ctx.v["limit"],
+            action=lambda ctx: ran.append("action"), label="within")
+        machine.add_transition(
+            "idle", "badge", "idle",
+            predicate=lambda ctx: ctx.v["g_mode"] == "lax", label="lax")
+        machine.add_transition("idle", "badge", "open", channel="peer->gate",
+                               label="synced")
+        return machine, ran
+
+    def test_channel_filter(self):
+        machine, _ = self.gate()
+        data = machine.enabled_at("idle", Event("badge", {"n": 1}))
+        assert [t.label for t in data] == ["within"]
+        sync = machine.enabled_at(
+            "idle", Event("badge", {"n": 1}, channel="peer->gate"))
+        assert [t.label for t in sync] == ["synced"]
+        assert machine.enabled_at("open", Event("badge", {"n": 1})) == []
+
+    def test_valuation_splits_into_locals_and_globals(self):
+        machine, _ = self.gate()
+        event = Event("badge", {"n": 5})
+        assert machine.enabled_at("idle", event) == []
+        # ``limit`` is a declared local, ``g_mode`` lands in the globals.
+        enabled = machine.enabled_at("idle", event,
+                                     {"limit": 9, "g_mode": "lax"})
+        assert [t.label for t in enabled] == ["within", "lax"]
+        # The throwaway instance took the valuation, not the definition.
+        assert machine.variables["limit"] == 3
+        assert machine.global_variables["g_mode"] == "strict"
+
+    def test_raising_guard_counts_as_not_enabled(self):
+        machine, _ = self.gate()
+        # No "n" in the sample: the first guard raises KeyError.
+        enabled = machine.enabled_at("idle", Event("badge"),
+                                     {"g_mode": "lax"})
+        assert [t.label for t in enabled] == ["lax"]
+
+    def test_no_action_runs_and_no_state_changes(self):
+        machine, ran = self.gate()
+        instance = EfsmInstance(machine)
+        assert machine.enabled_at("idle", Event("badge", {"n": 1}))
+        assert ran == []
+        assert instance.state == "idle"
+        instance.deliver(Event("badge", {"n": 1}))
+        assert ran == ["action"] and instance.state == "open"
 
 
 def test_unknown_state_in_transition_rejected():
@@ -185,17 +238,6 @@ def test_default_output_forwards_event_args():
     instance = EfsmInstance(machine)
     result = instance.deliver(Event("go", {"k": 1}))
     assert result.outputs[0].args == {"k": 1}
-
-
-def test_dynamic_emit_from_action():
-    machine = Efsm("m", "s0")
-    machine.add_state("s1")
-    machine.add_transition(
-        "s0", "go", "s1",
-        action=lambda ctx: ctx.emit("m->peer", "extra", {"n": 5}))
-    instance = EfsmInstance(machine)
-    result = instance.deliver(Event("go"))
-    assert result.outputs[0].name == "extra"
 
 
 def test_timers_via_manual_clock():

@@ -17,6 +17,7 @@ from repro.efsm import (
     EfsmSystem,
     Event,
     ManualClock,
+    Output,
     TIMER_CHANNEL,
 )
 
@@ -75,13 +76,18 @@ def test_restored_timer_fires_with_original_args():
     restored = EfsmInstance(counting_machine(), clock_now=clock.now,
                             timer_scheduler=clock.schedule)
     restored.restore(snapshot)
+    fired = []
+    restored.on_timer_event = lambda event: fired.append(
+        restored.deliver(event))
     # Original deadline was t=5.0; we are at t=1.0, so 4 more seconds.
     clock.advance(3.9)
-    assert restored.state == "busy"
+    assert restored.state == "busy" and fired == []
     clock.advance(0.2)
     assert restored.state == "idle"
-    assert restored.history[-1].event.name == "expire"
-    assert restored.history[-1].event.args["tag"] == "x"
+    (result,) = fired
+    assert result.event.name == "expire"
+    assert result.event.args["tag"] == "x"
+    assert (result.from_state, result.to_state) == ("busy", "idle")
 
 
 def test_expired_deadline_fires_on_next_advance():
@@ -137,9 +143,12 @@ def relay_system(clock):
 
     def do_send(ctx):
         ctx.v["sent"] = ctx.v["sent"] + 1
-        ctx.emit("ping->pong", "relay", {"n": ctx.v["sent"]})
 
-    ping.add_transition("start", "kick", "sent", action=do_send)
+    # Outputs are built after the action ran, so ``n`` is the new count.
+    ping.add_transition(
+        "start", "kick", "sent", action=do_send,
+        outputs=[Output("ping->pong", "relay",
+                        lambda ctx: {"n": ctx.v["sent"]})])
     ping.validate()
 
     pong = Efsm("pong", "waiting")

@@ -1,0 +1,71 @@
+"""Structural pins: the machine layer keeps one of each mechanism.
+
+One guard probe outside live dispatch (``Efsm.enabled_at``), one firing
+tail (in ``EfsmInstance.deliver``), one way to send (declarative
+``Output``), one declaration of the shared media globals.  These read the
+source so a second copy cannot come back unnoticed.
+"""
+
+import ast
+from pathlib import Path
+
+import repro
+from repro.efsm import TransitionContext
+
+SRC = Path(repro.__file__).resolve().parent
+
+
+def _sources():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), path.read_text("utf-8")
+
+
+def _files_with(needle):
+    return [rel for rel, source in _sources() if needle in source]
+
+
+def _count(needle):
+    return sum(source.count(needle) for _, source in _sources())
+
+
+def test_contexts_are_built_only_by_the_machine_module():
+    assert _files_with("TransitionContext(") == ["efsm/machine.py"]
+
+
+def test_only_enabled_at_pins_a_throwaway_instance_to_a_state():
+    """Building an ``EfsmInstance`` and assigning its ``state`` in the same
+    function is the probe idiom; it exists once."""
+    pinned = []
+    for rel, source in _sources():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            builds = any(isinstance(inner, ast.Call)
+                         and isinstance(inner.func, ast.Name)
+                         and inner.func.id == "EfsmInstance"
+                         for inner in ast.walk(node))
+            pins = any(isinstance(inner, ast.Assign)
+                       and any(isinstance(target, ast.Attribute)
+                               and target.attr == "state"
+                               for target in inner.targets)
+                       for inner in ast.walk(node))
+            if builds and pins:
+                pinned.append((rel, node.name))
+    assert pinned == [("efsm/machine.py", "enabled_at")]
+
+
+def test_one_firing_tail():
+    assert _count("self.state = transition.target") == 1
+    assert _count("FiringResult(") == 1
+    assert _files_with("FiringResult(") == ["efsm/machine.py"]
+
+
+def test_context_has_no_memo_slot_and_no_dynamic_send():
+    assert TransitionContext.__slots__ == ("instance", "event", "v", "x")
+    assert not hasattr(TransitionContext, "scratch")
+    assert not hasattr(TransitionContext, "emit")
+    assert _count(".scratch") == 0
+
+
+def test_media_globals_are_defaulted_in_one_file():
+    assert _files_with("g_offer_addr=") == ["vids/sync.py"]

@@ -184,13 +184,12 @@ class TestChannel:
             names.append(channel.get().name)
         assert names == [f"e{index}" for index in range(5)]
         assert channel.get() is None
-        assert channel.enqueued_total == 5
 
-    def test_peek_does_not_consume(self):
+    def test_len_counts_queued_events(self):
         channel = Channel("a", "b")
+        assert not channel and len(channel) == 0
         channel.put(Event("x", channel=channel.name))
-        assert channel.peek().name == "x"
-        assert len(channel) == 1
+        assert channel and len(channel) == 1
 
     def test_channel_name_convention(self):
         assert channel_name("sip", "rtp") == "sip->rtp"

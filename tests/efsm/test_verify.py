@@ -301,17 +301,6 @@ def test_undeclared_output_channel():
     assert finding.channel == "m->x"
 
 
-def test_dynamic_emit_channel_checked():
-    machine = Efsm("m", "s0")
-
-    def emit_it(ctx):
-        ctx.emit("m->nowhere", "delta", {})
-
-    machine.add_transition("s0", "e", "s0", action=emit_it)
-    (finding,) = find(verify_machine(machine), "undeclared-channel")
-    assert finding.channel == "m->nowhere"
-
-
 # ---------------------------------------------------------------------------
 # cross-machine rules
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.efsm import Efsm, EfsmSystem, Event
-from repro.efsm.machine import HISTORY_KEEP
 from repro.vids import DEFAULT_CONFIG, build_rtp_machine, build_sip_machine
 from repro.vids.sync import RTP_MACHINE, SIP_MACHINE
 
@@ -62,7 +61,7 @@ def test_sip_machine_never_crashes_and_stays_deterministic(events):
         system.inject(SIP_MACHINE, event)
     machine = system.machines[SIP_MACHINE]
     assert machine.state in machine.definition.states
-    # Every firing is recorded (results itself is a bounded recent log).
+    # Every firing is counted: one per injected event, plus the δs.
     assert system.deliveries >= len(events)
 
 
@@ -102,7 +101,7 @@ def test_rtp_machine_never_crashes(events):
                 max_size=30))
 @settings(max_examples=50, deadline=None)
 def test_system_accounting_invariants(trace):
-    """results = deviations + non-deviations; attacks only via transitions."""
+    """firings = deviations + non-deviations; attacks only via transitions."""
     system = EfsmSystem()
     for name in ("a", "b"):
         machine = Efsm(name, "s0")
@@ -110,14 +109,14 @@ def test_system_accounting_invariants(trace):
         machine.add_transition("s0", "ping", "s1")
         machine.add_transition("s1", "pong", "s0")
         system.add_machine(machine)
+    results = []
     for machine_name, event_name in trace:
-        system.inject(machine_name, Event(event_name))
-    assert system.deliveries == len(trace)
-    # Traces here fit inside the bounded results window, so the recent log
-    # still holds every firing and the subset invariants are exact.
-    assert len(system.results) == min(len(trace), HISTORY_KEEP)
-    deviations = sum(1 for r in system.results if r.deviation)
-    assert deviations == len(system.deviations)
+        results.extend(system.inject(machine_name, Event(event_name)))
+    # No machine here sends, so each injection is exactly one firing, and
+    # ``deliveries`` is the one counter of them.
+    assert system.deliveries == len(results) == len(trace)
+    assert [r.event.name for r in results] == [name for _, name in trace]
+    assert system.deviations == [r for r in results if r.deviation]
     assert all(r.transition is not None
-               for r in system.results if not r.deviation)
+               for r in results if not r.deviation)
     assert system.attack_matches == []

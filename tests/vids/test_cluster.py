@@ -145,6 +145,64 @@ def test_kill_is_detected_restored_and_queue_replayed():
         or restored.factbase.get(call_id).system.states()["sip"] != "init"
 
 
+ORPHAN = ("10.2.0.99", 30_000)
+
+
+def test_tracker_snapshot_is_reused_until_a_tracker_version_moves():
+    supervised, clock = make_cluster(cluster=FAST.with_overrides(
+        checkpoint_cadence=1000))
+    supervisor = supervised.supervisor
+    first = supervisor.members[0]
+    supervised.process(invite_datagram(call_on_shard(0)), clock.now())
+    supervised.process(rtp_datagram(*ORPHAN), clock.now())
+    one = supervisor.take_checkpoint(first)
+    assert set(one.trackers["flood"]) == {"b1@b.example.com"}
+    assert set(one.trackers["source_flood"]) == {"10.1.0.11"}
+    assert set(one.trackers["orphan"]) == {ORPHAN}
+    # Nothing moved: the next checkpoint carries the same snapshot object.
+    assert supervisor.take_checkpoint(first).trackers is one.trackers
+    # T1 expires: both flood instances leave their tables, and the
+    # trackers' own version says so.
+    clock.advance(DEFAULT_CONFIG.invite_flood_window + 0.01)
+    two = supervisor.take_checkpoint(first)
+    assert two.tracker_version != one.tracker_version
+    assert two.trackers["flood"] == two.trackers["source_flood"] == {}
+    assert set(two.trackers["orphan"]) == {ORPHAN}
+
+
+def test_failover_restores_trackers_with_their_versions():
+    plan = ShardFaultPlan(kills=((0.2, 0),))
+    supervised, clock = make_cluster(fault_plan=plan)
+    supervisor = supervised.supervisor
+    supervised.process(invite_datagram(call_on_shard(0)), clock.now())
+    for seq in range(1, 4):       # the 4th packet on shard 0 checkpoints
+        supervised.process(rtp_datagram(*ORPHAN, seq=seq), clock.now())
+    checkpoint = supervisor.members[0].checkpoint
+    assert set(checkpoint.trackers["orphan"]) == {ORPHAN}
+    before = supervised.shards[0]
+
+    clock.advance(0.6)            # kill, DOWN, restart from the checkpoint
+    restored = supervised.shards[0]
+    assert restored is not before
+    assert supervisor.metrics.members_restarted == 1
+    orphan = restored.orphan_tracker
+    instance = orphan.machines[ORPHAN]
+    assert instance.definition is orphan._definition
+    assert instance.variables["packets"] == 3
+    assert (restored.flood_tracker.version,
+            restored.source_flood_tracker.version,
+            orphan.version) == checkpoint.trackers["versions"]
+    # The sibling shares the restored trackers, and the re-baseline
+    # checkpoint found nothing changed since the one it restored from.
+    assert supervised.shards[1].orphan_tracker is orphan
+    assert supervisor.members[0].checkpoint.trackers is checkpoint.trackers
+    # The restored flood window still closes at its original deadline,
+    # and forgets its target.
+    assert "b1@b.example.com" in restored.flood_tracker.machines
+    clock.advance(DEFAULT_CONFIG.invite_flood_window - 0.6 + 0.01)
+    assert restored.flood_tracker.machines == {}
+
+
 def test_loss_window_is_bounded_by_cadence():
     victim = 0
     plan = ShardFaultPlan(kills=((1.0, victim),))

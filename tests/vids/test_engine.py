@@ -1,5 +1,8 @@
 """Unit tests for the Analysis Engine's alert logic."""
 
+import gc
+import weakref
+
 from repro.efsm import Event, FiringResult, ManualClock, Transition
 from repro.vids import (
     AlertManager,
@@ -89,8 +92,31 @@ class TestDeviationAlerts:
         engine, alerts, record, clock = make_engine()
         for _ in range(5):
             engine.handle_result(record, deviation_result(record))
-        assert len(engine.deviations) == 5
         assert alerts.count(AttackType.SPEC_DEVIATION) == 1
+
+    def test_deviation_storm_alerts_once_and_pins_no_event(self):
+        """1 000 identical deviating events: one alert, and neither the
+        engine nor the call's machines keep any of the delivered events."""
+
+        class Args(dict):
+            """Weakly referenceable argument vector."""
+
+        engine, alerts, record, clock = make_engine()
+        system = record.system
+        system.on_result = lambda result: engine.handle_result(record, result)
+        refs = []
+        for _ in range(1000):
+            args = Args(src_ip="6.6.6.6", dst_ip="10.2.0.11")
+            refs.append(weakref.ref(args))
+            system.inject("sip", Event("ACK", args))    # ACK before INVITE
+        del args
+        assert alerts.count() == alerts.count(AttackType.SPEC_DEVIATION) == 1
+        assert len(engine._deviation_keys) == 1
+        # The system's own deviation log is the one holder left.
+        assert len(system.deviations) == 1000
+        system.deviations.clear()
+        gc.collect()
+        assert not any(ref() is not None for ref in refs)
 
     def test_different_keys_alert_separately(self):
         engine, alerts, record, clock = make_engine()

@@ -9,7 +9,10 @@ multiples of its capacity in unique values and assert the caps hold, and
 drive a million unique dialog identifiers at the intern pool directly.
 """
 
-from repro.efsm import ManualClock
+import gc
+import weakref
+
+from repro.efsm import Event, ManualClock
 from repro.netsim import Datagram, Endpoint
 from repro.sip import SipRequest, SipResponse
 from repro.sip.headers import (_name_addr_fields, _via_fields,
@@ -20,6 +23,7 @@ from repro.sip.uri import _parse_uri
 from repro.vids import DEFAULT_CONFIG, Vids
 from repro.vids.distributor import _sdp_media_fields
 from repro.vids.factbase import _INTERN_CAP, CallStateFactBase
+from repro.vids.sync import SIP_MACHINE
 
 
 def _sdp_body(n):
@@ -90,6 +94,28 @@ def test_call_deletion_evicts_the_interned_call_id():
     assert call_id in base._interned
     base.delete(call_id)
     assert call_id not in base._interned
+
+
+class _Args(dict):
+    """An argument vector that can be weakly referenced (a dict cannot)."""
+
+
+def test_delivered_event_does_not_outlive_its_delivery():
+    """A live call record keeps no firing log: once the caller drops a
+    delivered event, nothing in the record pins it or its args."""
+    base, _ = make_factbase()
+    record = base.get_or_create("held@x")
+    args = _Args(call_id="held@x", src_ip="10.1.0.11", branch="z9hG4bKh",
+                 sdp_addr="10.1.0.11", sdp_port=20_000, sdp_pts=(18,))
+    alive = weakref.ref(args)
+    fired = record.system.inject(SIP_MACHINE, Event("INVITE", args))
+    assert [(r.machine, r.deviation) for r in fired] == [
+        ("sip", False), ("rtp", False)]
+    del args, fired
+    gc.collect()
+    assert alive() is None
+    assert base.records["held@x"] is record
+    assert record.system.deliveries == 2
 
 
 def test_unique_dialog_churn_keeps_the_pipeline_memory_flat():

@@ -105,6 +105,49 @@ class TestInviteFloodTracker:
         assert len(attacks) == 1
 
 
+    def test_window_expiry_forgets_the_target(self):
+        """Back in INIT an instance equals a fresh one, so the table drops
+        it: it is sized by targets inside a window, not by targets ever
+        seen (callee AORs and *claimed* sources are attacker-chosen)."""
+        clock = ManualClock()
+        tracker = InviteFloodTracker(
+            threshold=2, window=1.0, clock_now=clock.now,
+            timer_scheduler=clock.schedule)
+        tracker.observe_invite("bob@b.com", invite("a0"))
+        clock.advance(0.5)
+        for index in range(4):      # carol is flooded, and flagged
+            tracker.observe_invite("carol@b.com", invite(f"c{index}"))
+        assert set(tracker.machines) == {"bob@b.com", "carol@b.com"}
+        clock.advance(0.6)          # bob's T1
+        assert set(tracker.machines) == {"carol@b.com"}
+        assert tracker.counter("bob@b.com") == 0
+        clock.advance(0.5)          # carol's T1 re-arms from the attack state
+        assert tracker.machines == {}
+        # The next INVITE opens a fresh window.
+        assert not tracker.observe_invite("bob@b.com", invite("a1"))
+        assert tracker.counter("bob@b.com") == 1
+
+    def test_version_moves_with_every_change(self):
+        clock = ManualClock()
+        tracker = InviteFloodTracker(
+            threshold=5, window=1.0, clock_now=clock.now,
+            timer_scheduler=clock.schedule)
+        seen = [tracker.version]
+
+        def moved():
+            seen.append(tracker.version)
+            return seen[-1] > seen[-2]
+
+        tracker.observe_invite("bob@b.com", invite("a0"))
+        assert moved()
+        tracker.observe_invite("bob@b.com", invite("a1"))
+        assert moved()
+        tracker.observe_invite("bob@b.com", invite("a1"))   # retransmission
+        assert not moved()
+        clock.advance(1.5)          # expiry removes the instance
+        assert moved() and tracker.machines == {}
+
+
 class TestMediaSpamMachine:
     def make(self, seq_gap=50, ts_gap=1000):
         return EfsmInstance(build_media_spam_machine(seq_gap, ts_gap))
@@ -169,6 +212,32 @@ class TestOrphanMediaTracker:
         tracker.observe(destination, rtp(seq=1, ts=0))
         tracker.observe(destination, rtp(seq=500, ts=160))
         assert spams == [destination]
+
+    def test_one_definition_for_every_destination(self):
+        tracker, _, _ = self.make()
+        first = tracker.machine_for(("10.2.0.11", 20_002))
+        second = tracker.machine_for(("10.2.0.12", 20_004))
+        assert first is not second
+        assert first.definition is second.definition
+        assert first.name == "media_spam"
+        assert tracker.machine_for(("10.2.0.11", 20_002)) is first
+
+    def test_table_is_capped_by_forgetting_the_longest_idle(self, monkeypatch):
+        from repro.vids.patterns import media_spam
+        monkeypatch.setattr(media_spam, "_MAX_ORPHAN_DESTINATIONS", 3)
+        tracker, spams, unsolicited = self.make(threshold=1)
+        a, b, c, d = (("10.2.0.11", 20_000 + 2 * n) for n in range(4))
+        for destination in (a, b, c):
+            for index in range(3):
+                tracker.observe(destination, rtp(seq=index, ts=index * 160))
+        assert unsolicited == [a, b, c]
+        tracker.observe(a, rtp(seq=3, ts=480))      # a is no longer idle
+        before = tracker.version
+        tracker.observe(d, rtp(seq=0, ts=0))        # past the cap: b goes
+        assert list(tracker.machines) == [c, a, d]
+        assert tracker._unsolicited_flagged == {a, c}
+        assert tracker.version > before
+        assert spams == []
 
     def test_forget_clears_state(self):
         tracker, spams, unsolicited = self.make(threshold=2)
