@@ -8,9 +8,12 @@ install:
 	pip install -e . --no-build-isolation
 
 # Repo-wide static analysis gate: ruff + mypy when installed, with an
-# offline AST-based fallback otherwise (see tools/lint.py).
+# offline AST-based fallback otherwise (see tools/lint.py).  Then the
+# proof that the package is standard-library only: -S hides site-packages,
+# so a third-party runtime import fails.
 lint:
 	$(PYTHON) tools/lint.py
+	PYTHONPATH=src $(PYTHON) -S -c "import repro, repro.live, repro.cli"
 
 # Static verification of the EFSM specifications (docs/SPECCHECK.md).
 speclint:

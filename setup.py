@@ -20,7 +20,7 @@ setup(
     long_description_content_type="text/markdown",
     python_requires=">=3.10",
     license="MIT",
-    install_requires=["networkx>=2.8"],
+    install_requires=[],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis", "numpy"],
     },

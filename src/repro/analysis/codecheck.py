@@ -34,9 +34,9 @@ Rule catalog (``docs/CODECHECK.md``):
     generators, file handles, or custom class instances).
 
 ``SI001 shard-shared-mutation``
-    The shard-0-shared trackers (and the cross-shard stray-key set) may
-    only be *rebound* at their designated wiring sites; anywhere else a
-    rebind silently splits the aggregate view the rate patterns need.
+    The cross-call trackers every shard shares (and the stray-dedup table
+    among them) are bound by constructors only; a rebind anywhere else
+    silently splits the aggregate view the rate patterns need.
 
 Suppression: a ``# noqa: CC001`` (etc.) comment on the flagged source
 line silences that finding, with the same per-line semantics as
@@ -52,7 +52,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
-                    Sequence, Set, Tuple)
+                    Sequence, Set, Tuple, Union)
 
 from ..efsm.diagnostics import Diagnostic, Severity
 
@@ -137,52 +137,32 @@ class FunctionRef:
 class CheckpointSpec:
     """Checkpoint-coverage contract for one state-carrying class.
 
-    ``snapshot``/``restore`` name every function that participates in
-    capturing / rebuilding this class's state; an attribute is covered
-    when its name is referenced on both sides.  ``exempt`` maps audited
-    non-checkpointed attributes to their justification; ``emit_exempt``
-    does the same for snapshot keys deliberately not read by restore.
-    An empty ``snapshot`` declares the class checkpoint-free: every
-    mutable attribute must then be exempt.
+    ``snapshot``/``restore`` name the functions that capture / rebuild
+    this class's state: a bare name is a method of the class itself (by
+    default its own ``snapshot``/``restore`` pair), a :class:`FunctionRef`
+    a function elsewhere, for state that travels with an owner.  An
+    attribute is covered when its name is referenced on both sides.
+    ``exempt`` maps audited non-checkpointed attributes to their
+    justification.  An empty ``snapshot`` declares the class
+    checkpoint-free (``restore`` is not looked at): every mutable
+    attribute must then be exempt.
     """
 
-    label: str
     module: str
     cls: str
-    snapshot: Tuple[FunctionRef, ...] = ()
-    restore: Tuple[FunctionRef, ...] = ()
+    snapshot: Tuple[Union[str, FunctionRef], ...] = ("snapshot",)
+    restore: Tuple[Union[str, FunctionRef], ...] = ("restore",)
     exempt: Mapping[str, str] = field(default_factory=dict)
-    emit_exempt: Mapping[str, str] = field(default_factory=dict)
-    #: Constructor name whose keyword arguments are the emitted keys
-    #: (dataclass-record checkpoints like ``ShardCheckpoint``).
-    record_call: Optional[str] = None
 
-
-_CLUSTER = "vids/cluster.py"
-_SNAPSHOT_SIDE = tuple(
-    FunctionRef(_CLUSTER, name) for name in (
-        "ShardSupervisor.take_checkpoint",
-        "ShardSupervisor._checkpoint_trackers",
-        "_snapshot_metrics",
-        "_copy_windows",
-    ))
-_RESTORE_SIDE = tuple(
-    FunctionRef(_CLUSTER, name) for name in (
-        "ShardSupervisor._apply_checkpoint",
-        "ShardSupervisor._restore_trackers",
-        "ShardSupervisor._rewire_shared_trackers",
-        "ShardSupervisor._build_member_vids",
-        "_restore_metrics",
-    ))
 
 CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
     CheckpointSpec(
-        label="Efsm",
         module="efsm/machine.py",
         cls="Efsm",
         # Checkpoint-free by design: definitions are built once, sealed by
         # validate(), and shared read-only across every instance — only
         # EfsmInstance carries per-call state.
+        snapshot=(),
         exempt={
             "states": "frozen definition data (sealed by validate())",
             "variables": "frozen declaration defaults, copied per instance",
@@ -199,7 +179,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         },
     ),
     CheckpointSpec(
-        label="Variables",
         module="efsm/machine.py",
         cls="Variables",
         # Locals travel with the owning instance, the shared globals dict
@@ -210,11 +189,8 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
                  FunctionRef("efsm/system.py", "EfsmSystem.restore")),
     ),
     CheckpointSpec(
-        label="EfsmInstance",
         module="efsm/machine.py",
         cls="EfsmInstance",
-        snapshot=(FunctionRef("efsm/machine.py", "EfsmInstance.snapshot"),),
-        restore=(FunctionRef("efsm/machine.py", "EfsmInstance.restore"),),
         exempt={
             "_timers": "opaque scheduler handles; restore re-arms them "
                        "through start_timer from _timer_meta",
@@ -223,17 +199,11 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         },
     ),
     CheckpointSpec(
-        label="EfsmSystem",
         module="efsm/system.py",
         cls="EfsmSystem",
-        snapshot=(FunctionRef("efsm/system.py", "EfsmSystem.snapshot"),),
-        restore=(FunctionRef("efsm/system.py", "EfsmSystem.restore"),),
         exempt={
             "_channel_list": "flat mirror of channels maintained by "
                              "connect(); no independent state",
-            "deliveries": "monotonic firing counter used as a change-"
-                          "version signal; checkpoints re-baseline after "
-                          "restore",
             "_deviations": "append-only observation log (subset of "
                            "firings); lazily allocated behind the "
                            "deviations property",
@@ -243,17 +213,14 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         },
     ),
     CheckpointSpec(
-        label="CallRecord",
         module="vids/factbase.py",
         cls="CallRecord",
+        # A record's state travels through its fact base.
         snapshot=(FunctionRef("vids/factbase.py",
                               "CallStateFactBase.checkpoint_call"),),
-        restore=(FunctionRef("vids/factbase.py",
-                             "CallStateFactBase.restore_call"),
-                 FunctionRef("vids/factbase.py",
-                             "CallStateFactBase.refresh_media_index"),
-                 FunctionRef("vids/factbase.py",
-                             "CallStateFactBase._create")),
+        restore=tuple(
+            FunctionRef("vids/factbase.py", f"CallStateFactBase.{name}")
+            for name in ("restore_call", "refresh_media_index", "_create")),
         exempt={
             "media_keys": "not stored: re-derived from the restored globals "
                           "by refresh_media_index",
@@ -266,17 +233,12 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         },
     ),
     CheckpointSpec(
-        label="CallStateFactBase",
         module="vids/factbase.py",
         cls="CallStateFactBase",
-        snapshot=(FunctionRef(_CLUSTER, "ShardSupervisor.take_checkpoint"),),
-        restore=(FunctionRef(_CLUSTER, "ShardSupervisor._apply_checkpoint"),
-                 FunctionRef("vids/factbase.py",
-                             "CallStateFactBase.restore_call"),
-                 FunctionRef("vids/factbase.py", "CallStateFactBase._create"),
-                 FunctionRef("vids/factbase.py",
-                             "CallStateFactBase.refresh_media_index")),
+        restore=("restore", "restore_call", "_create", "refresh_media_index"),
         exempt={
+            "metrics": "the owning Vids' VidsMetrics (a shared reference); "
+                       "Vids.snapshot checkpoints it",
             "_sip_definition": "immutable Efsm definition (shared, "
                                "data-only; see the Efsm spec)",
             "_rtp_definition": "immutable Efsm definition (shared, "
@@ -298,57 +260,44 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         },
     ),
     CheckpointSpec(
-        label="Vids",
+        module="vids/alerts.py",
+        cls="AlertManager",
+        exempt={
+            "counts": "not stored: re-derived from the restored alerts",
+        },
+    ),
+    CheckpointSpec(
         module="vids/ids.py",
         cls="Vids",
-        snapshot=_SNAPSHOT_SIDE,
-        restore=_RESTORE_SIDE,
         exempt={
             "classifier": "holds only a monotonic observability counter; "
                           "a fresh classifier is correct after failover",
+            "engine": "stateless: deviation dedup lives on the call record "
+                      "and the stray table belongs to trackers",
+            "trackers": "the deployment's cross-call state, shared by "
+                        "every shard; whoever supervises the deployment "
+                        "checkpoints it once (see the CrossCallTrackers "
+                        "spec)",
             "distributor": "stateless routing facade over factbase/engine/"
-                           "trackers; rebuilt by _build_member_vids and "
-                           "re-pointed by _rewire_shared_trackers",
+                           "trackers",
             "_var_shadow": "trace-only changed-variable shadow; a cold "
                            "shadow just re-emits full valuations on the "
                            "next fire after failover",
         },
-        record_call="ShardCheckpoint",
-        emit_exempt={
-            "shard": "identity metadata (the member index is the "
-                     "restore-side source of truth)",
-            "taken_at": "checkpoint-age metadata for observability",
-            "call_versions": "incremental-reuse bookkeeping read by the "
-                             "next take_checkpoint, not by restore",
-            "tracker_version": "incremental-reuse bookkeeping read by the "
-                               "next take_checkpoint, not by restore",
-        },
     ),
     CheckpointSpec(
-        label="InviteFloodTracker",
         module="vids/patterns/invite_flood.py",
         cls="InviteFloodTracker",
-        snapshot=(FunctionRef(_CLUSTER,
-                              "ShardSupervisor._checkpoint_trackers"),),
-        restore=(FunctionRef(_CLUSTER,
-                             "ShardSupervisor._restore_trackers"),
-                 FunctionRef("vids/patterns/invite_flood.py",
-                             "InviteFloodTracker.machine_for")),
+        restore=("restore", "machine_for"),
         exempt={
             "_definition": "immutable Figure-4 Efsm definition shared by "
                            "every per-target instance (see the Efsm spec)",
         },
     ),
     CheckpointSpec(
-        label="OrphanMediaTracker",
         module="vids/patterns/media_spam.py",
         cls="OrphanMediaTracker",
-        snapshot=(FunctionRef(_CLUSTER,
-                              "ShardSupervisor._checkpoint_trackers"),),
-        restore=(FunctionRef(_CLUSTER,
-                             "ShardSupervisor._restore_trackers"),
-                 FunctionRef("vids/patterns/media_spam.py",
-                             "OrphanMediaTracker.machine_for")),
+        restore=("restore", "machine_for"),
         exempt={
             "_definition": "immutable Figure-6 Efsm definition shared by "
                            "every per-destination instance (see the Efsm "
@@ -356,34 +305,38 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         },
     ),
     CheckpointSpec(
-        label="AnalysisEngine",
+        module="vids/patterns/cross_call.py",
+        cls="CrossCallTrackers",
+    ),
+    CheckpointSpec(
         module="vids/engine.py",
         cls="AnalysisEngine",
-        snapshot=(FunctionRef(_CLUSTER, "ShardSupervisor.take_checkpoint"),),
-        restore=(FunctionRef(_CLUSTER, "ShardSupervisor._apply_checkpoint"),
-                 FunctionRef(_CLUSTER,
-                             "ShardSupervisor._restore_trackers")),
+        # Checkpoint-free: the engine holds no state of its own.
+        snapshot=(),
         exempt={
             "scenarios": "attack-scenario definition database; immutable "
                          "after construction and identical on every member",
+            "_first_stray": "asks the deployment's shared stray-dedup "
+                            "table, owned and checkpointed by "
+                            "CrossCallTrackers",
         },
     ),
 )
 
-#: Attribute names aliased across shards (see ``docs/SCALING.md``).
+#: Attribute names under which the deployment's one cross-call object and
+#: its parts are held (see ``docs/SCALING.md``).
 SHARED_STATE_ATTRS = frozenset({
-    "flood_tracker", "source_flood_tracker", "orphan_tracker", "_stray_keys",
+    "trackers", "flood_tracker", "source_flood_tracker", "orphan_tracker",
+    "_stray_keys",
 })
 
-#: (module, qualname) sites allowed to *rebind* a shared-state attribute.
+#: (module, qualname) sites allowed to bind a shared-state attribute:
+#: constructors only — a restore refills the same objects in place.
 SHARED_STATE_SITES = frozenset({
+    ("vids/patterns/cross_call.py", "CrossCallTrackers.__init__"),
     ("vids/ids.py", "Vids.__init__"),
     ("vids/distributor.py", "EventDistributor.__init__"),
-    ("vids/engine.py", "AnalysisEngine.__init__"),
     ("vids/sharding.py", "ShardedVids.__init__"),
-    (_CLUSTER, "ShardSupervisor._build_member_vids"),
-    (_CLUSTER, "ShardSupervisor._apply_checkpoint"),
-    (_CLUSTER, "ShardSupervisor._rewire_shared_trackers"),
 })
 
 
@@ -662,32 +615,34 @@ def fingerprint(diagnostic: Diagnostic) -> str:
 # Rule: checkpoint coverage (CC001/CC002)
 # ---------------------------------------------------------------------------
 
-def _resolve_functions(tree: SourceTree, refs: Sequence[FunctionRef],
-                       out: _Collector, spec_label: str) -> List[ast.AST]:
+def _resolve_functions(tree: SourceTree, spec: CheckpointSpec,
+                       refs: Sequence[Union[str, FunctionRef]],
+                       out: _Collector) -> List[ast.AST]:
     resolved: List[ast.AST] = []
     for ref in refs:
+        if isinstance(ref, str):
+            ref = FunctionRef(spec.module, f"{spec.cls}.{ref}")
         module = tree.module(ref.module)
         if module is None:
             out.add("CX001",
-                    f"spec {spec_label!r} references missing module "
+                    f"spec {spec.cls!r} references missing module "
                     f"{ref.module!r}",
-                    path=ref.module, scope=spec_label, subject=ref.module)
+                    path=ref.module, scope=spec.cls, subject=ref.module)
             continue
         node = _functions_by_qualname(module).get(ref.qualname)
         if node is None:
             out.add("CX001",
-                    f"spec {spec_label!r} references missing function "
+                    f"spec {spec.cls!r} references missing function "
                     f"{ref.qualname!r} in {ref.module!r}",
-                    path=ref.module, scope=spec_label, subject=ref.qualname)
+                    path=ref.module, scope=spec.cls, subject=ref.qualname)
             continue
         resolved.append(node)
     return resolved
 
 
-def _emitted_keys(functions: Sequence[ast.AST],
-                  record_call: Optional[str]) -> Dict[str, int]:
-    """Keys a snapshot emits: top-level returned dict literals + record
-    constructor keywords.  Maps key -> line for anchoring."""
+def _emitted_keys(functions: Sequence[ast.AST]) -> Dict[str, int]:
+    """Keys a snapshot emits: the string keys of returned dict literals.
+    Maps key -> line for anchoring."""
     keys: Dict[str, int] = {}
     for fn in functions:
         for node in ast.walk(fn):
@@ -697,12 +652,6 @@ def _emitted_keys(functions: Sequence[ast.AST],
                     if isinstance(key, ast.Constant) and \
                             isinstance(key.value, str):
                         keys.setdefault(key.value, key.lineno)
-            elif record_call and isinstance(node, ast.Call):
-                chain = _attr_chain(node.func)
-                if chain and chain[-1] == record_call:
-                    for keyword in node.keywords:
-                        if keyword.arg:
-                            keys.setdefault(keyword.arg, node.lineno)
     return keys
 
 
@@ -710,18 +659,19 @@ def _check_checkpoint_spec(tree: SourceTree, spec: CheckpointSpec,
                            out: _Collector) -> None:
     module = tree.module(spec.module)
     if module is None:
-        out.add("CX001", f"spec {spec.label!r}: module {spec.module!r} "
+        out.add("CX001", f"spec {spec.cls!r}: module {spec.module!r} "
                 f"missing or unparseable",
-                path=spec.module, scope=spec.label, subject=spec.module)
+                path=spec.module, scope=spec.cls, subject=spec.module)
         return
     cls = _find_class(module, spec.cls)
     if cls is None:
-        out.add("CX001", f"spec {spec.label!r}: class {spec.cls!r} not "
+        out.add("CX001", f"spec {spec.cls!r}: class {spec.cls!r} not "
                 f"found in {spec.module!r}",
-                path=spec.module, scope=spec.label, subject=spec.cls)
+                path=spec.module, scope=spec.cls, subject=spec.cls)
         return
-    snapshot_fns = _resolve_functions(tree, spec.snapshot, out, spec.label)
-    restore_fns = _resolve_functions(tree, spec.restore, out, spec.label)
+    snapshot_fns = _resolve_functions(tree, spec, spec.snapshot, out)
+    restore_fns = _resolve_functions(
+        tree, spec, spec.restore if spec.snapshot else (), out)
     snapshot_mentions = _mentions(snapshot_fns)
     restore_mentions = _mentions(restore_fns)
 
@@ -737,16 +687,16 @@ def _check_checkpoint_spec(tree: SourceTree, spec: CheckpointSpec,
             out.add("CC001",
                     f"{spec.cls}.{attr} is mutable state but {spec.cls} is "
                     f"declared checkpoint-free",
-                    path=spec.module, line=line, scope=spec.label,
+                    path=spec.module, line=line, scope=spec.cls,
                     subject=attr,
                     hint="add an audited exemption to CHECKPOINT_SPECS or "
                          "give the class snapshot/restore coverage")
         elif attr not in snapshot_mentions:
             out.add("CC001",
                     f"{spec.cls}.{attr} is mutable state but no snapshot "
-                    f"function of spec {spec.label!r} references it: a "
+                    f"function of spec {spec.cls!r} references it: a "
                     f"failover would resurrect it stale",
-                    path=spec.module, line=line, scope=spec.label,
+                    path=spec.module, line=line, scope=spec.cls,
                     subject=attr,
                     hint="capture it in the snapshot path or add an audited "
                          "exemption to CHECKPOINT_SPECS")
@@ -754,34 +704,34 @@ def _check_checkpoint_spec(tree: SourceTree, spec: CheckpointSpec,
             flagged_attrs.add(attr)
             out.add("CC001",
                     f"{spec.cls}.{attr} is captured on snapshot but no "
-                    f"restore function of spec {spec.label!r} references "
+                    f"restore function of spec {spec.cls!r} references "
                     f"it: the checkpointed value is never written back",
-                    path=spec.module, line=line, scope=spec.label,
+                    path=spec.module, line=line, scope=spec.cls,
                     subject=attr,
                     hint="write it back on the restore path or add an "
                          "audited exemption")
     for attr in spec.exempt:
         if attr not in attrs:
             out.add("CX001",
-                    f"spec {spec.label!r} exempts {attr!r} but "
+                    f"spec {spec.cls!r} exempts {attr!r} but "
                     f"{spec.cls}.__init__ no longer assigns it",
-                    path=spec.module, scope=spec.label,
+                    path=spec.module, scope=spec.cls,
                     subject=f"stale-exempt:{attr}",
                     hint="drop the stale exemption from CHECKPOINT_SPECS")
 
-    consumed = restore_mentions
-    for key, line in _emitted_keys(snapshot_fns, spec.record_call).items():
-        if key in spec.emit_exempt or key in consumed:
+    for key, line in _emitted_keys(snapshot_fns).items():
+        if key in restore_mentions:
             continue
         if key in flagged_attrs:
             continue        # root cause already reported as a CC001 gap
-        snap_path = spec.snapshot[0].module if spec.snapshot else spec.module
+        first = spec.snapshot[0]
+        snap_path = spec.module if isinstance(first, str) else first.module
         out.add("CC002",
-                f"snapshot of spec {spec.label!r} emits key {key!r} but no "
+                f"snapshot of spec {spec.cls!r} emits key {key!r} but no "
                 f"restore function consumes it",
-                path=snap_path, line=line, scope=spec.label, subject=key,
-                hint="read the key back on restore, drop it from the "
-                     "snapshot, or add an audited emit exemption")
+                path=snap_path, line=line, scope=spec.cls, subject=key,
+                hint="read the key back on restore or drop it from the "
+                     "snapshot")
 
 
 # ---------------------------------------------------------------------------
@@ -954,14 +904,11 @@ def _non_plain_reason(node: ast.AST) -> Optional[str]:
 
 def _check_plain_state(tree: SourceTree, out: _Collector) -> None:
     for rel, module in tree.modules():
-        scopes: List[Tuple[str, ast.AST]] = [("<module>", module)]
-        qualnames = _functions_by_qualname(module)
         # Anchor findings to the innermost enclosing function for context.
         owner: Dict[int, str] = {}
-        for qualname, fn in qualnames.items():
+        for qualname, fn in _functions_by_qualname(module).items():
             for node in ast.walk(fn):
                 owner[id(node)] = qualname
-        del scopes
         for node in ast.walk(module):
             scope = owner.get(id(node), "<module>")
             if isinstance(node, ast.Call) and \
@@ -1011,55 +958,45 @@ def _check_plain_state(tree: SourceTree, out: _Collector) -> None:
 # Rule: shard-state isolation (SI001)
 # ---------------------------------------------------------------------------
 
-class _ScopeWalker:
-    """Depth-first walk that tracks the dotted class/function qualname."""
-
-    def __init__(self, module: ast.Module):
-        self.module = module
-
-    def scoped_nodes(self) -> Iterator[Tuple[str, ast.AST]]:
-        def walk(node: ast.AST, prefix: str) -> Iterator[Tuple[str, ast.AST]]:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef)):
-                    name = (f"{prefix}.{child.name}" if prefix
-                            else child.name)
-                    yield name, child
-                    yield from walk(child, name)
-                else:
-                    yield prefix, child
-                    yield from walk(child, prefix)
-
-        yield from walk(self.module, "")
+def _scoped_nodes(node: ast.AST, prefix: str = ""
+                  ) -> Iterator[Tuple[str, ast.AST]]:
+    """Depth-first walk yielding each node with the dotted class/function
+    qualname it sits in."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            name = f"{prefix}.{child.name}" if prefix else child.name
+            yield name, child
+            yield from _scoped_nodes(child, name)
+        else:
+            yield prefix, child
+            yield from _scoped_nodes(child, prefix)
 
 
-def _check_shard_isolation(tree: SourceTree, out: _Collector,
-                           shared_attrs: frozenset = SHARED_STATE_ATTRS,
-                           allowed_sites: frozenset = SHARED_STATE_SITES
-                           ) -> None:
+def _check_shard_isolation(tree: SourceTree, out: _Collector) -> None:
     for rel, module in tree.modules():
-        for scope, node in _ScopeWalker(module).scoped_nodes():
+        for scope, node in _scoped_nodes(module):
             targets: List[ast.AST] = []
             if isinstance(node, ast.Assign):
                 targets = list(node.targets)
-            elif isinstance(node, ast.AugAssign):
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 targets = [node.target]
             for target in targets:
                 if not (isinstance(target, ast.Attribute)
-                        and target.attr in shared_attrs):
+                        and target.attr in SHARED_STATE_ATTRS):
                     continue
-                if (rel, scope) in allowed_sites:
+                if (rel, scope) in SHARED_STATE_SITES:
                     continue
                 out.add(
                     "SI001",
                     f"{scope or '<module>'} rebinds shared attribute "
-                    f"{target.attr!r}: outside the designated wiring sites "
-                    f"a rebind splits the cross-shard aggregate view",
+                    f"{target.attr!r}: outside the constructors that wire "
+                    f"it a rebind splits the cross-shard aggregate view",
                     path=rel, line=target.lineno, scope=scope or "<module>",
                     subject=target.attr,
-                    hint="mutate the shared object in place, or do the "
-                         "rewiring in a designated site "
-                         "(codecheck.SHARED_STATE_SITES)")
+                    hint="mutate the shared object in place "
+                         "(codecheck.SHARED_STATE_SITES lists the "
+                         "constructors)")
 
 
 # ---------------------------------------------------------------------------

@@ -319,9 +319,11 @@ class EfsmSystem:
         """Serializable copy of the whole call's state.
 
         Captures the shared globals once, every machine's
-        :meth:`~repro.efsm.machine.EfsmInstance.snapshot`, and any sync
+        :meth:`~repro.efsm.machine.EfsmInstance.snapshot`, any sync
         events still queued on channels (normally empty at packet
-        boundaries, but checkpoints must not assume it).
+        boundaries, but checkpoints must not assume it), and the firing
+        count — the change version, which must not restart from zero and
+        climb back to a number an older snapshot was taken at.
         """
         channels: Dict[str, List[Dict[str, Any]]] = {}
         for name, channel in self.channels.items():
@@ -336,6 +338,7 @@ class EfsmSystem:
             "machines": {name: instance.snapshot()
                          for name, instance in self.machines.items()},
             "channels": channels,
+            "deliveries": self.deliveries,
         }
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
@@ -362,6 +365,7 @@ class EfsmSystem:
             for spec in events:
                 channel.put(Event(spec["name"], copy_state(spec["args"]),
                                   channel=name, time=spec["time"]))
+        self.deliveries = snapshot["deliveries"]
 
     # -- teardown / inspection -------------------------------------------------
 

@@ -104,7 +104,7 @@ class ShardFaultPlan:
 
     Consumed by :class:`repro.vids.cluster.ShardSupervisor`: every entry
     names an absolute simulation time and a shard index, so two runs with
-    the same plan kill/hang/slow the same members at the same instants —
+    the same plan kill/hang the same members at the same instants —
     the chaos suite's reproducibility contract, same as :class:`FaultPlan`.
     """
 
@@ -114,27 +114,6 @@ class ShardFaultPlan:
     #: ``(at, until, shard)``: the member wedges — alive but unresponsive —
     #: for the interval; restarts attempted while wedged fail too.
     hangs: Tuple[Tuple[float, float, int], ...] = ()
-    #: ``(at, until, shard, factor)``: the member's per-packet service time
-    #: is multiplied by ``factor`` during the interval (a hot/degraded
-    #: member that backpressure and rebalancing must absorb).
-    slowdowns: Tuple[Tuple[float, float, int, float], ...] = ()
-
-    def with_overrides(self, **overrides) -> "ShardFaultPlan":
-        """A copy of this plan with the given fields replaced."""
-        return replace(self, **overrides)
-
-    @property
-    def active(self) -> bool:
-        """True if the plan can actually perturb the cluster."""
-        return bool(self.kills or self.hangs or self.slowdowns)
-
-    def slow_factor(self, shard: int, now: float) -> float:
-        """Service-time multiplier for ``shard`` at time ``now`` (>= 1.0)."""
-        factor = 1.0
-        for at, until, index, scale in self.slowdowns:
-            if index == shard and at <= now < until:
-                factor = max(factor, scale)
-        return factor
 
 
 @dataclass

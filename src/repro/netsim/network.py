@@ -3,7 +3,7 @@
 A :class:`Network` owns the simulator, the random streams, the node/host
 registries, and a drop counter.  After the topology is wired,
 :meth:`Network.compute_routes` builds per-node next-hop tables from
-shortest paths over the (unit-weight) topology graph, using networkx.
+shortest paths over the (unit-weight) topology graph.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 from typing import Dict, List, Optional
-
-import networkx as nx
 
 from .engine import Simulator
 from .link import Link
@@ -65,27 +63,33 @@ class Network:
     def compute_routes(self) -> None:
         """Install next-hop routes on every node for every host IP.
 
-        Shortest paths over the unit-weight topology graph; deterministic
-        tie-breaking by node name.
+        Shortest paths over the unit-weight topology graph: a level-order
+        breadth-first search from each host, neighbours visited in the
+        order their links were created, so the first path discovered wins
+        every tie.  A second link between the same two nodes replaces the
+        first but keeps the neighbour's place in that order.
         """
-        graph = nx.Graph()
-        graph.add_nodes_from(sorted(self.nodes))
+        neighbours: Dict[str, Dict[str, Link]] = {
+            name: {} for name in self.nodes}
         for link in self.links:
-            graph.add_edge(link.node_a.name, link.node_b.name, link=link)
+            a, b = link.node_a.name, link.node_b.name
+            neighbours[a][b] = link
+            neighbours[b][a] = link
 
         for host in self.hosts.values():
-            try:
-                paths = nx.single_source_shortest_path(graph, host.name)
-            except nx.NodeNotFound:  # pragma: no cover - defensive
-                continue
-            for node_name, path in paths.items():
-                if len(path) < 2:
-                    continue
-                node = self.nodes[node_name]
-                # path goes host -> ... -> node; next hop from node is the
-                # second-to-last element.
-                next_hop = path[-2]
-                node.routes[host.ip] = graph.edges[node_name, next_hop]["link"]
+            reached = {host.name}
+            level = [host.name]
+            while level:
+                following = []
+                for name in level:
+                    for neighbour, link in neighbours[name].items():
+                        if neighbour not in reached:
+                            reached.add(neighbour)
+                            following.append(neighbour)
+                            # The way back toward the host is the link the
+                            # search arrived over.
+                            self.nodes[neighbour].routes[host.ip] = link
+                level = following
         self._routes_valid = True
 
     def run(self, until: Optional[float] = None) -> None:

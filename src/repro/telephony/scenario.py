@@ -66,7 +66,7 @@ class ScenarioParams:
     #: (checkpointing, health-checked failover, backpressure) — the
     #: robustness tier of docs/ROBUSTNESS.md "Supervision & failover".
     supervise: bool = False
-    #: Supervision tunables (cadence, heartbeats, backoff, credits).
+    #: Supervision tunables (cadence, heartbeats, backoff, queue bound).
     cluster_config: ClusterConfig = DEFAULT_CLUSTER_CONFIG
     #: Deterministic shard-kill/hang/slowdown injections against the
     #: supervised cluster (chaos scenarios).

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["AttackType", "Alert", "AlertManager"]
 
@@ -92,3 +92,23 @@ class AlertManager:
     def clear(self) -> None:
         self.alerts.clear()
         self.counts.clear()
+
+    # -- checkpoint / restore -------------------------------------------------
+
+    def snapshot(self, previous: Optional[Tuple[Alert, ...]] = None
+                 ) -> Tuple[Alert, ...]:
+        """The alert log as a tuple.
+
+        The log only grows, so its length is its version: while it has not
+        moved, ``previous`` (the snapshot taken last time) is handed back
+        instead of one more copy of every alert ever raised.
+        """
+        if previous is not None and len(previous) == len(self.alerts):
+            return previous
+        return tuple(self.alerts)
+
+    def restore(self, snapshot: Tuple[Alert, ...]) -> None:
+        """Rewind to a :meth:`snapshot`, in place; ``counts`` is re-derived."""
+        self.clear()
+        self.alerts.extend(snapshot)
+        self.counts.update(alert.attack_type for alert in snapshot)

@@ -27,8 +27,7 @@ from .classifier import ClassifiedPacket, PacketKind
 from .config import VidsConfig
 from .engine import AnalysisEngine
 from .factbase import CallStateFactBase
-from .patterns.invite_flood import InviteFloodTracker
-from .patterns.media_spam import OrphanMediaTracker
+from .patterns.cross_call import CrossCallTrackers
 from .sync import RTP_MACHINE, SIP_MACHINE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -184,21 +183,16 @@ class EventDistributor:
         config: VidsConfig,
         factbase: CallStateFactBase,
         engine: AnalysisEngine,
-        flood_tracker: InviteFloodTracker,
-        orphan_tracker: OrphanMediaTracker,
+        trackers: CrossCallTrackers,
         clock_now,
-        source_flood_tracker: Optional[InviteFloodTracker] = None,
         trace: Optional["TraceBus"] = None,
         profiler: Optional["StageProfiler"] = None,
     ):
         self.config = config
         self.factbase = factbase
         self.engine = engine
-        self.flood_tracker = flood_tracker
-        #: Per-claimed-source counterpart of the Figure-4 machine, catching
-        #: DRDoS reflection (many callees, one spoofed source).
-        self.source_flood_tracker = source_flood_tracker
-        self.orphan_tracker = orphan_tracker
+        #: The deployment's cross-call state (shared by every shard).
+        self.trackers = trackers
         self.clock_now = clock_now
         #: Routing trace + per-stage profiler (None keeps the path bare).
         self.trace = trace
@@ -285,10 +279,11 @@ class EventDistributor:
         is_new_invite = (event.name == INVITE and not event.get("to_tag"))
 
         if is_new_invite:
-            self.flood_tracker.observe_invite(self._flood_target(event), event)
-            if self.source_flood_tracker is not None:
-                self.source_flood_tracker.observe_invite(
-                    str(event.get("src_ip", "")), event)
+            trackers = self.trackers
+            trackers.flood_tracker.observe_invite(
+                self._flood_target(event), event)
+            trackers.source_flood_tracker.observe_invite(
+                str(event.get("src_ip", "")), event)
 
         record = factbase.get(call_id)
         if record is None:
@@ -350,7 +345,7 @@ class EventDistributor:
         match = self.factbase.lookup_media(destination)
         if match is None:
             event = rtp_event_from_packet(classified, "orphan", now)
-            self.orphan_tracker.observe(destination, event)
+            self.trackers.orphan_tracker.observe(destination, event)
             if trace is not None:
                 self._route(classified, now, "orphan-media",
                             dst=f"{destination[0]}:{destination[1]}")

@@ -10,12 +10,14 @@ The engine maps attack-state entries to typed alerts, attributes the
 Figure-5 after-close media signal to BYE DoS or toll fraud (toll fraud when
 the media keeps coming *from the BYE sender*, the Section 3.1 billing-fraud
 pattern), and reports specification deviations once per (call, machine,
-state, event) so retransmission storms don't multiply alerts.
+state, event) so retransmission storms don't multiply alerts.  It keeps no
+state of its own: that dedup lives on the call record and dies with it,
+and the stray-request dedup is the deployment's one shared table.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import TraceBus
@@ -51,15 +53,17 @@ class AnalysisEngine:
     """Turns state-machine observations into alerts."""
 
     def __init__(self, config: VidsConfig, alerts: AlertManager,
-                 clock_now,
+                 clock_now, first_stray: Callable[[Tuple], bool],
                  scenarios: Optional[AttackScenarioDatabase] = None,
                  trace: Optional["TraceBus"] = None) -> None:
         self.config = config
         self.alerts = alerts
         self.clock_now = clock_now
+        #: ``first_stray(key)``: first sight of a stray-request dedup key?
+        #: The deployment's one table answers (``CrossCallTrackers``):
+        #: per-shard tables would alert once per shard instead of once.
+        self._first_stray = first_stray
         self.scenarios = scenarios or AttackScenarioDatabase()
-        self._deviation_keys: Set[Tuple] = set()
-        self._stray_keys: Set[Tuple] = set()
         #: Call-scoped trace bus (None keeps the hot path untouched).
         self.trace = trace
 
@@ -140,9 +144,11 @@ class AnalysisEngine:
         return False
 
     def _note_deviation(self, record: CallRecord, result: FiringResult) -> None:
-        key = (record.call_id, result.machine, result.from_state,
-               result.event.name)
-        if key in self._deviation_keys:
+        key = (result.machine, result.from_state, result.event.name)
+        seen = record.deviation_keys
+        if seen is None:
+            seen = record.deviation_keys = set()
+        elif key in seen:
             # Deduplicated repeat (retransmission storm): no alert, but the
             # forensic timeline still records that the deviation happened.
             if self.trace is not None:
@@ -152,7 +158,7 @@ class AnalysisEngine:
                                 state=result.from_state,
                                 event=result.event.name)
             return
-        self._deviation_keys.add(key)
+        seen.add(key)
         self.alerts.raise_alert(Alert(
             time=self.clock_now(),
             attack_type=AttackType.SPEC_DEVIATION,
@@ -218,10 +224,8 @@ class AnalysisEngine:
     def note_foreign_register(self, aor: str, contact: Optional[str],
                               src_ip: str, dst_ip: str) -> None:
         """A REGISTER crossed the perimeter — registration hijack attempt."""
-        key = ("register", aor, src_ip)
-        if key in self._stray_keys:
+        if not self._first_stray(("register", aor, src_ip)):
             return
-        self._stray_keys.add(key)
         self.alerts.raise_alert(Alert(
             time=self.clock_now(),
             attack_type=AttackType.REGISTRATION_HIJACK,
@@ -276,10 +280,8 @@ class AnalysisEngine:
     def note_stray_request(self, method: str, call_id: Optional[str],
                            src_ip: str, dst_ip: str) -> None:
         """A non-INVITE request for a call the fact base has never seen."""
-        key = ("stray", method, call_id, src_ip)
-        if key in self._stray_keys:
+        if not self._first_stray(("stray", method, call_id, src_ip)):
             return
-        self._stray_keys.add(key)
         self.alerts.raise_alert(Alert(
             time=self.clock_now(),
             attack_type=AttackType.SPEC_DEVIATION,

@@ -53,8 +53,8 @@ class CallRecord:
     #: as :class:`~repro.efsm.machine.EfsmInstance`.
     __slots__ = (
         "call_id", "system", "created_at", "last_activity", "media_keys",
-        "media_map", "deletion_scheduled", "delete_at", "_size_cache",
-        "_contribution", "_media_sig",
+        "media_map", "deletion_scheduled", "delete_at", "deviation_keys",
+        "_size_cache", "_contribution", "_media_sig",
     )
 
     def __init__(self, call_id: str, system: EfsmSystem, created_at: float):
@@ -70,6 +70,11 @@ class CallRecord:
         #: machines reach final states); checkpointed so a restored call's
         #: deletion timer re-arms at the original deadline.
         self.delete_at: Optional[float] = None
+        #: ``(machine, state, event)`` of every deviation already alerted
+        #: on, so a retransmission storm alerts once; allocated by the
+        #: first deviation (None for the benign majority) and gone with
+        #: the record.
+        self.deviation_keys: Optional[set] = None
         #: (firing-count, sip_bytes, rtp_bytes) memo for state accounting.
         self._size_cache: Optional[Tuple[int, int, int]] = None
         #: Bytes this record last contributed to the fact-base running total.
@@ -86,10 +91,6 @@ class CallRecord:
     @property
     def rtp(self):
         return self.system.machines[RTP_MACHINE]
-
-    @property
-    def participants(self) -> Tuple[str, ...]:
-        return tuple(self.sip.variables.get("participants", ()))
 
     def media_endpoints(self) -> Dict[MediaKey, str]:
         """Negotiated media sinks -> stream direction label."""
@@ -252,7 +253,7 @@ class CallStateFactBase:
         """Canonical shared instance of a per-dialog string value.
 
         Bounded two ways: entries are evicted when their call is deleted
-        (:meth:`delete` / :meth:`evict`), and a hard cap stops growth when
+        (:meth:`delete`), and a hard cap stops growth when
         flooded with identifiers that never become calls — a miss at the
         cap returns the value uninterned rather than remembering it.
         """
@@ -369,13 +370,6 @@ class CallStateFactBase:
         if self.trace is not None:
             self.trace.emit("call-deleted", self.clock_now(), call_id=call_id,
                             states=record.system.states())
-        self._retire(call_id, record)
-        return record
-
-    def _retire(self, call_id: str, record: CallRecord) -> None:
-        """What :meth:`delete` and :meth:`evict` share once the record is
-        out of ``records``: drop its intern pool, byte total and dirty
-        mark, cancel its timers, retire its media routes."""
         self._interned.pop(call_id, None)
         self._total_bytes -= record._contribution
         self._dirty.discard(record)
@@ -389,6 +383,7 @@ class CallStateFactBase:
             match = self._media_match.get(key)
             if match is not None and match[0] is record:
                 del self._media_match[key]
+        return record
 
     # -- checkpoint / restore (repro.vids.cluster) -----------------------------
 
@@ -400,12 +395,14 @@ class CallStateFactBase:
         ``on_media_route`` hooks so a sharding facade's routing table
         re-homes with the call.
         """
+        keys = record.deviation_keys
         return {
             "call_id": record.call_id,
             "created_at": record.created_at,
             "last_activity": record.last_activity,
             "deletion_scheduled": record.deletion_scheduled,
             "delete_at": record.delete_at,
+            "deviation_keys": frozenset(keys) if keys else None,
             "system": record.system.snapshot(),
         }
 
@@ -418,6 +415,8 @@ class CallStateFactBase:
                               count=False, trace_kind="call-restored")
         record.system.restore(snapshot["system"])
         record.last_activity = snapshot["last_activity"]
+        if snapshot["deviation_keys"]:
+            record.deviation_keys = set(snapshot["deviation_keys"])
         self.refresh_media_index(record)
         if snapshot.get("deletion_scheduled"):
             record.deletion_scheduled = True
@@ -428,23 +427,44 @@ class CallStateFactBase:
             self.timer_scheduler(delay, lambda: self.delete(call_id))
         return record
 
-    def evict(self, call_id: str) -> Optional[CallRecord]:
-        """Drop a record without the deletion bookkeeping.
+    def snapshot(self, previous: Optional[Mapping[str, Any]] = None
+                 ) -> Dict[str, Any]:
+        """Serializable copy of every call and of the quarantine lists.
 
-        Used when a call *migrates* to a sibling shard: the call is not
-        over, so ``calls_deleted`` and the memory sampling must not fire
-        (they would double-count against the equivalence counters).  Media
-        routes are retired with the same quarantine guard as
-        :meth:`delete` — the restoring side re-indexes first, so its
-        routes win and this retirement no-ops in the facade.
+        Incremental: a call that has not fired since ``previous`` (the
+        snapshot taken last time) reuses its part of it, refreshing only
+        the fields that move outside firings — the firing count is an
+        exact change version (:meth:`CallRecord._sizes`).
         """
-        record = self.records.pop(call_id, None)
-        if record is None:
-            return None
-        if self.trace is not None:
-            self.trace.emit("call-evicted", self.clock_now(), call_id=call_id)
-        self._retire(call_id, record)
-        return record
+        prev_calls = previous["calls"] if previous is not None else {}
+        calls: Dict[str, Dict[str, Any]] = {}
+        for call_id, record in self.records.items():
+            call = prev_calls.get(call_id)
+            if (call is not None and call["system"]["deliveries"]
+                    == record.system.deliveries):
+                call = dict(call)
+                call["last_activity"] = record.last_activity
+                call["deletion_scheduled"] = record.deletion_scheduled
+                call["delete_at"] = record.delete_at
+            else:
+                call = self.checkpoint_call(record)
+            calls[call_id] = call
+        return {
+            "calls": calls,
+            "quarantined": dict(self.quarantined),
+            "quarantined_media": dict(self.quarantined_media),
+        }
+
+    def restore(self, snapshot: Mapping[str, Any]) -> None:
+        """Refill a fresh fact base from a :meth:`snapshot`.
+
+        Restoring each call re-fires the media-route hooks, so a sharding
+        facade's routing table re-homes the RTP along with the call.
+        """
+        self.quarantined.update(snapshot["quarantined"])
+        self.quarantined_media.update(snapshot["quarantined_media"])
+        for call in snapshot["calls"].values():
+            self.restore_call(call)
 
     # -- quarantine ------------------------------------------------------------
 

@@ -15,7 +15,8 @@ datagrams directly — handy for unit tests and trace replay.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional)
 
 from ..netsim.engine import Simulator
 from ..netsim.packet import Datagram
@@ -30,8 +31,7 @@ from .engine import AnalysisEngine
 from .factbase import CallStateFactBase
 from .ingest import ingest
 from .metrics import VidsMetrics
-from .patterns.invite_flood import InviteFloodTracker
-from .patterns.media_spam import OrphanMediaTracker
+from .patterns.cross_call import CrossCallTrackers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import Observability
@@ -100,20 +100,19 @@ class Vids:
         clock_now: Optional[Callable[[], float]] = None,
         timer_scheduler: Optional[Callable] = None,
         obs: Optional["Observability"] = None,
-        flood_tracker: Optional[InviteFloodTracker] = None,
-        source_flood_tracker: Optional[InviteFloodTracker] = None,
-        orphan_tracker: Optional[OrphanMediaTracker] = None,
+        trackers: Optional[CrossCallTrackers] = None,
         register_metrics: bool = True,
     ):
         """Build the pipeline.
 
-        The cross-call trackers (INVITE flood per target, per claimed
-        source, orphan media) default to fresh instances; a sharded
-        deployment passes shared ones so rate patterns that span calls
-        keep seeing the aggregate stream
-        (:class:`~repro.vids.sharding.ShardedVids`).  ``register_metrics``
-        lets that facade suppress the per-instance registry registration
-        and export per-shard labelled families instead.
+        The cross-call state (INVITE flood per target and per claimed
+        source, orphan media, stray-request dedup) defaults to this
+        pipeline's own; a sharded deployment passes the one object all its
+        shards share, so rate patterns that span calls keep seeing the
+        aggregate stream (:class:`~repro.vids.sharding.ShardedVids`).
+        ``register_metrics`` lets that facade suppress the per-instance
+        registry registration and export per-shard labelled families
+        instead.
         """
         if sim is not None:
             clock_now = lambda: sim.now  # noqa: E731 - simple adapter
@@ -137,7 +136,11 @@ class Vids:
         self.classifier = PacketClassifier()
         self.factbase = CallStateFactBase(config, clock_now, timer_scheduler,
                                           self.metrics, trace=self._trace)
+        self.trackers = trackers if trackers is not None \
+            else CrossCallTrackers(config, clock_now, timer_scheduler,
+                                   engine=lambda: self.engine)
         self.engine = AnalysisEngine(config, self.alert_manager, clock_now,
+                                     self.trackers.first_stray,
                                      trace=self._trace)
         self.factbase.on_result = self._on_result
         if self._trace is not None:
@@ -149,25 +152,8 @@ class Vids:
         #: populated when ``trace_variables`` is on, so fire events can
         #: carry just the *changed* variables (docs/MINING.md).
         self._var_shadow: Dict[tuple, Dict[str, object]] = {}
-        self.flood_tracker = flood_tracker if flood_tracker is not None \
-            else InviteFloodTracker(
-                config.invite_flood_threshold, config.invite_flood_window,
-                clock_now, timer_scheduler, on_attack=self.engine.note_flood)
-        self.source_flood_tracker = source_flood_tracker \
-            if source_flood_tracker is not None else InviteFloodTracker(
-                config.invite_source_threshold, config.invite_flood_window,
-                clock_now, timer_scheduler,
-                on_attack=self.engine.note_reflection)
-        self.orphan_tracker = orphan_tracker if orphan_tracker is not None \
-            else OrphanMediaTracker(
-                config.media_spam_seq_gap, config.media_spam_ts_gap,
-                config.unsolicited_media_threshold, clock_now,
-                on_spam=self.engine.note_orphan_spam,
-                on_unsolicited=self.engine.note_unsolicited)
         self.distributor = EventDistributor(
-            config, self.factbase, self.engine, self.flood_tracker,
-            self.orphan_tracker, clock_now,
-            source_flood_tracker=self.source_flood_tracker,
+            config, self.factbase, self.engine, self.trackers, clock_now,
             trace=self._trace, profiler=self._profiler)
         if register_metrics and obs is not None and obs.registry is not None:
             self._register_metrics(obs.registry)
@@ -198,7 +184,7 @@ class Vids:
     @property
     def default_vids(self) -> "Vids":
         """Where :func:`~repro.vids.ingest.ingest` accounts what no call
-        owns; a sharding facade answers with its default shard."""
+        owns; a sharding facade answers with its first shard."""
         return self
 
     def contain_classifier_error(self, datagram: Datagram, exc: Exception,
@@ -206,7 +192,7 @@ class Vids:
         """Crash containment, layer 1: account a classifier exception.
 
         Called by :func:`~repro.vids.ingest.ingest` on ``default_vids``: a
-        facade that classifies centrally accounts it on its default shard.
+        facade that classifies centrally accounts it on its first shard.
         """
         self.metrics.packets_processed += 1
         self.metrics.internal_errors += 1
@@ -404,6 +390,42 @@ class Vids:
         """Seconds of unworked analysis CPU time (the shedding signal)."""
         current = self.clock_now() if now is None else now
         return max(0.0, self._busy_until - current)
+
+    # -- checkpoint / restore (repro.vids.cluster) -------------------------------
+
+    def snapshot(self, previous: Optional[Mapping[str, Any]] = None
+                 ) -> Dict[str, Any]:
+        """Serializable copy of this pipeline's analysis state.
+
+        Each part snapshots itself, carrying over from ``previous`` (the
+        snapshot taken last time) what has not changed since.  The
+        cross-call trackers are not in it: they belong to the deployment,
+        which checkpoints them once (:mod:`repro.vids.cluster`).
+        """
+        previous = previous or {}
+        return {
+            "factbase": self.factbase.snapshot(previous.get("factbase")),
+            "metrics": self.metrics.snapshot(previous.get("metrics")),
+            "alerts": self.alert_manager.snapshot(previous.get("alerts")),
+            "malformed_windows": {
+                src: list(window)
+                for src, window in self._malformed_windows.items()},
+            "busy_until": self._busy_until,
+            "shedding": self._shedding,
+            "shed_started": self._shed_started,
+        }
+
+    def restore(self, snapshot: Mapping[str, Any]) -> None:
+        """Refill a fresh pipeline from a :meth:`snapshot`."""
+        self.metrics.restore(snapshot["metrics"])
+        self.alert_manager.restore(snapshot["alerts"])
+        self.factbase.restore(snapshot["factbase"])
+        self._malformed_windows = {
+            src: list(window)
+            for src, window in snapshot["malformed_windows"].items()}
+        self._busy_until = snapshot["busy_until"]
+        self._shedding = snapshot["shedding"]
+        self._shed_started = snapshot["shed_started"]
 
     # -- call lifecycle ---------------------------------------------------------
 

@@ -230,3 +230,33 @@ class VidsMetrics:
         """Every exported counter and gauge by field name."""
         return {name: getattr(self, name)
                 for name, _ in self._COUNTER_FIELDS + self._GAUGE_FIELDS}
+
+    # -- checkpoint / restore -------------------------------------------------
+
+    #: The two append-only logs; every other field is a flat number.
+    _LOG_FIELDS = ("call_memory_samples", "shed_intervals")
+
+    def snapshot(self, previous: Optional[Mapping[str, Any]] = None
+                 ) -> Dict[str, Any]:
+        """Every field by name, the two logs as tuples.
+
+        A ``__dict__`` copy: ``copy.deepcopy`` or a per-field getattr loop
+        costs more than the rest of a checkpoint.  A log only grows, so
+        while its length has not moved the tuple of ``previous`` (the
+        snapshot taken last time) is carried over, not copied again.
+        """
+        state = dict(self.__dict__)
+        for name in self._LOG_FIELDS:
+            log = state[name]
+            if previous is not None and len(previous[name]) == len(log):
+                state[name] = previous[name]
+            else:
+                state[name] = tuple(log)
+        return state
+
+    def restore(self, snapshot: Mapping[str, Any]) -> None:
+        """Rewind to a :meth:`snapshot`, in place: the fact base and the
+        registry callbacks hold references to this object."""
+        self.__dict__.update(snapshot)
+        for name in self._LOG_FIELDS:
+            setattr(self, name, list(snapshot[name]))

@@ -6,6 +6,9 @@ systems:
 - :mod:`invite_flood` — Figure 4, one machine per flood target;
 - :mod:`media_spam` — Figure 6, one machine per orphan-stream destination.
 
+:mod:`cross_call` holds their trackers — the state that spans calls — as
+one object per deployment.
+
 The remaining Section-3 attacks are detected by attack-annotated transitions
 *inside* the per-call machines (cross-protocol by construction):
 
@@ -24,6 +27,7 @@ The remaining Section-3 attacks are detected by attack-annotated transitions
   RTP machine's steady state (``ATTACK_RTP_Flood``, ``ATTACK_Codec_Change``).
 """
 
+from .cross_call import CrossCallTrackers
 from .invite_flood import (
     FLOOD_ATTACK,
     FLOOD_COUNTING,
@@ -40,6 +44,7 @@ from .media_spam import (
 )
 
 __all__ = [
+    "CrossCallTrackers",
     "FLOOD_ATTACK",
     "FLOOD_COUNTING",
     "FLOOD_INIT",

@@ -15,7 +15,7 @@ same branch and are not re-counted).
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 from ...efsm.events import TIMER_CHANNEL, Event
 from ...efsm.machine import Efsm, EfsmInstance, TransitionContext
@@ -165,3 +165,29 @@ class InviteFloodTracker:
         if instance is None:
             return 0
         return int(instance.variables.get("pck_counter", 0))
+
+    # -- checkpoint / restore -------------------------------------------------
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Serializable copy: every live window, plus the change count."""
+        return {
+            "machines": {target: instance.snapshot()
+                         for target, instance in self.machines.items()},
+            "version": self.version,
+        }
+
+    def restore(self, snapshot: Mapping[str, Any]) -> None:
+        """Rewind to a :meth:`snapshot`, in place.
+
+        The T1 timers of the windows being discarded are cancelled first:
+        left running, one would fire for a target the restore removed, or
+        close a later window of that target early.  Restored windows
+        re-arm at their checkpointed deadlines.
+        """
+        for instance in self.machines.values():
+            instance.cancel_all_timers()
+        self.machines.clear()
+        for target, machine in snapshot["machines"].items():
+            self.machine_for(target).restore(machine)
+        # Last: rebuilding the table above counted as changes.
+        self.version = snapshot["version"]

@@ -15,7 +15,7 @@ negotiated session — and doubles as the unsolicited-media detector.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ...efsm.events import Event
 from ...efsm.machine import Efsm, EfsmInstance, TransitionContext
@@ -142,3 +142,25 @@ class OrphanMediaTracker:
         self.machines.pop(destination, None)
         self._unsolicited_flagged.discard(destination)
         self.version += 1
+
+    # -- checkpoint / restore -------------------------------------------------
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Serializable copy: every tracked stream (least recently used
+        first), the flagged destinations, and the change count."""
+        return {
+            "machines": {destination: instance.snapshot()
+                         for destination, instance in self.machines.items()},
+            "unsolicited_flagged": frozenset(self._unsolicited_flagged),
+            "version": self.version,
+        }
+
+    def restore(self, snapshot: Mapping[str, Any]) -> None:
+        """Rewind to a :meth:`snapshot`, in place."""
+        self.machines.clear()
+        for destination, machine in snapshot["machines"].items():
+            self.machine_for(destination).restore(machine)
+        self._unsolicited_flagged.clear()
+        self._unsolicited_flagged.update(snapshot["unsolicited_flagged"])
+        # Last: rebuilding the tables above counted as changes.
+        self.version = snapshot["version"]

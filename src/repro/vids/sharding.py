@@ -13,17 +13,19 @@ keeps a **media routing table** mapping media keys to the owning shard,
 maintained through the narrow ``CallStateFactBase.on_media_route``
 callback each shard fires when its distributor indexes or retires an SDP
 endpoint.  Media that matches no route ("orphan" media — the input of the
-paper's Figure-6 standalone machines) falls to a deterministic default
-shard so the spam/unsolicited detectors still see the whole stream.
+paper's Figure-6 standalone machines) falls to shard 0, where the
+cross-call trackers' alerts land too.
 
-Cross-call rate detectors (INVITE flood per target, DRDoS per claimed
-source, orphan-media tracking) are shared singletons across shards, which
-is what makes the correctness bar hold: a seeded attack scenario produces
-the identical alert multiset sharded and unsharded, because packets are
-analysed in global arrival order by the one ingest loop
-(:func:`~repro.vids.ingest.ingest`) and only the post-classifier tail
-runs on the owning shard.  :meth:`ShardedVids.shard_index` is the one
-routing rule; the supervision tier (:mod:`repro.vids.cluster`) uses it too.
+Cross-call state (INVITE flood per target, DRDoS per claimed source,
+orphan-media tracking, stray-request dedup) is one
+:class:`~repro.vids.patterns.cross_call.CrossCallTrackers` built here and
+handed to every shard, which is what makes the correctness bar hold: a
+seeded attack scenario produces the identical alert multiset sharded and
+unsharded, because packets are analysed in global arrival order by the
+one ingest loop (:func:`~repro.vids.ingest.ingest`) and only the
+post-classifier tail runs on the owning shard.
+:meth:`ShardedVids.shard_index` is the one routing rule; the supervision
+tier (:mod:`repro.vids.cluster`) uses it too.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .factbase import MediaKey
 from .ids import Vids
 from .ingest import ingest
 from .metrics import VidsMetrics
+from .patterns.cross_call import CrossCallTrackers
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import Observability
@@ -83,27 +86,20 @@ class ShardedVids:
         clock_now: Optional[Callable[[], float]] = None,
         timer_scheduler: Optional[Callable] = None,
         obs: Optional["Observability"] = None,
-        default_shard: int = 0,
     ):
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
-        if not 0 <= default_shard < shards:
-            raise ValueError(f"default_shard {default_shard} outside "
-                             f"0..{shards - 1}")
         if sim is not None:
             clock_now = lambda: sim.now  # noqa: E731 - simple adapter
             timer_scheduler = lambda delay, fn: sim.schedule(delay, fn)  # noqa: E731 - simple adapter
         if clock_now is None or timer_scheduler is None:
             raise ValueError(
                 "ShardedVids needs a sim, or clock_now + timer_scheduler")
-        self.sim = sim
         self.config = config
         self.clock_now = clock_now
         self.timer_scheduler = timer_scheduler
         self.n_shards = shards
-        self.default_shard = default_shard
         self.obs = obs
-        self._trace = obs.trace if obs is not None else None
         self._profiler = obs.profiler if obs is not None else None
 
         #: One classifier in the facade: packets are classified exactly
@@ -111,37 +107,29 @@ class ShardedVids:
         self.classifier = PacketClassifier()
         #: Media routing table: negotiated (addr, port) -> owning shard.
         self._media_routes: Dict[MediaKey, int] = {}
-        #: Per-call routing overrides, consulted before the hash; empty
-        #: unless a supervisor migrates calls (repro.vids.cluster).
-        self.call_routes: Dict[str, int] = {}
-
-        first = Vids(config=config, clock_now=clock_now,
-                     timer_scheduler=timer_scheduler, obs=obs,
-                     register_metrics=False)
-        shard_list = [first]
-        for _ in range(1, shards):
-            shard_list.append(Vids(
-                config=config, clock_now=clock_now,
-                timer_scheduler=timer_scheduler, obs=obs,
-                register_metrics=False,
-                # Cross-call rate patterns watch the aggregate stream: all
-                # shards feed the first shard's trackers (whose alerts go
-                # through that shard's engine).
-                flood_tracker=first.flood_tracker,
-                source_flood_tracker=first.source_flood_tracker,
-                orphan_tracker=first.orphan_tracker))
-        self.shards: List[Vids] = shard_list
-        for shard in shard_list[1:]:
-            # Stray-request / foreign-REGISTER dedup must span shards too
-            # (the dedup key contains no Call-ID, so per-shard sets would
-            # alert once per shard instead of once).
-            shard.engine._stray_keys = first.engine._stray_keys
-        for index, shard in enumerate(shard_list):
-            shard.factbase.on_media_route = partial(
-                self._media_route_changed, index)
+        #: Cross-call rate patterns watch the aggregate stream (and a
+        #: foreign REGISTER's dedup key names no call to hash on), so
+        #: every shard feeds this one object.  Its alerts go through the
+        #: first shard's engine — the current one: a supervisor rebinds
+        #: ``shards[0]`` when it restarts that member.
+        self.trackers = CrossCallTrackers(
+            config, clock_now, timer_scheduler,
+            engine=lambda: self.shards[0].engine)
+        self.shards: List[Vids] = [
+            self.build_shard(index) for index in range(shards)]
 
         if obs is not None and obs.registry is not None:
             self._register_metrics(obs.registry)
+
+    def build_shard(self, index: int) -> Vids:
+        """A fresh shard wired into this facade: how the shards are built,
+        and how a supervisor rebuilds one it restarts from checkpoint."""
+        shard = Vids(config=self.config, clock_now=self.clock_now,
+                     timer_scheduler=self.timer_scheduler, obs=self.obs,
+                     trackers=self.trackers, register_metrics=False)
+        shard.factbase.on_media_route = partial(
+            self._media_route_changed, index)
+        return shard
 
     # -- routing --------------------------------------------------------------
 
@@ -156,9 +144,8 @@ class ShardedVids:
     def shard_index(self, classified) -> int:
         """Which shard owns a classified packet — the one routing rule.
 
-        RTP/RTCP follows the media routing table and falls to the default
-        shard when no call negotiated its endpoint.  SIP with a Call-ID
-        follows a migration override (``call_routes``) and otherwise the
+        RTP/RTCP follows the media routing table and falls to shard 0 when
+        no call negotiated its endpoint.  SIP with a Call-ID follows the
         consistent hash.  Everything else — Call-ID-less SIP, malformed
         SIP, keepalives, other — hashes on the source address, so
         stray-request handling stays deterministic and each source's
@@ -168,23 +155,19 @@ class ShardedVids:
         kind = classified.kind
         if kind is _RTP or kind is _RTCP:
             dst = classified.datagram.dst
-            return self._media_routes.get((dst.ip, dst.port),
-                                          self.default_shard)
+            return self._media_routes.get((dst.ip, dst.port), 0)
         if kind is _SIP:
             call_id = classified.sip.call_id
             if call_id:
-                if self.call_routes:
-                    override = self.call_routes.get(call_id)
-                    if override is not None:
-                        return override
                 return shard_for_call(call_id, self.n_shards)
         return shard_for_call(classified.datagram.src.ip, self.n_shards)
 
     @property
     def default_vids(self) -> Vids:
-        """The default shard, looked up on every access: a supervisor
-        rebinds ``shards[i]`` when it restarts a member."""
-        return self.shards[self.default_shard]
+        """Shard 0 accounts what no call owns; looked up on every access
+        because a supervisor rebinds ``shards[i]`` when it restarts a
+        member."""
+        return self.shards[0]
 
     # -- PacketProcessor interface --------------------------------------------
 
@@ -229,9 +212,7 @@ class ShardedVids:
     def alert_manager(self) -> AlertManager:
         """A merged, read-only AlertManager view (rebuilt on access)."""
         view = AlertManager()
-        view.alerts = self.alerts
-        for shard in self.shards:
-            view.counts.update(shard.alert_manager.counts)
+        view.restore(self.alerts)
         return view
 
     def alert_count(self, attack_type: Optional[AttackType] = None) -> int:
@@ -245,15 +226,6 @@ class ShardedVids:
     def media_routes(self) -> Dict[MediaKey, int]:
         """Read-only snapshot of the media routing table."""
         return dict(self._media_routes)
-
-    @property
-    def shedding(self) -> bool:
-        """True while any shard is in signaling-only (shedding) mode."""
-        return any(shard.shedding for shard in self.shards)
-
-    def backlog(self, now: Optional[float] = None) -> float:
-        """Worst per-shard analysis backlog (the shedding signal)."""
-        return max(shard.backlog(now) for shard in self.shards)
 
     def flush_shed_interval(self, now: Optional[float] = None) -> None:
         for shard in self.shards:

@@ -26,12 +26,9 @@ from repro.efsm.diagnostics import Severity
 FIXTURES = Path(__file__).parent / "fixtures"
 BASELINE = SRC_ROOT.parents[1] / "tools" / "codelint_baseline.json"
 
-STORE_SPEC = CheckpointSpec(
-    label="Store", module="checkpointed.py", cls="Store",
-    snapshot=(FunctionRef("checkpointed.py", "Store.snapshot"),),
-    restore=(FunctionRef("checkpointed.py", "Store.restore"),))
+STORE_SPEC = CheckpointSpec(module="checkpointed.py", cls="Store")
 FROZEN_SPEC = CheckpointSpec(
-    label="Frozen", module="checkpointed.py", cls="Frozen",
+    module="checkpointed.py", cls="Frozen", snapshot=(),
     exempt={"label": "not state"})
 
 
@@ -81,9 +78,7 @@ def test_checkpoint_free_class_needs_exemptions():
 
 def test_stale_exemption_is_config_error():
     spec = CheckpointSpec(
-        label="Store", module="checkpointed.py", cls="Store",
-        snapshot=(FunctionRef("checkpointed.py", "Store.snapshot"),),
-        restore=(FunctionRef("checkpointed.py", "Store.restore"),),
+        module="checkpointed.py", cls="Store",
         exempt={"missing": "ok", "half": "ok", "ghost": "gone"})
     findings = run_fixture(specs=(spec,))
     cx = by_code(findings, "CX001")
@@ -93,13 +88,13 @@ def test_stale_exemption_is_config_error():
 
 
 def test_missing_spec_target_is_config_error():
-    spec = CheckpointSpec(
-        label="Nope", module="checkpointed.py", cls="Store",
-        snapshot=(FunctionRef("checkpointed.py", "Store.nonexistent"),),
-        restore=(FunctionRef("checkpointed.py", "Store.restore"),))
-    findings = run_fixture(specs=(spec,))
-    assert any("nonexistent" in d.message
-               for d in by_code(findings, "CX001"))
+    for missing in ("nonexistent",
+                    FunctionRef("checkpointed.py", "Elsewhere.nonexistent")):
+        spec = CheckpointSpec(module="checkpointed.py", cls="Store",
+                              snapshot=(missing,))
+        findings = run_fixture(specs=(spec,))
+        assert any("nonexistent" in d.message
+                   for d in by_code(findings, "CX001"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Unit tests for topology/route computation."""
 
+import random
+
+import pytest
+
 from repro.netsim import Endpoint, Host, Network, Router
 
 
@@ -57,3 +61,62 @@ def test_disconnected_node_has_no_route():
     Host(net, "b", "10.0.1.1")
     net.compute_routes()
     assert "10.0.1.1" not in a.routes
+
+
+# -- parity with the networkx search this module used to call ------------------
+
+
+def _networkx_routes(net):
+    """The retired implementation: ``{(node, host ip): link}``."""
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph()
+    graph.add_nodes_from(sorted(net.nodes))
+    for link in net.links:
+        graph.add_edge(link.node_a.name, link.node_b.name, link=link)
+    routes = {}
+    for host in net.hosts.values():
+        paths = nx.single_source_shortest_path(graph, host.name)
+        for name, path in paths.items():
+            if len(path) >= 2:
+                routes[(name, host.ip)] = graph.edges[name, path[-2]]["link"]
+    return routes
+
+
+def _installed_routes(net):
+    net.compute_routes()
+    return {(name, ip): link for name, node in net.nodes.items()
+            for ip, link in node.routes.items()}
+
+
+def _random_mesh(seed, nodes=12):
+    """Hosts and routers on a connected mesh dense enough for equal-length
+    paths, with a few links doubled (the later link must win)."""
+    rng = random.Random(seed)
+    net = Network(seed=0)
+    members = [Host(net, f"h{i}", f"10.0.{i}.1") if i % 2 else
+               Router(net, f"r{i}") for i in range(nodes)]
+    rng.shuffle(members)
+    for index in range(1, nodes):
+        net.link(members[rng.randrange(index)], members[index])
+    for _ in range(nodes):
+        a, b = rng.sample(members, 2)
+        net.link(a, b)
+    for link in rng.sample(net.links, 3):
+        net.link(link.node_b, link.node_a)
+    return net
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_testbed_routes_match_networkx(seed):
+    from repro.telephony import TestbedParams, build_testbed
+
+    net = build_testbed(TestbedParams(seed=seed)).network
+    assert _installed_routes(net) == _networkx_routes(net)
+
+
+def test_random_mesh_routes_match_networkx():
+    for seed in range(200):
+        net = _random_mesh(seed)
+        installed = _installed_routes(net)
+        assert installed == _networkx_routes(net), seed
+        assert installed

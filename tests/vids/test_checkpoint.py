@@ -1,4 +1,4 @@
-"""Call-record checkpoint/restore/evict and quarantine parole.
+"""Call-record checkpoint/restore and quarantine parole.
 
 The fact-base half of the supervision tier (docs/ROBUSTNESS.md): a
 checkpointed call must restore to the identical machine states, variable
@@ -96,25 +96,6 @@ def test_restore_fires_media_route_hooks():
     target.restore_call(snapshot)
     assert routed == {(CALLER_IP, 20_000): CALL_ID,
                       (CALLEE_IP, 20_002): CALL_ID}
-
-
-def test_evict_skips_deletion_bookkeeping():
-    factbase, _, metrics = make_factbase()
-    established_call(factbase)
-    retired = []
-    factbase.on_media_route = lambda key, call_id: retired.append(
-        (key, call_id))
-
-    evicted = factbase.evict(CALL_ID)
-    assert evicted is not None
-    assert factbase.get(CALL_ID) is None
-    assert factbase.lookup_media((CALLER_IP, 20_000)) is None
-    # A migrating call is not over: no deletion count, no memory sample.
-    assert metrics.calls_deleted == 0
-    assert metrics.call_memory_samples == []
-    assert set(retired) == {((CALLER_IP, 20_000), None),
-                            ((CALLEE_IP, 20_002), None)}
-    assert factbase.evict(CALL_ID) is None     # idempotent
 
 
 # -- quarantine parole ---------------------------------------------------------

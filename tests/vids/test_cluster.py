@@ -1,12 +1,12 @@
 """Unit tests for the shard supervision tier (repro.vids.cluster).
 
 Heartbeat-driven failure detection, checkpoint/restore failover,
-exponential restart backoff, credit-based backpressure, and live call
-migration — each exercised against a ManualClock so every heartbeat and
-fault fires at a deterministic simulated time.
+exponential restart backoff and the bounded admission queue — each
+exercised against a ManualClock so every heartbeat and fault fires at a
+deterministic simulated time.
 """
 
-from repro.efsm import ManualClock
+from repro.efsm import Event, ManualClock
 from repro.netsim import Datagram, Endpoint
 from repro.netsim.faults import ShardFaultPlan
 from repro.rtp.packet import RtpPacket
@@ -156,18 +156,21 @@ def test_tracker_snapshot_is_reused_until_a_tracker_version_moves():
     supervised.process(invite_datagram(call_on_shard(0)), clock.now())
     supervised.process(rtp_datagram(*ORPHAN), clock.now())
     one = supervisor.take_checkpoint(first)
-    assert set(one.trackers["flood"]) == {"b1@b.example.com"}
-    assert set(one.trackers["source_flood"]) == {"10.1.0.11"}
-    assert set(one.trackers["orphan"]) == {ORPHAN}
+    assert set(one.trackers["flood"]["machines"]) == {"b1@b.example.com"}
+    assert set(one.trackers["source_flood"]["machines"]) == {"10.1.0.11"}
+    assert set(one.trackers["orphan"]["machines"]) == {ORPHAN}
     # Nothing moved: the next checkpoint carries the same snapshot object.
     assert supervisor.take_checkpoint(first).trackers is one.trackers
     # T1 expires: both flood instances leave their tables, and the
     # trackers' own version says so.
     clock.advance(DEFAULT_CONFIG.invite_flood_window + 0.01)
     two = supervisor.take_checkpoint(first)
-    assert two.tracker_version != one.tracker_version
-    assert two.trackers["flood"] == two.trackers["source_flood"] == {}
-    assert set(two.trackers["orphan"]) == {ORPHAN}
+    assert two.trackers["versions"] != one.trackers["versions"]
+    assert (two.trackers["flood"]["machines"]
+            == two.trackers["source_flood"]["machines"] == {})
+    assert set(two.trackers["orphan"]["machines"]) == {ORPHAN}
+    # Only the first member carries the trackers.
+    assert supervisor.take_checkpoint(supervisor.members[1]).trackers is None
 
 
 def test_failover_restores_trackers_with_their_versions():
@@ -178,29 +181,128 @@ def test_failover_restores_trackers_with_their_versions():
     for seq in range(1, 4):       # the 4th packet on shard 0 checkpoints
         supervised.process(rtp_datagram(*ORPHAN, seq=seq), clock.now())
     checkpoint = supervisor.members[0].checkpoint
-    assert set(checkpoint.trackers["orphan"]) == {ORPHAN}
+    assert set(checkpoint.trackers["orphan"]["machines"]) == {ORPHAN}
     before = supervised.shards[0]
+    trackers = supervised.trackers
+
+    def parts():
+        return (trackers.flood_tracker, trackers.source_flood_tracker,
+                trackers.orphan_tracker, trackers._stray_keys)
+
+    held = parts()
 
     clock.advance(0.6)            # kill, DOWN, restart from the checkpoint
     restored = supervised.shards[0]
     assert restored is not before
     assert supervisor.metrics.members_restarted == 1
-    orphan = restored.orphan_tracker
+    # Restored in place: every shard, the replacement included, holds the
+    # very objects the shards held before the kill.
+    for shard in supervised.shards:
+        assert shard.trackers is shard.distributor.trackers is trackers
+        assert shard.engine._first_stray == trackers.first_stray
+    assert all(was is now for was, now in zip(held, parts()))
+    orphan = trackers.orphan_tracker
     instance = orphan.machines[ORPHAN]
     assert instance.definition is orphan._definition
     assert instance.variables["packets"] == 3
-    assert (restored.flood_tracker.version,
-            restored.source_flood_tracker.version,
-            orphan.version) == checkpoint.trackers["versions"]
-    # The sibling shares the restored trackers, and the re-baseline
-    # checkpoint found nothing changed since the one it restored from.
-    assert supervised.shards[1].orphan_tracker is orphan
+    assert (*(tracker.version for tracker in held[:3]),
+            trackers._stray_version) == checkpoint.trackers["versions"]
+    # The re-baseline checkpoint found nothing changed since the one it
+    # restored from.
     assert supervisor.members[0].checkpoint.trackers is checkpoint.trackers
     # The restored flood window still closes at its original deadline,
     # and forgets its target.
-    assert "b1@b.example.com" in restored.flood_tracker.machines
+    assert "b1@b.example.com" in trackers.flood_tracker.machines
     clock.advance(DEFAULT_CONFIG.invite_flood_window - 0.6 + 0.01)
-    assert restored.flood_tracker.machines == {}
+    assert trackers.flood_tracker.machines == {}
+
+
+def test_restore_cancels_the_timers_of_the_windows_it_discards():
+    """In-place restore keeps the tracker objects, so a T1 timer armed
+    after the checkpoint belongs to state the restore throws away.  Left
+    running it would look up a target that is gone (``KeyError`` out of
+    the clock), or close a later window for that target early."""
+    assert DEFAULT_CONFIG.invite_flood_window == 1.0
+    plan = ShardFaultPlan(kills=((0.5, 0),))
+    supervised, clock = make_cluster(
+        fault_plan=plan, cluster=FAST.with_overrides(checkpoint_cadence=1000))
+    supervisor = supervised.supervisor
+    flood = supervised.trackers.flood_tracker
+    b1, b2 = "b1@b.example.com", "b2@b.example.com"
+    # The calls live on shard 1; only the trackers ride with member 0.
+    first, second, third = calls_on_shard(1, 3)
+
+    supervised.process(invite_datagram(first, to_user="b1"), clock.now())
+    supervisor.take_checkpoint(supervisor.members[0])   # b1 closes at 1.0
+    clock.advance(0.3)
+    supervised.process(invite_datagram(second, to_user="b2"), clock.now())
+    assert set(flood.machines) == {b1, b2}              # b2 closes at 1.3
+
+    clock.advance(0.45)           # kill at 0.5, DOWN at 0.6, restored at 0.7
+    assert supervisor.metrics.members_restarted == 1
+    assert set(flood.machines) == {b1}      # b2 is not in the checkpoint
+    clock.advance(0.24)           # t=0.99
+    assert set(flood.machines) == {b1}      # not before its deadline
+    clock.advance(0.02)           # t=1.01
+    assert flood.machines == {}
+
+    clock.advance(0.04)           # t=1.05: b2 again, closing at 2.05
+    supervised.process(invite_datagram(third, to_user="b2"), clock.now())
+    clock.advance(0.3)            # past 1.3, the discarded timer's deadline
+    assert set(flood.machines) == {b2}
+    clock.advance(0.75)           # t=2.1
+    assert flood.machines == {}
+
+
+def test_checkpoint_carries_the_previous_logs_until_they_grow():
+    """The alert log and the two metrics logs only grow; a checkpoint
+    taken while one has not moved carries the previous tuple, not one more
+    copy of everything ever logged."""
+    supervised, clock = make_cluster(cluster=FAST.with_overrides(
+        checkpoint_cadence=1000))
+    supervisor = supervised.supervisor
+    member = supervisor.members[0]
+    member.vids.engine.note_stray_request("BYE", "ghost@unit", "6.6.6.6",
+                                          "10.2.0.11")
+    one = supervisor.take_checkpoint(member).vids
+    assert len(one["alerts"]) == 1
+    supervised.process(invite_datagram(call_on_shard(0)), clock.now())
+    two = supervisor.take_checkpoint(member).vids
+    assert two["alerts"] is one["alerts"]
+    for log in ("call_memory_samples", "shed_intervals"):
+        assert two["metrics"][log] is one["metrics"][log]
+    assert two["metrics"]["sip_messages"] == one["metrics"]["sip_messages"] + 1
+    member.vids.engine.note_stray_request("BYE", "ghost-2@unit", "6.6.6.6",
+                                          "10.2.0.11")
+    three = supervisor.take_checkpoint(member).vids
+    assert len(three["alerts"]) == 2 and len(two["alerts"]) == 1
+
+
+def test_restored_call_is_snapshotted_again_once_it_fires():
+    """The firing count is the change version, and it travels with the
+    call: a restored call that fires as often as it had before its
+    checkpoint must not be mistaken for unchanged."""
+    victim = 1
+    plan = ShardFaultPlan(kills=((0.2, victim),))
+    supervised, clock = make_cluster(fault_plan=plan)
+    supervisor = supervised.supervisor
+    member = supervisor.members[victim]
+    call_id = call_on_shard(victim)
+    supervised.process(invite_datagram(call_id), clock.now())
+    supervisor.take_checkpoint(member)
+    fired = member.checkpoint.vids["factbase"]["calls"][call_id][
+        "system"]["deliveries"]
+    assert fired > 0
+    clock.advance(0.6)            # kill, DOWN, restart from the checkpoint
+    assert supervisor.metrics.members_restarted == 1
+    record = member.vids.factbase.get(call_id)
+    assert record.system.deliveries == fired
+    for n in range(fired):        # as many firings again, all deviations
+        record.system.inject("sip", Event("RESPONSE", {"status": 999 + n}))
+    assert record.system.deliveries == 2 * fired
+    call = supervisor.take_checkpoint(member).vids["factbase"]["calls"][call_id]
+    assert call["system"]["deliveries"] == 2 * fired
+    assert call["deviation_keys"]
 
 
 def test_loss_window_is_bounded_by_cadence():
@@ -246,29 +348,6 @@ def test_hung_member_restart_fails_with_growing_backoff():
     assert supervisor.metrics.members_restarted == 1
 
 
-def test_credit_backpressure_queues_then_drains():
-    cluster = FAST.with_overrides(credit_limit=2, heartbeat_interval=0.5)
-    supervised, clock = make_cluster(cluster=cluster)
-    supervisor = supervised.supervisor
-    target = 0
-    member = supervisor.members[target]
-    assert member.credits == 2
-
-    for seq, call_id in enumerate(calls_on_shard(target, 5)):
-        supervised.process(
-            invite_datagram(call_id, from_user=f"u{seq}",
-                            media_port=21_000 + 2 * seq),
-            clock.now())
-    # Two packets consumed the credits; three parked.
-    assert member.credits == 0
-    assert len(member.queue) == 3
-    assert supervised.shards[target].metrics.packets_processed == 2
-
-    clock.advance(0.55)           # heartbeat replenishes (backlog is zero)
-    assert len(member.queue) <= 1
-    assert supervisor.metrics.packets_requeued >= 2
-
-
 def test_queue_overflow_degrades_into_shedding():
     plan = ShardFaultPlan(kills=((0.0, 0),))
     cluster = FAST.with_overrides(admission_queue_limit=2,
@@ -283,77 +362,6 @@ def test_queue_overflow_degrades_into_shedding():
     assert len(member.queue) == 2
     assert supervised.cluster_metrics.backpressure_drops == 2
     assert member.vids.metrics.packets_shed == 2
-
-
-def test_migrate_call_rehomes_sip_and_media_atomically():
-    supervised, clock = make_cluster()
-    supervisor = supervised.supervisor
-    source = shard_for_call("mig-call@unit", 2)
-    target = 1 - source
-    supervised.process(invite_datagram("mig-call@unit"), clock.now())
-    media_key = ("10.1.0.11", 20_000)
-    assert supervised._media_routes.get(media_key) == source
-
-    assert supervisor.migrate_call(source, target, "mig-call@unit")
-    # Record moved; facade routing re-homed atomically with it.
-    assert supervised.shards[source].factbase.get("mig-call@unit") is None
-    assert supervised.shards[target].factbase.get("mig-call@unit") is not None
-    assert supervised._media_routes.get(media_key) == target
-    assert supervisor.call_routes["mig-call@unit"] == target
-    assert supervised.cluster_metrics.calls_migrated == 1
-
-    # Follow-up SIP and RTP both land on the target member (per-member
-    # metrics are not part of the transferred call state: the source keeps
-    # the INVITE it processed, the target counts from the BYE on).
-    assert supervised.shards[target].metrics.sip_messages == 0
-    supervised.process(bye_datagram("mig-call@unit"), clock.now())
-    assert supervised.shards[target].metrics.sip_messages == 1
-    assert supervised.shards[source].metrics.sip_messages == 1
-    supervised.process(rtp_datagram(*media_key), clock.now())
-    assert supervised.shards[target].metrics.rtp_packets == 1
-
-    # Equivalence counters saw exactly one creation and no deletion.
-    assert supervised.metrics.calls_created == 1
-    assert supervised.metrics.calls_deleted == 0
-
-
-def test_migrate_unknown_call_is_a_noop():
-    supervised, clock = make_cluster()
-    assert not supervised.supervisor.migrate_call(0, 1, "ghost@unit")
-    assert supervised.cluster_metrics.calls_migrated == 0
-
-
-def test_rebalance_moves_calls_to_least_loaded():
-    supervised, clock = make_cluster(shards=3)
-    supervisor = supervised.supervisor
-    hot = 0
-    # Pile 4 calls onto member 0 regardless of their hash.
-    for n in range(4):
-        call_id = call_on_shard(hot, shards=3, limit=2000) \
-            if n == 0 else f"hot-{n}@unit"
-        classified = supervised.classifier.classify(
-            invite_datagram(call_id, from_user=f"h{n}",
-                            media_port=22_000 + 2 * n))
-        supervisor.dispatch(hot, classified, clock.now())
-    assert supervised.shards[hot].active_calls == 4
-
-    moved = supervisor.rebalance(hot)
-    assert moved == 2             # rebalance_fraction = 0.5
-    assert supervised.shards[hot].active_calls == 2
-    assert (supervised.shards[1].active_calls
-            + supervised.shards[2].active_calls) == 2
-    assert supervised.cluster_metrics.migrations == 1
-
-
-def test_call_routes_pruned_after_call_ends():
-    supervised, clock = make_cluster()
-    source = shard_for_call("prune@unit", 2)
-    supervised.process(invite_datagram("prune@unit"), clock.now())
-    supervised.supervisor.migrate_call(source, 1 - source, "prune@unit")
-    assert "prune@unit" in supervised.supervisor.call_routes
-    supervised.shards[1 - source].factbase.delete("prune@unit")
-    clock.advance(0.15)           # next heartbeat prunes the stale route
-    assert "prune@unit" not in supervised.supervisor.call_routes
 
 
 def test_summary_and_report_include_supervision():

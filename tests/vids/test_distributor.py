@@ -145,7 +145,7 @@ class TestDistribution:
         vids, clock = make_vids()
         vids.process(dgram(rtp_bytes(), CALLER, CALLEE, 20_000, 40_404),
                      clock.now())
-        assert (CALLEE, 40_404) in vids.orphan_tracker.machines
+        assert (CALLEE, 40_404) in vids.trackers.orphan_tracker.machines
         assert vids.active_calls == 0
 
     def test_flood_target_falls_back_to_uri_then_ip(self):

@@ -12,6 +12,7 @@ from repro.vids import (
     DEFAULT_CONFIG,
     VidsMetrics,
 )
+from repro.vids.patterns import CrossCallTrackers
 from repro.vids.rtp_machine import ATTACK_AFTER_CLOSE
 from repro.vids.sip_machine import ATTACK_BYE
 
@@ -19,7 +20,10 @@ from repro.vids.sip_machine import ATTACK_BYE
 def make_engine():
     clock = ManualClock()
     alerts = AlertManager()
-    engine = AnalysisEngine(DEFAULT_CONFIG, alerts, clock.now)
+    trackers = CrossCallTrackers(DEFAULT_CONFIG, clock.now, clock.schedule,
+                                 engine=lambda: engine)
+    engine = AnalysisEngine(DEFAULT_CONFIG, alerts, clock.now,
+                            trackers.first_stray)
     factbase = CallStateFactBase(DEFAULT_CONFIG, clock.now, clock.schedule,
                                  VidsMetrics())
     record = factbase.get_or_create("eng@test")
@@ -111,7 +115,7 @@ class TestDeviationAlerts:
             system.inject("sip", Event("ACK", args))    # ACK before INVITE
         del args
         assert alerts.count() == alerts.count(AttackType.SPEC_DEVIATION) == 1
-        assert len(engine._deviation_keys) == 1
+        assert len(record.deviation_keys) == 1
         # The system's own deviation log is the one holder left.
         assert len(system.deviations) == 1000
         system.deviations.clear()

@@ -18,8 +18,9 @@ pcap files instead of the simulator (docs/DEPLOYMENT.md):
 
 import pytest
 
+from repro.netsim.faults import ShardFaultPlan
 from repro.obs import Observability
-from repro.vids import AttackType, ClusterConfig, build_pipeline
+from repro.vids import AttackType, build_pipeline
 from repro.vids.classifier import (KEEPALIVE_PAYLOADS, PacketClassifier,
                                    PacketKind)
 
@@ -98,11 +99,12 @@ TIERS = {
     "single": {},
     "sharded": {"shards": 4},
     "supervised": {"shards": 4, "supervise": True},
-    # A credit gate (however generous) makes the supervisor evaluate
-    # admission on every packet.
+    # A fault plan (even one that never fires) makes the supervisor
+    # evaluate admission on every packet.  (The id is older than the
+    # gate it names; renaming it would rename a dozen tests.)
     "supervised-credits": {
         "shards": 2, "supervise": True,
-        "cluster": ClusterConfig(credit_limit=1_000_000)},
+        "fault_plan": ShardFaultPlan(kills=((1e9, 0),))},
 }
 
 

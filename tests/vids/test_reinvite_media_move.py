@@ -43,7 +43,7 @@ def test_media_index_follows_reinvite():
     # Media toward the new sink routes to the call machine, not orphans.
     stream_media(vids, clock, count=3, ssrc=0xBBBB,
                  src=CALLEE, dst=CALLER, dport=24_000)
-    assert (CALLER, 24_000) not in vids.orphan_tracker.machines
+    assert (CALLER, 24_000) not in vids.trackers.orphan_tracker.machines
     assert record.rtp.state == "RTP_Rcvd"
 
 
@@ -58,4 +58,4 @@ def test_media_to_the_old_port_after_move_is_orphan():
             dgram(rtp_bytes(ssrc=0xBBBB, seq=index + 1, ts=(index + 1) * 160),
                   CALLEE, CALLER, 20_002, 20_000),
             clock.now())
-    assert (CALLER, 20_000) in vids.orphan_tracker.machines
+    assert (CALLER, 20_000) in vids.trackers.orphan_tracker.machines

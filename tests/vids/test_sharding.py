@@ -2,8 +2,7 @@
 
 Routing invariants: SIP hashes on Call-ID; RTP/RTCP follows the media
 routing table that tracks negotiated SDP endpoints; orphan media falls to
-the deterministic default shard; the aggregate views merge per-shard
-state.  The full alert-multiset equivalence bar lives in
+shard 0; the aggregate views merge per-shard state.  The full alert-multiset equivalence bar lives in
 tests/integration/test_sharded_equivalence.py.
 """
 
@@ -38,6 +37,9 @@ def make_sharded(shards=4, config=DEFAULT_CONFIG, **kwargs):
 
 
 OWNER = shard_for_call(CALL_ID, 4)
+#: Orphan media falls to shard 0; the tests below need an owner that is
+#: some other shard to tell the two apart.
+assert OWNER != 0
 
 
 class TestShardAssignment:
@@ -56,9 +58,6 @@ class TestShardAssignment:
         clock = ManualClock()
         with pytest.raises(ValueError):
             ShardedVids(shards=0, clock_now=clock.now,
-                        timer_scheduler=clock.schedule)
-        with pytest.raises(ValueError):
-            ShardedVids(shards=2, default_shard=2, clock_now=clock.now,
                         timer_scheduler=clock.schedule)
         with pytest.raises(ValueError):
             ShardedVids(shards=2)  # no clock source at all
@@ -89,11 +88,11 @@ class TestRouting:
         assert sum(counts) == 1
 
     def test_orphan_media_falls_to_default_shard(self):
-        sharded, clock = make_sharded(default_shard=2)
+        sharded, clock = make_sharded()
         sharded.process(dgram(rtp_bytes(), CALLER, CALLEE,
                               sport=20_000, dport=20_002), clock.now())
         counts = [s.metrics.rtp_packets for s in sharded.shards]
-        assert counts[2] == 1
+        assert counts[0] == 1
         assert sum(counts) == 1
 
     def test_reoffer_moves_media_route(self):
@@ -252,14 +251,13 @@ class TestObservability:
 class TestQuarantineMediaRetirement:
     """Quarantine pins a poisoned call's media route on its owner shard;
     parole retires it, after which the endpoint's RTP is orphan traffic
-    for the default shard's Figure-6 machines."""
+    for shard 0 and the shared Figure-6 machines."""
 
     MEDIA_KEY = (CALLER, 20_000)
 
     def _poisoned_sharded(self, quarantine_ttl=30.0):
         config = DEFAULT_CONFIG.with_overrides(quarantine_ttl=quarantine_ttl)
-        default = (OWNER + 1) % 4
-        sharded, clock = make_sharded(config=config, default_shard=default)
+        sharded, clock = make_sharded(config=config)
         establish_call(sharded, clock)
         owner = sharded.shards[OWNER]
         record = owner.factbase.get(CALL_ID)
@@ -284,8 +282,7 @@ class TestQuarantineMediaRetirement:
         sharded.process(dgram(rtp_bytes(), "172.16.6.6", CALLER,
                               40_000, 20_000), clock.now())
         assert owner.metrics.quarantined_drops == 1
-        default = sharded.shards[sharded.default_shard]
-        assert default.metrics.rtp_packets == 0
+        assert sharded.shards[0].metrics.rtp_packets == 0
 
     def test_parole_retires_route_and_orphans_the_media(self):
         sharded, clock, owner = self._poisoned_sharded()
@@ -295,20 +292,18 @@ class TestQuarantineMediaRetirement:
         # Retirement reached the facade: the key routes nowhere now.
         assert self.MEDIA_KEY not in sharded.media_routes
 
-        # The endpoint's RTP is now orphan traffic: it falls to the
-        # default shard and feeds the shared unsolicited-media machine.
+        # The endpoint's RTP is now orphan traffic: it falls to shard 0
+        # and feeds the shared unsolicited-media machine.
         sharded.process(dgram(rtp_bytes(), "172.16.6.6", CALLER,
                               40_000, 20_000), clock.now())
-        default = sharded.shards[sharded.default_shard]
-        assert default.metrics.rtp_packets == 1
+        assert sharded.shards[0].metrics.rtp_packets == 1
         assert owner.metrics.quarantined_drops == 0
-        tracker = sharded.shards[0].orphan_tracker
+        tracker = sharded.trackers.orphan_tracker
         assert self.MEDIA_KEY in tracker.machines
 
     def test_without_ttl_gc_still_retires_route(self):
         config = DEFAULT_CONFIG.with_overrides(call_record_ttl=10.0)
-        default = (OWNER + 1) % 4
-        sharded, clock = make_sharded(config=config, default_shard=default)
+        sharded, clock = make_sharded(config=config)
         establish_call(sharded, clock)
         record = sharded.shards[OWNER].factbase.get(CALL_ID)
 
