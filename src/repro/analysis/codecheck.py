@@ -31,7 +31,10 @@ Rule catalog (``docs/CODECHECK.md``):
 ``PD001 plain-data-state``
     State-variable values must stay inside the plain-data domain
     :func:`~repro.efsm.machine.copy_state` round-trips (no lambdas,
-    generators, file handles, or custom class instances).
+    generators, file handles, or custom class instances) and must be
+    immutable: a dict, list or set value is deep-copied by every
+    checkpoint, and as a declared default it is one object shared by
+    every call built from the definition.
 
 ``SI001 shard-shared-mutation``
     The cross-call trackers every shard shares (and the stray-dedup table
@@ -89,7 +92,8 @@ RULES: Dict[str, Tuple[str, Severity, str]] = {
     "GP003": ("guard-side-effect", Severity.ERROR,
               "timer side effect inside a guard"),
     "PD001": ("plain-data-state", Severity.WARNING,
-              "state value outside the copy_state plain-data domain"),
+              "state value mutable, or outside the copy_state plain-data "
+              "domain"),
     "SI001": ("shard-shared-mutation", Severity.ERROR,
               "shard-shared tracker rebound outside its wiring sites"),
     "CX001": ("codecheck-config", Severity.ERROR,
@@ -114,10 +118,15 @@ GUARD_ALLOW_DECORATOR = "allow_impure_guard"
 
 #: Call targets whose results stay inside the plain-data domain.
 _PLAIN_CALLS = frozenset({
-    "dict", "list", "set", "tuple", "frozenset", "str", "int", "float",
-    "bool", "bytes", "len", "min", "max", "sum", "abs", "round", "sorted",
-    "defaultdict", "Counter", "OrderedDict", "deque", "copy_state", "repr",
-    "format", "divmod", "hash", "id", "ord", "chr",
+    "tuple", "frozenset", "str", "int", "float", "bool", "bytes", "len",
+    "min", "max", "sum", "abs", "round", "copy_state", "repr", "format",
+    "divmod", "hash", "id", "ord", "chr",
+})
+
+#: Call targets that build a mutable container.
+_MUTABLE_CALLS = frozenset({
+    "dict", "list", "set", "bytearray", "sorted", "defaultdict", "Counter",
+    "OrderedDict", "deque",
 })
 
 
@@ -247,8 +256,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
                          "definitions; per-call systems clone it",
             "_interned": "per-dialog string intern pool; a cold pool only "
                          "costs duplicate strings, never correctness",
-            "_touches": "memory-sampling cadence counter; resetting it "
-                        "only re-times the next sample",
             "_total_bytes": "incremental byte total, rebuilt lazily from "
                             "the _dirty set after restore",
             "_dirty": "size-accounting scratch; _create re-marks every "
@@ -861,25 +868,26 @@ def _check_guards(tree: SourceTree, out: _Collector) -> None:
 # Rule: plain-data state values (PD001)
 # ---------------------------------------------------------------------------
 
+#: Every checkpoint has to deep-copy one, and as a declared default it is
+#: a single object shared by every call built from the definition.
+_MUTABLE = "a mutable container"
+
+
 def _non_plain_reason(node: ast.AST) -> Optional[str]:
-    """Why a value expression leaves the copy_state plain-data domain."""
+    """Why a value expression is mutable, or leaves the copy_state
+    plain-data domain."""
     if isinstance(node, ast.Lambda):
         return "a callable (lambda)"
     if isinstance(node, ast.GeneratorExp):
         return "a generator expression"
     if isinstance(node, (ast.Await, ast.Yield, ast.YieldFrom)):
         return "a lazy/async value"
-    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+    if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                         ast.ListComp, ast.SetComp)):
+        return _MUTABLE
+    if isinstance(node, ast.Tuple):
         for element in node.elts:
             reason = _non_plain_reason(element)
-            if reason:
-                return reason
-        return None
-    if isinstance(node, ast.Dict):
-        for child in (*node.keys, *node.values):
-            if child is None:
-                continue
-            reason = _non_plain_reason(child)
             if reason:
                 return reason
         return None
@@ -895,11 +903,13 @@ def _non_plain_reason(node: ast.AST) -> Optional[str]:
                 return "a file handle"
             if name == "iter":
                 return "an iterator"
+            if name in _MUTABLE_CALLS:
+                return f"{_MUTABLE} ({name}())"
             if name in _PLAIN_CALLS or not name[:1].isupper():
                 return None
             return f"an instance of {name}"
         return None       # method calls / attribute constructors: unknown
-    return None           # constants, names, subscripts, comprehensions, ...
+    return None           # constants, names, subscripts, arithmetic, ...
 
 
 def _check_plain_state(tree: SourceTree, out: _Collector) -> None:
@@ -922,13 +932,13 @@ def _check_plain_state(tree: SourceTree, out: _Collector) -> None:
                         out.add(
                             "PD001",
                             f"state variable {keyword.arg!r} defaults to "
-                            f"{reason}; copy_state cannot round-trip it "
-                            f"through a checkpoint",
+                            f"{reason}; copy_state cannot share it with, or "
+                            f"round-trip it through, a checkpoint",
                             path=rel, line=keyword.value.lineno, scope=scope,
                             subject=keyword.arg,
-                            hint="keep state plain data (numbers, strings, "
-                                 "tuples, dicts); derive richer values on "
-                                 "read")
+                            hint="keep state immutable plain data (numbers, "
+                                 "strings, tuples rebuilt on write); derive "
+                                 "richer values on read")
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
@@ -946,12 +956,13 @@ def _check_plain_state(tree: SourceTree, out: _Collector) -> None:
                         out.add(
                             "PD001",
                             f"state write {'to ' + repr(key) if key else ''}"
-                            f" stores {reason}; copy_state cannot "
-                            f"round-trip it through a checkpoint",
+                            f" stores {reason}; copy_state cannot share it "
+                            f"with, or round-trip it through, a checkpoint",
                             path=rel, line=node.lineno, scope=scope,
                             subject=key or f"line{node.lineno}",
-                            hint="store plain data in ctx.v; keep exotic "
-                                 "objects out of the state vector")
+                            hint="store immutable plain data in ctx.v; "
+                                 "keep containers that change in place and "
+                                 "exotic objects out of the state vector")
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ Action = Callable[["TransitionContext"], None]
 _MISSING = object()
 
 #: Types a variable value may hold without needing any copy at all.
-_ATOMIC = (str, int, float, bool, bytes, type(None), frozenset)
+_ATOMIC = frozenset((str, int, float, bool, bytes, type(None), frozenset))
 
 #: Values copy_state refuses: checkpointing them cannot round-trip (a
 #: restored generator/handle would be a different object with lost
@@ -78,7 +78,9 @@ def copy_state(value: Any) -> Any:
     State-variable vectors hold protocol facts — strings, numbers,
     tuples, dicts of the same — so a direct recursive copy beats
     ``copy.deepcopy``'s generic dispatch by an order of magnitude on the
-    checkpoint path.  Container *subclasses* (``defaultdict``,
+    checkpoint path, and a tuple holding only atoms is returned as itself
+    (the shipped machines keep every value immutable, so their checkpoint
+    copies no value at all).  Container *subclasses* (``defaultdict``,
     ``Counter``, ``OrderedDict``, ``deque``, named tuples...) keep their
     exact type: they are copied via ``copy.copy`` — which preserves
     subclass metadata such as ``default_factory`` — and then refilled
@@ -91,9 +93,15 @@ def copy_state(value: Any) -> Any:
     if cls in _ATOMIC:
         return value
     if cls is dict:
-        return {key: copy_state(item) for key, item in value.items()}
+        # A variable vector is mostly atoms: skip the call for those.
+        return {key: item if item.__class__ in _ATOMIC else copy_state(item)
+                for key, item in value.items()}
     if cls is tuple:
-        return tuple(copy_state(item) for item in value)
+        # A tuple of atoms is immutable all the way down: share it.
+        for item in value:
+            if item.__class__ not in _ATOMIC:
+                return tuple(copy_state(item) for item in value)
+        return value
     if cls is list:
         return [copy_state(item) for item in value]
     if cls is set:
@@ -739,15 +747,8 @@ class EfsmInstance:
         time = event.time
         if time is None:
             time = self.clock_now()
-        return FiringResult(
-            machine=self.name,
-            event=event,
-            transition=transition,
-            from_state=from_state,
-            to_state=self.state,
-            outputs=outputs,
-            time=time,
-        )
+        return FiringResult(definition.name, event, transition, from_state,
+                            self.state, outputs, time)
 
     def _scan(self, ctx: TransitionContext) -> Optional[Transition]:
         """Reference pick: probe every candidate's enabledness.

@@ -260,7 +260,14 @@ class EfsmSystem:
             raise DefinitionError(f"unknown machine: {machine}")
         result = instance.deliver(event)
         accumulator.append(result)
-        self._record(result)
+        self.deliveries += 1
+        transition = result.transition
+        if transition is None:
+            self.deviations.append(result)
+        elif transition.attack:
+            self.attack_matches.append(result)
+        if self.on_result is not None:
+            self.on_result(result)
         for output in result.outputs:
             self._route_output(machine, output)
 
@@ -303,15 +310,6 @@ class EfsmSystem:
                     assert event is not None
                     self._fire(channel.receiver, event, accumulator)
                     progress = True
-
-    def _record(self, result: FiringResult) -> None:
-        self.deliveries += 1
-        if result.deviation:
-            self.deviations.append(result)
-        if result.attack:
-            self.attack_matches.append(result)
-        if self.on_result is not None:
-            self.on_result(result)
 
     # -- checkpoint / restore --------------------------------------------------
 

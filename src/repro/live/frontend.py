@@ -31,7 +31,7 @@ import time
 from typing import Iterable, List, Optional, Tuple
 
 from ..efsm.system import ManualClock
-from ..netsim.address import Endpoint
+from ..netsim.address import EndpointTable
 from ..netsim.packet import Datagram
 from ..obs import Observability
 from ..sip.constants import DEFAULT_SIP_PORT
@@ -88,6 +88,7 @@ class UdpFrontend:
         self.metrics_port = metrics_port
         self.metrics = LiveMetrics()
         self._pending: List[Tuple[Datagram, float]] = []
+        self._endpoints = EndpointTable()
         self._transports: list = []
         self._pump_task: Optional[asyncio.Task] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
@@ -174,9 +175,9 @@ class UdpFrontend:
             self.metrics.drain_drops += 1
             return
         when = self._now()
-        datagram = Datagram(Endpoint(addr[0], addr[1]),
-                            Endpoint(local[0], local[1]), data,
-                            created_at=when)
+        endpoints = self._endpoints
+        datagram = Datagram(endpoints[addr[0], addr[1]], endpoints[local],
+                            data, created_at=when)
         self._pending.append((datagram, when))
         self.metrics.datagrams_received += 1
         self.metrics.bytes_received += len(data)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import (BinaryIO, Dict, Iterable, Iterator, List, Optional,
                     Tuple, Union)
 
-from ..netsim.address import Endpoint
+from ..netsim.address import EndpointTable
 from ..netsim.packet import Datagram
 from ..vids.replay import CapturedPacket
 
@@ -78,6 +78,14 @@ _OPT_IF_TSRESOL = 9
 MAX_FRAGMENT_BUFFERS = 256
 MAX_DATAGRAM_BYTES = 65_535
 
+#: libpcap's MAXIMUM_SNAPLEN.  No capture tool writes a longer frame, so a
+#: record header that claims one is corrupt or hostile — and the reader
+#: sizes its buffer from that field before a single byte is checked.
+MAX_CAPTURE_BYTES = 262_144
+#: The longest pcapng block, as libpcap sizes it: block and packet framing,
+#: the longest frame, 128 KiB of options.
+_MAX_BLOCK_BYTES = 32 + MAX_CAPTURE_BYTES + 131_072
+
 
 class PcapError(Exception):
     """The file is not a pcap/pcapng capture (or is unreadably mangled)."""
@@ -104,7 +112,9 @@ class DecodeStats:
     #: Frames whose captured bytes are shorter than their headers claim
     #: (snaplen cuts, mangled length fields).
     truncated_frames: int = 0
-    #: Structurally undecodable frames (bad version nibble, header runt).
+    #: Structurally undecodable frames (bad version nibble, header runt),
+    #: and the record or block whose length field no capture could have:
+    #: reading stops there.
     decode_errors: int = 0
     #: IPv4 fragments accepted into a reassembly buffer.
     fragments_buffered: int = 0
@@ -204,11 +214,17 @@ class _Reassembler:
 
 # -- frame decoding -----------------------------------------------------------
 
-def _strip_link_header(linktype: int, frame: bytes,
-                       stats: DecodeStats) -> Optional[bytes]:
-    """Return the IPv4 packet inside ``frame``, or None (counted)."""
-    if linktype == LINKTYPE_RAW:
-        return frame
+#: The IPv4 fixed header, minus the fields the decoder ignores: version/IHL,
+#: total length, identification, flags + fragment offset, protocol, and the
+#: two addresses as raw bytes (an :class:`EndpointTable` key).
+_IPV4_HEADER = struct.Struct("!BxHHHxB2x4s4s")
+#: The UDP header up to its length field (the checksum is not verified).
+_UDP_HEADER = struct.Struct("!HHH")
+
+
+def _link_header_len(linktype: int, frame: bytes,
+                     stats: DecodeStats) -> Optional[int]:
+    """Where the IPv4 packet starts inside ``frame``, or None (counted)."""
     if linktype == LINKTYPE_ETHERNET:
         if len(frame) < 14:
             stats.truncated_frames += 1
@@ -225,7 +241,9 @@ def _strip_link_header(linktype: int, frame: bytes,
         if ethertype != _ETHERTYPE_IPV4:
             stats.non_ipv4_frames += 1
             return None
-        return frame[offset:]
+        return offset
+    if linktype == LINKTYPE_RAW:
+        return 0
     if linktype == LINKTYPE_LINUX_SLL:
         if len(frame) < 16:
             stats.truncated_frames += 1
@@ -234,94 +252,70 @@ def _strip_link_header(linktype: int, frame: bytes,
         if ethertype != _ETHERTYPE_IPV4:
             stats.non_ipv4_frames += 1
             return None
-        return frame[16:]
+        return 16
     stats.unsupported_linktype += 1
     return None
 
 
-def _format_ip(raw: bytes) -> str:
-    return f"{raw[0]}.{raw[1]}.{raw[2]}.{raw[3]}"
+def _decode_frame(linktype: int, ts: float, frame: bytes, stats: DecodeStats,
+                  reassembler: _Reassembler, endpoints: EndpointTable
+                  ) -> Optional[CapturedPacket]:
+    """One captured frame -> the UDP datagram it carries (or completes).
 
-
-def _decode_ipv4(packet: bytes, stats: DecodeStats,
-                 reassembler: _Reassembler
-                 ) -> Optional[Tuple[str, str, bytes]]:
-    """IPv4 → (src_ip, dst_ip, UDP packet bytes), reassembling fragments."""
-    if len(packet) < 20:
+    The headers are read in place and the payload is the only slice
+    taken; a fragment detours through the reassembler and, when it
+    completes a datagram, re-enters the same UDP decode on the assembled
+    bytes.  Every frame lands in exactly one :class:`DecodeStats` counter.
+    """
+    stats.frames_read += 1
+    start = _link_header_len(linktype, frame, stats)
+    if start is None:
+        return None
+    if len(frame) - start < 20:
         stats.decode_errors += 1
         return None
-    version = packet[0] >> 4
-    header_len = (packet[0] & 0x0F) * 4
-    if version != 4 or header_len < 20:
+    version_ihl, total_len, ident, flags_frag, protocol, src, dst = \
+        _IPV4_HEADER.unpack_from(frame, start)
+    header_len = (version_ihl & 0x0F) * 4
+    if version_ihl >> 4 != 4 or header_len < 20 or total_len < header_len:
         stats.decode_errors += 1
         return None
-    total_len = (packet[2] << 8) | packet[3]
-    if total_len < header_len:
-        stats.decode_errors += 1
-        return None
-    if len(packet) < total_len:
+    # Ethernet pads short frames to 60 bytes: the IP total length ends the
+    # packet, or a 2-byte keepalive grows trailing NULs and stops matching.
+    end = start + total_len
+    if len(frame) < end:
         stats.truncated_frames += 1
         return None
-    # Ethernet pads short frames to 60 bytes: trim to the IP total length
-    # or a 2-byte keepalive grows trailing NULs and stops matching.
-    packet = packet[:total_len]
-    protocol = packet[9]
     if protocol != _IPPROTO_UDP:
         stats.non_udp_packets += 1
         return None
-    src = _format_ip(packet[12:16])
-    dst = _format_ip(packet[16:20])
-    payload = packet[header_len:]
-
-    flags_frag = (packet[6] << 8) | packet[7]
-    more_fragments = bool(flags_frag & 0x2000)
-    frag_offset = (flags_frag & 0x1FFF) * 8
-    if more_fragments or frag_offset:
-        ident = (packet[4] << 8) | packet[5]
-        payload = reassembler.add((src, dst, ident, protocol),
-                                  frag_offset, more_fragments, payload)
-        if payload is None:
+    start += header_len
+    if flags_frag & 0x3FFF:         # MF set, or a non-zero fragment offset
+        frame = reassembler.add(
+            (src, dst, ident, protocol), (flags_frag & 0x1FFF) * 8,
+            bool(flags_frag & 0x2000), frame[start:end])
+        if frame is None:
             return None
-    return src, dst, payload
+        start, end = 0, len(frame)
 
-
-def _decode_udp(src_ip: str, dst_ip: str, packet: bytes,
-                stats: DecodeStats) -> Optional[CapturedPacket]:
-    if len(packet) < 8:
+    if end - start < 8:
         stats.truncated_frames += 1
         return None
-    sport, dport, udp_len = struct.unpack_from("!HHH", packet)
-    if udp_len < 8 or udp_len > len(packet):
+    sport, dport, udp_len = _UDP_HEADER.unpack_from(frame, start)
+    if udp_len < 8 or udp_len > end - start:
         stats.truncated_frames += 1
         return None
-    payload = packet[8:udp_len]
     stats.udp_datagrams += 1
-    # CapturedPacket's time slot is filled by the caller.
-    return CapturedPacket(0.0, Datagram(Endpoint(src_ip, sport),
-                                        Endpoint(dst_ip, dport), payload))
-
-
-def _decode_frame(linktype: int, ts: float, frame: bytes, stats: DecodeStats,
-                  reassembler: _Reassembler) -> Optional[CapturedPacket]:
-    stats.frames_read += 1
-    ip_packet = _strip_link_header(linktype, frame, stats)
-    if ip_packet is None:
-        return None
-    decoded = _decode_ipv4(ip_packet, stats, reassembler)
-    if decoded is None:
-        return None
-    captured = _decode_udp(*decoded, stats)
-    if captured is None:
-        return None
-    captured.time = ts
-    captured.datagram.created_at = ts
-    return captured
+    return CapturedPacket(ts, Datagram(
+        endpoints[src, sport], endpoints[dst, dport],
+        frame[start + 8:start + udp_len], ts))
 
 
 # -- classic pcap reader ------------------------------------------------------
 
 def _read_classic(handle: BinaryIO, header: bytes, stats: DecodeStats,
-                  reassembler: _Reassembler) -> Iterator[CapturedPacket]:
+                  reassembler: _Reassembler, endpoints: EndpointTable
+                  ) -> Iterator[CapturedPacket]:
     magic_be = struct.unpack(">I", header[:4])[0]
     magic_le = struct.unpack("<I", header[:4])[0]
     if magic_be in (_MAGIC_USEC, _MAGIC_NSEC):
@@ -334,7 +328,9 @@ def _read_classic(handle: BinaryIO, header: bytes, stats: DecodeStats,
     rest = handle.read(20)
     if len(rest) < 20:
         raise PcapError("classic pcap: truncated global header")
-    linktype = struct.unpack(endian + "I", rest[16:20])[0]
+    snaplen, linktype = struct.unpack(endian + "II", rest[12:20])
+    # A snaplen of 0 means "not limited" (libpcap reads it so too).
+    longest = min(snaplen or MAX_CAPTURE_BYTES, MAX_CAPTURE_BYTES)
     record = struct.Struct(endian + "IIII")
     while True:
         head = handle.read(16)
@@ -344,12 +340,18 @@ def _read_classic(handle: BinaryIO, header: bytes, stats: DecodeStats,
             stats.truncated_frames += 1
             break
         sec, frac, incl_len, _orig_len = record.unpack(head)
+        if incl_len > longest:
+            # Reading it would size a buffer from an untrusted field, and
+            # a record stream has no resync point: stop here.
+            stats.decode_errors += 1
+            break
         frame = handle.read(incl_len)
         if len(frame) < incl_len:
             stats.truncated_frames += 1
             break
         ts = sec + frac * frac_scale
-        captured = _decode_frame(linktype, ts, frame, stats, reassembler)
+        captured = _decode_frame(linktype, ts, frame, stats, reassembler,
+                                 endpoints)
         if captured is not None:
             yield captured
 
@@ -384,8 +386,8 @@ def _parse_idb_options(body: bytes, endian: str) -> float:
 
 
 def _read_pcapng(handle: BinaryIO, first_block_type: bytes,
-                 stats: DecodeStats,
-                 reassembler: _Reassembler) -> Iterator[CapturedPacket]:
+                 stats: DecodeStats, reassembler: _Reassembler,
+                 endpoints: EndpointTable) -> Iterator[CapturedPacket]:
     # The SHB's byte-order magic governs everything that follows until
     # the next SHB (multi-section files reset the interface list).
     endian = ""
@@ -405,7 +407,8 @@ def _read_pcapng(handle: BinaryIO, first_block_type: bytes,
         if len(length_bytes) < 4:
             raise PcapError("pcapng: truncated block length")
 
-        if struct.unpack("<I", block_type_raw)[0] == _SHB_TYPE:
+        section = struct.unpack("<I", block_type_raw)[0] == _SHB_TYPE
+        if section:
             # Peek the byte-order magic to fix endianness for this section.
             magic_bytes = handle.read(4)
             if struct.unpack("<I", magic_bytes)[0] == _BYTE_ORDER_MAGIC:
@@ -414,23 +417,26 @@ def _read_pcapng(handle: BinaryIO, first_block_type: bytes,
                 endian = ">"
             else:
                 raise PcapError("pcapng: bad byte-order magic")
-            total_len = struct.unpack(endian + "I", length_bytes)[0]
-            body = handle.read(total_len - 12)
-            if len(body) < total_len - 12:
-                raise PcapError("pcapng: truncated SHB")
-            interfaces = []
-            continue
-
-        if not endian:
+        elif not endian:
             raise PcapError("pcapng: block before section header")
-        block_type = struct.unpack(endian + "I", block_type_raw)[0]
         total_len = struct.unpack(endian + "I", length_bytes)[0]
         if total_len < 12 or total_len % 4:
             raise PcapError(f"pcapng: bad block length {total_len}")
-        body = handle.read(total_len - 8)
-        if len(body) < total_len - 8:
+        if total_len > _MAX_BLOCK_BYTES:
+            # As for a classic record: an untrusted length, no resync point.
+            stats.decode_errors += 1
+            break
+        unread = total_len - (12 if section else 8)
+        body = handle.read(unread)
+        if section:
+            if len(body) < unread:
+                raise PcapError("pcapng: truncated SHB")
+            interfaces = []
+            continue
+        if len(body) < unread:
             stats.truncated_frames += 1
             break
+        block_type = struct.unpack(endian + "I", block_type_raw)[0]
         body = body[:-4]  # trailing duplicate of total_len
 
         if block_type == _IDB_TYPE:
@@ -450,7 +456,7 @@ def _read_pcapng(handle: BinaryIO, first_block_type: bytes,
             interface = interfaces[if_id]
             ts = ((ts_high << 32) | ts_low) * interface.tick
             captured = _decode_frame(interface.linktype, ts, frame,
-                                     stats, reassembler)
+                                     stats, reassembler, endpoints)
             if captured is not None:
                 yield captured
         elif block_type == _SPB_TYPE:
@@ -461,7 +467,7 @@ def _read_pcapng(handle: BinaryIO, first_block_type: bytes,
             # the frame fills the block up to the section snaplen.
             frame = body[4:]
             captured = _decode_frame(interfaces[0].linktype, 0.0, frame,
-                                     stats, reassembler)
+                                     stats, reassembler, endpoints)
             if captured is not None:
                 yield captured
         # Unknown block types (NRB, ISB, custom) are skipped silently —
@@ -486,6 +492,7 @@ def read_pcap(source: Union[str, BinaryIO],
     own = isinstance(source, str)
     handle: BinaryIO = open(source, "rb") if own else source
     reassembler = _Reassembler(stats)
+    endpoints = EndpointTable()
     try:
         magic = handle.read(4)
         if len(magic) < 4:
@@ -493,10 +500,12 @@ def read_pcap(source: Union[str, BinaryIO],
         magic_le = struct.unpack("<I", magic)[0]
         magic_be = struct.unpack(">I", magic)[0]
         if magic_le == _SHB_TYPE:
-            yield from _read_pcapng(handle, magic, stats, reassembler)
+            yield from _read_pcapng(handle, magic, stats, reassembler,
+                                    endpoints)
         elif magic_le in (_MAGIC_USEC, _MAGIC_NSEC) or \
                 magic_be in (_MAGIC_USEC, _MAGIC_NSEC):
-            yield from _read_classic(handle, magic, stats, reassembler)
+            yield from _read_classic(handle, magic, stats, reassembler,
+                                     endpoints)
         else:
             raise PcapError(f"unrecognized capture magic {magic!r}")
     finally:

@@ -328,24 +328,27 @@ class EventDistributor:
 
     def _distribute_rtp(self, classified: ClassifiedPacket,
                         now: float) -> None:
-        datagram = classified.datagram
         trace = self.trace
-        destination = (datagram.dst.ip, datagram.dst.port)
-        if self.factbase.quarantined_media:
-            quarantined_call = self.factbase.quarantined_media_call(destination)
+        factbase = self.factbase
+        # An Endpoint hashes and compares as the (ip, port) tuple the media
+        # tables are keyed by, so look-ups take it as it is.
+        destination = classified.datagram.dst
+        if factbase.quarantined_media:
+            quarantined_call = factbase.quarantined_media_call(destination)
             if quarantined_call is not None:
                 # Lingering media of a quarantined call: drop from inspection
                 # (still forwarded on the wire) rather than feeding the orphan
                 # tracker with a stream we know the history of.
-                self.factbase.metrics.quarantined_drops += 1
+                factbase.metrics.quarantined_drops += 1
                 if trace is not None:
                     self._route(classified, now, "quarantined-media",
                                 quarantined_call)
                 return None
-        match = self.factbase.lookup_media(destination)
+        match = factbase.lookup_media(destination)
         if match is None:
             event = rtp_event_from_packet(classified, "orphan", now)
-            self.trackers.orphan_tracker.observe(destination, event)
+            # The tracker stores its key (and checkpoints it): a plain tuple.
+            self.trackers.orphan_tracker.observe(tuple(destination), event)
             if trace is not None:
                 self._route(classified, now, "orphan-media",
                             dst=f"{destination[0]}:{destination[1]}")
@@ -356,5 +359,5 @@ class EventDistributor:
             self._route(classified, now, "inject", record.call_id,
                         machine=RTP_MACHINE, direction=direction)
         self._inject(record, RTP_MACHINE, event)
-        self.factbase.touch(record, now)
+        factbase.touch(record, now)
         return record

@@ -70,10 +70,11 @@ class AnalysisEngine:
     # -- state machine results ------------------------------------------------
 
     def handle_result(self, record: CallRecord, result: FiringResult) -> None:
-        if result.attack and result.from_state != result.to_state:
-            self._raise_attack(record, result)
-        elif result.deviation:
+        transition = result.transition
+        if transition is None:
             self._note_deviation(record, result)
+        elif transition.attack and result.from_state != result.to_state:
+            self._raise_attack(record, result)
 
     def _raise_attack(self, record: CallRecord, result: FiringResult) -> None:
         state = result.to_state

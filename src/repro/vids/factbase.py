@@ -30,9 +30,6 @@ __all__ = ["CallRecord", "CallStateFactBase"]
 
 MediaKey = Tuple[str, int]
 
-#: How many fact-base touches between total-state-size samples.
-_STATE_SAMPLE_EVERY = 200
-
 #: Hard ceiling on the per-factbase intern pool.  Eviction-with-deletion
 #: keeps the pool at the live-call count in steady state; the cap bounds
 #: it even under a flood of dialog identifiers that never become calls.
@@ -180,7 +177,6 @@ class CallStateFactBase:
         #: long dialog identifiers.  Bounded: entries are evicted with
         #: call deletion, so the pool never outgrows the live-call set.
         self._interned: Dict[str, str] = {}
-        self._touches = 0
         #: Incremental state-byte accounting: running total plus the set of
         #: records whose contribution is stale (they fired since the last
         #: total).  Keeps :meth:`total_state_bytes` O(recently-active calls)
@@ -351,7 +347,7 @@ class CallStateFactBase:
             del self.media_index[dst]
             return None
         direction = record.media_endpoints().get(dst, "unknown")
-        self._media_match[dst] = (record, direction)
+        self._media_match[tuple(dst)] = (record, direction)
         return record, direction
 
     def delete(self, call_id: str) -> Optional[CallRecord]:
@@ -534,18 +530,20 @@ class CallStateFactBase:
 
     def touch(self, record: CallRecord,
               now: Optional[float] = None) -> None:
+        # Nothing is measured here: this runs once per packet, and the
+        # Section 7.3 state-size samples are taken when a call is deleted
+        # and on the facade's housekeeping pass (collect_garbage).
         record.last_activity = self.clock_now() if now is None else now
-        # Peak concurrency is maintained in _create (the only place the
-        # record count grows); the state-bytes total is cheap to sample now
-        # that it is incremental, but stays periodic to keep the per-packet
-        # cost at a couple of attribute updates.
-        self._touches += 1
-        if self._touches % _STATE_SAMPLE_EVERY == 0:
-            self.metrics.note_concurrency(len(self.records),
-                                          self.total_state_bytes())
 
     def collect_garbage(self) -> int:
-        """Delete records idle longer than the configured TTL."""
+        """Delete records idle longer than the configured TTL.
+
+        The housekeeping pass (every few thousand packets) also takes a
+        state-size sample, so a long stretch without deletions still
+        shows in ``peak_state_bytes``.
+        """
+        self.metrics.note_concurrency(len(self.records),
+                                      self.total_state_bytes())
         now = self.clock_now()
         stale = [
             call_id for call_id, record in self.records.items()

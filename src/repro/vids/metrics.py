@@ -63,6 +63,11 @@ def estimate_value_bytes(value: Any) -> int:
 def estimate_state_bytes(variables: Mapping[str, Any]) -> int:
     """Total serialized width of a variable vector (values only).
 
+    A variable's name is not state.  A dict *value*, though, is measured
+    with its keys (it could not be stored without them), which is one
+    reason no shipped machine keeps one: state values are numbers,
+    strings and flat tuples.
+
     The two dominant value types are inlined: per-record sampling walks
     every active call's vectors, and a function call per str/int value
     would double its cost.

@@ -28,8 +28,6 @@ Event vocabulary:
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
 from ..efsm.events import TIMER_CHANNEL
 from ..efsm.machine import Efsm, TransitionContext
 from .config import DEFAULT_CONFIG, VidsConfig
@@ -63,19 +61,9 @@ _SEQ_MOD = 1 << 16
 _TS_MOD = 1 << 32
 
 
-def _dir_state(ctx: TransitionContext) -> Dict[str, Any]:
-    """Per-direction tracking record for the packet's direction."""
-    directions: Dict[str, Dict[str, Any]] = ctx.v.get("directions", {})
-    return directions.get(str(ctx.x.get("direction", "unknown")), {})
-
-
-def _seq_gap(last_seq: int, seq: int) -> int:
-    """Forward distance between sequence numbers, mod 2^16."""
-    return (seq - last_seq) % _SEQ_MOD
-
-
-def _ts_gap(last_ts: int, ts: int) -> int:
-    return (ts - last_ts) % _TS_MOD
+#: The verdict on one media packet, in priority order: the four
+#: ``RTP_Rcvd`` guards each compare :func:`verdict`'s answer to one of these.
+CLEAN, CODEC, SPAM, FLOOD = range(4)
 
 
 def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
@@ -95,7 +83,7 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
     for state in RTP_ATTACK_STATES:
         machine.add_state(state, attack=True, final=True)
 
-    machine.declare(directions={})
+    machine.declare(to_caller=(), to_callee=(), unknown=())
     machine.declare_channel(SIP_TO_RTP)
     # Declared by the SIP machine too; a standalone RTP machine (unit
     # tests) needs the defaults as well.
@@ -148,100 +136,95 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
     machine.add_transition(RTP_CLOSE, DELTA_SESSION_ANSWER, RTP_CLOSE,
                            channel=SIP_TO_RTP, label="answer-after-close")
 
-    # ---- packet analysis predicates -----------------------------------------
+    # ---- packet analysis ------------------------------------------------
 
-    # The benign first match ``is_clean`` evaluates each check once per
-    # packet; an attack guard re-evaluates them, but holds at most once per
-    # call (attack states absorb), so nothing is memoized.
+    detect_codec_change = config.detect_codec_change
+    seq_gap, ts_gap = config.media_spam_seq_gap, config.media_spam_ts_gap
+    flood_window = config.rtp_flood_window
+    flood_factor = config.rtp_flood_factor
 
-    def is_codec_violation(ctx: TransitionContext) -> bool:
-        if not config.detect_codec_change:
-            return False
-        allowed = (tuple(ctx.v.get("g_offer_pts", ()))
-                   + tuple(ctx.v.get("g_answer_pts", ())))
-        return bool(allowed) and int(ctx.x.get("pt", -1)) not in allowed
+    def stream_of(ctx: TransitionContext) -> tuple:
+        """The packet's stream: ``(ssrc, seq, ts, window_start,
+        window_count)``, or ``()`` before its first packet."""
+        direction = ctx.x.get("direction")
+        if direction == "to_callee":
+            return ctx.v["to_callee"]
+        if direction == "to_caller":
+            return ctx.v["to_caller"]
+        return ctx.v["unknown"]
 
-    def is_spam(ctx: TransitionContext) -> bool:
-        record = _dir_state(ctx)
-        if not record:
-            return False
-        if int(ctx.x.get("ssrc", 0)) != record.get("ssrc"):
-            return True
-        seq_jump = _seq_gap(record["seq"], int(ctx.x.get("seq", 0)))
-        ts_jump = _ts_gap(record["ts"], int(ctx.x.get("ts", 0)))
-        return (seq_jump > config.media_spam_seq_gap
-                or ts_jump > config.media_spam_ts_gap)
+    def verdict(ctx: TransitionContext) -> int:
+        """codec > spam > flood > clean, decided in one pass.
 
-    def is_flood(ctx: TransitionContext) -> bool:
-        record = _dir_state(ctx)
-        if not record:
-            return False
-        if (ctx.now - record.get("window_start", 0.0)
-                >= config.rtp_flood_window):
-            return False
-        ptime_ms = int(ctx.v.get("g_ptime_ms", 20) or 20)
-        expected = (1000.0 / ptime_ms) * config.rtp_flood_window
-        return (record.get("window_count", 0) + 1
-                > config.rtp_flood_factor * expected)
-
-    def is_clean(ctx: TransitionContext) -> bool:
-        return not (is_codec_violation(ctx) or is_spam(ctx) or is_flood(ctx))
+        Under compiled dispatch the benign first match evaluates this once
+        per packet; an attack guard evaluates it again, but holds at most
+        once per call (attack states absorb), so nothing is memoized.
+        """
+        x, v = ctx.x, ctx.v
+        if detect_codec_change:
+            pt = x.get("pt", -1)
+            offered = v.get("g_offer_pts", ())
+            if pt not in offered:
+                answered = v.get("g_answer_pts", ())
+                if pt not in answered and (offered or answered):
+                    return CODEC
+        stream = stream_of(ctx)
+        if not stream:
+            return CLEAN
+        ssrc, seq, ts, window_start, window_count = stream
+        if (x.get("ssrc", 0) != ssrc
+                or (x.get("seq", 0) - seq) % _SEQ_MOD > seq_gap
+                or (x.get("ts", 0) - ts) % _TS_MOD > ts_gap):
+            return SPAM
+        if ctx.now - window_start < flood_window:
+            ptime_ms = v.get("g_ptime_ms", 20) or 20
+            expected = (1000.0 / ptime_ms) * flood_window
+            if window_count + 1 > flood_factor * expected:
+                return FLOOD
+        return CLEAN
 
     def track_packet(ctx: TransitionContext) -> None:
-        # The ``directions`` declaration default is a dict shared by every
-        # instance built from this definition, so it must never be mutated.
-        # Any *non-empty* map was created right here for this one call, and
-        # updating it in place saves two dict copies per packet.
-        directions = ctx.v.get("directions")
-        if not directions:
-            directions = {}
-            ctx.v["directions"] = directions
-        key = str(ctx.x.get("direction", "unknown"))
-        record = directions.get(key)
-        now = ctx.now
-        if not record:
-            directions[key] = {
-                "ssrc": int(ctx.x.get("ssrc", 0)),
-                "seq": int(ctx.x.get("seq", 0)),
-                "ts": int(ctx.x.get("ts", 0)),
-                "window_start": now,
-                "window_count": 1,
-            }
+        """Rebuild the stream tuple: state values are immutable, so a
+        checkpoint shares them instead of copying (``copy_state``)."""
+        x, now = ctx.x, ctx.now
+        stream = stream_of(ctx)
+        if stream and now - stream[3] < flood_window:
+            window_start, window_count = stream[3], stream[4] + 1
         else:
-            record["seq"] = int(ctx.x.get("seq", 0))
-            record["ts"] = int(ctx.x.get("ts", 0))
-            if now - record.get("window_start", 0.0) >= config.rtp_flood_window:
-                record["window_start"] = now
-                record["window_count"] = 1
-            else:
-                record["window_count"] = record.get("window_count", 0) + 1
+            window_start, window_count = now, 1
+        stream = (int(x.get("ssrc", 0)), int(x.get("seq", 0)),
+                  int(x.get("ts", 0)), window_start, window_count)
+        direction = x.get("direction")
+        if direction == "to_callee":
+            ctx.v["to_callee"] = stream
+        elif direction == "to_caller":
+            ctx.v["to_caller"] = stream
+        else:
+            ctx.v["unknown"] = stream
 
     # First media packet of the session.
     machine.add_transition(
         RTP_OPEN, "RTP_PACKET", RTP_ACTIVE,
-        predicate=lambda ctx: not is_codec_violation(ctx),
+        predicate=lambda ctx: verdict(ctx) != CODEC,
         action=track_packet, label="first-media")
     machine.add_transition(RTP_OPEN, "RTP_PACKET", ATTACK_CODEC,
-                           predicate=is_codec_violation,
+                           predicate=lambda ctx: verdict(ctx) == CODEC,
                            attack=True, label="bad-codec-first")
 
-    # Steady state: predicates are mutually disjoint by construction
-    # (codec > spam > flood > clean priority encoded in the negations).
+    # Steady state: one verdict per packet, so the guards are mutually
+    # disjoint by construction.
     machine.add_transition(RTP_ACTIVE, "RTP_PACKET", RTP_ACTIVE,
-                           predicate=is_clean, action=track_packet,
-                           label="media")
+                           predicate=lambda ctx: verdict(ctx) == CLEAN,
+                           action=track_packet, label="media")
     machine.add_transition(RTP_ACTIVE, "RTP_PACKET", ATTACK_CODEC,
-                           predicate=is_codec_violation,
+                           predicate=lambda ctx: verdict(ctx) == CODEC,
                            attack=True, label="codec-change")
-    machine.add_transition(
-        RTP_ACTIVE, "RTP_PACKET", ATTACK_SPAM,
-        predicate=lambda ctx: is_spam(ctx) and not is_codec_violation(ctx),
-        attack=True, label="media-spam")
-    machine.add_transition(
-        RTP_ACTIVE, "RTP_PACKET", ATTACK_FLOOD,
-        predicate=lambda ctx: (is_flood(ctx) and not is_spam(ctx)
-                               and not is_codec_violation(ctx)),
-        attack=True, label="rtp-flood")
+    machine.add_transition(RTP_ACTIVE, "RTP_PACKET", ATTACK_SPAM,
+                           predicate=lambda ctx: verdict(ctx) == SPAM,
+                           attack=True, label="media-spam")
+    machine.add_transition(RTP_ACTIVE, "RTP_PACKET", ATTACK_FLOOD,
+                           predicate=lambda ctx: verdict(ctx) == FLOOD,
+                           attack=True, label="rtp-flood")
 
     # ---- the Figure-5 attack signal ----------------------------------------
 
@@ -271,7 +254,6 @@ def _build_disabled_rtp_machine() -> Efsm:
     """
     machine = Efsm(RTP_MACHINE, INIT)
     machine.add_state(INIT, final=True)
-    machine.declare(directions={})
     machine.declare_channel(SIP_TO_RTP)
     machine.declare_global(**MEDIA_GLOBALS)
     machine.add_transition(INIT, "RTP_PACKET", INIT, label="ignored")

@@ -154,8 +154,8 @@ class ShardedVids:
         """
         kind = classified.kind
         if kind is _RTP or kind is _RTCP:
-            dst = classified.datagram.dst
-            return self._media_routes.get((dst.ip, dst.port), 0)
+            # An Endpoint hashes and compares as the (ip, port) key.
+            return self._media_routes.get(classified.datagram.dst, 0)
         if kind is _SIP:
             call_id = classified.sip.call_id
             if call_id:

@@ -156,7 +156,11 @@ def test_scratch_memo_through_module_accessor_is_flagged():
 
 def test_non_plain_state_values_flagged():
     findings = run_fixture(check_plain_state=True)
-    assert subjects(findings, "PD001") == {"factory", "gen", "handle", "obj"}
+    assert subjects(findings, "PD001") == {
+        "factory", "gen", "handle", "obj",
+        # mutable containers: display, constructor call, nested in a
+        # tuple, comprehension
+        "table", "seen", "pair", "log"}
     assert all(d.severity is Severity.WARNING
                for d in by_code(findings, "PD001"))
 

@@ -4,10 +4,18 @@ One site that builds a shard, one owner of the stray-dedup table, a
 supervisor that reaches into no member's private state, and no third-party
 runtime import.  These read the source (in the style of
 tests/efsm/test_structure.py) so a second copy cannot come back unnoticed.
+The last pins hold the state vectors to immutable values, so a checkpoint
+shares them instead of copying.
 """
 
 import ast
 import re
+
+from repro.attacks import ByeTeardownAttack, MediaSpamAttack
+from repro.efsm.machine import copy_state
+from repro.telephony import (ScenarioParams, TestbedParams, WorkloadParams,
+                             run_scenario)
+from repro.vids import DEFAULT_CONFIG, RecordingProcessor, build_pipeline
 
 from ..efsm.test_structure import SRC, _sources
 
@@ -54,3 +62,67 @@ def test_no_module_imports_networkx():
     importing = [rel for rel, source in _sources()
                  if re.search(r"^\s*(import|from)\s+networkx", source, re.M)]
     assert importing == []
+
+
+def _mutable_inside(value):
+    """The first dict/list/set (or subclass) at any depth of ``value``."""
+    if isinstance(value, (dict, list, set, bytearray)):
+        return value
+    if isinstance(value, (tuple, frozenset)):
+        for item in value:
+            found = _mutable_inside(item)
+            if found is not None:
+                return found
+    return None
+
+
+def test_no_state_value_of_a_live_call_is_mutable():
+    """Replay a mixed capture part-way, so calls are live in every phase:
+    every local and global of every machine is immutable, and each RTP
+    stream tuple is its own checkpoint copy."""
+    recorder = RecordingProcessor()
+    run_scenario(ScenarioParams(
+        testbed=TestbedParams(seed=23, phones_per_network=4),
+        workload=WorkloadParams(mean_interarrival=10.0, mean_duration=60.0,
+                                horizon=60.0),
+        with_vids=False,
+        attacks=(ByeTeardownAttack(35.0, spoof="none"),
+                 MediaSpamAttack(45.0)),
+        drain_time=5.0,
+        hooks=(lambda testbed, vids, sim:
+               testbed.attach_processor(recorder),)))
+    config = DEFAULT_CONFIG.with_overrides(shed_high_watermark=1e9)
+    vids, clock = build_pipeline(config=config)
+    vids.process_batch([(p.datagram, p.time) for p in recorder.capture
+                        if p.time <= 55.0], clock=clock)
+    assert vids.alerts, "the capture carried no attack"
+    records = list(vids.factbase.records.values())
+    assert len(records) >= 3, "the capture left no live calls"
+    streams = []
+    for record in records:
+        vectors = [record.system.globals] + [
+            machine.variables.local
+            for machine in record.system.machines.values()]
+        for vector in vectors:
+            for name, value in vector.items():
+                assert _mutable_inside(value) is None, (record.call_id, name)
+        streams += [value for value in record.rtp.variables.local.values()
+                    if value]
+    assert len(streams) >= 3, "the capture left no media streams"
+    for stream in streams:
+        assert type(stream) is tuple and len(stream) == 5
+        assert copy_state(stream) is stream
+    # One level up: the machine's whole local vector copies without
+    # allocating a single value.
+    local = records[0].rtp.variables.local
+    assert all(copied is original for copied, original
+               in zip(copy_state(local).values(), local.values()))
+
+
+def test_the_rtp_machine_has_no_directions_map():
+    """The nested per-direction dict is gone for good: flat stream
+    locals, read and written by literal name (speclint sees them)."""
+    source = (SRC / "vids/rtp_machine.py").read_text("utf-8")
+    assert "directions" not in source
+    for name in ("to_caller", "to_callee", "unknown"):
+        assert f'ctx.v["{name}"]' in source, name
