@@ -16,8 +16,10 @@ lint:
 	PYTHONPATH=src $(PYTHON) -S -c "import repro, repro.live, repro.cli"
 
 # Static verification of the EFSM specifications (docs/SPECCHECK.md).
+# --strict: a WARNING fails too, so a guard group that cannot be decided
+# (a bare callable where an expression belongs) does not pass.
 speclint:
-	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --min-severity warning
+	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning
 
 # Static verification of implementation invariants — checkpoint coverage,
 # guard purity, plain-data state, shard isolation (docs/CODECHECK.md).

@@ -33,11 +33,9 @@ from .machine import (
     Transition,
     TransitionContext,
     Variables,
-    probed_dispatch,
 )
 from .mine import (
     CallSequence,
-    GuardSpec,
     MinedMachine,
     MiningCorpus,
     StepRecord,
@@ -61,7 +59,6 @@ __all__ = [
     "EfsmSystem",
     "Event",
     "FiringResult",
-    "GuardSpec",
     "ManualClock",
     "MinedMachine",
     "MiningCorpus",
@@ -89,7 +86,6 @@ __all__ = [
     "mine",
     "mine_machine",
     "parse_channel",
-    "probed_dispatch",
     "reachable_states",
     "replay_sequence",
     "specdiff",

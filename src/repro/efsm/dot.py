@@ -85,7 +85,8 @@ def to_dot(machine: Efsm,
         if transition.channel:
             label_parts[0] = f"{transition.channel}?{transition.event_name}"
         if transition.predicate is not None:
-            label_parts.append("[P]")
+            guard = transition.predicate.describe().replace('"', '\\"')
+            label_parts.append(f"[{guard}]")
         if transition.outputs:
             label_parts.extend(
                 f"{output.channel}!{output.event_name}"

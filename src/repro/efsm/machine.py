@@ -2,8 +2,9 @@
 
 Implements Definition 1 of the paper: an EFSM ``M = (Σ, S, v, D, T)`` whose
 transitions are tuples ``<s_t, event, P_t, A_t, q_t>``.  A predicate ``P_t``
-inspects the event's input vector ``x`` and the current state-variable
-vector ``v``; an action ``A_t`` updates ``v`` (and may start timers).  The
+is an expression of the guard algebra (:mod:`repro.efsm.guards`) over the
+event's input vector ``x`` and the current state-variable vector ``v``; an
+action ``A_t`` updates ``v`` (and may start timers).  The
 output events ``c!event(x)`` a transition sends onto synchronization
 channels are declared on it as :class:`Output` specs, never sent from
 inside an action, so static analysis sees every send.
@@ -21,7 +22,6 @@ from __future__ import annotations
 import copy
 import io
 import types
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -32,11 +32,13 @@ from typing import (
     Mapping,
     Optional,
     Tuple,
+    Union,
 )
 
 from .analysis import reachable_states
 from .errors import DefinitionError, NondeterminismError
 from .events import TIMER_CHANNEL, Event
+from .guards import DISJOINT, Decision, Guard, decide, helper, truthy
 
 __all__ = [
     "Variables",
@@ -46,8 +48,6 @@ __all__ = [
     "Efsm",
     "EfsmInstance",
     "FiringResult",
-    "allow_impure_guard",
-    "probed_dispatch",
 ]
 
 Predicate = Callable[["TransitionContext"], bool]
@@ -140,56 +140,6 @@ def copy_state(value: Any) -> Any:
     return copy.deepcopy(value)
 
 
-#: Compiled-dispatch entry kinds (see :meth:`Efsm._compile_entry`).  Every
-#: (state, event-name, channel) group collapses to exactly one of these at
-#: first delivery, so the hot path replaces the per-event probe loop with a
-#: dict lookup plus a shape-specific fast path.
-_DEVIATION = 0   # no receivable transition: record a specification deviation
-_DIRECT = 1      # single unguarded transition: fires unconditionally
-_GUARDED = 2     # single guarded transition: one predicate decides
-_CHAIN = 3       # ordered guarded chain: first enabled predicate fires
-_CONFLICT = 4    # >1 unguarded transition: structurally nondeterministic
-
-
-@contextmanager
-def probed_dispatch():
-    """Run with the original enabled-probe delivery loop (tests only).
-
-    The compiled dispatch tables are the default; this context manager
-    flips every :class:`Efsm` to the reference probe loop so equivalence
-    suites can replay identical traffic down both paths and compare alert
-    multisets and firing sequences.
-    """
-    previous = Efsm.compiled_dispatch
-    Efsm.compiled_dispatch = False
-    try:
-        yield
-    finally:
-        Efsm.compiled_dispatch = previous
-
-
-def allow_impure_guard(reason: str) -> Callable[[Predicate], Predicate]:
-    """Mark a guard as an audited exception to the purity rule.
-
-    EFSM guards must normally be side-effect-free: ``speclint`` probes
-    them against sampled configurations, and incremental checkpointing
-    versions calls by firing counts, so a mutating guard corrupts both
-    invisibly.  ``codelint``'s guard-purity rules (GP001–GP003, see
-    ``docs/CODECHECK.md``) enforce this statically — this decorator is
-    the escape hatch for the rare guard whose impurity has been reviewed
-    and justified.  ``reason`` is mandatory and stored on the function
-    for audits.
-    """
-    if not reason or not reason.strip():
-        raise ValueError("allow_impure_guard requires a non-empty reason")
-
-    def mark(predicate: Predicate) -> Predicate:
-        predicate.__impure_guard_reason__ = reason  # type: ignore[attr-defined]
-        return predicate
-
-    return mark
-
-
 class Variables:
     """The state-variable vector ``v``: per-machine locals + shared globals.
 
@@ -260,7 +210,7 @@ class Transition:
     source: str
     event_name: str
     target: str
-    predicate: Optional[Predicate] = None
+    predicate: Optional[Guard] = None
     action: Optional[Action] = None
     outputs: List[Output] = field(default_factory=list)
     channel: Optional[str] = None   # None = data event; else sync/timer channel
@@ -337,11 +287,6 @@ class FiringResult:
 class Efsm:
     """An EFSM definition: the quintuple (Σ, S, v, D, T)."""
 
-    #: Class-wide switch between the compiled per-(state, event, channel)
-    #: dispatch tables and the reference probe loop.  Compiled dispatch is
-    #: the default; :func:`probed_dispatch` flips it for equivalence tests.
-    compiled_dispatch: bool = True
-
     def __init__(self, name: str, initial_state: str):
         self.name = name
         self.initial_state = initial_state
@@ -351,7 +296,7 @@ class Efsm:
         self.transitions: List[Transition] = []
         self._index: Dict[Tuple[str, str], List[Transition]] = {}
         #: Lazily built dispatch table: (state, event-name, channel) ->
-        #: a compiled entry (kind tag + the data its fast path needs).
+        #: the candidates as ``(compiled guard or None, transition)`` pairs.
         #: Derived entirely from ``transitions``; cleared on every
         #: ``add_transition`` and shared by all instances of this
         #: definition, so the cost is paid once per definition, not once
@@ -403,7 +348,7 @@ class Efsm:
         source: str,
         event_name: str,
         target: str,
-        predicate: Optional[Predicate] = None,
+        predicate: Union[Guard, Predicate, None] = None,
         action: Optional[Action] = None,
         outputs: Optional[Iterable[Output]] = None,
         channel: Optional[str] = None,
@@ -414,11 +359,17 @@ class Efsm:
             if state not in self.states:
                 raise DefinitionError(
                     f"{self.name}: unknown state {state!r} in transition")
+        if predicate is None or isinstance(predicate, Guard):
+            guard = predicate
+        else:
+            # A bare callable is opaque code: an anonymous helper leaf,
+            # which no multi-candidate group can be decided with.
+            guard = truthy(helper(predicate, name=""))
         transition = Transition(
             source=source,
             event_name=event_name,
             target=target,
-            predicate=predicate,
+            predicate=guard,
             action=action,
             outputs=list(outputs or []),
             channel=channel,
@@ -439,29 +390,25 @@ class Efsm:
             self, key: Tuple[str, str, Optional[str]]) -> Tuple[Any, ...]:
         """Build (and cache) the dispatch entry for one delivery shape.
 
-        The channel filter and the group-size dispatch are resolved here,
-        once per (state, event, channel) triple, instead of per delivered
-        event.  First-match semantics for guarded chains are sound because
-        speclint's determinism rule (and :meth:`check_determinism`)
-        guarantee mutual disjointness of the predicates; a group with more
-        than one *unguarded* transition is nondeterministic for every
-        input, so it compiles to a conflict entry that raises on delivery.
+        The channel filter and each guard's compilation are resolved here,
+        once per (state, event, channel) triple instead of per event: the
+        entry is the candidates in declaration order as ``(compiled guard
+        or None, transition)`` pairs, empty for a deviation.  Firing the
+        first enabled one is sound because :meth:`decide_determinism`
+        proves the predicates mutually disjoint; more than one *unguarded*
+        transition is nondeterministic for every input, so the group never
+        compiles and every delivery raises.
         """
         state, event_name, channel = key
-        group = self._index.get((state, event_name), ())
-        candidates = tuple(t for t in group if t.channel == channel)
-        if not candidates:
-            entry: Tuple[Any, ...] = (_DEVIATION, None)
-        elif len(candidates) == 1:
-            transition = candidates[0]
-            if transition.predicate is None:
-                entry = (_DIRECT, transition)
-            else:
-                entry = (_GUARDED, transition)
-        elif sum(1 for t in candidates if t.predicate is None) > 1:
-            entry = (_CONFLICT, candidates)
-        else:
-            entry = (_CHAIN, candidates)
+        entry = tuple(
+            (None if t.predicate is None else t.predicate.compiled(), t)
+            for t in self._index.get((state, event_name), ())
+            if t.channel == channel)
+        unguarded = sum(1 for enabled, _ in entry if enabled is None)
+        if unguarded > 1:
+            raise NondeterminismError(
+                f"{self.name}: state {state!r} event {event_name!r} "
+                f"enables {unguarded} transitions")
         self._compiled[key] = entry
         return entry
 
@@ -496,7 +443,7 @@ class Efsm:
 
         The one guard probe outside live dispatch: a throwaway instance is
         pinned to ``state`` with ``valuation`` split into its locals and the
-        shared globals, guards are evaluated and nothing fires.  A guard
+        shared globals, guards are evaluated and nothing fires.  A helper
         that raises on a (possibly partial) sample counts as not enabled.
         """
         probe = EfsmInstance(self)
@@ -513,31 +460,34 @@ class Efsm:
             if transition.channel != event.channel:
                 continue
             try:
-                if transition.predicate is None or transition.predicate(ctx):
+                if (transition.predicate is None
+                        or transition.predicate.compiled()(ctx)):
                     enabled.append(transition)
             except Exception:
                 continue          # guard not probe-able on this sample
         return enabled
 
-    def check_determinism(
-        self,
-        configurations: Iterable[Tuple[Mapping[str, Any], Event]],
-    ) -> None:
-        """Verify mutual disjointness of predicates on sampled configurations.
+    def decide_determinism(self) -> List[Tuple[List[Transition], Decision]]:
+        """Definition 1, decided exactly: every (state, event, channel)
+        group with more than one candidate, in declaration order, with
+        :func:`~repro.efsm.guards.decide`'s verdict on its predicates."""
+        groups: Dict[Tuple[str, str, Optional[str]], List[Transition]] = {}
+        for t in self.transitions:
+            groups.setdefault((t.source, t.event_name, t.channel),
+                              []).append(t)
+        return [(group, decide([t.predicate for t in group]))
+                for group in groups.values() if len(group) > 1]
 
-        For each (variable valuation, event) sample, every state must
-        enable at most one transition (:meth:`enabled_at`); otherwise
-        :class:`NondeterminismError` is raised.  This is the executable
-        counterpart of the paper's P_i ∧ P_j = ∅ requirement.
-        """
-        for valuation, event in configurations:
-            for state in self.states:
-                enabled = self.enabled_at(state, event, valuation)
-                if len(enabled) > 1:
-                    raise NondeterminismError(
-                        f"{self.name}: state {state!r} event {event.name!r} "
-                        f"enables {len(enabled)} transitions: "
-                        f"{[t.describe() for t in enabled]}")
+    def check_determinism(self) -> None:
+        """Raise :class:`NondeterminismError` unless every group's
+        predicates are proven mutually disjoint (``P_i ∧ P_j = ∅``)."""
+        for group, decision in self.decide_determinism():
+            if decision.status != DISJOINT:
+                detail = decision.reason or dict(decision.witness)
+                raise NondeterminismError(
+                    f"{self.name}: {[t.describe() for t in group]} from "
+                    f"state {group[0].source!r} on {group[0].event_name!r}: "
+                    f"{decision.status} ({detail})")
 
 
 class EfsmInstance:
@@ -689,44 +639,28 @@ class EfsmInstance:
 
         Returns a :class:`FiringResult` whose ``deviation`` flag is set when
         no transition was enabled.  Dispatch goes through the definition's
-        compiled per-(state, event, channel) table: the channel filter and
-        group shape were resolved at compile time, so the common shapes
-        (deviation, single transition) skip the candidate loop entirely and
-        guarded chains fire the first enabled predicate in declaration
-        order.  Raises :class:`NondeterminismError` for structurally
-        nondeterministic groups (more than one unguarded transition); the
-        reference scan (:func:`probed_dispatch`) additionally detects
-        overlapping predicates at runtime.
+        compiled per-(state, event, channel) table: the channel filter was
+        resolved and the guards compiled at first delivery, and the first
+        enabled candidate in declaration order fires.  Raises
+        :class:`NondeterminismError` for structurally nondeterministic
+        groups (more than one unguarded transition); overlapping predicates
+        are excluded statically (:meth:`Efsm.check_determinism`).
         """
         definition = self.definition
         ctx: Optional[TransitionContext] = None
         transition: Optional[Transition] = None
-        if not definition.compiled_dispatch:
-            ctx = TransitionContext(self, event)
-            transition = self._scan(ctx)
-        else:
-            key = (self.state, event.name, event.channel)
-            entry = definition._compiled.get(key)
-            if entry is None:
-                entry = definition._compile_entry(key)
-            kind = entry[0]         # _DEVIATION leaves transition None
-            if kind == _DIRECT:
-                transition = entry[1]
-            elif kind == _GUARDED:
-                ctx = TransitionContext(self, event)
-                if entry[1].predicate(ctx):
-                    transition = entry[1]
-            elif kind == _CHAIN:
-                ctx = TransitionContext(self, event)
-                for candidate in entry[1]:
-                    predicate = candidate.predicate
-                    if predicate is None or predicate(ctx):
-                        transition = candidate
-                        break
-            elif kind == _CONFLICT:  # every delivery enables >1 transition
-                raise NondeterminismError(
-                    f"{self.name}: state {self.state!r} event {event.name!r} "
-                    f"enables {len(entry[1])} transitions")
+        key = (self.state, event.name, event.channel)
+        entry = definition._compiled.get(key)
+        if entry is None:
+            entry = definition._compile_entry(key)
+        for enabled, candidate in entry:
+            if enabled is not None:
+                if ctx is None:
+                    ctx = TransitionContext(self, event)
+                if not enabled(ctx):
+                    continue
+            transition = candidate
+            break
 
         from_state = self.state
         outputs: List[Event] = []
@@ -749,30 +683,3 @@ class EfsmInstance:
             time = self.clock_now()
         return FiringResult(definition.name, event, transition, from_state,
                             self.state, outputs, time)
-
-    def _scan(self, ctx: TransitionContext) -> Optional[Transition]:
-        """Reference pick: probe every candidate's enabledness.
-
-        The pre-compilation loop, kept behind :func:`probed_dispatch` as
-        the oracle for dispatch-equivalence tests.  Unlike the compiled
-        table it evaluates *every* candidate predicate, so it also detects
-        overlapping (nondeterministic) guards at runtime.
-        """
-        event = ctx.event
-        channel = event.channel
-        transition: Optional[Transition] = None
-        for candidate in self.definition.transitions_from(self.state,
-                                                          event.name):
-            if candidate.channel != channel:
-                continue
-            predicate = candidate.predicate
-            if predicate is None or predicate(ctx):
-                if transition is not None:
-                    # Error path only: re-probe to report the exact count.
-                    enabled = self.definition.enabled_at(
-                        self.state, event, self.variables.snapshot())
-                    raise NondeterminismError(
-                        f"{self.name}: state {self.state!r} event "
-                        f"{event.name!r} enables {len(enabled)} transitions")
-                transition = candidate
-        return transition

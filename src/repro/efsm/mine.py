@@ -21,10 +21,11 @@ learning pipeline:
 4. **determinization with guard synthesis**: when a merged state has one
    (event, channel) leading to several targets, the miner first tries to
    synthesize mutually disjoint guards over the recorded event arguments
-   (equality in-set, else numeric interval); only when no separating
+   — atoms of the guard algebra (:mod:`repro.efsm.guards`): a numeric
+   interval, else membership in a value set; only when no separating
    field exists are the targets folded together — so mined machines pass
-   the same determinism discipline (speclint, compiled dispatch) as the
-   hand-written ones.
+   the same determinism discipline (speclint's exact rule, compiled
+   dispatch) as the hand-written ones.
 
 The result is a real :class:`Efsm` built through the ordinary machine API:
 ``validate()``, ``speclint``, and ``to_dot`` work on it unchanged, and
@@ -37,15 +38,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..obs.trace import TraceBus, TraceEvent, TraceExport
 from .events import Event, TIMER_CHANNEL
+from .guards import DISJOINT, Guard, decide, x
 from .machine import Efsm, EfsmInstance, FiringResult
 
 __all__ = [
     "CallSequence",
-    "GuardSpec",
     "MinedMachine",
     "MiningCorpus",
     "Observation",
@@ -257,52 +258,6 @@ def _infer_channel(event_name: str,
 # Guard synthesis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GuardSpec:
-    """A synthesized predicate over one event-argument field.
-
-    ``in-set`` guards accept a finite value set; ``interval`` guards accept
-    a closed numeric range.  Sibling guards of one (state, event, channel)
-    group are mutually disjoint by construction, so mined machines satisfy
-    the paper's P_i ∧ P_j = ∅ requirement and compile to guarded chains.
-    """
-
-    field: str
-    kind: str                    # "in-set" | "interval"
-    values: Optional[frozenset] = None
-    lo: float = 0.0
-    hi: float = 0.0
-
-    def describe(self) -> str:
-        if self.kind == "in-set":
-            rendered = ", ".join(repr(v) for v in sorted(
-                self.values, key=repr))
-            return f"x[{self.field!r}] in {{{rendered}}}"
-        return f"{self.lo!r} <= x[{self.field!r}] <= {self.hi!r}"
-
-    def admits(self, args: Mapping[str, Any]) -> bool:
-        value = args.get(self.field, _MISSING)
-        if self.kind == "in-set":
-            try:
-                return value in self.values
-            except TypeError:
-                return False
-        return (isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and self.lo <= value <= self.hi)
-
-    def build(self):
-        """The guard as an Efsm predicate (pure closure over frozen data)."""
-        spec = self
-
-        def predicate(ctx, _spec=spec):
-            return _spec.admits(ctx.x)
-
-        predicate.__guard_spec__ = spec
-        predicate.__name__ = f"mined_guard_{spec.field}"
-        return predicate
-
-
 #: A field with more distinct values than this never becomes a guard —
 #: in-set guards that long are memorized identifiers, not predicates.
 _MAX_GUARD_CARDINALITY = 16
@@ -315,26 +270,21 @@ _MAX_GUARD_CARDINALITY = 16
 _IDENTIFIER_MIN_EVIDENCE = 6
 
 
-def _hashable_scalar(value: Any) -> bool:
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return True
-
-
 def _synthesize_guards(
-        branches: List[List["Observation"]]) -> Optional[List[GuardSpec]]:
+        branches: List[List["Observation"]]) -> Optional[List[Guard]]:
     """Disjoint per-branch guards over one shared argument field, or None.
 
     Tries every field present in *every* observation of *every* branch.
-    All-numeric fields whose per-branch [min, max] ranges are pairwise
-    disjoint become interval guards — the widest sound generalization, so
-    unseen values inside a branch's observed range still route to that
-    branch.  Otherwise, pairwise-disjoint per-branch value sets become
-    equality in-set guards.  (Interval must be tried first: disjoint
-    numeric ranges imply disjoint value sets, so an in-set-first order
-    would never emit an interval.)
+    An all-numeric field yields interval guards over each branch's observed
+    [min, max] (``x.f >= lo and x.f <= hi``) — the widest sound
+    generalization, so unseen values inside a branch's observed range still
+    route to that branch; any field yields in-set guards over each branch's
+    observed values (``x.f in {...}``).  The first candidates
+    :func:`~repro.efsm.guards.decide` proves mutually disjoint win —
+    intervals first: disjoint numeric ranges imply disjoint value sets, so
+    an in-set-first order would never emit an interval.  The term carries
+    no default, so a missing field — like a value of the wrong type —
+    enables no branch and never raises.
     """
     if not branches or any(not branch for branch in branches):
         return None
@@ -343,20 +293,10 @@ def _synthesize_guards(
         for observation in branch:
             fields &= set(observation.args)
     for name in sorted(fields):
-        value_sets: List[set] = []
-        usable = True
-        for branch in branches:
-            values = set()
-            for observation in branch:
-                value = observation.args[name]
-                if not _hashable_scalar(value):
-                    usable = False
-                    break
-                values.add(value)
-            if not usable:
-                break
-            value_sets.append(values)
-        if not usable:
+        try:
+            value_sets = [{observation.args[name] for observation in branch}
+                          for branch in branches]
+        except TypeError:           # an unhashable value: not a scalar field
             continue
         distinct = sum(len(values) for values in value_sets)
         evidence = sum(len(branch) for branch in branches)
@@ -364,26 +304,16 @@ def _synthesize_guards(
             continue
         if evidence >= _IDENTIFIER_MIN_EVIDENCE and distinct * 2 >= evidence:
             continue
-        numeric = all(
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            for values in value_sets for value in values)
-        if numeric:
-            ranges = [(min(values), max(values)) for values in value_sets]
-            ordered = sorted(range(len(ranges)), key=lambda i: ranges[i][0])
-            overlap = any(
-                ranges[ordered[i + 1]][0] <= ranges[ordered[i]][1]
-                for i in range(len(ordered) - 1))
-            if not overlap:
-                return [GuardSpec(field=name, kind="interval",
-                                  lo=lo, hi=hi) for lo, hi in ranges]
-        disjoint = all(
-            value_sets[i].isdisjoint(value_sets[j])
-            for i in range(len(value_sets))
-            for j in range(i + 1, len(value_sets)))
-        if disjoint:
-            return [GuardSpec(field=name, kind="in-set",
-                              values=frozenset(values))
-                    for values in value_sets]
+        candidates = [[x(name).in_(frozenset(values))
+                       for values in value_sets]]
+        if all(isinstance(value, (int, float)) and not isinstance(value, bool)
+               for values in value_sets for value in values):
+            candidates.insert(0, [(x(name) >= min(values))
+                                  & (x(name) <= max(values))
+                                  for values in value_sets])
+        for guards in candidates:
+            if decide(guards).status == DISJOINT:
+                return guards
     return None
 
 
@@ -565,9 +495,13 @@ class MinedMachine:
     #: (source, event, channel, target) -> training observations.
     observations: Dict[Tuple[str, str, Optional[str], str],
                        List[Observation]]
-    #: (source, event, channel, target) -> synthesized guard, when one was
-    #: needed to keep the group deterministic.
-    guards: Dict[Tuple[str, str, Optional[str], str], GuardSpec]
+
+    @property
+    def guards(self) -> Dict[Tuple[str, str, Optional[str], str], Guard]:
+        """(source, event, channel, target) -> the guard synthesized to keep
+        its group deterministic: the transition's own predicate."""
+        return {(t.source, t.event_name, t.channel, t.target): t.predicate
+                for t in self.efsm.transitions if t.predicate is not None}
 
     @property
     def supports(self) -> Dict[Tuple[str, str, Optional[str], str], int]:
@@ -581,6 +515,9 @@ class MinedMachine:
             "states": len(self.efsm.states),
             "transitions": len(self.efsm.transitions),
             "guarded_transitions": len(self.guards),
+            "guards": [f"{source} --{event}--> {target}: {guard.describe()}"
+                       for (source, event, _, target), guard
+                       in self.guards.items()],
             "sequences": self.sequences,
             "steps": self.steps,
             "final_states": sorted(self.efsm.final_states),
@@ -640,7 +577,6 @@ def mine_machine(sequences: List[CallSequence], machine: str,
 
     observations: Dict[Tuple[str, str, Optional[str], str],
                        List[Observation]] = {}
-    guards: Dict[Tuple[str, str, Optional[str], str], GuardSpec] = {}
     steps = 0
     for cls in order:
         for key, targets in sorted(
@@ -648,14 +584,11 @@ def mine_machine(sequences: List[CallSequence], machine: str,
                 key=lambda item: (item[0][0], item[0][1] or "")):
             event_name, channel = key
             ordered = sorted(targets)
-            specs: Optional[List[GuardSpec]] = None
+            specs: Optional[List[Guard]] = None
             if len(ordered) > 1:
+                # Never None: _determinize folded every group it is for.
                 specs = _synthesize_guards(
                     [targets[target] for target in ordered])
-                if specs is None:   # _determinize guarantees this cannot be
-                    raise RuntimeError(
-                        f"mined-{machine}: undeterminized group "
-                        f"{names[cls]}/{event_name}")
             for index, target in enumerate(ordered):
                 group = targets[target]
                 steps += len(group)
@@ -663,14 +596,11 @@ def mine_machine(sequences: List[CallSequence], machine: str,
                                   names[target])
                 observations.setdefault(transition_key, []).extend(group)
                 spec = specs[index] if specs else None
-                predicate = spec.build() if spec else None
-                label = f"{event_name}"
-                if spec is not None:
-                    label = f"{event_name} [{spec.describe()}]"
-                    guards[transition_key] = spec
+                label = (event_name if spec is None
+                         else f"{event_name} [{spec.describe()}]")
                 efsm.add_transition(
                     names[cls], event_name, names[target],
-                    predicate=predicate, channel=channel, label=label)
+                    predicate=spec, channel=channel, label=label)
     efsm.validate()
     return MinedMachine(
         machine=machine, efsm=efsm, sequences=len(sequences), steps=steps,
@@ -678,7 +608,7 @@ def mine_machine(sequences: List[CallSequence], machine: str,
                       (class_labels[cls].most_common(1)[0][0]
                        if class_labels.get(cls) else names[cls])
                       for cls in order},
-        observations=observations, guards=guards)
+        observations=observations)
 
 
 def mine(source: Union[TraceSource, MiningCorpus],

@@ -21,9 +21,10 @@ training observation carries the spec machine's *recorded* state at firing
 time, so spec guards are probed exactly where the event actually arrived,
 with the recorded argument vector and accumulated variable valuation
 (``VidsConfig.trace_variables``) through :meth:`Efsm.enabled_at` — a guard
-that raises on the bounded, possibly partial recorded data counts as not
-enabled rather than crashing the diff.  Without recorded arguments the
-diff degrades to name-level structural checks and skips guard probing.
+helper that raises on the bounded, possibly partial recorded data counts as
+not enabled rather than crashing the diff — and a disagreement quotes the
+guards it probed.  Without recorded arguments the diff degrades to
+name-level structural checks and skips guard probing.
 
 Findings reuse the speclint :class:`Diagnostic`/:func:`format_report`
 machinery, so the ``specdiff`` CLI renders and exits like ``speclint``.
@@ -39,19 +40,17 @@ from .events import Event
 from .machine import Efsm
 from .mine import MinedMachine, Observation
 
-__all__ = ["specdiff", "DEFAULT_SAMPLES_PER_GROUP"]
+__all__ = ["specdiff"]
 
 #: Recorded observations probed per (state, event, channel) group.
-DEFAULT_SAMPLES_PER_GROUP = 5
+_SAMPLES_PER_GROUP = 5
 
 
 def _sample_args(observations: List[Observation]) -> List[Dict[str, Any]]:
     return [observation.args for observation in observations[:3]]
 
 
-def specdiff(mined: MinedMachine, spec: Efsm,
-             samples_per_group: int = DEFAULT_SAMPLES_PER_GROUP
-             ) -> List[Diagnostic]:
+def specdiff(mined: MinedMachine, spec: Efsm) -> List[Diagnostic]:
     """Diff one mined machine against its specification machine."""
     # Group every training observation by where it actually fired in the
     # spec machine: (recorded spec state, event, channel).
@@ -106,7 +105,7 @@ def specdiff(mined: MinedMachine, spec: Efsm,
             # trace_variables was off: structural name-level match only.
             matched.update(id(t) for t in candidates)
             continue
-        samples = probeable[:samples_per_group]
+        samples = probeable[:_SAMPLES_PER_GROUP]
         accepted = 0
         mismatched: List[Observation] = []
         for observation in samples:
@@ -130,7 +129,9 @@ def specdiff(mined: MinedMachine, spec: Efsm,
                 channel=channel,
                 transition=candidates[0].describe(),
                 data={"samples": len(samples),
-                      "example_args": _sample_args(samples)},
+                      "example_args": _sample_args(samples),
+                      "guards": [t.predicate.describe() for t in candidates
+                                 if t.predicate is not None]},
                 hint="the spec guard and the recorded traffic disagree; "
                      "check the guard's argument fields against the "
                      "traced args/vars"))

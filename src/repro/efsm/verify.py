@@ -7,44 +7,16 @@ only compose safely if every send has a matching receive.  This module
 analyzes machine definitions **without executing them** and reports findings
 as :class:`~repro.efsm.diagnostics.Diagnostic` records.
 
-Per-machine rules (:func:`verify_machine`):
+The rules are :data:`RULES` below: the per-machine ones of
+:func:`verify_machine` (structure, determinism decided exactly on the guard
+expressions, variable / timer hygiene read off the guards and mined from
+action and helper sources), then the cross-machine ones of
+:func:`verify_system` (channel topology, a bounded product-automaton pass).
+``docs/SPECCHECK.md`` is the catalog with severities and examples.
 
-- ``unreachable-state`` / ``unreachable-attack-state`` — no structural path
-  from the initial state (an unreachable attack state is a pattern that can
-  never match);
-- ``trap-state`` — a reachable non-final state with no outgoing transitions;
-- ``dead-state`` — a reachable non-final state from which no final state is
-  reachable (the call record could only ever leave memory via the TTL GC);
-- ``nondeterministic-overlap`` — same (state, event, channel) transitions
-  whose guards are not mutually exclusive: unguarded-pair detection, then
-  the sampled probe :meth:`Efsm.enabled_at` that
-  :meth:`Efsm.check_determinism` loops over too;
-- ``event-coverage-gap`` — alphabet events a state has no transition for
-  (informational: deviations *are* the anomaly signal, but the table is how
-  one audits specification completeness);
-- ``undeclared-variable`` / ``read-before-write`` / ``unused-variable`` —
-  state-variable hygiene, mined from predicate/action sources;
-- ``timer-unhandled`` / ``timer-never-fires`` / ``timer-never-started`` —
-  timers started but never consumed or cancelled, and vice versa;
-- ``undeclared-channel`` — sends/receives on channels the machine never
-  declared (see :meth:`Efsm.declare_channel`).
-
-Cross-machine rules (:func:`verify_system`):
-
-- ``unknown-channel-endpoint`` — a channel naming a machine that is not part
-  of the system;
-- ``unmatched-send`` — a ``c!δ`` output no receiver ever consumes;
-- ``unmatched-receive`` — a ``c?δ`` transition nothing ever sends;
-- ``sync-deadlock`` / ``sync-unbounded`` — a bounded product-automaton pass
-  over the interacting system that flags reachable configurations where a
-  queued synchronization event can never be consumed (a wedged FIFO is a
-  runtime deviation on a *legitimate* trace) or where a FIFO can grow past
-  the exploration bound.
-
-Predicate *probing* (:meth:`Efsm.enabled_at` against sampled configurations)
-is the only execution performed; machine state is never advanced.  Every
-send is a declarative :class:`~repro.efsm.machine.Output`, so the topology
-and product passes see all of them by construction.
+Nothing is executed: guards are data, and machine state is never advanced.
+Every send is a declarative :class:`~repro.efsm.machine.Output`, so the
+topology and product passes see all of them by construction.
 """
 
 from __future__ import annotations
@@ -73,13 +45,15 @@ from .analysis import (
 )
 from .channels import parse_channel
 from .diagnostics import Diagnostic, Severity
-from .events import TIMER_CHANNEL, Event
+from .events import TIMER_CHANNEL
+from .guards import DISJOINT, UNDECIDED
 from .machine import Efsm, Transition
 
 __all__ = ["verify_machine", "verify_system", "RULES"]
 
 #: Rule id -> one-line summary (the authoritative catalog is
-#: ``docs/SPECCHECK.md``).
+#: ``docs/SPECCHECK.md``): the per-machine rules, then from
+#: ``unknown-channel-endpoint`` on the cross-machine ones.
 RULES: Dict[str, str] = {
     "unreachable-state": "state has no structural path from the initial state",
     "unreachable-attack-state": "attack state can never be reached, so its "
@@ -115,10 +89,11 @@ RULES: Dict[str, str] = {
 }
 
 # ---------------------------------------------------------------------------
-# Source mining: predicates/actions are plain callables, so variable and
-# timer usage is recovered from their (and their same-module helpers')
-# source text.  Best-effort by design: anything unresolvable is
-# surfaced as an `analysis-incomplete` finding instead of being guessed at.
+# Source mining: actions and guard helpers are plain callables, so their
+# variable and timer usage is recovered from their (and their same-module
+# helpers') source text; a guard expression names the variables it reads.
+# Best-effort by design: anything unresolvable is surfaced as an
+# `analysis-incomplete` finding instead of being guessed at.
 # ---------------------------------------------------------------------------
 
 _VAR_WRITE_RE = re.compile(
@@ -245,7 +220,12 @@ def _transition_usages(machine: Efsm) -> List[_TransitionUsage]:
     usages = []
     for transition in machine.transitions:
         usage = _TransitionUsage(transition)
-        usage.scan(transition.predicate)
+        for term in (transition.predicate.terms()
+                     if transition.predicate is not None else ()):
+            if term.kind == "v":
+                usage.reads_get.add(term.name)      # reads with a default
+            elif term.kind == "helper":
+                usage.scan(term.value)
         usage.scan(transition.action)
         for output in transition.outputs:
             usage.scan(output.args_from)
@@ -311,60 +291,36 @@ def _check_sinks(machine: Efsm, reachable: Set[str]) -> List[Diagnostic]:
     return diagnostics
 
 
-def _check_determinism(machine: Efsm,
-                       samples: Sequence[Mapping[str, Any]]
-                       ) -> List[Diagnostic]:
+def _check_determinism(machine: Efsm) -> List[Diagnostic]:
     diagnostics = []
-    groups: Dict[Tuple[str, str, Optional[str]], List[Transition]] = {}
-    for transition in machine.transitions:
-        key = (transition.source, transition.event_name, transition.channel)
-        groups.setdefault(key, []).append(transition)
-    for (source, event_name, channel), group in sorted(
-            groups.items(), key=lambda item: (item[0][0], item[0][1],
-                                              item[0][2] or "")):
-        if len(group) < 2:
+    for group, decision in machine.decide_determinism():
+        if decision.status == DISJOINT:
             continue
-        describes = [t.describe() for t in group]
-        unguarded = [t for t in group if t.predicate is None]
-        if len(unguarded) >= 2:
-            diagnostics.append(Diagnostic(
-                "nondeterministic-overlap", Severity.ERROR,
-                f"{len(unguarded)} unguarded transitions from {source!r} on "
-                f"{event_name!r} are always simultaneously enabled",
-                machine=machine.name, state=source, event=event_name,
-                transition=describes[0], data={"transitions": describes},
-                hint="give all but one of them mutually exclusive "
-                     "predicates"))
-            continue
-        for args in samples:
-            enabled = machine.enabled_at(
-                source, Event(event_name, dict(args), channel=channel))
-            if len(enabled) < 2:
-                continue
-            diagnostics.append(Diagnostic(
-                "nondeterministic-overlap", Severity.ERROR,
-                f"sampled configuration {dict(args)!r} enables "
-                f"{len(enabled)} transitions from {source!r} on "
-                f"{event_name!r}: {[t.describe() for t in enabled]}",
-                machine=machine.name, state=source, event=event_name,
-                transition=enabled[0].describe(),
-                data={"transitions": [t.describe() for t in enabled],
-                      "witness_args": dict(args)},
-                hint="make the predicates mutually disjoint (P_i ∧ P_j = ∅)"))
-            break
+        where = f"from {group[0].source!r} on {group[0].event_name!r}"
+        if decision.status == UNDECIDED:
+            involved, severity = group, Severity.WARNING
+            message = (f"the {len(group)} transitions {where} cannot be "
+                       f"proven mutually exclusive: {decision.reason}")
+            hint = ("write the guard in the algebra of repro.efsm.guards, "
+                    "or as a named helper compared with constants")
         else:
-            if unguarded:
-                diagnostics.append(Diagnostic(
-                    "nondeterministic-overlap", Severity.WARNING,
-                    f"unguarded transition {unguarded[0].describe()!r} "
-                    f"overlaps {len(group) - 1} guarded alternative(s) from "
-                    f"{source!r} on {event_name!r} unless every guard "
-                    f"excludes it",
-                    machine=machine.name, state=source, event=event_name,
-                    transition=unguarded[0].describe(),
-                    data={"transitions": describes},
-                    hint="guard it with the negation of the other "
-                         "predicates"))
+            involved = [group[index] for index in decision.enabled]
+            severity = Severity.ERROR
+            witness = ", ".join(f"{name}={value!r}" for name, value
+                                in decision.witness.items()) or "every event"
+            message = (f"{witness} enables {len(involved)} transitions "
+                       f"{where}: " + "; ".join(
+                           f"{t.describe()} [{t.predicate.describe()}]"
+                           if t.predicate is not None
+                           else f"{t.describe()} [unguarded]"
+                           for t in involved))
+            hint = "make the predicates mutually disjoint (P_i ∧ P_j = ∅)"
+        diagnostics.append(Diagnostic(
+            "nondeterministic-overlap", severity, message,
+            machine=machine.name, state=group[0].source,
+            event=group[0].event_name, transition=involved[0].describe(),
+            data={"transitions": [t.describe() for t in involved],
+                  "witness": dict(decision.witness)}, hint=hint))
     return diagnostics
 
 
@@ -528,24 +484,18 @@ def _check_incomplete(machine: Efsm,
              "machine")]
 
 
-def verify_machine(machine: Efsm,
-                   samples: Optional[Sequence[Mapping[str, Any]]] = None
-                   ) -> List[Diagnostic]:
+def verify_machine(machine: Efsm) -> List[Diagnostic]:
     """Run every per-machine spec-lint rule; returns structured findings.
 
-    ``samples`` are event-argument vectors used to probe guard disjointness
-    (the empty vector is always probed).  Nothing about the machine is
-    mutated and no transition actions execute.
+    Nothing about the machine is mutated and neither guards nor actions
+    execute.
     """
-    probe_samples: List[Mapping[str, Any]] = [{}]
-    if samples:
-        probe_samples.extend(samples)
     usages = _transition_usages(machine)
     reachable = reachable_states(machine)
     diagnostics: List[Diagnostic] = []
     diagnostics.extend(_check_reachability(machine, reachable))
     diagnostics.extend(_check_sinks(machine, reachable))
-    diagnostics.extend(_check_determinism(machine, probe_samples))
+    diagnostics.extend(_check_determinism(machine))
     diagnostics.extend(_check_event_coverage(machine, reachable))
     diagnostics.extend(_check_variables(machine, usages))
     diagnostics.extend(_check_timers(machine, usages))
@@ -818,7 +768,6 @@ class _ProductExplorer:
 
 
 def verify_system(machines: Iterable[Efsm],
-                  samples: Optional[Sequence[Mapping[str, Any]]] = None,
                   queue_bound: int = 4,
                   max_configs: int = 20000,
                   per_machine: bool = True) -> List[Diagnostic]:
@@ -833,7 +782,7 @@ def verify_system(machines: Iterable[Efsm],
     diagnostics: List[Diagnostic] = []
     if per_machine:
         for machine in machine_list:
-            diagnostics.extend(verify_machine(machine, samples=samples))
+            diagnostics.extend(verify_machine(machine))
     diagnostics.extend(_system_topology(machine_list))
     explorer = _ProductExplorer(machine_list, queue_bound=queue_bound,
                                 max_configs=max_configs)

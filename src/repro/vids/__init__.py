@@ -54,7 +54,7 @@ from .scenarios import (
     BUILTIN_SCENARIOS,
 )
 from .sip_machine import SIP_ATTACK_STATES, SIP_STATES, build_sip_machine
-from .speclint import PROBE_SAMPLES, verify_call_system, verify_vids_specs
+from .speclint import verify_call_system, verify_vids_specs
 from .sync import (
     DELTA_BYE,
     DELTA_CANCELLED,
@@ -91,7 +91,6 @@ __all__ = [
     "InviteFloodTracker",
     "MemberState",
     "OrphanMediaTracker",
-    "PROBE_SAMPLES",
     "PacketClassifier",
     "PacketKind",
     "RTP_ATTACK_STATES",

@@ -18,6 +18,7 @@ from functools import partial
 from typing import Any, Callable, Dict, Mapping, Optional
 
 from ...efsm.events import TIMER_CHANNEL, Event
+from ...efsm.guards import v, x
 from ...efsm.machine import Efsm, EfsmInstance, TransitionContext
 
 __all__ = ["build_invite_flood_machine", "InviteFloodTracker",
@@ -38,8 +39,10 @@ def build_invite_flood_machine(threshold: int, window: float,
     machine.add_state(FLOOD_ATTACK, attack=True)
     machine.declare(pck_counter=0, window_src="", seen_branches=())
 
-    def already_counted(ctx: TransitionContext) -> bool:
-        return str(ctx.x.get("branch", "")) in ctx.v.get("seen_branches", ())
+    # A retransmission (a branch already counted) never floods; a new
+    # branch does once it would take the counter past N.
+    already_counted = x("branch", "").in_(v("seen_branches", ()))
+    room_left = v("pck_counter", 0) <= threshold - 1
 
     def count(ctx: TransitionContext) -> None:
         branches = tuple(ctx.v.get("seen_branches", ()))
@@ -56,23 +59,13 @@ def build_invite_flood_machine(threshold: int, window: float,
         ctx.v["seen_branches"] = (str(ctx.x.get("branch", "")),)
         ctx.start_timer(TIMER_T1, window)
 
-    def within_threshold(ctx: TransitionContext) -> bool:
-        if already_counted(ctx):
-            return True
-        return int(ctx.v.get("pck_counter", 0)) + 1 <= threshold
-
-    def exceeds_threshold(ctx: TransitionContext) -> bool:
-        if already_counted(ctx):
-            return False
-        return int(ctx.v.get("pck_counter", 0)) + 1 > threshold
-
     machine.add_transition(FLOOD_INIT, "INVITE", FLOOD_COUNTING,
                            action=first_invite, label="first-invite")
     machine.add_transition(FLOOD_COUNTING, "INVITE", FLOOD_COUNTING,
-                           predicate=within_threshold, action=count,
+                           predicate=already_counted | room_left, action=count,
                            label="count")
     machine.add_transition(FLOOD_COUNTING, "INVITE", FLOOD_ATTACK,
-                           predicate=exceeds_threshold, action=count,
+                           predicate=~already_counted & ~room_left, action=count,
                            attack=True, label="flood-detected")
 
     def reset(ctx: TransitionContext) -> None:

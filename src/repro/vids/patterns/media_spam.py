@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ...efsm.events import Event
+from ...efsm.guards import helper, truthy
 from ...efsm.machine import Efsm, EfsmInstance, TransitionContext
 
 __all__ = ["build_media_spam_machine", "OrphanMediaTracker",
@@ -70,11 +71,12 @@ def build_media_spam_machine(seq_gap: int, ts_gap: int,
 
     machine.add_transition(SPAM_INIT, "RTP_PACKET", SPAM_COUNTING,
                            action=initialize, label="first-packet")
+    # The gap arithmetic is modular, so it stays a named helper leaf.
+    spam = truthy(helper(is_spam))
     machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_COUNTING,
-                           predicate=lambda ctx: not is_spam(ctx),
-                           action=update, label="in-profile")
+                           predicate=~spam, action=update, label="in-profile")
     machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_ATTACK,
-                           predicate=is_spam, attack=True, label="spam")
+                           predicate=spam, attack=True, label="spam")
     machine.add_transition(SPAM_ATTACK, "RTP_PACKET", SPAM_ATTACK,
                            label="absorbed")
     machine.validate()

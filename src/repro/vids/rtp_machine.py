@@ -29,6 +29,7 @@ Event vocabulary:
 from __future__ import annotations
 
 from ..efsm.events import TIMER_CHANNEL
+from ..efsm.guards import helper
 from ..efsm.machine import Efsm, TransitionContext
 from .config import DEFAULT_CONFIG, VidsConfig
 from .sync import (
@@ -62,7 +63,8 @@ _TS_MOD = 1 << 32
 
 
 #: The verdict on one media packet, in priority order: the four
-#: ``RTP_Rcvd`` guards each compare :func:`verdict`'s answer to one of these.
+#: ``RTP_Rcvd`` guards each compare the ``verdict`` helper's answer to one
+#: of these, so they are disjoint without looking inside the helper.
 CLEAN, CODEC, SPAM, FLOOD = range(4)
 
 
@@ -202,29 +204,28 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
         else:
             ctx.v["unknown"] = stream
 
+    # The packet's verdict, as a guard term: the named helper leaf.
+    packet = helper(verdict)
+
     # First media packet of the session.
     machine.add_transition(
-        RTP_OPEN, "RTP_PACKET", RTP_ACTIVE,
-        predicate=lambda ctx: verdict(ctx) != CODEC,
+        RTP_OPEN, "RTP_PACKET", RTP_ACTIVE, predicate=packet != CODEC,
         action=track_packet, label="first-media")
     machine.add_transition(RTP_OPEN, "RTP_PACKET", ATTACK_CODEC,
-                           predicate=lambda ctx: verdict(ctx) == CODEC,
+                           predicate=packet == CODEC,
                            attack=True, label="bad-codec-first")
 
     # Steady state: one verdict per packet, so the guards are mutually
     # disjoint by construction.
     machine.add_transition(RTP_ACTIVE, "RTP_PACKET", RTP_ACTIVE,
-                           predicate=lambda ctx: verdict(ctx) == CLEAN,
+                           predicate=packet == CLEAN,
                            action=track_packet, label="media")
-    machine.add_transition(RTP_ACTIVE, "RTP_PACKET", ATTACK_CODEC,
-                           predicate=lambda ctx: verdict(ctx) == CODEC,
-                           attack=True, label="codec-change")
-    machine.add_transition(RTP_ACTIVE, "RTP_PACKET", ATTACK_SPAM,
-                           predicate=lambda ctx: verdict(ctx) == SPAM,
-                           attack=True, label="media-spam")
-    machine.add_transition(RTP_ACTIVE, "RTP_PACKET", ATTACK_FLOOD,
-                           predicate=lambda ctx: verdict(ctx) == FLOOD,
-                           attack=True, label="rtp-flood")
+    for answer, state, label in ((CODEC, ATTACK_CODEC, "codec-change"),
+                                 (SPAM, ATTACK_SPAM, "media-spam"),
+                                 (FLOOD, ATTACK_FLOOD, "rtp-flood")):
+        machine.add_transition(RTP_ACTIVE, "RTP_PACKET", state,
+                               predicate=packet == answer,
+                               attack=True, label=label)
 
     # ---- the Figure-5 attack signal ----------------------------------------
 

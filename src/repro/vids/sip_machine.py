@@ -31,8 +31,9 @@ from its own address falls outside it.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Tuple
+from typing import Any, Mapping
 
+from ..efsm.guards import truthy, v, x
 from ..efsm.machine import Efsm, Output, TransitionContext
 from .config import DEFAULT_CONFIG, VidsConfig
 from .sync import (
@@ -69,16 +70,30 @@ SIP_ATTACK_STATES = (ATTACK_CANCEL, ATTACK_BYE, ATTACK_HIJACK)
 _ALL_EVENTS = ("INVITE", "ACK", "BYE", "CANCEL", "RESPONSE")
 
 
-def _status(ctx: TransitionContext) -> int:
-    return int(ctx.x.get("status", 0))
+# ---- guards (Definition 1's P_t, as data: repro.efsm.guards) -----------------
+# ``sip_event_from_message`` supplies ``status`` as an int and ``cseq_method``
+# / ``branch`` / ``src_ip`` as strings, so the terms are compared as they are.
 
+_STATUS, _CSEQ_METHOD = x("status", 0), x("cseq_method", "")
+_INVITE_CSEQ = _CSEQ_METHOD == "INVITE"
+_IS_2XX = (_STATUS >= 200) & (_STATUS < 300)
 
-def _cseq_method(ctx: TransitionContext) -> str:
-    return str(ctx.x.get("cseq_method", ""))
-
-
-def _participants(ctx: TransitionContext) -> Tuple[str, ...]:
-    return tuple(ctx.v.get("participants", ()))
+IS_1XX_INVITE = (_STATUS >= 100) & (_STATUS < 200) & _INVITE_CSEQ
+IS_2XX_INVITE = _IS_2XX & _INVITE_CSEQ
+IS_487_INVITE = (_STATUS == 487) & _INVITE_CSEQ
+#: Every final failure, 487 included.
+IS_FAILED_INVITE = (_STATUS >= 300) & _INVITE_CSEQ
+IS_2XX_BYE = _IS_2XX & (_CSEQ_METHOD == "BYE")
+#: An initial INVITE carries no To tag.
+IS_INITIAL_INVITE = ~truthy(x("to_tag", None))
+SAME_INVITE_BRANCH = x("branch", "") == v("invite_branch", None)
+#: A genuine in-dialog request (CANCEL, re-INVITE, BYE) retraces the
+#: dialog's path, so it arrives from an address already in the participant
+#: set (the upstream proxy or a user agent).  A third party sending from its
+#: own address fails this even if it sniffed the transaction branch; a party
+#: spoofing a participant source is indistinguishable without
+#: authentication (the limitation the paper's Section 3.1 acknowledges).
+SRC_IS_PARTICIPANT = x("src_ip", "").in_(v("participants", ()))
 
 
 def _add_participants(ctx: TransitionContext, *hosts: Any) -> None:
@@ -89,10 +104,6 @@ def _add_participants(ctx: TransitionContext, *hosts: Any) -> None:
         elif host:
             current.add(str(host))
     ctx.v["participants"] = tuple(sorted(current))
-
-
-def _src_is_participant(ctx: TransitionContext) -> bool:
-    return str(ctx.x.get("src_ip", "")) in _participants(ctx)
 
 
 def _media_args(ctx: TransitionContext) -> Mapping[str, Any]:
@@ -155,7 +166,7 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     machine.add_transition(
         INIT, "INVITE", INVITE_RCVD,
-        predicate=lambda ctx: not ctx.x.get("to_tag"),
+        predicate=IS_INITIAL_INVITE,
         action=on_invite,
         outputs=[Output(SIP_TO_RTP, DELTA_SESSION_OFFER, _media_args)]
         if cross else [],
@@ -164,28 +175,12 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     # ---- retransmission self-loops ----------------------------------------
 
-    def same_invite_branch(ctx: TransitionContext) -> bool:
-        return str(ctx.x.get("branch", "")) == ctx.v.get("invite_branch")
-
     for state in (INVITE_RCVD, PROCEEDING):
         machine.add_transition(
-            state, "INVITE", state, predicate=same_invite_branch,
+            state, "INVITE", state, predicate=SAME_INVITE_BRANCH,
             label="invite-retransmit")
 
     # ---- provisional / final responses during setup ------------------------
-
-    def is_1xx_invite(ctx: TransitionContext) -> bool:
-        return 100 <= _status(ctx) < 200 and _cseq_method(ctx) == "INVITE"
-
-    def is_2xx_invite(ctx: TransitionContext) -> bool:
-        return 200 <= _status(ctx) < 300 and _cseq_method(ctx) == "INVITE"
-
-    def is_487_invite(ctx: TransitionContext) -> bool:
-        return _status(ctx) == 487 and _cseq_method(ctx) == "INVITE"
-
-    def is_fail_invite(ctx: TransitionContext) -> bool:
-        return (_status(ctx) >= 300 and _cseq_method(ctx) == "INVITE"
-                and _status(ctx) != 487)
 
     def on_provisional(ctx: TransitionContext) -> None:
         if ctx.x.get("to_tag"):
@@ -206,56 +201,45 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
                       if cross else [])
 
     machine.add_transition(INVITE_RCVD, "RESPONSE", PROCEEDING,
-                           predicate=is_1xx_invite, action=on_provisional,
+                           predicate=IS_1XX_INVITE, action=on_provisional,
                            label="1xx")
     machine.add_transition(PROCEEDING, "RESPONSE", PROCEEDING,
-                           predicate=is_1xx_invite, action=on_provisional,
+                           predicate=IS_1XX_INVITE, action=on_provisional,
                            label="1xx-again")
     failed_outputs = ([Output(SIP_TO_RTP, DELTA_CANCELLED, _delta_args)]
                       if cross else [])
     for state in (INVITE_RCVD, PROCEEDING):
         machine.add_transition(state, "RESPONSE", ANSWERED,
-                               predicate=is_2xx_invite, action=on_answer,
+                               predicate=IS_2XX_INVITE, action=on_answer,
                                outputs=list(answer_outputs), label="200-invite")
         # A failed setup also closes the (never-used) media session so the
         # whole call system reaches final states and can be reclaimed.
         machine.add_transition(
             state, "RESPONSE", FAILED,
-            predicate=lambda ctx: is_fail_invite(ctx) or is_487_invite(ctx),
+            predicate=IS_FAILED_INVITE,
             outputs=list(failed_outputs),
             label="invite-failed")
 
     # ---- CANCEL handling -----------------------------------------------------
 
-    def legit_cancel(ctx: TransitionContext) -> bool:
-        # A genuine CANCEL retraces the INVITE's path, so it arrives from an
-        # address already in the participant set (the upstream proxy or the
-        # caller).  A third party cancelling from its own address fails this
-        # even if it sniffed the transaction branch; a party spoofing a
-        # participant source is indistinguishable without authentication
-        # (the limitation the paper's Section 3.1 acknowledges).
-        return _src_is_participant(ctx)
-
     cancel_outputs = ([Output(SIP_TO_RTP, DELTA_CANCELLED, _delta_args)]
                       if cross else [])
     for state in (INVITE_RCVD, PROCEEDING):
         machine.add_transition(state, "CANCEL", CANCELLING,
-                               predicate=legit_cancel,
+                               predicate=SRC_IS_PARTICIPANT,
                                outputs=list(cancel_outputs), label="cancel")
         machine.add_transition(
-            state, "CANCEL", ATTACK_CANCEL,
-            predicate=lambda ctx: not legit_cancel(ctx),
+            state, "CANCEL", ATTACK_CANCEL, predicate=~SRC_IS_PARTICIPANT,
             attack=True, label="third-party-cancel")
 
     machine.add_transition(CANCELLING, "RESPONSE", CANCELLED,
-                           predicate=is_487_invite, label="487")
+                           predicate=IS_487_INVITE, label="487")
     machine.add_transition(
         CANCELLING, "RESPONSE", CANCELLING,
-        predicate=lambda ctx: not is_487_invite(ctx) and not is_2xx_invite(ctx),
-        label="cancel-200")
+        predicate=~IS_487_INVITE & ~IS_2XX_INVITE, label="cancel-200")
     # Race: the callee answered before the CANCEL landed.
     machine.add_transition(CANCELLING, "RESPONSE", ANSWERED,
-                           predicate=is_2xx_invite, action=on_answer,
+                           predicate=IS_2XX_INVITE, action=on_answer,
                            outputs=list(answer_outputs), label="cancel-race-200")
     machine.add_transition(CANCELLING, "CANCEL", CANCELLING,
                            label="cancel-retransmit")
@@ -267,16 +251,13 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     machine.add_transition(ANSWERED, "ACK", ESTABLISHED, label="ack")
     machine.add_transition(ANSWERED, "RESPONSE", ANSWERED,
-                           predicate=is_2xx_invite, label="200-retransmit")
+                           predicate=IS_2XX_INVITE, label="200-retransmit")
     machine.add_transition(ESTABLISHED, "ACK", ESTABLISHED,
                            label="ack-retransmit")
     machine.add_transition(ESTABLISHED, "RESPONSE", ESTABLISHED,
                            label="late-response")
 
     # ---- in-dialog INVITE (re-INVITE vs hijack) -----------------------------
-
-    def legit_reinvite(ctx: TransitionContext) -> bool:
-        return _src_is_participant(ctx)
 
     def on_reinvite(ctx: TransitionContext) -> None:
         # A genuine re-INVITE may move the media; refresh the offer globals.
@@ -286,11 +267,10 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
             ctx.v["g_offer_pts"] = tuple(ctx.x.get("sdp_pts", ()))
 
     machine.add_transition(ESTABLISHED, "INVITE", ESTABLISHED,
-                           predicate=legit_reinvite, action=on_reinvite,
+                           predicate=SRC_IS_PARTICIPANT, action=on_reinvite,
                            label="re-invite")
     machine.add_transition(
-        ESTABLISHED, "INVITE", ATTACK_HIJACK,
-        predicate=lambda ctx: not legit_reinvite(ctx),
+        ESTABLISHED, "INVITE", ATTACK_HIJACK, predicate=~SRC_IS_PARTICIPANT,
         attack=True, label="hijack-invite")
 
     # ---- teardown ------------------------------------------------------------
@@ -307,21 +287,16 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
                    if cross else [])
     for state in (ANSWERED, ESTABLISHED):
         machine.add_transition(state, "BYE", TEARDOWN,
-                               predicate=_src_is_participant, action=on_bye,
+                               predicate=SRC_IS_PARTICIPANT, action=on_bye,
                                outputs=list(bye_outputs), label="bye")
         machine.add_transition(
-            state, "BYE", ATTACK_BYE,
-            predicate=lambda ctx: not _src_is_participant(ctx),
+            state, "BYE", ATTACK_BYE, predicate=~SRC_IS_PARTICIPANT,
             attack=True, label="third-party-bye")
 
-    def is_2xx_bye(ctx: TransitionContext) -> bool:
-        return 200 <= _status(ctx) < 300 and _cseq_method(ctx) == "BYE"
-
     machine.add_transition(TEARDOWN, "RESPONSE", CLOSED,
-                           predicate=is_2xx_bye, label="bye-200")
-    machine.add_transition(
-        TEARDOWN, "RESPONSE", TEARDOWN,
-        predicate=lambda ctx: not is_2xx_bye(ctx), label="stale-response")
+                           predicate=IS_2XX_BYE, label="bye-200")
+    machine.add_transition(TEARDOWN, "RESPONSE", TEARDOWN,
+                           predicate=~IS_2XX_BYE, label="stale-response")
     machine.add_transition(TEARDOWN, "BYE", TEARDOWN, label="bye-retransmit")
     machine.add_transition(TEARDOWN, "ACK", TEARDOWN, label="stale-ack")
 

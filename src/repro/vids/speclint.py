@@ -10,16 +10,11 @@ Thin vids-side wrapper over :mod:`repro.efsm.verify`.  Three consumers:
 - the ``speclint`` CLI subcommand and the test suite call
   :func:`verify_vids_specs` for the full report over the shipped SIP/RTP
   call system plus the standalone attack-pattern machines.
-
-Probing samples: guard disjointness (Definition 1's ``P_i ∧ P_j = ∅``) is
-checked against :data:`PROBE_SAMPLES` — representative SIP response and
-RTP packet argument vectors — in addition to the always-probed empty
-vector.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set
 
 from ..efsm.diagnostics import Diagnostic, errors_only
 from ..efsm.errors import SpecVerificationError
@@ -27,8 +22,7 @@ from ..efsm.machine import Efsm
 from ..efsm.verify import verify_machine, verify_system
 from .config import DEFAULT_CONFIG, VidsConfig
 
-__all__ = ["PROBE_SAMPLES", "shipped_machines", "verify_call_system",
-           "verify_vids_specs"]
+__all__ = ["shipped_machines", "verify_call_system", "verify_vids_specs"]
 
 #: Fingerprints of machine sets that already verified clean this process.
 #: Verification costs tens of milliseconds and every CallStateFactBase
@@ -37,56 +31,32 @@ __all__ = ["PROBE_SAMPLES", "shipped_machines", "verify_call_system",
 _VERIFIED_CLEAN: Set[tuple] = set()
 
 
-def _code_identity(fn: Optional[Callable]) -> tuple:
-    code = getattr(fn, "__code__", None)
-    if code is None:
-        return (fn is not None,)
-    return (code.co_filename, code.co_firstlineno)
-
-
 def _fingerprint(machines: Sequence[Efsm]) -> tuple:
     """Structure + callable identity of a machine set.
 
     Two sets with the same fingerprint verify identically: states,
-    transitions, channels, and declarations are captured directly, and
-    predicates/actions by their defining code location (a monkeypatched or
-    edited builder therefore never hits the cache).
+    transitions, guards, channels and declarations are captured directly,
+    actions by their code object — the same for every closure built from
+    one ``def``, so a monkeypatched builder never hits the cache.
     """
-    parts = []
-    for machine in machines:
-        parts.append((
-            machine.name, machine.initial_state,
-            tuple(sorted(machine.channels)),
-            tuple(sorted(machine.final_states)),
-            tuple(sorted(machine.attack_states)),
-            tuple(sorted(machine.variables)),
-            tuple(sorted(machine.global_variables)),
-            tuple((t.describe(), _code_identity(t.predicate),
-                   _code_identity(t.action),
-                   tuple((o.channel, o.event_name,
-                          _code_identity(o.args_from)) for o in t.outputs))
-                  for t in machine.transitions),
-        ))
-    return tuple(parts)
+    def code(fn: Optional[Callable]) -> object:
+        return getattr(fn, "__code__", fn)
 
-#: Event-argument vectors used to probe predicate disjointness.  They cover
-#: the response-status classes the SIP guards branch on and a plain media
-#: packet for the RTP guards.
-PROBE_SAMPLES: Tuple[Mapping[str, Any], ...] = (
-    {"status": 180, "cseq_method": "INVITE"},
-    {"status": 200, "cseq_method": "INVITE", "to_tag": "t1"},
-    {"status": 200, "cseq_method": "BYE"},
-    {"status": 487, "cseq_method": "INVITE"},
-    {"status": 500, "cseq_method": "INVITE"},
-    {"src_ip": "203.0.113.9", "branch": "z9hG4bK-1"},
-    {"ssrc": 1, "seq": 10, "ts": 160, "pt": 0,
-     "direction": "to_callee"},
-)
+    return tuple(
+        (machine.name, machine.initial_state,
+         frozenset(machine.channels), frozenset(machine.final_states),
+         frozenset(machine.attack_states), frozenset(machine.variables),
+         frozenset(machine.global_variables),
+         tuple((t.source, t.event_name, t.target, t.channel, t.describe(),
+                None if t.predicate is None else t.predicate.key,
+                code(t.action),
+                tuple((o.channel, o.event_name, code(o.args_from))
+                      for o in t.outputs))
+               for t in machine.transitions))
+        for machine in machines)
 
 
-def verify_call_system(machines: Sequence[Efsm],
-                       context: str = "vids call system"
-                       ) -> List[Diagnostic]:
+def verify_call_system(machines: Sequence[Efsm]) -> List[Diagnostic]:
     """Verify an interacting machine set; raise on ERROR findings.
 
     Returns the full diagnostic list (all severities) when clean, or the
@@ -96,12 +66,12 @@ def verify_call_system(machines: Sequence[Efsm],
     fingerprint = _fingerprint(machines)
     if fingerprint in _VERIFIED_CLEAN:
         return []
-    diagnostics = verify_system(machines, samples=PROBE_SAMPLES)
+    diagnostics = verify_system(machines)
     errors = errors_only(diagnostics)
     if errors:
         details = "; ".join(d.describe() for d in errors[:5])
         raise SpecVerificationError(
-            f"spec verification failed for {context}: "
+            f"spec verification failed for the vids call system: "
             f"{len(errors)} ERROR finding(s): {details}",
             diagnostics=errors)
     _VERIFIED_CLEAN.add(fingerprint)
@@ -141,8 +111,7 @@ def verify_vids_specs(config: VidsConfig = DEFAULT_CONFIG
     rules apply to them.  Never raises: callers inspect severities.
     """
     sip, rtp, *patterns = shipped_machines(config)
-    diagnostics: List[Diagnostic] = []
-    diagnostics.extend(verify_system([sip, rtp], samples=PROBE_SAMPLES))
+    diagnostics = verify_system([sip, rtp])
     for machine in patterns:
-        diagnostics.extend(verify_machine(machine, samples=PROBE_SAMPLES))
+        diagnostics.extend(verify_machine(machine))
     return diagnostics

@@ -1,6 +1,7 @@
 """Seeded guard-purity violations (codecheck test fixture; AST only)."""
 
-from repro.efsm.machine import Efsm, allow_impure_guard
+from repro.efsm.guards import helper, truthy
+from repro.efsm.machine import Efsm
 
 
 def writes_state(ctx):
@@ -35,10 +36,13 @@ def uses_scratch(ctx):
     return memo["ok"]
 
 
-@allow_impure_guard("test fixture: audited exception")
-def audited(ctx):
-    ctx.v["count"] = 2           # allowed by the decorator
-    return True
+def leaf_writer(ctx):
+    ctx.v["count"] = 2           # GP001: a helper leaf's body is still code
+    return 1
+
+
+def pure_leaf(ctx):
+    return ctx.v.get("count", 0)     # reads only: clean
 
 
 def suppressed(ctx):
@@ -52,7 +56,10 @@ def build(machine: Efsm) -> Efsm:
     machine.add_transition("s0", "e3", "s0", predicate=arms_timer)
     machine.add_transition("s0", "e4", "s0", transitive_writer)
     machine.add_transition("s0", "e5", "s0", predicate=uses_scratch)
-    machine.add_transition("s0", "e6", "s0", predicate=audited)
+    machine.add_transition("s0", "e6", "s0",
+                           predicate=helper(leaf_writer) == 1)
+    machine.add_transition("s0", "e9", "s0",
+                           predicate=truthy(helper(pure_leaf)))
     machine.add_transition("s0", "e7", "s0", predicate=suppressed)
     machine.add_transition("s0", "e8", "s0",
                            predicate=lambda ctx: ctx.v.pop("x"))  # GP002

@@ -107,16 +107,17 @@ def test_impure_guards_flagged_by_kind():
     assert "writes_state" in gp001_scopes
     assert "transitive_writer" in gp001_scopes    # via the _poke callee
     assert "uses_scratch" in gp001_scopes         # no memo-slot carve-out
+    assert "leaf_writer" in gp001_scopes          # reached via helper(fn)
     gp002_scopes = {d.state for d in by_code(findings, "GP002")}
     assert "mutates_list" in gp002_scopes
     assert any(scope.startswith("<lambda") for scope in gp002_scopes)
     assert {d.state for d in by_code(findings, "GP003")} == {"arms_timer"}
 
 
-def test_audited_and_suppressed_guards_pass():
+def test_pure_and_suppressed_guards_pass():
     findings = run_fixture(check_guards=True)
     scopes = {d.state for d in findings}
-    assert "audited" not in scopes         # @allow_impure_guard honored
+    assert "pure_leaf" not in scopes       # a helper leaf that only reads
     assert "suppressed" not in scopes      # per-line "# noqa: GP001"
 
 

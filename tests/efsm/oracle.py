@@ -1,0 +1,115 @@
+"""The reference dispatch, test side: a tree interpreter that shadows
+every delivery.
+
+``src/`` has one dispatch (the compiled tables of ``EfsmInstance.deliver``,
+first enabled guard fires) and one way to run a guard (the function
+``Guard.compiled`` generates).  This module is what both are checked
+against.  :func:`interpret` walks a guard expression node by node — it
+shares no code with the compiler or with the abstract evaluation inside
+``guards.decide`` — and :func:`shadow_dispatch` wraps ``deliver`` so that,
+before the real delivery runs, every candidate of the (state, event,
+channel) group is interpreted: two enabled candidates raise
+:class:`NondeterminismError` (Definition 1), and afterwards the transition
+the real ``deliver`` fired must be the one the interpreter enabled.  Both
+failures are raised again when the block ends, because a pipeline under
+test contains exceptions out of ``deliver`` (layer-1 containment).
+"""
+
+import operator
+from contextlib import contextmanager
+
+from repro.efsm.errors import NondeterminismError
+from repro.efsm.machine import EfsmInstance, TransitionContext
+
+_COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _value(term, ctx):
+    if term.kind == "const":
+        return term.value
+    if term.kind == "helper":
+        return term.value(ctx)
+    vector = ctx.x if term.kind == "x" else ctx.v
+    return vector.get(term.name, term.value)
+
+
+def _walk(guard, ctx):
+    op, args = guard.op, guard.args
+    if op == "and":
+        return all(_walk(part, ctx) for part in args)
+    if op == "or":
+        return any(_walk(part, ctx) for part in args)
+    if op == "not":
+        return not _walk(args[0], ctx)
+    if op == "truthy":
+        return bool(_value(args[0], ctx))
+    left, right = (_value(term, ctx) for term in args)
+    if op == "in":
+        return left in right
+    return bool(_COMPARE[op](left, right))
+
+
+def interpret(guard, ctx):
+    """Does ``guard`` hold in ``ctx``?  A ``TypeError`` anywhere in the
+    evaluation means not enabled (docs/STATE_MACHINES.md)."""
+    try:
+        return _walk(guard, ctx)
+    except TypeError:
+        return False
+
+
+@contextmanager
+def shadow_dispatch(firings=None):
+    """Check every delivery against the interpreter while the block runs.
+
+    ``firings`` (a list) collects one record per delivery, in the shape
+    the dispatch-equivalence suite compares.  Yields a one-element list
+    holding the number of deliveries shadowed.
+    """
+    original = EfsmInstance.deliver
+    shadowed = [0]
+    failures = []
+
+    def deliver(self, event):
+        ctx = TransitionContext(self, event)
+        enabled = [
+            candidate for candidate
+            in self.definition.transitions_from(self.state, event.name)
+            if candidate.channel == event.channel
+            and (candidate.predicate is None
+                 or interpret(candidate.predicate, ctx))]
+        if len(enabled) > 1:
+            failures.append(NondeterminismError(
+                f"{self.name}: state {self.state!r} event {event.name!r} "
+                f"enables {[t.describe() for t in enabled]}"))
+            raise failures[-1]
+        result = original(self, event)
+        if result.transition is not (enabled[0] if enabled else None):
+            fired = result.transition and result.transition.describe()
+            failures.append(AssertionError(
+                f"{self.name}: deliver fired {fired!r} from "
+                f"{result.from_state!r} on {event.name!r}; the interpreter "
+                f"enabled {[t.describe() for t in enabled]}"))
+            raise failures[-1]
+        shadowed[0] += 1
+        if firings is not None:
+            firings.append(firing_record(result))
+        return result
+
+    EfsmInstance.deliver = deliver
+    try:
+        yield shadowed
+    finally:
+        EfsmInstance.deliver = original
+    if failures:
+        raise failures[0]
+
+
+def firing_record(result):
+    transition = result.transition
+    return (result.machine, result.event.name, result.from_state,
+            result.to_state,
+            transition.label if transition is not None else None,
+            result.deviation, result.attack,
+            tuple(output.name for output in result.outputs))

@@ -12,6 +12,7 @@ from repro.efsm import (
     Output,
     TIMER_CHANNEL,
 )
+from repro.efsm.guards import x
 
 
 def turnstile():
@@ -84,18 +85,34 @@ def test_nondeterminism_detected_at_runtime():
         instance.deliver(Event("go"))
 
 
-def test_check_determinism_samples():
+def nd_machine(first, second):
     machine = Efsm("nd", "s0")
     machine.add_state("s1")
     machine.add_state("s2")
-    machine.add_transition("s0", "go", "s1",
-                           predicate=lambda ctx: ctx.x["n"] > 0)
-    machine.add_transition("s0", "go", "s2",
-                           predicate=lambda ctx: ctx.x["n"] >= 0)
-    with pytest.raises(NondeterminismError):
-        machine.check_determinism([({}, Event("go", {"n": 1}))])
-    # Disjoint sample: no overlap detected.
-    machine.check_determinism([({}, Event("go", {"n": -1}))])
+    machine.add_transition("s0", "go", "s1", predicate=first)
+    machine.add_transition("s0", "go", "s2", predicate=second)
+    return machine
+
+
+def test_check_determinism_is_exact():
+    n = x("n", 0)
+    with pytest.raises(NondeterminismError, match="x.n"):
+        nd_machine(n > 0, n >= 1).check_determinism()
+    # Disjoint for every valuation, the boundary included.
+    nd_machine(n > 0, n <= 0).check_determinism()
+    # A bare callable is opaque: determinism cannot be proven.
+    with pytest.raises(NondeterminismError, match="undecided"):
+        nd_machine(n > 0, lambda ctx: ctx.x["n"] <= 0).check_determinism()
+
+
+def test_bare_callable_is_wrapped_as_an_anonymous_helper_leaf():
+    def positive(ctx):
+        return ctx.x["n"] > 0
+
+    machine = nd_machine(positive, None)
+    (term,) = machine.transitions[0].predicate.terms()
+    assert (term.kind, term.name, term.value) == ("helper", "", positive)
+    assert machine.transitions[1].predicate is None
 
 
 class TestEnabledAt:

@@ -9,11 +9,12 @@ on it unchanged.
 
 import pytest
 
-from repro.efsm import to_dot, verify_machine
+from repro.efsm import Efsm, Event, to_dot, verify_machine
 from repro.efsm.diagnostics import Severity
+from repro.efsm.guards import DISJOINT, decide
+from repro.efsm.machine import EfsmInstance, TransitionContext
 from repro.efsm.mine import (
     CallSequence,
-    GuardSpec,
     Observation,
     StepRecord,
     _synthesize_guards,
@@ -123,6 +124,12 @@ class TestGuardSynthesis:
         return Observation(args=args, valuation={}, spec_from="S",
                            spec_to="T")
 
+    @staticmethod
+    def admits(guard, args):
+        """The synthesized guard, compiled, on one argument vector."""
+        return bool(guard.compiled()(TransitionContext(
+            EfsmInstance(Efsm("m", "s0")), Event("e", args))))
+
     def test_in_set_guards_on_disjoint_values(self):
         branches = [
             [self.obs({"method": "INVITE"}), self.obs({"method": "ACK"})],
@@ -130,11 +137,13 @@ class TestGuardSynthesis:
         ]
         guards = _synthesize_guards(branches)
         assert guards is not None and len(guards) == 2
-        assert all(g.kind == "in-set" and g.field == "method"
-                   for g in guards)
-        assert guards[0].admits({"method": "INVITE"})
-        assert not guards[0].admits({"method": "BYE"})
-        assert not guards[0].admits({})
+        assert [g.describe() for g in guards] == [
+            "x.method in {'ACK', 'INVITE'}", "x.method in {'BYE'}"]
+        assert decide(guards).status == DISJOINT
+        assert self.admits(guards[0], {"method": "INVITE"})
+        assert not self.admits(guards[0], {"method": "BYE"})
+        assert not self.admits(guards[0], {})            # missing field
+        assert not self.admits(guards[0], {"method": []})    # unhashable
 
     def test_interval_guards_on_disjoint_ranges(self):
         branches = [
@@ -143,10 +152,15 @@ class TestGuardSynthesis:
         ]
         guards = _synthesize_guards(branches)
         assert guards is not None
-        assert [g.kind for g in guards] == ["interval", "interval"]
-        assert guards[0].admits({"seq": 2})          # unseen but in range
-        assert not guards[0].admits({"seq": 10})
-        assert not guards[0].admits({"seq": True})   # bools excluded
+        assert [g.describe() for g in guards] == [
+            "x.seq >= 1 and x.seq <= 3", "x.seq >= 10 and x.seq <= 11"]
+        assert decide(guards).status == DISJOINT
+        assert self.admits(guards[0], {"seq": 2})    # unseen but in range
+        assert not self.admits(guards[0], {"seq": 10})
+        # Missing field or wrong type: not enabled, never an exception.
+        assert not self.admits(guards[0], {})
+        assert not self.admits(guards[0], {"seq": "2"})
+        assert not self.admits(guards[0], {"seq": None})
 
     def test_no_separating_field_returns_none(self):
         branches = [
@@ -162,12 +176,24 @@ class TestGuardSynthesis:
         ]
         assert _synthesize_guards(branches) is None
 
-    def test_guard_spec_describe_and_build(self):
-        spec = GuardSpec(field="status", kind="in-set",
-                         values=frozenset({200}))
-        assert "status" in spec.describe()
-        predicate = spec.build()
-        assert predicate.__guard_spec__ is spec
+    def test_mined_guard_is_the_transitions_predicate(self):
+        ok = [toy_sequence(f"ok{i}", [("resp", "T", "Up", {"status": 200})])
+              for i in range(3)]
+        fail = [toy_sequence(f"f{i}", [("resp", "T", "Failed",
+                                        {"status": 486})])
+                for i in range(3)]
+        mined = mine_machine(ok + fail, "toy")
+        by_guard = {t.predicate.describe(): t
+                    for t in mined.efsm.transitions}
+        assert set(by_guard) == {"x.status >= 200 and x.status <= 200",
+                                 "x.status >= 486 and x.status <= 486"}
+        # One describe() behind the label, the summary and to_dot.
+        for text, transition in by_guard.items():
+            assert transition.label == f"resp [{text}]"
+            assert f"[{text}]" in to_dot(mined.efsm)
+        assert sorted(line.split(": ")[1]
+                      for line in mined.summary()["guards"]) \
+            == sorted(by_guard)
 
 
 def toy_sequence(call_id, steps):
@@ -202,8 +228,9 @@ class TestMineToy:
         ]) for i in range(3)]
         mined = mine_machine(ok + fail, "toy")
         assert mined.guards, "expected synthesized guards on the split"
-        specs = list(mined.guards.values())
-        assert all(s.field == "status" for s in specs)
+        for guard in mined.guards.values():
+            assert {term.name for term in guard.terms()
+                    if term.kind == "x"} == {"status"}
         for sequence in ok + fail:
             results = replay_sequence(mined.efsm, sequence)
             assert all(r.transition is not None for r in results)

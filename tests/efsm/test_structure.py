@@ -1,9 +1,12 @@
 """Structural pins: the machine layer keeps one of each mechanism.
 
-One guard probe outside live dispatch (``Efsm.enabled_at``), one firing
-tail (in ``EfsmInstance.deliver``), one way to send (declarative
-``Output``), one declaration of the shared media globals.  These read the
-source so a second copy cannot come back unnoticed.
+One dispatch (the compiled tables; the reference lives test side, in
+``tests/efsm/oracle.py``), one representation of a guard
+(``repro.efsm.guards``), one guard probe outside live dispatch
+(``Efsm.enabled_at``), one firing tail (in ``EfsmInstance.deliver``), one
+way to send (declarative ``Output``), one declaration of the shared media
+globals.  These read the source so a second copy cannot come back
+unnoticed.
 """
 
 import ast
@@ -52,6 +55,15 @@ def test_only_enabled_at_pins_a_throwaway_instance_to_a_state():
             if builds and pins:
                 pinned.append((rel, node.name))
     assert pinned == [("efsm/machine.py", "enabled_at")]
+
+
+def test_the_sampled_probe_and_the_second_dispatch_are_gone():
+    for needle in ("PROBE_SAMPLES", "compiled_dispatch", "probed_dispatch",
+                   "allow_impure_guard", "GuardSpec", "samples="):
+        assert _files_with(needle) == [], needle
+    # Guards run as the function Guard.compiled() generates, and only the
+    # machine module asks for it (dispatch entries and enabled_at).
+    assert _files_with(".compiled()") == ["efsm/machine.py"]
 
 
 def test_one_firing_tail():

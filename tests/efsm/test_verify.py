@@ -14,6 +14,7 @@ from repro.efsm import (
     verify_machine,
     verify_system,
 )
+from repro.efsm.guards import x
 
 
 def rules_of(diagnostics, min_severity=Severity.INFO):
@@ -98,41 +99,67 @@ def test_two_unguarded_transitions_is_definite_overlap():
     assert len(overlap.data["transitions"]) == 2
 
 
-def test_probed_overlap_witnessed_by_sample():
+def two_way(first, second):
     machine = Efsm("m", "s0")
     machine.add_state("a")
     machine.add_state("b")
-    machine.add_transition("s0", "e", "a",
-                           predicate=lambda ctx: True)
-    machine.add_transition("s0", "e", "b",
-                           predicate=lambda ctx: ctx.x.get("n", 0) >= 0)
+    machine.add_transition("s0", "e", "a", predicate=first, label="to-a")
+    machine.add_transition("s0", "e", "b", predicate=second, label="to-b")
+    return machine
+
+
+def test_probed_overlap_witnessed_by_sample():
+    # Overlap only at n == 5: no hand-kept sample list would carry it.
+    n = x("n", 0)
+    machine = two_way((n >= 0) & (n <= 5), n >= 5)
     (overlap,) = find(verify_machine(machine), "nondeterministic-overlap")
     assert overlap.severity is Severity.ERROR
-    assert "witness_args" in overlap.data
+    assert overlap.data["witness"] == {"x.n": 5}
+    assert overlap.data["transitions"] == ["to-a", "to-b"]
+    assert "x.n=5" in overlap.message and "x.n >= 5" in overlap.message
 
 
 def test_unprovable_unguarded_overlap_is_warning():
-    machine = Efsm("m", "s0")
-    machine.add_state("a")
-    machine.add_state("b")
-    machine.add_transition("s0", "e", "a")
-    machine.add_transition("s0", "e", "b",
-                           predicate=lambda ctx: ctx.x.get("n", 0) > 5)
+    # A bare callable is opaque, so the group is undecided, not refuted.
+    machine = two_way(None, lambda ctx: ctx.x.get("n", 0) > 5)
     (overlap,) = find(verify_machine(machine), "nondeterministic-overlap")
     assert overlap.severity is Severity.WARNING
+    assert "cannot be proven" in overlap.message
+
+
+def test_unguarded_beside_a_satisfiable_guard_is_an_error():
+    # An unguarded transition is always enabled: any valuation that
+    # satisfies the guarded one enables both.
+    machine = two_way(None, x("n", 0) > 5)
+    (overlap,) = find(verify_machine(machine), "nondeterministic-overlap")
+    assert overlap.severity is Severity.ERROR
+    assert overlap.data["witness"] == {"x.n": 6}
 
 
 def test_disjoint_guards_stay_clean():
-    machine = Efsm("m", "s0")
-    machine.add_state("a")
-    machine.add_state("b")
-    machine.add_transition("s0", "e", "a",
-                           predicate=lambda ctx: ctx.x.get("n", 0) > 5)
-    machine.add_transition("s0", "e", "b",
-                           predicate=lambda ctx: ctx.x.get("n", 0) <= 5)
-    samples = [{"n": 0}, {"n": 6}, {"n": 5}]
-    diagnostics = verify_machine(machine, samples=samples)
+    n = x("n", 0)
+    diagnostics = verify_machine(two_way(n > 5, n <= 5))
     assert "nondeterministic-overlap" not in rules_of(diagnostics)
+
+
+def test_planted_status_overlap_is_an_error_with_its_witness(monkeypatch):
+    """``200 <= status <= 300`` beside ``status >= 300``: a 300 to an
+    INVITE fires ``200-invite`` under first-match dispatch.  The sampled
+    probe (statuses 180/200/487/500) never saw it."""
+    from repro.vids import sip_machine
+
+    status = x("status", 0)
+    monkeypatch.setattr(
+        sip_machine, "IS_2XX_INVITE",
+        (status >= 200) & (status <= 300) & sip_machine._INVITE_CSEQ)
+    overlaps = find(verify_machine(sip_machine.build_sip_machine()),
+                    "nondeterministic-overlap")
+    assert {d.state for d in overlaps} == {"INVITE_Rcvd", "Proceeding"}
+    for overlap in overlaps:
+        assert overlap.severity is Severity.ERROR
+        assert overlap.data["witness"] == {"x.status": 300,
+                                           "x.cseq_method": "INVITE"}
+        assert overlap.data["transitions"] == ["200-invite", "invite-failed"]
 
 
 def test_same_event_on_different_channels_is_not_overlap():

@@ -12,11 +12,12 @@ same tracked values, under compiled and under probed dispatch.
 from hypothesis import given, settings, strategies as st
 
 from repro.efsm import EfsmSystem, Event, ManualClock
-from repro.efsm.machine import probed_dispatch
 from repro.vids import DEFAULT_CONFIG, build_rtp_machine, build_sip_machine
 from repro.vids.rtp_machine import ATTACK_CODEC, ATTACK_FLOOD, ATTACK_SPAM
 from repro.vids.sync import (DELTA_SESSION_OFFER, RTP_MACHINE, SIP_MACHINE,
                              SIP_TO_RTP)
+
+from ..efsm.oracle import shadow_dispatch
 
 #: A flood limit of 0.1 x 50 pkt/s x 0.5 s = 2.5 packets per window, so the
 #: third packet inside one window floods; every time step is a multiple of
@@ -115,8 +116,9 @@ def drive(config, start, sequence):
 @settings(max_examples=150, deadline=None)
 def test_verdict_matches_the_reference_model(start, sequence):
     compiled = drive(CONFIG, start, sequence)
-    with probed_dispatch():
+    with shadow_dispatch() as shadowed:
         assert drive(CONFIG, start, sequence) == compiled
+    assert shadowed[0] >= len(compiled[1])
 
 
 @given(starts, steps)

@@ -1,21 +1,23 @@
 """Compiled-vs-probed dispatch equivalence over the attack scenario suite.
 
-The compiled per-(state, event, channel) dispatch tables are the default
-delivery path; ``probed_dispatch()`` flips every machine back to the
-reference enabled-probe loop.  Replaying identical attack traffic down
-both paths must produce identical alert multisets AND identical firing
-sequences (machine, event, from-state, to-state, transition label,
-deviation/attack flags, outputs) — any divergence means the compilation
-changed detection semantics, not just speed.
+The compiled per-(state, event, channel) dispatch tables are the only
+delivery path in ``src/``; the reference — probe *every* candidate's guard
+with the tree interpreter, raise on two — shadows each delivery from the
+test side (``tests/efsm/oracle.py``) and asserts the real ``deliver`` fired
+the transition it enabled.  Each scenario also runs once bare: identical
+alert multisets, identical firing sequences (machine, event, from-state,
+to-state, transition label, deviation/attack flags, outputs) and identical
+counters prove the shadow observes without perturbing.
 """
 
 from contextlib import contextmanager
 
 from repro.efsm import ManualClock
-from repro.efsm.machine import EfsmInstance, probed_dispatch
+from repro.efsm.machine import EfsmInstance
 from repro.sip import SipRequest
 from repro.vids import DEFAULT_CONFIG, Vids
 
+from ..efsm.oracle import firing_record, shadow_dispatch
 from .test_ids import (ATTACKER, CALLEE, CALLER, PROXY_A, PROXY_B, ack_bytes,
                        bye_bytes, dgram, establish_call, invite_bytes,
                        response_bytes, rtp_bytes, stream_media)
@@ -23,18 +25,12 @@ from .test_ids import (ATTACKER, CALLEE, CALLER, PROXY_A, PROXY_B, ack_bytes,
 
 @contextmanager
 def capture_firings(log):
-    """Record every machine delivery, identically under either dispatch."""
+    """Record every machine delivery of a bare (unshadowed) run."""
     original = EfsmInstance.deliver
 
     def recording_deliver(self, event):
         result = original(self, event)
-        transition = result.transition
-        log.append((
-            result.machine, event.name, result.from_state, result.to_state,
-            transition.label if transition is not None else None,
-            result.deviation, result.attack,
-            tuple(output.name for output in result.outputs),
-        ))
+        log.append(firing_record(result))
         return result
 
     EfsmInstance.deliver = recording_deliver
@@ -178,13 +174,14 @@ SCENARIOS = [
 ]
 
 
-def run_scenario(driver):
-    """One scenario under the current dispatch mode: (alerts, firings)."""
+def run_scenario(driver, recorder=capture_firings):
+    """One scenario, its deliveries recorded by ``recorder``:
+    (alerts, firings, counters)."""
     clock = ManualClock()
     vids = Vids(config=DEFAULT_CONFIG, clock_now=clock.now,
                 timer_scheduler=clock.schedule)
     firings = []
-    with capture_firings(firings):
+    with recorder(firings):
         driver(vids, clock)
     alerts = sorted((alert.attack_type.value, alert.call_id)
                     for alert in vids.alerts)
@@ -194,14 +191,17 @@ def run_scenario(driver):
 
 
 def test_compiled_and_probed_dispatch_are_equivalent():
+    shadowed = 0
     for driver in SCENARIOS:
         compiled = run_scenario(driver)
-        with probed_dispatch():
-            probed = run_scenario(driver)
+        # Every delivery of this run is checked against the interpreter.
+        probed = run_scenario(driver, recorder=shadow_dispatch)
+        shadowed += len(probed[1])
         name = driver.__name__
         assert compiled[0] == probed[0], f"{name}: alert multisets differ"
         assert compiled[1] == probed[1], f"{name}: firing sequences differ"
         assert compiled[2] == probed[2], f"{name}: metrics differ"
+    assert shadowed > 100       # (a stray BYE alone reaches no machine)
 
 
 def test_suite_exercises_attacks_and_deviations():

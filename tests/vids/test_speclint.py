@@ -1,23 +1,26 @@
 """Tests for the vids spec-lint integration (repro.vids.speclint).
 
-Proves (a) the shipped SIP/RTP specifications verify clean, (b) the
-fact-base registration gate fails fast on a broken specification, and
-(c) the gate can be disabled by configuration.
+Proves (a) the shipped SIP/RTP specifications verify clean and every
+multi-candidate group of theirs is *decided*, (b) the fact-base
+registration gate fails fast on a broken specification, and (c) the gate
+can be disabled by configuration.
 """
 
 import pytest
 
+from repro.cli import main
 from repro.efsm import Severity, SpecVerificationError
+from repro.efsm.guards import DISJOINT, decide, x
 from repro.efsm.verify import verify_system
 from repro.vids import (
     DEFAULT_CONFIG,
-    PROBE_SAMPLES,
     Vids,
     build_rtp_machine,
     build_sip_machine,
     verify_vids_specs,
 )
 from repro.vids.factbase import CallStateFactBase
+from repro.vids.speclint import shipped_machines
 
 
 def worst(diagnostics, min_severity):
@@ -49,6 +52,50 @@ class TestShippedSpecsClean:
         assert "answer-after-close" in labels
 
 
+class TestDeterminismIsDecided:
+    """Definition 1 on the shipped machines: exact, nothing sampled."""
+
+    def test_every_multi_candidate_group_is_decided_disjoint(self):
+        decisions = [(machine.name, group[0].source, group[0].event_name,
+                      decision.status)
+                     for machine in shipped_machines()
+                     for group, decision in machine.decide_determinism()]
+        assert len(decisions) == 13     # SIP 9, RTP 2, one per tracker
+        assert {status for *_, status in decisions} == {DISJOINT}
+
+    def test_participant_gated_pairs_are_syntactic_complements(self):
+        # The sampled probe never populated ``participants``, so only the
+        # attack side of these five pairs was ever evaluated.
+        sip = build_sip_machine(DEFAULT_CONFIG)
+        pairs = {(group[0].source, group[0].event_name): group
+                 for group, _ in sip.decide_determinism()}
+        gated = [("INVITE_Rcvd", "CANCEL"), ("Proceeding", "CANCEL"),
+                 ("Call_Established", "INVITE"), ("Answered", "BYE"),
+                 ("Call_Established", "BYE")]
+        for key in gated:
+            benign, attack = pairs[key]
+            assert attack.attack and not benign.attack
+            assert benign.predicate.describe() == "x.src_ip in v.participants"
+            assert attack.predicate.key == (~benign.predicate).key
+            assert decide([benign.predicate, attack.predicate]).status \
+                == DISJOINT
+
+    def test_strict_cli_fails_on_the_planted_overlap(self, monkeypatch,
+                                                     capsys):
+        from repro.vids import sip_machine
+
+        assert main(["speclint", "--strict",
+                     "--min-severity", "warning"]) == 0
+        assert "no findings" in capsys.readouterr().out
+        status = x("status", 0)
+        monkeypatch.setattr(
+            sip_machine, "IS_2XX_INVITE",
+            (status >= 200) & (status <= 300) & sip_machine._INVITE_CSEQ)
+        assert main(["speclint", "--strict"]) == 1
+        assert "x.status=300, x.cseq_method='INVITE'" in \
+            capsys.readouterr().out
+
+
 class TestRegressionDetection:
     """Removing the race-fix transitions must resurface the deadlocks."""
 
@@ -59,8 +106,7 @@ class TestRegressionDetection:
             t for t in rtp.transitions
             if t.label not in ("cancelled-with-media", "answer-after-bye",
                                "answer-after-close")]
-        diagnostics = verify_system([sip, rtp], samples=PROBE_SAMPLES,
-                                    per_machine=False)
+        diagnostics = verify_system([sip, rtp], per_machine=False)
         deadlocks = [d for d in diagnostics if d.rule == "sync-deadlock"]
         wedged = {(d.state, d.event) for d in deadlocks}
         assert ("RTP_Rcvd", "delta_cancelled") in wedged

@@ -4,8 +4,9 @@ One site that builds a shard, one owner of the stray-dedup table, a
 supervisor that reaches into no member's private state, and no third-party
 runtime import.  These read the source (in the style of
 tests/efsm/test_structure.py) so a second copy cannot come back unnoticed.
-The last pins hold the state vectors to immutable values, so a checkpoint
-shares them instead of copying.
+Two pins hold the state vectors to immutable values, so a checkpoint
+shares them instead of copying; the last two hold every shipped guard to
+the algebra of ``repro.efsm.guards`` (data, not code).
 """
 
 import ast
@@ -16,6 +17,7 @@ from repro.efsm.machine import copy_state
 from repro.telephony import (ScenarioParams, TestbedParams, WorkloadParams,
                              run_scenario)
 from repro.vids import DEFAULT_CONFIG, RecordingProcessor, build_pipeline
+from repro.vids.speclint import shipped_machines
 
 from ..efsm.test_structure import SRC, _sources
 
@@ -126,3 +128,39 @@ def test_the_rtp_machine_has_no_directions_map():
     assert "directions" not in source
     for name in ("to_caller", "to_callee", "unknown"):
         assert f'ctx.v["{name}"]' in source, name
+
+
+def test_no_code_is_passed_as_a_predicate_under_vids():
+    """Every ``predicate=`` under ``src/repro/vids`` is a guard expression:
+    no ``lambda``, and no name bound to a ``def`` (local or module-level)."""
+    offenders = []
+    for rel, source in _sources():
+        if not rel.startswith("vids/"):
+            continue
+        tree = ast.parse(source)
+        functions = {node.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef,
+                                          ast.AsyncFunctionDef))}
+        for call in ast.walk(tree):
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "add_transition"):
+                continue
+            passed = [kw.value for kw in call.keywords
+                      if kw.arg == "predicate"] + call.args[3:4]
+            offenders += [(rel, call.lineno) for value in passed
+                          if isinstance(value, ast.Lambda)
+                          or (isinstance(value, ast.Name)
+                              and value.id in functions)]
+    assert offenders == []
+
+
+def test_shipped_guards_hold_exactly_two_helper_leaves():
+    """35 guards, all expressions; the only code behind them is the RTP
+    machine's ``verdict`` and the Figure-6 tracker's ``is_spam``."""
+    guards = [t.predicate for machine in shipped_machines()
+              for t in machine.transitions if t.predicate is not None]
+    assert len(guards) == 35
+    helpers = {term.name for guard in guards for term in guard.terms()
+               if term.kind == "helper"}
+    assert helpers == {"verdict", "is_spam"}
