@@ -7,13 +7,40 @@ analyzed module is ever imported or executed.  Findings reuse the
 :class:`~repro.efsm.diagnostics.Diagnostic` vocabulary, so the CLI, the
 baseline gate, and the tests all share one format with speclint.
 
-The rules are :data:`RULES` below (``docs/CODECHECK.md`` has the reasoning
-behind each): checkpoint coverage of every mutable attribute and snapshot
-key against :data:`CHECKPOINT_SPECS` (``CC``); purity of what is still
-*code* in a guard — a ``helper(fn)`` leaf's function, a bare callable
-passed as ``predicate=``; an expression of :mod:`repro.efsm.guards` is pure
-by construction — (``GP``); immutable plain-data state values (``PD``);
-cross-call trackers bound by constructors only (``SI``).
+Rule catalog (``docs/CODECHECK.md``):
+
+``CC001 checkpoint-coverage``
+    Every ``__init__``-assigned mutable attribute of a checkpoint-
+    participating class must be captured by its snapshot functions *and*
+    written back by its restore functions, or carry an audited exemption
+    in :data:`CHECKPOINT_SPECS`.  A new field added in a later PR fails
+    lint instead of silently surviving failover as stale state.
+
+``CC002 checkpoint-restore-gap``
+    Every key a snapshot emits must be consumed on the restore side
+    (stale keys are checkpoint bytes nothing reads back).
+
+``GP001 guard-impure-write`` / ``GP002 guard-mutating-call`` /
+``GP003 guard-side-effect``
+    What is still *code* in a guard must be pure — a ``helper(fn)`` leaf's
+    function, a bare callable passed as ``predicate=`` (an expression of
+    :mod:`repro.efsm.guards` is pure by construction): dispatch may
+    evaluate a guard more than once, and incremental checkpointing
+    versions calls by firing counts — a guard that mutates state corrupts
+    both invisibly.
+
+``PD001 plain-data-state``
+    State-variable values must stay inside the plain-data domain
+    :func:`~repro.efsm.machine.copy_state` round-trips (no lambdas,
+    generators, file handles, or custom class instances) and must be
+    immutable: a dict, list or set value is deep-copied by every
+    checkpoint, and as a declared default it is one object shared by
+    every call built from the definition.
+
+``SI001 shard-shared-mutation``
+    The cross-call trackers every shard shares (and the stray-dedup table
+    among them) are bound by constructors only; a rebind anywhere else
+    silently splits the aggregate view the rate patterns need.
 
 Suppression: a ``# noqa: CC001`` (etc.) comment on the flagged source
 line silences that finding, with the same per-line semantics as
@@ -81,7 +108,7 @@ MUTATING_METHODS = frozenset({
     "discard", "clear", "sort", "reverse", "__setitem__", "__delitem__",
 })
 
-#: Timer methods (of the firing context): side effects inside a guard.
+#: ``ctx`` methods that are side effects when called from a guard.
 CTX_EFFECT_METHODS = frozenset({
     "start_timer", "cancel_timer", "cancel_all_timers",
 })
@@ -472,15 +499,6 @@ def _mentions(nodes: Iterable[ast.AST]) -> Set[str]:
     return seen
 
 
-def _write_targets(node: ast.AST) -> List[ast.AST]:
-    """What an assignment, augmented assignment or ``del`` statement binds."""
-    if isinstance(node, (ast.Assign, ast.Delete)):
-        return list(node.targets)
-    if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-        return [node.target]
-    return []
-
-
 def _is_mutable_expr(node: ast.AST) -> bool:
     """Conservative "this init value is a mutable container/object" test."""
     if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp,
@@ -537,13 +555,20 @@ def _mutated_attrs(cls: ast.ClassDef) -> Set[str]:
         if method.name == "__init__":
             continue
         for node in ast.walk(method):
-            if isinstance(node, ast.Call) and \
+            targets: List[ast.AST] = []
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = list(node.targets)
+            elif isinstance(node, ast.Call) and \
                     isinstance(node.func, ast.Attribute) and \
                     node.func.attr in MUTATING_METHODS:
                 chain = _attr_chain(node.func.value)
                 if len(chain) >= 2 and chain[0] == "self":
                     mutated.add(chain[1])
-            for target in _write_targets(node):
+            for target in targets:
                 chain = _attr_chain(target)
                 if len(chain) >= 2 and chain[0] == "self":
                     mutated.add(chain[1])
@@ -717,6 +742,14 @@ def _check_checkpoint_spec(tree: SourceTree, spec: CheckpointSpec,
 # Rule: guard purity (GP001-GP003)
 # ---------------------------------------------------------------------------
 
+def _guard_ctx_name(fn: ast.AST, default: str = "ctx") -> str:
+    args = getattr(fn, "args", None)
+    if args is None:
+        return default
+    positional = list(args.posonlyargs) + list(args.args)
+    return positional[0].arg if positional else default
+
+
 class _GuardChecker:
     """Purity walk over one guard callable (transitively, same module)."""
 
@@ -727,17 +760,26 @@ class _GuardChecker:
         self.out = out
         self.seen: Set[int] = set()
 
-    def check(self, fn: ast.AST, guard_name: str) -> None:
-        if id(fn) in self.seen:         # once each: recursion terminates
+    def check(self, fn: ast.AST, guard_name: str, ctx: str,
+              depth: int = 0) -> None:
+        if id(fn) in self.seen or depth > 5:
             return
         self.seen.add(id(fn))
         body = fn.body if isinstance(fn.body, list) else [fn.body]
         for stmt in body:
             for node in ast.walk(stmt):
-                self._check_node(node, guard_name)
+                self._check_node(node, guard_name, ctx, depth)
 
-    def _check_node(self, node: ast.AST, guard: str) -> None:
-        for target in _write_targets(node):
+    def _check_node(self, node: ast.AST, guard: str, ctx: str,
+                    depth: int) -> None:
+        targets: List[ast.AST] = []
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = list(node.targets)
+        for target in targets:
             if isinstance(target, (ast.Attribute, ast.Subscript)):
                 where = ".".join(_attr_chain(target)) or "<expression>"
                 self.out.add(
@@ -750,26 +792,28 @@ class _GuardChecker:
                     hint="move the mutation into the transition action")
         if isinstance(node, ast.Call):
             if isinstance(node.func, ast.Attribute):
-                where = ".".join(_attr_chain(node.func))
+                chain = _attr_chain(node.func)
                 method = node.func.attr
                 if method in MUTATING_METHODS:
+                    where = ".".join(chain)
                     self.out.add(
                         "GP002",
                         f"guard {guard!r} calls mutating method {where}()",
                         path=self.rel, line=node.lineno, scope=guard,
                         subject=where,
                         hint="guards may only read; mutate from the action")
-                elif method in CTX_EFFECT_METHODS:
+                elif chain[:1] == [ctx] and method in CTX_EFFECT_METHODS:
                     self.out.add(
                         "GP003",
-                        f"guard {guard!r} calls {where}(): timers are "
-                        f"side effects",
+                        f"guard {guard!r} calls {ctx}.{method}(): timers "
+                        f"are side effects",
                         path=self.rel, line=node.lineno, scope=guard,
                         subject=method,
                         hint="start and cancel timers from the action")
             elif isinstance(node.func, ast.Name):
                 for callee in self.functions.get(node.func.id, []):
-                    self.check(callee, guard)
+                    self.check(callee, guard, _guard_ctx_name(callee, ctx),
+                               depth + 1)
 
 
 def _check_guards(tree: SourceTree, out: _Collector) -> None:
@@ -795,10 +839,11 @@ def _check_guards(tree: SourceTree, out: _Collector) -> None:
                 if predicate is None and len(node.args) > 3:
                     predicate = node.args[3]
             if isinstance(predicate, ast.Lambda):
-                checker.check(predicate, f"<lambda:{predicate.lineno}>")
+                ctx = _guard_ctx_name(predicate)
+                checker.check(predicate, f"<lambda:{predicate.lineno}>", ctx)
             elif isinstance(predicate, ast.Name):
                 for fn in functions.get(predicate.id, []):
-                    checker.check(fn, predicate.id)
+                    checker.check(fn, predicate.id, _guard_ctx_name(fn))
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +969,12 @@ def _scoped_nodes(node: ast.AST, prefix: str = ""
 def _check_shard_isolation(tree: SourceTree, out: _Collector) -> None:
     for rel, module in tree.modules():
         for scope, node in _scoped_nodes(module):
-            for target in _write_targets(node):
+            targets: List[ast.AST] = []
+            if isinstance(node, ast.Assign):
+                targets = list(node.targets)
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            for target in targets:
                 if not (isinstance(target, ast.Attribute)
                         and target.attr in SHARED_STATE_ATTRS):
                     continue

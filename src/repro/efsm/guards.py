@@ -10,15 +10,18 @@ grammar and the shape of every shipped guard; in short:
   constant, and ``helper(fn)``: the one escape, the result of a *named
   pure function* of the firing context;
 - **atoms** — a comparison of two terms (``== != < <= > >=``, the Python
-  operators), ``term.in_(container)``, ``truthy(term)``;
+  operators), ``term.between(lo, hi)`` (a number in the closed interval; a
+  bool is not a number), ``term.in_(container)``, ``truthy(term)``;
 - **connectives** — ``a & b``, ``a | b``, ``~a``.
 
-Semantics: a missing field reads as the term's default (:data:`MISSING`
-when none was declared: equal to nothing, ordered with nothing); ``and`` /
-``or`` short-circuit left to right; a guard whose evaluation raises
-``TypeError`` (an ordering between unlike types, an unhashable value
-tested against a set) is *not enabled*, so a wrongly typed field deviates
-instead of raising out of ``deliver``.
+Semantics: every term is read once, before anything is compared — a
+missing field reads as the term's default (:data:`MISSING` when none was
+declared: equal to nothing, ordered with nothing), and a helper's own
+exceptions propagate like any bug; ``and`` / ``or`` short-circuit left to
+right; a guard in which a *comparison* raises ``TypeError`` (an ordering
+between unlike types, an unhashable value tested against a set) is *not
+enabled*, so a wrongly typed field deviates instead of raising out of
+``deliver``.
 """
 
 from __future__ import annotations
@@ -77,6 +80,12 @@ class Term:
 
     __repr__ = describe
 
+    def between(self, lo: float, hi: float) -> "Guard":
+        """``lo <= self <= hi`` for a number; no bool is in any interval."""
+        if not all(isinstance(bound, (int, float)) for bound in (lo, hi)):
+            raise TypeError(f"interval bounds must be numbers: {lo!r}, {hi!r}")
+        return Guard("between", (self, _term(lo), _term(hi)))
+
     def in_(self, container: Any) -> "Guard":
         if not isinstance(container, Term):
             iter(container)         # a definition error, raised here
@@ -120,8 +129,8 @@ def truthy(term: Term) -> "Guard":
 
 class Guard:
     """One node of a predicate: ``op`` over ``args`` — terms under an atom
-    (``== != < <= > >= in truthy``), guards under ``and`` / ``or`` /
-    ``not``."""
+    (``== != < <= > >= between in truthy``), guards under ``and`` / ``or``
+    / ``not``."""
 
     __slots__ = ("op", "args", "_fn")
 
@@ -174,6 +183,8 @@ class Guard:
             parts = [f"({part.describe()})" if part.op in ("and", "or")
                      else part.describe() for part in args]
             return f"not {parts[0]}" if op == "not" else f" {op} ".join(parts)
+        if op == "between":
+            return "{1} <= {0} <= {2}".format(*(a.describe() for a in args))
         return f"{args[0].describe()} {op} {args[1].describe()}"
 
     def __repr__(self) -> str:
@@ -192,9 +203,14 @@ def _compile(guard: Guard, abstract: bool) -> Callable[[Any], Any]:
     of a valuation: a mapping from each term's key to a value and from the
     key of each atom that relates two terms to a boolean."""
     env: Dict[str, Any] = {}
-    exec(f"def guard(ctx):\n    try:\n        return "
-         f"{_emit(guard, env, abstract)}\n    except TypeError:\n"
-         f"        return False\n", env)        # built from this tree only
+    reads: Dict[Any, Tuple[str, str]] = {}  # term key -> (local, its read)
+    test = _emit(guard, env, reads, abstract)
+    # Reads (helper calls among them) sit outside the TypeError net.
+    exec("def guard(ctx):\n"
+         + "".join(f"    {local} = {read}\n" for local, read in reads.values())
+         + f"    try:\n        return {test}\n"
+           f"    except TypeError:\n        return False\n",
+         env)                                   # built from this tree only
     env["guard"].__doc__ = guard.describe()
     return env["guard"]
 
@@ -215,24 +231,34 @@ def _bind(value: Any, env: Dict[str, Any]) -> str:
     return f"_k{len(env) - 1}"
 
 
-def _emit(node: Any, env: Dict[str, Any], abstract: bool) -> str:
-    """Python source of a guard or term."""
+def _emit(node: Any, env: Dict[str, Any], reads: Dict[Any, Tuple[str, str]],
+          abstract: bool) -> str:
+    """Python source of a guard or term; a term that is read is the local
+    ``reads`` binds its one read to."""
     if isinstance(node, Guard):
         if abstract and node.op not in _CONNECTIVES and _relates(node):
             return f"ctx[{_bind(node.key, env)}]"
-        parts = [_emit(arg, env, abstract) for arg in node.args]
+        parts = [_emit(arg, env, reads, abstract) for arg in node.args]
         if node.op == "truthy":
             return parts[0]
         if node.op == "not":
             return f"(not {parts[0]})"
+        if node.op == "between":
+            return ("({1} <= {0} <= {2} and {0}.__class__ is not bool)"
+                    .format(*parts))
         return "(" + f" {node.op} ".join(parts) + ")"
     if node.kind == "const":
         return _bind(node.value, env)
-    if abstract:
-        return f"ctx[{_bind(node.key, env)}]"
-    if node.kind == "helper":
-        return f"{_bind(node.value, env)}(ctx)"
-    return f"ctx.{node.kind}.get({node.name!r}, {_bind(node.value, env)})"
+    if node.key not in reads:
+        if abstract:
+            read = f"ctx[{_bind(node.key, env)}]"
+        elif node.kind == "helper":
+            read = f"{_bind(node.value, env)}(ctx)"
+        else:
+            read = (f"ctx.{node.kind}.get({node.name!r}, "
+                    f"{_bind(node.value, env)})")
+        reads[node.key] = (f"_t{len(reads)}", read)
+    return reads[node.key][0]
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +298,9 @@ _OTHERS = [_Other(True), _Other(False)]
 
 def _critical_points(constants: Sequence[Any]) -> List[Any]:
     """One value per class the atoms can tell apart: every constant, a
-    point between numeric neighbours, one beyond each end, and a truthy and
-    a falsy value equal to no constant."""
+    point between numeric neighbours, one beyond each end, the two bools
+    (numbers to every atom but ``between``), and a truthy and a falsy value
+    equal to no constant."""
     numbers = sorted({c for c in constants if isinstance(c, (int, float))})
     points: List[Any] = []
     for constant in constants:
@@ -284,7 +311,7 @@ def _critical_points(constants: Sequence[Any]) -> List[Any]:
         for low, high in zip(numbers, numbers[1:]):
             points += [low, (low + high) / 2]
         points += [numbers[-1], numbers[-1] + 1]
-    return points + _OTHERS
+    return points + [True, False] + _OTHERS
 
 
 def decide(guards: Sequence[Optional[Guard]]) -> Decision:
@@ -321,6 +348,8 @@ def decide(guards: Sequence[Optional[Guard]]) -> Decision:
         labels[free[0].key] = free[0].describe()
         if atom.op == "truthy":
             met.append(0)
+        elif atom.op == "between":
+            met.extend(fixed)
         elif atom.op == "in" and not isinstance(fixed[0], (str, bytes)):
             met.extend(fixed[0])
         elif atom.op in ("==", "!=") or (

@@ -276,10 +276,10 @@ def _synthesize_guards(
 
     Tries every field present in *every* observation of *every* branch.
     An all-numeric field yields interval guards over each branch's observed
-    [min, max] (``x.f >= lo and x.f <= hi``) — the widest sound
-    generalization, so unseen values inside a branch's observed range still
-    route to that branch; any field yields in-set guards over each branch's
-    observed values (``x.f in {...}``).  The first candidates
+    [min, max] (``lo <= x.f <= hi``, which no bool satisfies) — the widest
+    sound generalization, so unseen values inside a branch's observed range
+    still route to that branch; any field yields in-set guards over each
+    branch's observed values (``x.f in {...}``).  The first candidates
     :func:`~repro.efsm.guards.decide` proves mutually disjoint win —
     intervals first: disjoint numeric ranges imply disjoint value sets, so
     an in-set-first order would never emit an interval.  The term carries
@@ -308,8 +308,7 @@ def _synthesize_guards(
                        for values in value_sets]]
         if all(isinstance(value, (int, float)) and not isinstance(value, bool)
                for values in value_sets for value in values):
-            candidates.insert(0, [(x(name) >= min(values))
-                                  & (x(name) <= max(values))
+            candidates.insert(0, [x(name).between(min(values), max(values))
                                   for values in value_sets])
         for guards in candidates:
             if decide(guards).status == DISJOINT:

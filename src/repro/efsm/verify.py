@@ -7,12 +7,41 @@ only compose safely if every send has a matching receive.  This module
 analyzes machine definitions **without executing them** and reports findings
 as :class:`~repro.efsm.diagnostics.Diagnostic` records.
 
-The rules are :data:`RULES` below: the per-machine ones of
-:func:`verify_machine` (structure, determinism decided exactly on the guard
-expressions, variable / timer hygiene read off the guards and mined from
-action and helper sources), then the cross-machine ones of
-:func:`verify_system` (channel topology, a bounded product-automaton pass).
-``docs/SPECCHECK.md`` is the catalog with severities and examples.
+Per-machine rules (:func:`verify_machine`):
+
+- ``unreachable-state`` / ``unreachable-attack-state`` — no structural path
+  from the initial state (an unreachable attack state is a pattern that can
+  never match);
+- ``trap-state`` — a reachable non-final state with no outgoing transitions;
+- ``dead-state`` — a reachable non-final state from which no final state is
+  reachable (the call record could only ever leave memory via the TTL GC);
+- ``nondeterministic-overlap`` — same (state, event, channel) transitions
+  whose guards are not mutually exclusive, decided exactly on the guard
+  expressions (:func:`~repro.efsm.guards.decide`, the decision
+  :meth:`Efsm.check_determinism` raises on too): an overlap is an ERROR
+  with a witness valuation, a group holding opaque code is a WARNING;
+- ``event-coverage-gap`` — alphabet events a state has no transition for
+  (informational: deviations *are* the anomaly signal, but the table is how
+  one audits specification completeness);
+- ``undeclared-variable`` / ``read-before-write`` / ``unused-variable`` —
+  state-variable hygiene, read off the guard expressions and mined from
+  action and helper sources;
+- ``timer-unhandled`` / ``timer-never-fires`` / ``timer-never-started`` —
+  timers started but never consumed or cancelled, and vice versa;
+- ``undeclared-channel`` — sends/receives on channels the machine never
+  declared (see :meth:`Efsm.declare_channel`).
+
+Cross-machine rules (:func:`verify_system`):
+
+- ``unknown-channel-endpoint`` — a channel naming a machine that is not part
+  of the system;
+- ``unmatched-send`` — a ``c!δ`` output no receiver ever consumes;
+- ``unmatched-receive`` — a ``c?δ`` transition nothing ever sends;
+- ``sync-deadlock`` / ``sync-unbounded`` — a bounded product-automaton pass
+  over the interacting system that flags reachable configurations where a
+  queued synchronization event can never be consumed (a wedged FIFO is a
+  runtime deviation on a *legitimate* trace) or where a FIFO can grow past
+  the exploration bound.
 
 Nothing is executed: guards are data, and machine state is never advanced.
 Every send is a declarative :class:`~repro.efsm.machine.Output`, so the
@@ -52,8 +81,7 @@ from .machine import Efsm, Transition
 __all__ = ["verify_machine", "verify_system", "RULES"]
 
 #: Rule id -> one-line summary (the authoritative catalog is
-#: ``docs/SPECCHECK.md``): the per-machine rules, then from
-#: ``unknown-channel-endpoint`` on the cross-machine ones.
+#: ``docs/SPECCHECK.md``).
 RULES: Dict[str, str] = {
     "unreachable-state": "state has no structural path from the initial state",
     "unreachable-attack-state": "attack state can never be reached, so its "

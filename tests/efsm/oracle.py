@@ -25,36 +25,42 @@ _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _value(term, ctx):
+def _value(term, ctx, called):
     if term.kind == "const":
         return term.value
     if term.kind == "helper":
-        return term.value(ctx)
+        return called[term.key]
     vector = ctx.x if term.kind == "x" else ctx.v
     return vector.get(term.name, term.value)
 
 
-def _walk(guard, ctx):
+def _walk(guard, ctx, called):
     op, args = guard.op, guard.args
     if op == "and":
-        return all(_walk(part, ctx) for part in args)
+        return all(_walk(part, ctx, called) for part in args)
     if op == "or":
-        return any(_walk(part, ctx) for part in args)
+        return any(_walk(part, ctx, called) for part in args)
     if op == "not":
-        return not _walk(args[0], ctx)
+        return not _walk(args[0], ctx, called)
+    values = [_value(term, ctx, called) for term in args]
     if op == "truthy":
-        return bool(_value(args[0], ctx))
-    left, right = (_value(term, ctx) for term in args)
+        return bool(values[0])
+    if op == "between":
+        value, lo, hi = values
+        return not isinstance(value, bool) and lo <= value <= hi
     if op == "in":
-        return left in right
-    return bool(_COMPARE[op](left, right))
+        return values[0] in values[1]
+    return bool(_COMPARE[op](*values))
 
 
 def interpret(guard, ctx):
-    """Does ``guard`` hold in ``ctx``?  A ``TypeError`` anywhere in the
-    evaluation means not enabled (docs/STATE_MACHINES.md)."""
+    """Does ``guard`` hold in ``ctx``?  Every helper is called first — its
+    own exceptions are bugs and propagate — then a ``TypeError`` out of a
+    comparison means not enabled (docs/STATE_MACHINES.md)."""
+    called = {term.key: term.value(ctx) for term in guard.terms()
+              if term.kind == "helper"}
     try:
-        return _walk(guard, ctx)
+        return _walk(guard, ctx, called)
     except TypeError:
         return False
 

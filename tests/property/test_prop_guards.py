@@ -15,6 +15,7 @@ against numbers is never ``undecided``.
 import itertools
 import operator
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.efsm import Efsm, Event
@@ -47,6 +48,8 @@ atoms = st.one_of(
     st.builds(compare, equalities, scalar_terms, st.one_of(numbers, words)),
     st.builds(compare, st.one_of(orderings, equalities), scalar_terms,
               scalar_terms),
+    st.builds(lambda term, lo, hi: term.between(lo, hi), scalar_terms,
+              numbers, numbers),
     st.builds(lambda term, items: term.in_(items), scalar_terms,
               st.one_of(st.frozensets(st.one_of(numbers, words), max_size=3),
                         st.lists(numbers, max_size=3))),
@@ -105,9 +108,49 @@ def test_a_raising_atom_disables_the_whole_guard():
     assert reached.compiled()(ctx) and interpret(reached, ctx)
 
 
+def test_a_helpers_own_type_error_is_not_swallowed():
+    """The net is around the comparisons only: a bug inside a helper must
+    surface (containment counts it), not read as "not enabled" — and since
+    every term is read before anything is compared, it surfaces whether or
+    not a connective would have short-circuited past the leaf."""
+    def broken(ctx):
+        return len(None)                     # TypeError, inside the helper
+
+    ctx = context(0, ABSENT, 0, ())
+    for guard in (helper(broken) == 1, truthy(helper(broken, name="")),
+                  (COUNTER == 0) | (helper(broken) == 1)):
+        with pytest.raises(TypeError, match="NoneType"):
+            guard.compiled()(ctx)
+        with pytest.raises(TypeError, match="NoneType"):
+            interpret(guard, ctx)
+    # ... and so out of deliver, where a bare callable is such a leaf.
+    machine = Efsm("m", "s0")
+    machine.add_transition("s0", "e", "s0", predicate=broken)
+    with pytest.raises(TypeError, match="NoneType"):
+        EfsmInstance(machine).deliver(Event("e"))
+
+
+def test_no_bool_is_in_an_interval():
+    ctx = context(True, 1, 0, ())
+    assert not FIELD_A.between(0, 5).compiled()(ctx)
+    assert not interpret(FIELD_A.between(0, 5), ctx)
+    assert FIELD_B.between(0, 5).compiled()(ctx)
+    assert (FIELD_A >= 0).compiled()(ctx)   # a number to every other atom
+    assert FIELD_A.between(1, 3).describe() == "1 <= x.a <= 3"
+    with pytest.raises(TypeError):
+        FIELD_A.between(0, COUNTER)         # constant bounds only
+    # decide tells the bool from the 1 it equals.
+    decision = decide([~FIELD_A.between(0, 5), FIELD_A == 1])
+    assert decision.status == OVERLAP and decision.witness == {"x.a": True}
+    assert decide([FIELD_A.between(0, 5), FIELD_A.between(6, 9),
+                   ~FIELD_A.between(0, 9)]).status == DISJOINT
+
+
 #: Brute-force domain: the constants of the vocabulary (-1..3, "p", "q",
-#: ""), values between and beyond them, per scalar; three containers.
-_DOMAIN = (ABSENT, -2, -1, 0, 0.5, 1, 2, 2.5, 3, 4, "p", "q", "", "z")
+#: ""), values between and beyond them and the two bools (numbers to every
+#: atom but ``between``), per scalar; three containers.
+_DOMAIN = (ABSENT, -2, -1, 0, 0.5, 1, 2, 2.5, 3, 4, True, False,
+           "p", "q", "", "z")
 _CONTAINERS = ((), ("p", 1), (0, "z", 2.5))
 
 #: Random groups nearly always overlap, which brute force confirms at once;
