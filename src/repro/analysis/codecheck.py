@@ -210,12 +210,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         exempt={
             "_channel_list": "flat mirror of channels maintained by "
                              "connect(); no independent state",
-            "_deviations": "append-only observation log (subset of "
-                           "firings); lazily allocated behind the "
-                           "deviations property",
-            "_attack_matches": "append-only observation log (subset of "
-                               "firings); lazily allocated behind the "
-                               "attack_matches property",
         },
     ),
     CheckpointSpec(
@@ -228,8 +222,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
             FunctionRef("vids/factbase.py", f"CallStateFactBase.{name}")
             for name in ("restore_call", "refresh_media_index", "_create")),
         exempt={
-            "media_keys": "not stored: re-derived from the restored globals "
-                          "by refresh_media_index",
             "media_map": "not stored: re-derived from the restored globals "
                          "by refresh_media_index",
             "_size_cache": "byte-size memo, recomputed lazily",
@@ -249,18 +241,12 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
                                "data-only; see the Efsm spec)",
             "_rtp_definition": "immutable Efsm definition (shared, "
                                "data-only; see the Efsm spec)",
-            "_template": "frozen SystemTemplate over the immutable "
-                         "definitions; per-call systems clone it",
-            "_interned": "per-dialog string intern pool; a cold pool only "
-                         "costs duplicate strings, never correctness",
             "_total_bytes": "incremental byte total, rebuilt lazily from "
                             "the _dirty set after restore",
             "_dirty": "size-accounting scratch; _create re-marks every "
                       "restored record",
             "media_index": "re-derived per call by refresh_media_index "
                            "during restore_call",
-            "_media_match": "media fast-path memo, refilled on first "
-                            "lookup",
         },
     ),
     CheckpointSpec(

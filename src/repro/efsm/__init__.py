@@ -45,7 +45,7 @@ from .mine import (
     replay_sequence,
 )
 from .specdiff import specdiff
-from .system import EfsmSystem, ManualClock, SystemTemplate
+from .system import EfsmSystem, ManualClock
 from .verify import RULES, verify_machine, verify_system
 
 __all__ = [
@@ -68,7 +68,6 @@ __all__ = [
     "RULES",
     "Severity",
     "SpecVerificationError",
-    "SystemTemplate",
     "TIMER_CHANNEL",
     "Transition",
     "TransitionContext",

@@ -19,9 +19,6 @@ scenario match — and an event with *no* enabled transition is recorded as a
 
 from __future__ import annotations
 
-import copy
-import io
-import types
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -60,34 +57,18 @@ _MISSING = object()
 #: Types a variable value may hold without needing any copy at all.
 _ATOMIC = frozenset((str, int, float, bool, bytes, type(None), frozenset))
 
-#: Values copy_state refuses: checkpointing them cannot round-trip (a
-#: restored generator/handle would be a different object with lost
-#: position), so failing loudly at snapshot time beats corrupting a
-#: checkpoint silently.
-_UNCHECKPOINTABLE = (
-    types.GeneratorType,
-    types.CoroutineType,
-    types.AsyncGeneratorType,
-    io.IOBase,
-)
-
 
 def copy_state(value: Any) -> Any:
-    """Deep copy of a plain-data variable value.
+    """Deep copy of a state-variable value, over a closed domain.
 
-    State-variable vectors hold protocol facts — strings, numbers,
-    tuples, dicts of the same — so a direct recursive copy beats
-    ``copy.deepcopy``'s generic dispatch by an order of magnitude on the
-    checkpoint path, and a tuple holding only atoms is returned as itself
-    (the shipped machines keep every value immutable, so their checkpoint
-    copies no value at all).  Container *subclasses* (``defaultdict``,
-    ``Counter``, ``OrderedDict``, ``deque``, named tuples...) keep their
-    exact type: they are copied via ``copy.copy`` — which preserves
-    subclass metadata such as ``default_factory`` — and then refilled
-    element-by-element so nesting is deep.  Values that cannot survive a
-    checkpoint round-trip (generators, coroutines, open file handles)
-    raise ``TypeError`` instead of being smuggled in by reference; other
-    exotic objects still fall back to ``copy.deepcopy``.
+    State-variable vectors hold protocol facts.  Atoms (strings, numbers,
+    ``bytes``, ``None``, frozensets) and tuples of atoms are immutable and
+    returned as themselves — the shipped machines keep every value
+    immutable, so their checkpoint copies no value at all; plain
+    ``dict``/``list``/``set`` are copied deep.  Anything else — a container
+    subclass, a generator, a file handle, an arbitrary object — raises
+    ``TypeError``: it cannot be shown to survive a checkpoint round-trip,
+    and codelint's PD001 keeps such values out of the shipped machines.
     """
     cls = value.__class__
     if cls in _ATOMIC:
@@ -106,38 +87,11 @@ def copy_state(value: Any) -> Any:
         return [copy_state(item) for item in value]
     if cls is set:
         return {copy_state(item) for item in value}
-    if isinstance(value, _UNCHECKPOINTABLE):
-        raise TypeError(
-            f"state value of type {cls.__name__} cannot be checkpointed: "
-            f"keep generators, coroutines, and file handles out of the "
-            f"state-variable vector"
-        )
-    if isinstance(value, dict):
-        # dict subclass: copy.copy preserves the type and its metadata
-        # (e.g. defaultdict.default_factory), then deep-refill.
-        clone = copy.copy(value)
-        clone.clear()
-        for key, item in value.items():
-            clone[key] = copy_state(item)
-        return clone
-    if isinstance(value, tuple):
-        # Named tuples rebuild through their own constructor; plain tuple
-        # subclasses go through the generic (iterable) form.
-        items = [copy_state(item) for item in value]
-        if hasattr(value, "_fields"):
-            return cls(*items)
-        return cls(items)
-    if isinstance(value, list):
-        clone = copy.copy(value)
-        clone.clear()
-        clone.extend(copy_state(item) for item in value)
-        return clone
-    if isinstance(value, set):
-        clone = copy.copy(value)
-        clone.clear()
-        clone.update(copy_state(item) for item in value)
-        return clone
-    return copy.deepcopy(value)
+    raise TypeError(
+        f"state value of type {cls.__name__} cannot be checkpointed: the "
+        f"state-variable vector holds atoms, tuples, frozensets and plain "
+        f"dict/list/set only"
+    )
 
 
 class Variables:
@@ -507,17 +461,12 @@ class EfsmInstance:
         shared_globals: Optional[Dict[str, Any]] = None,
         clock_now: Callable[[], float] = lambda: 0.0,
         timer_scheduler: Optional[Callable[[float, Callable[[], None]], Any]] = None,
-        seed_globals: bool = True,
     ):
         self.definition = definition
         self.state = definition.initial_state
         globals_dict = shared_globals if shared_globals is not None else {}
-        if seed_globals:
-            # A SystemTemplate pre-merges every machine's global defaults
-            # into the shared dict once per call (seed_globals=False); the
-            # standalone path seeds them per instance here.
-            for key, value in definition.global_variables.items():
-                globals_dict.setdefault(key, value)
+        for key, value in definition.global_variables.items():
+            globals_dict.setdefault(key, value)
         self.variables = Variables(dict(definition.variables), globals_dict)
         self.clock_now = clock_now
         self._timer_scheduler = timer_scheduler

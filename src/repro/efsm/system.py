@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from .channels import Channel, channel_name
 from .errors import DefinitionError
 from .events import Event
 from .machine import Efsm, EfsmInstance, FiringResult, copy_state
 
-__all__ = ["EfsmSystem", "SystemTemplate", "ManualClock"]
+__all__ = ["EfsmSystem", "ManualClock"]
 
 
 class _TimerHandle:
@@ -69,58 +69,16 @@ class ManualClock:
         self.time = target
 
 
-class SystemTemplate:
-    """Precompiled plain-data prototype of a per-call :class:`EfsmSystem`.
-
-    Building a system through ``add_machine``/``connect`` re-validates
-    machine names, re-merges global defaults, and re-derives channel names
-    for every monitored call, even though all of it depends only on the
-    (immutable) definitions.  A template does that work once per
-    configuration: it freezes the definition tuple, the merged global
-    default vector, and the channel topology, so
-    :meth:`EfsmSystem.from_template` instantiates a call as a shallow
-    clone of plain data.  The definitions' compiled dispatch tables are
-    shared by every instance, so per-call setup compiles nothing.
-    """
-
-    __slots__ = ("definitions", "global_defaults", "channel_specs")
-
-    def __init__(self, definitions: Iterable[Efsm],
-                 connections: Iterable[Tuple[str, str]] = ()):
-        self.definitions: Tuple[Efsm, ...] = tuple(definitions)
-        names = set()
-        for definition in self.definitions:
-            if definition.name in names:
-                raise DefinitionError(f"duplicate machine: {definition.name}")
-            names.add(definition.name)
-        merged: Dict[str, Any] = {}
-        for definition in self.definitions:
-            for key, value in definition.global_variables.items():
-                merged.setdefault(key, value)
-        #: The shared global vector every new call starts from (the same
-        #: first-declaration-wins merge ``add_machine`` performs).
-        self.global_defaults: Dict[str, Any] = merged
-        specs = []
-        for sender, receiver in connections:
-            for machine in (sender, receiver):
-                if machine not in names:
-                    raise DefinitionError(f"unknown machine: {machine}")
-            specs.append((channel_name(sender, receiver), sender, receiver))
-        #: (canonical name, sender, receiver) for each FIFO channel.
-        self.channel_specs: Tuple[Tuple[str, str, str], ...] = tuple(specs)
-
-
 class EfsmSystem:
     """A set of interacting EFSM instances sharing globals and channels."""
 
     #: One system per monitored call: ``__slots__`` keeps the per-call
     #: footprint at the attributes below (no instance dict for the cyclic
-    #: GC to scan) and the alert-like lists are lazy — benign calls never
-    #: allocate them.
+    #: GC to scan).  A firing is handed to ``on_result`` and returned by
+    #: :meth:`inject`; the system itself retains none.
     __slots__ = (
         "clock_now", "timer_scheduler", "machines", "channels",
-        "_channel_list", "globals", "deliveries",
-        "_deviations", "_attack_matches", "on_result", "on_output",
+        "_channel_list", "globals", "deliveries", "on_result", "on_output",
     )
 
     def __init__(
@@ -139,10 +97,6 @@ class EfsmSystem:
         #: Total firings ever recorded by this system: the one firing
         #: counter, and the change version checkpoints and size memos key on.
         self.deliveries: int = 0
-        #: Lazily created by the ``deviations``/``attack_matches``
-        #: properties — sparse, alert-like output.
-        self._deviations: Optional[List[FiringResult]] = None
-        self._attack_matches: Optional[List[FiringResult]] = None
         #: Hook invoked for every firing result (the vids analysis engine).
         self.on_result: Optional[Callable[[FiringResult], None]] = None
         #: Hook invoked for every routed output event ``c!event(x)`` —
@@ -151,59 +105,7 @@ class EfsmSystem:
         #: (no such machine here).  Used by call-scoped tracing.
         self.on_output: Optional[Callable[[str, Event], None]] = None
 
-    @property
-    def deviations(self) -> List[FiringResult]:
-        """Every deviation firing (unbounded; deviations are alerts)."""
-        existing = self._deviations
-        if existing is None:
-            existing = self._deviations = []
-        return existing
-
-    @property
-    def attack_matches(self) -> List[FiringResult]:
-        """Every attack-transition firing (unbounded; these are alerts)."""
-        existing = self._attack_matches
-        if existing is None:
-            existing = self._attack_matches = []
-        return existing
-
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_template(
-        cls,
-        template: SystemTemplate,
-        clock_now: Callable[[], float] = lambda: 0.0,
-        timer_scheduler: Optional[Callable[[float, Callable[[], None]], Any]] = None,
-    ) -> "EfsmSystem":
-        """Instantiate a call system from a precompiled template.
-
-        Equivalent to ``add_machine`` per definition plus ``connect`` per
-        channel spec, but with all per-config work (name validation,
-        global-default merging, channel naming) done once at template
-        build time — the per-call cost is the shallow data clone.
-        """
-        system = cls(clock_now=clock_now, timer_scheduler=timer_scheduler)
-        shared = system.globals
-        shared.update(template.global_defaults)
-        machines = system.machines
-        deliver_timer = system._deliver_timer
-        for definition in template.definitions:
-            instance = EfsmInstance(
-                definition,
-                shared_globals=shared,
-                clock_now=clock_now,
-                timer_scheduler=timer_scheduler,
-                seed_globals=False,
-            )
-            instance.on_timer_event = partial(deliver_timer, definition.name)
-            machines[definition.name] = instance
-        # Channels are created on demand by the first routed output
-        # (:meth:`_route_output` falls through to :meth:`connect`): the
-        # template's channel_specs validated the topology at build time,
-        # and most calls never enqueue anything on the reverse direction —
-        # instantiating both FIFOs up front was pure setup cost.
-        return system
 
     def add_machine(self, definition: Efsm) -> EfsmInstance:
         if definition.name in self.machines:
@@ -214,9 +116,7 @@ class EfsmSystem:
             clock_now=self.clock_now,
             timer_scheduler=self.timer_scheduler,
         )
-        instance.on_timer_event = (
-            lambda event, name=definition.name: self._deliver_timer(name, event)
-        )
+        instance.on_timer_event = partial(self._deliver_timer, definition.name)
         self.machines[definition.name] = instance
         return instance
 
@@ -261,11 +161,6 @@ class EfsmSystem:
         result = instance.deliver(event)
         accumulator.append(result)
         self.deliveries += 1
-        transition = result.transition
-        if transition is None:
-            self.deviations.append(result)
-        elif transition.attack:
-            self.attack_matches.append(result)
         if self.on_result is not None:
             self.on_result(result)
         for output in result.outputs:

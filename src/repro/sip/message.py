@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .constants import METHODS, SIP_VERSION, reason_phrase
 from .errors import SipParseError
@@ -20,186 +20,79 @@ __all__ = ["SipMessage", "SipRequest", "SipResponse", "parse_message", "is_sip_p
 CRLF = "\r\n"
 
 
-#: Sentinel distinguishing "never computed" from a computed ``None``.
-_UNSET = object()
-
-
 class SipMessage:
     """Common behaviour of requests and responses.
 
-    Headers are stored as an ordered list of (canonical-name, value-text)
-    pairs; repeated headers (e.g. Via) keep their order, which matters for
-    response routing.
-
-    Header access is O(1) amortized: a name -> positions index is built
-    lazily and the typed accessors (``from_``, ``cseq``, ``vias``, ...)
-    memoize their parse.  Both caches are invalidated by every mutator
-    (``set``/``add``/``prepend``/``remove_first`` and assignment to
-    ``headers``), so reads always observe the latest mutation.
+    ``headers`` is the ordered list of (canonical-name, value-text) pairs;
+    repeated headers (e.g. Via) keep their order, which matters for
+    response routing.  It is the only store: look-ups scan it (a message
+    has about eight headers) and the typed accessors (``from_``, ``cseq``,
+    ``vias``, ...) parse on access through the ``lru_cache``d field
+    parsers of :mod:`repro.sip.headers`, so there is nothing to invalidate
+    when a header is mutated.
     """
 
     #: One message object per packet on the classifier hot path —
     #: ``__slots__`` drops the per-message instance dict.
-    __slots__ = ("_headers", "body", "_positions", "_typed")
+    __slots__ = ("headers", "body")
 
     def __init__(self, headers: Optional[List[Tuple[str, str]]] = None,
                  body: str = ""):
-        self._headers: List[Tuple[str, str]] = list(headers or [])
+        self.headers: List[Tuple[str, str]] = list(headers or [])
         self.body = body
-        self._positions: Optional[Dict[str, List[int]]] = None
-        self._typed: Dict[str, Any] = {}
-
-    @property
-    def headers(self) -> List[Tuple[str, str]]:
-        """The ordered (canonical-name, value) list.
-
-        Reassigning the attribute invalidates the header caches; mutate
-        through ``set``/``add``/``prepend``/``remove_first`` otherwise.
-        """
-        return self._headers
-
-    @headers.setter
-    def headers(self, value: List[Tuple[str, str]]) -> None:
-        self._headers = list(value)
-        self._invalidate()
-
-    #: Which typed-accessor memo keys a mutation of each header invalidates.
-    _TYPED_KEYS = {
-        "From": ("from",),
-        "To": ("to",),
-        "CSeq": ("cseq",),
-        "Contact": ("contact",),
-        "Via": ("vias", "top_via"),
-    }
-
-    def _invalidate(self) -> None:
-        self._positions = None
-        if self._typed:
-            self._typed.clear()
-
-    def _invalidate_typed(self, name: str) -> None:
-        """Drop only the memoized values derived from header ``name``."""
-        typed = self._typed
-        if typed:
-            for key in self._TYPED_KEYS.get(name, ()):
-                typed.pop(key, None)
-
-    def _position_index(self) -> Dict[str, List[int]]:
-        """name -> list of indices into ``self._headers`` (lazily built)."""
-        index = self._positions
-        if index is None:
-            index = {}
-            for position, (key, _) in enumerate(self._headers):
-                index.setdefault(key, []).append(position)
-            self._positions = index
-        return index
 
     # -- generic header access ---------------------------------------------
 
     def get(self, name: str) -> Optional[str]:
         """First value of header ``name`` (canonicalized), or None."""
-        index = self._positions
-        if index is None:
-            # No index yet: a linear scan of the (typically ~8-entry)
-            # header list is cheaper than building one for the usual
-            # single first-value lookup; the index is built lazily by the
-            # multi-value and mutation paths that amortize it.
-            target = canonical_header_name(name)
-            for key, value in self._headers:
-                if key == target:
-                    return value
-            return None
-        positions = index.get(canonical_header_name(name))
-        return self._headers[positions[0]][1] if positions else None
+        target = canonical_header_name(name)
+        for key, value in self.headers:
+            if key == target:
+                return value
+        return None
 
     def get_all(self, name: str) -> List[str]:
-        index = self._positions
-        if index is None:
-            index = self._position_index()
-        positions = index.get(canonical_header_name(name))
-        if not positions:
-            return []
-        headers = self._headers
-        return [headers[i][1] for i in positions]
+        target = canonical_header_name(name)
+        return [value for key, value in self.headers if key == target]
 
     def set(self, name: str, value: object) -> None:
         """Replace all values of ``name`` with a single ``value``.
 
         A single existing occurrence is replaced in place (header position
-        preserved) and the position index stays valid; only the memoized
-        typed value of this header is dropped.
+        preserved); repeated ones collapse to one value at the end.
         """
         name = canonical_header_name(name)
-        value = str(value)
-        headers = self._headers
-        positions = self._positions
-        if positions is not None:
-            existing = positions.get(name)
-            if existing is None:
-                headers.append((name, value))
-                positions[name] = [len(headers) - 1]
-            elif len(existing) == 1:
-                headers[existing[0]] = (name, value)
-            else:
-                self._headers = [(k, v) for k, v in headers if k != name]
-                self._headers.append((name, value))
-                self._positions = None
-        else:
-            # No index: scan once.  A single occurrence is replaced in
-            # place, exactly like the indexed path — serialization order
-            # must not depend on whether reads built the index first.
-            first = None
-            count = 0
-            for position, (key, _) in enumerate(headers):
-                if key == name:
-                    count += 1
-                    if first is None:
-                        first = position
-            if first is None:
-                headers.append((name, value))
-            elif count == 1:
-                headers[first] = (name, value)
-            else:
-                self._headers = [(k, v) for k, v in headers if k != name]
-                self._headers.append((name, value))
-        self._invalidate_typed(name)
+        headers = self.headers
+        positions = [i for i, (key, _) in enumerate(headers) if key == name]
+        if len(positions) == 1:
+            headers[positions[0]] = (name, str(value))
+            return
+        if positions:
+            headers[:] = [pair for pair in headers if pair[0] != name]
+        headers.append((name, str(value)))
 
     def add(self, name: str, value: object) -> None:
         """Append a value for ``name`` (after existing ones)."""
-        name = canonical_header_name(name)
-        self._headers.append((name, str(value)))
-        positions = self._positions
-        if positions is not None:
-            positions.setdefault(name, []).append(len(self._headers) - 1)
-        self._invalidate_typed(name)
+        self.headers.append((canonical_header_name(name), str(value)))
 
     def prepend(self, name: str, value: object) -> None:
         """Insert a value for ``name`` before existing ones (Via stacking)."""
-        self._headers.insert(0, (canonical_header_name(name), str(value)))
-        self._invalidate()
+        self.headers.insert(0, (canonical_header_name(name), str(value)))
 
     def remove_first(self, name: str) -> Optional[str]:
         """Remove and return the first value of ``name``."""
         name = canonical_header_name(name)
-        for index, (key, value) in enumerate(self._headers):
+        for index, (key, value) in enumerate(self.headers):
             if key == name:
-                del self._headers[index]
-                self._invalidate()
+                del self.headers[index]
                 return value
         return None
 
     # -- typed accessors -----------------------------------------------------
-    #
-    # Each memoizes its parsed value in ``self._typed`` until the next
-    # mutation; ``sip_event_from_message`` and the transaction layer hit
-    # the same accessors repeatedly for every packet on the wire.
 
-    def _cached(self, key: str, compute) -> Any:
-        value = self._typed.get(key, _UNSET)
-        if value is _UNSET:
-            value = compute()
-            self._typed[key] = value
-        return value
+    def _name_addr(self, name: str) -> Optional[NameAddr]:
+        value = self.get(name)
+        return NameAddr.parse(value) if value else None
 
     @property
     def call_id(self) -> Optional[str]:
@@ -207,50 +100,27 @@ class SipMessage:
 
     @property
     def cseq(self) -> Optional[CSeq]:
-        return self._cached("cseq", self._parse_cseq)
-
-    def _parse_cseq(self) -> Optional[CSeq]:
         value = self.get("CSeq")
         return CSeq.parse(value) if value else None
 
     @property
     def from_(self) -> Optional[NameAddr]:
-        return self._cached("from", self._parse_from)
-
-    def _parse_from(self) -> Optional[NameAddr]:
-        value = self.get("From")
-        return NameAddr.parse(value) if value else None
+        return self._name_addr("From")
 
     @property
     def to(self) -> Optional[NameAddr]:
-        return self._cached("to", self._parse_to)
-
-    def _parse_to(self) -> Optional[NameAddr]:
-        value = self.get("To")
-        return NameAddr.parse(value) if value else None
+        return self._name_addr("To")
 
     @property
     def contact(self) -> Optional[NameAddr]:
-        return self._cached("contact", self._parse_contact)
-
-    def _parse_contact(self) -> Optional[NameAddr]:
-        value = self.get("Contact")
-        return NameAddr.parse(value) if value else None
+        return self._name_addr("Contact")
 
     @property
     def vias(self) -> List[Via]:
-        # The tuple is cached; a fresh list protects the cache from callers
-        # that mutate the returned sequence.
-        return list(self._cached("vias", self._parse_vias))
-
-    def _parse_vias(self) -> Tuple[Via, ...]:
-        return tuple(Via.parse(value) for value in self.get_all("Via"))
+        return [Via.parse(value) for value in self.get_all("Via")]
 
     @property
     def top_via(self) -> Optional[Via]:
-        return self._cached("top_via", self._parse_top_via)
-
-    def _parse_top_via(self) -> Optional[Via]:
         value = self.get("Via")
         return Via.parse(value) if value else None
 
@@ -271,7 +141,7 @@ class SipMessage:
         if self.get("Content-Length") != length:
             self.set("Content-Length", length)
         lines = [self.start_line()]
-        lines.extend(f"{name}: {value}" for name, value in self._headers)
+        lines.extend(f"{name}: {value}" for name, value in self.headers)
         text = CRLF.join(lines) + CRLF + CRLF
         return text.encode("utf-8") + body_bytes
 

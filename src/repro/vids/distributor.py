@@ -86,8 +86,8 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
                            call_id: Optional[str] = None) -> Event:
     """Build the EFSM input vector x from a SIP message on the wire.
 
-    ``call_id`` lets the distributor pass the (interned) dialog id it
-    already extracted instead of re-reading the header.  One pass over the
+    ``call_id`` lets the distributor pass the dialog id it already
+    extracted instead of re-reading the header.  One pass over the
     raw header list feeds the value-level parse caches
     (:func:`~repro.sip.headers.name_addr_brief` and friends) directly —
     the typed accessors (``message.from_`` etc.) rebuild a NameAddr/Via
@@ -244,15 +244,11 @@ class EventDistributor:
         trace = self.trace
         factbase = self.factbase
         call_id = message.call_id or ""
-        if call_id:
-            # Interned: the 2nd..Nth message of a dialog reuses the same
-            # string object across events, records, and machine locals.
-            call_id = factbase.intern_value(call_id)
-            if factbase.is_quarantined(call_id):
-                factbase.metrics.quarantined_drops += 1
-                if trace is not None:
-                    self._route(classified, now, "quarantined-drop", call_id)
-                return None
+        if call_id and factbase.is_quarantined(call_id):
+            factbase.metrics.quarantined_drops += 1
+            if trace is not None:
+                self._route(classified, now, "quarantined-drop", call_id)
+            return None
         event = sip_event_from_message(
             message, (datagram.src.ip, datagram.src.port),
             (datagram.dst.ip, datagram.dst.port), now,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..efsm.machine import FiringResult
-from ..efsm.system import EfsmSystem, SystemTemplate
+from ..efsm.system import EfsmSystem
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import TraceBus
@@ -30,16 +30,9 @@ __all__ = ["CallRecord", "CallStateFactBase"]
 
 MediaKey = Tuple[str, int]
 
-#: Hard ceiling on the per-factbase intern pool.  Eviction-with-deletion
-#: keeps the pool at the live-call count in steady state; the cap bounds
-#: it even under a flood of dialog identifiers that never become calls.
-_INTERN_CAP = 65536
-
-
-#: Shared empties for records that have not negotiated media yet (most
-#: records until the first SDP answer): both are only ever *replaced* by
+#: Shared empty for records that have not negotiated media yet (most
+#: records until the first SDP answer): only ever *replaced* by
 #: ``refresh_media_index``, never mutated in place.
-_NO_MEDIA_KEYS: frozenset = frozenset()
 _NO_MEDIA_MAP: Dict[MediaKey, str] = {}
 
 
@@ -49,8 +42,8 @@ class CallRecord:
     #: One record per monitored call — ``__slots__`` for the same reason
     #: as :class:`~repro.efsm.machine.EfsmInstance`.
     __slots__ = (
-        "call_id", "system", "created_at", "last_activity", "media_keys",
-        "media_map", "deletion_scheduled", "delete_at", "deviation_keys",
+        "call_id", "system", "created_at", "last_activity", "media_map",
+        "deletion_scheduled", "delete_at", "deviation_keys",
         "_size_cache", "_contribution", "_media_sig",
     )
 
@@ -59,8 +52,8 @@ class CallRecord:
         self.system = system
         self.created_at = created_at
         self.last_activity = created_at
-        self.media_keys: "frozenset | set" = _NO_MEDIA_KEYS
-        #: Negotiated media map as of the last index refresh (key -> dir).
+        #: Negotiated media map as of the last index refresh (key -> dir):
+        #: the record's own view of its entries in the fact base's index.
         self.media_map: Dict[MediaKey, str] = _NO_MEDIA_MAP
         self.deletion_scheduled = False
         #: Absolute time the scheduled linger-delete fires (None until the
@@ -163,20 +156,6 @@ class CallStateFactBase:
             # SpecVerificationError if spec-lint finds ERROR findings in
             # the definitions every call record will instantiate.
             verify_call_system((self._sip_definition, self._rtp_definition))
-        #: Flyweight prototype for per-call systems: the definition pair,
-        #: merged global defaults, and SIP->RTP channel topology are frozen
-        #: once here, so :meth:`_create` clones plain data per call.
-        self._template = SystemTemplate(
-            (self._sip_definition, self._rtp_definition),
-            connections=((SIP_MACHINE, RTP_MACHINE),))
-        #: Per-dialog string interning: value -> the canonical instance.
-        #: Call-IDs (and any other per-dialog value the distributor pushes
-        #: through :meth:`intern_value`) repeat on every message of a
-        #: dialog; interning makes the 2nd..Nth copies share one object so
-        #: records, events, and machine locals don't hold N duplicates of
-        #: long dialog identifiers.  Bounded: entries are evicted with
-        #: call deletion, so the pool never outgrows the live-call set.
-        self._interned: Dict[str, str] = {}
         #: Incremental state-byte accounting: running total plus the set of
         #: records whose contribution is stale (they fired since the last
         #: total).  Keeps :meth:`total_state_bytes` O(recently-active calls)
@@ -184,11 +163,10 @@ class CallStateFactBase:
         self._total_bytes = 0
         self._dirty: set = set()
         self.records: Dict[str, CallRecord] = {}
-        self.media_index: Dict[MediaKey, str] = {}
-        #: Hot-path cache resolving a media key straight to its
-        #: (record, direction) pair; invalidated whenever the media index
-        #: for that record actually changes, and on record deletion.
-        self._media_match: Dict[MediaKey, Tuple[CallRecord, str]] = {}
+        #: The one table from a negotiated (ip, port) to the call that owns
+        #: it and the stream direction it carries; written only by
+        #: :meth:`refresh_media_index` and :meth:`delete`.
+        self.media_index: Dict[MediaKey, Tuple[CallRecord, str]] = {}
         #: Calls torn down after an internal error: call-id -> quarantine
         #: time.  Their traffic is dropped from inspection (not from the
         #: wire) until the entry expires.
@@ -245,28 +223,15 @@ class CallStateFactBase:
             record = self._create(call_id)
         return record
 
-    def intern_value(self, value: str) -> str:
-        """Canonical shared instance of a per-dialog string value.
-
-        Bounded two ways: entries are evicted when their call is deleted
-        (:meth:`delete`), and a hard cap stops growth when
-        flooded with identifiers that never become calls — a miss at the
-        cap returns the value uninterned rather than remembering it.
-        """
-        pool = self._interned
-        cached = pool.get(value)
-        if cached is not None:
-            return cached
-        if len(pool) < _INTERN_CAP:
-            pool[value] = value
-        return value
-
     def _create(self, call_id: str, *, created_at: Optional[float] = None,
                 count: bool = True,
                 trace_kind: str = "call-created") -> CallRecord:
-        system = EfsmSystem.from_template(
-            self._template, clock_now=self.clock_now,
-            timer_scheduler=self.timer_scheduler)
+        # Channels are not connected here: the first routed output creates
+        # its FIFO on demand, and most calls never use the reverse direction.
+        system = EfsmSystem(clock_now=self.clock_now,
+                            timer_scheduler=self.timer_scheduler)
+        system.add_machine(self._sip_definition)
+        system.add_machine(self._rtp_definition)
         if created_at is None:
             created_at = self.clock_now()
         record = CallRecord(call_id, system, created_at)
@@ -299,9 +264,9 @@ class CallStateFactBase:
         return record
 
     def refresh_media_index(self, record: CallRecord) -> None:
-        """Re-sync the (ip, port) -> call-id index from the media globals.
+        """Re-sync the (ip, port) -> call index from the media globals.
 
-        No-op when the negotiated media map is unchanged (the common case:
+        No-op when the negotiated media is unchanged (the common case:
         every SIP message of an established call triggers a refresh, but
         the endpoints only move on offer/answer/re-INVITE) — detected from
         the raw media globals without building the endpoint dict.
@@ -315,40 +280,28 @@ class CallStateFactBase:
             return
         record._media_sig = signature
         endpoints = record.media_endpoints()
-        if endpoints == record.media_map:
-            return
+        index = self.media_index
         hook = self.on_media_route
-        for key in record.media_keys - set(endpoints):
-            if self.media_index.get(key) == record.call_id:
-                del self.media_index[key]
+        for key in record.media_map:
+            if key not in endpoints and self._owns(record, key):
+                del index[key]
                 if hook is not None:
                     hook(key, None)
-            self._media_match.pop(key, None)
         for key, direction in endpoints.items():
-            if hook is not None and self.media_index.get(key) != record.call_id:
+            if hook is not None and not self._owns(record, key):
                 hook(key, record.call_id)
-            self.media_index[key] = record.call_id
-            self._media_match[key] = (record, direction)
-        record.media_keys = set(endpoints)
+            index[key] = (record, direction)
         record.media_map = endpoints
+
+    def _owns(self, record: CallRecord, key: MediaKey) -> bool:
+        """Whether ``key`` currently resolves to ``record`` (a later call
+        that negotiated the same endpoint takes it over)."""
+        match = self.media_index.get(key)
+        return match is not None and match[0] is record
 
     def lookup_media(self, dst: MediaKey) -> Optional[Tuple[CallRecord, str]]:
         """Resolve an RTP packet's destination to (record, direction)."""
-        match = self._media_match.get(dst)
-        if match is not None:
-            return match
-        # Slow path: the index was touched outside refresh_media_index
-        # (tests, manual surgery) — fall back to the authoritative walk.
-        call_id = self.media_index.get(dst)
-        if call_id is None:
-            return None
-        record = self.records.get(call_id)
-        if record is None:
-            del self.media_index[dst]
-            return None
-        direction = record.media_endpoints().get(dst, "unknown")
-        self._media_match[tuple(dst)] = (record, direction)
-        return record, direction
+        return self.media_index.get(dst)
 
     def delete(self, call_id: str) -> Optional[CallRecord]:
         """Remove a call's machines from memory, sampling their size."""
@@ -366,19 +319,15 @@ class CallStateFactBase:
         if self.trace is not None:
             self.trace.emit("call-deleted", self.clock_now(), call_id=call_id,
                             states=record.system.states())
-        self._interned.pop(call_id, None)
         self._total_bytes -= record._contribution
         self._dirty.discard(record)
         record.system.cancel_all_timers()
         hook = self.on_media_route
-        for key in record.media_keys:
-            if self.media_index.get(key) == call_id:
+        for key in record.media_map:
+            if self._owns(record, key):
                 del self.media_index[key]
                 if hook is not None and key not in self.quarantined_media:
                     hook(key, None)
-            match = self._media_match.get(key)
-            if match is not None and match[0] is record:
-                del self._media_match[key]
         return record
 
     # -- checkpoint / restore (repro.vids.cluster) -----------------------------
@@ -386,7 +335,7 @@ class CallStateFactBase:
     def checkpoint_call(self, record: CallRecord) -> Dict[str, Any]:
         """Serializable snapshot of one call record.
 
-        Media keys are *not* stored: they are re-derived from the restored
+        The media map is *not* stored: it is re-derived from the restored
         globals by :meth:`refresh_media_index`, which also re-fires the
         ``on_media_route`` hooks so a sharding facade's routing table
         re-homes with the call.
@@ -520,7 +469,7 @@ class CallStateFactBase:
         """
         record = self.records.get(call_id)
         if record is not None:
-            for key in record.media_keys:
+            for key in record.media_map:
                 self.quarantined_media[key] = call_id
         self.quarantined[call_id] = self.clock_now()
         self.metrics.calls_quarantined += 1

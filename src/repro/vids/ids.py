@@ -304,8 +304,10 @@ class Vids:
         if classified.sip is not None:
             call_id = classified.sip.call_id
         elif classified.kind is PacketKind.RTP:
-            call_id = self.factbase.media_index.get(
+            match = self.factbase.media_index.get(
                 (datagram.dst.ip, datagram.dst.port))
+            if match is not None:
+                call_id = match[0].call_id
         if call_id:
             self.factbase.quarantine(call_id)
         self.engine.note_internal_error(

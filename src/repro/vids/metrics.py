@@ -21,10 +21,12 @@ __all__ = ["estimate_value_bytes", "estimate_state_bytes", "VidsMetrics"]
 
 
 def estimate_value_bytes(value: Any) -> int:
-    """Wire-width of one state-variable value."""
-    # Exact-type fast path first: state vectors are overwhelmingly made of
-    # plain str/int/float values, and the generic isinstance chain (the
-    # ``Mapping`` ABC check in particular) is an order of magnitude slower.
+    """Wire-width of one state-variable value.
+
+    Measures the closed domain :func:`~repro.efsm.machine.copy_state`
+    checkpoints — atoms, tuples, frozensets and plain ``dict``/``list``/
+    ``set`` — by exact type; anything outside it counts a flat 16 bytes.
+    """
     kind = type(value)
     if kind is str:
         # ASCII (the overwhelmingly common case for protocol facts) needs
@@ -41,23 +43,9 @@ def estimate_value_bytes(value: Any) -> int:
                    for k, v in value.items())
     if kind in (list, tuple, set, frozenset):
         return sum(estimate_value_bytes(item) for item in value)
-    # Subclasses and exotic containers take the original general path.
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, int):
-        return 4 if -(2 ** 31) <= value < 2 ** 31 else 8
-    if isinstance(value, float):
-        return 8
-    if isinstance(value, str):
-        return len(value.encode("utf-8"))
-    if isinstance(value, bytes):
+    if kind is bytes:
         return len(value)
-    if isinstance(value, Mapping):
-        return sum(estimate_value_bytes(k) + estimate_value_bytes(v)
-                   for k, v in value.items())
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(estimate_value_bytes(item) for item in value)
-    return 16  # conservative default for anything exotic
+    return 16
 
 
 def estimate_state_bytes(variables: Mapping[str, Any]) -> int:

@@ -136,17 +136,7 @@ class InviteFloodTracker:
 
     def observe_invite(self, target: str, event: Event) -> bool:
         """Feed one INVITE observation; returns True when a flood is flagged."""
-        instance = self.machine_for(target)
-        # Retransmission fast path: a branch already in the dedup window
-        # can neither advance the counter nor change state (the ``count``
-        # action and both threshold guards treat it as already counted in
-        # every state, and ``seen_branches`` is always empty in INIT), so
-        # the full delivery — context, guard chain, firing record — is
-        # skipped for the common same-branch retry.
-        if str(event.args.get("branch", "")) in instance.variables.local.get(
-                "seen_branches", ()):
-            return False
-        result = instance.deliver(event)
+        result = self.machine_for(target).deliver(event)
         self.version += 1
         entered_attack = result.attack and result.from_state != result.to_state
         if entered_attack and self.on_attack is not None:

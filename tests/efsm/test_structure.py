@@ -5,15 +5,15 @@ One dispatch (the compiled tables; the reference lives test side, in
 (``repro.efsm.guards``), one guard probe outside live dispatch
 (``Efsm.enabled_at``), one firing tail (in ``EfsmInstance.deliver``), one
 way to send (declarative ``Output``), one declaration of the shared media
-globals.  These read the source so a second copy cannot come back
-unnoticed.
+globals, one way to build a call system, a closed domain of state values.
+These read the source so a second copy cannot come back unnoticed.
 """
 
 import ast
 from pathlib import Path
 
 import repro
-from repro.efsm import TransitionContext
+from repro.efsm import EfsmSystem, TransitionContext
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -81,3 +81,16 @@ def test_context_has_no_memo_slot_and_no_dynamic_send():
 
 def test_media_globals_are_defaulted_in_one_file():
     assert _files_with("g_offer_addr=") == ["vids/sync.py"]
+
+
+def test_a_call_system_is_built_one_way_and_keeps_no_firing_log():
+    """``add_machine`` is the constructor; firings go to ``on_result`` and
+    to ``inject``'s caller, never into a per-call list."""
+    for needle in ("SystemTemplate", "from_template", "seed_globals",
+                   "attack_matches"):
+        assert _files_with(needle) == [], needle
+    assert not hasattr(EfsmSystem, "deviations")
+
+
+def test_copy_state_has_no_deepcopy_fallback():
+    assert "copy.deepcopy(" not in (SRC / "efsm/machine.py").read_text("utf-8")

@@ -151,7 +151,7 @@ def test_checkpoint_round_trip_for_every_live_call(capture):
             assert twin.variables.local == machine.variables.local, name
             assert twin._timer_meta == machine._timer_meta, name
         assert restored.system.globals == record.system.globals
-        assert restored.media_keys == record.media_keys
+        assert restored.media_map == record.media_map
         # The restored record re-checkpoints byte-identically.
         assert fresh.factbase.checkpoint_call(restored) == snapshot
 

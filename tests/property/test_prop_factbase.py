@@ -26,7 +26,9 @@ _ops = st.lists(
 @given(_ops)
 @settings(max_examples=60, deadline=None)
 def test_media_index_always_consistent(operations):
-    """Every media-index entry points at a live record that owns the key."""
+    """The one media table agrees with every live record's own view: each
+    entry names a live record whose ``media_map`` holds that key with that
+    direction, and each record's keys resolve back to it."""
     factbase, clock = make_factbase()
     for op, index in operations:
         call_id = f"c{index}@p"
@@ -52,13 +54,13 @@ def test_media_index_always_consistent(operations):
                 factbase.touch(record)
 
         # Invariants after every step:
-        for key, owner in factbase.media_index.items():
-            record = factbase.records.get(owner)
-            assert record is not None, "index points at a deleted record"
-            assert key in record.media_keys
+        for key, (record, direction) in factbase.media_index.items():
+            assert factbase.records.get(record.call_id) is record, \
+                "index points at a deleted record"
+            assert record.media_map[key] == direction
         for record in factbase.records.values():
-            for key in record.media_keys:
-                assert factbase.media_index.get(key) == record.call_id
+            for key, direction in record.media_map.items():
+                assert factbase.lookup_media(key) == (record, direction)
 
 
 @given(_ops)

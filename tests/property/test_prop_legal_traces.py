@@ -10,13 +10,14 @@ positive claim.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.efsm import EfsmSystem, ManualClock
+from repro.efsm import ManualClock
 from repro.vids import DEFAULT_CONFIG, build_rtp_machine, build_sip_machine
 from repro.vids.sync import RTP_MACHINE, SIP_MACHINE
 
 from tests.vids.helpers import (
     CALLEE_IP,
     CALLER_IP,
+    RecordingSystem,
     ack_event,
     answer_event,
     bye_event,
@@ -74,7 +75,8 @@ def legal_trace(draw):
 def test_legal_traces_produce_no_deviations_or_attacks(trace):
     sip_events, teardown, n_media = trace
     clock = ManualClock()
-    system = EfsmSystem(clock_now=clock.now, timer_scheduler=clock.schedule)
+    system = RecordingSystem(clock_now=clock.now,
+                             timer_scheduler=clock.schedule)
     system.add_machine(build_sip_machine(DEFAULT_CONFIG))
     system.add_machine(build_rtp_machine(DEFAULT_CONFIG))
     system.connect(SIP_MACHINE, RTP_MACHINE)

@@ -1,11 +1,11 @@
-"""Memoization-invalidation coverage for SipMessage accessors.
+"""Mutation coverage for the SipMessage accessors.
 
 The typed accessors (``from_``, ``to``, ``cseq``, ``contact``, ``vias``,
-``top_via``) and the name→positions header index are memoized on first
-use.  Every mutation path — ``set`` (targeted, in-place replace),
-``add`` (targeted, incremental index), ``prepend`` and ``remove_first``
-(full invalidation) — must leave no stale cache behind: this is the
-correctness contract for the fast-path work in ``sip/message.py``.
+``top_via``) and ``get``/``get_all`` read the one header list, so every
+mutation path — ``set`` (in-place replace, or collapse of repeated
+headers), ``add``, ``prepend`` and ``remove_first`` — must be observed by
+the very next read, whatever was read before it.  (The file name predates
+this: the accessors were once memoized per message.)
 """
 
 from repro.sip import parse_message
@@ -24,7 +24,7 @@ WIRE = (
 
 
 def _warm(message):
-    """Touch every memoized accessor so the caches are populated."""
+    """Touch every accessor before the mutation under test."""
     return (message.from_, message.to, message.cseq, message.contact,
             message.vias, message.top_via, message.get("Call-ID"),
             message.get_all("Via"))
@@ -66,7 +66,7 @@ def test_add_invalidates_vias_and_extends_index():
     assert len(message.vias) == 3
     assert message.vias[-1].host == "10.2.0.1"
     assert len(message.get_all("Via")) == 3
-    # Unrelated memoized accessors still serve the right values.
+    # Unrelated accessors still serve the right values.
     assert message.from_.tag == "oldtag"
     assert message.cseq.method == "INVITE"
 

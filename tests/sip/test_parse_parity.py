@@ -1,7 +1,7 @@
 """Seeded lazy-vs-eager parse parity corpus.
 
 The message layer defers header decoding to first touch (typed accessors
-memoize per header name) and memoizes line splitting and value parsing in
+parse on access) and memoizes line splitting and value parsing in
 module-level caches.  None of that may be observable: touching accessors
 in any order must yield the same values as touching them all eagerly, and
 a message mutated after lazy reads must reserialize byte-identically to

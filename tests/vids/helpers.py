@@ -1,12 +1,35 @@
 """Builders for the event vocabulary the vids machines consume."""
 
-from repro.efsm import Event
+from repro.efsm import EfsmSystem, Event
 
 CALLER_IP = "10.1.0.11"      # caller UA (network A)
 PROXY_A_IP = "10.1.0.1"      # outbound proxy (on the INVITE path)
 CALLEE_IP = "10.2.0.11"      # callee UA (network B)
 ATTACKER_IP = "172.16.66.6"
 CALL_ID = "call-1@10.1.0.11"
+
+
+class RecordingSystem(EfsmSystem):
+    """An :class:`EfsmSystem` whose *test* keeps every firing.
+
+    The system retains none (a per-call log would grow with the traffic an
+    attacker sends); ``inject`` returns them and ``on_result`` sees them,
+    timer- and δ-driven ones included.  A test that wants to ask "did
+    anything deviate, did any attack transition fire" hooks a list there.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fired = []
+        self.on_result = self.fired.append
+
+    @property
+    def deviations(self):
+        return [result for result in self.fired if result.deviation]
+
+    @property
+    def attack_matches(self):
+        return [result for result in self.fired if result.attack]
 
 
 def invite_event(src_ip=PROXY_A_IP, dst_ip="10.2.0.1", branch="z9hG4bKi1",

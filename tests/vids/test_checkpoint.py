@@ -47,8 +47,8 @@ def test_checkpoint_restore_round_trip():
     assert restored.rtp.variables.snapshot() == record.rtp.variables.snapshot()
     assert restored.created_at == record.created_at
     assert restored.last_activity == record.last_activity
-    # Media keys re-derive from the restored globals.
-    assert restored.media_keys == record.media_keys
+    # The media map re-derives from the restored globals.
+    assert restored.media_map == record.media_map
     assert target.lookup_media((CALLER_IP, 20_000)) is not None
     assert target.lookup_media((CALLEE_IP, 20_002)) is not None
     # Restoration is not creation: the equivalence counters stay put.

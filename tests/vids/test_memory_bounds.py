@@ -1,12 +1,14 @@
-"""Carrier-scale memory bounds: parse caches and the intern pool are capped.
+"""Carrier-scale memory bounds: parse caches are capped, calls keep no log.
 
 Under carrier traffic (or an attacker minting identifiers), dialog values
 never repeat — a day of calls is a million unique Call-IDs, tags, and
-branches.  Every value-level parse cache in the SIP fast path and the
-per-factbase intern pool must therefore hold at its declared cap instead
-of growing with the traffic.  These tests flood each cache with several
-multiples of its capacity in unique values and assert the caps hold, and
-drive a million unique dialog identifiers at the intern pool directly.
+branches.  Every value-level parse cache in the SIP fast path must
+therefore hold at its declared cap instead of growing with the traffic:
+these tests flood each cache with several multiples of its capacity in
+unique values and assert the caps hold.  And a live call's state must not
+grow with the packets sent at it: whatever an attacker keeps sending — the
+wrong codec on an established call, requests the specification has no
+transition for — is alerted on once and then forgotten.
 """
 
 import gc
@@ -20,10 +22,13 @@ from repro.sip.headers import (_name_addr_fields, _via_fields,
                                name_addr_brief, via_brief)
 from repro.sip.message import _split_header_line
 from repro.sip.uri import _parse_uri
-from repro.vids import DEFAULT_CONFIG, Vids
+from repro.vids import DEFAULT_CONFIG, AttackType, Vids
 from repro.vids.distributor import _sdp_media_fields
-from repro.vids.factbase import _INTERN_CAP, CallStateFactBase
-from repro.vids.sync import SIP_MACHINE
+from repro.vids.factbase import CallStateFactBase
+from repro.vids.rtp_machine import ATTACK_CODEC
+from repro.vids.sync import RTP_MACHINE, SIP_MACHINE
+
+from .helpers import ack_event, answer_event, invite_event, rtp_event
 
 
 def _sdp_body(n):
@@ -72,30 +77,6 @@ def make_factbase():
     return base, clock
 
 
-def test_million_unique_dialogs_cap_the_intern_pool():
-    """A million never-repeating dialog identifiers: pool stops at the cap.
-
-    Past the cap, values pass through uninterned (same object returned)
-    rather than evicting live entries or growing without bound.
-    """
-    base, _ = make_factbase()
-    for n in range(1_000_000):
-        base.intern_value(f"dlg-{n}@pbx.example.com")
-    assert len(base._interned) == _INTERN_CAP
-    overflow = "overflow@pbx.example.com"
-    assert base.intern_value(overflow) is overflow
-    assert len(base._interned) == _INTERN_CAP
-
-
-def test_call_deletion_evicts_the_interned_call_id():
-    base, _ = make_factbase()
-    call_id = base.intern_value("gone-1@pbx.example.com")
-    base.get_or_create(call_id)
-    assert call_id in base._interned
-    base.delete(call_id)
-    assert call_id not in base._interned
-
-
 class _Args(dict):
     """An argument vector that can be weakly referenced (a dict cannot)."""
 
@@ -116,6 +97,63 @@ def test_delivered_event_does_not_outlive_its_delivery():
     assert alive() is None
     assert base.records["held@x"] is record
     assert record.system.deliveries == 2
+
+
+def _flood(record, machine, make_event, count=5000):
+    """Inject ``count`` weakly-referenced events; return the live ones."""
+    refs = []
+    for n in range(count):
+        event = make_event(n)
+        args = _Args(event.args)
+        refs.append(weakref.ref(args))
+        record.system.inject(machine, Event(event.name, args))
+    del event, args
+    gc.collect()
+    return [ref for ref in refs if ref() is not None]
+
+
+def _established_call():
+    clock = ManualClock()
+    vids = Vids(config=DEFAULT_CONFIG, clock_now=clock.now,
+                timer_scheduler=clock.schedule)
+    record = vids.factbase.get_or_create("held@x")
+    for event in (invite_event(call_id="held@x"),
+                  answer_event(call_id="held@x"),
+                  ack_event(call_id="held@x")):
+        record.system.inject(SIP_MACHINE, event)
+    assert record.sip.state == "Call_Established"
+    return vids, record
+
+
+def test_absorbed_attack_packets_do_not_outlive_their_delivery():
+    """5 000 wrong-codec RTP packets on an established call: the attack
+    state absorbs each one (an ``attack=True`` self-loop), one alert is
+    raised, and the call holds none of the packets while the SIP side
+    keeps it alive."""
+    vids, record = _established_call()
+    alive = _flood(record, RTP_MACHINE,
+                   lambda n: rtp_event(pt=0, seq=100 + n, ts=16_000 + 160 * n))
+    assert record.rtp.state == ATTACK_CODEC
+    assert vids.factbase.get("held@x") is record
+    assert alive == []
+    assert vids.alert_manager.count() == \
+        vids.alert_manager.count(AttackType.CODEC_CHANGE) == 1
+
+
+def test_deviating_requests_do_not_outlive_their_delivery():
+    """5 000 requests the specification has no transition for, sent at an
+    established call: each is a deviation, one alert is raised, and the
+    call holds none of them."""
+    vids, record = _established_call()
+    alive = _flood(record, SIP_MACHINE,
+                   lambda n: Event("UPDATE", {"call_id": "held@x",
+                                              "src_ip": "6.6.6.6",
+                                              "dst_ip": "10.2.0.11",
+                                              "cseq_num": n}))
+    assert record.sip.state == "Call_Established"
+    assert alive == []
+    assert vids.alert_manager.count() == \
+        vids.alert_manager.count(AttackType.SPEC_DEVIATION) == 1
 
 
 def test_unique_dialog_churn_keeps_the_pipeline_memory_flat():
@@ -188,11 +226,10 @@ def test_unique_dialog_churn_keeps_the_pipeline_memory_flat():
     assert vids.metrics.calls_created >= dialogs
     base = vids.factbase
     # Let the closed-record linger timers fire: torn-down dialogs are
-    # reaped, so live records and the intern pool track the set of
-    # still-open calls, not the dialog count.
+    # reaped, so live records track the set of still-open calls, not the
+    # dialog count.
     clock.advance(2 * DEFAULT_CONFIG.closed_record_linger)
     assert len(base) < dialogs / 5
-    assert len(base._interned) <= max(64, 2 * len(base))
     for function, _ in PARSE_CACHES:
         info = function.cache_info()
         assert info.currsize <= info.maxsize, function.__name__

@@ -142,8 +142,14 @@ class TestInviteFloodTracker:
         assert moved()
         tracker.observe_invite("bob@b.com", invite("a1"))
         assert moved()
-        tracker.observe_invite("bob@b.com", invite("a1"))   # retransmission
-        assert not moved()
+        # A retransmission changes nothing but is a delivery like any
+        # other, so the version moves: a stale snapshot is never reused,
+        # a fresh one is merely retaken.
+        before = tracker.snapshot()["machines"]
+        tracker.observe_invite("bob@b.com", invite("a1"))
+        assert tracker.snapshot()["machines"] == before
+        assert tracker.counter("bob@b.com") == 2
+        assert moved()
         clock.advance(1.5)          # expiry removes the instance
         assert moved() and tracker.machines == {}
 

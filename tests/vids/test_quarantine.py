@@ -110,8 +110,8 @@ def test_quarantined_media_does_not_feed_orphan_tracker():
     vids.process(invite_datagram("call-a"), clock.now())
     record = vids.factbase.get("call-a")
     # The INVITE's SDP offer indexes the caller's media sink.
-    assert record.media_keys
-    media_key = next(iter(record.media_keys))
+    assert record.media_map
+    media_key = next(iter(record.media_map))
 
     poison(vids, "call-a")
     vids.process(bye_datagram("call-a"), clock.now())

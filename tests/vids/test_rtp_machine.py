@@ -1,7 +1,7 @@
 """Behavioural tests for the per-call RTP protocol state machine."""
 
 
-from repro.efsm import EfsmSystem, Event, ManualClock
+from repro.efsm import Event, ManualClock
 from repro.vids import DEFAULT_CONFIG, build_rtp_machine, build_sip_machine
 from repro.vids.rtp_machine import (
     ATTACK_AFTER_CLOSE,
@@ -19,7 +19,7 @@ from repro.vids.sync import (
     SIP_TO_RTP,
 )
 
-from .helpers import rtp_event
+from .helpers import RecordingSystem, rtp_event
 
 CONFIG = DEFAULT_CONFIG
 
@@ -27,7 +27,8 @@ CONFIG = DEFAULT_CONFIG
 def make_rtp_system(config=CONFIG):
     """An RTP machine alone, driven by hand-crafted δ events."""
     clock = ManualClock()
-    system = EfsmSystem(clock_now=clock.now, timer_scheduler=clock.schedule)
+    system = RecordingSystem(clock_now=clock.now,
+                             timer_scheduler=clock.schedule)
     system.add_machine(build_sip_machine(config))
     system.add_machine(build_rtp_machine(config))
     channel = system.connect(SIP_MACHINE, RTP_MACHINE)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.efsm import EfsmSystem, ManualClock
+from repro.efsm import ManualClock
 from repro.vids import DEFAULT_CONFIG, build_rtp_machine, build_sip_machine
 from repro.vids.sip_machine import (
     ATTACK_BYE,
@@ -21,6 +21,7 @@ from .helpers import (
     ATTACKER_IP,
     CALLEE_IP,
     CALLER_IP,
+    RecordingSystem,
     ack_event,
     answer_event,
     bye_event,
@@ -32,7 +33,8 @@ from .helpers import (
 
 def make_system(config=DEFAULT_CONFIG):
     clock = ManualClock()
-    system = EfsmSystem(clock_now=clock.now, timer_scheduler=clock.schedule)
+    system = RecordingSystem(clock_now=clock.now,
+                             timer_scheduler=clock.schedule)
     system.add_machine(build_sip_machine(config))
     system.add_machine(build_rtp_machine(config))
     system.connect(SIP_MACHINE, RTP_MACHINE)

@@ -19,7 +19,7 @@ from repro.telephony import (ScenarioParams, TestbedParams, WorkloadParams,
 from repro.vids import DEFAULT_CONFIG, RecordingProcessor, build_pipeline
 from repro.vids.speclint import shipped_machines
 
-from ..efsm.test_structure import SRC, _sources
+from ..efsm.test_structure import SRC, _files_with, _sources
 
 
 def test_a_shard_is_constructed_at_one_site():
@@ -58,6 +58,15 @@ def test_the_supervisor_names_no_private_state_of_a_member():
                    "._malformed_windows", "._deviation_keys", "._stray_keys",
                    "._unsolicited_flagged", "alert_manager.alerts"):
         assert needle not in source, needle
+
+
+def test_one_header_store_one_media_table_and_no_intern_pool():
+    """The SIP message scans its header list (no positions index, no typed
+    memo); one fact-base table maps a media key to its call; nothing
+    interns dialog strings."""
+    for needle in ("_positions", "_typed", "media_keys", "_media_match",
+                   "intern_value"):
+        assert _files_with(needle) == [], needle
 
 
 def test_no_module_imports_networkx():
