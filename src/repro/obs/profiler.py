@@ -6,10 +6,10 @@ stage (classify / distribute / fire) so regressions are attributable to a
 stage rather than a whole run.
 
 Profiling is off by default: an :class:`~repro.obs.Observability` bundle
-builds a profiler only with ``profile=True``.  The hot path holds
-``profiler = None`` when disabled and guards every timing site with an
-``is not None`` check, so the disabled cost is one pointer comparison per
-stage — no clock syscalls.
+builds a profiler only with ``profile=True``, and a pipeline built with one
+binds :meth:`StageProfiler.timed` wrappers over its three stage entry
+points once, at construction.  A pipeline built without one runs the bare
+entry points: the disabled cost is nothing, not a check per stage.
 
 The overhead-guard test pins this down by monkeypatching this module's
 ``perf_counter`` to raise: a disabled pipeline must never call it.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter, process_time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = ["StageStats", "StageProfiler"]
 
@@ -46,11 +46,9 @@ class StageStats:
 class StageProfiler:
     """Accumulates per-stage wall/CPU time; optionally feeds histograms.
 
-    Usage on a hot path (explicit begin/commit, no context-manager frames)::
+    A pipeline wraps a stage's entry point once (no per-call branch)::
 
-        token = profiler.begin()
-        do_stage()
-        profiler.commit("classify", token)
+        classifier.classify = profiler.timed("classify", classifier.classify)
 
     When built with a registry, each commit also observes the wall duration
     into the ``vids_stage_seconds{stage=...}`` histogram, which is what the
@@ -88,6 +86,19 @@ class StageProfiler:
         if self._hist is not None:
             self._hist.labels(stage=stage).observe(wall)
         return wall
+
+    def timed(self, stage: str, fn: Callable) -> Callable:
+        """``fn`` with every call charged to ``stage``: what a pipeline
+        binds in place of a stage's entry point when it is profiled."""
+        begin, commit = self.begin, self.commit
+
+        def timed_call(*args):
+            token = begin()
+            try:
+                return fn(*args)
+            finally:
+                commit(stage, token)
+        return timed_call
 
     @contextmanager
     def measure(self, stage: str):

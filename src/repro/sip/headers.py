@@ -11,10 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, Mapping, Optional
 
 from .constants import BRANCH_MAGIC_COOKIE, SIP_VERSION
-from .errors import SipParseError
+from .errors import SipParseError, wire_int
 from .uri import SipUri
 
 __all__ = [
@@ -22,9 +23,6 @@ __all__ = [
     "NameAddr",
     "CSeq",
     "canonical_header_name",
-    "name_addr_brief",
-    "via_brief",
-    "cseq_brief",
     "new_branch",
     "new_tag",
     "new_call_id",
@@ -95,32 +93,99 @@ def _parse_params(text: str) -> Dict[str, Optional[str]]:
     return params
 
 
-def _format_params(params: Dict[str, Optional[str]]) -> str:
+_NO_PARAMS: Mapping[str, Optional[str]] = MappingProxyType({})
+
+
+def _format_params(params: Mapping[str, Optional[str]]) -> str:
     out = ""
     for key, value in params.items():
         out += f";{key}" if value is None else f";{key}={value}"
     return out
 
 
-@dataclass
+@lru_cache(maxsize=2048)
+def _parse_via(text: str) -> "Via":
+    """``Via.parse``.  Cached: instances are immutable, and a response
+    repeats its request's Via stack."""
+    text = text.strip()
+    try:
+        proto, sent_by = text.split(None, 1)
+    except ValueError as exc:
+        raise SipParseError(f"bad Via: {text!r}") from exc
+    parts = proto.split("/")
+    if len(parts) != 3 or f"{parts[0]}/{parts[1]}" != SIP_VERSION:
+        raise SipParseError(f"bad Via protocol: {text!r}")
+    params: Dict[str, Optional[str]] = {}
+    if ";" in sent_by:
+        sent_by, _, param_text = sent_by.partition(";")
+        params = _parse_params(param_text)
+    sent_by = sent_by.strip()
+    if ":" in sent_by:
+        host, _, port_text = sent_by.partition(":")
+        port = wire_int("Via port", 0, 65535, port_text)
+    else:
+        host, port = sent_by, 5060
+    if not host:
+        raise SipParseError(f"empty Via host: {text!r}")
+    return Via(host, port, parts[2], params)
+
+
+@lru_cache(maxsize=2048)
+def _parse_name_addr(text: str) -> "NameAddr":
+    """``NameAddr.parse``.  Cached: instances are immutable, and every
+    message of a dialog repeats its From / To / Contact."""
+    text = text.strip()
+    display: Optional[str] = None
+    param_text = ""
+    if "<" in text:
+        before, _, rest = text.partition("<")
+        uri_text, _, param_text = rest.partition(">")
+        display = before.strip().strip('"') or None
+    else:
+        # addr-spec form: params after ; belong to the header.
+        uri_text, _, param_text = text.partition(";")
+    return NameAddr(SipUri.parse(uri_text), display, _parse_params(param_text))
+
+
+@lru_cache(maxsize=2048)
+def _parse_cseq(text: str) -> "CSeq":
+    """``CSeq.parse``.  Cached: few distinct values are in flight."""
+    try:
+        number_text, method = text.split()
+    except ValueError as exc:
+        raise SipParseError(f"bad CSeq: {text!r}") from exc
+    return CSeq(wire_int("CSeq number", 0, 2**32 - 1, number_text),
+                method.upper())
+
+
+@dataclass(frozen=True, init=False)
 class Via:
-    """A Via header value: ``SIP/2.0/UDP host:port;branch=...``."""
+    """A Via header value: ``SIP/2.0/UDP host:port;branch=...``.
+
+    Immutable, so the one cached instance per header text can be shared:
+    ``params`` is a read-only view of a private copy.
+    """
 
     host: str
     port: int
-    transport: str = "UDP"
-    params: Dict[str, Optional[str]] = field(default_factory=dict)
+    transport: str
+    params: Mapping[str, Optional[str]] = field(hash=False)
+
+    def __init__(self, host: str, port: int, transport: str = "UDP",
+                 params: Mapping[str, Optional[str]] = _NO_PARAMS) -> None:
+        # Straight into the instance dict: the generated frozen __init__
+        # goes through object.__setattr__ per field, at twice the cost, and
+        # every parse-cache miss on the packet path constructs one.
+        state = self.__dict__
+        state["host"], state["port"] = host, port
+        state["transport"] = transport
+        state["params"] = MappingProxyType(dict(params))
 
     @property
     def branch(self) -> Optional[str]:
         return self.params.get("branch")
 
-    @classmethod
-    def parse(cls, text: str) -> "Via":
-        host, port, transport, params = _via_fields(text)
-        # Fresh instance and params dict per call: Via is mutable, only the
-        # string-splitting work is shared through the cache.
-        return cls(host, port, transport, dict(params))
+    parse = staticmethod(_parse_via)
 
     def __str__(self) -> str:
         return (
@@ -129,29 +194,33 @@ class Via:
         )
 
 
-@dataclass
+@dataclass(frozen=True, init=False)
 class NameAddr:
-    """A From/To/Contact value: ``"Display" <sip:uri>;tag=...``."""
+    """A From/To/Contact value: ``"Display" <sip:uri>;tag=...``.
+
+    Immutable and shared like :class:`Via`; :meth:`with_tag` returns a new
+    value.
+    """
 
     uri: SipUri
-    display_name: Optional[str] = None
-    params: Dict[str, Optional[str]] = field(default_factory=dict)
+    display_name: Optional[str]
+    params: Mapping[str, Optional[str]] = field(hash=False)
+
+    def __init__(self, uri: SipUri, display_name: Optional[str] = None,
+                 params: Mapping[str, Optional[str]] = _NO_PARAMS) -> None:
+        state = self.__dict__
+        state["uri"], state["display_name"] = uri, display_name
+        state["params"] = MappingProxyType(dict(params))
 
     @property
     def tag(self) -> Optional[str]:
         return self.params.get("tag")
 
     def with_tag(self, tag: str) -> "NameAddr":
-        params = dict(self.params)
-        params["tag"] = tag
-        return NameAddr(self.uri, self.display_name, params)
+        return NameAddr(self.uri, self.display_name,
+                        {**self.params, "tag": tag})
 
-    @classmethod
-    def parse(cls, text: str) -> "NameAddr":
-        uri, display, params = _name_addr_fields(text)
-        # The SipUri is immutable and safely shared; the instance and its
-        # params dict are rebuilt per call because NameAddr is mutable.
-        return cls(uri, display, dict(params))
+    parse = staticmethod(_parse_name_addr)
 
     def __str__(self) -> str:
         if self.display_name:
@@ -161,98 +230,6 @@ class NameAddr:
         return out + _format_params(self.params)
 
 
-@lru_cache(maxsize=2048)
-def _via_fields(text: str):
-    """Parse a Via value into hashable fields (cached by header text)."""
-    text = text.strip()
-    try:
-        proto, sent_by = text.split(None, 1)
-    except ValueError as exc:
-        raise SipParseError(f"bad Via: {text!r}") from exc
-    parts = proto.split("/")
-    if len(parts) != 3 or f"{parts[0]}/{parts[1]}" != SIP_VERSION:
-        raise SipParseError(f"bad Via protocol: {text!r}")
-    transport = parts[2]
-    params: Dict[str, Optional[str]] = {}
-    if ";" in sent_by:
-        sent_by, _, param_text = sent_by.partition(";")
-        params = _parse_params(param_text)
-    sent_by = sent_by.strip()
-    if ":" in sent_by:
-        host, _, port_text = sent_by.partition(":")
-        try:
-            port = int(port_text)
-        except ValueError as exc:
-            raise SipParseError(f"bad Via port: {text!r}") from exc
-    else:
-        host, port = sent_by, 5060
-    if not host:
-        raise SipParseError(f"empty Via host: {text!r}")
-    return host, port, transport, tuple(params.items())
-
-
-@lru_cache(maxsize=2048)
-def _name_addr_fields(text: str):
-    """Parse a name-addr value into hashable fields (cached by text)."""
-    text = text.strip()
-    display: Optional[str] = None
-    params: Dict[str, Optional[str]] = {}
-    if "<" in text:
-        before, _, rest = text.partition("<")
-        uri_text, _, after = rest.partition(">")
-        display = before.strip().strip('"') or None
-        params = _parse_params(after)
-        uri = SipUri.parse(uri_text)
-    else:
-        # addr-spec form: params after ; belong to the header.
-        if ";" in text:
-            uri_text, _, param_text = text.partition(";")
-            params = _parse_params(param_text)
-        else:
-            uri_text = text
-        uri = SipUri.parse(uri_text)
-    return uri, display, tuple(params.items())
-
-
-@lru_cache(maxsize=2048)
-def name_addr_brief(text: str) -> "tuple[str, Optional[str], str]":
-    """(address-of-record, tag, URI host) of a From/To/Contact value.
-
-    The flat tuple the per-message event builder needs, cached on the raw
-    value text: the 2nd..Nth message of a dialog pays one dict lookup
-    instead of rebuilding a :class:`NameAddr` and its params dict.
-    """
-    uri, _display, params = _name_addr_fields(text)
-    tag = None
-    for key, value in params:
-        if key == "tag":
-            tag = value
-            break
-    return uri.address_of_record, tag, uri.host
-
-
-@lru_cache(maxsize=2048)
-def via_brief(text: str) -> "tuple[str, Optional[str]]":
-    """(host, branch) of a Via value, cached on the raw value text."""
-    host, _port, _transport, params = _via_fields(text)
-    branch = None
-    for key, value in params:
-        if key == "branch":
-            branch = value
-            break
-    return host, branch
-
-
-@lru_cache(maxsize=2048)
-def cseq_brief(text: str) -> "tuple[int, str]":
-    """(sequence number, METHOD) of a CSeq value, cached on the raw text."""
-    try:
-        number_text, method = text.split()
-        return int(number_text), method.upper()
-    except ValueError as exc:
-        raise SipParseError(f"bad CSeq: {text!r}") from exc
-
-
 @dataclass(frozen=True)
 class CSeq:
     """A CSeq header value: ``sequence-number method``."""
@@ -260,10 +237,7 @@ class CSeq:
     number: int
     method: str
 
-    @classmethod
-    def parse(cls, text: str) -> "CSeq":
-        number, method = cseq_brief(text)
-        return cls(number, method)
+    parse = staticmethod(_parse_cseq)
 
     def next(self, method: Optional[str] = None) -> "CSeq":
         return CSeq(self.number + 1, method or self.method)

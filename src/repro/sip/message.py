@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import List, Optional, Tuple, Union
 
 from .constants import METHODS, SIP_VERSION, reason_phrase
-from .errors import SipParseError
+from .errors import SipParseError, wire_int
 from .headers import CSeq, NameAddr, Via, canonical_header_name
 from .uri import SipUri
 
@@ -27,9 +27,10 @@ class SipMessage:
     repeated headers (e.g. Via) keep their order, which matters for
     response routing.  It is the only store: look-ups scan it (a message
     has about eight headers) and the typed accessors (``from_``, ``cseq``,
-    ``vias``, ...) parse on access through the ``lru_cache``d field
-    parsers of :mod:`repro.sip.headers`, so there is nothing to invalidate
-    when a header is mutated.
+    ``vias``, ...) parse on access through the ``lru_cache``d parsers of
+    :mod:`repro.sip.headers`, so there is nothing to invalidate when a
+    header is mutated.  What they return is immutable and shared with
+    every other message carrying the same header text.
     """
 
     #: One message object per packet on the classifier hot path —
@@ -343,12 +344,9 @@ def parse_message(data: Union[bytes, str]) -> Union[SipRequest, SipResponse]:
     if start.startswith(SIP_VERSION + " "):
         rest = start[len(SIP_VERSION) + 1:]
         parts = rest.split(" ", 1)
-        try:
-            status = int(parts[0])
-        except ValueError as exc:
-            raise SipParseError(f"bad status line: {start!r}") from exc
-        if not 100 <= status <= 699:
-            raise SipParseError(f"status code out of range: {status}")
+        if len(parts[0]) != 3:
+            raise SipParseError(f"bad status line: {start!r}")
+        status = wire_int("status code", 100, 699, parts[0])
         reason = parts[1] if len(parts) > 1 else reason_phrase(status)
         message: Union[SipRequest, SipResponse] = SipResponse(
             status, reason, headers, body

@@ -10,9 +10,10 @@ machine (Section 4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Dict, List, Optional, Tuple
 
-from .errors import SipParseError
+from .errors import SipParseError, wire_int
 
 __all__ = ["MediaDescription", "SessionDescription", "SDP_CONTENT_TYPE",
            "media_brief"]
@@ -20,24 +21,32 @@ __all__ = ["MediaDescription", "SessionDescription", "SDP_CONTENT_TYPE",
 SDP_CONTENT_TYPE = "application/sdp"
 
 
+_port = partial(wire_int, "SDP port", 0, 65535)
+_payload_type = partial(wire_int, "SDP payload type", 0, 127)
+_ptime = partial(wire_int, "SDP ptime", 0, 65535)
+_origin_id = partial(wire_int, "SDP o= id", 0, 2**64 - 1)
+
+
+@lru_cache(maxsize=1024)
 def media_brief(
     text: str,
-) -> Optional[Tuple[str, int, Tuple[int, ...], Tuple[str, ...], Optional[int]]]:
+) -> Optional[Tuple[str, int, Tuple[int, ...], Optional[int]]]:
     """First-audio media attributes without building a SessionDescription.
 
-    Returns ``(connection_address, port, payload_types, encodings,
-    ptime_ms)`` for the first ``m=audio`` section, or ``None`` when the
-    body declares no audio stream.  This is the per-packet fast path of
-    :meth:`SessionDescription.parse`: it walks the same lines with the
-    same validation (so a malformed body raises :class:`SipParseError` or
-    :class:`ValueError` exactly when the full parse would), but skips the
-    dataclass construction the vids distributor immediately discards.
-    Parity with the full parse is pinned by tests/sip/test_sdp.py.
+    Returns ``(connection_address, port, payload_types, ptime_ms)`` for
+    the first ``m=audio`` section, or ``None`` when the body declares no
+    audio stream: what the vids SIP machine writes into the shared
+    variables.  It walks the same lines with the same validation as
+    :meth:`SessionDescription.parse` (a malformed body raises
+    :class:`SipParseError` exactly when the full parse would; parity is
+    pinned by tests/sip/test_sdp.py) but builds no dataclasses.  Cached:
+    endpoints re-offer the same body (retransmissions, the 183/200 of one
+    offer, session refreshes); a failure raises and is not cached, so each
+    malformed occurrence is counted upstream.
     """
     connection_address = "0.0.0.0"
     audio_port: Optional[int] = None
     audio_pts: Tuple[int, ...] = ()
-    audio_rtpmap: Optional[Dict[int, str]] = None
     audio_ptime: Optional[int] = None
     in_media = False
     in_audio = False
@@ -53,26 +62,22 @@ def media_brief(
                 continue
             value = line[2:]
             if value.startswith("rtpmap:"):
-                pt_text, _, mapping = value[len("rtpmap:"):].partition(" ")
-                payload_type = int(pt_text)
-                if in_audio and audio_rtpmap is not None:
-                    audio_rtpmap[payload_type] = mapping.strip()
+                _payload_type(value[len("rtpmap:"):].partition(" ")[0])
             elif value.startswith("ptime:"):
-                ptime = int(value[len("ptime:"):])
+                ptime = _ptime(value[len("ptime:"):])
                 if in_audio:
                     audio_ptime = ptime
         elif kind == "m":
             parts = line[2:].split()
             if len(parts) < 3:
                 raise SipParseError(f"malformed m= line: {line!r}")
-            port = int(parts[1])
-            payload_types = tuple(int(pt) for pt in parts[3:])
+            port = _port(parts[1])
+            payload_types = tuple(_payload_type(pt) for pt in parts[3:])
             in_media = True
             in_audio = parts[0] == "audio" and audio_port is None
             if in_audio:
                 audio_port = port
                 audio_pts = payload_types
-                audio_rtpmap = {}
         elif kind == "c":
             parts = line[2:].split()
             if len(parts) != 3:
@@ -85,16 +90,12 @@ def media_brief(
             parts = line[2:].split()
             if len(parts) != 6:
                 raise SipParseError(f"malformed o= line: {line!r}")
-            int(parts[1])
-            int(parts[2])
+            _origin_id(parts[1])
+            _origin_id(parts[2])
         # s=, t=, b=, k= and unknown lines are tolerated and ignored.
     if audio_port is None:
         return None
-    rtpmap = audio_rtpmap or {}
-    encodings = tuple(
-        mapping.split("/")[0] if (mapping := rtpmap.get(pt)) else ""
-        for pt in audio_pts)
-    return connection_address, audio_port, audio_pts, encodings, audio_ptime
+    return connection_address, audio_port, audio_pts, audio_ptime
 
 
 @dataclass
@@ -166,8 +167,8 @@ class SessionDescription:
                 if len(parts) != 6:
                     raise SipParseError(f"malformed o= line: {line!r}")
                 session.origin_user = parts[0]
-                session.session_id = int(parts[1])
-                session.session_version = int(parts[2])
+                session.session_id = _origin_id(parts[1])
+                session.session_version = _origin_id(parts[2])
                 session.origin_address = parts[5]
             elif kind == "s":
                 session.session_name = value
@@ -188,9 +189,9 @@ class SessionDescription:
                     raise SipParseError(f"malformed m= line: {line!r}")
                 current = MediaDescription(
                     media=parts[0],
-                    port=int(parts[1]),
+                    port=_port(parts[1]),
                     proto=parts[2],
-                    payload_types=[int(pt) for pt in parts[3:]],
+                    payload_types=[_payload_type(pt) for pt in parts[3:]],
                 )
                 session.media.append(current)
             elif kind == "a":
@@ -199,9 +200,9 @@ class SessionDescription:
                 if value.startswith("rtpmap:"):
                     body = value[len("rtpmap:"):]
                     pt_text, _, mapping = body.partition(" ")
-                    current.rtpmap[int(pt_text)] = mapping.strip()
+                    current.rtpmap[_payload_type(pt_text)] = mapping.strip()
                 elif value.startswith("ptime:"):
-                    current.ptime_ms = int(value[len("ptime:"):])
+                    current.ptime_ms = _ptime(value[len("ptime:"):])
             # t=, b=, k= and unknown lines are tolerated and ignored.
         return session
 

@@ -7,7 +7,7 @@ from functools import lru_cache
 from typing import Dict, Optional
 
 from .constants import DEFAULT_SIP_PORT
-from .errors import SipParseError
+from .errors import SipParseError, wire_int
 
 __all__ = ["SipUri"]
 
@@ -88,10 +88,7 @@ def _parse_uri(text: str) -> SipUri:
     host = rest
     if ":" in rest:
         host, _, port_text = rest.partition(":")
-        try:
-            port = int(port_text)
-        except ValueError as exc:
-            raise SipParseError(f"bad port in URI: {text!r}") from exc
+        port = wire_int("URI port", 0, 65535, port_text)
     if not host:
         raise SipParseError(f"empty host in URI: {text!r}")
     return SipUri(user, host, port, tuple(params.items()))

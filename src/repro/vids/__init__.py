@@ -29,7 +29,7 @@ from .distributor import (
     rtp_event_from_packet,
     sip_event_from_message,
 )
-from .engine import ATTACK_STATE_TYPES, AnalysisEngine
+from .engine import AnalysisEngine
 from .factbase import CallRecord, CallStateFactBase
 from .ids import Vids
 from .metrics import VidsMetrics, estimate_state_bytes, estimate_value_bytes
@@ -66,7 +66,6 @@ from .sync import (
 )
 
 __all__ = [
-    "ATTACK_STATE_TYPES",
     "Alert",
     "AlertManager",
     "AnalysisEngine",

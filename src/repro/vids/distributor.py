@@ -14,13 +14,12 @@ Figure-6 machines.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from ..efsm.events import Event
 from ..sip.constants import INVITE, OPTIONS, REGISTER
 from ..sip.errors import SipParseError
-from ..sip.headers import cseq_brief, name_addr_brief, via_brief
+from ..sip.headers import CSeq, NameAddr, Via
 from ..sip.message import SipRequest, SipResponse
 from ..sip.sdp import media_brief
 from .classifier import ClassifiedPacket, PacketKind
@@ -31,52 +30,33 @@ from .patterns.cross_call import CrossCallTrackers
 from .sync import RTP_MACHINE, SIP_MACHINE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..obs import StageProfiler, TraceBus
+    from ..obs import TraceBus
 
 __all__ = ["EventDistributor", "sip_event_from_message", "rtp_event_from_packet"]
 
 
-@lru_cache(maxsize=1024)
-def _sdp_media_fields(body: str) -> Dict[str, Any]:
-    """Memoized SDP body -> the media attributes the machines care about.
-
-    SDP bodies repeat verbatim — retransmissions, the 183/200 of one offer,
-    re-INVITEs refreshing a session — so the parse is paid once per
-    distinct body.  The returned dict is shared by every caller; it is only
-    ever read (``args.update``), never mutated.  Parse failures raise and
-    are *not* cached, so each malformed occurrence is counted upstream.
-    """
-    brief = media_brief(body)
-    if brief is None:
-        return {}
-    addr, port, payload_types, encodings, ptime_ms = brief
-    return {
-        "sdp_addr": addr,
-        "sdp_port": port,
-        "sdp_pts": payload_types,
-        "sdp_encodings": encodings,
-        "sdp_ptime": ptime_ms,
-    }
-
-
-def _sdp_fields(message: Union[SipRequest, SipResponse],
-                metrics: Optional["VidsMetrics"] = None) -> Dict[str, Any]:
-    """Extract the media attributes the machines care about from an SDP body."""
+def _add_sdp_fields(args: Dict[str, Any],
+                    message: Union[SipRequest, SipResponse],
+                    metrics: Optional["VidsMetrics"]) -> None:
+    """Add the media attributes the machines care about from an SDP body."""
     body = message.body
     if not body:
-        return {}
+        return
     content_type = message.get("Content-Type")
     if content_type and "sdp" not in content_type.lower():
-        return {}
+        return
     try:
-        return _sdp_media_fields(body)
-    except (SipParseError, ValueError):
+        brief = media_brief(body)
+    except SipParseError:
         # Not a silent drop: a message whose SDP we cannot read still
         # drives the SIP machine, but the analysis loses the media index —
         # count it so a fuzzing campaign against SDP shows up in metrics.
         if metrics is not None:
             metrics.sdp_parse_failures += 1
-        return {}
+        return
+    if brief is not None:
+        (args["sdp_addr"], args["sdp_port"], args["sdp_pts"],
+         args["sdp_ptime"]) = brief
 
 
 def sip_event_from_message(message: Union[SipRequest, SipResponse],
@@ -87,21 +67,20 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
     """Build the EFSM input vector x from a SIP message on the wire.
 
     ``call_id`` lets the distributor pass the dialog id it already
-    extracted instead of re-reading the header.  One pass over the
-    raw header list feeds the value-level parse caches
-    (:func:`~repro.sip.headers.name_addr_brief` and friends) directly —
-    the typed accessors (``message.from_`` etc.) rebuild a NameAddr/Via
-    object per message, which this per-packet path doesn't need.
+    extracted instead of re-reading the header.  One pass over the raw
+    header list reads the same shared, immutable values the simulated
+    stack's typed accessors return (``Via.parse`` and friends, one bounded
+    cache per header kind).
     """
     from_value = to_value = cseq_value = contact_value = found_call_id = None
     via_hosts: list = []
     branch = None
     for name, value in message.headers:
         if name == "Via":
-            host, via_branch = via_brief(value)
+            via = Via.parse(value)
             if not via_hosts:
-                branch = via_branch
-            via_hosts.append(host)
+                branch = via.branch
+            via_hosts.append(via.host)
         elif name == "From":
             if from_value is None:
                 from_value = value
@@ -117,33 +96,25 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
         elif name == "Call-ID":
             if found_call_id is None:
                 found_call_id = value
-    if from_value:
-        from_aor, from_tag, _ = name_addr_brief(from_value)
-    else:
-        from_aor, from_tag = "", None
-    if to_value:
-        to_aor, to_tag, _ = name_addr_brief(to_value)
-    else:
-        to_aor, to_tag = "", None
-    contact_host = name_addr_brief(contact_value)[2] if contact_value else None
-    cseq_num, cseq_method = cseq_brief(cseq_value) if cseq_value else (0, "")
+    from_addr = NameAddr.parse(from_value) if from_value else None
+    to_addr = NameAddr.parse(to_value) if to_value else None
+    contact = NameAddr.parse(contact_value) if contact_value else None
+    cseq = CSeq.parse(cseq_value) if cseq_value else None
     args: Dict[str, Any] = {
         "src_ip": src[0],
         "src_port": src[1],
         "dst_ip": dst[0],
-        "dst_port": dst[1],
         "call_id": (found_call_id or "") if call_id is None else call_id,
-        "from_tag": from_tag,
-        "to_tag": to_tag,
-        "from_aor": from_aor,
-        "to_aor": to_aor,
+        "from_tag": from_addr.tag if from_addr else None,
+        "to_tag": to_addr.tag if to_addr else None,
+        "to_aor": to_addr.uri.address_of_record if to_addr else "",
         "branch": branch or "",
-        "cseq_num": cseq_num,
-        "cseq_method": cseq_method,
-        "contact_host": contact_host,
+        "cseq_num": cseq.number if cseq else 0,
+        "cseq_method": cseq.method if cseq else "",
+        "contact_host": contact.uri.host if contact else None,
         "via_hosts": tuple(via_hosts),
     }
-    args.update(_sdp_fields(message, metrics))
+    _add_sdp_fields(args, message, metrics)
     if isinstance(message, SipRequest):
         name = message.method
         args["uri_host"] = message.uri.host
@@ -164,13 +135,10 @@ def rtp_event_from_packet(classified: ClassifiedPacket, direction: str,
         "src_ip": datagram.src.ip,
         "src_port": datagram.src.port,
         "dst_ip": datagram.dst.ip,
-        "dst_port": datagram.dst.port,
         "ssrc": packet.ssrc,
         "seq": packet.sequence_number,
         "ts": packet.timestamp,
         "pt": packet.payload_type,
-        "size": packet.size,
-        "marker": packet.marker,
         "direction": direction,
     }, channel=None, time=now)
 
@@ -186,7 +154,6 @@ class EventDistributor:
         trackers: CrossCallTrackers,
         clock_now,
         trace: Optional["TraceBus"] = None,
-        profiler: Optional["StageProfiler"] = None,
     ):
         self.config = config
         self.factbase = factbase
@@ -194,9 +161,8 @@ class EventDistributor:
         #: The deployment's cross-call state (shared by every shard).
         self.trackers = trackers
         self.clock_now = clock_now
-        #: Routing trace + per-stage profiler (None keeps the path bare).
+        #: Routing trace (None keeps the path bare).
         self.trace = trace
-        self.profiler = profiler
 
     def _route(self, classified: ClassifiedPacket, now: float,
                outcome: str, call_id: Optional[str] = None,
@@ -207,16 +173,11 @@ class EventDistributor:
                         protocol=classified.kind.value, outcome=outcome,
                         **extra)
 
-    def _inject(self, record, machine: str, event: Event):
-        """``system.inject`` wrapped in the 'fire' profiling stage."""
-        profiler = self.profiler
-        if profiler is None:
-            return record.system.inject(machine, event)
-        token = profiler.begin()
-        try:
-            return record.system.inject(machine, event)
-        finally:
-            profiler.commit("fire", token)
+    @staticmethod
+    def inject(record, machine: str, event: Event):
+        """Deliver ``event`` to one machine of the call's system (a
+        profiled ``Vids`` rebinds this, timed as the 'fire' stage)."""
+        return record.system.inject(machine, event)
 
     def distribute(self, classified: ClassifiedPacket,
                    now: Optional[float] = None):
@@ -258,11 +219,8 @@ class EventDistributor:
             # Legitimate registrations are intra-enterprise and never reach
             # the perimeter; seeing one here is a hijack attempt.
             if self.config.detect_foreign_register:
-                to_addr = message.to
-                contact = message.contact
                 self.engine.note_foreign_register(
-                    to_addr.uri.address_of_record if to_addr else "?",
-                    contact.uri.host if contact else None,
+                    event.get("to_aor") or "?", event.get("contact_host"),
                     datagram.src.ip, datagram.dst.ip)
             if trace is not None:
                 self._route(classified, now, "register-perimeter", call_id)
@@ -304,7 +262,7 @@ class EventDistributor:
         if trace is not None:
             self._route(classified, now, "inject", call_id,
                         machine=SIP_MACHINE, event=event.name)
-        self._inject(record, SIP_MACHINE, event)
+        self.inject(record, SIP_MACHINE, event)
         factbase.refresh_media_index(record)
         factbase.touch(record, now)
         return record
@@ -354,6 +312,6 @@ class EventDistributor:
         if trace is not None:
             self._route(classified, now, "inject", record.call_id,
                         machine=RTP_MACHINE, direction=direction)
-        self._inject(record, RTP_MACHINE, event)
+        self.inject(record, RTP_MACHINE, event)
         factbase.touch(record, now)
         return record

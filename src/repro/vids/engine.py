@@ -6,7 +6,8 @@ protocol misbehavior (deviation from protocol specification based state
 machines) or attack scenario match (a transition leading to an attack
 state) happens, vids raises an alert flag."
 
-The engine maps attack-state entries to typed alerts, attributes the
+The engine types an attack-state entry from the Attack Scenario database
+(the one table from machine and attack state to alert type), attributes the
 Figure-5 after-close media signal to BYE DoS or toll fraud (toll fraud when
 the media keeps coming *from the BYE sender*, the Section 3.1 billing-fraud
 pattern), and reports specification deviations once per (call, machine,
@@ -17,7 +18,7 @@ and the stray-request dedup is the deployment's one shared table.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import TraceBus
@@ -26,27 +27,10 @@ from ..efsm.machine import FiringResult
 from .alerts import Alert, AlertManager, AttackType
 from .config import VidsConfig
 from .factbase import CallRecord
-from .scenarios import AttackScenarioDatabase
-from .rtp_machine import (
-    ATTACK_AFTER_CLOSE,
-    ATTACK_CODEC,
-    ATTACK_FLOOD,
-    ATTACK_SPAM,
-)
-from .sip_machine import ATTACK_BYE, ATTACK_CANCEL, ATTACK_HIJACK
+from .rtp_machine import ATTACK_AFTER_CLOSE
+from .scenarios import AttackScenario, AttackScenarioDatabase
 
-__all__ = ["AnalysisEngine", "ATTACK_STATE_TYPES"]
-
-#: Attack state name -> alert type (the after-close state is attributed
-#: dynamically between BYE DoS and toll fraud).
-ATTACK_STATE_TYPES: Dict[str, AttackType] = {
-    ATTACK_CANCEL: AttackType.CANCEL_DOS,
-    ATTACK_BYE: AttackType.BYE_DOS,
-    ATTACK_HIJACK: AttackType.CALL_HIJACK,
-    ATTACK_SPAM: AttackType.MEDIA_SPAM,
-    ATTACK_FLOOD: AttackType.RTP_FLOOD,
-    ATTACK_CODEC: AttackType.CODEC_CHANGE,
-}
+__all__ = ["AnalysisEngine"]
 
 
 class AnalysisEngine:
@@ -78,7 +62,8 @@ class AnalysisEngine:
 
     def _raise_attack(self, record: CallRecord, result: FiringResult) -> None:
         state = result.to_state
-        attack_type = ATTACK_STATE_TYPES.get(state)
+        scenario = self.scenarios.for_state(result.machine, state)
+        attack_type = scenario.attack_type if scenario is not None else None
         detail = {
             "machine": result.machine,
             "transition": result.transition.describe() if result.transition else "",
@@ -99,7 +84,6 @@ class AnalysisEngine:
         if attack_type is None:
             attack_type = AttackType.SPEC_DEVIATION
             detail["reason"] = f"unmapped attack state {state}"
-        scenario = self.scenarios.for_state(result.machine, state)
         if scenario is not None:
             detail["scenario"] = scenario.scenario_id
             detail["scenario_name"] = scenario.name
@@ -174,29 +158,38 @@ class AnalysisEngine:
 
     # -- out-of-band observations --------------------------------------------
 
+    def _catalogued(self, attack_type: AttackType) -> AttackScenario:
+        """The scenario of a pattern hosted outside the per-call machines:
+        where its alert's machine, state and scenario id come from."""
+        (scenario,) = self.scenarios.by_type(attack_type)
+        return scenario
+
     def note_flood(self, target: str, event) -> None:
+        scenario = self._catalogued(AttackType.INVITE_FLOOD)
         self.alerts.raise_alert(Alert(
             time=self.clock_now(),
-            attack_type=AttackType.INVITE_FLOOD,
+            attack_type=scenario.attack_type,
             call_id=event.get("call_id"),
             source=event.get("src_ip"),
             destination=target,
-            machine="invite_flood",
-            state="ATTACK_Invite_Flood",
-            detail={"target": target, "scenario": "S1"},
+            machine=scenario.machine,
+            state=scenario.attack_state,
+            detail={"target": target, "scenario": scenario.scenario_id},
         ))
 
     def note_reflection(self, source: str, event) -> None:
         """Too many INVITEs fanning out from one claimed source (DRDoS)."""
+        scenario = self._catalogued(AttackType.DRDOS_REFLECTION)
         self.alerts.raise_alert(Alert(
             time=self.clock_now(),
-            attack_type=AttackType.DRDOS_REFLECTION,
+            attack_type=scenario.attack_type,
             call_id=event.get("call_id"),
             source=source,
             destination=event.get("dst_ip"),
-            machine="invite_flood",
-            state="ATTACK_Invite_Flood",
-            detail={"claimed_source": source, "scenario": "S9",
+            machine=scenario.machine,
+            state=scenario.attack_state,
+            detail={"claimed_source": source,
+                    "scenario": scenario.scenario_id,
                     "reason": "proxy used as a reflector toward the source"},
         ))
 
@@ -227,14 +220,16 @@ class AnalysisEngine:
         """A REGISTER crossed the perimeter — registration hijack attempt."""
         if not self._first_stray(("register", aor, src_ip)):
             return
+        scenario = self._catalogued(AttackType.REGISTRATION_HIJACK)
         self.alerts.raise_alert(Alert(
             time=self.clock_now(),
-            attack_type=AttackType.REGISTRATION_HIJACK,
+            attack_type=scenario.attack_type,
             source=src_ip,
             destination=dst_ip,
-            machine="distributor",
-            state="-",
-            detail={"aor": aor, "contact": contact, "scenario": "S10",
+            machine=scenario.machine,
+            state=scenario.attack_state,
+            detail={"aor": aor, "contact": contact,
+                    "scenario": scenario.scenario_id,
                     "reason": "REGISTER from outside the perimeter"},
         ))
 

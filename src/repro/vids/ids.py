@@ -125,11 +125,10 @@ class Vids:
         self.timer_scheduler = timer_scheduler
 
         #: Observability bundle (trace bus + metrics registry + profiler).
-        #: Every hot-path hook below is an ``is not None`` guard, so running
+        #: Every trace hook below is an ``is not None`` guard, so running
         #: without one costs nothing beyond the checks.
         self.obs = obs
         self._trace = obs.trace if obs is not None else None
-        self._profiler = obs.profiler if obs is not None else None
 
         self.metrics = VidsMetrics()
         self.alert_manager = AlertManager()
@@ -154,7 +153,16 @@ class Vids:
         self._var_shadow: Dict[tuple, Dict[str, object]] = {}
         self.distributor = EventDistributor(
             config, self.factbase, self.engine, self.trackers, clock_now,
-            trace=self._trace, profiler=self._profiler)
+            trace=self._trace)
+        profiler = obs.profiler if obs is not None else None
+        if profiler is not None:
+            # Bound once, so the packet path carries no profiler branch.
+            self.classifier.classify = profiler.timed(
+                "classify", self.classifier.classify)
+            self.distributor.distribute = profiler.timed(
+                "distribute", self.distributor.distribute)
+            self.distributor.inject = profiler.timed(
+                "fire", self.distributor.inject)
         if register_metrics and obs is not None and obs.registry is not None:
             self._register_metrics(obs.registry)
 
@@ -255,7 +263,7 @@ class Vids:
             cost = self.config.shed_processing_cost
         else:
             try:
-                self._distribute(classified, now)
+                self.distributor.distribute(classified, now)
             except (SipError, RtpParseError, RtcpParseError):
                 # Wire-parseable but semantically corrupted (e.g. a mangled
                 # URI or Via discovered during event extraction): malformed
@@ -281,18 +289,6 @@ class Vids:
         timestamp-clamp contract.  Returns the total CPU cost charged.
         """
         return ingest(self, items, clock, self.process_classified)
-
-    def _distribute(self, classified, now: float) -> None:
-        """Route one packet, timing the stage when profiling is on."""
-        profiler = self._profiler
-        if profiler is None:
-            self.distributor.distribute(classified, now)
-            return
-        token = profiler.begin()
-        try:
-            self.distributor.distribute(classified, now)
-        finally:
-            profiler.commit("distribute", token)
 
     # -- crash containment ----------------------------------------------------
 

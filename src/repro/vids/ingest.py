@@ -20,8 +20,8 @@ def ingest(front, items: Iterable[Tuple[Datagram, float]], clock,
            route: Optional[Callable[[object], int]] = None) -> float:
     """Analyse time-ordered ``(datagram, time)`` pairs; returns CPU cost.
 
-    ``front`` is the pipeline whose classifier, profiler and
-    ``crash_containment`` setting apply (a ``Vids`` or a ``ShardedVids``).
+    ``front`` is the pipeline whose classifier and ``crash_containment``
+    setting apply (a ``Vids`` or a ``ShardedVids``).
     The single pipeline passes no ``route`` and its post-classifier tail
     as ``admit(classified, when)``; a sharded tier passes
     :meth:`~repro.vids.sharding.ShardedVids.shard_index` and
@@ -43,7 +43,6 @@ def ingest(front, items: Iterable[Tuple[Datagram, float]], clock,
     """
     total = 0.0
     classify = front.classifier.classify
-    profiler = front._profiler
     if clock is not None:
         now, advance = clock.now, clock.advance
         current = now()
@@ -55,8 +54,6 @@ def ingest(front, items: Iterable[Tuple[Datagram, float]], clock,
                 advance(when - current)
                 current = now()
             when = current
-        if profiler is not None:
-            token = profiler.begin()
         try:
             classified = classify(datagram)
         except Exception as exc:  # crash containment, layer 1
@@ -65,9 +62,6 @@ def ingest(front, items: Iterable[Tuple[Datagram, float]], clock,
             total += front.default_vids.contain_classifier_error(
                 datagram, exc, when)
             continue
-        finally:
-            if profiler is not None:
-                profiler.commit("classify", token)
         if route is None:
             total += admit(classified, when)
         else:

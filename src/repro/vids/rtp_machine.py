@@ -20,8 +20,9 @@ Figures 5 and 6:
 
 Event vocabulary:
 
-- data event ``RTP_PACKET`` with ``x``: src/dst addresses, ``ssrc``,
-  ``seq``, ``ts``, ``pt``, ``size``, ``direction`` ("to_caller"/"to_callee");
+- data event ``RTP_PACKET`` with ``x``: ``src_ip``, ``src_port``,
+  ``dst_ip``, ``ssrc``, ``seq``, ``ts``, ``pt``, ``direction``
+  ("to_caller"/"to_callee");
 - sync events δ_offer / δ_answer / δ_bye / δ_cancelled on the SIP→RTP
   channel; timer event ``T``.
 """

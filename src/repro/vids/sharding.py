@@ -100,11 +100,13 @@ class ShardedVids:
         self.timer_scheduler = timer_scheduler
         self.n_shards = shards
         self.obs = obs
-        self._profiler = obs.profiler if obs is not None else None
 
         #: One classifier in the facade: packets are classified exactly
         #: once, then routed to the owning shard's post-classifier tail.
         self.classifier = PacketClassifier()
+        if obs is not None and obs.profiler is not None:
+            self.classifier.classify = obs.profiler.timed(
+                "classify", self.classifier.classify)
         #: Media routing table: negotiated (addr, port) -> owning shard.
         self._media_routes: Dict[MediaKey, int] = {}
         #: Cross-call rate patterns watch the aggregate stream (and a

@@ -93,13 +93,17 @@ class TestDisabledOverheadGuard:
 
     def test_profiled_vids_does_time(self, broken_clock):
         from repro.efsm import ManualClock
-        from repro.vids import Vids
+        from repro.vids import DEFAULT_CONFIG, Vids
         from tests.vids.test_ids import dgram, invite_bytes
 
         obs = Observability(profile=True)
         clock = ManualClock()
+        # The timed stage entry points run inside the crash-containment
+        # boundary, which would report the broken clock as an ids-internal
+        # alert; with containment off it propagates.
         vids = Vids(clock_now=clock.now, timer_scheduler=clock.schedule,
-                    obs=obs)
+                    obs=obs, config=DEFAULT_CONFIG.with_overrides(
+                        crash_containment=False))
         with pytest.raises(AssertionError, match="perf_counter called"):
             vids.process(dgram(invite_bytes(), "10.1.0.1", "10.2.0.1"),
                          clock.now())

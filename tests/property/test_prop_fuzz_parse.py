@@ -8,7 +8,12 @@ Two guarantees the robustness layer depends on:
    exhaustive (same for the RTP/RTCP parsers);
 2. the full ``Vids.process`` pipeline never raises, whatever arrives, and
    accounts for every malformed packet instead of silently dropping it.
+
+And one agreement with the endpoints' parsers: a status code is three ASCII
+digits in 100–699, never what ``int()`` alone would accept.
 """
+
+import re
 
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +74,29 @@ def test_rtp_and_rtcp_parsers_raise_only_typed_errors(payload):
         parse_rtcp(payload)
     except RtcpParseError:
         pass
+
+
+_status_tokens = st.one_of(
+    st.integers(min_value=0, max_value=9999).map(str),
+    st.text(alphabet="0123456789_+-.x٠١٢٣²", min_size=1, max_size=5))
+
+
+@given(token=_status_tokens)
+@settings(max_examples=300, deadline=None)
+def test_a_status_token_is_accepted_iff_it_is_three_ascii_digits_in_range(
+        token):
+    """``[1-6][0-9][0-9]`` and nothing else: not what ``int()`` would also
+    read as a number (``2_0_0``, ``+200``, ``٢٠٠``, ``0200``)."""
+    wire = (f"SIP/2.0 {token} OK\r\n".encode()
+            + VALID_SIP.split(b"\r\n", 1)[1])
+    try:
+        accepted = parse_message(wire).status
+    except SipParseError:
+        accepted = None
+    if re.fullmatch(r"[1-6][0-9][0-9]", token):
+        assert accepted == int(token)
+    else:
+        assert accepted is None
 
 
 @given(edits=_mutations, port=st.sampled_from([5060, 20_000]))

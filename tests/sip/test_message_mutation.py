@@ -4,8 +4,7 @@ The typed accessors (``from_``, ``to``, ``cseq``, ``contact``, ``vias``,
 ``top_via``) and ``get``/``get_all`` read the one header list, so every
 mutation path — ``set`` (in-place replace, or collapse of repeated
 headers), ``add``, ``prepend`` and ``remove_first`` — must be observed by
-the very next read, whatever was read before it.  (The file name predates
-this: the accessors were once memoized per message.)
+the very next read, whatever was read before it.
 """
 
 from repro.sip import parse_message

@@ -1,17 +1,22 @@
-"""Seeded lazy-vs-eager parse parity corpus.
+"""Seeded read-order parity corpus, and the aliasing the shared values add.
 
-The message layer defers header decoding to first touch (typed accessors
-parse on access) and memoizes line splitting and value parsing in
+The typed accessors parse on access, and what they return — ``Via``,
+``NameAddr``, ``CSeq`` — is one immutable instance per distinct header
+text, shared by every message (and by the IDS's event builder) through the
 module-level caches.  None of that may be observable: touching accessors
-in any order must yield the same values as touching them all eagerly, and
-a message mutated after lazy reads must reserialize byte-identically to
-one mutated after eager reads.  The corpus is pseudo-random but seeded,
-so a failure reproduces exactly.
+in any order, any number of times, yields the same values; a message
+mutated after some reads reserializes byte-identically to one mutated
+after all or none; and nothing one holder does to a message or a value
+reaches another message carrying the same text.  The corpus is
+pseudo-random but seeded, so a failure reproduces exactly.
 """
 
+import dataclasses
 import random
 
-from repro.sip import SipResponse, parse_message
+import pytest
+
+from repro.sip import NameAddr, SipResponse, Via, parse_message
 
 SEED = 0x51B  # fixed: every run replays the same corpus
 TRIALS = 120
@@ -179,3 +184,61 @@ def test_roundtrip_without_mutation_is_byte_identical():
         reparsed = parse_message(wire)
         read_all(reparsed, ACCESSORS, rng)
         assert reparsed.serialize() == wire
+
+
+# ---- aliasing: the typed values are shared between messages ---------------
+
+SHARED_VIA = "SIP/2.0/UDP 10.0.0.7:5060;branch=z9hG4bKalias"
+SHARED_FROM = '"Alice" <sip:alice@a.example.com>;tag=shared'
+
+
+def _carrying_shared_text(call_id):
+    return parse_message(
+        f"INVITE sip:bob@b.example.com SIP/2.0\r\n"
+        f"Via: {SHARED_VIA}\r\nFrom: {SHARED_FROM}\r\n"
+        f"To: <sip:bob@b.example.com>\r\nCall-ID: {call_id}\r\n"
+        f"CSeq: 1 INVITE\r\n\r\n".encode())
+
+
+def test_mutating_one_message_leaves_its_text_twin_unchanged():
+    first, second = _carrying_shared_text("a@x"), _carrying_shared_text("b@x")
+    assert first.from_ is second.from_ and first.top_via is second.top_via
+    before = (repr(second.from_), repr(second.vias), second.serialize())
+
+    first.set("From", "<sip:mallory@m.example.com>;tag=other")
+    first.prepend("Via", "SIP/2.0/UDP 10.9.9.9:5060;branch=z9hG4bKpushed")
+    assert first.from_.tag == "other"
+    assert [via.host for via in first.vias] == ["10.9.9.9", "10.0.0.7"]
+
+    assert (repr(second.from_), repr(second.vias),
+            second.serialize()) == before
+    assert _carrying_shared_text("c@x").from_.tag == "shared"
+
+
+@pytest.mark.parametrize("value", [Via.parse(SHARED_VIA),
+                                   NameAddr.parse(SHARED_FROM)],
+                         ids=["Via", "NameAddr"])
+def test_shared_values_reject_assignment(value):
+    for name in ("params", "host", "uri", "display_name"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, "x")
+    with pytest.raises(TypeError):
+        value.params["received"] = "6.6.6.6"
+    with pytest.raises(TypeError):
+        del value.params[next(iter(value.params))]
+
+
+def test_a_constructor_copies_the_params_it_is_given():
+    params = {"branch": "z9hG4bKown"}
+    via = Via("10.0.0.1", 5060, params=params)
+    params["branch"] = "z9hG4bKchanged"
+    assert via.branch == "z9hG4bKown"
+
+
+def test_with_tag_returns_a_new_value_and_leaves_the_cached_one_intact():
+    cached = NameAddr.parse("<sip:bob@b.example.com>")
+    tagged = cached.with_tag("fresh")
+    assert tagged.tag == "fresh" and tagged is not cached
+    assert cached.tag is None and "tag" not in cached.params
+    assert NameAddr.parse("<sip:bob@b.example.com>") is cached
+    assert str(tagged) == "<sip:bob@b.example.com>;tag=fresh"

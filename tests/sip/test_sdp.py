@@ -80,8 +80,8 @@ def test_parse_errors(bad):
         SessionDescription.parse(bad)
 
 
-# ---- media_brief parity with the full parse (the fast path the vids
-# ---- distributor runs per packet; its docstring pins parity here) -------
+# ---- media_brief parity with the full parse (the cached walker the vids
+# ---- distributor reads per SDP body; its docstring pins parity here) ----
 
 def expected_brief(text):
     """What the full parse says media_brief should return."""
@@ -89,10 +89,8 @@ def expected_brief(text):
     audio = session.audio
     if audio is None:
         return None
-    encodings = tuple(audio.encoding_name(pt) or ""
-                      for pt in audio.payload_types)
     return (session.connection_address, audio.port,
-            tuple(audio.payload_types), encodings, audio.ptime_ms)
+            tuple(audio.payload_types), audio.ptime_ms)
 
 
 @pytest.mark.parametrize("text", [

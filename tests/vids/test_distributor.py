@@ -41,7 +41,6 @@ class TestSipEventBuilder:
         assert event["sdp_addr"] == CALLER
         assert event["sdp_port"] == 20_000
         assert event["sdp_pts"] == (18,)
-        assert event["sdp_encodings"] == ("G729",)
         assert event["to_aor"] == "bob@b.example.com"
 
     def test_response_event_vector(self):

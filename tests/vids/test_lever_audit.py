@@ -9,8 +9,8 @@ pass of the two traffic shapes the benchmark is built from — ``sip_churn``
 Figure-7 testbed capture (a few phones re-offering the same bodies) — at a
 tenth of their size, and fails on a cache nobody hits or nobody bounds.
 The testbed pass includes producing the capture: the simulated user agents
-and proxies parse through the same caches, and two of them
-(``_via_fields``, ``_name_addr_fields``) are hit only there.
+and proxies read the same cached values the IDS does, so no cache is left
+that only one of them hits.
 """
 
 import importlib
@@ -86,7 +86,7 @@ def cold_pass(make_capture, caches):
 def test_every_parse_cache_is_bounded_and_hit_by_some_traffic():
     caches = parse_caches()
     assert set(caches.values()) == {function for function, _ in PARSE_CACHES}
-    assert len(caches) == len(PARSE_CACHES)
+    assert len(caches) == len(PARSE_CACHES) == 7
 
     workloads = load_workloads()
     churn_hits, churn_lookups = cold_pass(
@@ -99,7 +99,7 @@ def test_every_parse_cache_is_bounded_and_hit_by_some_traffic():
     # A workload on each side of the property the SDP cache needs: a
     # distinct media port per dialog never repeats a body, the testbed's
     # phones do.
-    sdp = "repro.vids.distributor._sdp_media_fields"
+    sdp = "repro.sip.sdp.media_brief"
     assert churn_hits[sdp] == 0 < testbed_hits[sdp]
     # sip_churn carries no media; the testbed's is almost all answered
     # from the table (the rest is orphan media, which the table denies).

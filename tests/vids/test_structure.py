@@ -5,8 +5,10 @@ supervisor that reaches into no member's private state, and no third-party
 runtime import.  These read the source (in the style of
 tests/efsm/test_structure.py) so a second copy cannot come back unnoticed.
 Two pins hold the state vectors to immutable values, so a checkpoint
-shares them instead of copying; the last two hold every shipped guard to
-the algebra of ``repro.efsm.guards`` (data, not code).
+shares them instead of copying; two hold every shipped guard to the
+algebra of ``repro.efsm.guards`` (data, not code); the last three hold the
+value layer to one parser per SIP field, the packet path to no profiler
+fork, and the event builders to the fields something reads.
 """
 
 import ast
@@ -16,10 +18,15 @@ from repro.attacks import ByeTeardownAttack, MediaSpamAttack
 from repro.efsm.machine import copy_state
 from repro.telephony import (ScenarioParams, TestbedParams, WorkloadParams,
                              run_scenario)
-from repro.vids import DEFAULT_CONFIG, RecordingProcessor, build_pipeline
+from repro.netsim import Datagram, Endpoint
+from repro.sip import parse_message
+from repro.vids import (DEFAULT_CONFIG, RecordingProcessor, build_pipeline,
+                        rtp_event_from_packet, sip_event_from_message)
+from repro.vids.classifier import PacketClassifier
 from repro.vids.speclint import shipped_machines
 
 from ..efsm.test_structure import SRC, _files_with, _sources
+from .test_ids import invite_bytes, response_bytes, rtp_bytes
 
 
 def test_a_shard_is_constructed_at_one_site():
@@ -173,3 +180,47 @@ def test_shipped_guards_hold_exactly_two_helper_leaves():
     helpers = {term.name for guard in guards for term in guard.terms()
                if term.kind == "helper"}
     assert helpers == {"verdict", "is_spam"}
+
+
+def test_one_value_per_sip_field_and_one_table_of_attack_types():
+    """The brief twins, the distributor's SDP memo, the engine's copy of
+    the scenario database and the two profiler hosts stay deleted."""
+    for needle in ("_via_fields", "_name_addr_fields", "via_brief",
+                   "name_addr_brief", "cseq_brief", "_sdp_media_fields",
+                   "ATTACK_STATE_TYPES", "def _distribute(", "def _inject("):
+        assert _files_with(needle) == [], needle
+
+
+def test_no_loop_body_of_the_ingest_core_names_a_profiler():
+    tree = ast.parse((SRC / "vids/ingest.py").read_text("utf-8"))
+    loops = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.While))]
+    assert loops
+    for loop in loops:
+        assert "profiler" not in ast.unparse(loop)
+
+
+def test_the_event_builders_produce_only_fields_something_reads():
+    """Built keys ⊆ read keys: the ``x(...)`` terms of the shipped guards,
+    plus the literal ``x.get("…")`` / ``event.get("…")`` / ``ctx.x["…"]``
+    reads under ``repro/vids`` (actions, trackers, engine, distributor)."""
+    read = {term.name for machine in shipped_machines()
+            for t in machine.transitions if t.predicate is not None
+            for term in t.predicate.terms() if term.kind == "x"}
+    for rel, source in _sources():
+        if rel.startswith("vids/"):
+            for pattern in (r'\bx\.get\(\s*"(\w+)"',
+                            r'\bevent\.get\(\s*"(\w+)"',
+                            r'ctx\.x\[\s*"(\w+)"\]'):
+                read.update(re.findall(pattern, source))
+    built = set()
+    for wire in (invite_bytes(), response_bytes(200, with_sdp=True)):
+        built.update(sip_event_from_message(
+            parse_message(wire), ("10.1.0.1", 5060), ("10.2.0.1", 5060),
+            now=0.0).args)
+    media = PacketClassifier().classify(Datagram(
+        Endpoint("10.1.0.11", 20_000), Endpoint("10.2.0.11", 20_002),
+        rtp_bytes()))
+    built.update(rtp_event_from_packet(media, "to_callee", now=0.0).args)
+    assert {"status", "uri_host", "sdp_pts", "ssrc"} <= built
+    assert built - read == set()
