@@ -3,7 +3,7 @@
 
 The paper's Definition 1 formal model is a reusable library: this example
 models a toy three-way-handshake protocol with a flooding attack state —
-its guards written in the predicate algebra of ``repro.efsm.guards`` —
+its guards and actions written in the algebra of ``repro.efsm.guards`` —
 proves it is a deterministic EFSM (mutually disjoint predicates, decided
 exactly), runs a trace through it, and exports Graphviz for the
 paper-style state diagram.
@@ -13,8 +13,12 @@ Run:  python examples/efsm_modeling.py
 """
 
 from repro.efsm import Efsm, EfsmSystem, Event, ManualClock, Output, to_dot
-from repro.efsm.guards import v, x
+from repro.efsm.guards import cancel, helper, start, v, write, x
 from repro.vids import build_rtp_machine, build_sip_machine
+
+
+def plus_one(count: int) -> int:
+    return count + 1
 
 
 def build_handshake_machine() -> Efsm:
@@ -25,15 +29,14 @@ def build_handshake_machine() -> Efsm:
     machine.declare(pending=0, peer="")
     machine.declare_channel("handshake->peer")
 
-    def accept_syn(ctx):
-        ctx.v["pending"] = ctx.v["pending"] + 1
-        ctx.v["peer"] = str(ctx.x.get("src", ""))
-        ctx.start_timer("handshake_timeout", 2.0)
-
-    # Guards are data: terms x.<field> / v.<name> (with the value a missing
-    # one reads as), compared with the Python operators, combined with
-    # & | ~.
+    # Transitions are data: terms x.<field> / v.<name> (with the value a
+    # missing one reads as) and named pure helpers over terms, compared with
+    # the Python operators and combined with & | ~ in guards, written and
+    # used to start or cancel timers in actions.
     pending = v("pending", 0)
+    accept_syn = (write("pending", helper(plus_one, pending)),
+                  write("peer", helper(str, x("src", ""))),
+                  start("handshake_timeout", 2.0))
     machine.add_transition(
         "CLOSED", "SYN", "SYN_RCVD",
         predicate=pending < 3,
@@ -45,7 +48,7 @@ def build_handshake_machine() -> Efsm:
     machine.add_transition(
         "SYN_RCVD", "ACK", "OPEN",
         predicate=x("src", None) == v("peer"),
-        action=lambda ctx: ctx.cancel_timer("handshake_timeout"))
+        action=cancel("handshake_timeout"))
     machine.add_transition(
         "SYN_RCVD", "SYN", "SYN_RCVD", action=accept_syn,
         label="concurrent-syn")

@@ -20,9 +20,8 @@ Rule catalog (``docs/CODECHECK.md``):
     Every key a snapshot emits must be consumed on the restore side
     (stale keys are checkpoint bytes nothing reads back).
 
-``GP001 guard-impure-write`` / ``GP002 guard-mutating-call`` /
-``GP003 guard-side-effect``
-    What is still *code* in a guard must be pure — a ``helper(fn)`` leaf's
+``GP001 guard-impure-write`` / ``GP002 guard-mutating-call``
+    What is still *code* in a transition must be pure — a ``helper(fn)``
     function, a bare callable passed as ``predicate=`` (an expression of
     :mod:`repro.efsm.guards` is pure by construction): dispatch may
     evaluate a guard more than once, and incremental checkpointing
@@ -30,12 +29,13 @@ Rule catalog (``docs/CODECHECK.md``):
     both invisibly.
 
 ``PD001 plain-data-state``
-    State-variable values must stay inside the plain-data domain
-    :func:`~repro.efsm.machine.copy_state` round-trips (no lambdas,
+    Declared state-variable defaults must stay inside the plain-data
+    domain :func:`~repro.efsm.machine.copy_state` round-trips (no lambdas,
     generators, file handles, or custom class instances) and must be
     immutable: a dict, list or set value is deep-copied by every
     checkpoint, and as a declared default it is one object shared by
-    every call built from the definition.
+    every call built from the definition.  A constant a statement writes
+    is checked when the machine is built.
 
 ``SI001 shard-shared-mutation``
     The cross-call trackers every shard shares (and the stray-dedup table
@@ -43,8 +43,8 @@ Rule catalog (``docs/CODECHECK.md``):
     silently splits the aggregate view the rate patterns need.
 
 Suppression: a ``# noqa: CC001`` (etc.) comment on the flagged source
-line silences that finding, with the same per-line semantics as
-``tools/lint.py``.  Cross-run acceptance goes through the committed
+line silences that finding; :func:`noqa_lines` is the one parser, which
+``tools/lint.py`` uses too.  Cross-run acceptance goes through the committed
 baseline file instead (``tools/codelint_baseline.json``).
 """
 
@@ -70,6 +70,8 @@ __all__ = [
     "SourceTree",
     "analyze",
     "fingerprint",
+    "is_silenced",
+    "noqa_lines",
     "load_baseline",
     "write_baseline",
     "partition_findings",
@@ -90,11 +92,9 @@ RULES: Dict[str, Tuple[str, Severity, str]] = {
               "attribute/subscript assignment inside a guard"),
     "GP002": ("guard-mutating-call", Severity.ERROR,
               "known-mutating method call inside a guard"),
-    "GP003": ("guard-side-effect", Severity.ERROR,
-              "timer side effect inside a guard"),
     "PD001": ("plain-data-state", Severity.WARNING,
-              "state value mutable, or outside the copy_state plain-data "
-              "domain"),
+              "declared state default mutable, or outside the copy_state "
+              "plain-data domain"),
     "SI001": ("shard-shared-mutation", Severity.ERROR,
               "shard-shared tracker rebound outside its wiring sites"),
     "CX001": ("codecheck-config", Severity.ERROR,
@@ -106,11 +106,6 @@ MUTATING_METHODS = frozenset({
     "append", "appendleft", "extend", "extendleft", "insert", "add",
     "update", "setdefault", "pop", "popleft", "popitem", "remove",
     "discard", "clear", "sort", "reverse", "__setitem__", "__delitem__",
-})
-
-#: ``ctx`` methods that are side effects when called from a guard.
-CTX_EFFECT_METHODS = frozenset({
-    "start_timer", "cancel_timer", "cancel_all_timers",
 })
 
 #: Call targets whose results stay inside the plain-data domain.
@@ -337,8 +332,10 @@ SHARED_STATE_SITES = frozenset({
 _NOQA_CODE = re.compile(r"[A-Z]+[0-9]+")
 
 
-def _noqa_lines(source: str) -> Dict[int, Set[str]]:
-    """Line number -> silenced rule codes ('*' = all); tools/lint.py rules."""
+def noqa_lines(source: str) -> Dict[int, Set[str]]:
+    """Line number -> silenced rule codes ('*' = all): ``# noqa`` silences
+    every rule on its line, ``# noqa: E731, F401 - prose`` the codes it
+    names.  The one parser behind codelint and ``tools/lint.py``."""
     silenced: Dict[int, Set[str]] = {}
     for number, line in enumerate(source.splitlines(), start=1):
         if "# noqa" not in line:
@@ -354,6 +351,12 @@ def _noqa_lines(source: str) -> Dict[int, Set[str]]:
         else:
             silenced[number] = {"*"}
     return silenced
+
+
+def is_silenced(silenced: Mapping[int, Set[str]], line: int,
+                code: str) -> bool:
+    codes = silenced.get(line, set())
+    return "*" in codes or code in codes
 
 
 class SourceTree:
@@ -408,7 +411,7 @@ class SourceTree:
     def noqa(self, rel: str) -> Dict[int, Set[str]]:
         if rel not in self._noqa:
             source = self.source(rel)
-            self._noqa[rel] = _noqa_lines(source) if source else {}
+            self._noqa[rel] = noqa_lines(source) if source else {}
         return self._noqa[rel]
 
     def modules(self) -> Iterator[Tuple[str, ast.Module]]:
@@ -575,10 +578,8 @@ class _Collector:
     def add(self, code: str, message: str, *, path: str, line: int = 0,
             scope: str = "", subject: str = "", hint: str = "") -> None:
         rule, severity, _ = RULES[code]
-        if line:
-            codes = self.tree.noqa(path).get(line, set())
-            if "*" in codes or code in codes:
-                return
+        if line and is_silenced(self.tree.noqa(path), line, code):
+            return
         print_name = f"{path}:{line}" if line else path
         self.diagnostics.append(Diagnostic(
             rule, severity, message,
@@ -725,16 +726,8 @@ def _check_checkpoint_spec(tree: SourceTree, spec: CheckpointSpec,
 
 
 # ---------------------------------------------------------------------------
-# Rule: guard purity (GP001-GP003)
+# Rule: guard purity (GP001-GP002)
 # ---------------------------------------------------------------------------
-
-def _guard_ctx_name(fn: ast.AST, default: str = "ctx") -> str:
-    args = getattr(fn, "args", None)
-    if args is None:
-        return default
-    positional = list(args.posonlyargs) + list(args.args)
-    return positional[0].arg if positional else default
-
 
 class _GuardChecker:
     """Purity walk over one guard callable (transitively, same module)."""
@@ -746,18 +739,16 @@ class _GuardChecker:
         self.out = out
         self.seen: Set[int] = set()
 
-    def check(self, fn: ast.AST, guard_name: str, ctx: str,
-              depth: int = 0) -> None:
+    def check(self, fn: ast.AST, guard_name: str, depth: int = 0) -> None:
         if id(fn) in self.seen or depth > 5:
             return
         self.seen.add(id(fn))
         body = fn.body if isinstance(fn.body, list) else [fn.body]
         for stmt in body:
             for node in ast.walk(stmt):
-                self._check_node(node, guard_name, ctx, depth)
+                self._check_node(node, guard_name, depth)
 
-    def _check_node(self, node: ast.AST, guard: str, ctx: str,
-                    depth: int) -> None:
+    def _check_node(self, node: ast.AST, guard: str, depth: int) -> None:
         targets: List[ast.AST] = []
         if isinstance(node, ast.Assign):
             targets = list(node.targets)
@@ -788,18 +779,9 @@ class _GuardChecker:
                         path=self.rel, line=node.lineno, scope=guard,
                         subject=where,
                         hint="guards may only read; mutate from the action")
-                elif chain[:1] == [ctx] and method in CTX_EFFECT_METHODS:
-                    self.out.add(
-                        "GP003",
-                        f"guard {guard!r} calls {ctx}.{method}(): timers "
-                        f"are side effects",
-                        path=self.rel, line=node.lineno, scope=guard,
-                        subject=method,
-                        hint="start and cancel timers from the action")
             elif isinstance(node.func, ast.Name):
                 for callee in self.functions.get(node.func.id, []):
-                    self.check(callee, guard, _guard_ctx_name(callee, ctx),
-                               depth + 1)
+                    self.check(callee, guard, depth + 1)
 
 
 def _check_guards(tree: SourceTree, out: _Collector) -> None:
@@ -825,11 +807,10 @@ def _check_guards(tree: SourceTree, out: _Collector) -> None:
                 if predicate is None and len(node.args) > 3:
                     predicate = node.args[3]
             if isinstance(predicate, ast.Lambda):
-                ctx = _guard_ctx_name(predicate)
-                checker.check(predicate, f"<lambda:{predicate.lineno}>", ctx)
+                checker.check(predicate, f"<lambda:{predicate.lineno}>")
             elif isinstance(predicate, ast.Name):
                 for fn in functions.get(predicate.id, []):
-                    checker.check(fn, predicate.id, _guard_ctx_name(fn))
+                    checker.check(fn, predicate.id)
 
 
 # ---------------------------------------------------------------------------
@@ -888,49 +869,25 @@ def _check_plain_state(tree: SourceTree, out: _Collector) -> None:
             for node in ast.walk(fn):
                 owner[id(node)] = qualname
         for node in ast.walk(module):
-            scope = owner.get(id(node), "<module>")
-            if isinstance(node, ast.Call) and \
-                    isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in ("declare", "declare_global"):
-                for keyword in node.keywords:
-                    if keyword.arg is None:
-                        continue
-                    reason = _non_plain_reason(keyword.value)
-                    if reason:
-                        out.add(
-                            "PD001",
-                            f"state variable {keyword.arg!r} defaults to "
-                            f"{reason}; copy_state cannot share it with, or "
-                            f"round-trip it through, a checkpoint",
-                            path=rel, line=keyword.value.lineno, scope=scope,
-                            subject=keyword.arg,
-                            hint="keep state immutable plain data (numbers, "
-                                 "strings, tuples rebuilt on write); derive "
-                                 "richer values on read")
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if not (isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Attribute)
-                            and target.value.attr == "v"):
-                        continue
-                    reason = _non_plain_reason(node.value)
-                    if reason:
-                        key = ""
-                        sub = target.slice
-                        if isinstance(sub, ast.Constant):
-                            key = str(sub.value)
-                        out.add(
-                            "PD001",
-                            f"state write {'to ' + repr(key) if key else ''}"
-                            f" stores {reason}; copy_state cannot share it "
-                            f"with, or round-trip it through, a checkpoint",
-                            path=rel, line=node.lineno, scope=scope,
-                            subject=key or f"line{node.lineno}",
-                            hint="store immutable plain data in ctx.v; "
-                                 "keep containers that change in place and "
-                                 "exotic objects out of the state vector")
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("declare", "declare_global")):
+                continue
+            for keyword in node.keywords:
+                reason = (_non_plain_reason(keyword.value)
+                          if keyword.arg is not None else None)
+                if reason:
+                    out.add(
+                        "PD001",
+                        f"state variable {keyword.arg!r} defaults to "
+                        f"{reason}; copy_state cannot share it with, or "
+                        f"round-trip it through, a checkpoint",
+                        path=rel, line=keyword.value.lineno,
+                        scope=owner.get(id(node), "<module>"),
+                        subject=keyword.arg,
+                        hint="keep state immutable plain data (numbers, "
+                             "strings, tuples rebuilt on write); derive "
+                             "richer values on read")
 
 
 # ---------------------------------------------------------------------------

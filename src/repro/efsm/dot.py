@@ -85,8 +85,9 @@ def to_dot(machine: Efsm,
         if transition.channel:
             label_parts[0] = f"{transition.channel}?{transition.event_name}"
         if transition.predicate is not None:
-            guard = transition.predicate.describe().replace('"', '\\"')
-            label_parts.append(f"[{guard}]")
+            label_parts.append(f"[{transition.predicate.describe()}]")
+        label_parts.extend(f"/ {statement.describe()}"
+                           for statement in transition.action)
         if transition.outputs:
             label_parts.extend(
                 f"{output.channel}!{output.event_name}"
@@ -100,7 +101,7 @@ def to_dot(machine: Efsm,
             label_parts.append(f"[{flagged.rule}]")
             edge_attrs = [f'color="{_SEVERITY_EDGE[flagged.severity]}"',
                           "penwidth=2.2"]
-        label = "\\n".join(label_parts)
+        label = "\\n".join(label_parts).replace('"', '\\"')
         edge_attrs.insert(0, f'label="{label}"')
         lines.append(
             f'  "{transition.source}" -> "{transition.target}"'

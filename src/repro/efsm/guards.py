@@ -1,37 +1,31 @@
-"""Guards as data: the predicate algebra behind ``P_t`` of Definition 1.
+"""Transitions as data: the guard ``P_t`` and the update ``A_t`` of
+Definition 1 as expression trees, read by dispatch (compiled), speclint,
+specdiff, ``to_dot`` and the miner.  docs/STATE_MACHINES.md ("Transitions
+as data") has the grammar, the semantics and every shipped transition.
 
-A predicate is an expression tree, so every consumer reads one object:
-dispatch compiles it, speclint decides disjointness on it, ``to_dot`` and
-the miner print it.  docs/STATE_MACHINES.md ("Guards as data") has the
-grammar and the shape of every shipped guard; in short:
-
-- **terms** — ``x("status", 0)`` / ``v("participants", ())`` (an event
-  field / a state variable, with the value a missing one reads as), a
-  constant, and ``helper(fn)``: the one escape, the result of a *named
-  pure function* of the firing context;
-- **atoms** — a comparison of two terms (``== != < <= > >=``, the Python
-  operators), ``term.between(lo, hi)`` (a number in the closed interval; a
-  bool is not a number), ``term.in_(container)``, ``truthy(term)``;
-- **connectives** — ``a & b``, ``a | b``, ``~a``.
-
-Semantics: every term is read once, before anything is compared — a
-missing field reads as the term's default (:data:`MISSING` when none was
-declared: equal to nothing, ordered with nothing), and a helper's own
-exceptions propagate like any bug; ``and`` / ``or`` short-circuit left to
-right; a guard in which a *comparison* raises ``TypeError`` (an ordering
-between unlike types, an unhashable value tested against a set) is *not
-enabled*, so a wrongly typed field deviates instead of raising out of
-``deliver``.
+Terms: ``x(field, default)``, ``v(name, default)``, constants, :data:`NOW`
+and ``helper(fn, *terms)`` (a named pure function of the terms' values).
+Atoms: comparisons, ``term.between(lo, hi)``, ``term.in_(container)``,
+``truthy(term)``; connectives ``& | ~``.  Statements: ``write(name,
+term)``, ``when(guard, *statements)``, ``start(timer, delay, **args)``,
+``cancel(timer)``.  A guard reads every term once before comparing; one
+whose *comparison* raises ``TypeError`` is not enabled.  Statements run in
+order, each reading the writes before it.  A bare callable is accepted as
+one opaque leaf (``fn(ctx)``) or statement.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import (Any, Callable, Dict, Iterator, List, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
-__all__ = ["MISSING", "Term", "Guard", "x", "v", "helper", "truthy",
-           "Decision", "decide", "DISJOINT", "OVERLAP", "UNDECIDED"]
+from .events import Event
+
+__all__ = ["MISSING", "NOW", "Term", "Guard", "Statement", "x", "v",
+           "helper", "truthy", "as_term", "write", "when", "start", "cancel",
+           "compile_firing", "Decision", "decide", "DISJOINT", "OVERLAP",
+           "UNDECIDED"]
 
 #: Default of a term declared without one.
 MISSING = object()
@@ -41,31 +35,43 @@ _CONNECTIVES = ("and", "or", "not")
 
 def _comparison(op: str) -> Callable[["Term", Any], "Guard"]:
     def build(self: "Term", other: Any) -> "Guard":
-        return Guard(op, (self, _term(other)))
+        return Guard(op, (self, as_term(other)))
     return build
 
 
 class Term:
-    """A value a guard reads: ``kind`` is ``"x"`` / ``"v"`` (``name`` the
-    field, ``value`` its default), ``"helper"`` (``name`` empty for a bare
-    callable, ``value`` the function) or ``"const"``.  The comparison
-    operators build atoms, so terms are compared through :attr:`key`."""
+    """A value a guard or statement reads: ``kind`` is ``"x"`` / ``"v"``
+    (``name`` the field, ``value`` its default), ``"now"``, ``"helper"``
+    (``name`` empty for an opaque callable of the context, ``value`` the
+    function, ``args`` the terms it is called with) or ``"const"``.  The
+    comparison operators build atoms, so terms are compared through
+    :attr:`key`."""
 
-    __slots__ = ("kind", "name", "value")
+    __slots__ = ("kind", "name", "value", "args")
 
-    def __init__(self, kind: str, name: str, value: Any) -> None:
+    def __init__(self, kind: str, name: str, value: Any,
+                 args: Tuple["Term", ...] = ()) -> None:
         self.kind = kind
         self.name = name
         self.value = value
+        self.args = args
 
     @property
     def key(self) -> Tuple[Any, ...]:
         """Structural identity.  A helper is its ``def`` (name and code
-        object), the same for every build of one machine."""
+        object), the same for every build of one machine, and its
+        arguments."""
         if self.kind == "helper":
             return ("helper", self.name,
-                    getattr(self.value, "__code__", self.value))
+                    getattr(self.value, "__code__", self.value),
+                    _key(self.args))
         return (self.kind, self.name, self.value)
+
+    def walk(self) -> Iterator["Term"]:
+        """This term and every term under a helper's arguments."""
+        yield self
+        for arg in self.args:
+            yield from arg.walk()
 
     def describe(self) -> str:
         if self.kind == "const":
@@ -74,8 +80,11 @@ class Term:
             return repr(self.value)
         if self.kind == "helper":
             if self.name:
-                return f"{self.name}(ctx)"
+                return "{}({})".format(
+                    self.name, ", ".join(arg.describe() for arg in self.args))
             return f"<callable {getattr(self.value, '__qualname__', '?')}>"
+        if self.kind == "now":
+            return "now"
         return f"{self.kind}.{self.name}"
 
     __repr__ = describe
@@ -84,12 +93,12 @@ class Term:
         """``lo <= self <= hi`` for a number; no bool is in any interval."""
         if not all(isinstance(bound, (int, float)) for bound in (lo, hi)):
             raise TypeError(f"interval bounds must be numbers: {lo!r}, {hi!r}")
-        return Guard("between", (self, _term(lo), _term(hi)))
+        return Guard("between", (self, as_term(lo), as_term(hi)))
 
     def in_(self, container: Any) -> "Guard":
         if not isinstance(container, Term):
             iter(container)         # a definition error, raised here
-        return Guard("in", (self, _term(container)))
+        return Guard("in", (self, as_term(container)))
 
     __eq__ = _comparison("==")      # type: ignore[assignment]
     __ne__ = _comparison("!=")      # type: ignore[assignment]
@@ -97,7 +106,8 @@ class Term:
     __gt__, __ge__ = _comparison(">"), _comparison(">=")
 
 
-def _term(value: Any) -> Term:
+def as_term(value: Any) -> Term:
+    """``value`` itself if it is a term, else a constant."""
     if isinstance(value, Term):
         return value
     if isinstance(value, (set, list)):      # keys must stay hashable
@@ -115,12 +125,21 @@ def v(name: str, default: Any = MISSING) -> Term:
     return Term("v", name, default)
 
 
-def helper(fn: Callable[[Any], Any], name: Optional[str] = None) -> Term:
-    """The result of a named pure function of the firing context (a
-    lambda has no name to go by, so it is anonymous)."""
-    if name is None:
-        name = getattr(fn, "__name__", "")
-    return Term("helper", "" if name == "<lambda>" else name, fn)
+#: The time of the event being delivered.
+NOW = Term("now", "", None)
+
+
+def helper(fn: Callable[..., Any], *terms: Any,
+           name: Optional[str] = None) -> Term:
+    """``fn(*values of terms)``: the result of a named pure function.  A
+    lambda has no name to go by, so it is anonymous: an opaque callable of
+    the firing context, which takes no terms."""
+    name = getattr(fn, "__name__", "") if name is None else name
+    name = "" if name == "<lambda>" else name
+    if not name and terms:
+        raise TypeError("an anonymous helper is called with the firing "
+                        "context; name it to pass it terms")
+    return Term("helper", name, fn, tuple(as_term(t) for t in terms))
 
 
 def truthy(term: Term) -> "Guard":
@@ -198,21 +217,235 @@ class Guard:
         return self._fn
 
 
+class Statement:
+    """One statement of an update: ``op`` is ``"write"`` (``args``: the
+    variable, the term), ``"when"`` (the guard, the statements it holds),
+    ``"start"`` (the timer, the delay term, ``(argument, term)`` pairs),
+    ``"cancel"`` (the timer) or ``"code"`` (an opaque callable of the
+    firing context)."""
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: Tuple[Any, ...]) -> None:
+        self.op = op
+        self.args = args
+
+    @property
+    def key(self) -> Tuple[Any, ...]:
+        return (self.op,) + _key(self.args)
+
+    def walk(self) -> Iterator["Statement"]:
+        """This statement and every statement inside its blocks."""
+        yield self
+        if self.op == "when":
+            for inner in self.args[1]:
+                yield from inner.walk()
+
+    def terms(self) -> Iterator[Term]:
+        """The terms this statement reads itself (a block's statements
+        read their own)."""
+        op, args = self.op, self.args
+        if op == "write":
+            yield args[1]
+        elif op == "when":
+            yield from args[0].terms()
+        elif op == "start":
+            yield args[1]
+            yield from (term for _, term in args[2])
+
+    def describe(self) -> str:
+        op, args = self.op, self.args
+        if op == "write":
+            return f"v.{args[0]} := {args[1].describe()}"
+        if op == "when":
+            return "if {}: {}".format(args[0].describe(), "; ".join(
+                inner.describe() for inner in args[1]))
+        if op == "start":
+            return "start {}({})".format(args[0], ", ".join(
+                [args[1].describe()]
+                + [f"{name}={term.describe()}" for name, term in args[2]]))
+        if op == "cancel":
+            return f"cancel {args[0]}"
+        return f"<callable {getattr(args[0], '__qualname__', '?')}>"
+
+    __repr__ = describe
+
+
+def _key(value: Any) -> Any:
+    if isinstance(value, (Term, Guard, Statement)):
+        return value.key
+    return tuple(map(_key, value)) if isinstance(value, tuple) else value
+
+
+def write(name: str, value: Any) -> Statement:
+    """``v.<name> := value``."""
+    return Statement("write", (name, as_term(value)))
+
+
+def when(guard: Guard, *statements: Statement) -> Statement:
+    """Run ``statements`` when ``guard`` holds (evaluated as a guard is)."""
+    if not isinstance(guard, Guard):
+        raise TypeError(f"when() takes a Guard, not {guard!r}")
+    return Statement("when", (guard, statements))
+
+
+def start(timer: str, delay: Any, **args: Any) -> Statement:
+    """(Re)start ``timer``; its expiry event carries ``args``."""
+    return Statement("start", (timer, as_term(delay), tuple(
+        (name, as_term(value)) for name, value in args.items())))
+
+
+def cancel(timer: str) -> Statement:
+    return Statement("cancel", (timer,))
+
+
+# ---------------------------------------------------------------------------
+# The emitter: one source generator behind guards, decide and firings
+# ---------------------------------------------------------------------------
+
+class _Source:
+    """A function being generated: the names its source binds and its
+    lines.  ``abstract``: a term reads a valuation keyed by term (and
+    related-atom) keys instead of the firing context."""
+
+    def __init__(self, abstract: bool = False) -> None:
+        self.env: Dict[str, Any] = {}
+        self.abstract = abstract
+        self.lines: List[str] = []
+        self.used = 0
+        #: A firing reads each event field, and the time, once up front:
+        #: nothing it does can change them.
+        self.fixed: Optional[Dict[Any, Tuple[str, str]]] = None
+
+    def bind(self, value: Any) -> str:
+        """Source of a value: its literal, else a name bound to it."""
+        if value is None or type(value) in (int, str, bool):
+            return repr(value)
+        name = f"_k{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def local(self) -> str:
+        self.used += 1
+        return f"_t{self.used - 1}"
+
+    def expr(self, node: Any, reads: Dict[Any, Tuple[str, str]]) -> str:
+        """Python source of a guard or term; a term that is read is the
+        local ``reads`` binds its one read to (a helper's arguments are
+        read before it)."""
+        if isinstance(node, Guard):
+            if self.abstract and node.op not in _CONNECTIVES \
+                    and _relates(node):
+                return f"ctx[{self.bind(node.key)}]"
+            parts = [self.expr(arg, reads) for arg in node.args]
+            if node.op == "truthy":
+                return parts[0]
+            if node.op == "not":
+                return f"(not {parts[0]})"
+            if node.op == "between":
+                return ("({1} <= {0} <= {2} and {0}.__class__ is not bool)"
+                        .format(*parts))
+            return "(" + f" {node.op} ".join(parts) + ")"
+        if node.kind == "const":
+            return self.bind(node.value)
+        if node.kind in ("x", "now") and self.fixed is not None:
+            reads = self.fixed
+        if node.key not in reads:
+            if self.abstract:
+                read = f"ctx[{self.bind(node.key)}]"
+            elif node.kind == "helper" and not node.name:
+                read = f"{self.bind(node.value)}(ctx)"
+            elif node.kind == "helper":
+                read = "{}({})".format(self.bind(node.value), ", ".join(
+                    self.expr(arg, reads) for arg in node.args))
+            elif node.kind == "now":
+                read = "ctx.now"
+            else:
+                read = (f"ctx.{node.kind}.get({node.name!r}, "
+                        f"{self.bind(node.value)})")
+            reads[node.key] = (self.local(), read)
+        return reads[node.key][0]
+
+    def emit(self, indent: str, reads: Dict[Any, Tuple[str, str]],
+             *lines: str) -> None:
+        """The reads, then ``lines``: one statement of the function."""
+        self.lines += [f"{indent}{local} = {read}"
+                       for local, read in reads.values()]
+        self.lines += [indent + line for line in lines]
+
+    def statement(self, statement: Statement, indent: str) -> None:
+        op, args = statement.op, statement.args
+        reads: Dict[Any, Tuple[str, str]] = {}
+        if op == "write":
+            value = self.expr(args[1], reads)
+            self.emit(indent, reads, f"ctx.v[{args[0]!r}] = {value}")
+        elif op == "when":      # the guard's net, around the comparisons
+            test, holds = self.expr(args[0], reads), self.local()
+            self.emit(indent, reads, "try:", f"    {holds} = {test}",
+                      "except TypeError:", f"    {holds} = False",
+                      f"if {holds}:", "    pass")
+            for inner in args[1]:
+                self.statement(inner, indent + "    ")
+        elif op == "start":
+            delay = self.expr(args[1], reads)
+            event_args = self.mapping(args[2], reads) if args[2] else "None"
+            self.emit(indent, reads, f"ctx.instance.start_timer({args[0]!r}, "
+                                     f"{delay}, {event_args})")
+        elif op == "cancel":
+            self.emit(indent, reads, f"ctx.instance.cancel_timer({args[0]!r})")
+        else:
+            self.emit(indent, reads, f"{self.bind(args[0])}(ctx)")
+
+    def mapping(self, items: Iterable[Tuple[str, Term]],
+                reads: Dict[Any, Tuple[str, str]]) -> str:
+        return "{%s}" % ", ".join(f"{name!r}: {self.expr(term, reads)}"
+                                  for name, term in items)
+
+    def define(self, name: str, doc: str) -> Callable[[Any], Any]:
+        lines = [f"{local} = {read}" for local, read
+                 in (self.fixed or {}).values()] + self.lines
+        exec(f"def {name}(ctx):\n" + "".join(f"    {line}\n"
+                                             for line in lines),
+             self.env)                          # built from the tree only
+        self.env[name].__doc__ = doc
+        return self.env[name]
+
+
 def _compile(guard: Guard, abstract: bool) -> Callable[[Any], Any]:
     """``guard`` as a function of the firing context — or, ``abstract``,
     of a valuation: a mapping from each term's key to a value and from the
     key of each atom that relates two terms to a boolean."""
-    env: Dict[str, Any] = {}
-    reads: Dict[Any, Tuple[str, str]] = {}  # term key -> (local, its read)
-    test = _emit(guard, env, reads, abstract)
+    source = _Source(abstract)
+    reads: Dict[Any, Tuple[str, str]] = {}
+    test = source.expr(guard, reads)
     # Reads (helper calls among them) sit outside the TypeError net.
-    exec("def guard(ctx):\n"
-         + "".join(f"    {local} = {read}\n" for local, read in reads.values())
-         + f"    try:\n        return {test}\n"
-           f"    except TypeError:\n        return False\n",
-         env)                                   # built from this tree only
-    env["guard"].__doc__ = guard.describe()
-    return env["guard"]
+    source.emit("", reads, "try:", f"    return {test}", "except TypeError:",
+                "    return False")
+    return source.define("guard", guard.describe())
+
+
+def compile_firing(
+        statements: Sequence[Statement],
+        outputs: Sequence[Tuple[str, str, Optional[Mapping[str, Term]]]]
+) -> Callable[[Any], List[Event]]:
+    """One generated function of the firing context that runs a
+    transition's statements in order, then returns its output events —
+    ``(channel, event name, argument terms or None)`` each, ``None``
+    forwarding the triggering event's arguments."""
+    source = _Source()
+    source.fixed = {}
+    for statement in statements:
+        source.statement(statement, "")
+    reads: Dict[Any, Tuple[str, str]] = {}
+    events = ", ".join(
+        "_Event({!r}, {}, channel={!r}, time=ctx.now)".format(
+            name, "ctx.event.args" if args is None
+            else source.mapping(args.items(), reads), channel)
+        for channel, name, args in outputs)
+    source.env["_Event"] = Event
+    source.emit("", reads, f"return [{events}]")
+    return source.define("fire", "; ".join(map(Statement.describe,
+                                               statements)))
 
 
 def _relates(atom: Guard) -> bool:
@@ -221,44 +454,6 @@ def _relates(atom: Guard) -> bool:
     free = [term for term in atom.args if term.kind != "const"]
     return len(free) == 2 or (atom.op == "in" and len(free) == 1
                               and free[0] is atom.args[1])
-
-
-def _bind(value: Any, env: Dict[str, Any]) -> str:
-    """Source of a value: its literal, else a name bound to it in ``env``."""
-    if value is None or type(value) in (int, str, bool):
-        return repr(value)
-    env[f"_k{len(env)}"] = value
-    return f"_k{len(env) - 1}"
-
-
-def _emit(node: Any, env: Dict[str, Any], reads: Dict[Any, Tuple[str, str]],
-          abstract: bool) -> str:
-    """Python source of a guard or term; a term that is read is the local
-    ``reads`` binds its one read to."""
-    if isinstance(node, Guard):
-        if abstract and node.op not in _CONNECTIVES and _relates(node):
-            return f"ctx[{_bind(node.key, env)}]"
-        parts = [_emit(arg, env, reads, abstract) for arg in node.args]
-        if node.op == "truthy":
-            return parts[0]
-        if node.op == "not":
-            return f"(not {parts[0]})"
-        if node.op == "between":
-            return ("({1} <= {0} <= {2} and {0}.__class__ is not bool)"
-                    .format(*parts))
-        return "(" + f" {node.op} ".join(parts) + ")"
-    if node.kind == "const":
-        return _bind(node.value, env)
-    if node.key not in reads:
-        if abstract:
-            read = f"ctx[{_bind(node.key, env)}]"
-        elif node.kind == "helper":
-            read = f"{_bind(node.value, env)}(ctx)"
-        else:
-            read = (f"ctx.{node.kind}.get({node.name!r}, "
-                    f"{_bind(node.value, env)})")
-        reads[node.key] = (f"_t{len(reads)}", read)
-    return reads[node.key][0]
 
 
 # ---------------------------------------------------------------------------

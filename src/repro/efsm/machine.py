@@ -4,10 +4,11 @@ Implements Definition 1 of the paper: an EFSM ``M = (Σ, S, v, D, T)`` whose
 transitions are tuples ``<s_t, event, P_t, A_t, q_t>``.  A predicate ``P_t``
 is an expression of the guard algebra (:mod:`repro.efsm.guards`) over the
 event's input vector ``x`` and the current state-variable vector ``v``; an
-action ``A_t`` updates ``v`` (and may start timers).  The
-output events ``c!event(x)`` a transition sends onto synchronization
-channels are declared on it as :class:`Output` specs, never sent from
-inside an action, so static analysis sees every send.
+action ``A_t`` is a sequence of statements of the same algebra that update
+``v`` and start or cancel timers.  The output events ``c!event(x)`` a
+transition sends onto synchronization channels are declared on it as
+:class:`Output` specs whose arguments are terms, so static analysis sees
+every write, timer and send.
 
 Machines are *data*: an :class:`Efsm` is built declaratively (states,
 variables with domains, transitions) and executed by :class:`EfsmInstance`,
@@ -19,12 +20,14 @@ scenario match — and an event with *no* enabled transition is recorded as a
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -35,7 +38,8 @@ from typing import (
 from .analysis import reachable_states
 from .errors import DefinitionError, NondeterminismError
 from .events import TIMER_CHANNEL, Event
-from .guards import DISJOINT, Decision, Guard, decide, helper, truthy
+from .guards import (DISJOINT, Decision, Guard, Statement, Term, as_term,
+                     compile_firing, decide, helper, truthy)
 
 __all__ = [
     "Variables",
@@ -94,6 +98,13 @@ def copy_state(value: Any) -> Any:
     )
 
 
+def _immutable(value: Any) -> bool:
+    """Is ``value`` a state value :func:`copy_state` shares as itself at
+    every depth — an atom, a frozenset, a tuple of such?"""
+    cls = value.__class__
+    return cls in _ATOMIC or (cls is tuple and all(map(_immutable, value)))
+
+
 class Variables:
     """The state-variable vector ``v``: per-machine locals + shared globals.
 
@@ -141,20 +152,19 @@ class Variables:
 class Output:
     """An output event spec ``c!event(x)`` attached to a transition.
 
-    ``args_from`` builds the argument vector from the firing context when the
-    transition executes (defaults to forwarding the triggering event's args).
+    ``args`` maps each argument to a term (or a constant), read after the
+    transition's statements ran; ``None`` forwards the triggering event's
+    args.
     """
 
     channel: str
     event_name: str
-    args_from: Optional[Callable[["TransitionContext"], Mapping[str, Any]]] = None
+    args: Optional[Mapping[str, Term]] = None
 
-    def build(self, ctx: "TransitionContext") -> Event:
-        # Events are immutable, so the default forwarding case shares the
-        # triggering event's args mapping instead of copying it per output.
-        args = self.args_from(ctx) if self.args_from else ctx.event.args
-        return Event(self.event_name, args, channel=self.channel,
-                     time=ctx.now)
+    def __post_init__(self) -> None:
+        if self.args is not None:
+            self.args = {name: as_term(value)
+                         for name, value in self.args.items()}
 
 
 @dataclass(slots=True)
@@ -165,7 +175,7 @@ class Transition:
     event_name: str
     target: str
     predicate: Optional[Guard] = None
-    action: Optional[Action] = None
+    action: Tuple[Statement, ...] = ()
     outputs: List[Output] = field(default_factory=list)
     channel: Optional[str] = None   # None = data event; else sync/timer channel
     attack: bool = False            # annotated attack signature (s_attack)
@@ -174,6 +184,20 @@ class Transition:
     def describe(self) -> str:
         name = self.label or f"{self.source}--{self.event_name}-->{self.target}"
         return f"{'[ATTACK] ' if self.attack else ''}{name}"
+
+    def statements(self) -> Iterator[Statement]:
+        """Every statement of the action, block contents included."""
+        for statement in self.action:
+            yield from statement.walk()
+
+    def terms(self) -> Iterator[Term]:
+        """Every term the transition reads — guard, statements, output
+        arguments — helper arguments included."""
+        for term in itertools.chain(
+                self.predicate.terms() if self.predicate is not None else (),
+                *(statement.terms() for statement in self.statements()),
+                *((output.args or {}).values() for output in self.outputs)):
+            yield from term.walk()
 
 
 class TransitionContext:
@@ -303,7 +327,7 @@ class Efsm:
         event_name: str,
         target: str,
         predicate: Union[Guard, Predicate, None] = None,
-        action: Optional[Action] = None,
+        action: Union[Statement, Iterable[Statement], Action, None] = None,
         outputs: Optional[Iterable[Output]] = None,
         channel: Optional[str] = None,
         attack: bool = False,
@@ -319,17 +343,28 @@ class Efsm:
             # A bare callable is opaque code: an anonymous helper leaf,
             # which no multi-candidate group can be decided with.
             guard = truthy(helper(predicate, name=""))
+        if isinstance(action, Statement) or callable(action):
+            # A bare callable is likewise one opaque statement.
+            action = (action if isinstance(action, Statement)
+                      else Statement("code", (action,)),)
         transition = Transition(
             source=source,
             event_name=event_name,
             target=target,
             predicate=guard,
-            action=action,
+            action=tuple(action or ()),
             outputs=list(outputs or []),
             channel=channel,
             attack=attack or target in self.attack_states,
             label=label,
         )
+        for statement in transition.statements():
+            if (statement.op == "write" and statement.args[1].kind == "const"
+                    and not _immutable(statement.args[1].value)):
+                raise DefinitionError(
+                    f"{self.name}: {transition.describe()}: "
+                    f"{statement.describe()}: a state value is immutable "
+                    f"plain data, shared by every checkpoint")
         self.transitions.append(transition)
         self._index.setdefault((source, event_name), []).append(transition)
         self.alphabet.add(event_name)
@@ -344,21 +379,26 @@ class Efsm:
             self, key: Tuple[str, str, Optional[str]]) -> Tuple[Any, ...]:
         """Build (and cache) the dispatch entry for one delivery shape.
 
-        The channel filter and each guard's compilation are resolved here,
-        once per (state, event, channel) triple instead of per event: the
-        entry is the candidates in declaration order as ``(compiled guard
-        or None, transition)`` pairs, empty for a deviation.  Firing the
-        first enabled one is sound because :meth:`decide_determinism`
-        proves the predicates mutually disjoint; more than one *unguarded*
-        transition is nondeterministic for every input, so the group never
-        compiles and every delivery raises.
+        The channel filter, each guard's compilation and each firing's
+        (statements and outputs, :func:`~repro.efsm.guards.compile_firing`)
+        are resolved here, once per (state, event, channel) triple instead
+        of per event: the entry is the candidates in declaration order as
+        ``(compiled guard or None, transition, firing or None)`` triples,
+        empty for a deviation.  Firing the first enabled one is sound
+        because :meth:`decide_determinism` proves the predicates mutually
+        disjoint; more than one *unguarded* transition is nondeterministic
+        for every input, so the group never compiles and every delivery
+        raises.
         """
         state, event_name, channel = key
         entry = tuple(
-            (None if t.predicate is None else t.predicate.compiled(), t)
+            (None if t.predicate is None else t.predicate.compiled(), t,
+             compile_firing(t.action, [(o.channel, o.event_name, o.args)
+                                       for o in t.outputs])
+             if t.action or t.outputs else None)
             for t in self._index.get((state, event_name), ())
             if t.channel == channel)
-        unguarded = sum(1 for enabled, _ in entry if enabled is None)
+        unguarded = sum(1 for enabled, _, _ in entry if enabled is None)
         if unguarded > 1:
             raise NondeterminismError(
                 f"{self.name}: state {state!r} event {event_name!r} "
@@ -389,37 +429,6 @@ class Efsm:
                         f"{output.channel!r} (declare_channel it first)")
 
     # -- analysis ------------------------------------------------------------
-
-    def enabled_at(self, state: str, event: Event,
-                   valuation: Optional[Mapping[str, Any]] = None
-                   ) -> List[Transition]:
-        """Transitions out of ``state`` whose channel and guard accept ``event``.
-
-        The one guard probe outside live dispatch: a throwaway instance is
-        pinned to ``state`` with ``valuation`` split into its locals and the
-        shared globals, guards are evaluated and nothing fires.  A helper
-        that raises on a (possibly partial) sample counts as not enabled.
-        """
-        probe = EfsmInstance(self)
-        probe.state = state
-        local = probe.variables.local
-        for name, value in (valuation or {}).items():
-            if name in local:
-                local[name] = value
-            else:
-                probe.variables.globals[name] = value
-        ctx = TransitionContext(probe, event)
-        enabled = []
-        for transition in self._index.get((state, event.name), ()):
-            if transition.channel != event.channel:
-                continue
-            try:
-                if (transition.predicate is None
-                        or transition.predicate.compiled()(ctx)):
-                    enabled.append(transition)
-            except Exception:
-                continue          # guard not probe-able on this sample
-        return enabled
 
     def decide_determinism(self) -> List[Tuple[List[Transition], Decision]]:
         """Definition 1, decided exactly: every (state, event, channel)
@@ -589,8 +598,9 @@ class EfsmInstance:
         Returns a :class:`FiringResult` whose ``deviation`` flag is set when
         no transition was enabled.  Dispatch goes through the definition's
         compiled per-(state, event, channel) table: the channel filter was
-        resolved and the guards compiled at first delivery, and the first
-        enabled candidate in declaration order fires.  Raises
+        resolved and the guards and firings compiled at first delivery, and
+        the first enabled candidate in declaration order fires — one call
+        runs its statements and builds its outputs.  Raises
         :class:`NondeterminismError` for structurally nondeterministic
         groups (more than one unguarded transition); overlapping predicates
         are excluded statically (:meth:`Efsm.check_determinism`).
@@ -598,11 +608,12 @@ class EfsmInstance:
         definition = self.definition
         ctx: Optional[TransitionContext] = None
         transition: Optional[Transition] = None
+        fire = None
         key = (self.state, event.name, event.channel)
         entry = definition._compiled.get(key)
         if entry is None:
             entry = definition._compile_entry(key)
-        for enabled, candidate in entry:
+        for enabled, candidate, fire in entry:
             if enabled is not None:
                 if ctx is None:
                     ctx = TransitionContext(self, event)
@@ -612,16 +623,11 @@ class EfsmInstance:
             break
 
         from_state = self.state
-        outputs: List[Event] = []
+        if transition is None or fire is None:
+            outputs: List[Event] = []
+        else:
+            outputs = fire(ctx or TransitionContext(self, event))
         if transition is not None:
-            action = transition.action
-            if action is not None or transition.outputs:
-                if ctx is None:
-                    ctx = TransitionContext(self, event)
-                if action is not None:
-                    action(ctx)
-                for output in transition.outputs:
-                    outputs.append(output.build(ctx))
             self.state = transition.target
 
         # Packet and timer events are stamped with the clock when built, at

@@ -14,17 +14,23 @@ real traffic:
   them into a different target state than the one actually recorded;
 - **unexercised-transition** (INFO): spec transitions no training trace
   ever took (expected for attack signatures over a benign corpus);
-- **unvisited-state** (INFO): spec states the corpus never reached.
+- **unvisited-state** (INFO): spec states the corpus never reached;
+- **analysis-incomplete** (INFO): a group's guards could not be probed on
+  the recorded data, so it was matched by name only.
 
 The diff never aligns mined states with spec states structurally — every
 training observation carries the spec machine's *recorded* state at firing
-time, so spec guards are probed exactly where the event actually arrived,
-with the recorded argument vector and accumulated variable valuation
-(``VidsConfig.trace_variables``) through :meth:`Efsm.enabled_at` — a guard
-helper that raises on the bounded, possibly partial recorded data counts as
-not enabled rather than crashing the diff — and a disagreement quotes the
-guards it probed.  Without recorded arguments the diff degrades to
-name-level structural checks and skips guard probing.
+time, so spec guards are probed exactly where the event actually arrived:
+every recorded observation of a group is run through each candidate's
+``Guard.compiled()`` on what the firing saw: its event (argument vector
+and time) and the variable vector — the declared defaults overwritten by
+the accumulated valuation (``VidsConfig.trace_variables``).  Nothing
+fires, and a guard that raises on the bounded, possibly partial recorded
+data counts as not enabled rather than crashing the diff; a bare callable
+that asks for the machine instance, which no record holds, leaves its
+group ``analysis-incomplete``.  A disagreement quotes the guards it
+probed.  Without recorded arguments the diff degrades to name-level
+structural checks and skips guard probing.
 
 Findings reuse the speclint :class:`Diagnostic`/:func:`format_report`
 machinery, so the ``specdiff`` CLI renders and exits like ``speclint``.
@@ -33,17 +39,49 @@ See docs/MINING.md for the rule catalog.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .diagnostics import Diagnostic, Severity
 from .events import Event
-from .machine import Efsm
+from .machine import Efsm, Transition, Variables
 from .mine import MinedMachine, Observation
 
 __all__ = ["specdiff"]
 
-#: Recorded observations probed per (state, event, channel) group.
-_SAMPLES_PER_GROUP = 5
+
+class _Unprobeable(Exception):
+    """A guard asked for what a recorded observation does not hold."""
+
+
+class _Probe:
+    """What a guard reads of a recorded firing: the event (``x``, ``now``)
+    and the variable vector ``v`` — the declared defaults, overwritten by
+    the recorded valuation.  No instance ran the firing."""
+
+    __slots__ = ("event", "x", "now", "v")
+
+    def __init__(self, spec: Efsm, event: Event,
+                 valuation: Mapping[str, Any]) -> None:
+        self.event, self.x, self.now = event, event.args, event.time
+        self.v = Variables(spec.variables, dict(spec.global_variables))
+        for name, value in valuation.items():
+            self.v[name] = value
+
+    @property
+    def instance(self) -> Any:
+        raise _Unprobeable
+
+
+def _holds(transition: Transition, probe: _Probe) -> bool:
+    """Does the guard hold on a recorded observation?  One that raises on
+    the (possibly partial) record does not."""
+    try:
+        return (transition.predicate is None
+                or bool(transition.predicate.compiled()(probe)))
+    except _Unprobeable:
+        raise
+    except Exception:
+        return False
 
 
 def _sample_args(observations: List[Observation]) -> List[Dict[str, Any]]:
@@ -100,18 +138,31 @@ def specdiff(mined: MinedMachine, spec: Efsm) -> List[Diagnostic]:
                      "deviation: add the transition or investigate the "
                      "traffic"))
             continue
-        probeable = [o for o in observations if o.args or o.valuation]
-        if not probeable:
+        samples = [o for o in observations if o.args or o.valuation]
+        if not samples:
             # trace_variables was off: structural name-level match only.
             matched.update(id(t) for t in candidates)
             continue
-        samples = probeable[:_SAMPLES_PER_GROUP]
+        try:
+            probes = [_Probe(spec, Event(event_name, o.args, channel=channel,
+                                         time=o.time), o.valuation)
+                      for o in samples]
+            per_sample = [[t for t in candidates if _holds(t, probe)]
+                          for probe in probes]
+        except _Unprobeable:
+            matched.update(id(t) for t in candidates)
+            diagnostics.append(Diagnostic(
+                "analysis-incomplete", Severity.INFO,
+                f"a guard of {spec.name!r} for {event_name!r} in state "
+                f"{state!r} reads the machine instance, which no recorded "
+                f"observation holds: matched by name only",
+                machine=spec.name, state=state, event=event_name,
+                channel=channel,
+                hint="write the guard as an expression over x, v and now"))
+            continue
         accepted = 0
         mismatched: List[Observation] = []
-        for observation in samples:
-            event = Event(event_name, observation.args, channel=channel,
-                          time=observation.time)
-            enabled = spec.enabled_at(state, event, observation.valuation)
+        for observation, enabled in zip(samples, per_sample):
             if not enabled:
                 continue
             accepted += 1
@@ -119,34 +170,23 @@ def specdiff(mined: MinedMachine, spec: Efsm) -> List[Diagnostic]:
             if (observation.spec_to
                     and enabled[0].target != observation.spec_to):
                 mismatched.append(observation)
-        if accepted == 0:
+        if accepted < len(samples):
             diagnostics.append(Diagnostic(
                 "guard-disagreement", Severity.WARNING,
-                f"{spec.name!r} has transition(s) for {event_name!r} in "
-                f"state {state!r} but their guards reject all "
-                f"{len(samples)} recorded sample(s)",
+                f"guards of {spec.name!r} for {event_name!r} in state "
+                f"{state!r} " + (f"reject all {len(samples)}" if not accepted
+                                 else f"accept only {accepted} of "
+                                      f"{len(samples)}")
+                + " recorded sample(s)",
                 machine=spec.name, state=state, event=event_name,
-                channel=channel,
-                transition=candidates[0].describe(),
-                data={"samples": len(samples),
+                channel=channel, transition=candidates[0].describe(),
+                data={"accepted": accepted, "samples": len(samples),
                       "example_args": _sample_args(samples),
                       "guards": [t.predicate.describe() for t in candidates
                                  if t.predicate is not None]},
-                hint="the spec guard and the recorded traffic disagree; "
-                     "check the guard's argument fields against the "
-                     "traced args/vars"))
-        elif accepted < len(samples):
-            diagnostics.append(Diagnostic(
-                "guard-disagreement", Severity.WARNING,
-                f"guards of {spec.name!r} accept only {accepted} of "
-                f"{len(samples)} recorded sample(s) of {event_name!r} in "
-                f"state {state!r}",
-                machine=spec.name, state=state, event=event_name,
-                channel=channel,
-                data={"accepted": accepted, "samples": len(samples),
-                      "example_args": _sample_args(samples)},
-                hint="partial guard coverage: some recorded firings would "
-                     "deviate under the current spec"))
+                hint="the spec guard and the recorded traffic disagree: "
+                     "check its argument fields against the traced "
+                     "args/vars (a firing it rejects would deviate)"))
         if mismatched:
             diagnostics.append(Diagnostic(
                 "guard-disagreement", Severity.WARNING,

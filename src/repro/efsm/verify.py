@@ -24,8 +24,8 @@ Per-machine rules (:func:`verify_machine`):
   (informational: deviations *are* the anomaly signal, but the table is how
   one audits specification completeness);
 - ``undeclared-variable`` / ``read-before-write`` / ``unused-variable`` —
-  state-variable hygiene, read off the guard expressions and mined from
-  action and helper sources;
+  state-variable hygiene, read off the guards, statements and output
+  arguments;
 - ``timer-unhandled`` / ``timer-never-fires`` / ``timer-never-started`` —
   timers started but never consumed or cancelled, and vice versa;
 - ``undeclared-channel`` — sends/receives on channels the machine never
@@ -43,28 +43,16 @@ Cross-machine rules (:func:`verify_system`):
   runtime deviation on a *legitimate* trace) or where a FIFO can grow past
   the exploration bound.
 
-Nothing is executed: guards are data, and machine state is never advanced.
-Every send is a declarative :class:`~repro.efsm.machine.Output`, so the
-topology and product passes see all of them by construction.
+Nothing is executed: guards, statements and output arguments are data,
+and machine state is never advanced.  Every send is a declarative
+:class:`~repro.efsm.machine.Output`, so the topology and product passes see
+all of them by construction.
 """
 
 from __future__ import annotations
 
-import inspect
-import re
 from collections import deque
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from .analysis import (
     coreachable_states,
@@ -75,7 +63,7 @@ from .analysis import (
 from .channels import parse_channel
 from .diagnostics import Diagnostic, Severity
 from .events import TIMER_CHANNEL
-from .guards import DISJOINT, UNDECIDED
+from .guards import DISJOINT, MISSING, UNDECIDED
 from .machine import Efsm, Transition
 
 __all__ = ["verify_machine", "verify_system", "RULES"]
@@ -115,151 +103,6 @@ RULES: Dict[str, str] = {
     "analysis-incomplete": "part of the specification could not be analyzed "
                            "statically",
 }
-
-# ---------------------------------------------------------------------------
-# Source mining: actions and guard helpers are plain callables, so their
-# variable and timer usage is recovered from their (and their same-module
-# helpers') source text; a guard expression names the variables it reads.
-# Best-effort by design: anything unresolvable is surfaced as an
-# `analysis-incomplete` finding instead of being guessed at.
-# ---------------------------------------------------------------------------
-
-_VAR_WRITE_RE = re.compile(
-    r"\.v\[\s*['\"]([A-Za-z_]\w*)['\"]\s*\]\s*(?:[-+*/%&|^@]|//|\*\*)?=(?!=)")
-_VAR_SUBSCRIPT_RE = re.compile(r"\.v\[\s*['\"]([A-Za-z_]\w*)['\"]\s*\]")
-_VAR_GET_RE = re.compile(r"\.v\.get\(\s*['\"]([A-Za-z_]\w*)['\"]")
-_VAR_DYNAMIC_RE = re.compile(r"\.v\[\s*([A-Za-z_]\w*)\s*\]")
-_TIMER_START_RE = re.compile(
-    r"\.start_timer\(\s*(?:['\"]([A-Za-z_]\w*)['\"]|([A-Za-z_]\w*))")
-_TIMER_CANCEL_RE = re.compile(
-    r"\.cancel_timer\(\s*(?:['\"]([A-Za-z_]\w*)['\"]|([A-Za-z_]\w*))")
-
-
-def _closure_bindings(fn: Callable) -> Dict[str, Any]:
-    bindings: Dict[str, Any] = {}
-    code = getattr(fn, "__code__", None)
-    closure = getattr(fn, "__closure__", None)
-    if code is not None and closure:
-        for name, cell in zip(code.co_freevars, closure):
-            try:
-                bindings[name] = cell.cell_contents
-            except ValueError:       # empty cell
-                continue
-    return bindings
-
-
-def _resolve_identifier(fn: Callable, identifier: str) -> Any:
-    """Best-effort lookup of a name as seen from inside ``fn``."""
-    bindings = _closure_bindings(fn)
-    if identifier in bindings:
-        return bindings[identifier]
-    return getattr(fn, "__globals__", {}).get(identifier)
-
-
-def _expand_callables(root: Callable,
-                      limit: int = 64) -> List[Tuple[Callable, str]]:
-    """``root`` plus same-module helper functions it (transitively) calls.
-
-    Guard and action callables routinely delegate to module-level helpers
-    (``_add_participants``-style); the variable/timer rules must see those
-    bodies to avoid false positives.
-    """
-    module = getattr(root, "__module__", None)
-    expanded: List[Tuple[Callable, str]] = []
-    seen: Set[int] = set()
-    frontier = [root]
-    while frontier and len(expanded) < limit:
-        fn = frontier.pop()
-        code = getattr(fn, "__code__", None)
-        if code is None or id(code) in seen:
-            continue
-        seen.add(id(code))
-        try:
-            source = inspect.getsource(fn)
-        except (OSError, TypeError):
-            source = ""
-        expanded.append((fn, source))
-        referenced = set(code.co_names) | set(code.co_freevars)
-        for name in referenced:
-            value = _resolve_identifier(fn, name)
-            if (inspect.isfunction(value)
-                    and getattr(value, "__module__", None) == module
-                    and id(getattr(value, "__code__", None)) not in seen):
-                frontier.append(value)
-    return expanded
-
-
-class _TransitionUsage:
-    """What one transition's callables read, write, start, and cancel."""
-
-    def __init__(self, transition: Transition):
-        self.transition = transition
-        self.reads_subscript: Set[str] = set()
-        self.reads_get: Set[str] = set()
-        self.writes: Set[str] = set()
-        self.timer_starts: Set[str] = set()
-        self.timer_cancels: Set[str] = set()
-        self.unresolved: List[str] = []
-
-    def _resolve(self, fn: Callable, literal: Optional[str],
-                 identifier: Optional[str], what: str) -> Optional[str]:
-        if literal:
-            return literal
-        if identifier:
-            value = _resolve_identifier(fn, identifier)
-            if isinstance(value, str):
-                return value
-            self.unresolved.append(f"{what} name {identifier!r}")
-        return None
-
-    def scan(self, fn: Optional[Callable]) -> None:
-        if fn is None:
-            return
-        for func, source in _expand_callables(fn):
-            if not source:
-                self.unresolved.append(
-                    f"source unavailable for {getattr(func, '__name__', '?')}")
-                continue
-            write_spans = set()
-            for match in _VAR_WRITE_RE.finditer(source):
-                self.writes.add(match.group(1))
-                write_spans.add(match.start())
-            for match in _VAR_SUBSCRIPT_RE.finditer(source):
-                if match.start() not in write_spans:
-                    self.reads_subscript.add(match.group(1))
-            for match in _VAR_GET_RE.finditer(source):
-                self.reads_get.add(match.group(1))
-            for match in _VAR_DYNAMIC_RE.finditer(source):
-                self.unresolved.append(
-                    f"dynamic variable subscript {match.group(1)!r}")
-            for match in _TIMER_START_RE.finditer(source):
-                name = self._resolve(func, match.group(1), match.group(2),
-                                     "timer")
-                if name:
-                    self.timer_starts.add(name)
-            for match in _TIMER_CANCEL_RE.finditer(source):
-                name = self._resolve(func, match.group(1), match.group(2),
-                                     "timer")
-                if name:
-                    self.timer_cancels.add(name)
-
-
-def _transition_usages(machine: Efsm) -> List[_TransitionUsage]:
-    usages = []
-    for transition in machine.transitions:
-        usage = _TransitionUsage(transition)
-        for term in (transition.predicate.terms()
-                     if transition.predicate is not None else ()):
-            if term.kind == "v":
-                usage.reads_get.add(term.name)      # reads with a default
-            elif term.kind == "helper":
-                usage.scan(term.value)
-        usage.scan(transition.action)
-        for output in transition.outputs:
-            usage.scan(output.args_from)
-        usages.append(usage)
-    return usages
-
 
 # ---------------------------------------------------------------------------
 # Per-machine rules
@@ -373,21 +216,24 @@ def _check_event_coverage(machine: Efsm,
     return diagnostics
 
 
-def _check_variables(machine: Efsm,
-                     usages: Sequence[_TransitionUsage]) -> List[Diagnostic]:
+def _check_variables(machine: Efsm) -> List[Diagnostic]:
+    """Variable hygiene, read off the data: every term a transition reads
+    (a ``v`` term without a default always reads MISSING when nothing
+    declares or writes it) and every variable its statements write."""
     diagnostics = []
     declared = set(machine.variables) | set(machine.global_variables)
     writes: Dict[str, List[str]] = {}
-    reads_sub: Dict[str, List[str]] = {}
-    reads_get: Dict[str, List[str]] = {}
-    for usage in usages:
-        label = usage.transition.describe()
-        for name in usage.writes:
-            writes.setdefault(name, []).append(label)
-        for name in usage.reads_subscript:
-            reads_sub.setdefault(name, []).append(label)
-        for name in usage.reads_get:
-            reads_get.setdefault(name, []).append(label)
+    reads_bare: Dict[str, List[str]] = {}
+    reads_default: Dict[str, List[str]] = {}
+    for transition in machine.transitions:
+        label = transition.describe()
+        for statement in transition.statements():
+            if statement.op == "write":
+                writes.setdefault(statement.args[0], []).append(label)
+        for term in transition.terms():
+            if term.kind == "v":
+                (reads_bare if term.value is MISSING else reads_default
+                 ).setdefault(term.name, []).append(label)
     for name in sorted(set(writes) - declared):
         diagnostics.append(Diagnostic(
             "undeclared-variable", Severity.ERROR,
@@ -397,26 +243,26 @@ def _check_variables(machine: Efsm,
             data={"variable": name},
             hint="declare it (with its default/domain) via declare() or "
                  "declare_global()"))
-    for name in sorted((set(reads_sub) - declared) - set(writes)):
+    for name in sorted((set(reads_bare) - declared) - set(writes)):
         diagnostics.append(Diagnostic(
             "read-before-write", Severity.ERROR,
-            f"transition(s) {sorted(set(reads_sub[name]))} read "
-            f"v[{name!r}] but the variable is never declared nor written; "
-            f"the read raises KeyError at runtime",
-            machine=machine.name, transition=reads_sub[name][0],
+            f"transition(s) {sorted(set(reads_bare[name]))} read "
+            f"v.{name} but the variable is never declared nor written; "
+            f"the term declares no default, so it always reads MISSING",
+            machine=machine.name, transition=reads_bare[name][0],
             data={"variable": name},
             hint="declare the variable or fix the name"))
-    for name in sorted((set(reads_get) - declared)
-                       - set(writes) - set(reads_sub)):
+    for name in sorted((set(reads_default) - declared)
+                       - set(writes) - set(reads_bare)):
         diagnostics.append(Diagnostic(
             "read-before-write", Severity.WARNING,
-            f"transition(s) {sorted(set(reads_get[name]))} read "
-            f"v.get({name!r}) but the variable is never declared nor "
-            f"written; the default always applies (likely a typo)",
-            machine=machine.name, transition=reads_get[name][0],
+            f"transition(s) {sorted(set(reads_default[name]))} read "
+            f"v.{name} but the variable is never declared nor written; "
+            f"the term's default always applies (likely a typo)",
+            machine=machine.name, transition=reads_default[name][0],
             data={"variable": name},
             hint="declare the variable or fix the name"))
-    referenced = set(writes) | set(reads_sub) | set(reads_get)
+    referenced = set(writes) | set(reads_bare) | set(reads_default)
     for name in sorted(set(machine.variables) - referenced):
         diagnostics.append(Diagnostic(
             "unused-variable", Severity.INFO,
@@ -427,15 +273,16 @@ def _check_variables(machine: Efsm,
     return diagnostics
 
 
-def _check_timers(machine: Efsm,
-                  usages: Sequence[_TransitionUsage]) -> List[Diagnostic]:
+def _check_timers(machine: Efsm) -> List[Diagnostic]:
     diagnostics = []
     starts: Dict[str, str] = {}
     cancels: Set[str] = set()
-    for usage in usages:
-        for name in usage.timer_starts:
-            starts.setdefault(name, usage.transition.describe())
-        cancels.update(usage.timer_cancels)
+    for transition in machine.transitions:
+        for statement in transition.statements():
+            if statement.op == "start":
+                starts.setdefault(statement.args[0], transition.describe())
+            elif statement.op == "cancel":
+                cancels.add(statement.args[0])
     consumed = {t.event_name for t in machine.transitions
                 if t.channel == TIMER_CHANNEL}
     for name in sorted(set(starts) - consumed):
@@ -498,17 +345,22 @@ def _check_channels(machine: Efsm) -> List[Diagnostic]:
     return diagnostics
 
 
-def _check_incomplete(machine: Efsm,
-                      usages: Sequence[_TransitionUsage]) -> List[Diagnostic]:
-    notes = sorted({note for usage in usages for note in usage.unresolved})
+def _check_incomplete(machine: Efsm) -> List[Diagnostic]:
+    """A bare callable is opaque code: noted, never guessed at."""
+    notes = sorted(
+        {f"guard {term.describe()}" for t in machine.transitions
+         for term in t.terms() if term.kind == "helper" and not term.name}
+        | {f"action {statement.describe()}" for t in machine.transitions
+           for statement in t.statements() if statement.op == "code"})
     if not notes:
         return []
     return [Diagnostic(
         "analysis-incomplete", Severity.INFO,
-        f"{len(notes)} construct(s) could not be statically resolved: "
+        f"{len(notes)} opaque callable(s) could not be read as data: "
         f"{notes[:5]}",
         machine=machine.name, data={"notes": notes},
-        hint="variable/timer/channel rules may under-report for this "
+        hint="write them in the algebra of repro.efsm.guards; until then "
+             "the variable and timer rules may under-report for this "
              "machine")]
 
 
@@ -518,17 +370,16 @@ def verify_machine(machine: Efsm) -> List[Diagnostic]:
     Nothing about the machine is mutated and neither guards nor actions
     execute.
     """
-    usages = _transition_usages(machine)
     reachable = reachable_states(machine)
     diagnostics: List[Diagnostic] = []
     diagnostics.extend(_check_reachability(machine, reachable))
     diagnostics.extend(_check_sinks(machine, reachable))
     diagnostics.extend(_check_determinism(machine))
     diagnostics.extend(_check_event_coverage(machine, reachable))
-    diagnostics.extend(_check_variables(machine, usages))
-    diagnostics.extend(_check_timers(machine, usages))
+    diagnostics.extend(_check_variables(machine))
+    diagnostics.extend(_check_timers(machine))
     diagnostics.extend(_check_channels(machine))
-    diagnostics.extend(_check_incomplete(machine, usages))
+    diagnostics.extend(_check_incomplete(machine))
     return diagnostics
 
 

@@ -15,11 +15,11 @@ same branch and are not re-counted).
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ...efsm.events import TIMER_CHANNEL, Event
-from ...efsm.guards import v, x
-from ...efsm.machine import Efsm, EfsmInstance, TransitionContext
+from ...efsm.guards import helper, start, v, when, write, x
+from ...efsm.machine import Efsm, EfsmInstance
 
 __all__ = ["build_invite_flood_machine", "InviteFloodTracker",
            "FLOOD_INIT", "FLOOD_COUNTING", "FLOOD_ATTACK"]
@@ -29,6 +29,24 @@ FLOOD_COUNTING = "Packet_Rcvd"
 FLOOD_ATTACK = "ATTACK_Invite_Flood"
 
 TIMER_T1 = "T1"
+
+
+def count(counter: Any) -> int:
+    return int(counter) + 1
+
+
+def remember(branches: Tuple[str, ...], branch: str) -> Tuple[str, ...]:
+    """``branches`` plus ``branch``, capped: the counter matters, the full
+    retransmission-dedup history does not."""
+    return (tuple(branches) + (branch,))[-64:]
+
+
+_BRANCH, _SEEN = helper(str, x("branch", "")), v("seen_branches", ())
+#: A branch not seen yet in this window counts.
+COUNT = when(~_BRANCH.in_(_SEEN),
+             write("seen_branches", helper(remember, _SEEN, _BRANCH)),
+             write("pck_counter", helper(count, v("pck_counter", 0))))
+RESET = (write("pck_counter", 0), write("seen_branches", ()))
 
 
 def build_invite_flood_machine(threshold: int, window: float,
@@ -44,42 +62,27 @@ def build_invite_flood_machine(threshold: int, window: float,
     already_counted = x("branch", "").in_(v("seen_branches", ()))
     room_left = v("pck_counter", 0) <= threshold - 1
 
-    def count(ctx: TransitionContext) -> None:
-        branches = tuple(ctx.v.get("seen_branches", ()))
-        branch = str(ctx.x.get("branch", ""))
-        if branch not in branches:
-            # Cap the retransmission-dedup memory: the counter matters, the
-            # full branch history does not.
-            ctx.v["seen_branches"] = (branches + (branch,))[-64:]
-            ctx.v["pck_counter"] = int(ctx.v.get("pck_counter", 0)) + 1
-
-    def first_invite(ctx: TransitionContext) -> None:
-        ctx.v["pck_counter"] = 1
-        ctx.v["window_src"] = str(ctx.x.get("src_ip", ""))
-        ctx.v["seen_branches"] = (str(ctx.x.get("branch", "")),)
-        ctx.start_timer(TIMER_T1, window)
+    first_invite = (write("pck_counter", 1),
+                    write("window_src", helper(str, x("src_ip", ""))),
+                    write("seen_branches", helper(remember, (), _BRANCH)),
+                    start(TIMER_T1, window))
 
     machine.add_transition(FLOOD_INIT, "INVITE", FLOOD_COUNTING,
                            action=first_invite, label="first-invite")
     machine.add_transition(FLOOD_COUNTING, "INVITE", FLOOD_COUNTING,
-                           predicate=already_counted | room_left, action=count,
+                           predicate=already_counted | room_left, action=COUNT,
                            label="count")
     machine.add_transition(FLOOD_COUNTING, "INVITE", FLOOD_ATTACK,
-                           predicate=~already_counted & ~room_left, action=count,
+                           predicate=~already_counted & ~room_left, action=COUNT,
                            attack=True, label="flood-detected")
-
-    def reset(ctx: TransitionContext) -> None:
-        ctx.v["pck_counter"] = 0
-        ctx.v["seen_branches"] = ()
-
     machine.add_transition(FLOOD_COUNTING, TIMER_T1, FLOOD_INIT,
-                           channel=TIMER_CHANNEL, action=reset,
+                           channel=TIMER_CHANNEL, action=RESET,
                            label="window-expired")
     # After detection: keep absorbing the flood; re-arm when it subsides.
     machine.add_transition(FLOOD_ATTACK, "INVITE", FLOOD_ATTACK,
-                           action=count, label="flood-continues")
+                           action=COUNT, label="flood-continues")
     machine.add_transition(FLOOD_ATTACK, TIMER_T1, FLOOD_INIT,
-                           channel=TIMER_CHANNEL, action=reset,
+                           channel=TIMER_CHANNEL, action=RESET,
                            label="re-arm")
     machine.validate()
     return machine

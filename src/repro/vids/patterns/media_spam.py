@@ -18,8 +18,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ...efsm.events import Event
-from ...efsm.guards import helper, truthy
-from ...efsm.machine import Efsm, EfsmInstance, TransitionContext
+from ...efsm.guards import helper, truthy, v, write, x
+from ...efsm.machine import Efsm, EfsmInstance
+from .invite_flood import count
 
 __all__ = ["build_media_spam_machine", "OrphanMediaTracker",
            "SPAM_INIT", "SPAM_COUNTING", "SPAM_ATTACK"]
@@ -45,36 +46,28 @@ def build_media_spam_machine(seq_gap: int, ts_gap: int,
     machine.add_state(SPAM_ATTACK, attack=True)
     machine.declare(ssrc=0, sequence_number=0, time_stamp=0, packets=0)
 
-    def initialize(ctx: TransitionContext) -> None:
-        ctx.v["ssrc"] = int(ctx.x.get("ssrc", 0))
-        ctx.v["sequence_number"] = int(ctx.x.get("seq", 0))
-        ctx.v["time_stamp"] = int(ctx.x.get("ts", 0))
-        ctx.v["packets"] = 1
+    ssrc, seq, ts = x("ssrc", 0), x("seq", 0), x("ts", 0)
+    update = (write("sequence_number", helper(int, seq)),
+              write("time_stamp", helper(int, ts)))
 
-    def gaps(ctx: TransitionContext) -> Tuple[int, int]:
-        seq_jump = (int(ctx.x.get("seq", 0))
-                    - int(ctx.v.get("sequence_number", 0))) % _SEQ_MOD
-        ts_jump = (int(ctx.x.get("ts", 0))
-                   - int(ctx.v.get("time_stamp", 0))) % _TS_MOD
-        return seq_jump, ts_jump
-
-    def is_spam(ctx: TransitionContext) -> bool:
-        if int(ctx.x.get("ssrc", 0)) != int(ctx.v.get("ssrc", 0)):
+    def is_spam(ssrc: Any, last_ssrc: Any, seq: Any, last_seq: Any,
+                ts: Any, last_ts: Any) -> bool:
+        if int(ssrc) != int(last_ssrc):
             return True
-        seq_jump, ts_jump = gaps(ctx)
-        return seq_jump > seq_gap or ts_jump > ts_gap
+        return ((int(seq) - int(last_seq)) % _SEQ_MOD > seq_gap
+                or (int(ts) - int(last_ts)) % _TS_MOD > ts_gap)
 
-    def update(ctx: TransitionContext) -> None:
-        ctx.v["sequence_number"] = int(ctx.x.get("seq", 0))
-        ctx.v["time_stamp"] = int(ctx.x.get("ts", 0))
-        ctx.v["packets"] = int(ctx.v.get("packets", 0)) + 1
-
-    machine.add_transition(SPAM_INIT, "RTP_PACKET", SPAM_COUNTING,
-                           action=initialize, label="first-packet")
+    machine.add_transition(
+        SPAM_INIT, "RTP_PACKET", SPAM_COUNTING,
+        action=(write("ssrc", helper(int, ssrc)),) + update
+        + (write("packets", 1),), label="first-packet")
     # The gap arithmetic is modular, so it stays a named helper leaf.
-    spam = truthy(helper(is_spam))
+    spam = truthy(helper(is_spam, ssrc, v("ssrc", 0), seq,
+                         v("sequence_number", 0), ts, v("time_stamp", 0)))
     machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_COUNTING,
-                           predicate=~spam, action=update, label="in-profile")
+                           predicate=~spam, label="in-profile",
+                           action=update + (write("packets", helper(
+                               count, v("packets", 0))),))
     machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_ATTACK,
                            predicate=spam, attack=True, label="spam")
     machine.add_transition(SPAM_ATTACK, "RTP_PACKET", SPAM_ATTACK,

@@ -29,9 +29,11 @@ Event vocabulary:
 
 from __future__ import annotations
 
+from typing import Any, Tuple
+
 from ..efsm.events import TIMER_CHANNEL
-from ..efsm.guards import helper
-from ..efsm.machine import Efsm, TransitionContext
+from ..efsm.guards import NOW, helper, start, v, when, write, x
+from ..efsm.machine import Efsm
 from .config import DEFAULT_CONFIG, VidsConfig
 from .sync import (
     DELTA_BYE,
@@ -68,6 +70,20 @@ _TS_MOD = 1 << 32
 #: of these, so they are disjoint without looking inside the helper.
 CLEAN, CODEC, SPAM, FLOOD = range(4)
 
+_DIRECTION = x("direction", None)
+_SSRC, _SEQ, _TS = x("ssrc", 0), x("seq", 0), x("ts", 0)
+
+
+def stream_of(direction: Any, to_callee: tuple, to_caller: tuple,
+              unknown: tuple) -> tuple:
+    """The packet's stream: ``(ssrc, seq, ts, window_start,
+    window_count)``, or ``()`` before its first packet."""
+    if direction == "to_callee":
+        return to_callee
+    if direction == "to_caller":
+        return to_caller
+    return unknown
+
 
 def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
     """Construct the deterministic per-call RTP EFSM.
@@ -103,9 +119,8 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
     machine.add_transition(RTP_OPEN, DELTA_CANCELLED, RTP_CLOSE,
                            channel=SIP_TO_RTP, label="cancelled")
 
-    def arm_inflight_timer(ctx: TransitionContext) -> None:
-        ctx.start_timer("T", config.bye_inflight_timer,
-                        {"call_id": ctx.x.get("call_id")})
+    arm_inflight_timer = start("T", config.bye_inflight_timer,
+                               call_id=x("call_id", None))
 
     # Even when vids has seen no media yet, first packets may already be in
     # flight when the BYE crosses — the Figure-5 grace timer applies.
@@ -146,72 +161,59 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
     flood_window = config.rtp_flood_window
     flood_factor = config.rtp_flood_factor
 
-    def stream_of(ctx: TransitionContext) -> tuple:
-        """The packet's stream: ``(ssrc, seq, ts, window_start,
-        window_count)``, or ``()`` before its first packet."""
-        direction = ctx.x.get("direction")
-        if direction == "to_callee":
-            return ctx.v["to_callee"]
-        if direction == "to_caller":
-            return ctx.v["to_caller"]
-        return ctx.v["unknown"]
-
-    def verdict(ctx: TransitionContext) -> int:
+    def verdict(pt: Any, offered: tuple, answered: tuple, stream: tuple,
+                ssrc: Any, seq: Any, ts: Any, now: float,
+                ptime_ms: Any) -> int:
         """codec > spam > flood > clean, decided in one pass.
 
         Under compiled dispatch the benign first match evaluates this once
         per packet; an attack guard evaluates it again, but holds at most
         once per call (attack states absorb), so nothing is memoized.
         """
-        x, v = ctx.x, ctx.v
-        if detect_codec_change:
-            pt = x.get("pt", -1)
-            offered = v.get("g_offer_pts", ())
-            if pt not in offered:
-                answered = v.get("g_answer_pts", ())
-                if pt not in answered and (offered or answered):
-                    return CODEC
-        stream = stream_of(ctx)
+        if (detect_codec_change and pt not in offered and pt not in answered
+                and (offered or answered)):
+            return CODEC
         if not stream:
             return CLEAN
-        ssrc, seq, ts, window_start, window_count = stream
-        if (x.get("ssrc", 0) != ssrc
-                or (x.get("seq", 0) - seq) % _SEQ_MOD > seq_gap
-                or (x.get("ts", 0) - ts) % _TS_MOD > ts_gap):
+        last_ssrc, last_seq, last_ts, window_start, window_count = stream
+        if (ssrc != last_ssrc
+                or (seq - last_seq) % _SEQ_MOD > seq_gap
+                or (ts - last_ts) % _TS_MOD > ts_gap):
             return SPAM
-        if ctx.now - window_start < flood_window:
-            ptime_ms = v.get("g_ptime_ms", 20) or 20
-            expected = (1000.0 / ptime_ms) * flood_window
+        if now - window_start < flood_window:
+            expected = (1000.0 / (ptime_ms or 20)) * flood_window
             if window_count + 1 > flood_factor * expected:
                 return FLOOD
         return CLEAN
 
-    def track_packet(ctx: TransitionContext) -> None:
-        """Rebuild the stream tuple: state values are immutable, so a
+    def track_packet(stream: tuple, ssrc: Any, seq: Any, ts: Any,
+                     now: float) -> Tuple[int, int, int, float, int]:
+        """The stream tuple rebuilt: state values are immutable, so a
         checkpoint shares them instead of copying (``copy_state``)."""
-        x, now = ctx.x, ctx.now
-        stream = stream_of(ctx)
         if stream and now - stream[3] < flood_window:
             window_start, window_count = stream[3], stream[4] + 1
         else:
             window_start, window_count = now, 1
-        stream = (int(x.get("ssrc", 0)), int(x.get("seq", 0)),
-                  int(x.get("ts", 0)), window_start, window_count)
-        direction = x.get("direction")
-        if direction == "to_callee":
-            ctx.v["to_callee"] = stream
-        elif direction == "to_caller":
-            ctx.v["to_caller"] = stream
-        else:
-            ctx.v["unknown"] = stream
+        return (int(ssrc), int(seq), int(ts), window_start, window_count)
 
     # The packet's verdict, as a guard term: the named helper leaf.
-    packet = helper(verdict)
+    packet = helper(verdict, x("pt", -1), v("g_offer_pts", ()),
+                    v("g_answer_pts", ()),
+                    helper(stream_of, _DIRECTION, v("to_callee", ()),
+                           v("to_caller", ()), v("unknown", ())),
+                    _SSRC, _SEQ, _TS, NOW, v("g_ptime_ms", 20))
+    # A clean packet rebuilds the tuple of the stream its direction names.
+    callee, caller = _DIRECTION == "to_callee", _DIRECTION == "to_caller"
+    track = tuple(
+        when(selected, write(name, helper(track_packet, v(name, ()), _SSRC,
+                                          _SEQ, _TS, NOW)))
+        for name, selected in (("to_callee", callee), ("to_caller", caller),
+                               ("unknown", ~callee & ~caller)))
 
     # First media packet of the session.
     machine.add_transition(
         RTP_OPEN, "RTP_PACKET", RTP_ACTIVE, predicate=packet != CODEC,
-        action=track_packet, label="first-media")
+        action=track, label="first-media")
     machine.add_transition(RTP_OPEN, "RTP_PACKET", ATTACK_CODEC,
                            predicate=packet == CODEC,
                            attack=True, label="bad-codec-first")
@@ -220,7 +222,7 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
     # disjoint by construction.
     machine.add_transition(RTP_ACTIVE, "RTP_PACKET", RTP_ACTIVE,
                            predicate=packet == CLEAN,
-                           action=track_packet, label="media")
+                           action=track, label="media")
     for answer, state, label in ((CODEC, ATTACK_CODEC, "codec-change"),
                                  (SPAM, ATTACK_SPAM, "media-spam"),
                                  (FLOOD, ATTACK_FLOOD, "rtp-flood")):

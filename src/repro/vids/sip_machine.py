@@ -31,10 +31,10 @@ from its own address falls outside it.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Tuple
 
-from ..efsm.guards import truthy, v, x
-from ..efsm.machine import Efsm, Output, TransitionContext
+from ..efsm.guards import Statement, Term, helper, truthy, v, when, write, x
+from ..efsm.machine import Efsm, Output
 from .config import DEFAULT_CONFIG, VidsConfig
 from .sync import (
     DELTA_BYE,
@@ -96,30 +96,80 @@ SAME_INVITE_BRANCH = x("branch", "") == v("invite_branch", None)
 SRC_IS_PARTICIPANT = x("src_ip", "").in_(v("participants", ()))
 
 
-def _add_participants(ctx: TransitionContext, *hosts: Any) -> None:
-    current = set(ctx.v.get("participants", ()))
-    for host in hosts:
-        if isinstance(host, (list, tuple)):
-            current.update(h for h in host if h)
-        elif host:
-            current.add(str(host))
-    ctx.v["participants"] = tuple(sorted(current))
+def add_participants(current: Tuple[str, ...], *hosts: Any
+                     ) -> Tuple[str, ...]:
+    """``current`` plus every non-empty host (each entry of a Via list), as
+    a sorted tuple."""
+    return tuple(sorted({*current, *(
+        h for host in hosts if host
+        for h in (host if isinstance(host, (list, tuple)) else (str(host),))
+        if h)}))
 
 
-def _media_args(ctx: TransitionContext) -> Mapping[str, Any]:
-    """Arguments forwarded on δ media events."""
-    return {
-        "call_id": ctx.v.get("call_id"),
-        "addr": ctx.x.get("sdp_addr"),
-        "port": ctx.x.get("sdp_port"),
-        "payload_types": ctx.x.get("sdp_pts", ()),
-        "ptime_ms": ctx.x.get("sdp_ptime"),
-    }
+# ---- actions (Definition 1's A_t, as data) ----------------------------------
+# Writes keep the str() / int() / tuple() normalisation of the values they
+# store, so a state value has one type whatever the event carried.
+
+_SDP_ADDR, _PTIME = x("sdp_addr", None), x("sdp_ptime", None)
+_PARTICIPANTS = v("participants", ())
 
 
-def _delta_args(ctx: TransitionContext) -> Mapping[str, Any]:
-    return {"call_id": ctx.v.get("call_id"),
-            "src_ip": ctx.x.get("src_ip")}
+def _text(field: str) -> Term:
+    return helper(str, x(field, ""))
+
+
+def _media(side: str, ptime: bool = True) -> Statement:
+    """Publish the SDP of an offer / answer into the shared globals."""
+    writes = [write(f"g_{side}_addr", helper(str, _SDP_ADDR)),
+              write(f"g_{side}_port", helper(int, x("sdp_port", 0))),
+              write(f"g_{side}_pts", helper(tuple, x("sdp_pts", ())))]
+    if ptime:
+        writes.append(when(truthy(_PTIME),
+                           write("g_ptime_ms", helper(int, _PTIME))))
+    return when(truthy(_SDP_ADDR), *writes)
+
+
+ON_INVITE = (
+    write("call_id", _text("call_id")),
+    write("invite_branch", _text("branch")),
+    # A From header without a tag leaves the declared default ''.
+    when(truthy(x("from_tag", None)), write("from_tag", _text("from_tag"))),
+    write("invite_src_ip", _text("src_ip")),
+    write("invite_cseq", helper(int, x("cseq_num", 0))),
+    write("participants", helper(
+        add_participants, _PARTICIPANTS, x("src_ip", None),
+        x("contact_host", None), _SDP_ADDR, x("via_hosts", ()))),
+    _media("offer"),
+)
+ON_PROVISIONAL = (
+    when(truthy(x("to_tag", None)), write("to_tag", _text("to_tag"))),
+    write("participants", helper(add_participants, _PARTICIPANTS,
+                                 x("contact_host", None))),
+)
+#: The provisional updates first: the answer's SDP address joins the set
+#: the callee's Contact just joined.
+ON_ANSWER = ON_PROVISIONAL + (
+    write("participants", helper(add_participants, _PARTICIPANTS, _SDP_ADDR)),
+    _media("answer"),
+)
+#: A genuine re-INVITE may move the media; refresh the offer globals.
+ON_REINVITE = _media("offer", ptime=False)
+#: Record the full (ip, port) source of the BYE: after-close media is
+#: attributed to toll fraud only when it comes from the BYE *sender*, and
+#: two UAs behind one NAT address differ only in port.
+ON_BYE = (
+    write("bye_branch", _text("branch")),
+    write("g_bye_src_ip", _text("src_ip")),
+    write("g_bye_src_port", 0),
+    when(truthy(x("src_port", 0)),
+         write("g_bye_src_port", helper(int, x("src_port", 0)))),
+)
+
+#: Arguments of the δ media events, and of δ_bye / δ_cancelled.
+_MEDIA_ARGS = {"call_id": v("call_id", None), "addr": _SDP_ADDR,
+               "port": x("sdp_port", None), "payload_types": x("sdp_pts", ()),
+               "ptime_ms": _PTIME}
+_DELTA_ARGS = {"call_id": v("call_id", None), "src_ip": x("src_ip", None)}
 
 
 def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
@@ -149,26 +199,11 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     # ---- INIT ---------------------------------------------------------------
 
-    def on_invite(ctx: TransitionContext) -> None:
-        ctx.v["call_id"] = str(ctx.x.get("call_id", ""))
-        ctx.v["invite_branch"] = str(ctx.x.get("branch", ""))
-        ctx.v["from_tag"] = str(ctx.x.get("from_tag", ""))
-        ctx.v["invite_src_ip"] = str(ctx.x.get("src_ip", ""))
-        ctx.v["invite_cseq"] = int(ctx.x.get("cseq_num", 0))
-        _add_participants(ctx, ctx.x.get("src_ip"), ctx.x.get("contact_host"),
-                          ctx.x.get("sdp_addr"), ctx.x.get("via_hosts", ()))
-        if ctx.x.get("sdp_addr"):
-            ctx.v["g_offer_addr"] = str(ctx.x["sdp_addr"])
-            ctx.v["g_offer_port"] = int(ctx.x.get("sdp_port", 0))
-            ctx.v["g_offer_pts"] = tuple(ctx.x.get("sdp_pts", ()))
-            if ctx.x.get("sdp_ptime"):
-                ctx.v["g_ptime_ms"] = int(ctx.x["sdp_ptime"])
-
     machine.add_transition(
         INIT, "INVITE", INVITE_RCVD,
         predicate=IS_INITIAL_INVITE,
-        action=on_invite,
-        outputs=[Output(SIP_TO_RTP, DELTA_SESSION_OFFER, _media_args)]
+        action=ON_INVITE,
+        outputs=[Output(SIP_TO_RTP, DELTA_SESSION_OFFER, _MEDIA_ARGS)]
         if cross else [],
         label="invite",
     )
@@ -182,35 +217,20 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     # ---- provisional / final responses during setup ------------------------
 
-    def on_provisional(ctx: TransitionContext) -> None:
-        if ctx.x.get("to_tag"):
-            ctx.v["to_tag"] = str(ctx.x["to_tag"])
-        _add_participants(ctx, ctx.x.get("contact_host"))
-
-    def on_answer(ctx: TransitionContext) -> None:
-        on_provisional(ctx)
-        _add_participants(ctx, ctx.x.get("sdp_addr"))
-        if ctx.x.get("sdp_addr"):
-            ctx.v["g_answer_addr"] = str(ctx.x["sdp_addr"])
-            ctx.v["g_answer_port"] = int(ctx.x.get("sdp_port", 0))
-            ctx.v["g_answer_pts"] = tuple(ctx.x.get("sdp_pts", ()))
-            if ctx.x.get("sdp_ptime"):
-                ctx.v["g_ptime_ms"] = int(ctx.x["sdp_ptime"])
-
-    answer_outputs = ([Output(SIP_TO_RTP, DELTA_SESSION_ANSWER, _media_args)]
+    answer_outputs = ([Output(SIP_TO_RTP, DELTA_SESSION_ANSWER, _MEDIA_ARGS)]
                       if cross else [])
 
     machine.add_transition(INVITE_RCVD, "RESPONSE", PROCEEDING,
-                           predicate=IS_1XX_INVITE, action=on_provisional,
+                           predicate=IS_1XX_INVITE, action=ON_PROVISIONAL,
                            label="1xx")
     machine.add_transition(PROCEEDING, "RESPONSE", PROCEEDING,
-                           predicate=IS_1XX_INVITE, action=on_provisional,
+                           predicate=IS_1XX_INVITE, action=ON_PROVISIONAL,
                            label="1xx-again")
-    failed_outputs = ([Output(SIP_TO_RTP, DELTA_CANCELLED, _delta_args)]
+    failed_outputs = ([Output(SIP_TO_RTP, DELTA_CANCELLED, _DELTA_ARGS)]
                       if cross else [])
     for state in (INVITE_RCVD, PROCEEDING):
         machine.add_transition(state, "RESPONSE", ANSWERED,
-                               predicate=IS_2XX_INVITE, action=on_answer,
+                               predicate=IS_2XX_INVITE, action=ON_ANSWER,
                                outputs=list(answer_outputs), label="200-invite")
         # A failed setup also closes the (never-used) media session so the
         # whole call system reaches final states and can be reclaimed.
@@ -222,7 +242,7 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     # ---- CANCEL handling -----------------------------------------------------
 
-    cancel_outputs = ([Output(SIP_TO_RTP, DELTA_CANCELLED, _delta_args)]
+    cancel_outputs = ([Output(SIP_TO_RTP, DELTA_CANCELLED, _DELTA_ARGS)]
                       if cross else [])
     for state in (INVITE_RCVD, PROCEEDING):
         machine.add_transition(state, "CANCEL", CANCELLING,
@@ -239,7 +259,7 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
         predicate=~IS_487_INVITE & ~IS_2XX_INVITE, label="cancel-200")
     # Race: the callee answered before the CANCEL landed.
     machine.add_transition(CANCELLING, "RESPONSE", ANSWERED,
-                           predicate=IS_2XX_INVITE, action=on_answer,
+                           predicate=IS_2XX_INVITE, action=ON_ANSWER,
                            outputs=list(answer_outputs), label="cancel-race-200")
     machine.add_transition(CANCELLING, "CANCEL", CANCELLING,
                            label="cancel-retransmit")
@@ -259,15 +279,8 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     # ---- in-dialog INVITE (re-INVITE vs hijack) -----------------------------
 
-    def on_reinvite(ctx: TransitionContext) -> None:
-        # A genuine re-INVITE may move the media; refresh the offer globals.
-        if ctx.x.get("sdp_addr"):
-            ctx.v["g_offer_addr"] = str(ctx.x["sdp_addr"])
-            ctx.v["g_offer_port"] = int(ctx.x.get("sdp_port", 0))
-            ctx.v["g_offer_pts"] = tuple(ctx.x.get("sdp_pts", ()))
-
     machine.add_transition(ESTABLISHED, "INVITE", ESTABLISHED,
-                           predicate=SRC_IS_PARTICIPANT, action=on_reinvite,
+                           predicate=SRC_IS_PARTICIPANT, action=ON_REINVITE,
                            label="re-invite")
     machine.add_transition(
         ESTABLISHED, "INVITE", ATTACK_HIJACK, predicate=~SRC_IS_PARTICIPANT,
@@ -275,19 +288,11 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     # ---- teardown ------------------------------------------------------------
 
-    def on_bye(ctx: TransitionContext) -> None:
-        ctx.v["bye_branch"] = str(ctx.x.get("branch", ""))
-        # Record the full (ip, port) source of the BYE: after-close media is
-        # attributed to toll fraud only when it comes from the BYE *sender*,
-        # and two UAs behind one NAT address differ only in port.
-        ctx.v["g_bye_src_ip"] = str(ctx.x.get("src_ip", ""))
-        ctx.v["g_bye_src_port"] = int(ctx.x.get("src_port", 0) or 0)
-
-    bye_outputs = ([Output(SIP_TO_RTP, DELTA_BYE, _delta_args)]
+    bye_outputs = ([Output(SIP_TO_RTP, DELTA_BYE, _DELTA_ARGS)]
                    if cross else [])
     for state in (ANSWERED, ESTABLISHED):
         machine.add_transition(state, "BYE", TEARDOWN,
-                               predicate=SRC_IS_PARTICIPANT, action=on_bye,
+                               predicate=SRC_IS_PARTICIPANT, action=ON_BYE,
                                outputs=list(bye_outputs), label="bye")
         machine.add_transition(
             state, "BYE", ATTACK_BYE, predicate=~SRC_IS_PARTICIPANT,

@@ -14,7 +14,7 @@ Thin vids-side wrapper over :mod:`repro.efsm.verify`.  Three consumers:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set
+from typing import List, Sequence, Set
 
 from ..efsm.diagnostics import Diagnostic, errors_only
 from ..efsm.errors import SpecVerificationError
@@ -25,23 +25,19 @@ from .config import DEFAULT_CONFIG, VidsConfig
 __all__ = ["shipped_machines", "verify_call_system", "verify_vids_specs"]
 
 #: Fingerprints of machine sets that already verified clean this process.
-#: Verification costs tens of milliseconds and every CallStateFactBase
+#: Verification costs milliseconds and every CallStateFactBase
 #: (i.e. every Vids) re-builds structurally identical definitions, so the
 #: registration gate would otherwise dominate test-suite time.
 _VERIFIED_CLEAN: Set[tuple] = set()
 
 
 def _fingerprint(machines: Sequence[Efsm]) -> tuple:
-    """Structure + callable identity of a machine set.
+    """Structure of a machine set.
 
     Two sets with the same fingerprint verify identically: states,
-    transitions, guards, channels and declarations are captured directly,
-    actions by their code object — the same for every closure built from
-    one ``def``, so a monkeypatched builder never hits the cache.
+    transitions, guards, statements, outputs, channels and declarations
+    are all data, captured through their structural keys.
     """
-    def code(fn: Optional[Callable]) -> object:
-        return getattr(fn, "__code__", fn)
-
     return tuple(
         (machine.name, machine.initial_state,
          frozenset(machine.channels), frozenset(machine.final_states),
@@ -49,8 +45,10 @@ def _fingerprint(machines: Sequence[Efsm]) -> tuple:
          frozenset(machine.global_variables),
          tuple((t.source, t.event_name, t.target, t.channel, t.describe(),
                 None if t.predicate is None else t.predicate.key,
-                code(t.action),
-                tuple((o.channel, o.event_name, code(o.args_from))
+                tuple(statement.key for statement in t.action),
+                tuple((o.channel, o.event_name, None if o.args is None else
+                       tuple((name, term.key)
+                             for name, term in o.args.items()))
                       for o in t.outputs))
                for t in machine.transitions))
         for machine in machines)

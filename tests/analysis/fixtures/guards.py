@@ -1,6 +1,6 @@
 """Seeded guard-purity violations (codecheck test fixture; AST only)."""
 
-from repro.efsm.guards import helper, truthy
+from repro.efsm.guards import helper, truthy, v
 from repro.efsm.machine import Efsm
 
 
@@ -12,11 +12,6 @@ def writes_state(ctx):
 def mutates_list(ctx):
     ctx.v["seen"].append(1)      # GP002: mutating method call
     return True
-
-
-def arms_timer(ctx):
-    ctx.start_timer("t", 1.0, {})    # GP003: timer side effect
-    return bool(ctx.v.get("armed"))
 
 
 def _poke(ctx):
@@ -36,13 +31,13 @@ def uses_scratch(ctx):
     return memo["ok"]
 
 
-def leaf_writer(ctx):
-    ctx.v["count"] = 2           # GP001: a helper leaf's body is still code
+def leaf_writer(counts):
+    counts["last"] = 2           # GP001: a helper's body is still code
     return 1
 
 
-def pure_leaf(ctx):
-    return ctx.v.get("count", 0)     # reads only: clean
+def pure_leaf(count):
+    return count + 1             # reads only: clean
 
 
 def suppressed(ctx):
@@ -53,13 +48,12 @@ def suppressed(ctx):
 def build(machine: Efsm) -> Efsm:
     machine.add_transition("s0", "e1", "s0", predicate=writes_state)
     machine.add_transition("s0", "e2", "s0", predicate=mutates_list)
-    machine.add_transition("s0", "e3", "s0", predicate=arms_timer)
     machine.add_transition("s0", "e4", "s0", transitive_writer)
     machine.add_transition("s0", "e5", "s0", predicate=uses_scratch)
     machine.add_transition("s0", "e6", "s0",
-                           predicate=helper(leaf_writer) == 1)
+                           predicate=helper(leaf_writer, v("counts")) == 1)
     machine.add_transition("s0", "e9", "s0",
-                           predicate=truthy(helper(pure_leaf)))
+                           predicate=truthy(helper(pure_leaf, v("count"))))
     machine.add_transition("s0", "e7", "s0", predicate=suppressed)
     machine.add_transition("s0", "e8", "s0",
                            predicate=lambda ctx: ctx.v.pop("x"))  # GP002

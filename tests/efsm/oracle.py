@@ -1,37 +1,52 @@
-"""The reference dispatch, test side: a tree interpreter that shadows
-every delivery.
+"""The reference semantics, test side: tree interpreters for guards and
+statements, and a dispatch that shadows every delivery.
 
 ``src/`` has one dispatch (the compiled tables of ``EfsmInstance.deliver``,
-first enabled guard fires) and one way to run a guard (the function
-``Guard.compiled`` generates).  This module is what both are checked
-against.  :func:`interpret` walks a guard expression node by node — it
-shares no code with the compiler or with the abstract evaluation inside
-``guards.decide`` — and :func:`shadow_dispatch` wraps ``deliver`` so that,
-before the real delivery runs, every candidate of the (state, event,
-channel) group is interpreted: two enabled candidates raise
-:class:`NondeterminismError` (Definition 1), and afterwards the transition
-the real ``deliver`` fired must be the one the interpreter enabled.  Both
-failures are raised again when the block ends, because a pipeline under
-test contains exceptions out of ``deliver`` (layer-1 containment).
+first enabled guard fires) and one way to run a guard or a transition's
+statements (the functions ``Guard.compiled`` and ``compile_firing``
+generate).  This module is what they are checked against.
+:func:`interpret` walks a guard expression node by node and
+:func:`execute` a statement list — they share no code with the compiler or
+with the abstract evaluation inside ``guards.decide`` — and
+:func:`shadow_dispatch` wraps ``deliver`` so that, before the real delivery
+runs, every candidate of the (state, event, channel) group is interpreted:
+two enabled candidates raise :class:`NondeterminismError` (Definition 1),
+and afterwards the transition the real ``deliver`` fired must be the one
+the interpreter enabled.  Both failures are raised again when the block
+ends, because a pipeline under test contains exceptions out of ``deliver``
+(layer-1 containment).
 """
 
 import operator
 from contextlib import contextmanager
 
 from repro.efsm.errors import NondeterminismError
+from repro.efsm.events import Event
 from repro.efsm.machine import EfsmInstance, TransitionContext
 
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _value(term, ctx, called):
+def evaluate(term, ctx):
+    """A term's value: a named helper is called with its arguments'
+    values, an anonymous one with the context."""
     if term.kind == "const":
         return term.value
+    if term.kind == "now":
+        return ctx.now
     if term.kind == "helper":
-        return called[term.key]
+        if not term.name:
+            return term.value(ctx)
+        return term.value(*(evaluate(arg, ctx) for arg in term.args))
     vector = ctx.x if term.kind == "x" else ctx.v
     return vector.get(term.name, term.value)
+
+
+def _value(term, ctx, called):
+    if term.kind == "helper":
+        return called[term.key]
+    return evaluate(term, ctx)
 
 
 def _walk(guard, ctx, called):
@@ -57,12 +72,42 @@ def interpret(guard, ctx):
     """Does ``guard`` hold in ``ctx``?  Every helper is called first — its
     own exceptions are bugs and propagate — then a ``TypeError`` out of a
     comparison means not enabled (docs/STATE_MACHINES.md)."""
-    called = {term.key: term.value(ctx) for term in guard.terms()
+    called = {term.key: evaluate(term, ctx) for term in guard.terms()
               if term.kind == "helper"}
     try:
         return _walk(guard, ctx, called)
     except TypeError:
         return False
+
+
+def execute(statements, ctx):
+    """Run ``statements`` in order, each one reading the writes before it;
+    a block runs when :func:`interpret` says its guard holds."""
+    for statement in statements:
+        op, args = statement.op, statement.args
+        if op == "write":
+            ctx.v[args[0]] = evaluate(args[1], ctx)
+        elif op == "when":
+            if interpret(args[0], ctx):
+                execute(args[1], ctx)
+        elif op == "start":
+            ctx.start_timer(args[0], evaluate(args[1], ctx), {
+                name: evaluate(term, ctx) for name, term in args[2]}
+                or None)
+        elif op == "cancel":
+            ctx.cancel_timer(args[0])
+        else:
+            args[0](ctx)
+
+
+def outputs_of(outputs, ctx):
+    """The events ``outputs`` send, read after the statements ran."""
+    return [Event(output.event_name,
+                  ctx.event.args if output.args is None else
+                  {name: evaluate(term, ctx)
+                   for name, term in output.args.items()},
+                  channel=output.channel, time=ctx.now)
+            for output in outputs]
 
 
 @contextmanager

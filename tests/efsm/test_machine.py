@@ -12,7 +12,7 @@ from repro.efsm import (
     Output,
     TIMER_CHANNEL,
 )
-from repro.efsm.guards import x
+from repro.efsm.guards import cancel, helper, start, v, when, write, x
 
 
 def turnstile():
@@ -115,66 +115,6 @@ def test_bare_callable_is_wrapped_as_an_anonymous_helper_leaf():
     assert machine.transitions[1].predicate is None
 
 
-class TestEnabledAt:
-    """``Efsm.enabled_at``: the one guard probe outside live dispatch."""
-
-    @staticmethod
-    def gate():
-        machine = Efsm("gate", "idle")
-        machine.add_state("open")
-        machine.declare(limit=3)
-        machine.declare_global(g_mode="strict")
-        machine.declare_channel("peer->gate")
-        ran = []
-        machine.add_transition(
-            "idle", "badge", "open",
-            predicate=lambda ctx: ctx.x["n"] <= ctx.v["limit"],
-            action=lambda ctx: ran.append("action"), label="within")
-        machine.add_transition(
-            "idle", "badge", "idle",
-            predicate=lambda ctx: ctx.v["g_mode"] == "lax", label="lax")
-        machine.add_transition("idle", "badge", "open", channel="peer->gate",
-                               label="synced")
-        return machine, ran
-
-    def test_channel_filter(self):
-        machine, _ = self.gate()
-        data = machine.enabled_at("idle", Event("badge", {"n": 1}))
-        assert [t.label for t in data] == ["within"]
-        sync = machine.enabled_at(
-            "idle", Event("badge", {"n": 1}, channel="peer->gate"))
-        assert [t.label for t in sync] == ["synced"]
-        assert machine.enabled_at("open", Event("badge", {"n": 1})) == []
-
-    def test_valuation_splits_into_locals_and_globals(self):
-        machine, _ = self.gate()
-        event = Event("badge", {"n": 5})
-        assert machine.enabled_at("idle", event) == []
-        # ``limit`` is a declared local, ``g_mode`` lands in the globals.
-        enabled = machine.enabled_at("idle", event,
-                                     {"limit": 9, "g_mode": "lax"})
-        assert [t.label for t in enabled] == ["within", "lax"]
-        # The throwaway instance took the valuation, not the definition.
-        assert machine.variables["limit"] == 3
-        assert machine.global_variables["g_mode"] == "strict"
-
-    def test_raising_guard_counts_as_not_enabled(self):
-        machine, _ = self.gate()
-        # No "n" in the sample: the first guard raises KeyError.
-        enabled = machine.enabled_at("idle", Event("badge"),
-                                     {"g_mode": "lax"})
-        assert [t.label for t in enabled] == ["lax"]
-
-    def test_no_action_runs_and_no_state_changes(self):
-        machine, ran = self.gate()
-        instance = EfsmInstance(machine)
-        assert machine.enabled_at("idle", Event("badge", {"n": 1}))
-        assert ran == []
-        assert instance.state == "idle"
-        instance.deliver(Event("badge", {"n": 1}))
-        assert ran == ["action"] and instance.state == "open"
-
-
 def test_unknown_state_in_transition_rejected():
     machine = Efsm("m", "s0")
     with pytest.raises(DefinitionError):
@@ -235,16 +175,67 @@ def test_outputs_built_from_context():
     machine.add_state("s1")
     machine.declare(name="x")
     machine.add_transition(
-        "s0", "go", "s1",
+        "s0", "go", "s1", action=write("name", x("who")),
         outputs=[Output("m->peer", "delta",
-                        lambda ctx: {"who": ctx.v["name"]})])
+                        {"who": v("name"), "kind": "greeting"})])
     instance = EfsmInstance(machine)
-    result = instance.deliver(Event("go"))
+    result = instance.deliver(Event("go", {"who": "y"}, time=3.0))
     assert len(result.outputs) == 1
     output = result.outputs[0]
     assert output.name == "delta"
     assert output.channel == "m->peer"
-    assert output.args == {"who": "x"}
+    # Output arguments are read after the statements ran.
+    assert output.args == {"who": "y", "kind": "greeting"}
+    assert output.time == 3.0
+
+
+def test_statements_run_in_order_and_see_earlier_writes():
+    def plus(a, b):
+        return a + b
+
+    machine = Efsm("m", "s0")
+    machine.declare(n=0, log=())
+    machine.add_transition("s0", "e", "s0", action=(
+        write("n", helper(plus, v("n", 0), x("k", 1))),
+        when(v("n", 0) > 2, write("log", helper(plus, v("log", ()), ("big",)))),
+        write("n", helper(plus, v("n", 0), 10)),
+        when(v("n", 0) > "a", write("log", ("never",)))))   # TypeError: skip
+    instance = EfsmInstance(machine)
+    instance.deliver(Event("e", {"k": 2}))
+    assert instance.variables["n"] == 12 and instance.variables["log"] == ()
+    instance.deliver(Event("e", {"k": 2}))
+    assert instance.variables["n"] == 24
+    assert instance.variables["log"] == ("big",)
+
+
+def test_statements_start_and_cancel_timers_with_term_arguments():
+    clock = ManualClock()
+    machine = Efsm("m", "s0")
+    machine.add_state("fired")
+    machine.add_transition("s0", "arm", "s0",
+                           action=start("T", x("after"), who=x("who")))
+    machine.add_transition("s0", "disarm", "s0", action=cancel("T"))
+    machine.add_transition("s0", "T", "fired", channel=TIMER_CHANNEL,
+                           action=write("who", x("who")))
+    instance = EfsmInstance(machine, clock_now=clock.now,
+                            timer_scheduler=clock.schedule)
+    instance.deliver(Event("arm", {"after": 5.0, "who": "a"}))
+    instance.deliver(Event("disarm"))
+    clock.advance(10.0)
+    assert instance.state == "s0"
+    instance.deliver(Event("arm", {"after": 2.0, "who": "b"}))
+    clock.advance(2.0)
+    assert instance.state == "fired" and instance.variables["who"] == "b"
+
+
+def test_a_written_constant_must_be_immutable_plain_data():
+    machine = Efsm("m", "s0")
+    machine.add_transition("s0", "e", "s0", action=write("ok", (1, ("a",))))
+    for value in ({"k": 1}, object(), (1, {2: 3})):
+        with pytest.raises(DefinitionError, match="immutable"):
+            machine.add_transition("s0", "e", "s0",
+                                   action=when(x("k") == 1,
+                                               write("bad", value)))
 
 
 def test_default_output_forwards_event_args():

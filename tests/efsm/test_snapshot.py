@@ -20,6 +20,7 @@ from repro.efsm import (
     Output,
     TIMER_CHANNEL,
 )
+from repro.efsm.guards import v
 
 
 def counting_machine(name="counter"):
@@ -147,8 +148,7 @@ def relay_system(clock):
     # Outputs are built after the action ran, so ``n`` is the new count.
     ping.add_transition(
         "start", "kick", "sent", action=do_send,
-        outputs=[Output("ping->pong", "relay",
-                        lambda ctx: {"n": ctx.v["sent"]})])
+        outputs=[Output("ping->pong", "relay", {"n": v("sent")})])
     ping.validate()
 
     pong = Efsm("pong", "waiting")

@@ -7,6 +7,7 @@ missing-transition ERROR.
 """
 
 from repro.efsm import Efsm, Severity
+from repro.efsm.guards import v
 from repro.efsm.mine import CallSequence, StepRecord, mine_machine
 from repro.efsm.specdiff import specdiff
 from repro.vids.config import DEFAULT_CONFIG
@@ -139,6 +140,118 @@ class TestRules:
         assert any(d.state == "Side" for d in unvisited)
         assert all(d.severity == Severity.INFO
                    for d in unexercised + unvisited)
+
+
+class TestProbe:
+    """specdiff runs each candidate's compiled guard on every recorded
+    observation — its args, valuation and time — and fires nothing."""
+
+    @staticmethod
+    def gate(ran):
+        spec = Efsm("gate", "idle")
+        spec.add_state("open")
+        spec.declare(limit=3)
+        spec.declare_global(g_mode="strict")
+        spec.declare_channel("peer->gate")
+        spec.add_transition(
+            "idle", "badge", "open",
+            predicate=lambda ctx: ctx.x["n"] <= ctx.v["limit"],
+            action=lambda ctx: ran.append("action"), label="within")
+        spec.add_transition("idle", "badge", "idle",
+                            predicate=v("g_mode", "") == "lax", label="lax")
+        spec.add_transition("idle", "badge", "open", channel="peer->gate",
+                            label="synced")
+        return spec
+
+    @staticmethod
+    def diff(spec, *steps):
+        sequence = CallSequence("c0", "gate")
+        sequence.steps.extend(
+            StepRecord(event="badge", channel=channel, from_state="idle",
+                       to_state=target, args=args, valuation=valuation)
+            for channel, target, args, valuation in steps)
+        return specdiff(mine_machine([sequence], "gate"), spec)
+
+    @staticmethod
+    def unexercised(diagnostics):
+        return {d.transition for d in by_rule(diagnostics,
+                                              "unexercised-transition")}
+
+    def test_channel_filter(self):
+        spec = self.gate([])
+        # A sync observation is probed against the channel's transition
+        # only; the data guards never see it.
+        diagnostics = self.diff(spec, ("peer->gate", "open", {"n": 99}, {}))
+        assert not [d for d in diagnostics if d.severity >= Severity.WARNING]
+        assert self.unexercised(diagnostics) == {"within", "lax"}
+        diagnostics = self.diff(spec, (None, "open", {"n": 1}, {"limit": 3}))
+        assert self.unexercised(diagnostics) == {"lax", "synced"}
+
+    def test_valuation_feeds_locals_and_globals(self):
+        spec = self.gate([])
+        # ``limit`` is a declared local, ``g_mode`` a shared global: the
+        # probe reads both off the one recorded valuation.
+        diagnostics = self.diff(
+            spec, (None, "open", {"n": 5}, {"limit": 9}),
+            (None, "idle", {"n": 99}, {"limit": 9, "g_mode": "lax"}))
+        assert not [d for d in diagnostics if d.severity >= Severity.WARNING]
+        assert self.unexercised(diagnostics) == {"synced"}
+
+    def test_raising_guard_counts_as_not_enabled(self):
+        spec = self.gate([])
+        # No "n" in the record: the first guard raises KeyError.
+        diagnostics = self.diff(spec, (None, "idle", {}, {"g_mode": "lax"}))
+        assert not by_rule(diagnostics, "guard-disagreement")
+        assert self.unexercised(diagnostics) == {"within", "synced"}
+        rejected = self.diff(spec, (None, "idle", {}, {"g_mode": "strict"}))
+        (finding,) = by_rule(rejected, "guard-disagreement")
+        assert "reject all 1" in finding.message
+
+    def test_bare_callable_reads_the_whole_firing_context(self):
+        spec = Efsm("gate", "idle")
+        spec.add_state("open")
+        spec.declare(limit=3)
+        spec.add_transition(
+            "idle", "badge", "open",
+            predicate=lambda ctx: (ctx.event.name == "badge"
+                                   and ctx.event.args is ctx.x
+                                   and ctx.x["n"] <= ctx.v["limit"]
+                                   and ctx.now == 0.0))
+        # ``limit`` is not in the record: the declared default is read.
+        diagnostics = self.diff(spec, (None, "open", {"n": 2}, {}))
+        assert not by_rule(diagnostics, "guard-disagreement")
+        assert not by_rule(diagnostics, "unexercised-transition")
+        rejected = self.diff(spec, (None, "open", {"n": 4}, {}))
+        assert by_rule(rejected, "guard-disagreement")
+
+    def test_a_guard_reading_the_instance_is_not_probed(self):
+        spec = Efsm("gate", "idle")
+        spec.add_state("open")
+        spec.add_transition("idle", "badge", "open",
+                            predicate=lambda ctx: ctx.instance.state == "x")
+        diagnostics = self.diff(spec, (None, "open", {"n": 2}, {}))
+        assert not by_rule(diagnostics, "guard-disagreement")
+        assert not by_rule(diagnostics, "unexercised-transition")
+        (finding,) = by_rule(diagnostics, "analysis-incomplete")
+        assert finding.severity == Severity.INFO
+        assert finding.state == "idle" and finding.event == "badge"
+
+    def test_nothing_fires(self):
+        ran = []
+        spec = self.gate(ran)
+        self.diff(spec, (None, "open", {"n": 1}, {"limit": 9}),
+                  (None, "idle", {"n": 5}, {"g_mode": "lax"}))
+        assert ran == []
+        assert spec.variables["limit"] == 3
+        assert spec.global_variables["g_mode"] == "strict"
+
+    def test_every_observation_of_a_group_is_probed(self):
+        spec = build_toy_spec(guard_status=200)
+        mined = mine_toy([[("invite", "Init", "Trying", {"status": 0}),
+                           ("resp", "Trying", "Up", {"status": status})]
+                          for status in [200] * 7 + [486]])
+        (finding,) = by_rule(specdiff(mined, spec), "guard-disagreement")
+        assert "accept only 7 of 8" in finding.message
 
 
 def remove_transitions(machine, event_name):

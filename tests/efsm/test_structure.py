@@ -1,12 +1,13 @@
 """Structural pins: the machine layer keeps one of each mechanism.
 
 One dispatch (the compiled tables; the reference lives test side, in
-``tests/efsm/oracle.py``), one representation of a guard
-(``repro.efsm.guards``), one guard probe outside live dispatch
-(``Efsm.enabled_at``), one firing tail (in ``EfsmInstance.deliver``), one
-way to send (declarative ``Output``), one declaration of the shared media
-globals, one way to build a call system, a closed domain of state values.
-These read the source so a second copy cannot come back unnoticed.
+``tests/efsm/oracle.py``), one representation of a transition — guard,
+statements, output arguments (``repro.efsm.guards``) — read by speclint
+without mining any source, no throwaway instance pinned to a state, one
+firing tail (in ``EfsmInstance.deliver``), one way to send (declarative
+``Output``), one declaration of the shared media globals, one way to build
+a call system, a closed domain of state values.  These read the source so
+a second copy cannot come back unnoticed.
 """
 
 import ast
@@ -35,9 +36,10 @@ def test_contexts_are_built_only_by_the_machine_module():
     assert _files_with("TransitionContext(") == ["efsm/machine.py"]
 
 
-def test_only_enabled_at_pins_a_throwaway_instance_to_a_state():
+def test_no_throwaway_instance_is_pinned_to_a_state():
     """Building an ``EfsmInstance`` and assigning its ``state`` in the same
-    function is the probe idiom; it exists once."""
+    function is the probe idiom ``Efsm.enabled_at`` used; specdiff calls
+    the compiled guard on the recorded data instead."""
     pinned = []
     for rel, source in _sources():
         for node in ast.walk(ast.parse(source)):
@@ -54,16 +56,30 @@ def test_only_enabled_at_pins_a_throwaway_instance_to_a_state():
                        for inner in ast.walk(node))
             if builds and pins:
                 pinned.append((rel, node.name))
-    assert pinned == [("efsm/machine.py", "enabled_at")]
+    assert pinned == []
 
 
 def test_the_sampled_probe_and_the_second_dispatch_are_gone():
     for needle in ("PROBE_SAMPLES", "compiled_dispatch", "probed_dispatch",
-                   "allow_impure_guard", "GuardSpec", "samples="):
+                   "allow_impure_guard", "GuardSpec", "samples=",
+                   "enabled_at", "args_from", "_SAMPLES_PER_GROUP"):
         assert _files_with(needle) == [], needle
-    # Guards run as the function Guard.compiled() generates, and only the
-    # machine module asks for it (dispatch entries and enabled_at).
-    assert _files_with(".compiled()") == ["efsm/machine.py"]
+    # Guards run as the function Guard.compiled() generates: dispatch
+    # entries ask for it, and specdiff on each recorded observation.
+    assert _files_with(".compiled()") == ["efsm/machine.py",
+                                          "efsm/specdiff.py"]
+
+
+def test_speclint_reads_the_data_and_mines_no_source():
+    tree = ast.parse((SRC / "efsm/verify.py").read_text("utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)}
+    assert not {"inspect", "re"} & imported
+    for needle in ("getsource", "_closure_bindings", "_resolve_identifier",
+                   "_expand_callables", "CTX_EFFECT_METHODS"):
+        assert _files_with(needle) == [], needle
 
 
 def test_one_firing_tail():

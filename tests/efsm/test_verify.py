@@ -14,7 +14,7 @@ from repro.efsm import (
     verify_machine,
     verify_system,
 )
-from repro.efsm.guards import x
+from repro.efsm.guards import cancel, helper, start, v, when, write, x
 
 
 def rules_of(diagnostics, min_severity=Severity.INFO):
@@ -190,25 +190,23 @@ def test_event_coverage_gap_reported_per_state():
 
 
 # ---------------------------------------------------------------------------
-# variable rules (mined from predicate/action sources)
+# variable rules (read off the terms and statements)
 # ---------------------------------------------------------------------------
 
 def test_undeclared_variable_write():
     machine = Efsm("m", "s0")
-
-    def bad_action(ctx):
-        ctx.v["typo_name"] = 1
-
-    machine.add_transition("s0", "e", "s0", action=bad_action)
+    machine.add_transition("s0", "e", "s0",
+                           action=when(x("k", 0) > 1, write("typo_name", 1)))
     (finding,) = find(verify_machine(machine), "undeclared-variable")
     assert finding.severity is Severity.ERROR
     assert finding.data["variable"] == "typo_name"
 
 
 def test_read_before_write_subscript_is_error():
+    """A term without a default always reads MISSING when nothing declares
+    or writes the variable."""
     machine = Efsm("m", "s0")
-    machine.add_transition("s0", "e", "s0",
-                           predicate=lambda ctx: ctx.v["ghost"] > 0)
+    machine.add_transition("s0", "e", "s0", predicate=v("ghost") > 0)
     (finding,) = find(verify_machine(machine), "read-before-write")
     assert finding.severity is Severity.ERROR
     assert finding.data["variable"] == "ghost"
@@ -216,28 +214,41 @@ def test_read_before_write_subscript_is_error():
 
 def test_read_before_write_get_is_warning():
     machine = Efsm("m", "s0")
-    machine.add_transition("s0", "e", "s0",
-                           predicate=lambda ctx: ctx.v.get("maybe", 0) > 0)
+    machine.add_transition("s0", "e", "s0", predicate=v("maybe", 0) > 0)
     (finding,) = find(verify_machine(machine), "read-before-write")
     assert finding.severity is Severity.WARNING
 
 
+def bump(counter):
+    return counter + 1
+
+
 def test_helper_function_expansion_avoids_false_positives():
-    # The write happens inside a module-level helper the action delegates
-    # to; the scanner must follow the call to see the variable usage.
+    # The read happens under a helper's arguments and the write inside a
+    # block: both are data, so neither hides the variable.
     machine = Efsm("m", "s0")
     machine.declare(counter=0)
-
-    def bump(ctx):
-        ctx.v["counter"] = ctx.v.get("counter", 0) + 1
-
-    def action(ctx):
-        bump(ctx)
-
-    machine.add_transition("s0", "e", "s0", action=action)
+    machine.add_transition("s0", "e", "s0", action=when(
+        x("k", 0) > 1, write("counter", helper(bump, v("counter", 0)))))
     diagnostics = verify_machine(machine)
     assert "undeclared-variable" not in rules_of(diagnostics)
     assert "unused-variable" not in rules_of(diagnostics)
+    assert "analysis-incomplete" not in rules_of(diagnostics)
+
+
+def test_opaque_code_is_reported_as_analysis_incomplete():
+    machine = Efsm("m", "s0")
+
+    def action(ctx):
+        ctx.v["hidden"] = 1
+
+    machine.add_transition("s0", "e", "s0", action=action,
+                           predicate=lambda ctx: True)
+    (finding,) = find(verify_machine(machine), "analysis-incomplete")
+    assert finding.severity is Severity.INFO
+    assert [note.split()[0] for note in finding.data["notes"]] == [
+        "action", "guard"]
+    assert "undeclared-variable" not in rules_of(verify_machine(machine))
 
 
 def test_unused_variable_is_info():
@@ -255,26 +266,15 @@ def test_unused_variable_is_info():
 
 def test_timer_started_but_never_handled():
     machine = Efsm("m", "s0")
-
-    def arm(ctx):
-        ctx.start_timer("T9", 1.0)
-
-    machine.add_transition("s0", "e", "s0", action=arm)
+    machine.add_transition("s0", "e", "s0", action=start("T9", 1.0))
     (finding,) = find(verify_machine(machine), "timer-unhandled")
     assert finding.severity is Severity.ERROR and finding.event == "T9"
 
 
 def test_timer_started_and_cancelled_never_fires():
     machine = Efsm("m", "s0")
-
-    def arm(ctx):
-        ctx.start_timer("T9", 1.0)
-
-    def disarm(ctx):
-        ctx.cancel_timer("T9")
-
-    machine.add_transition("s0", "e", "s0", action=arm)
-    machine.add_transition("s0", "f", "s0", action=disarm)
+    machine.add_transition("s0", "e", "s0", action=start("T9", 1.0))
+    machine.add_transition("s0", "f", "s0", action=cancel("T9"))
     (finding,) = find(verify_machine(machine), "timer-never-fires")
     assert finding.severity is Severity.WARNING
 
@@ -288,11 +288,7 @@ def test_timer_consumed_but_never_started():
 
 def test_timer_started_and_consumed_is_clean():
     machine = Efsm("m", "s0")
-
-    def arm(ctx):
-        ctx.start_timer("T9", 1.0)
-
-    machine.add_transition("s0", "e", "s0", action=arm)
+    machine.add_transition("s0", "e", "s0", action=start("T9", 1.0))
     machine.add_transition("s0", "T9", "s0", channel=TIMER_CHANNEL)
     diagnostics = verify_machine(machine)
     assert not {"timer-unhandled", "timer-never-fires",
@@ -300,8 +296,8 @@ def test_timer_started_and_consumed_is_clean():
 
 
 def test_timer_name_resolved_through_module_constant():
-    # The vids invite-flood machine starts its timer via a module-level
-    # constant, not a string literal; the scanner must resolve it.
+    # The vids invite-flood machine names its timer by a module-level
+    # constant; a start statement holds the name itself.
     from repro.vids.patterns.invite_flood import build_invite_flood_machine
     machine = build_invite_flood_machine(5, 1.0)
     diagnostics = verify_machine(machine)

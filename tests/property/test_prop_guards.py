@@ -113,19 +113,22 @@ def test_a_helpers_own_type_error_is_not_swallowed():
     surface (containment counts it), not read as "not enabled" — and since
     every term is read before anything is compared, it surfaces whether or
     not a connective would have short-circuited past the leaf."""
-    def broken(ctx):
+    def broken(value):
         return len(None)                     # TypeError, inside the helper
 
+    def opaque(ctx):
+        return broken(ctx)
+
     ctx = context(0, ABSENT, 0, ())
-    for guard in (helper(broken) == 1, truthy(helper(broken, name="")),
-                  (COUNTER == 0) | (helper(broken) == 1)):
+    for guard in (helper(broken, FIELD_A) == 1, truthy(helper(opaque, name="")),
+                  (COUNTER == 0) | (helper(broken, COUNTER) == 1)):
         with pytest.raises(TypeError, match="NoneType"):
             guard.compiled()(ctx)
         with pytest.raises(TypeError, match="NoneType"):
             interpret(guard, ctx)
     # ... and so out of deliver, where a bare callable is such a leaf.
     machine = Efsm("m", "s0")
-    machine.add_transition("s0", "e", "s0", predicate=broken)
+    machine.add_transition("s0", "e", "s0", predicate=opaque)
     with pytest.raises(TypeError, match="NoneType"):
         EfsmInstance(machine).deliver(Event("e"))
 

@@ -263,3 +263,31 @@ class TestCrossProtocolAblation:
 def test_machine_is_deterministic():
     # Exact over every valuation (Definition 1), not a sample of them.
     build_sip_machine().check_determinism()
+
+
+class TestTaglessFrom:
+    """A From header without a tag: the event carries ``from_tag=None``
+    and the machine keeps the declared default ``''`` — not the
+    four-character string ``'None'``."""
+
+    def test_stored_as_the_declared_default(self):
+        from repro.sip import parse_message
+        from repro.vids import sip_event_from_message
+
+        from .test_ids import invite_bytes
+
+        wire = invite_bytes().replace(b";tag=ft", b"")
+        event = sip_event_from_message(parse_message(wire),
+                                       (CALLER_IP, 5060), (CALLEE_IP, 5060),
+                                       now=0.0)
+        assert event.args["from_tag"] is None
+        system, _ = make_system()
+        inject(system, event)
+        assert sip_state(system) == "INVITE_Rcvd"
+        assert system.machines[SIP_MACHINE].variables["from_tag"] == ""
+        tagged = sip_event_from_message(parse_message(invite_bytes()),
+                                        (CALLER_IP, 5060), (CALLEE_IP, 5060),
+                                        now=0.0)
+        system, _ = make_system()
+        inject(system, tagged)
+        assert system.machines[SIP_MACHINE].variables["from_tag"] == "ft"

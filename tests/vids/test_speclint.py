@@ -37,6 +37,13 @@ class TestShippedSpecsClean:
         diagnostics = verify_vids_specs(config)
         assert worst(diagnostics, Severity.ERROR) == []
 
+    def test_default_config_reports_exactly_the_sixteen_coverage_gaps(self):
+        """Read off the data, the hygiene rules have nothing to say: no
+        opaque code, no unused or undeclared variable, no timer gap."""
+        diagnostics = verify_vids_specs(DEFAULT_CONFIG)
+        assert [(d.rule, d.severity) for d in diagnostics] == [
+            ("event-coverage-gap", Severity.INFO)] * 16
+
     def test_report_is_not_empty(self):
         # INFO findings (alphabet coverage) are expected and informative.
         assert verify_vids_specs(DEFAULT_CONFIG)

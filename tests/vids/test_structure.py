@@ -5,10 +5,11 @@ supervisor that reaches into no member's private state, and no third-party
 runtime import.  These read the source (in the style of
 tests/efsm/test_structure.py) so a second copy cannot come back unnoticed.
 Two pins hold the state vectors to immutable values, so a checkpoint
-shares them instead of copying; two hold every shipped guard to the
-algebra of ``repro.efsm.guards`` (data, not code); the last three hold the
-value layer to one parser per SIP field, the packet path to no profiler
-fork, and the event builders to the fields something reads.
+shares them instead of copying; three hold every shipped transition to the
+algebra of ``repro.efsm.guards`` (data, not code: no ``ctx`` anywhere
+under ``repro/vids``); the last three hold the value layer to one parser
+per SIP field, the packet path to no profiler fork, and the event builders
+to the fields something reads.
 """
 
 import ast
@@ -143,7 +144,7 @@ def test_the_rtp_machine_has_no_directions_map():
     source = (SRC / "vids/rtp_machine.py").read_text("utf-8")
     assert "directions" not in source
     for name in ("to_caller", "to_callee", "unknown"):
-        assert f'ctx.v["{name}"]' in source, name
+        assert f'v("{name}", ())' in source, name
 
 
 def test_no_code_is_passed_as_a_predicate_under_vids():
@@ -172,14 +173,43 @@ def test_no_code_is_passed_as_a_predicate_under_vids():
 
 
 def test_shipped_guards_hold_exactly_two_helper_leaves():
-    """35 guards, all expressions; the only code behind them is the RTP
-    machine's ``verdict`` and the Figure-6 tracker's ``is_spam``."""
-    guards = [t.predicate for machine in shipped_machines()
+    """35 guards, all expressions, with two helper leaves (the RTP
+    machine's ``verdict``, the Figure-6 tracker's ``is_spam``); the only
+    code behind any guard, statement or output argument is the named pure
+    helpers below, each called with terms."""
+    machines = shipped_machines()
+    guards = [t.predicate for machine in machines
               for t in machine.transitions if t.predicate is not None]
     assert len(guards) == 35
-    helpers = {term.name for guard in guards for term in guard.terms()
+    assert {term.name for guard in guards for term in guard.terms()
+            if term.kind == "helper"} == {"verdict", "is_spam"}
+    helpers = {term.name for machine in machines
+               for t in machine.transitions for term in t.terms()
                if term.kind == "helper"}
-    assert helpers == {"verdict", "is_spam"}
+    assert helpers == {"verdict", "stream_of", "track_packet",
+                       "add_participants", "count", "remember", "is_spam",
+                       "str", "int", "tuple"}
+
+
+def test_no_shipped_transition_holds_code_and_no_vids_function_takes_ctx():
+    """No callable ``action=``, no output argument builder, no opaque
+    leaf in the four shipped machines; under ``repro/vids`` nothing writes
+    ``ctx.v[...]``, starts a timer on a context, or takes one."""
+    for machine in shipped_machines():
+        for t in machine.transitions:
+            assert all(statement.op != "code"
+                       for statement in t.statements()), t.describe()
+            assert all(term.name for term in t.terms()
+                       if term.kind == "helper"), t.describe()
+    for rel, source in _sources():
+        if not rel.startswith("vids/"):
+            continue
+        assert not re.search(r"ctx\.v\[[^]]*\]\s*=[^=]", source), rel
+        assert "ctx.start_timer" not in source, rel
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                assert "ctx" not in [arg.arg for arg in node.args.args], (
+                    rel, getattr(node, "name", "<lambda>"))
 
 
 def test_one_value_per_sip_field_and_one_table_of_attack_types():
@@ -201,12 +231,13 @@ def test_no_loop_body_of_the_ingest_core_names_a_profiler():
 
 
 def test_the_event_builders_produce_only_fields_something_reads():
-    """Built keys ⊆ read keys: the ``x(...)`` terms of the shipped guards,
-    plus the literal ``x.get("…")`` / ``event.get("…")`` / ``ctx.x["…"]``
-    reads under ``repro/vids`` (actions, trackers, engine, distributor)."""
+    """Built keys ⊆ read keys: the ``x(...)`` terms of the shipped
+    transitions (guards, statements, outputs), plus the literal
+    ``x.get("…")`` / ``event.get("…")`` / ``ctx.x["…"]`` reads under
+    ``repro/vids`` (trackers, engine, distributor)."""
     read = {term.name for machine in shipped_machines()
-            for t in machine.transitions if t.predicate is not None
-            for term in t.predicate.terms() if term.kind == "x"}
+            for t in machine.transitions
+            for term in t.terms() if term.kind == "x"}
     for rel, source in _sources():
         if rel.startswith("vids/"):
             for pattern in (r'\bx\.get\(\s*"(\w+)"',

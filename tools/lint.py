@@ -11,7 +11,8 @@ built-in fallback instead of skipping the gate entirely:
   F401 (unused module-level import), F841 (unused local binding), E711
   (``== None`` comparison), E722 (bare ``except``), E731 (lambda
   assignment), and B006 (mutable default argument).  ``# noqa`` comments
-  are honored per line, with or without rule codes.
+  are honored per line, with or without rule codes, through the one
+  parser codelint uses (``repro.analysis.codecheck.noqa_lines``).
 
 In *both* environments the script then runs ``codelint``
 (:mod:`repro.analysis.codecheck`) against the committed baseline
@@ -25,12 +26,14 @@ target gates the same way in both environments.
 from __future__ import annotations
 
 import ast
+import importlib
 import py_compile
-import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
-from typing import Dict, List, Set
+from types import ModuleType
+from typing import List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_DIRS = ("src", "tests", "tools", "examples", "benchmarks")
@@ -51,30 +54,14 @@ def run_tool(command: List[str]) -> int:
     return subprocess.call(command, cwd=REPO_ROOT)
 
 
-def noqa_lines(source: str) -> Dict[int, Set[str]]:
-    """Line number -> set of silenced rule codes ('*' = all)."""
-    silenced: Dict[int, Set[str]] = {}
-    code_re = re.compile(r"[A-Z]+[0-9]+")
-    for number, line in enumerate(source.splitlines(), start=1):
-        if "# noqa" not in line:
-            continue
-        _, _, tail = line.partition("# noqa")
-        if tail.lstrip().startswith(":"):
-            # "# noqa: E731, F401 - prose" -> leading code token per part.
-            codes = set()
-            for part in tail.lstrip().lstrip(":").split(","):
-                match = code_re.match(part.strip())
-                if match:
-                    codes.add(match.group(0))
-            silenced[number] = codes or {"*"}
-        else:
-            silenced[number] = {"*"}
-    return silenced
-
-
-def is_silenced(silenced: Dict[int, Set[str]], line: int, code: str) -> bool:
-    codes = silenced.get(line, set())
-    return "*" in codes or code in codes
+def from_src(name: str) -> ModuleType:
+    """Module ``name`` imported from ``src`` where a check needs it, so a
+    package that does not import fails only those checks."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.pop(0)
 
 
 #: Call targets whose result is a fresh mutable container (B006).
@@ -90,14 +77,16 @@ class _FallbackChecker(ast.NodeVisitor):
     def __init__(self, path: Path, tree: ast.Module, source: str):
         self.path = path
         self.tree = tree
-        self.silenced = noqa_lines(source)
+        noqa = from_src("repro.analysis.codecheck")
+        self.silenced = noqa.noqa_lines(source)
+        self.is_silenced = noqa.is_silenced
         self.findings: List[str] = []
         self.used_names: Set[str] = set()
         self.exported: Set[str] = set()
 
     def report(self, node: ast.AST, code: str, message: str) -> None:
         line = getattr(node, "lineno", 0)
-        if is_silenced(self.silenced, line, code):
+        if self.is_silenced(self.silenced, line, code):
             return
         relative = self.path.relative_to(REPO_ROOT)
         self.findings.append(f"{relative}:{line}: {code} {message}")
@@ -257,6 +246,7 @@ class _FallbackChecker(ast.NodeVisitor):
 
 def fallback_check(files: List[Path]) -> int:
     findings: List[str] = []
+    parsed: List[Tuple[Path, ast.Module, str]] = []
     for path in files:
         try:
             source = path.read_text(encoding="utf-8")
@@ -265,13 +255,17 @@ def fallback_check(files: List[Path]) -> int:
             continue
         try:
             py_compile.compile(str(path), doraise=True, cfile=None)
-            tree = ast.parse(source, filename=str(path))
+            parsed.append((path, ast.parse(source, filename=str(path)),
+                           source))
         except (SyntaxError, py_compile.PyCompileError) as exc:
             findings.append(f"{path}: syntax error: {exc}")
-            continue
-        findings.extend(_FallbackChecker(path, tree, source).run())
+    # Syntax first: the AST pass imports ``src`` for its noqa parser.
     for finding in findings:
         print(finding)
+    for path, tree, source in parsed:
+        for finding in _FallbackChecker(path, tree, source).run():
+            print(finding)
+            findings.append(finding)
     print(f"fallback lint: {len(findings)} finding(s) in "
           f"{len(files)} file(s)")
     return 1 if findings else 0
@@ -281,31 +275,25 @@ def codelint_check() -> int:
     """Run the implementation-invariant analyzer against the baseline.
 
     Uses the in-repo ``repro.analysis.codecheck`` directly (no external
-    tool implements these rules), so the gate is identical in CI and in
-    the offline container.  Only *new* findings fail the build.
+    tool implements these rules), so the gate is identical in CI and
+    offline.  Only *new* findings fail the build.
     """
-    import sys
-
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.analysis.codecheck import (analyze, load_baseline,
-                                              partition_findings)
-        from repro.efsm.diagnostics import Severity, format_report
-    finally:
-        sys.path.pop(0)
-
-    diagnostics = analyze()
-    baseline = load_baseline(REPO_ROOT / "tools" / "codelint_baseline.json")
-    new, accepted, stale = partition_findings(diagnostics, baseline)
+    codecheck = from_src("repro.analysis.codecheck")
+    report = from_src("repro.efsm.diagnostics")
+    diagnostics = codecheck.analyze()
+    baseline = codecheck.load_baseline(
+        REPO_ROOT / "tools" / "codelint_baseline.json")
+    new, accepted, stale = codecheck.partition_findings(diagnostics,
+                                                        baseline)
     if new:
-        print(format_report(new, label="codelint"))
+        print(report.format_report(new, label="codelint"))
     summary = f"codelint: {len(new)} new finding(s)"
     if accepted:
         summary += f", {len(accepted)} baselined"
     if stale:
         summary += f", {len(stale)} stale baseline entr(y/ies)"
     print(summary)
-    return 1 if any(d.severity >= Severity.ERROR for d in new) else 0
+    return 1 if any(d.severity >= report.Severity.ERROR for d in new) else 0
 
 
 def main() -> int:
