@@ -161,18 +161,18 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         module="efsm/machine.py",
         cls="Efsm",
         # Checkpoint-free by design: definitions are built once, sealed by
-        # validate(), and shared read-only across every instance — only
+        # freeze(), and shared read-only across every instance — only
         # EfsmInstance carries per-call state.
         snapshot=(),
         exempt={
-            "states": "frozen definition data (sealed by validate())",
+            "states": "frozen definition data (sealed by freeze())",
             "variables": "frozen declaration defaults, copied per instance",
             "global_variables": "frozen declaration defaults",
             "transitions": "frozen transition relation",
-            "_index": "derived lookup over the frozen transition relation",
-            "_compiled": "derived dispatch table over the frozen transition "
-                         "relation, rebuilt lazily (cleared by "
-                         "add_transition)",
+            "frozen": "set once by freeze(); a frozen definition refuses "
+                      "construction calls",
+            "_compiled": "dispatch table compiled by freeze() from the "
+                         "frozen transition relation",
             "attack_states": "frozen definition data",
             "final_states": "frozen definition data",
             "alphabet": "frozen definition data",
@@ -232,10 +232,8 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         exempt={
             "metrics": "the owning Vids' VidsMetrics (a shared reference); "
                        "Vids.snapshot checkpoints it",
-            "_sip_definition": "immutable Efsm definition (shared, "
-                               "data-only; see the Efsm spec)",
-            "_rtp_definition": "immutable Efsm definition (shared, "
-                               "data-only; see the Efsm spec)",
+            "spec": "the deployment's frozen CallSpec, call_spec(config): "
+                    "the same in every member of one config",
             "_total_bytes": "incremental byte total, rebuilt lazily from "
                             "the _dirty set after restore",
             "_dirty": "size-accounting scratch; _create re-marks every "
@@ -274,20 +272,11 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         module="vids/patterns/invite_flood.py",
         cls="InviteFloodTracker",
         restore=("restore", "machine_for"),
-        exempt={
-            "_definition": "immutable Figure-4 Efsm definition shared by "
-                           "every per-target instance (see the Efsm spec)",
-        },
     ),
     CheckpointSpec(
         module="vids/patterns/media_spam.py",
         cls="OrphanMediaTracker",
         restore=("restore", "machine_for"),
-        exempt={
-            "_definition": "immutable Figure-6 Efsm definition shared by "
-                           "every per-destination instance (see the Efsm "
-                           "spec)",
-        },
     ),
     CheckpointSpec(
         module="vids/patterns/cross_call.py",
@@ -589,12 +578,8 @@ class _Collector:
                 "path": path,
                 "line": line,
                 "location": print_name,
-                "fingerprint": _make_fingerprint(code, path, scope, subject),
+                "fingerprint": ":".join((code, path, scope, subject)),
             }))
-
-
-def _make_fingerprint(code: str, path: str, scope: str, subject: str) -> str:
-    return ":".join((code, path, scope, subject))
 
 
 def fingerprint(diagnostic: Diagnostic) -> str:

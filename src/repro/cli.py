@@ -386,9 +386,9 @@ def _report_findings(args, diagnostics, label: str = "speclint",
 
 def _cmd_machines(args) -> int:
     from .efsm import summarize_machine, to_dot
-    from .vids.speclint import shipped_machines
+    from .vids.spec import CallSpec
 
-    for machine in shipped_machines():
+    for machine in CallSpec.build().machines:
         if args.dot:
             print(to_dot(machine))
         else:
@@ -398,13 +398,13 @@ def _cmd_machines(args) -> int:
 
 
 def _cmd_speclint(args) -> int:
-    from .vids.speclint import shipped_machines, verify_vids_specs
+    from .vids.spec import CallSpec
 
-    config = _spec_config(args)
-    diagnostics = verify_vids_specs(config)
+    spec = CallSpec.build(_spec_config(args))
+    diagnostics = spec.diagnostics()
     status = _report_findings(args, diagnostics)
     if args.dot:
-        _write_dots(args.dot, shipped_machines(config), diagnostics)
+        _write_dots(args.dot, spec.machines, diagnostics)
     return status
 
 
@@ -604,10 +604,10 @@ def _cmd_specdiff(args) -> int:
     """Diff mined machines against the hand-written specifications."""
     from .efsm.mine import extract_corpus, mine_machine
     from .efsm.specdiff import specdiff
-    from .vids.speclint import shipped_machines
+    from .vids.spec import CallSpec
 
-    sip, rtp = shipped_machines(_spec_config(args))[:2]
-    specs = {"sip": sip, "rtp": rtp}
+    spec = CallSpec.build(_spec_config(args))
+    specs = {"sip": spec.sip, "rtp": spec.rtp}
 
     export = _load_export(args.jsonl)
     corpus = extract_corpus(export)

@@ -19,16 +19,17 @@ class NondeterminismError(EfsmError):
 
     Definition 1 requires predicates on same (state, event) transitions to be
     mutually disjoint for the EFSM to be deterministic; this error is raised
-    when an execution or a determinism check finds an overlap.
+    when a determinism check, or freezing the definition, finds an overlap.
     """
 
 
 class SpecVerificationError(EfsmError):
     """Static spec verification found ERROR-severity findings.
 
-    Raised by the vids registration-time gate (``VidsConfig.verify_specs``)
-    so a broken specification fails fast instead of silently weakening
-    detection.  ``diagnostics`` carries the offending findings.
+    Raised by the vids registration-time gate (:func:`repro.vids.spec.
+    call_spec`, before any pipeline of that config runs) so a broken
+    specification fails fast instead of silently weakening detection.
+    ``diagnostics`` carries the offending findings.
     """
 
     def __init__(self, message: str, diagnostics=()):

@@ -32,6 +32,16 @@ MISSING = object()
 
 _CONNECTIVES = ("and", "or", "not")
 
+#: Types a state value may hold without needing any copy at all.
+_ATOMIC = frozenset((str, int, float, bool, bytes, type(None), frozenset))
+
+
+def _immutable(value: Any) -> bool:
+    """Is ``value`` plain data shared as itself at every depth — an atom,
+    a frozenset, a tuple of such?"""
+    cls = value.__class__
+    return cls in _ATOMIC or (cls is tuple and all(map(_immutable, value)))
+
 
 def _comparison(op: str) -> Callable[["Term", Any], "Guard"]:
     def build(self: "Term", other: Any) -> "Guard":
@@ -58,14 +68,22 @@ class Term:
 
     @property
     def key(self) -> Tuple[Any, ...]:
-        """Structural identity.  A helper is its ``def`` (name and code
-        object), the same for every build of one machine, and its
-        arguments."""
-        if self.kind == "helper":
-            return ("helper", self.name,
-                    getattr(self.value, "__code__", self.value),
-                    _key(self.args))
-        return (self.kind, self.name, self.value)
+        """Structural identity.  A named helper is its function's
+        ``module:qualname`` and the values it closes over (a threshold a
+        config set), the same in every process; an anonymous one is its
+        code object.  Then the helper's arguments."""
+        if self.kind != "helper":
+            return (self.kind, self.name, self.value)
+        fn = self.value
+        if not self.name:
+            return ("helper", "", getattr(fn, "__code__", fn), ())
+        cells = tuple(cell.cell_contents
+                      for cell in getattr(fn, "__closure__", None) or ())
+        if not all(map(_immutable, cells)):
+            raise TypeError(f"helper {self.name} closes over {cells!r}: a "
+                            f"helper's closure holds plain data only")
+        return ("helper", self.name, f"{fn.__module__}:{fn.__qualname__}",
+                cells, _key(self.args))
 
     def walk(self) -> Iterator["Term"]:
         """This term and every term under a helper's arguments."""

@@ -38,8 +38,9 @@ from typing import (
 from .analysis import reachable_states
 from .errors import DefinitionError, NondeterminismError
 from .events import TIMER_CHANNEL, Event
-from .guards import (DISJOINT, Decision, Guard, Statement, Term, as_term,
-                     compile_firing, decide, helper, truthy)
+from .guards import (_ATOMIC, DISJOINT, Decision, Guard, Statement, Term,
+                     _immutable, _key, as_term, compile_firing, decide,
+                     helper, truthy)
 
 __all__ = [
     "Variables",
@@ -57,9 +58,6 @@ Action = Callable[["TransitionContext"], None]
 
 #: Sentinel distinguishing "absent" from a stored None in Variables.get.
 _MISSING = object()
-
-#: Types a variable value may hold without needing any copy at all.
-_ATOMIC = frozenset((str, int, float, bool, bytes, type(None), frozenset))
 
 
 def copy_state(value: Any) -> Any:
@@ -96,13 +94,6 @@ def copy_state(value: Any) -> Any:
         f"state-variable vector holds atoms, tuples, frozensets and plain "
         f"dict/list/set only"
     )
-
-
-def _immutable(value: Any) -> bool:
-    """Is ``value`` a state value :func:`copy_state` shares as itself at
-    every depth — an atom, a frozenset, a tuple of such?"""
-    cls = value.__class__
-    return cls in _ATOMIC or (cls is tuple and all(map(_immutable, value)))
 
 
 class Variables:
@@ -272,13 +263,9 @@ class Efsm:
         self.variables: Dict[str, Any] = {}         # name -> default (v, D)
         self.global_variables: Dict[str, Any] = {}  # declared shared defaults
         self.transitions: List[Transition] = []
-        self._index: Dict[Tuple[str, str], List[Transition]] = {}
-        #: Lazily built dispatch table: (state, event-name, channel) ->
-        #: the candidates as ``(compiled guard or None, transition)`` pairs.
-        #: Derived entirely from ``transitions``; cleared on every
-        #: ``add_transition`` and shared by all instances of this
-        #: definition, so the cost is paid once per definition, not once
-        #: per monitored call.
+        #: Set by :meth:`freeze`, which compiles the dispatch table shared
+        #: by every instance: (state, event-name, channel) -> candidates.
+        self.frozen = False
         self._compiled: Dict[
             Tuple[str, str, Optional[str]], Tuple[Any, ...]] = {}
         self.attack_states: set = set()
@@ -292,8 +279,13 @@ class Efsm:
 
     # -- construction ------------------------------------------------------
 
+    def _building(self) -> None:
+        if self.frozen:
+            raise DefinitionError(f"{self.name}: the definition is frozen")
+
     def add_state(self, name: str, attack: bool = False,
                   final: bool = False) -> "Efsm":
+        self._building()
         self.states.setdefault(name, {})
         if attack:
             self.attack_states.add(name)
@@ -303,11 +295,13 @@ class Efsm:
 
     def declare(self, **defaults: Any) -> "Efsm":
         """Declare local state variables with default values."""
+        self._building()
         self.variables.update(defaults)
         return self
 
     def declare_global(self, **defaults: Any) -> "Efsm":
         """Declare shared (cross-machine) variables with defaults."""
+        self._building()
         self.global_variables.update(defaults)
         return self
 
@@ -318,6 +312,7 @@ class Efsm:
         a channel that was never declared — a typo'd channel name would
         otherwise silently orphan the synchronization event at runtime.
         """
+        self._building()
         self.channels.update(names)
         return self
 
@@ -333,6 +328,7 @@ class Efsm:
         attack: bool = False,
         label: str = "",
     ) -> Transition:
+        self._building()
         for state in (source, target):
             if state not in self.states:
                 raise DefinitionError(
@@ -366,45 +362,53 @@ class Efsm:
                     f"{statement.describe()}: a state value is immutable "
                     f"plain data, shared by every checkpoint")
         self.transitions.append(transition)
-        self._index.setdefault((source, event_name), []).append(transition)
         self.alphabet.add(event_name)
-        if self._compiled:
-            self._compiled.clear()
         return transition
 
+    @property
+    def key(self) -> Tuple[Any, ...]:
+        """Structural identity: states, declarations, channels, and every
+        transition with its guard, statements and outputs by their keys."""
+        return _key((
+            self.name, self.initial_state, frozenset(self.states),
+            frozenset(self.final_states), frozenset(self.attack_states),
+            tuple(sorted(self.variables.items())),
+            tuple(sorted(self.global_variables.items())),
+            frozenset(self.channels),
+            tuple((t.source, t.event_name, t.target, t.channel, t.describe(),
+                   t.predicate, t.action, tuple(
+                       (o.channel, o.event_name, o.args and tuple(
+                           o.args.items())) for o in t.outputs))
+                  for t in self.transitions)))
+
     def transitions_from(self, state: str, event_name: str) -> List[Transition]:
-        return self._index.get((state, event_name), [])
+        return [t for t in self.transitions
+                if t.source == state and t.event_name == event_name]
 
-    def _compile_entry(
-            self, key: Tuple[str, str, Optional[str]]) -> Tuple[Any, ...]:
-        """Build (and cache) the dispatch entry for one delivery shape.
-
-        The channel filter, each guard's compilation and each firing's
-        (statements and outputs, :func:`~repro.efsm.guards.compile_firing`)
-        are resolved here, once per (state, event, channel) triple instead
-        of per event: the entry is the candidates in declaration order as
-        ``(compiled guard or None, transition, firing or None)`` triples,
-        empty for a deviation.  Firing the first enabled one is sound
-        because :meth:`decide_determinism` proves the predicates mutually
-        disjoint; more than one *unguarded* transition is nondeterministic
-        for every input, so the group never compiles and every delivery
-        raises.
-        """
-        state, event_name, channel = key
-        entry = tuple(
+    def freeze(self) -> "Efsm":
+        """Seal the definition (the first :class:`EfsmInstance` does) and
+        compile each (state, event, channel) group into its candidates in
+        declaration order as ``(compiled guard or None, transition, firing
+        or None)`` triples.  Firing the first enabled one is sound because
+        :meth:`decide_determinism` proves the predicates disjoint; two
+        *unguarded* candidates raise :class:`NondeterminismError` here."""
+        if self.frozen:
+            return self
+        groups = self._groups()
+        for (state, event_name, _), group in groups.items():
+            unguarded = sum(1 for t in group if t.predicate is None)
+            if unguarded > 1:
+                raise NondeterminismError(
+                    f"{self.name}: state {state!r} event {event_name!r} "
+                    f"enables {unguarded} transitions")
+        self._compiled = {key: tuple(
             (None if t.predicate is None else t.predicate.compiled(), t,
              compile_firing(t.action, [(o.channel, o.event_name, o.args)
                                        for o in t.outputs])
              if t.action or t.outputs else None)
-            for t in self._index.get((state, event_name), ())
-            if t.channel == channel)
-        unguarded = sum(1 for enabled, _, _ in entry if enabled is None)
-        if unguarded > 1:
-            raise NondeterminismError(
-                f"{self.name}: state {state!r} event {event_name!r} "
-                f"enables {unguarded} transitions")
-        self._compiled[key] = entry
-        return entry
+            for t in group) for key, group in groups.items()}
+        self.frozen = True
+        return self
 
     def validate(self) -> None:
         """Sanity-check the definition; raises :class:`DefinitionError`."""
@@ -430,16 +434,22 @@ class Efsm:
 
     # -- analysis ------------------------------------------------------------
 
-    def decide_determinism(self) -> List[Tuple[List[Transition], Decision]]:
-        """Definition 1, decided exactly: every (state, event, channel)
-        group with more than one candidate, in declaration order, with
-        :func:`~repro.efsm.guards.decide`'s verdict on its predicates."""
+    def _groups(self) -> Dict[Tuple[str, str, Optional[str]],
+                              List[Transition]]:
+        """The transitions by (state, event, channel), in declaration
+        order."""
         groups: Dict[Tuple[str, str, Optional[str]], List[Transition]] = {}
         for t in self.transitions:
             groups.setdefault((t.source, t.event_name, t.channel),
                               []).append(t)
+        return groups
+
+    def decide_determinism(self) -> List[Tuple[List[Transition], Decision]]:
+        """Definition 1, decided exactly: every (state, event, channel)
+        group with more than one candidate, in declaration order, with
+        :func:`~repro.efsm.guards.decide`'s verdict on its predicates."""
         return [(group, decide([t.predicate for t in group]))
-                for group in groups.values() if len(group) > 1]
+                for group in self._groups().values() if len(group) > 1]
 
     def check_determinism(self) -> None:
         """Raise :class:`NondeterminismError` unless every group's
@@ -471,6 +481,7 @@ class EfsmInstance:
         clock_now: Callable[[], float] = lambda: 0.0,
         timer_scheduler: Optional[Callable[[float, Callable[[], None]], Any]] = None,
     ):
+        definition.freeze()
         self.definition = definition
         self.state = definition.initial_state
         globals_dict = shared_globals if shared_globals is not None else {}
@@ -577,6 +588,9 @@ class EfsmInstance:
         if machine is not None and machine != self.name:
             raise DefinitionError(
                 f"cannot restore snapshot of {machine!r} into {self.name!r}")
+        if snapshot["state"] not in self.definition.states:
+            raise DefinitionError(
+                f"{self.name} has no state {snapshot['state']!r} to restore")
         self.cancel_all_timers()
         self.state = snapshot["state"]
         self.variables.local.clear()
@@ -597,23 +611,17 @@ class EfsmInstance:
 
         Returns a :class:`FiringResult` whose ``deviation`` flag is set when
         no transition was enabled.  Dispatch goes through the definition's
-        compiled per-(state, event, channel) table: the channel filter was
-        resolved and the guards and firings compiled at first delivery, and
-        the first enabled candidate in declaration order fires — one call
-        runs its statements and builds its outputs.  Raises
-        :class:`NondeterminismError` for structurally nondeterministic
-        groups (more than one unguarded transition); overlapping predicates
-        are excluded statically (:meth:`Efsm.check_determinism`).
+        per-(state, event, channel) table, compiled when it froze: the first
+        enabled candidate in declaration order fires — one call runs its
+        statements and builds its outputs.  Overlapping predicates are
+        excluded statically (:meth:`Efsm.check_determinism`).
         """
         definition = self.definition
         ctx: Optional[TransitionContext] = None
         transition: Optional[Transition] = None
         fire = None
-        key = (self.state, event.name, event.channel)
-        entry = definition._compiled.get(key)
-        if entry is None:
-            entry = definition._compile_entry(key)
-        for enabled, candidate, fire in entry:
+        for enabled, candidate, fire in definition._compiled.get(
+                (self.state, event.name, event.channel), ()):
             if enabled is not None:
                 if ctx is None:
                     ctx = TransitionContext(self, event)

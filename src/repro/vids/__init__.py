@@ -54,7 +54,7 @@ from .scenarios import (
     BUILTIN_SCENARIOS,
 )
 from .sip_machine import SIP_ATTACK_STATES, SIP_STATES, build_sip_machine
-from .speclint import verify_call_system, verify_vids_specs
+from .spec import CallSpec, call_spec
 from .sync import (
     DELTA_BYE,
     DELTA_CANCELLED,
@@ -74,6 +74,7 @@ __all__ = [
     "AttackType",
     "BUILTIN_SCENARIOS",
     "CallRecord",
+    "CallSpec",
     "CapturedPacket",
     "RecordingProcessor",
     "CallStateFactBase",
@@ -112,12 +113,11 @@ __all__ = [
     "build_media_spam_machine",
     "build_rtp_machine",
     "build_sip_machine",
+    "call_spec",
     "drain_horizon",
     "estimate_state_bytes",
     "estimate_value_bytes",
     "replay_trace",
     "rtp_event_from_packet",
     "sip_event_from_message",
-    "verify_call_system",
-    "verify_vids_specs",
 ]

@@ -114,14 +114,6 @@ class VidsConfig:
     #: forever (docs/ROBUSTNESS.md "Quarantine parole").
     quarantine_ttl: Optional[float] = None
 
-    # -- Spec verification (docs/SPECCHECK.md) --------------------------------
-    #: Statically verify the SIP/RTP machine specifications (spec-lint) when
-    #: the fact base builds them, and refuse to start on ERROR findings.  A
-    #: broken specification silently weakens detection, so failing fast at
-    #: registration time is the safe default; disable only to experiment
-    #: with deliberately partial machines.
-    verify_specs: bool = True
-
     # -- Spec mining (docs/MINING.md) -----------------------------------------
     #: Attach a bounded changed-variables snapshot (``vars``) and the event
     #: arguments (``args``) to every ``fire`` trace event.  Off by default:

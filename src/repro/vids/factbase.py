@@ -21,9 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs import TraceBus
 from .config import VidsConfig
 from .metrics import VidsMetrics, estimate_state_bytes
-from .rtp_machine import build_rtp_machine
-from .sip_machine import build_sip_machine
-from .speclint import verify_call_system
+from .spec import call_spec
 from .sync import RTP_MACHINE, SIP_MACHINE
 
 __all__ = ["CallRecord", "CallStateFactBase"]
@@ -147,15 +145,9 @@ class CallStateFactBase:
         self.metrics = metrics or VidsMetrics()
         #: Call-scoped trace bus (None keeps the hot path untouched).
         self.trace = trace
-        # EFSM *definitions* are immutable; build them once and share them
-        # across every call record (instances carry the per-call state).
-        self._sip_definition = build_sip_machine(config)
-        self._rtp_definition = build_rtp_machine(config)
-        if config.verify_specs:
-            # Fail-fast registration gate (docs/SPECCHECK.md): raises
-            # SpecVerificationError if spec-lint finds ERROR findings in
-            # the definitions every call record will instantiate.
-            verify_call_system((self._sip_definition, self._rtp_definition))
+        #: The deployment's verified, frozen machines (docs/SPECCHECK.md):
+        #: every call record instantiates them, instances carry the state.
+        self.spec = call_spec(config)
         #: Incremental state-byte accounting: running total plus the set of
         #: records whose contribution is stale (they fired since the last
         #: total).  Keeps :meth:`total_state_bytes` O(recently-active calls)
@@ -230,8 +222,8 @@ class CallStateFactBase:
         # its FIFO on demand, and most calls never use the reverse direction.
         system = EfsmSystem(clock_now=self.clock_now,
                             timer_scheduler=self.timer_scheduler)
-        system.add_machine(self._sip_definition)
-        system.add_machine(self._rtp_definition)
+        system.add_machine(self.spec.sip)
+        system.add_machine(self.spec.rtp)
         if created_at is None:
             created_at = self.clock_now()
         record = CallRecord(call_id, system, created_at)

@@ -18,6 +18,7 @@ from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
                     Optional)
 
+from ..efsm.errors import DefinitionError
 from ..netsim.engine import Simulator
 from ..netsim.packet import Datagram
 from ..rtp.packet import RtpParseError
@@ -398,10 +399,12 @@ class Vids:
         Each part snapshots itself, carrying over from ``previous`` (the
         snapshot taken last time) what has not changed since.  The
         cross-call trackers are not in it: they belong to the deployment,
-        which checkpoints them once (:mod:`repro.vids.cluster`).
+        which checkpoints them once (:mod:`repro.vids.cluster`).  ``spec``
+        names the machines the state belongs to.
         """
         previous = previous or {}
         return {
+            "spec": self.factbase.spec.digest,
             "factbase": self.factbase.snapshot(previous.get("factbase")),
             "metrics": self.metrics.snapshot(previous.get("metrics")),
             "alerts": self.alert_manager.snapshot(previous.get("alerts")),
@@ -414,7 +417,12 @@ class Vids:
         }
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Refill a fresh pipeline from a :meth:`snapshot`."""
+        """Refill a fresh pipeline from a :meth:`snapshot` taken under the
+        same spec (another spec's states and variables are not these)."""
+        if snapshot["spec"] != self.factbase.spec.digest:
+            raise DefinitionError(
+                f"checkpoint taken under spec {snapshot['spec'][:12]}, this "
+                f"pipeline runs {self.factbase.spec.digest[:12]}")
         self.metrics.restore(snapshot["metrics"])
         self.alert_manager.restore(snapshot["alerts"])
         self.factbase.restore(snapshot["factbase"])

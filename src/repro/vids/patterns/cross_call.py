@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
+from ..spec import call_spec
 from .invite_flood import InviteFloodTracker
 from .media_spam import OrphanMediaTracker
 
@@ -37,21 +38,19 @@ class CrossCallTrackers:
 
     def __init__(self, config, clock_now: Callable[[], float],
                  timer_scheduler: Callable, engine: Callable[[], Any]):
+        spec = call_spec(config)
         self.flood_tracker = InviteFloodTracker(
-            config.invite_flood_threshold, config.invite_flood_window,
-            clock_now, timer_scheduler,
+            spec.flood, clock_now, timer_scheduler,
             on_attack=lambda target, event:
                 engine().note_flood(target, event))
         #: Per-claimed-source counterpart of the Figure-4 machine, catching
         #: DRDoS reflection (many callees, one spoofed source).
         self.source_flood_tracker = InviteFloodTracker(
-            config.invite_source_threshold, config.invite_flood_window,
-            clock_now, timer_scheduler,
+            spec.source_flood, clock_now, timer_scheduler,
             on_attack=lambda source, event:
                 engine().note_reflection(source, event))
         self.orphan_tracker = OrphanMediaTracker(
-            config.media_spam_seq_gap, config.media_spam_ts_gap,
-            config.unsolicited_media_threshold, clock_now,
+            spec.media_spam, config.unsolicited_media_threshold, clock_now,
             on_spam=lambda destination, event:
                 engine().note_orphan_spam(destination, event),
             on_unsolicited=lambda destination, event:

@@ -89,18 +89,17 @@ def build_invite_flood_machine(threshold: int, window: float,
 
 
 class InviteFloodTracker:
-    """Keeps one Figure-4 machine per flood target and feeds it INVITEs."""
+    """Keeps one instance of a Figure-4 ``definition`` per flood target
+    and feeds it INVITEs."""
 
     def __init__(
         self,
-        threshold: int,
-        window: float,
+        definition: Efsm,
         clock_now: Callable[[], float],
         timer_scheduler: Callable,
         on_attack: Optional[Callable[[str, Event], None]] = None,
     ):
-        self.threshold = threshold
-        self.window = window
+        self._definition = definition
         self.clock_now = clock_now
         self.timer_scheduler = timer_scheduler
         self.on_attack = on_attack
@@ -108,12 +107,6 @@ class InviteFloodTracker:
         #: Bumped on every change to ``machines`` or to an instance in it;
         #: checkpoints reuse the previous tracker snapshot while it stands.
         self.version = 0
-        #: One definition shared by every per-target instance (definitions
-        #: are immutable and threshold/window are tracker-wide, so building
-        #: a fresh Figure-4 machine per flood target only re-derived the
-        #: same transition table).  The per-target identity lives in the
-        #: ``machines`` key; instances carry the per-target counters.
-        self._definition = build_invite_flood_machine(threshold, window)
 
     def machine_for(self, target: str) -> EfsmInstance:
         instance = self.machines.get(target)

@@ -79,20 +79,20 @@ def build_media_spam_machine(seq_gap: int, ts_gap: int,
 class OrphanMediaTracker:
     """Watches RTP streams that match no negotiated session.
 
-    Applies the Figure-6 machine per destination (S, D implicit in the
-    stream), and raises an unsolicited-media signal once a destination has
+    Applies the Figure-6 ``definition`` per destination (S, D implicit in
+    the stream), and raises an unsolicited-media signal once a destination has
     absorbed more than ``unsolicited_threshold`` orphan packets.
     """
 
     def __init__(
         self,
-        seq_gap: int,
-        ts_gap: int,
+        definition: Efsm,
         unsolicited_threshold: int,
         clock_now: Callable[[], float],
         on_spam: Optional[Callable[[Tuple[str, int], Event], None]] = None,
         on_unsolicited: Optional[Callable[[Tuple[str, int], Event], None]] = None,
     ):
+        self._definition = definition
         self.unsolicited_threshold = unsolicited_threshold
         self.clock_now = clock_now
         self.on_spam = on_spam
@@ -104,8 +104,6 @@ class OrphanMediaTracker:
         #: in them; checkpoints reuse the previous tracker snapshot while it
         #: stands.
         self.version = 0
-        #: One Figure-6 definition shared by every per-destination instance.
-        self._definition = build_media_spam_machine(seq_gap, ts_gap)
 
     def machine_for(self, destination: Tuple[str, int]) -> EfsmInstance:
         instance = self.machines.pop(destination, None)

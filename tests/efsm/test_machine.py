@@ -74,15 +74,44 @@ def test_attack_flag_inferred_from_target_state():
     assert transition.attack
 
 
-def test_nondeterminism_detected_at_runtime():
+def test_nondeterminism_detected_at_instantiation():
+    """Two unguarded candidates are nondeterministic for every input: the
+    first instance freezes the definition, and freezing refuses them."""
     machine = Efsm("nd", "s0")
     machine.add_state("s1")
     machine.add_state("s2")
     machine.add_transition("s0", "go", "s1")
     machine.add_transition("s0", "go", "s2")
-    instance = EfsmInstance(machine)
     with pytest.raises(NondeterminismError):
-        instance.deliver(Event("go"))
+        EfsmInstance(machine)
+    assert not machine.frozen
+
+
+def test_a_frozen_definition_refuses_construction():
+    machine = Efsm("m", "s0")
+    machine.add_state("s1")
+    machine.add_transition("s0", "go", "s1")
+    EfsmInstance(machine)
+    assert machine.frozen
+    for build in (lambda: machine.add_transition("s1", "go", "s0"),
+                  lambda: machine.add_state("s2"),
+                  lambda: machine.declare(n=0),
+                  lambda: machine.declare_global(g=0),
+                  lambda: machine.declare_channel("c")):
+        with pytest.raises(DefinitionError, match="frozen"):
+            build()
+    assert len(machine.transitions) == 1 and "s2" not in machine.states
+
+
+def test_restore_refuses_a_state_the_definition_does_not_have():
+    machine = Efsm("m", "s0")
+    machine.add_state("s1")
+    machine.add_transition("s0", "go", "s1")
+    instance = EfsmInstance(machine)
+    snapshot = instance.snapshot()
+    with pytest.raises(DefinitionError, match="no state 'RTP_Rcvd'"):
+        instance.restore({**snapshot, "state": "RTP_Rcvd"})
+    assert instance.state == "s0"
 
 
 def nd_machine(first, second):
@@ -311,3 +340,27 @@ def test_variables_local_shadow_globals():
     assert variables.get("missing", "d") == "d"
     snapshot = variables.snapshot()
     assert snapshot["x"] == "updated" and snapshot["g"] == 2
+
+
+def test_a_named_helper_is_keyed_by_qualname_and_closure():
+    """Two builds that differ only in a value the helper closes over are
+    two keys; the same build is one key, named the same in every
+    process."""
+    def make(limit):
+        def over(value):
+            return value > limit
+        return over
+
+    one, two = (helper(make(limit), x("n", 0)) for limit in (1, 2))
+    assert one.key != two.key
+    assert one.key == helper(make(1), x("n", 0)).key
+    assert one.key[2] == f"{__name__}:{make(1).__qualname__}"
+
+    seen = []
+
+    def remember(value):
+        seen.append(value)
+        return value
+
+    with pytest.raises(TypeError, match="plain data"):
+        helper(remember, x("n", 0)).key

@@ -261,9 +261,6 @@ def remove_transitions(machine, event_name):
     assert removed, f"spec has no {event_name} transitions"
     for transition in removed:
         machine.transitions.remove(transition)
-        machine._index[(transition.source, transition.event_name)].remove(
-            transition)
-    machine._compiled.clear()
     return removed
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import repro.sip
 import repro.vids
-from repro.vids import DEFAULT_CONFIG, build_pipeline
+from repro.vids import DEFAULT_CONFIG, build_pipeline, call_spec
 
 from .test_memory_bounds import PARSE_CACHES
 
@@ -29,14 +29,15 @@ REPO = Path(__file__).resolve().parents[2]
 
 
 def parse_caches():
-    """qualified name -> every ``lru_cache`` defined under sip/ and vids/."""
+    """qualified name -> every ``lru_cache`` defined under sip/ and vids/,
+    but the spec memo: it is keyed by config, not by traffic."""
     found = {}
     for package in (repro.sip, repro.vids):
         for info in pkgutil.walk_packages(package.__path__,
                                           package.__name__ + "."):
             module = importlib.import_module(info.name)
             for name, value in vars(module).items():
-                if (hasattr(value, "cache_info")
+                if (hasattr(value, "cache_info") and value is not call_spec
                         and value.__module__ == module.__name__):
                     found[f"{module.__name__}.{name}"] = value
     return found

@@ -130,7 +130,7 @@ def test_deviation_dedup_goes_with_its_call():
     assert not vids.trackers._stray_keys
     snapshot = vids.snapshot()
     assert snapshot["factbase"]["calls"] == {}
-    assert set(snapshot) == {"factbase", "metrics", "alerts",
+    assert set(snapshot) == {"spec", "factbase", "metrics", "alerts",
                              "malformed_windows", "busy_until", "shedding",
                              "shed_started"}
 

@@ -80,7 +80,7 @@ class TestInviteFloodTracker:
         clock = ManualClock()
         attacks = []
         tracker = InviteFloodTracker(
-            threshold=3, window=1.0, clock_now=clock.now,
+            build_invite_flood_machine(3, 1.0), clock_now=clock.now,
             timer_scheduler=clock.schedule,
             on_attack=lambda target, event: attacks.append(target))
         # Two INVITEs each to two targets: below threshold for both.
@@ -97,7 +97,7 @@ class TestInviteFloodTracker:
         clock = ManualClock()
         attacks = []
         tracker = InviteFloodTracker(
-            threshold=2, window=1.0, clock_now=clock.now,
+            build_invite_flood_machine(2, 1.0), clock_now=clock.now,
             timer_scheduler=clock.schedule,
             on_attack=lambda target, event: attacks.append(clock.now()))
         for index in range(10):
@@ -111,7 +111,7 @@ class TestInviteFloodTracker:
         seen (callee AORs and *claimed* sources are attacker-chosen)."""
         clock = ManualClock()
         tracker = InviteFloodTracker(
-            threshold=2, window=1.0, clock_now=clock.now,
+            build_invite_flood_machine(2, 1.0), clock_now=clock.now,
             timer_scheduler=clock.schedule)
         tracker.observe_invite("bob@b.com", invite("a0"))
         clock.advance(0.5)
@@ -130,7 +130,7 @@ class TestInviteFloodTracker:
     def test_version_moves_with_every_change(self):
         clock = ManualClock()
         tracker = InviteFloodTracker(
-            threshold=5, window=1.0, clock_now=clock.now,
+            build_invite_flood_machine(5, 1.0), clock_now=clock.now,
             timer_scheduler=clock.schedule)
         seen = [tracker.version]
 
@@ -198,7 +198,8 @@ class TestOrphanMediaTracker:
         spams = []
         unsolicited = []
         tracker = OrphanMediaTracker(
-            seq_gap=50, ts_gap=1000, unsolicited_threshold=threshold,
+            build_media_spam_machine(50, 1000),
+            unsolicited_threshold=threshold,
             clock_now=clock.now,
             on_spam=lambda dst, event: spams.append(dst),
             on_unsolicited=lambda dst, event: unsolicited.append(dst))

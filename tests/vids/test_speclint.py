@@ -1,9 +1,8 @@
-"""Tests for the vids spec-lint integration (repro.vids.speclint).
+"""Tests for the vids spec-lint integration (repro.vids.spec).
 
 Proves (a) the shipped SIP/RTP specifications verify clean and every
-multi-candidate group of theirs is *decided*, (b) the fact-base
-registration gate fails fast on a broken specification, and (c) the gate
-can be disabled by configuration.
+multi-candidate group of theirs is *decided*, and (b) the registration
+gate fails fast on a broken specification, before anything is frozen.
 """
 
 import pytest
@@ -14,13 +13,13 @@ from repro.efsm.guards import DISJOINT, decide, x
 from repro.efsm.verify import verify_system
 from repro.vids import (
     DEFAULT_CONFIG,
+    CallSpec,
     Vids,
     build_rtp_machine,
     build_sip_machine,
-    verify_vids_specs,
+    call_spec,
 )
 from repro.vids.factbase import CallStateFactBase
-from repro.vids.speclint import shipped_machines
 
 
 def worst(diagnostics, min_severity):
@@ -29,24 +28,24 @@ def worst(diagnostics, min_severity):
 
 class TestShippedSpecsClean:
     def test_default_config_has_no_error_or_warning_findings(self):
-        diagnostics = verify_vids_specs(DEFAULT_CONFIG)
+        diagnostics = CallSpec.build(DEFAULT_CONFIG).diagnostics()
         assert worst(diagnostics, Severity.WARNING) == []
 
     def test_ablation_config_has_no_error_findings(self):
         config = DEFAULT_CONFIG.with_overrides(cross_protocol=False)
-        diagnostics = verify_vids_specs(config)
+        diagnostics = CallSpec.build(config).diagnostics()
         assert worst(diagnostics, Severity.ERROR) == []
 
     def test_default_config_reports_exactly_the_sixteen_coverage_gaps(self):
         """Read off the data, the hygiene rules have nothing to say: no
         opaque code, no unused or undeclared variable, no timer gap."""
-        diagnostics = verify_vids_specs(DEFAULT_CONFIG)
+        diagnostics = CallSpec.build(DEFAULT_CONFIG).diagnostics()
         assert [(d.rule, d.severity) for d in diagnostics] == [
             ("event-coverage-gap", Severity.INFO)] * 16
 
     def test_report_is_not_empty(self):
         # INFO findings (alphabet coverage) are expected and informative.
-        assert verify_vids_specs(DEFAULT_CONFIG)
+        assert CallSpec.build(DEFAULT_CONFIG).diagnostics()
 
     def test_product_pass_covers_the_call_system(self):
         # The interacting machines have no wedgeable configuration: the
@@ -65,7 +64,7 @@ class TestDeterminismIsDecided:
     def test_every_multi_candidate_group_is_decided_disjoint(self):
         decisions = [(machine.name, group[0].source, group[0].event_name,
                       decision.status)
-                     for machine in shipped_machines()
+                     for machine in CallSpec.build().machines
                      for group, decision in machine.decide_determinism()]
         assert len(decisions) == 13     # SIP 9, RTP 2, one per tracker
         assert {status for *_, status in decisions} == {DISJOINT}
@@ -120,52 +119,51 @@ class TestRegressionDetection:
         assert ("RTP_Close", "delta_session_answer") in wedged
 
 
-class TestRegistrationGate:
-    def test_factbase_verifies_on_construction(self, monkeypatch):
-        def broken_sip(config):
-            machine = build_sip_machine(config)
-            # Sever every CANCEL path: the cancel-related δ send keeps
-            # flowing but the states behind it become unreachable.
-            machine.transitions[:] = [
-                t for t in machine.transitions
-                if t.target not in ("Cancelling",)]
-            return machine
+def sever_cancel_paths(machine):
+    """Sever every CANCEL path: the cancel-related δ send keeps flowing
+    but the states behind it become unreachable."""
+    machine.transitions[:] = [t for t in machine.transitions
+                              if t.target not in ("Cancelling",)]
+    return machine
 
-        monkeypatch.setattr("repro.vids.factbase.build_sip_machine",
-                            broken_sip)
+
+@pytest.fixture
+def fresh_specs():
+    """An empty spec memo, emptied again afterwards: a broken spec must
+    neither come from nor stay in it."""
+    call_spec.cache_clear()
+    yield
+    call_spec.cache_clear()
+
+
+class TestRegistrationGate:
+    def test_gate_refuses_a_broken_spec_before_freezing_it(self):
+        spec = CallSpec.build(DEFAULT_CONFIG)
+        sever_cancel_paths(spec.sip)
         with pytest.raises(SpecVerificationError) as excinfo:
-            CallStateFactBase(DEFAULT_CONFIG, lambda: 0.0,
-                              lambda *args, **kwargs: None)
+            spec.verified()
         assert excinfo.value.diagnostics
         assert all(d.severity is Severity.ERROR
                    for d in excinfo.value.diagnostics)
+        assert not any(machine.frozen for machine in spec.machines)
 
-    def test_gate_disabled_by_config(self, monkeypatch):
-        def broken_sip(config):
-            machine = build_sip_machine(config)
-            machine.transitions[:] = [
-                t for t in machine.transitions
-                if t.target not in ("Cancelling",)]
-            return machine
+    def test_factbase_verifies_on_construction(self, monkeypatch,
+                                               fresh_specs):
+        from repro.vids import sip_machine
 
-        monkeypatch.setattr("repro.vids.factbase.build_sip_machine",
-                            broken_sip)
-        config = DEFAULT_CONFIG.with_overrides(verify_specs=False)
-        factbase = CallStateFactBase(config, lambda: 0.0,
-                                     lambda *args, **kwargs: None)
-        assert factbase.active_calls == 0
+        build = sip_machine.build_sip_machine
+        monkeypatch.setattr(sip_machine, "build_sip_machine",
+                            lambda config: sever_cancel_paths(build(config)))
+        with pytest.raises(SpecVerificationError):
+            CallStateFactBase(DEFAULT_CONFIG, lambda: 0.0,
+                              lambda *args, **kwargs: None)
+        # A refused spec is not memoised: the next call builds again.
+        assert call_spec.cache_info().currsize == 0
 
     def test_vids_constructs_with_gate_on(self):
         vids = Vids(config=DEFAULT_CONFIG, clock_now=lambda: 0.0,
                     timer_scheduler=lambda *args, **kwargs: None)
-        assert vids.factbase.config.verify_specs
-
-    def test_clean_system_verification_is_cached(self):
-        from repro.vids import speclint
-        CallStateFactBase(DEFAULT_CONFIG, lambda: 0.0,
-                          lambda *args, **kwargs: None)
-        assert speclint._VERIFIED_CLEAN
-        # Second construction hits the fingerprint cache (returns []).
-        machines = (build_sip_machine(DEFAULT_CONFIG),
-                    build_rtp_machine(DEFAULT_CONFIG))
-        assert speclint.verify_call_system(machines) == []
+        spec = vids.factbase.spec
+        assert spec is call_spec(DEFAULT_CONFIG)
+        assert all(machine.frozen for machine in
+                   (*spec.machines, spec.source_flood))

@@ -24,7 +24,7 @@ from repro.sip import parse_message
 from repro.vids import (DEFAULT_CONFIG, RecordingProcessor, build_pipeline,
                         rtp_event_from_packet, sip_event_from_message)
 from repro.vids.classifier import PacketClassifier
-from repro.vids.speclint import shipped_machines
+from repro.vids.spec import CallSpec
 
 from ..efsm.test_structure import SRC, _files_with, _sources
 from .test_ids import invite_bytes, response_bytes, rtp_bytes
@@ -177,7 +177,7 @@ def test_shipped_guards_hold_exactly_two_helper_leaves():
     machine's ``verdict``, the Figure-6 tracker's ``is_spam``); the only
     code behind any guard, statement or output argument is the named pure
     helpers below, each called with terms."""
-    machines = shipped_machines()
+    machines = CallSpec.build().machines
     guards = [t.predicate for machine in machines
               for t in machine.transitions if t.predicate is not None]
     assert len(guards) == 35
@@ -195,7 +195,7 @@ def test_no_shipped_transition_holds_code_and_no_vids_function_takes_ctx():
     """No callable ``action=``, no output argument builder, no opaque
     leaf in the four shipped machines; under ``repro/vids`` nothing writes
     ``ctx.v[...]``, starts a timer on a context, or takes one."""
-    for machine in shipped_machines():
+    for machine in CallSpec.build().machines:
         for t in machine.transitions:
             assert all(statement.op != "code"
                        for statement in t.statements()), t.describe()
@@ -235,7 +235,7 @@ def test_the_event_builders_produce_only_fields_something_reads():
     transitions (guards, statements, outputs), plus the literal
     ``x.get("…")`` / ``event.get("…")`` / ``ctx.x["…"]`` reads under
     ``repro/vids`` (trackers, engine, distributor)."""
-    read = {term.name for machine in shipped_machines()
+    read = {term.name for machine in CallSpec.build().machines
             for t in machine.transitions
             for term in t.terms() if term.kind == "x"}
     for rel, source in _sources():
