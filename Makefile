@@ -2,13 +2,14 @@
 
 PYTHON ?= python
 
-.PHONY: install lint speclint codelint test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
+.PHONY: install lint speclint test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
 
 install:
 	pip install -e . --no-build-isolation
 
 # Repo-wide static analysis gate: ruff + mypy when installed, with an
-# offline AST-based fallback otherwise (see tools/lint.py).  Then the
+# offline AST-based fallback otherwise, then checkpoint coverage
+# (docs/CODECHECK.md; see tools/lint.py).  Then the
 # proof that the package is standard-library only: -S hides site-packages,
 # so a third-party runtime import fails.
 lint:
@@ -20,13 +21,6 @@ lint:
 # (a bare callable where an expression belongs) does not pass.
 speclint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning
-
-# Static verification of implementation invariants — checkpoint coverage,
-# guard purity, plain-data state, shard isolation (docs/CODECHECK.md).
-# Fails only on findings not in the committed tools/codelint_baseline.json;
-# also run as part of `make lint`.
-codelint:
-	PYTHONPATH=src $(PYTHON) -m repro.cli codelint
 
 test:
 	$(PYTHON) -m pytest tests/

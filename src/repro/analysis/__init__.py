@@ -1,43 +1,22 @@
-"""Statistics, reporting, figure-export helpers, and static code analysis."""
+"""Statistics, reporting and figure-export helpers; checkpoint-coverage
+analysis lives in :mod:`repro.analysis.codecheck`."""
 
-from .codecheck import (
-    CHECKPOINT_SPECS,
-    RULES,
-    CheckpointSpec,
-    FunctionRef,
-    SourceTree,
-    analyze,
-    fingerprint,
-    load_baseline,
-    partition_findings,
-    write_baseline,
-)
 from .figures import export_all, export_fig8, export_fig9, export_fig10
 from .report import format_table, paper_vs_measured, print_table
 from .stats import Summary, bucketize, mean, percentile, std, summarize
 
 __all__ = [
-    "CHECKPOINT_SPECS",
-    "CheckpointSpec",
-    "FunctionRef",
-    "RULES",
-    "SourceTree",
     "Summary",
-    "analyze",
     "bucketize",
     "export_all",
     "export_fig8",
     "export_fig9",
     "export_fig10",
-    "fingerprint",
     "format_table",
-    "load_baseline",
     "mean",
     "paper_vs_measured",
-    "partition_findings",
     "percentile",
     "print_table",
     "std",
     "summarize",
-    "write_baseline",
 ]

@@ -11,8 +11,6 @@ Subcommands:
 - ``speclint`` — statically verify the machine specifications (per-machine
   rules plus cross-machine channel/deadlock analysis; docs/SPECCHECK.md)
   and exit non-zero on ERROR findings;
-- ``codelint`` — statically verify implementation invariants against the
-  committed baseline (docs/CODECHECK.md);
 - ``trace`` — run a short scenario with a seeded attack under full
   observability and print the victim call's forensic timeline (classifier
   verdict → EFSM firings and δ channel messages → alert), with optional
@@ -43,7 +41,7 @@ __all__ = ["main", "build_parser"]
 
 
 def _add_findings_flags(parser) -> None:
-    """``--json/--strict/--min-severity`` of the three findings reporters."""
+    """``--json/--strict/--min-severity`` of the two findings reporters."""
     parser.add_argument("--json", action="store_true",
                         help="emit findings as a JSON document")
     parser.add_argument("--strict", action="store_true",
@@ -137,24 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     specdiff.add_argument("--no-cross-protocol", action="store_true",
                           help="diff against the cross_protocol=False "
                                "ablation machines instead")
-
-    codelint = sub.add_parser(
-        "codelint",
-        help="statically verify implementation invariants (checkpoint "
-             "coverage, guard purity, shard isolation)")
-    _add_findings_flags(codelint)
-    codelint.add_argument("--baseline", metavar="FILE", default=None,
-                          help="baseline JSON of accepted findings "
-                               "(default tools/codelint_baseline.json next "
-                               "to the repo, if present)")
-    codelint.add_argument("--no-baseline", action="store_true",
-                          help="ignore any baseline: every finding counts")
-    codelint.add_argument("--write-baseline", action="store_true",
-                          help="accept all current findings into the "
-                               "baseline file and exit 0")
-    codelint.add_argument("--root", metavar="DIR", default=None,
-                          help="package source root to analyze (default: "
-                               "the installed repro package)")
 
     trace = sub.add_parser(
         "trace",
@@ -356,14 +336,9 @@ def _write_dots(directory: str, machines, diagnostics=None) -> None:
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _report_findings(args, diagnostics, label: str = "speclint",
-                     extra: Optional[dict] = None, gate=None) -> int:
+def _report_findings(args, diagnostics, extra: Optional[dict] = None) -> int:
     """Print findings as text or JSON; returns the command's exit status.
-
-    ``extra`` adds keys to the JSON document.  ``gate`` is the subset of
-    findings whose severity decides the exit status (codelint: those not
-    in the baseline); by default every finding counts.
-    """
+    ``extra`` adds keys to the JSON document."""
     from .efsm.diagnostics import (Severity, count_by_severity,
                                    diagnostics_to_dicts, format_report)
 
@@ -377,11 +352,9 @@ def _report_findings(args, diagnostics, label: str = "speclint",
             **(extra or {}),
         }, indent=2, sort_keys=True))
     else:
-        print(format_report(diagnostics, min_severity=min_severity,
-                            label=label))
+        print(format_report(diagnostics, min_severity=min_severity))
     threshold = Severity.WARNING if args.strict else Severity.ERROR
-    gate = diagnostics if gate is None else gate
-    return 1 if any(d.severity >= threshold for d in gate) else 0
+    return 1 if any(d.severity >= threshold for d in diagnostics) else 0
 
 
 def _cmd_machines(args) -> int:
@@ -405,58 +378,6 @@ def _cmd_speclint(args) -> int:
     status = _report_findings(args, diagnostics)
     if args.dot:
         _write_dots(args.dot, spec.machines, diagnostics)
-    return status
-
-
-def _cmd_codelint(args) -> int:
-    """Run the static implementation-invariant analyzer (codelint).
-
-    Exit status is driven by *new* findings only: anything recorded in the
-    committed baseline file is reported but tolerated, so CI fails when a
-    change introduces a finding, not because history had one.
-    """
-    from pathlib import Path
-
-    from .analysis.codecheck import (analyze, fingerprint, load_baseline,
-                                     partition_findings, write_baseline)
-
-    root = Path(args.root) if args.root else None
-    diagnostics = analyze(root=root)
-
-    baseline_path = None
-    if not args.no_baseline:
-        if args.baseline:
-            baseline_path = Path(args.baseline)
-        else:
-            # repo layout: src/repro/cli.py -> <repo>/tools/...
-            candidate = (Path(__file__).resolve().parents[2]
-                         / "tools" / "codelint_baseline.json")
-            if candidate.is_file() or args.write_baseline:
-                baseline_path = candidate
-    if args.write_baseline:
-        if baseline_path is None:
-            print("codelint: --write-baseline needs --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        write_baseline(baseline_path, diagnostics)
-        print(f"codelint: wrote {len(diagnostics)} finding(s) to "
-              f"{baseline_path}")
-        return 0
-    baseline = load_baseline(baseline_path) if baseline_path else {}
-    new, accepted, stale = partition_findings(diagnostics, baseline)
-
-    status = _report_findings(
-        args, diagnostics, label="codelint", gate=new,
-        extra={"new": [fingerprint(d) for d in new],
-               "baselined": [fingerprint(d) for d in accepted],
-               "stale_baseline": stale})
-    if not args.json:
-        if accepted:
-            print(f"codelint: {len(accepted)} finding(s) accepted by "
-                  f"baseline {baseline_path}")
-        for print_ in stale:
-            print(f"codelint: stale baseline entry (no longer fires): "
-                  f"{print_}", file=sys.stderr)
     return status
 
 
@@ -772,7 +693,7 @@ def _cmd_replay(args) -> int:
 _COMMANDS = {
     "scenario": _cmd_scenario, "attack-matrix": _cmd_attack_matrix,
     "machines": _cmd_machines, "speclint": _cmd_speclint,
-    "codelint": _cmd_codelint, "trace": _cmd_trace, "mine": _cmd_mine,
+    "trace": _cmd_trace, "mine": _cmd_mine,
     "specdiff": _cmd_specdiff, "serve": _cmd_serve, "replay": _cmd_replay,
 }
 

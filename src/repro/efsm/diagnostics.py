@@ -120,7 +120,7 @@ def format_report(diagnostics: Iterable[Diagnostic],
 
     ``label`` names the producing linter in the summary lines: the same
     Diagnostic vocabulary is shared by ``speclint`` (spec verification)
-    and ``codelint`` (implementation-invariant analysis).
+    and ``codecheck`` (checkpoint coverage, run by ``make lint``).
     """
     shown = sorted(
         (d for d in diagnostics if d.severity >= min_severity),

@@ -16,16 +16,18 @@ one opaque leaf (``fn(ctx)``) or statement.
 
 from __future__ import annotations
 
+import dis
 import itertools
+from types import CodeType
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
-                    NamedTuple, Optional, Sequence, Tuple)
+                    NamedTuple, Optional, Sequence, Set, Tuple)
 
 from .events import Event
 
 __all__ = ["MISSING", "NOW", "Term", "Guard", "Statement", "x", "v",
            "helper", "truthy", "as_term", "write", "when", "start", "cancel",
            "compile_firing", "Decision", "decide", "DISJOINT", "OVERLAP",
-           "UNDECIDED"]
+           "UNDECIDED", "MUTATING_METHODS"]
 
 #: Default of a term declared without one.
 MISSING = object()
@@ -41,6 +43,45 @@ def _immutable(value: Any) -> bool:
     a frozenset, a tuple of such?"""
     cls = value.__class__
     return cls in _ATOMIC or (cls is tuple and all(map(_immutable, value)))
+
+
+#: Method names that change the object they are called on.
+MUTATING_METHODS = frozenset({
+    "append", "appendleft", "extend", "extendleft", "insert", "add",
+    "update", "setdefault", "pop", "popleft", "popitem", "remove",
+    "discard", "clear", "sort", "reverse", "__setitem__", "__delitem__",
+})
+
+#: Bytecode that writes through an object or into module state.
+_WRITES = frozenset({"STORE_ATTR", "DELETE_ATTR", "STORE_SUBSCR",
+                     "DELETE_SUBSCR", "STORE_GLOBAL", "DELETE_GLOBAL",
+                     "STORE_SLICE"})
+
+
+def _impurity(fn: Any) -> Optional[str]:
+    """The first write, or load of a mutating method, in ``fn``'s bytecode
+    — its nested code and the same-module functions it reads as globals
+    included; None when there is none.  A builtin has no bytecode."""
+    todo: List[Tuple[Optional[CodeType], Any]] = [
+        (getattr(fn, "__code__", None), fn)]
+    seen: Set[CodeType] = set()
+    while todo:
+        code, owner = todo.pop()
+        if code is None or code in seen:
+            continue
+        seen.add(code)
+        todo.extend((const, owner) for const in code.co_consts
+                    if isinstance(const, CodeType))
+        for ins in dis.get_instructions(code):
+            if ins.opname in _WRITES or (
+                    ins.opname in ("LOAD_ATTR", "LOAD_METHOD")
+                    and ins.argval in MUTATING_METHODS):
+                return f"{code.co_name}: {ins.opname} {ins.argval}"
+            if ins.opname == "LOAD_GLOBAL":
+                callee = getattr(owner, "__globals__", {}).get(ins.argval)
+                if getattr(callee, "__module__", None) == owner.__module__:
+                    todo.append((getattr(callee, "__code__", None), callee))
+    return None
 
 
 def _comparison(op: str) -> Callable[["Term", Any], "Guard"]:
@@ -151,12 +192,18 @@ def helper(fn: Callable[..., Any], *terms: Any,
            name: Optional[str] = None) -> Term:
     """``fn(*values of terms)``: the result of a named pure function.  A
     lambda has no name to go by, so it is anonymous: an opaque callable of
-    the firing context, which takes no terms."""
+    the firing context, which takes no terms.  Either way ``fn`` only
+    reads: dispatch may evaluate a guard twice, and checkpoints version a
+    call by its firings, so a write here would corrupt both unseen."""
     name = getattr(fn, "__name__", "") if name is None else name
     name = "" if name == "<lambda>" else name
     if not name and terms:
         raise TypeError("an anonymous helper is called with the firing "
                         "context; name it to pass it terms")
+    impure = _impurity(fn)
+    if impure:
+        raise TypeError(f"helper {name or '<anonymous>'} writes state "
+                        f"({impure}): a helper only reads")
     return Term("helper", name, fn, tuple(as_term(t) for t in terms))
 
 

@@ -70,7 +70,7 @@ def copy_state(value: Any) -> Any:
     ``dict``/``list``/``set`` are copied deep.  Anything else — a container
     subclass, a generator, a file handle, an arbitrary object — raises
     ``TypeError``: it cannot be shown to survive a checkpoint round-trip,
-    and codelint's PD001 keeps such values out of the shipped machines.
+    and ``Efsm.declare`` and ``add_transition`` refuse such values.
     """
     cls = value.__class__
     if cls in _ATOMIC:
@@ -293,16 +293,24 @@ class Efsm:
             self.final_states.add(name)
         return self
 
+    def _plain(self, defaults: Dict[str, Any]) -> Dict[str, Any]:
+        self._building()
+        for name, value in defaults.items():
+            if not _immutable(value):
+                raise DefinitionError(
+                    f"{self.name}: v.{name} defaults to {value!r}: a state "
+                    f"value is immutable plain data, shared by every call "
+                    f"and every checkpoint")
+        return defaults
+
     def declare(self, **defaults: Any) -> "Efsm":
         """Declare local state variables with default values."""
-        self._building()
-        self.variables.update(defaults)
+        self.variables.update(self._plain(defaults))
         return self
 
     def declare_global(self, **defaults: Any) -> "Efsm":
         """Declare shared (cross-machine) variables with defaults."""
-        self._building()
-        self.global_variables.update(defaults)
+        self.global_variables.update(self._plain(defaults))
         return self
 
     def declare_channel(self, *names: str) -> "Efsm":

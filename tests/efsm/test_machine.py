@@ -267,6 +267,22 @@ def test_a_written_constant_must_be_immutable_plain_data():
                                                write("bad", value)))
 
 
+def test_a_declared_default_must_be_immutable_plain_data(tmp_path):
+    # A declared default is held to the same test as a written constant:
+    # one object would be shared by every call built from the definition.
+    machine = Efsm("m", "s0")
+    machine.declare(ok=0, frozen=frozenset(), empty=(), pair=(0, ("a",)))
+    machine.declare_global(frozen=frozenset(), empty=())
+    with open(tmp_path / "handle", "w") as handle:
+        for value in (lambda: 1, (n for n in range(3)), {}, set(), (0, []),
+                      handle):
+            for declare in (machine.declare, machine.declare_global):
+                with pytest.raises(DefinitionError, match="immutable"):
+                    declare(bad=value)
+    assert "bad" not in machine.variables
+    assert "bad" not in machine.global_variables
+
+
 def test_default_output_forwards_event_args():
     machine = Efsm("m", "s0")
     machine.add_state("s1")
@@ -358,9 +374,76 @@ def test_a_named_helper_is_keyed_by_qualname_and_closure():
 
     seen = []
 
-    def remember(value):
-        seen.append(value)
-        return value
+    def remembered(value):
+        return value in seen
 
     with pytest.raises(TypeError, match="plain data"):
-        helper(remember, x("n", 0)).key
+        helper(remembered, x("n", 0)).key
+
+
+# Helpers that write: directly, through a mutating method, through a
+# same-module callee, through a scratch memo, or as a term's leaf.
+
+def writes_state(ctx):
+    ctx.v["count"] = 1
+    return True
+
+
+def mutates_list(ctx):
+    ctx.v["seen"].append(1)
+    return True
+
+
+def _poke(ctx):
+    ctx.v["count"] = 9
+    return True
+
+
+def transitive_writer(ctx):
+    return _poke(ctx)
+
+
+def uses_scratch(ctx):
+    memo = ctx.scratch
+    if memo is None:
+        memo = ctx.scratch = {}
+    memo["ok"] = True
+    return memo["ok"]
+
+
+def leaf_writer(counts):
+    counts["last"] = 2
+    return 1
+
+
+def pure_leaf(count):
+    return count + 1
+
+
+@pytest.mark.parametrize("fn", [
+    writes_state, mutates_list, transitive_writer, uses_scratch,
+    leaf_writer, lambda ctx: ctx.v.pop("x"),
+], ids=lambda fn: fn.__name__)
+def test_a_helper_that_writes_is_refused(fn):
+    with pytest.raises(TypeError, match="only reads"):
+        helper(fn)
+    with pytest.raises(TypeError, match="only reads"):
+        Efsm("m", "s0").add_transition("s0", "e", "s0", predicate=fn)
+
+
+def test_every_shipped_helper_only_reads():
+    from repro.vids import DEFAULT_CONFIG
+    from repro.vids.spec import CallSpec
+
+    helper(pure_leaf, v("count", 0))
+    functions = {
+        term.value
+        for cross_protocol in (True, False)
+        for machine in CallSpec.build(DEFAULT_CONFIG.with_overrides(
+            cross_protocol=cross_protocol)).machines
+        for transition in machine.transitions
+        for top in transition.terms() for term in top.walk()
+        if term.kind == "helper"}
+    assert len(functions) >= 10
+    for fn in functions:
+        helper(fn)

@@ -97,14 +97,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["replay"])
 
-    def test_codelint_defaults(self):
-        args = build_parser().parse_args(["codelint"])
-        assert args.command == "codelint"
-        assert args.min_severity == "info"
-        assert not args.json and not args.strict
-        assert args.baseline is None and args.root is None
-        assert not args.no_baseline and not args.write_baseline
-
     def test_every_subcommand_has_exactly_one_handler(self):
         subparsers = next(
             action for action in build_parser()._actions
@@ -242,10 +234,3 @@ class TestCommands:
         assert supervised["metrics"]["packets_processed"] == len(capture)
 
         assert main(["replay", "--pcap", str(tmp_path / "missing.pcap")]) == 2
-
-    def test_codelint_json_clean_tree(self, capsys):
-        assert main(["codelint", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert {"findings", "counts", "new", "baselined",
-                "stale_baseline"} <= set(payload)
-        assert payload["new"] == []

@@ -105,3 +105,12 @@ def test_shipped_tree_passes_fallback_rules():
     # the same gate `make lint` applies offline.
     status = lint_tool.fallback_check(lint_tool.python_files())
     assert status == 0
+
+
+def test_syntax_pass_writes_no_bytecode(tmp_path):
+    clean, broken = tmp_path / "clean.py", tmp_path / "broken.py"
+    clean.write_text("VALUE = 1\n")
+    broken.write_text("return VALUE\n")     # parses; only compile refuses
+    assert lint_tool.fallback_check([clean]) == 0
+    assert lint_tool.fallback_check([broken]) == 1
+    assert not list(tmp_path.rglob("__pycache__"))

@@ -2,22 +2,20 @@
 """Repo-wide static-analysis gate (``make lint``).
 
 Runs ruff and mypy with the configuration in ``pyproject.toml`` when they
-are installed (CI installs them).  This container image is offline and does
-not ship either tool, so when they are missing the script degrades to a
-built-in fallback instead of skipping the gate entirely:
+are installed (CI installs them).  When they are missing the script
+degrades to a built-in fallback instead of skipping the gate entirely:
 
-- ``py_compile`` over every Python file (syntax);
+- ``compile`` of every Python file's syntax tree (syntax; no bytecode is
+  written);
 - a conservative AST pass approximating the ruff rules the repo relies on:
   F401 (unused module-level import), F841 (unused local binding), E711
   (``== None`` comparison), E722 (bare ``except``), E731 (lambda
   assignment), and B006 (mutable default argument).  ``# noqa`` comments
-  are honored per line, with or without rule codes, through the one
-  parser codelint uses (``repro.analysis.codecheck.noqa_lines``).
+  are honored per line, with or without rule codes (:func:`noqa_lines`).
 
-In *both* environments the script then runs ``codelint``
-(:mod:`repro.analysis.codecheck`) against the committed baseline
-(``tools/codelint_baseline.json``): implementation-invariant analysis is
-repo-specific, so no external tool covers it.
+In *both* environments the script then runs the checkpoint-coverage
+analysis (:mod:`repro.analysis.codecheck`): it is repo-specific, so no
+external tool covers it.
 
 Exit status is non-zero when any check reports findings, so the Makefile
 target gates the same way in both environments.
@@ -27,13 +25,13 @@ from __future__ import annotations
 
 import ast
 import importlib
-import py_compile
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 from types import ModuleType
-from typing import List, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE_DIRS = ("src", "tests", "tools", "examples", "benchmarks")
@@ -64,6 +62,36 @@ def from_src(name: str) -> ModuleType:
         sys.path.pop(0)
 
 
+_NOQA_CODE = re.compile(r"[A-Z]+[0-9]+")
+
+
+def noqa_lines(source: str) -> Dict[int, Set[str]]:
+    """Line number -> silenced rule codes ('*' = all): ``# noqa`` silences
+    every rule on its line, ``# noqa: E731, F401 - prose`` the codes it
+    names."""
+    silenced: Dict[int, Set[str]] = {}
+    for number, line in enumerate(source.splitlines(), start=1):
+        if "# noqa" not in line:
+            continue
+        _, _, tail = line.partition("# noqa")
+        if tail.lstrip().startswith(":"):
+            codes = set()
+            for part in tail.lstrip().lstrip(":").split(","):
+                match = _NOQA_CODE.match(part.strip())
+                if match:
+                    codes.add(match.group(0))
+            silenced[number] = codes or {"*"}
+        else:
+            silenced[number] = {"*"}
+    return silenced
+
+
+def is_silenced(silenced: Mapping[int, Set[str]], line: int,
+                code: str) -> bool:
+    codes = silenced.get(line, set())
+    return "*" in codes or code in codes
+
+
 #: Call targets whose result is a fresh mutable container (B006).
 _MUTABLE_FACTORIES = {
     "dict", "list", "set", "defaultdict", "deque", "Counter", "OrderedDict",
@@ -77,16 +105,14 @@ class _FallbackChecker(ast.NodeVisitor):
     def __init__(self, path: Path, tree: ast.Module, source: str):
         self.path = path
         self.tree = tree
-        noqa = from_src("repro.analysis.codecheck")
-        self.silenced = noqa.noqa_lines(source)
-        self.is_silenced = noqa.is_silenced
+        self.silenced = noqa_lines(source)
         self.findings: List[str] = []
         self.used_names: Set[str] = set()
         self.exported: Set[str] = set()
 
     def report(self, node: ast.AST, code: str, message: str) -> None:
         line = getattr(node, "lineno", 0)
-        if self.is_silenced(self.silenced, line, code):
+        if is_silenced(self.silenced, line, code):
             return
         relative = self.path.relative_to(REPO_ROOT)
         self.findings.append(f"{relative}:{line}: {code} {message}")
@@ -254,12 +280,11 @@ def fallback_check(files: List[Path]) -> int:
             findings.append(f"{path}: unreadable: {exc}")
             continue
         try:
-            py_compile.compile(str(path), doraise=True, cfile=None)
-            parsed.append((path, ast.parse(source, filename=str(path)),
-                           source))
-        except (SyntaxError, py_compile.PyCompileError) as exc:
+            tree = ast.parse(source, filename=str(path))
+            compile(tree, str(path), "exec")
+            parsed.append((path, tree, source))
+        except SyntaxError as exc:
             findings.append(f"{path}: syntax error: {exc}")
-    # Syntax first: the AST pass imports ``src`` for its noqa parser.
     for finding in findings:
         print(finding)
     for path, tree, source in parsed:
@@ -271,29 +296,15 @@ def fallback_check(files: List[Path]) -> int:
     return 1 if findings else 0
 
 
-def codelint_check() -> int:
-    """Run the implementation-invariant analyzer against the baseline.
-
-    Uses the in-repo ``repro.analysis.codecheck`` directly (no external
-    tool implements these rules), so the gate is identical in CI and
-    offline.  Only *new* findings fail the build.
-    """
+def checkpoint_check() -> int:
+    """Run the checkpoint-coverage analysis over the shipped package."""
     codecheck = from_src("repro.analysis.codecheck")
     report = from_src("repro.efsm.diagnostics")
     diagnostics = codecheck.analyze()
-    baseline = codecheck.load_baseline(
-        REPO_ROOT / "tools" / "codelint_baseline.json")
-    new, accepted, stale = codecheck.partition_findings(diagnostics,
-                                                        baseline)
-    if new:
-        print(report.format_report(new, label="codelint"))
-    summary = f"codelint: {len(new)} new finding(s)"
-    if accepted:
-        summary += f", {len(accepted)} baselined"
-    if stale:
-        summary += f", {len(stale)} stale baseline entr(y/ies)"
-    print(summary)
-    return 1 if any(d.severity >= report.Severity.ERROR for d in new) else 0
+    if diagnostics:
+        print(report.format_report(diagnostics, label="codecheck"))
+    print(f"codecheck: {len(diagnostics)} finding(s)")
+    return 1 if diagnostics else 0
 
 
 def main() -> int:
@@ -309,7 +320,7 @@ def main() -> int:
         print("ruff/mypy not installed; running built-in fallback checks "
               "(CI runs the real tools)")
         status = fallback_check(python_files())
-    status |= codelint_check()
+    status |= checkpoint_check()
     return status
 
 
