@@ -18,7 +18,8 @@ lint:
 
 # Static verification of the EFSM specifications (docs/SPECCHECK.md).
 # --strict: a WARNING fails too, so a guard group that cannot be decided
-# (a bare callable where an expression belongs) does not pass.
+# (an ordering against a non-numeric constant, or a substring test) does
+# not pass.
 speclint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning
 

@@ -13,6 +13,7 @@ the mean round time in a pytest-benchmark report converts to an ops/s rate.
 import os
 
 from repro.efsm import Efsm, EfsmSystem, Event, ManualClock
+from repro.efsm.guards import helper, v, write, x
 from repro.sip import SipRequest
 from repro.sip.message import parse_message
 
@@ -67,6 +68,10 @@ def test_sip_serialize_throughput(benchmark):
     assert b"INVITE" in message.serialize()
 
 
+def _plus_one(count):
+    return count + 1
+
+
 def test_efsm_dispatch_throughput(benchmark):
     """Raw EFSM event dispatch: guard probe + firing + result record."""
     definition = Efsm("micro", "IDLE")
@@ -74,15 +79,11 @@ def test_efsm_dispatch_throughput(benchmark):
     definition.add_state("BUSY")
     definition.declare(count=0)
 
-    def bump(ctx):
-        ctx.v["count"] = ctx.v["count"] + 1
-
+    bump = write("count", helper(_plus_one, v("count")))
     definition.add_transition(
-        "IDLE", "PING", "BUSY",
-        predicate=lambda ctx: ctx.x.get("n", 0) >= 0, action=bump)
+        "IDLE", "PING", "BUSY", predicate=x("n", 0) >= 0, action=bump)
     definition.add_transition(
-        "BUSY", "PING", "IDLE",
-        predicate=lambda ctx: ctx.x.get("n", 0) >= 0, action=bump)
+        "BUSY", "PING", "IDLE", predicate=x("n", 0) >= 0, action=bump)
 
     clock = ManualClock()
     system = EfsmSystem(clock_now=clock.now, timer_scheduler=clock.schedule)

@@ -257,7 +257,7 @@ def _find_class(module: ast.Module, name: str) -> Optional[ast.ClassDef]:
 
 
 def _attr_chain(node: ast.AST) -> List[str]:
-    """Name/attribute chain of an expression: ``ctx.v["x"].y`` -> [ctx, v, y].
+    """Name/attribute chain of an expression: ``a.b["k"].c`` -> [a, b, c].
 
     Subscripts and calls are transparent (the chain follows the object
     being indexed/called); a chain not rooted at a plain name is empty.

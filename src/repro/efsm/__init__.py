@@ -31,7 +31,6 @@ from .machine import (
     FiringResult,
     Output,
     Transition,
-    TransitionContext,
     Variables,
 )
 from .mine import (
@@ -70,7 +69,6 @@ __all__ = [
     "SpecVerificationError",
     "TIMER_CHANNEL",
     "Transition",
-    "TransitionContext",
     "Variables",
     "attack_paths",
     "channel_name",

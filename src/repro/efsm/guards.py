@@ -10,8 +10,8 @@ Atoms: comparisons, ``term.between(lo, hi)``, ``term.in_(container)``,
 term)``, ``when(guard, *statements)``, ``start(timer, delay, **args)``,
 ``cancel(timer)``.  A guard reads every term once before comparing; one
 whose *comparison* raises ``TypeError`` is not enabled.  Statements run in
-order, each reading the writes before it.  A bare callable is accepted as
-one opaque leaf (``fn(ctx)``) or statement.
+order, each reading the writes before it.  There is no other way to write
+a guard or a statement: every leaf is data.
 """
 
 from __future__ import annotations
@@ -93,10 +93,9 @@ def _comparison(op: str) -> Callable[["Term", Any], "Guard"]:
 class Term:
     """A value a guard or statement reads: ``kind`` is ``"x"`` / ``"v"``
     (``name`` the field, ``value`` its default), ``"now"``, ``"helper"``
-    (``name`` empty for an opaque callable of the context, ``value`` the
-    function, ``args`` the terms it is called with) or ``"const"``.  The
-    comparison operators build atoms, so terms are compared through
-    :attr:`key`."""
+    (``name`` the function's, ``value`` the function, ``args`` the terms it
+    is called with) or ``"const"``.  The comparison operators build atoms,
+    so terms are compared through :attr:`key`."""
 
     __slots__ = ("kind", "name", "value", "args")
 
@@ -111,13 +110,11 @@ class Term:
     def key(self) -> Tuple[Any, ...]:
         """Structural identity.  A named helper is its function's
         ``module:qualname`` and the values it closes over (a threshold a
-        config set), the same in every process; an anonymous one is its
-        code object.  Then the helper's arguments."""
+        config set), the same in every process.  Then the helper's
+        arguments."""
         if self.kind != "helper":
             return (self.kind, self.name, self.value)
         fn = self.value
-        if not self.name:
-            return ("helper", "", getattr(fn, "__code__", fn), ())
         cells = tuple(cell.cell_contents
                       for cell in getattr(fn, "__closure__", None) or ())
         if not all(map(_immutable, cells)):
@@ -138,10 +135,8 @@ class Term:
                 return "{%s}" % ", ".join(sorted(map(repr, self.value)))
             return repr(self.value)
         if self.kind == "helper":
-            if self.name:
-                return "{}({})".format(
-                    self.name, ", ".join(arg.describe() for arg in self.args))
-            return f"<callable {getattr(self.value, '__qualname__', '?')}>"
+            return "{}({})".format(
+                self.name, ", ".join(arg.describe() for arg in self.args))
         if self.kind == "now":
             return "now"
         return f"{self.kind}.{self.name}"
@@ -188,22 +183,19 @@ def v(name: str, default: Any = MISSING) -> Term:
 NOW = Term("now", "", None)
 
 
-def helper(fn: Callable[..., Any], *terms: Any,
-           name: Optional[str] = None) -> Term:
-    """``fn(*values of terms)``: the result of a named pure function.  A
-    lambda has no name to go by, so it is anonymous: an opaque callable of
-    the firing context, which takes no terms.  Either way ``fn`` only
-    reads: dispatch may evaluate a guard twice, and checkpoints version a
-    call by its firings, so a write here would corrupt both unseen."""
-    name = getattr(fn, "__name__", "") if name is None else name
-    name = "" if name == "<lambda>" else name
-    if not name and terms:
-        raise TypeError("an anonymous helper is called with the firing "
-                        "context; name it to pass it terms")
+def helper(fn: Callable[..., Any], *terms: Any) -> Term:
+    """``fn(*values of terms)``: the result of a named pure function — a
+    lambda has no name to key it by.  ``fn`` only reads: dispatch may
+    evaluate a guard twice, and checkpoints version a call by its firings,
+    so a write here would corrupt both unseen."""
+    name = getattr(fn, "__name__", "<lambda>")
     impure = _impurity(fn)
     if impure:
-        raise TypeError(f"helper {name or '<anonymous>'} writes state "
-                        f"({impure}): a helper only reads")
+        raise TypeError(f"helper {name} writes state ({impure}): a helper "
+                        f"only reads")
+    if name == "<lambda>":
+        raise TypeError(f"helper {fn!r} has no name: a helper is a named "
+                        f"function, keyed by its module and qualname")
     return Term("helper", name, fn, tuple(as_term(t) for t in terms))
 
 
@@ -221,7 +213,7 @@ class Guard:
     def __init__(self, op: str, args: Tuple[Any, ...]) -> None:
         self.op = op
         self.args = args
-        self._fn: Optional[Callable[[Any], Any]] = None
+        self._fn: Optional[Callable[[Any, Any], Any]] = None
 
     def _join(self, op: str, other: "Guard") -> "Guard":
         if not isinstance(other, Guard):
@@ -274,9 +266,9 @@ class Guard:
     def __repr__(self) -> str:
         return f"<Guard {self.describe()}>"
 
-    def compiled(self) -> Callable[[Any], Any]:
-        """The guard as one generated function of the firing context:
-        built once, never interpreted per packet."""
+    def compiled(self) -> Callable[[Any, Any], Any]:
+        """The guard as one generated function of the instance and the
+        event, ``(inst, ev)``: built once, never interpreted per packet."""
         if self._fn is None:
             self._fn = _compile(self, abstract=False)
         return self._fn
@@ -285,9 +277,8 @@ class Guard:
 class Statement:
     """One statement of an update: ``op`` is ``"write"`` (``args``: the
     variable, the term), ``"when"`` (the guard, the statements it holds),
-    ``"start"`` (the timer, the delay term, ``(argument, term)`` pairs),
-    ``"cancel"`` (the timer) or ``"code"`` (an opaque callable of the
-    firing context)."""
+    ``"start"`` (the timer, the delay term, ``(argument, term)`` pairs)
+    or ``"cancel"`` (the timer)."""
 
     __slots__ = ("op", "args")
 
@@ -329,9 +320,7 @@ class Statement:
             return "start {}({})".format(args[0], ", ".join(
                 [args[1].describe()]
                 + [f"{name}={term.describe()}" for name, term in args[2]]))
-        if op == "cancel":
-            return f"cancel {args[0]}"
-        return f"<callable {getattr(args[0], '__qualname__', '?')}>"
+        return f"cancel {args[0]}"
 
     __repr__ = describe
 
@@ -368,10 +357,16 @@ def cancel(timer: str) -> Statement:
 # The emitter: one source generator behind guards, decide and firings
 # ---------------------------------------------------------------------------
 
+#: How a concrete term is read from the instance ``inst`` and the event
+#: ``ev``: ``NOW`` is the event's time, the clock's when it has none.
+_READS = {"x": "ev.args.get({!r}, {})", "v": "inst.variables.get({!r}, {})",
+          "now": "(ev.time if ev.time is not None else inst.clock_now())"}
+
+
 class _Source:
     """A function being generated: the names its source binds and its
-    lines.  ``abstract``: a term reads a valuation keyed by term (and
-    related-atom) keys instead of the firing context."""
+    lines.  Concrete, it is a function of ``(inst, ev)``; ``abstract``, of
+    a valuation keyed by term (and related-atom) keys."""
 
     def __init__(self, abstract: bool = False) -> None:
         self.env: Dict[str, Any] = {}
@@ -401,7 +396,7 @@ class _Source:
         if isinstance(node, Guard):
             if self.abstract and node.op not in _CONNECTIVES \
                     and _relates(node):
-                return f"ctx[{self.bind(node.key)}]"
+                return f"valuation[{self.bind(node.key)}]"
             parts = [self.expr(arg, reads) for arg in node.args]
             if node.op == "truthy":
                 return parts[0]
@@ -417,17 +412,13 @@ class _Source:
             reads = self.fixed
         if node.key not in reads:
             if self.abstract:
-                read = f"ctx[{self.bind(node.key)}]"
-            elif node.kind == "helper" and not node.name:
-                read = f"{self.bind(node.value)}(ctx)"
+                read = f"valuation[{self.bind(node.key)}]"
             elif node.kind == "helper":
                 read = "{}({})".format(self.bind(node.value), ", ".join(
                     self.expr(arg, reads) for arg in node.args))
-            elif node.kind == "now":
-                read = "ctx.now"
             else:
-                read = (f"ctx.{node.kind}.get({node.name!r}, "
-                        f"{self.bind(node.value)})")
+                read = _READS[node.kind].format(node.name,
+                                                self.bind(node.value))
             reads[node.key] = (self.local(), read)
         return reads[node.key][0]
 
@@ -443,7 +434,7 @@ class _Source:
         reads: Dict[Any, Tuple[str, str]] = {}
         if op == "write":
             value = self.expr(args[1], reads)
-            self.emit(indent, reads, f"ctx.v[{args[0]!r}] = {value}")
+            self.emit(indent, reads, f"inst.variables[{args[0]!r}] = {value}")
         elif op == "when":      # the guard's net, around the comparisons
             test, holds = self.expr(args[0], reads), self.local()
             self.emit(indent, reads, "try:", f"    {holds} = {test}",
@@ -454,31 +445,30 @@ class _Source:
         elif op == "start":
             delay = self.expr(args[1], reads)
             event_args = self.mapping(args[2], reads) if args[2] else "None"
-            self.emit(indent, reads, f"ctx.instance.start_timer({args[0]!r}, "
-                                     f"{delay}, {event_args})")
-        elif op == "cancel":
-            self.emit(indent, reads, f"ctx.instance.cancel_timer({args[0]!r})")
+            self.emit(indent, reads, f"inst.start_timer({args[0]!r}, {delay}, "
+                                     f"{event_args})")
         else:
-            self.emit(indent, reads, f"{self.bind(args[0])}(ctx)")
+            self.emit(indent, reads, f"inst.cancel_timer({args[0]!r})")
 
     def mapping(self, items: Iterable[Tuple[str, Term]],
                 reads: Dict[Any, Tuple[str, str]]) -> str:
         return "{%s}" % ", ".join(f"{name!r}: {self.expr(term, reads)}"
                                   for name, term in items)
 
-    def define(self, name: str, doc: str) -> Callable[[Any], Any]:
+    def define(self, name: str, doc: str) -> Callable[..., Any]:
         lines = [f"{local} = {read}" for local, read
                  in (self.fixed or {}).values()] + self.lines
-        exec(f"def {name}(ctx):\n" + "".join(f"    {line}\n"
-                                             for line in lines),
+        params = "valuation" if self.abstract else "inst, ev"
+        exec(f"def {name}({params}):\n" + "".join(f"    {line}\n"
+                                                   for line in lines),
              self.env)                          # built from the tree only
         self.env[name].__doc__ = doc
         return self.env[name]
 
 
-def _compile(guard: Guard, abstract: bool) -> Callable[[Any], Any]:
-    """``guard`` as a function of the firing context — or, ``abstract``,
-    of a valuation: a mapping from each term's key to a value and from the
+def _compile(guard: Guard, abstract: bool) -> Callable[..., Any]:
+    """``guard`` as a function of ``(inst, ev)`` — or, ``abstract``, of a
+    valuation: a mapping from each term's key to a value and from the
     key of each atom that relates two terms to a boolean."""
     source = _Source(abstract)
     reads: Dict[Any, Tuple[str, str]] = {}
@@ -492,9 +482,9 @@ def _compile(guard: Guard, abstract: bool) -> Callable[[Any], Any]:
 def compile_firing(
         statements: Sequence[Statement],
         outputs: Sequence[Tuple[str, str, Optional[Mapping[str, Term]]]]
-) -> Callable[[Any], List[Event]]:
-    """One generated function of the firing context that runs a
-    transition's statements in order, then returns its output events —
+) -> Callable[[Any, Any], List[Event]]:
+    """One generated function of ``(inst, ev)`` that runs a transition's
+    statements in order, then returns its output events —
     ``(channel, event name, argument terms or None)`` each, ``None``
     forwarding the triggering event's arguments."""
     source = _Source()
@@ -503,9 +493,10 @@ def compile_firing(
         source.statement(statement, "")
     reads: Dict[Any, Tuple[str, str]] = {}
     events = ", ".join(
-        "_Event({!r}, {}, channel={!r}, time=ctx.now)".format(
-            name, "ctx.event.args" if args is None
-            else source.mapping(args.items(), reads), channel)
+        "_Event({!r}, {}, channel={!r}, time={})".format(
+            name, "ev.args" if args is None
+            else source.mapping(args.items(), reads), channel,
+            source.expr(NOW, reads))
         for channel, name, args in outputs)
     source.env["_Event"] = Event
     source.emit("", reads, f"return [{events}]")
@@ -586,9 +577,8 @@ def decide(guards: Sequence[Optional[Guard]]) -> Decision:
     That is exact for guards whose terms meet constants or each other but
     not both, and otherwise errs only towards reporting an overlap (a real
     midpoint between integer neighbours, a relation treated as independent
-    of its terms' values).  A bare callable, an ordering against a
-    non-numeric constant, or membership in a string (a substring test), is
-    ``undecided``.
+    of its terms' values).  An ordering against a non-numeric constant, or
+    membership in a string (a substring test), is ``undecided``.
     """
     constants: Dict[Any, List[Any]] = {}
     labels: Dict[Any, str] = {}
@@ -596,9 +586,6 @@ def decide(guards: Sequence[Optional[Guard]]) -> Decision:
                  for atom in guard.atoms()):
         free = [term for term in atom.args if term.kind != "const"]
         fixed = [term.value for term in atom.args if term.kind == "const"]
-        if any(term.kind == "helper" and not term.name for term in free):
-            return Decision(UNDECIDED, reason=(
-                f"{atom.describe()} is opaque code, not an expression"))
         if not free:
             continue
         if _relates(atom):

@@ -39,22 +39,16 @@ from .analysis import reachable_states
 from .errors import DefinitionError, NondeterminismError
 from .events import TIMER_CHANNEL, Event
 from .guards import (_ATOMIC, DISJOINT, Decision, Guard, Statement, Term,
-                     _immutable, _key, as_term, compile_firing, decide,
-                     helper, truthy)
+                     _immutable, _key, as_term, compile_firing, decide)
 
 __all__ = [
     "Variables",
-    "TransitionContext",
     "Transition",
     "Output",
     "Efsm",
     "EfsmInstance",
     "FiringResult",
 ]
-
-Predicate = Callable[["TransitionContext"], bool]
-Action = Callable[["TransitionContext"], None]
-
 
 #: Sentinel distinguishing "absent" from a stored None in Variables.get.
 _MISSING = object()
@@ -191,37 +185,6 @@ class Transition:
             yield from term.walk()
 
 
-class TransitionContext:
-    """What a predicate/action can see and do while a transition fires."""
-
-    __slots__ = ("instance", "event", "v", "x")
-
-    def __init__(self, instance: "EfsmInstance", event: Event):
-        self.instance = instance
-        self.event = event
-        #: The state-variable vector (locals + shared globals).
-        self.v: Variables = instance.variables
-        #: The event's input vector.
-        self.x: Mapping[str, Any] = event.args
-
-    @property
-    def now(self) -> float:
-        # Events are stamped with the clock when built, at the instant they
-        # are delivered — reuse that instead of another clock call.
-        time = self.event.time
-        if time is not None:
-            return time
-        return self.instance.clock_now()
-
-    def start_timer(self, name: str, delay: float,
-                    args: Optional[Mapping[str, Any]] = None) -> None:
-        """Start (or restart) a named timer; expiry injects a timer event."""
-        self.instance.start_timer(name, delay, args)
-
-    def cancel_timer(self, name: str) -> None:
-        self.instance.cancel_timer(name)
-
-
 @dataclass(slots=True)
 class FiringResult:
     """Outcome of delivering one event to a machine instance."""
@@ -329,8 +292,8 @@ class Efsm:
         source: str,
         event_name: str,
         target: str,
-        predicate: Union[Guard, Predicate, None] = None,
-        action: Union[Statement, Iterable[Statement], Action, None] = None,
+        predicate: Optional[Guard] = None,
+        action: Union[Statement, Iterable[Statement], None] = None,
         outputs: Optional[Iterable[Output]] = None,
         channel: Optional[str] = None,
         attack: bool = False,
@@ -341,22 +304,23 @@ class Efsm:
             if state not in self.states:
                 raise DefinitionError(
                     f"{self.name}: unknown state {state!r} in transition")
-        if predicate is None or isinstance(predicate, Guard):
-            guard = predicate
-        else:
-            # A bare callable is opaque code: an anonymous helper leaf,
-            # which no multi-candidate group can be decided with.
-            guard = truthy(helper(predicate, name=""))
-        if isinstance(action, Statement) or callable(action):
-            # A bare callable is likewise one opaque statement.
-            action = (action if isinstance(action, Statement)
-                      else Statement("code", (action,)),)
+        statements = ((action,) if isinstance(action, Statement)
+                      or callable(action) else tuple(action or ()))
+        wrong = [part for part in statements
+                 if not isinstance(part, Statement)]
+        if not (predicate is None or isinstance(predicate, Guard)):
+            wrong.insert(0, predicate)
+        if wrong:
+            raise DefinitionError(
+                f"{self.name}: {source}--{event_name}-->{target}: "
+                f"{wrong[0]!r} is not data: a predicate is a Guard and an "
+                f"action Statements, built with repro.efsm.guards")
         transition = Transition(
             source=source,
             event_name=event_name,
             target=target,
-            predicate=guard,
-            action=tuple(action or ()),
+            predicate=predicate,
+            action=statements,
             outputs=list(outputs or []),
             channel=channel,
             attack=attack or target in self.attack_states,
@@ -625,24 +589,19 @@ class EfsmInstance:
         excluded statically (:meth:`Efsm.check_determinism`).
         """
         definition = self.definition
-        ctx: Optional[TransitionContext] = None
         transition: Optional[Transition] = None
         fire = None
         for enabled, candidate, fire in definition._compiled.get(
                 (self.state, event.name, event.channel), ()):
-            if enabled is not None:
-                if ctx is None:
-                    ctx = TransitionContext(self, event)
-                if not enabled(ctx):
-                    continue
-            transition = candidate
-            break
+            if enabled is None or enabled(self, event):
+                transition = candidate
+                break
 
         from_state = self.state
         if transition is None or fire is None:
             outputs: List[Event] = []
         else:
-            outputs = fire(ctx or TransitionContext(self, event))
+            outputs = fire(self, event)
         if transition is not None:
             self.state = transition.target
 

@@ -14,9 +14,7 @@ real traffic:
   them into a different target state than the one actually recorded;
 - **unexercised-transition** (INFO): spec transitions no training trace
   ever took (expected for attack signatures over a benign corpus);
-- **unvisited-state** (INFO): spec states the corpus never reached;
-- **analysis-incomplete** (INFO): a group's guards could not be probed on
-  the recorded data, so it was matched by name only.
+- **unvisited-state** (INFO): spec states the corpus never reached.
 
 The diff never aligns mined states with spec states structurally — every
 training observation carries the spec machine's *recorded* state at firing
@@ -26,11 +24,9 @@ every recorded observation of a group is run through each candidate's
 and time) and the variable vector — the declared defaults overwritten by
 the accumulated valuation (``VidsConfig.trace_variables``).  Nothing
 fires, and a guard that raises on the bounded, possibly partial recorded
-data counts as not enabled rather than crashing the diff; a bare callable
-that asks for the machine instance, which no record holds, leaves its
-group ``analysis-incomplete``.  A disagreement quotes the guards it
-probed.  Without recorded arguments the diff degrades to name-level
-structural checks and skips guard probing.
+data counts as not enabled rather than crashing the diff.  A disagreement
+quotes the guards it probed.  Without recorded arguments the diff degrades
+to name-level structural checks and skips guard probing.
 
 Findings reuse the speclint :class:`Diagnostic`/:func:`format_report`
 machinery, so the ``specdiff`` CLI renders and exits like ``speclint``.
@@ -49,37 +45,26 @@ from .mine import MinedMachine, Observation
 __all__ = ["specdiff"]
 
 
-class _Unprobeable(Exception):
-    """A guard asked for what a recorded observation does not hold."""
-
-
 class _Probe:
-    """What a guard reads of a recorded firing: the event (``x``, ``now``)
-    and the variable vector ``v`` — the declared defaults, overwritten by
-    the recorded valuation.  No instance ran the firing."""
+    """The instance a guard reads on a recorded firing: its variable vector
+    — the declared defaults, overwritten by the recorded valuation.  No
+    instance ran the firing."""
 
-    __slots__ = ("event", "x", "now", "v")
+    __slots__ = ("variables",)
 
-    def __init__(self, spec: Efsm, event: Event,
-                 valuation: Mapping[str, Any]) -> None:
-        self.event, self.x, self.now = event, event.args, event.time
-        self.v = Variables(spec.variables, dict(spec.global_variables))
+    def __init__(self, spec: Efsm, valuation: Mapping[str, Any]) -> None:
+        self.variables = Variables(spec.variables,
+                                   dict(spec.global_variables))
         for name, value in valuation.items():
-            self.v[name] = value
-
-    @property
-    def instance(self) -> Any:
-        raise _Unprobeable
+            self.variables[name] = value
 
 
-def _holds(transition: Transition, probe: _Probe) -> bool:
+def _holds(transition: Transition, probe: _Probe, event: Event) -> bool:
     """Does the guard hold on a recorded observation?  One that raises on
     the (possibly partial) record does not."""
     try:
         return (transition.predicate is None
-                or bool(transition.predicate.compiled()(probe)))
-    except _Unprobeable:
-        raise
+                or bool(transition.predicate.compiled()(probe, event)))
     except Exception:
         return False
 
@@ -143,23 +128,12 @@ def specdiff(mined: MinedMachine, spec: Efsm) -> List[Diagnostic]:
             # trace_variables was off: structural name-level match only.
             matched.update(id(t) for t in candidates)
             continue
-        try:
-            probes = [_Probe(spec, Event(event_name, o.args, channel=channel,
-                                         time=o.time), o.valuation)
-                      for o in samples]
-            per_sample = [[t for t in candidates if _holds(t, probe)]
-                          for probe in probes]
-        except _Unprobeable:
-            matched.update(id(t) for t in candidates)
-            diagnostics.append(Diagnostic(
-                "analysis-incomplete", Severity.INFO,
-                f"a guard of {spec.name!r} for {event_name!r} in state "
-                f"{state!r} reads the machine instance, which no recorded "
-                f"observation holds: matched by name only",
-                machine=spec.name, state=state, event=event_name,
-                channel=channel,
-                hint="write the guard as an expression over x, v and now"))
-            continue
+        per_sample = []
+        for o in samples:
+            probe = _Probe(spec, o.valuation)
+            event = Event(event_name, o.args, channel=channel, time=o.time)
+            per_sample.append([t for t in candidates
+                               if _holds(t, probe, event)])
         accepted = 0
         mismatched: List[Observation] = []
         for observation, enabled in zip(samples, per_sample):

@@ -19,7 +19,8 @@ Per-machine rules (:func:`verify_machine`):
   whose guards are not mutually exclusive, decided exactly on the guard
   expressions (:func:`~repro.efsm.guards.decide`, the decision
   :meth:`Efsm.check_determinism` raises on too): an overlap is an ERROR
-  with a witness valuation, a group holding opaque code is a WARNING;
+  with a witness valuation, a group that cannot be decided (an ordering
+  against a non-numeric constant, a substring test) is a WARNING;
 - ``event-coverage-gap`` — alphabet events a state has no transition for
   (informational: deviations *are* the anomaly signal, but the table is how
   one audits specification completeness);
@@ -172,8 +173,8 @@ def _check_determinism(machine: Efsm) -> List[Diagnostic]:
             involved, severity = group, Severity.WARNING
             message = (f"the {len(group)} transitions {where} cannot be "
                        f"proven mutually exclusive: {decision.reason}")
-            hint = ("write the guard in the algebra of repro.efsm.guards, "
-                    "or as a named helper compared with constants")
+            hint = ("order against numeric constants only, or move the "
+                    "test into a named helper compared with constants")
         else:
             involved = [group[index] for index in decision.enabled]
             severity = Severity.ERROR
@@ -345,25 +346,6 @@ def _check_channels(machine: Efsm) -> List[Diagnostic]:
     return diagnostics
 
 
-def _check_incomplete(machine: Efsm) -> List[Diagnostic]:
-    """A bare callable is opaque code: noted, never guessed at."""
-    notes = sorted(
-        {f"guard {term.describe()}" for t in machine.transitions
-         for term in t.terms() if term.kind == "helper" and not term.name}
-        | {f"action {statement.describe()}" for t in machine.transitions
-           for statement in t.statements() if statement.op == "code"})
-    if not notes:
-        return []
-    return [Diagnostic(
-        "analysis-incomplete", Severity.INFO,
-        f"{len(notes)} opaque callable(s) could not be read as data: "
-        f"{notes[:5]}",
-        machine=machine.name, data={"notes": notes},
-        hint="write them in the algebra of repro.efsm.guards; until then "
-             "the variable and timer rules may under-report for this "
-             "machine")]
-
-
 def verify_machine(machine: Efsm) -> List[Diagnostic]:
     """Run every per-machine spec-lint rule; returns structured findings.
 
@@ -379,7 +361,6 @@ def verify_machine(machine: Efsm) -> List[Diagnostic]:
     diagnostics.extend(_check_variables(machine))
     diagnostics.extend(_check_timers(machine))
     diagnostics.extend(_check_channels(machine))
-    diagnostics.extend(_check_incomplete(machine))
     return diagnostics
 
 

@@ -22,42 +22,45 @@ from contextlib import contextmanager
 
 from repro.efsm.errors import NondeterminismError
 from repro.efsm.events import Event
-from repro.efsm.machine import EfsmInstance, TransitionContext
+from repro.efsm.machine import EfsmInstance
 
 _COMPARE = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
             "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def evaluate(term, ctx):
-    """A term's value: a named helper is called with its arguments'
-    values, an anonymous one with the context."""
+def now(instance, event):
+    """The event's time; the instance's clock when the event has none."""
+    return event.time if event.time is not None else instance.clock_now()
+
+
+def evaluate(term, instance, event):
+    """A term's value: a helper is called with its arguments' values."""
     if term.kind == "const":
         return term.value
     if term.kind == "now":
-        return ctx.now
+        return now(instance, event)
     if term.kind == "helper":
-        if not term.name:
-            return term.value(ctx)
-        return term.value(*(evaluate(arg, ctx) for arg in term.args))
-    vector = ctx.x if term.kind == "x" else ctx.v
+        return term.value(*(evaluate(arg, instance, event)
+                            for arg in term.args))
+    vector = event.args if term.kind == "x" else instance.variables
     return vector.get(term.name, term.value)
 
 
-def _value(term, ctx, called):
+def _value(term, instance, event, called):
     if term.kind == "helper":
         return called[term.key]
-    return evaluate(term, ctx)
+    return evaluate(term, instance, event)
 
 
-def _walk(guard, ctx, called):
+def _walk(guard, instance, event, called):
     op, args = guard.op, guard.args
     if op == "and":
-        return all(_walk(part, ctx, called) for part in args)
+        return all(_walk(part, instance, event, called) for part in args)
     if op == "or":
-        return any(_walk(part, ctx, called) for part in args)
+        return any(_walk(part, instance, event, called) for part in args)
     if op == "not":
-        return not _walk(args[0], ctx, called)
-    values = [_value(term, ctx, called) for term in args]
+        return not _walk(args[0], instance, event, called)
+    values = [_value(term, instance, event, called) for term in args]
     if op == "truthy":
         return bool(values[0])
     if op == "between":
@@ -68,45 +71,45 @@ def _walk(guard, ctx, called):
     return bool(_COMPARE[op](*values))
 
 
-def interpret(guard, ctx):
-    """Does ``guard`` hold in ``ctx``?  Every helper is called first — its
-    own exceptions are bugs and propagate — then a ``TypeError`` out of a
-    comparison means not enabled (docs/STATE_MACHINES.md)."""
-    called = {term.key: evaluate(term, ctx) for term in guard.terms()
-              if term.kind == "helper"}
+def interpret(guard, instance, event):
+    """Does ``guard`` hold for ``event`` delivered to ``instance``?  Every
+    helper is called first — its own exceptions are bugs and propagate —
+    then a ``TypeError`` out of a comparison means not enabled
+    (docs/STATE_MACHINES.md)."""
+    called = {term.key: evaluate(term, instance, event)
+              for term in guard.terms() if term.kind == "helper"}
     try:
-        return _walk(guard, ctx, called)
+        return _walk(guard, instance, event, called)
     except TypeError:
         return False
 
 
-def execute(statements, ctx):
+def execute(statements, instance, event):
     """Run ``statements`` in order, each one reading the writes before it;
     a block runs when :func:`interpret` says its guard holds."""
     for statement in statements:
         op, args = statement.op, statement.args
         if op == "write":
-            ctx.v[args[0]] = evaluate(args[1], ctx)
+            instance.variables[args[0]] = evaluate(args[1], instance, event)
         elif op == "when":
-            if interpret(args[0], ctx):
-                execute(args[1], ctx)
+            if interpret(args[0], instance, event):
+                execute(args[1], instance, event)
         elif op == "start":
-            ctx.start_timer(args[0], evaluate(args[1], ctx), {
-                name: evaluate(term, ctx) for name, term in args[2]}
-                or None)
+            instance.start_timer(
+                args[0], evaluate(args[1], instance, event),
+                {name: evaluate(term, instance, event)
+                 for name, term in args[2]} or None)
         elif op == "cancel":
-            ctx.cancel_timer(args[0])
-        else:
-            args[0](ctx)
+            instance.cancel_timer(args[0])
 
 
-def outputs_of(outputs, ctx):
+def outputs_of(outputs, instance, event):
     """The events ``outputs`` send, read after the statements ran."""
     return [Event(output.event_name,
-                  ctx.event.args if output.args is None else
-                  {name: evaluate(term, ctx)
+                  event.args if output.args is None else
+                  {name: evaluate(term, instance, event)
                    for name, term in output.args.items()},
-                  channel=output.channel, time=ctx.now)
+                  channel=output.channel, time=now(instance, event))
             for output in outputs]
 
 
@@ -123,13 +126,12 @@ def shadow_dispatch(firings=None):
     failures = []
 
     def deliver(self, event):
-        ctx = TransitionContext(self, event)
         enabled = [
             candidate for candidate
             in self.definition.transitions_from(self.state, event.name)
             if candidate.channel == event.channel
             and (candidate.predicate is None
-                 or interpret(candidate.predicate, ctx))]
+                 or interpret(candidate.predicate, self, event))]
         if len(enabled) > 1:
             failures.append(NondeterminismError(
                 f"{self.name}: state {self.state!r} event {event.name!r} "

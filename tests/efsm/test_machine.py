@@ -12,7 +12,12 @@ from repro.efsm import (
     Output,
     TIMER_CHANNEL,
 )
-from repro.efsm.guards import cancel, helper, start, v, when, write, x
+from repro.efsm.guards import (cancel, helper, start, truthy, v, when, write,
+                               x)
+
+
+def plus_one(count):
+    return count + 1
 
 
 def turnstile():
@@ -20,13 +25,10 @@ def turnstile():
     machine = Efsm("turnstile", "locked")
     machine.add_state("unlocked")
     machine.declare(coins=0)
-    machine.add_transition(
-        "locked", "coin", "unlocked",
-        action=lambda ctx: ctx.v.__setitem__("coins", ctx.v["coins"] + 1))
+    count = write("coins", helper(plus_one, v("coins")))
+    machine.add_transition("locked", "coin", "unlocked", action=count)
     machine.add_transition("unlocked", "push", "locked")
-    machine.add_transition("unlocked", "coin", "unlocked",
-                           action=lambda ctx: ctx.v.__setitem__(
-                               "coins", ctx.v["coins"] + 1))
+    machine.add_transition("unlocked", "coin", "unlocked", action=count)
     machine.validate()
     return machine
 
@@ -57,10 +59,9 @@ def test_predicates_select_transition():
     machine.add_state("open")
     machine.add_state("alarm", attack=True)
     machine.add_transition("idle", "badge", "open",
-                           predicate=lambda ctx: ctx.x["valid"])
+                           predicate=truthy(x("valid")))
     machine.add_transition("idle", "badge", "alarm",
-                           predicate=lambda ctx: not ctx.x["valid"],
-                           attack=True)
+                           predicate=~truthy(x("valid")), attack=True)
     instance = EfsmInstance(machine)
     result = instance.deliver(Event("badge", {"valid": False}))
     assert result.attack
@@ -129,19 +130,25 @@ def test_check_determinism_is_exact():
         nd_machine(n > 0, n >= 1).check_determinism()
     # Disjoint for every valuation, the boundary included.
     nd_machine(n > 0, n <= 0).check_determinism()
-    # A bare callable is opaque: determinism cannot be proven.
+    # An ordering against a string: determinism cannot be proven.
     with pytest.raises(NondeterminismError, match="undecided"):
-        nd_machine(n > 0, lambda ctx: ctx.x["n"] <= 0).check_determinism()
+        nd_machine(n > 0, n <= "a").check_determinism()
 
 
-def test_bare_callable_is_wrapped_as_an_anonymous_helper_leaf():
-    def positive(ctx):
-        return ctx.x["n"] > 0
+def test_a_callable_is_refused_where_data_belongs():
+    """A transition is data: a guard is a Guard, an action Statements, and
+    a helper a named function — no callable stands in for any of them."""
+    def bump(instance, event):
+        instance.variables["n"] = 1
 
-    machine = nd_machine(positive, None)
-    (term,) = machine.transitions[0].predicate.terms()
-    assert (term.kind, term.name, term.value) == ("helper", "", positive)
-    assert machine.transitions[1].predicate is None
+    machine = Efsm("m", "s0")
+    for build in ({"predicate": lambda instance, event: True},
+                  {"action": bump}, {"action": (write("n", 1), bump)}):
+        with pytest.raises(DefinitionError, match="repro.efsm.guards"):
+            machine.add_transition("s0", "e", "s0", **build)
+    assert machine.transitions == []
+    with pytest.raises(TypeError, match="named function"):
+        helper(lambda a: a, x("a"))
 
 
 def test_unknown_state_in_transition_rejected():
@@ -299,7 +306,7 @@ def test_timers_via_manual_clock():
     machine.add_state("expired")
     machine.add_transition(
         "waiting", "start", "waiting",
-        action=lambda ctx: ctx.start_timer("T", 5.0))
+        action=start("T", 5.0))
     machine.add_transition("waiting", "T", "expired", channel=TIMER_CHANNEL)
     instance = EfsmInstance(machine, clock_now=clock.now,
                             timer_scheduler=clock.schedule)
@@ -316,10 +323,8 @@ def test_timer_restart_and_cancel():
     clock = ManualClock()
     machine = Efsm("m", "s0")
     machine.add_state("fired")
-    machine.add_transition("s0", "arm", "s0",
-                           action=lambda ctx: ctx.start_timer("T", 5.0))
-    machine.add_transition("s0", "disarm", "s0",
-                           action=lambda ctx: ctx.cancel_timer("T"))
+    machine.add_transition("s0", "arm", "s0", action=start("T", 5.0))
+    machine.add_transition("s0", "disarm", "s0", action=cancel("T"))
     machine.add_transition("s0", "T", "fired", channel=TIMER_CHANNEL)
     instance = EfsmInstance(machine, clock_now=clock.now,
                             timer_scheduler=clock.schedule)
@@ -335,8 +340,7 @@ def test_timer_restart_and_cancel():
 
 def test_timer_without_scheduler_raises():
     machine = Efsm("m", "s0")
-    machine.add_transition("s0", "arm", "s0",
-                           action=lambda ctx: ctx.start_timer("T", 1.0))
+    machine.add_transition("s0", "arm", "s0", action=start("T", 1.0))
     instance = EfsmInstance(machine)
     with pytest.raises(RuntimeError):
         instance.deliver(Event("arm"))
@@ -384,29 +388,29 @@ def test_a_named_helper_is_keyed_by_qualname_and_closure():
 # Helpers that write: directly, through a mutating method, through a
 # same-module callee, through a scratch memo, or as a term's leaf.
 
-def writes_state(ctx):
-    ctx.v["count"] = 1
+def writes_state(variables):
+    variables["count"] = 1
     return True
 
 
-def mutates_list(ctx):
-    ctx.v["seen"].append(1)
+def mutates_list(variables):
+    variables["seen"].append(1)
     return True
 
 
-def _poke(ctx):
-    ctx.v["count"] = 9
+def _poke(variables):
+    variables["count"] = 9
     return True
 
 
-def transitive_writer(ctx):
-    return _poke(ctx)
+def transitive_writer(variables):
+    return _poke(variables)
 
 
-def uses_scratch(ctx):
-    memo = ctx.scratch
+def uses_scratch(holder):
+    memo = holder.scratch
     if memo is None:
-        memo = ctx.scratch = {}
+        memo = holder.scratch = {}
     memo["ok"] = True
     return memo["ok"]
 
@@ -416,26 +420,20 @@ def leaf_writer(counts):
     return 1
 
 
-def pure_leaf(count):
-    return count + 1
-
-
 @pytest.mark.parametrize("fn", [
     writes_state, mutates_list, transitive_writer, uses_scratch,
-    leaf_writer, lambda ctx: ctx.v.pop("x"),
+    leaf_writer, lambda variables: variables.pop("x"),
 ], ids=lambda fn: fn.__name__)
 def test_a_helper_that_writes_is_refused(fn):
     with pytest.raises(TypeError, match="only reads"):
         helper(fn)
-    with pytest.raises(TypeError, match="only reads"):
-        Efsm("m", "s0").add_transition("s0", "e", "s0", predicate=fn)
 
 
 def test_every_shipped_helper_only_reads():
     from repro.vids import DEFAULT_CONFIG
     from repro.vids.spec import CallSpec
 
-    helper(pure_leaf, v("count", 0))
+    helper(plus_one, v("count", 0))
     functions = {
         term.value
         for cross_protocol in (True, False)

@@ -12,7 +12,7 @@ import pytest
 from repro.efsm import Efsm, Event, to_dot, verify_machine
 from repro.efsm.diagnostics import Severity
 from repro.efsm.guards import DISJOINT, decide
-from repro.efsm.machine import EfsmInstance, TransitionContext
+from repro.efsm.machine import EfsmInstance
 from repro.efsm.mine import (
     CallSequence,
     Observation,
@@ -127,8 +127,8 @@ class TestGuardSynthesis:
     @staticmethod
     def admits(guard, args):
         """The synthesized guard, compiled, on one argument vector."""
-        return bool(guard.compiled()(TransitionContext(
-            EfsmInstance(Efsm("m", "s0")), Event("e", args))))
+        return bool(guard.compiled()(EfsmInstance(Efsm("m", "s0")),
+                                     Event("e", args)))
 
     def test_in_set_guards_on_disjoint_values(self):
         branches = [

@@ -20,19 +20,25 @@ from repro.efsm import (
     Output,
     TIMER_CHANNEL,
 )
-from repro.efsm.guards import v
+from repro.efsm.guards import helper, start, v, write, x
+
+
+def plus_one(count):
+    return count + 1
+
+
+def appended(items, item):
+    return items + (item,)
 
 
 def counting_machine(name="counter"):
     machine = Efsm(name, "idle")
     machine.add_state("busy")
     machine.declare(ticks=0, payloads=())
-
-    def on_go(ctx):
-        ctx.v["ticks"] = ctx.v["ticks"] + 1
-        ctx.v["payloads"] = ctx.v["payloads"] + (ctx.event.args.get("tag"),)
-        ctx.start_timer("expire", 5.0, {"tag": ctx.event.args.get("tag")})
-
+    tag = x("tag", None)
+    on_go = (write("ticks", helper(plus_one, v("ticks"))),
+             write("payloads", helper(appended, v("payloads"), tag)),
+             start("expire", 5.0, tag=tag))
     machine.add_transition("idle", "go", "busy", action=on_go)
     machine.add_transition("busy", "expire", "idle", channel=TIMER_CHANNEL)
     machine.validate()
@@ -142,12 +148,10 @@ def relay_system(clock):
     ping.declare(sent=0)
     ping.declare_channel("ping->pong")
 
-    def do_send(ctx):
-        ctx.v["sent"] = ctx.v["sent"] + 1
-
     # Outputs are built after the action ran, so ``n`` is the new count.
     ping.add_transition(
-        "start", "kick", "sent", action=do_send,
+        "start", "kick", "sent",
+        action=write("sent", helper(plus_one, v("sent"))),
         outputs=[Output("ping->pong", "relay", {"n": v("sent")})])
     ping.validate()
 
@@ -155,9 +159,7 @@ def relay_system(clock):
     pong.add_state("got")
     pong.declare(seen=0)
     pong.declare_channel("ping->pong")
-    def on_relay(ctx):
-        ctx.v["seen"] = ctx.event.args["n"]
-
+    on_relay = write("seen", x("n"))
     pong.add_transition("waiting", "relay", "got", channel="ping->pong",
                         action=on_relay)
     pong.add_transition("got", "relay", "got", channel="ping->pong",

@@ -7,7 +7,7 @@ missing-transition ERROR.
 """
 
 from repro.efsm import Efsm, Severity
-from repro.efsm.guards import v
+from repro.efsm.guards import helper, truthy, v, write, x
 from repro.efsm.mine import CallSequence, StepRecord, mine_machine
 from repro.efsm.specdiff import specdiff
 from repro.vids.config import DEFAULT_CONFIG
@@ -27,7 +27,7 @@ def build_toy_spec(guard_status=None):
     """Init --invite--> Trying --resp--> Up (final).
 
     With ``guard_status`` the resp transition is guarded on
-    ``x["status"] == guard_status``.
+    ``x.status == guard_status``.
     """
     spec = Efsm("toy-spec", "Init")
     spec.add_state("Init")
@@ -36,8 +36,7 @@ def build_toy_spec(guard_status=None):
     spec.add_transition("Init", "invite", "Trying")
     predicate = None
     if guard_status is not None:
-        def predicate(ctx, _want=guard_status):
-            return ctx.x.get("status") == _want
+        predicate = x("status", None) == guard_status
     spec.add_transition("Trying", "resp", "Up", predicate=predicate)
     spec.validate()
     return spec
@@ -51,6 +50,14 @@ def mine_toy(step_lists):
 
 def by_rule(diagnostics, rule):
     return [d for d in diagnostics if d.rule == rule]
+
+
+def within_limit(n, limit):
+    return n <= limit           # TypeError when a field is missing
+
+
+def fired(n):
+    raise AssertionError("a probe ran a transition's action")
 
 
 class TestRules:
@@ -147,7 +154,7 @@ class TestProbe:
     observation — its args, valuation and time — and fires nothing."""
 
     @staticmethod
-    def gate(ran):
+    def gate():
         spec = Efsm("gate", "idle")
         spec.add_state("open")
         spec.declare(limit=3)
@@ -155,8 +162,8 @@ class TestProbe:
         spec.declare_channel("peer->gate")
         spec.add_transition(
             "idle", "badge", "open",
-            predicate=lambda ctx: ctx.x["n"] <= ctx.v["limit"],
-            action=lambda ctx: ran.append("action"), label="within")
+            predicate=truthy(helper(within_limit, x("n"), v("limit"))),
+            action=write("limit", helper(fired, x("n"))), label="within")
         spec.add_transition("idle", "badge", "idle",
                             predicate=v("g_mode", "") == "lax", label="lax")
         spec.add_transition("idle", "badge", "open", channel="peer->gate",
@@ -178,7 +185,7 @@ class TestProbe:
                                               "unexercised-transition")}
 
     def test_channel_filter(self):
-        spec = self.gate([])
+        spec = self.gate()
         # A sync observation is probed against the channel's transition
         # only; the data guards never see it.
         diagnostics = self.diff(spec, ("peer->gate", "open", {"n": 99}, {}))
@@ -188,18 +195,21 @@ class TestProbe:
         assert self.unexercised(diagnostics) == {"lax", "synced"}
 
     def test_valuation_feeds_locals_and_globals(self):
-        spec = self.gate([])
+        spec = self.gate()
         # ``limit`` is a declared local, ``g_mode`` a shared global: the
-        # probe reads both off the one recorded valuation.
+        # probe reads both off the one recorded valuation, and a variable
+        # the record lacks at its declared default.
         diagnostics = self.diff(
             spec, (None, "open", {"n": 5}, {"limit": 9}),
+            (None, "open", {"n": 3}, {}),
             (None, "idle", {"n": 99}, {"limit": 9, "g_mode": "lax"}))
         assert not [d for d in diagnostics if d.severity >= Severity.WARNING]
         assert self.unexercised(diagnostics) == {"synced"}
 
     def test_raising_guard_counts_as_not_enabled(self):
-        spec = self.gate([])
-        # No "n" in the record: the first guard raises KeyError.
+        spec = self.gate()
+        # No "n" in the record: the first guard's helper raises
+        # TypeError.
         diagnostics = self.diff(spec, (None, "idle", {}, {"g_mode": "lax"}))
         assert not by_rule(diagnostics, "guard-disagreement")
         assert self.unexercised(diagnostics) == {"within", "synced"}
@@ -207,41 +217,10 @@ class TestProbe:
         (finding,) = by_rule(rejected, "guard-disagreement")
         assert "reject all 1" in finding.message
 
-    def test_bare_callable_reads_the_whole_firing_context(self):
-        spec = Efsm("gate", "idle")
-        spec.add_state("open")
-        spec.declare(limit=3)
-        spec.add_transition(
-            "idle", "badge", "open",
-            predicate=lambda ctx: (ctx.event.name == "badge"
-                                   and ctx.event.args is ctx.x
-                                   and ctx.x["n"] <= ctx.v["limit"]
-                                   and ctx.now == 0.0))
-        # ``limit`` is not in the record: the declared default is read.
-        diagnostics = self.diff(spec, (None, "open", {"n": 2}, {}))
-        assert not by_rule(diagnostics, "guard-disagreement")
-        assert not by_rule(diagnostics, "unexercised-transition")
-        rejected = self.diff(spec, (None, "open", {"n": 4}, {}))
-        assert by_rule(rejected, "guard-disagreement")
-
-    def test_a_guard_reading_the_instance_is_not_probed(self):
-        spec = Efsm("gate", "idle")
-        spec.add_state("open")
-        spec.add_transition("idle", "badge", "open",
-                            predicate=lambda ctx: ctx.instance.state == "x")
-        diagnostics = self.diff(spec, (None, "open", {"n": 2}, {}))
-        assert not by_rule(diagnostics, "guard-disagreement")
-        assert not by_rule(diagnostics, "unexercised-transition")
-        (finding,) = by_rule(diagnostics, "analysis-incomplete")
-        assert finding.severity == Severity.INFO
-        assert finding.state == "idle" and finding.event == "badge"
-
     def test_nothing_fires(self):
-        ran = []
-        spec = self.gate(ran)
+        spec = self.gate()             # its action raises if it runs
         self.diff(spec, (None, "open", {"n": 1}, {"limit": 9}),
                   (None, "idle", {"n": 5}, {"g_mode": "lax"}))
-        assert ran == []
         assert spec.variables["limit"] == 3
         assert spec.global_variables["g_mode"] == "strict"
 

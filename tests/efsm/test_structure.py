@@ -3,7 +3,8 @@
 One dispatch (the compiled tables; the reference lives test side, in
 ``tests/efsm/oracle.py``), one representation of a transition — guard,
 statements, output arguments (``repro.efsm.guards``) — read by speclint
-without mining any source, no throwaway instance pinned to a state, one
+without mining any source and run as functions of the instance and the
+event, no throwaway instance pinned to a state, one
 firing tail (in ``EfsmInstance.deliver``), one way to send (declarative
 ``Output``), one declaration of the shared media globals, one way to build
 a call system, a closed domain of state values.  These read the source so
@@ -11,10 +12,14 @@ a second copy cannot come back unnoticed.
 """
 
 import ast
+import inspect
+import re
 from pathlib import Path
 
 import repro
-from repro.efsm import EfsmSystem, TransitionContext
+from repro.efsm import EfsmInstance, EfsmSystem
+from repro.vids import DEFAULT_CONFIG
+from repro.vids.spec import call_spec
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -33,7 +38,13 @@ def _count(needle):
 
 
 def test_contexts_are_built_only_by_the_machine_module():
-    assert _files_with("TransitionContext(") == ["efsm/machine.py"]
+    """The firing context is the instance and the event, which
+    ``EfsmInstance.deliver`` passes as they are: no module builds a context
+    object, and none takes or reads a ``ctx`` — the abstract valuation
+    ``guards.decide`` compiles against is ``valuation``."""
+    assert _files_with("TransitionContext") == []
+    for rel, source in _sources():
+        assert not re.search(r"\bctx\b", source), rel
 
 
 def test_no_throwaway_instance_is_pinned_to_a_state():
@@ -89,9 +100,23 @@ def test_one_firing_tail():
 
 
 def test_context_has_no_memo_slot_and_no_dynamic_send():
-    assert TransitionContext.__slots__ == ("instance", "event", "v", "x")
-    assert not hasattr(TransitionContext, "scratch")
-    assert not hasattr(TransitionContext, "emit")
+    """Every compiled entry of the shipped machines — guard and firing — is
+    a generated function of ``(inst, ev)``: no memo slot to write, and
+    sends only through the declared outputs."""
+    entries = 0
+    for cross_protocol in (True, False):
+        for machine in call_spec(DEFAULT_CONFIG.with_overrides(
+                cross_protocol=cross_protocol)).machines:
+            for candidates in machine._compiled.values():
+                for enabled, _, fire in candidates:
+                    for fn in (enabled, fire):
+                        if fn is not None:
+                            entries += 1
+                            assert list(inspect.signature(fn).parameters) \
+                                == ["inst", "ev"], fn.__doc__
+    assert entries > 50
+    assert not hasattr(EfsmInstance, "scratch")
+    assert not hasattr(EfsmInstance, "emit")
     assert _count(".scratch") == 0
 
 

@@ -12,6 +12,7 @@ from repro.efsm import (
     Output,
     channel_name,
 )
+from repro.efsm.guards import start, v, write
 
 
 def make_ping_pong():
@@ -70,18 +71,16 @@ def test_globals_shared_between_machines():
     system = EfsmSystem()
     a = Efsm("a", "s0")
     a.declare_global(shared=0)
-    a.add_transition("s0", "write", "s0",
-                     action=lambda ctx: ctx.v.__setitem__("shared", 42))
+    a.add_transition("s0", "write", "s0", action=write("shared", 42))
     b = Efsm("b", "s0")
     b.declare_global(shared=0)
-    reads = []
-    b.add_transition("s0", "read", "s0",
-                     action=lambda ctx: reads.append(ctx.v["shared"]))
+    b.declare(read=0)
+    b.add_transition("s0", "read", "s0", action=write("read", v("shared")))
     system.add_machine(a)
     system.add_machine(b)
     system.inject("a", Event("write"))
     system.inject("b", Event("read"))
-    assert reads == [42]
+    assert system.machines["b"].variables.local["read"] == 42
     assert system.globals["shared"] == 42
 
 
@@ -144,8 +143,7 @@ def test_timer_events_drain_channels():
     a = Efsm("a", "s0")
     a.add_state("armed")
     a.add_state("done")
-    a.add_transition("s0", "go", "armed",
-                     action=lambda ctx: ctx.start_timer("T", 1.0))
+    a.add_transition("s0", "go", "armed", action=start("T", 1.0))
     a.add_transition("armed", "T", "done", channel="timer",
                      outputs=[Output("a->b", "delta")])
     b = Efsm("b", "idle")
@@ -164,8 +162,7 @@ def test_cancel_all_timers():
     system = EfsmSystem(clock_now=clock.now, timer_scheduler=clock.schedule)
     a = Efsm("a", "s0")
     a.add_state("done")
-    a.add_transition("s0", "go", "s0",
-                     action=lambda ctx: ctx.start_timer("T", 1.0))
+    a.add_transition("s0", "go", "s0", action=start("T", 1.0))
     a.add_transition("s0", "T", "done", channel="timer")
     system.add_machine(a)
     system.inject("a", Event("go"))

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.efsm import Efsm, Event, ManualClock
 from repro.efsm.guards import (NOW, cancel, compile_firing, helper, start,
                                v, when, write, x)
-from repro.efsm.machine import EfsmInstance, Output, TransitionContext
+from repro.efsm.machine import EfsmInstance, Output
 
 from ..efsm.oracle import execute, outputs_of
 from .test_prop_guards import ABSENT, guards, member_values, scalar_values
@@ -64,8 +64,9 @@ _MACHINE.declare_global(g="none")
 
 
 def context(a, b, n, members, g):
-    """A firing context at time 1.5 with the given ``x`` and ``v``
-    (absent = unset), on a fresh clock that timers can be started on."""
+    """The ``(instance, event)`` of a firing at time 1.5 with the given
+    ``x`` and ``v`` (absent = unset), on a fresh clock that timers can be
+    started on."""
     clock = ManualClock()
     instance = EfsmInstance(_MACHINE, clock_now=clock.now,
                             timer_scheduler=clock.schedule)
@@ -78,15 +79,14 @@ def context(a, b, n, members, g):
             vector[name] = value
     event = Event("e", {name: value for name, value in (("a", a), ("b", b))
                         if value is not ABSENT}, time=1.5)
-    return TransitionContext(instance, event)
+    return instance, event
 
 
-def outcome(run, ctx):
+def outcome(run, instance, event):
     try:
-        sent, error = run(ctx), None
+        sent, error = run(instance, event), None
     except Exception as exc:        # both sides must raise the same type
         sent, error = [], type(exc)
-    instance = ctx.instance
     return (error, instance.variables.local, instance.variables.globals,
             instance._timer_meta,
             [(e.name, e.channel, e.args, e.time) for e in sent])
@@ -100,12 +100,12 @@ def test_compiled_statements_equal_the_interpreter(statements, sends, a, b,
     fire = compile_firing(statements, [(o.channel, o.event_name, o.args)
                                        for o in sends])
 
-    def interpreted(ctx):
-        execute(statements, ctx)
-        return outputs_of(sends, ctx)
+    def interpreted(instance, event):
+        execute(statements, instance, event)
+        return outputs_of(sends, instance, event)
 
-    assert outcome(fire, context(a, b, n, members, g)) == outcome(
-        interpreted, context(a, b, n, members, g)), [
+    assert outcome(fire, *context(a, b, n, members, g)) == outcome(
+        interpreted, *context(a, b, n, members, g)), [
             statement.describe() for statement in statements]
 
 
@@ -115,7 +115,8 @@ def test_a_statement_reads_the_writes_before_it():
                   when(v("n", 0) == 2, write("members", ("two",))),
                   write("n", helper(plus, v("n", 0), 1))]
     for run in (compile_firing(statements, []),
-                lambda ctx: execute(statements, ctx)):
-        ctx = context(ABSENT, ABSENT, 1, (), "none")
-        run(ctx)
-        assert ctx.v["n"] == 3 and ctx.v["members"] == ("two",)
+                lambda instance, event: execute(statements, instance, event)):
+        instance, event = context(ABSENT, ABSENT, 1, (), "none")
+        run(instance, event)
+        assert instance.variables["n"] == 3
+        assert instance.variables["members"] == ("two",)
