@@ -147,7 +147,6 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
         exempt={
             "media_map": "not stored: re-derived from the restored globals "
                          "by refresh_media_index",
-            "_size_cache": "byte-size memo, recomputed lazily",
             "_contribution": "byte-size memo, recomputed lazily",
             "_media_sig": "raw media-global signature memo; re-derived by "
                           "refresh_media_index after restore",
@@ -199,7 +198,10 @@ CHECKPOINT_SPECS: Tuple[CheckpointSpec, ...] = (
     CheckpointSpec(
         module="vids/patterns/invite_flood.py",
         cls="InviteFloodTracker",
-        restore=("restore", "machine_for"),
+        exempt={
+            "_order": "the open windows in the order they close; restore "
+                      "rebuilds it from the checkpointed windows",
+        },
     ),
     CheckpointSpec(
         module="vids/patterns/media_spam.py",

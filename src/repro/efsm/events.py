@@ -20,18 +20,27 @@ __all__ = ["Event", "TIMER_CHANNEL"]
 TIMER_CHANNEL = "timer"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """An event instance: name, argument vector x, and originating channel.
 
-    ``slots=True``: one Event is allocated per packet on the vids hot path,
-    so the per-instance ``__dict__`` is worth eliminating.
+    One is allocated per packet on the vids hot path: ``slots=True``
+    drops the instance ``__dict__``, and ``__init__`` writes the slots
+    through their descriptors, not the four ``object.__setattr__`` calls
+    of a generated frozen ``__init__``.
     """
 
     name: str
     args: Mapping[str, Any] = field(default_factory=dict)
     channel: Optional[str] = None
     time: float = 0.0
+
+    def __init__(self, name: str, args: Optional[Mapping[str, Any]] = None,
+                 channel: Optional[str] = None, time: float = 0.0) -> None:
+        _set_name(self, name)
+        _set_args(self, {} if args is None else args)
+        _set_channel(self, channel)
+        _set_time(self, time)
 
     def __getitem__(self, key: str) -> Any:
         return self.args[key]
@@ -53,3 +62,7 @@ class Event:
         args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.args.items()))
         prefix = f"{self.channel}?" if self.channel else ""
         return f"{prefix}{self.name}({args})"
+
+
+_set_name, _set_args, _set_channel, _set_time = (
+    vars(Event)[name].__set__ for name in ("name", "args", "channel", "time"))

@@ -42,25 +42,8 @@ _COMPACT_FORMS = {
     "k": "Supported",
 }
 
-_CANONICAL = {
-    "via": "Via",
-    "from": "From",
-    "to": "To",
-    "call-id": "Call-ID",
-    "cseq": "CSeq",
-    "contact": "Contact",
-    "max-forwards": "Max-Forwards",
-    "content-type": "Content-Type",
-    "content-length": "Content-Length",
-    "expires": "Expires",
-    "route": "Route",
-    "record-route": "Record-Route",
-    "user-agent": "User-Agent",
-    "allow": "Allow",
-    "supported": "Supported",
-    "subject": "Subject",
-    "content-encoding": "Content-Encoding",
-}
+#: Names whose canonical case is not the capitalised words.
+_CANONICAL = {"call-id": "Call-ID", "cseq": "CSeq"}
 
 
 @lru_cache(maxsize=512)
@@ -82,14 +65,12 @@ def canonical_header_name(name: str) -> str:
 def _parse_params(text: str) -> Dict[str, Optional[str]]:
     params: Dict[str, Optional[str]] = {}
     for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if "=" in chunk:
-            key, _, value = chunk.partition("=")
-            params[key.strip()] = value.strip()
-        else:
-            params[chunk] = None
+        key, sep, value = chunk.partition("=")
+        key = key.strip()
+        if sep:
+            params[key] = value.strip()
+        elif key:
+            params[key] = None
     return params
 
 
@@ -103,6 +84,10 @@ def _format_params(params: Mapping[str, Optional[str]]) -> str:
     return out
 
 
+_VIA_PREFIX = SIP_VERSION + "/"
+_VIA_PREFIX_LEN = len(_VIA_PREFIX)
+
+
 @lru_cache(maxsize=2048)
 def _parse_via(text: str) -> "Via":
     """``Via.parse``.  Cached: instances are immutable, and a response
@@ -112,22 +97,17 @@ def _parse_via(text: str) -> "Via":
         proto, sent_by = text.split(None, 1)
     except ValueError as exc:
         raise SipParseError(f"bad Via: {text!r}") from exc
-    parts = proto.split("/")
-    if len(parts) != 3 or f"{parts[0]}/{parts[1]}" != SIP_VERSION:
+    # "SIP/2.0/<transport>", exactly three slash-separated parts.
+    transport = proto[_VIA_PREFIX_LEN:]
+    if proto[:_VIA_PREFIX_LEN] != _VIA_PREFIX or "/" in transport:
         raise SipParseError(f"bad Via protocol: {text!r}")
-    params: Dict[str, Optional[str]] = {}
-    if ";" in sent_by:
-        sent_by, _, param_text = sent_by.partition(";")
-        params = _parse_params(param_text)
-    sent_by = sent_by.strip()
-    if ":" in sent_by:
-        host, _, port_text = sent_by.partition(":")
-        port = wire_int("Via port", 0, 65535, port_text)
-    else:
-        host, port = sent_by, 5060
+    sent_by, _, param_text = sent_by.partition(";")
+    host, colon, port_text = sent_by.strip().partition(":")
+    port = wire_int("Via port", 0, 65535, port_text) if colon else 5060
     if not host:
         raise SipParseError(f"empty Via host: {text!r}")
-    return Via(host, port, parts[2], params)
+    return Via(host, port, transport,
+               _parse_params(param_text) if param_text else _NO_PARAMS)
 
 
 @lru_cache(maxsize=2048)
@@ -144,7 +124,8 @@ def _parse_name_addr(text: str) -> "NameAddr":
     else:
         # addr-spec form: params after ; belong to the header.
         uri_text, _, param_text = text.partition(";")
-    return NameAddr(SipUri.parse(uri_text), display, _parse_params(param_text))
+    return NameAddr(SipUri.parse(uri_text), display,
+                    _parse_params(param_text) if param_text else _NO_PARAMS)
 
 
 @lru_cache(maxsize=2048)
@@ -163,7 +144,8 @@ class Via:
     """A Via header value: ``SIP/2.0/UDP host:port;branch=...``.
 
     Immutable, so the one cached instance per header text can be shared:
-    ``params`` is a read-only view of a private copy.
+    ``params`` is a read-only view of a private copy, and ``branch`` is
+    read off it once, when the value is built.
     """
 
     host: str
@@ -179,11 +161,8 @@ class Via:
         state = self.__dict__
         state["host"], state["port"] = host, port
         state["transport"] = transport
-        state["params"] = MappingProxyType(dict(params))
-
-    @property
-    def branch(self) -> Optional[str]:
-        return self.params.get("branch")
+        params = state["params"] = MappingProxyType(dict(params))
+        state["branch"] = params.get("branch")
 
     parse = staticmethod(_parse_via)
 
@@ -198,8 +177,8 @@ class Via:
 class NameAddr:
     """A From/To/Contact value: ``"Display" <sip:uri>;tag=...``.
 
-    Immutable and shared like :class:`Via`; :meth:`with_tag` returns a new
-    value.
+    Immutable and shared like :class:`Via`, ``tag`` read off ``params``
+    once; :meth:`with_tag` returns a new value.
     """
 
     uri: SipUri
@@ -210,11 +189,8 @@ class NameAddr:
                  params: Mapping[str, Optional[str]] = _NO_PARAMS) -> None:
         state = self.__dict__
         state["uri"], state["display_name"] = uri, display_name
-        state["params"] = MappingProxyType(dict(params))
-
-    @property
-    def tag(self) -> Optional[str]:
-        return self.params.get("tag")
+        params = state["params"] = MappingProxyType(dict(params))
+        state["tag"] = params.get("tag")
 
     def with_tag(self, tag: str) -> "NameAddr":
         return NameAddr(self.uri, self.display_name,

@@ -288,13 +288,15 @@ def parse_message(data: Union[bytes, str]) -> Union[SipRequest, SipResponse]:
             raise SipParseError("message is not valid UTF-8") from exc
     else:
         text = data
-    # Pure-CRLF fast path: when the earliest candidate blank line is a
-    # literal CRLFCRLF (no bare-LF blank anywhere, and the only "\n\r\n"
-    # is the one inside that separator), the regex would match exactly
-    # there — three C-level scans replace the regex walk.
+    # Pure-CRLF fast path: when no blank-line candidate ("\n\n" or
+    # "\n\r\n") starts before the first literal CRLFCRLF, the regex would
+    # match exactly there — C-level scans of the head replace the regex
+    # walk, and the body is not scanned at all.
     crlf = text.find("\r\n\r\n")
-    if crlf != -1 and "\n\n" not in text and text.find("\n\r\n") == crlf + 1:
-        head, body = text[:crlf], text[crlf + 4:]
+    head = text[:crlf]
+    if (crlf != -1 and "\n\n" not in head and "\n\r\n" not in head
+            and head[-1:] != "\n"):
+        body = text[crlf + 4:]
     else:
         separator = _BLANK_LINE.search(text)
         if separator is not None:
@@ -328,18 +330,13 @@ def parse_message(data: Union[bytes, str]) -> Union[SipRequest, SipResponse]:
     else:
         header_lines = lines[1:]
 
-    headers: List[Tuple[str, str]] = []
-    for line in header_lines:
-        if not line:
-            continue
-        canonical, value = _split_header_line(line)
+    headers = [_split_header_line(line) for line in header_lines if line]
+    if "," in head:
         # Comma-separated multi-values for Via are split so the list
         # semantics survive round-trips.
-        if canonical == "Via" and "," in value:
-            for part in value.split(","):
-                headers.append((canonical, part.strip()))
-        else:
-            headers.append((canonical, value))
+        headers = [(name, part.strip()) for name, value in headers
+                   for part in (value.split(",") if name == "Via"
+                                else (value,))]
 
     if start.startswith(SIP_VERSION + " "):
         rest = start[len(SIP_VERSION) + 1:]
@@ -349,8 +346,7 @@ def parse_message(data: Union[bytes, str]) -> Union[SipRequest, SipResponse]:
         status = wire_int("status code", 100, 699, parts[0])
         reason = parts[1] if len(parts) > 1 else reason_phrase(status)
         message: Union[SipRequest, SipResponse] = SipResponse(
-            status, reason, headers, body
-        )
+            status, reason, body=body)
     else:
         parts = start.split(" ")
         if len(parts) != 3 or parts[2] != SIP_VERSION:
@@ -358,5 +354,7 @@ def parse_message(data: Union[bytes, str]) -> Union[SipRequest, SipResponse]:
         method, uri_text, _ = parts
         if not method.isupper() or not method.isalpha():
             raise SipParseError(f"bad method: {method!r}")
-        message = SipRequest(method, SipUri.parse(uri_text), headers, body)
+        message = SipRequest(method, SipUri.parse(uri_text), body=body)
+    # The list was built here: the message takes it without a copy.
+    message.headers = headers
     return message

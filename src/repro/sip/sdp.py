@@ -54,17 +54,16 @@ def media_brief(
         line = raw.strip()
         if not line:
             continue
-        if len(line) < 2 or line[1] != "=":
+        if line[1:2] != "=":
             raise SipParseError(f"malformed SDP line: {line!r}")
         kind = line[0]
         if kind == "a":
             if not in_media:
                 continue
-            value = line[2:]
-            if value.startswith("rtpmap:"):
-                _payload_type(value[len("rtpmap:"):].partition(" ")[0])
-            elif value.startswith("ptime:"):
-                ptime = _ptime(value[len("ptime:"):])
+            if line.startswith("a=rtpmap:"):
+                _payload_type(line[9:].partition(" ")[0])
+            elif line.startswith("a=ptime:"):
+                ptime = _ptime(line[8:])
                 if in_audio:
                     audio_ptime = ptime
         elif kind == "m":
@@ -72,7 +71,7 @@ def media_brief(
             if len(parts) < 3:
                 raise SipParseError(f"malformed m= line: {line!r}")
             port = _port(parts[1])
-            payload_types = tuple(_payload_type(pt) for pt in parts[3:])
+            payload_types = tuple([_payload_type(pt) for pt in parts[3:]])
             in_media = True
             in_audio = parts[0] == "audio" and audio_port is None
             if in_audio:
@@ -84,7 +83,7 @@ def media_brief(
                 raise SipParseError(f"malformed c= line: {line!r}")
             connection_address = parts[2]
         elif kind == "v":
-            if line[2:] != "0":
+            if line != "v=0":
                 raise SipParseError(f"unsupported SDP version: {line[2:]}")
         elif kind == "o":
             parts = line[2:].split()

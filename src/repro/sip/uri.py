@@ -12,56 +12,10 @@ from .errors import SipParseError, wire_int
 __all__ = ["SipUri"]
 
 
-@dataclass(frozen=True)
-class SipUri:
-    """A ``sip:`` URI: ``sip:user@host[:port][;param=value]*``."""
-
-    user: Optional[str]
-    host: str
-    port: Optional[int] = None
-    params: tuple = field(default_factory=tuple)  # ((name, value|None), ...)
-
-    @property
-    def effective_port(self) -> int:
-        """The port to contact: the explicit one or the SIP default."""
-        return self.port if self.port is not None else DEFAULT_SIP_PORT
-
-    @property
-    def address_of_record(self) -> str:
-        """The user@host form used as a location-service key."""
-        return f"{self.user}@{self.host}" if self.user else self.host
-
-    def param(self, name: str) -> Optional[str]:
-        for key, value in self.params:
-            if key == name:
-                return value
-        return None
-
-    def with_params(self, **params: Optional[str]) -> "SipUri":
-        merged = dict(self.params)
-        merged.update(params)
-        return SipUri(self.user, self.host, self.port, tuple(merged.items()))
-
-    @classmethod
-    def parse(cls, text: str) -> "SipUri":
-        """Parse a ``sip:`` URI.  Cached: instances are immutable and the
-        same From/To/Contact URIs recur on every message of a dialog."""
-        return _parse_uri(text)
-
-    def __str__(self) -> str:
-        out = "sip:"
-        if self.user:
-            out += f"{self.user}@"
-        out += self.host
-        if self.port is not None:
-            out += f":{self.port}"
-        for key, value in self.params:
-            out += f";{key}" if value is None else f";{key}={value}"
-        return out
-
-
 @lru_cache(maxsize=2048)
-def _parse_uri(text: str) -> SipUri:
+def _parse_uri(text: str) -> "SipUri":
+    """``SipUri.parse``.  Cached: instances are immutable and the same
+    From/To/Contact URIs recur on every message of a dialog."""
     text = text.strip()
     if text.startswith("<") and text.endswith(">"):
         text = text[1:-1]
@@ -92,3 +46,53 @@ def _parse_uri(text: str) -> SipUri:
     if not host:
         raise SipParseError(f"empty host in URI: {text!r}")
     return SipUri(user, host, port, tuple(params.items()))
+
+
+@dataclass(frozen=True, init=False)
+class SipUri:
+    """A ``sip:`` URI: ``sip:user@host[:port][;param=value]*``.
+
+    Immutable, so ``address_of_record`` — the ``user@host`` form used as
+    a location-service key — is computed once, when the value is built.
+    """
+
+    user: Optional[str]
+    host: str
+    port: Optional[int] = None
+    params: tuple = field(default_factory=tuple)  # ((name, value|None), ...)
+
+    def __init__(self, user: Optional[str], host: str,
+                 port: Optional[int] = None, params: tuple = ()) -> None:
+        state = self.__dict__   # straight in, as Via: a cache miss builds one
+        state["user"], state["host"] = user, host
+        state["port"], state["params"] = port, params
+        state["address_of_record"] = f"{user}@{host}" if user else host
+
+    @property
+    def effective_port(self) -> int:
+        """The port to contact: the explicit one or the SIP default."""
+        return self.port if self.port is not None else DEFAULT_SIP_PORT
+
+    def param(self, name: str) -> Optional[str]:
+        for key, value in self.params:
+            if key == name:
+                return value
+        return None
+
+    def with_params(self, **params: Optional[str]) -> "SipUri":
+        merged = dict(self.params)
+        merged.update(params)
+        return SipUri(self.user, self.host, self.port, tuple(merged.items()))
+
+    parse = staticmethod(_parse_uri)
+
+    def __str__(self) -> str:
+        out = "sip:"
+        if self.user:
+            out += f"{self.user}@"
+        out += self.host
+        if self.port is not None:
+            out += f":{self.port}"
+        for key, value in self.params:
+            out += f";{key}" if value is None else f";{key}={value}"
+        return out

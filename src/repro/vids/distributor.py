@@ -14,7 +14,7 @@ Figure-6 machines.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from ..efsm.events import Event
 from ..sip.constants import INVITE, OPTIONS, REGISTER
@@ -35,45 +35,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["EventDistributor", "sip_event_from_message", "rtp_event_from_packet"]
 
 
-def _add_sdp_fields(args: Dict[str, Any],
-                    message: Union[SipRequest, SipResponse],
-                    metrics: Optional["VidsMetrics"]) -> None:
-    """Add the media attributes the machines care about from an SDP body."""
-    body = message.body
-    if not body:
-        return
-    content_type = message.get("Content-Type")
-    if content_type and "sdp" not in content_type.lower():
-        return
-    try:
-        brief = media_brief(body)
-    except SipParseError:
-        # Not a silent drop: a message whose SDP we cannot read still
-        # drives the SIP machine, but the analysis loses the media index —
-        # count it so a fuzzing campaign against SDP shows up in metrics.
-        if metrics is not None:
-            metrics.sdp_parse_failures += 1
-        return
-    if brief is not None:
-        (args["sdp_addr"], args["sdp_port"], args["sdp_pts"],
-         args["sdp_ptime"]) = brief
-
-
 def sip_event_from_message(message: Union[SipRequest, SipResponse],
                            src: Tuple[str, int], dst: Tuple[str, int],
                            now: float,
-                           metrics: Optional["VidsMetrics"] = None,
-                           call_id: Optional[str] = None) -> Event:
+                           metrics: Optional["VidsMetrics"] = None) -> Event:
     """Build the EFSM input vector x from a SIP message on the wire.
 
-    ``call_id`` lets the distributor pass the dialog id it already
-    extracted instead of re-reading the header.  One pass over the raw
-    header list reads the same shared, immutable values the simulated
-    stack's typed accessors return (``Via.parse`` and friends, one bounded
-    cache per header kind).
+    One walk over the parsed header list finds every header the vector
+    reads (Call-ID and Content-Type too: nothing re-scans it), as the
+    shared, immutable values the simulated stack's typed accessors return.
+    An SDP body adds the first audio stream's ``media_brief``; one that
+    cannot be read is counted in ``metrics.sdp_parse_failures``.
     """
-    from_value = to_value = cseq_value = contact_value = found_call_id = None
-    via_hosts: list = []
+    from_value = to_value = cseq_value = contact_value = None
+    call_id = content_type = None
+    via_hosts: List[str] = []
     branch = None
     for name, value in message.headers:
         if name == "Via":
@@ -87,15 +63,18 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
         elif name == "To":
             if to_value is None:
                 to_value = value
+        elif name == "Call-ID":
+            if call_id is None:
+                call_id = value
         elif name == "CSeq":
             if cseq_value is None:
                 cseq_value = value
         elif name == "Contact":
             if contact_value is None:
                 contact_value = value
-        elif name == "Call-ID":
-            if found_call_id is None:
-                found_call_id = value
+        elif name == "Content-Type":
+            if content_type is None:
+                content_type = value
     from_addr = NameAddr.parse(from_value) if from_value else None
     to_addr = NameAddr.parse(to_value) if to_value else None
     contact = NameAddr.parse(contact_value) if contact_value else None
@@ -104,7 +83,7 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
         "src_ip": src[0],
         "src_port": src[1],
         "dst_ip": dst[0],
-        "call_id": (found_call_id or "") if call_id is None else call_id,
+        "call_id": call_id or "",
         "from_tag": from_addr.tag if from_addr else None,
         "to_tag": to_addr.tag if to_addr else None,
         "to_aor": to_addr.uri.address_of_record if to_addr else "",
@@ -114,11 +93,24 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
         "contact_host": contact.uri.host if contact else None,
         "via_hosts": tuple(via_hosts),
     }
-    _add_sdp_fields(args, message, metrics)
+    body = message.body
+    if body and (not content_type or "sdp" in content_type.lower()):
+        try:
+            brief = media_brief(body)
+        except SipParseError:
+            # Counted, not dropped: the message still drives the SIP
+            # machine, but a fuzzing campaign against SDP shows.
+            brief = None
+            if metrics is not None:
+                metrics.sdp_parse_failures += 1
+        if brief is not None:
+            (args["sdp_addr"], args["sdp_port"], args["sdp_pts"],
+             args["sdp_ptime"]) = brief
     if isinstance(message, SipRequest):
         name = message.method
-        args["uri_host"] = message.uri.host
-        args["uri_user"] = message.uri.user or ""
+        uri = message.uri
+        args["uri_host"] = uri.host
+        args["uri_user"] = uri.user or ""
     else:
         name = "RESPONSE"
         args["status"] = message.status
@@ -204,18 +196,22 @@ class EventDistributor:
         datagram = classified.datagram
         trace = self.trace
         factbase = self.factbase
-        call_id = message.call_id or ""
-        if call_id and factbase.is_quarantined(call_id):
-            factbase.metrics.quarantined_drops += 1
-            if trace is not None:
-                self._route(classified, now, "quarantined-drop", call_id)
-            return None
+        if factbase.quarantined:
+            call_id = message.call_id or ""
+            if call_id and factbase.is_quarantined(call_id):
+                factbase.metrics.quarantined_drops += 1
+                if trace is not None:
+                    self._route(classified, now, "quarantined-drop",
+                                call_id)
+                return None
         event = sip_event_from_message(
             message, (datagram.src.ip, datagram.src.port),
             (datagram.dst.ip, datagram.dst.port), now,
-            metrics=factbase.metrics, call_id=call_id)
+            metrics=factbase.metrics)
+        call_id = event.args["call_id"]
+        name = event.name           # the method, or RESPONSE
 
-        if isinstance(message, SipRequest) and message.method == REGISTER:
+        if name == REGISTER:
             # Legitimate registrations are intra-enterprise and never reach
             # the perimeter; seeing one here is a hijack attempt.
             if self.config.detect_foreign_register:
@@ -225,12 +221,12 @@ class EventDistributor:
             if trace is not None:
                 self._route(classified, now, "register-perimeter", call_id)
             return None
-        if isinstance(message, SipRequest) and message.method == OPTIONS:
+        if name == OPTIONS:
             if trace is not None:
                 self._route(classified, now, "options-ignored", call_id)
             return None  # not call-scoped; outside the per-call machines
 
-        is_new_invite = (event.name == INVITE and not event.get("to_tag"))
+        is_new_invite = name == INVITE and not event.args["to_tag"]
 
         if is_new_invite:
             trackers = self.trackers
@@ -243,17 +239,17 @@ class EventDistributor:
         if record is None:
             if is_new_invite and call_id:
                 record = factbase.get_or_create(call_id)
-            elif isinstance(message, SipRequest):
+            elif name != "RESPONSE":
                 # A stray ACK is harmless (late 2xx-ACK retransmission); a
                 # stray BYE/CANCEL/re-INVITE targets call state we never saw
                 # and is worth an administrator's attention.
-                if message.method != "ACK":
+                if name != "ACK":
                     self.engine.note_stray_request(
-                        message.method, call_id or None,
+                        name, call_id or None,
                         datagram.src.ip, datagram.dst.ip)
                 if trace is not None:
                     self._route(classified, now, "stray-request", call_id,
-                                method=message.method)
+                                method=name)
                 return None
             else:
                 if trace is not None:
@@ -261,7 +257,7 @@ class EventDistributor:
                 return None  # stray response: nothing to correlate
         if trace is not None:
             self._route(classified, now, "inject", call_id,
-                        machine=SIP_MACHINE, event=event.name)
+                        machine=SIP_MACHINE, event=name)
         self.inject(record, SIP_MACHINE, event)
         factbase.refresh_media_index(record)
         factbase.touch(record, now)

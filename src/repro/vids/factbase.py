@@ -42,7 +42,7 @@ class CallRecord:
     __slots__ = (
         "call_id", "system", "created_at", "last_activity", "media_map",
         "deletion_scheduled", "delete_at", "deviation_keys",
-        "_size_cache", "_contribution", "_media_sig",
+        "_contribution", "_media_sig",
     )
 
     def __init__(self, call_id: str, system: EfsmSystem, created_at: float):
@@ -63,10 +63,9 @@ class CallRecord:
         #: first deviation (None for the benign majority) and gone with
         #: the record.
         self.deviation_keys: Optional[set] = None
-        #: (firing-count, sip_bytes, rtp_bytes) memo for state accounting.
-        self._size_cache: Optional[Tuple[int, int, int]] = None
-        #: Bytes this record last contributed to the fact-base running total.
-        self._contribution = 0
+        #: (sip_bytes, rtp_bytes) as last measured into the fact-base
+        #: running total.
+        self._contribution: Tuple[int, int] = (0, 0)
         #: Raw media-global values as of the last index refresh, so the
         #: per-message refresh can bail out on a 4-tuple compare instead of
         #: rebuilding the endpoint dict.
@@ -94,38 +93,17 @@ class CallRecord:
             endpoints[(str(answer_addr), int(answer_port))] = "to_callee"
         return endpoints
 
-    def _sizes(self) -> Tuple[int, int, int]:
-        """Memoized (version, sip_bytes, rtp_bytes).
-
-        The state-variable vectors only change when a transition fires, and
-        every firing bumps ``system.deliveries`` — so that monotonic count
-        is an exact version counter.  Without the memo the periodic
-        ``total_state_bytes`` walk re-measures every *idle* call too, which
-        made fact-base sampling quadratic in concurrent calls.
-        """
-        version = self.system.deliveries
-        cache = self._size_cache
-        if cache is None or cache[0] != version:
-            cache = (
-                version,
-                (estimate_state_bytes(self.sip.variables.local)
-                 + estimate_state_bytes(self.system.globals)),
-                estimate_state_bytes(self.rtp.variables.local),
-            )
-            self._size_cache = cache
-        return cache
-
     def sip_state_bytes(self) -> int:
         """Section 7.3 accounting: SIP control state incl. media info."""
-        return self._sizes()[1]
+        return (estimate_state_bytes(self.sip.variables.local)
+                + estimate_state_bytes(self.system.globals))
 
     def rtp_state_bytes(self) -> int:
         """Section 7.3 accounting: RTP tracking state."""
-        return self._sizes()[2]
+        return estimate_state_bytes(self.rtp.variables.local)
 
     def state_bytes(self) -> int:
-        sizes = self._sizes()
-        return sizes[1] + sizes[2]
+        return self.sip_state_bytes() + self.rtp_state_bytes()
 
 
 class CallStateFactBase:
@@ -149,9 +127,10 @@ class CallStateFactBase:
         #: every call record instantiates them, instances carry the state.
         self.spec = call_spec(config)
         #: Incremental state-byte accounting: running total plus the set of
-        #: records whose contribution is stale (they fired since the last
-        #: total).  Keeps :meth:`total_state_bytes` O(recently-active calls)
-        #: instead of O(all calls) per sample.
+        #: records whose contribution is stale (created or fired since the
+        #: last total: every variable write happens in a firing).  Keeps
+        #: :meth:`total_state_bytes` O(recently-active calls) instead of
+        #: O(all calls) per sample.
         self._total_bytes = 0
         self._dirty: set = set()
         self.records: Dict[str, CallRecord] = {}
@@ -190,16 +169,15 @@ class CallStateFactBase:
         """Exact total monitoring-state bytes across all live records.
 
         Maintained incrementally: only records that fired since the last
-        call (the dirty set) are re-measured, and their per-record memo
-        (:meth:`CallRecord._sizes`) short-circuits unchanged ones.
+        call (the dirty set) are re-measured.
         """
         dirty = self._dirty
         if dirty:
             total = self._total_bytes
             for record in dirty:
-                size = record.state_bytes()
-                total += size - record._contribution
-                record._contribution = size
+                sizes = record.sip_state_bytes(), record.rtp_state_bytes()
+                total += sum(sizes) - sum(record._contribution)
+                record._contribution = sizes
             dirty.clear()
             self._total_bytes = total
         return self._total_bytes
@@ -229,8 +207,6 @@ class CallStateFactBase:
         record = CallRecord(call_id, system, created_at)
 
         def dispatch(result, _record=record, _dirty=self._dirty):
-            # Every variable mutation happens inside a firing, so marking
-            # the record dirty here keeps the incremental byte total exact.
             _dirty.add(_record)
             hook = self.on_result
             if hook is not None:
@@ -297,22 +273,20 @@ class CallStateFactBase:
 
     def delete(self, call_id: str) -> Optional[CallRecord]:
         """Remove a call's machines from memory, sampling their size."""
-        if call_id in self.records:
-            # Sample total state at call granularity (cheap enough here,
-            # too expensive per packet).
-            self.metrics.note_concurrency(len(self.records),
-                                          self.total_state_bytes())
-        record = self.records.pop(call_id, None)
+        records = self.records
+        record = records.get(call_id)
         if record is None:
             return None
-        self.metrics.call_memory_samples.append(
-            (record.sip_state_bytes(), record.rtp_state_bytes()))
+        # Sample total state at call granularity (cheap enough here, too
+        # expensive per packet); it measures this record as it stands.
+        self.metrics.note_concurrency(len(records), self.total_state_bytes())
+        del records[call_id]
+        self.metrics.call_memory_samples.append(record._contribution)
         self.metrics.calls_deleted += 1
         if self.trace is not None:
             self.trace.emit("call-deleted", self.clock_now(), call_id=call_id,
                             states=record.system.states())
-        self._total_bytes -= record._contribution
-        self._dirty.discard(record)
+        self._total_bytes -= sum(record._contribution)
         record.system.cancel_all_timers()
         hook = self.on_media_route
         for key in record.media_map:
@@ -370,8 +344,8 @@ class CallStateFactBase:
 
         Incremental: a call that has not fired since ``previous`` (the
         snapshot taken last time) reuses its part of it, refreshing only
-        the fields that move outside firings — the firing count is an
-        exact change version (:meth:`CallRecord._sizes`).
+        the fields that move outside firings — the firing count
+        (``system.deliveries``) is an exact change version.
         """
         prev_calls = previous["calls"] if previous is not None else {}
         calls: Dict[str, Dict[str, Any]] = {}

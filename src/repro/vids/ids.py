@@ -137,7 +137,7 @@ class Vids:
         self.factbase = CallStateFactBase(config, clock_now, timer_scheduler,
                                           self.metrics, trace=self._trace)
         self.trackers = trackers if trackers is not None \
-            else CrossCallTrackers(config, clock_now, timer_scheduler,
+            else CrossCallTrackers(config, clock_now,
                                    engine=lambda: self.engine)
         self.engine = AnalysisEngine(config, self.alert_manager, clock_now,
                                      self.trackers.first_stray,

@@ -29,7 +29,7 @@ def ingest(front, items: Iterable[Tuple[Datagram, float]], clock,
 
     When ``clock`` (a :class:`~repro.efsm.system.ManualClock`-compatible
     object) is given it is advanced to each packet's timestamp first, so
-    pattern timers (T, T1, linger) fire exactly as they would have
+    timers (T, linger) fire and T1 flood windows close as they would
     online.  Real captures are not always time-ordered (multi-NIC pcap
     merges, clock steps): a timestamp behind the analysis clock is
     clamped to the clock's current reading and counted in

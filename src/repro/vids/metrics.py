@@ -27,25 +27,34 @@ def estimate_value_bytes(value: Any) -> int:
     checkpoints — atoms, tuples, frozensets and plain ``dict``/``list``/
     ``set`` — by exact type; anything outside it counts a flat 16 bytes.
     """
-    kind = type(value)
-    if kind is str:
-        # ASCII (the overwhelmingly common case for protocol facts) needs
-        # no encode: the character count is the byte count.
-        return len(value) if value.isascii() else len(value.encode("utf-8"))
-    if kind is int:
-        return 4 if -(2 ** 31) <= value < 2 ** 31 else 8
-    if kind is float:
-        return 8
-    if kind is bool or value is None:
-        return 1
-    if kind is dict:
-        return sum(estimate_value_bytes(k) + estimate_value_bytes(v)
-                   for k, v in value.items())
-    if kind in (list, tuple, set, frozenset):
-        return sum(estimate_value_bytes(item) for item in value)
-    if kind is bytes:
-        return len(value)
-    return 16
+    return _width((value,))
+
+
+def _width(values: Iterable[Any]) -> int:
+    """The summed wire-width of ``values``.  Strings, ints and tuples —
+    every shipped state value — come first and nest without a call per
+    item: per-record sampling walks every active call's vectors."""
+    total = 0
+    for value in values:
+        kind = type(value)
+        if kind is str:
+            # ASCII (the overwhelmingly common case for protocol facts)
+            # needs no encode: the character count is the byte count.
+            total += (len(value) if value.isascii()
+                      else len(value.encode("utf-8")))
+        elif kind is int:
+            total += 4 if -(2 ** 31) <= value < 2 ** 31 else 8
+        elif kind in (tuple, list, set, frozenset):
+            total += _width(value)
+        elif kind is float:
+            total += 8
+        elif kind is bool or value is None:
+            total += 1
+        elif kind is dict:
+            total += _width(value) + _width(value.values())
+        else:
+            total += len(value) if kind is bytes else 16
+    return total
 
 
 def estimate_state_bytes(variables: Mapping[str, Any]) -> int:
@@ -55,22 +64,8 @@ def estimate_state_bytes(variables: Mapping[str, Any]) -> int:
     with its keys (it could not be stored without them), which is one
     reason no shipped machine keeps one: state values are numbers,
     strings and flat tuples.
-
-    The two dominant value types are inlined: per-record sampling walks
-    every active call's vectors, and a function call per str/int value
-    would double its cost.
     """
-    total = 0
-    for value in variables.values():
-        kind = type(value)
-        if kind is str:
-            total += (len(value) if value.isascii()
-                      else len(value.encode("utf-8")))
-        elif kind is int:
-            total += 4 if -(2 ** 31) <= value < 2 ** 31 else 8
-        else:
-            total += estimate_value_bytes(value)
-    return total
+    return _width(variables.values())
 
 
 @dataclass

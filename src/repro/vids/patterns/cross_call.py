@@ -37,16 +37,16 @@ class CrossCallTrackers:
     """
 
     def __init__(self, config, clock_now: Callable[[], float],
-                 timer_scheduler: Callable, engine: Callable[[], Any]):
+                 engine: Callable[[], Any]):
         spec = call_spec(config)
         self.flood_tracker = InviteFloodTracker(
-            spec.flood, clock_now, timer_scheduler,
+            spec.flood, clock_now,
             on_attack=lambda target, event:
                 engine().note_flood(target, event))
         #: Per-claimed-source counterpart of the Figure-4 machine, catching
         #: DRDoS reflection (many callees, one spoofed source).
         self.source_flood_tracker = InviteFloodTracker(
-            spec.source_flood, clock_now, timer_scheduler,
+            spec.source_flood, clock_now,
             on_attack=lambda source, event:
                 engine().note_reflection(source, event))
         self.orphan_tracker = OrphanMediaTracker(

@@ -5,7 +5,7 @@ record, falling back to the destination IP for requests that bypass the
 proxy).  On the first INVITE the machine leaves INIT, starts the ``pck_
 counter`` and timer T1; INVITEs within the window count against threshold
 N; exceeding N is "a strong indication of a flooding attack".  When T1
-expires the window resets.
+expires the window resets: the tracker keeps T1 as the window's deadline.
 
 Distinct calls (different Call-IDs) all count toward the same target — a
 flood is many *calls*, not retransmissions of one (retransmissions carry the
@@ -14,12 +14,13 @@ same branch and are not re-counted).
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, Mapping, Optional, Tuple
 
+from ...efsm.errors import DefinitionError
 from ...efsm.events import TIMER_CHANNEL, Event
 from ...efsm.guards import helper, start, v, when, write, x
-from ...efsm.machine import Efsm, EfsmInstance
+from ...efsm.machine import Efsm, EfsmInstance, Variables
 
 __all__ = ["build_invite_flood_machine", "InviteFloodTracker",
            "FLOOD_INIT", "FLOOD_COUNTING", "FLOOD_ATTACK"]
@@ -88,85 +89,121 @@ def build_invite_flood_machine(threshold: int, window: float,
     return machine
 
 
-class InviteFloodTracker:
-    """Keeps one instance of a Figure-4 ``definition`` per flood target
-    and feeds it INVITEs."""
+class FloodWindow(EfsmInstance):
+    """One target's Figure-4 instance, its T1 a deadline: ``start_timer``
+    records it instead of scheduling a callback.  Delivery, snapshot and
+    restore are :class:`~repro.efsm.machine.EfsmInstance`'s own."""
 
-    def __init__(
-        self,
-        definition: Efsm,
-        clock_now: Callable[[], float],
-        timer_scheduler: Callable,
-        on_attack: Optional[Callable[[str, Event], None]] = None,
-    ):
+    __slots__ = ()
+
+    def __init__(self, definition: Efsm, clock_now: Callable[[], float]):
+        # Only what deliver, snapshot and the generated code read.
+        self.definition, self.state = definition, definition.initial_state
+        self.variables = Variables(definition.variables)
+        self.clock_now, self._timers, self._timer_meta = clock_now, None, None
+
+    def start_timer(self, name: str, delay: float,
+                    args: Optional[Mapping[str, Any]] = None) -> None:
+        self._timer_meta = {name: (self.clock_now() + delay,
+                                   dict(args or {}))}
+
+    def cancel_timer(self, name: str) -> None:
+        if self._timer_meta:
+            self._timer_meta.pop(name, None)
+
+    @property
+    def deadline(self) -> float:
+        return self._timer_meta[TIMER_T1][0]
+
+
+class InviteFloodTracker:
+    """Keeps one :class:`FloodWindow` of a Figure-4 ``definition`` per
+    flood target and feeds it INVITEs.
+
+    Every T1 transition leads back to INIT, and an instance in INIT equals
+    a fresh one, so a window is forgotten once its deadline has come —
+    otherwise every callee and every *claimed* source ever seen would
+    stay in memory and in each tracker checkpoint.  Windows all last T1,
+    so they close in the order they opened: reading or feeding the table
+    sweeps them off the front of ``_order``.
+    """
+
+    def __init__(self, definition: Efsm, clock_now: Callable[[], float],
+                 on_attack: Optional[Callable[[str, Event], None]] = None):
+        if {t.target for t in definition.transitions
+                if t.channel == TIMER_CHANNEL} != {definition.initial_state}:
+            raise DefinitionError(f"{definition.name}: T1 must lead back "
+                                  f"to {definition.initial_state!r}")
+        definition.freeze()
         self._definition = definition
         self.clock_now = clock_now
-        self.timer_scheduler = timer_scheduler
         self.on_attack = on_attack
-        self.machines: dict = {}
-        #: Bumped on every change to ``machines`` or to an instance in it;
-        #: checkpoints reuse the previous tracker snapshot while it stands.
-        self.version = 0
+        self._windows: Dict[str, FloodWindow] = {}
+        #: ``(deadline, target, window)`` in the order the windows opened.
+        self._order: Deque[Tuple[float, str, FloodWindow]] = deque()
+        self._version = 0
 
-    def machine_for(self, target: str) -> EfsmInstance:
-        instance = self.machines.get(target)
-        if instance is None:
-            instance = EfsmInstance(
-                self._definition, clock_now=self.clock_now,
-                timer_scheduler=self.timer_scheduler)
-            instance.on_timer_event = partial(self._window_expired, target)
-            self.machines[target] = instance
-            self.version += 1
-        return instance
+    def expire(self) -> None:
+        """Forget every window whose deadline has come: T1 has fired."""
+        order, windows = self._order, self._windows
+        now = self.clock_now() if order else None
+        while order and order[0][0] <= now:
+            _, target, window = order.popleft()
+            if windows.get(target) is window:
+                del windows[target]
+                self._version += 1
 
-    def _window_expired(self, target: str, event: Event) -> None:
-        """T1 fired: back in INIT an instance (counter 0, no branches, no
-        timer) equals a fresh one, so the table forgets the target —
-        otherwise every callee and every *claimed* source ever seen stays
-        in memory and in each tracker checkpoint."""
-        instance = self.machines[target]
-        instance.deliver(event)
-        if instance.state == FLOOD_INIT:
-            del self.machines[target]
-        self.version += 1
+    @property
+    def machines(self) -> Dict[str, FloodWindow]:
+        """The open windows by target."""
+        self.expire()
+        return self._windows
+
+    @property
+    def version(self) -> int:
+        """Bumped on every change to the table or to a window in it (a
+        window closing included); checkpoints reuse the previous tracker
+        snapshot while it stands."""
+        self.expire()
+        return self._version
+
+    def _open(self, target: str) -> FloodWindow:
+        window = self._windows[target] = FloodWindow(self._definition,
+                                                     self.clock_now)
+        return window
 
     def observe_invite(self, target: str, event: Event) -> bool:
         """Feed one INVITE observation; returns True when a flood is flagged."""
-        result = self.machine_for(target).deliver(event)
-        self.version += 1
+        window = self.machines.get(target) or self._open(target)
+        result = window.deliver(event)
+        if result.from_state == FLOOD_INIT:
+            self._order.append((window.deadline, target, window))
+        self._version += 1
         entered_attack = result.attack and result.from_state != result.to_state
         if entered_attack and self.on_attack is not None:
             self.on_attack(target, event)
         return entered_attack
 
     def counter(self, target: str) -> int:
-        instance = self.machines.get(target)
-        if instance is None:
-            return 0
-        return int(instance.variables.get("pck_counter", 0))
+        window = self.machines.get(target)
+        return int(window.variables["pck_counter"]) if window else 0
 
     # -- checkpoint / restore -------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
-        """Serializable copy: every live window, plus the change count."""
-        return {
-            "machines": {target: instance.snapshot()
-                         for target, instance in self.machines.items()},
-            "version": self.version,
-        }
+        """Serializable copy: every open window, plus the change count."""
+        self.expire()
+        return {"machines": {target: window.snapshot()
+                             for target, window in self._windows.items()},
+                "version": self._version}
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Rewind to a :meth:`snapshot`, in place.
-
-        The T1 timers of the windows being discarded are cancelled first:
-        left running, one would fire for a target the restore removed, or
-        close a later window of that target early.  Restored windows
-        re-arm at their checkpointed deadlines.
-        """
-        for instance in self.machines.values():
-            instance.cancel_all_timers()
-        self.machines.clear()
+        """Rewind to a :meth:`snapshot`, in place: the windows opened since
+        are dropped, restored ones close at their checkpointed deadlines."""
+        self._windows.clear()
+        self._order.clear()
         for target, machine in snapshot["machines"].items():
-            self.machine_for(target).restore(machine)
-        # Last: rebuilding the table above counted as changes.
-        self.version = snapshot["version"]
+            window = self._open(target)
+            window.restore(machine)
+            self._order.append((window.deadline, target, window))
+        self._version = snapshot["version"]

@@ -117,7 +117,7 @@ def replay_trace(capture: Iterable[CapturedPacket],
     """Re-run detection over a capture; returns the analysed pipeline.
 
     The manual clock advances to each packet's original timestamp, so
-    pattern timers (T, T1) and record lifetimes behave exactly as they
+    pattern timers (T, the T1 deadlines) and record lifetimes behave as they
     would have online — and, under ``supervise``, the supervisor's
     heartbeats, checkpoints and the fault plan's injections fire at their
     scheduled times; after the last packet the clock runs one

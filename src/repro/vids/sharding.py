@@ -115,8 +115,7 @@ class ShardedVids:
         #: first shard's engine — the current one: a supervisor rebinds
         #: ``shards[0]`` when it restarts that member.
         self.trackers = CrossCallTrackers(
-            config, clock_now, timer_scheduler,
-            engine=lambda: self.shards[0].engine)
+            config, clock_now, engine=lambda: self.shards[0].engine)
         self.shards: List[Vids] = [
             self.build_shard(index) for index in range(shards)]
 

@@ -218,10 +218,10 @@ def test_failover_restores_trackers_with_their_versions():
 
 
 def test_restore_cancels_the_timers_of_the_windows_it_discards():
-    """In-place restore keeps the tracker objects, so a T1 timer armed
-    after the checkpoint belongs to state the restore throws away.  Left
-    running it would look up a target that is gone (``KeyError`` out of
-    the clock), or close a later window for that target early."""
+    """In-place restore keeps the tracker objects, so a T1 deadline set
+    after the checkpoint belongs to state the restore throws away.  Kept,
+    it would close a later window for that target early; restored windows
+    close at their checkpointed deadlines."""
     assert DEFAULT_CONFIG.invite_flood_window == 1.0
     plan = ShardFaultPlan(kills=((0.5, 0),))
     supervised, clock = make_cluster(

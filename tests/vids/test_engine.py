@@ -20,7 +20,7 @@ from repro.vids.sip_machine import ATTACK_BYE
 def make_engine():
     clock = ManualClock()
     alerts = AlertManager()
-    trackers = CrossCallTrackers(DEFAULT_CONFIG, clock.now, clock.schedule,
+    trackers = CrossCallTrackers(DEFAULT_CONFIG, clock.now,
                                  engine=lambda: engine)
     engine = AnalysisEngine(DEFAULT_CONFIG, alerts, clock.now,
                             trackers.first_stray)

@@ -81,7 +81,6 @@ class TestInviteFloodTracker:
         attacks = []
         tracker = InviteFloodTracker(
             build_invite_flood_machine(3, 1.0), clock_now=clock.now,
-            timer_scheduler=clock.schedule,
             on_attack=lambda target, event: attacks.append(target))
         # Two INVITEs each to two targets: below threshold for both.
         for index in range(3):
@@ -98,7 +97,6 @@ class TestInviteFloodTracker:
         attacks = []
         tracker = InviteFloodTracker(
             build_invite_flood_machine(2, 1.0), clock_now=clock.now,
-            timer_scheduler=clock.schedule,
             on_attack=lambda target, event: attacks.append(clock.now()))
         for index in range(10):
             tracker.observe_invite("bob@b.com", invite(f"b{index}"))
@@ -111,8 +109,7 @@ class TestInviteFloodTracker:
         seen (callee AORs and *claimed* sources are attacker-chosen)."""
         clock = ManualClock()
         tracker = InviteFloodTracker(
-            build_invite_flood_machine(2, 1.0), clock_now=clock.now,
-            timer_scheduler=clock.schedule)
+            build_invite_flood_machine(2, 1.0), clock_now=clock.now)
         tracker.observe_invite("bob@b.com", invite("a0"))
         clock.advance(0.5)
         for index in range(4):      # carol is flooded, and flagged
@@ -130,8 +127,7 @@ class TestInviteFloodTracker:
     def test_version_moves_with_every_change(self):
         clock = ManualClock()
         tracker = InviteFloodTracker(
-            build_invite_flood_machine(5, 1.0), clock_now=clock.now,
-            timer_scheduler=clock.schedule)
+            build_invite_flood_machine(5, 1.0), clock_now=clock.now)
         seen = [tracker.version]
 
         def moved():

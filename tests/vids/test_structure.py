@@ -192,24 +192,15 @@ def test_shipped_guards_hold_exactly_two_helper_leaves():
 
 
 def test_no_shipped_transition_holds_code_and_no_vids_function_takes_ctx():
-    """No callable ``action=``, no output argument builder, no opaque
-    leaf in the four shipped machines; under ``repro/vids`` nothing writes
-    ``ctx.v[...]``, starts a timer on a context, or takes one."""
-    for machine in CallSpec.build().machines:
-        for t in machine.transitions:
-            assert all(statement.op != "code"
-                       for statement in t.statements()), t.describe()
-            assert all(term.name for term in t.terms()
-                       if term.kind == "helper"), t.describe()
-    for rel, source in _sources():
-        if not rel.startswith("vids/"):
-            continue
-        assert not re.search(r"ctx\.v\[[^]]*\]\s*=[^=]", source), rel
-        assert "ctx.start_timer" not in source, rel
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                assert "ctx" not in [arg.arg for arg in node.args.args], (
-                    rel, getattr(node, "name", "<lambda>"))
+    """Every statement of the four shipped machines is one of the four
+    ops the firing compiler emits: ``Statement`` takes any op, so this is
+    not guaranteed where it is built.  (``add_transition`` refuses a
+    callable, ``helper()`` a lambda, and no ``src/repro`` source names a
+    ``ctx``: tests/efsm/test_structure.py.)"""
+    ops = {statement.op for machine in CallSpec.build().machines
+           for t in machine.transitions for statement in t.statements()}
+    assert {"write", "when", "start"} <= ops <= {"write", "when", "start",
+                                                "cancel"}
 
 
 def test_one_value_per_sip_field_and_one_table_of_attack_types():
@@ -233,16 +224,15 @@ def test_no_loop_body_of_the_ingest_core_names_a_profiler():
 def test_the_event_builders_produce_only_fields_something_reads():
     """Built keys ⊆ read keys: the ``x(...)`` terms of the shipped
     transitions (guards, statements, outputs), plus the literal
-    ``x.get("…")`` / ``event.get("…")`` / ``ctx.x["…"]`` reads under
-    ``repro/vids`` (trackers, engine, distributor)."""
+    ``x.get("…")`` / ``event.get("…")`` reads under ``repro/vids``
+    (trackers, engine, distributor)."""
     read = {term.name for machine in CallSpec.build().machines
             for t in machine.transitions
             for term in t.terms() if term.kind == "x"}
     for rel, source in _sources():
         if rel.startswith("vids/"):
             for pattern in (r'\bx\.get\(\s*"(\w+)"',
-                            r'\bevent\.get\(\s*"(\w+)"',
-                            r'ctx\.x\[\s*"(\w+)"\]'):
+                            r'\bevent\.get\(\s*"(\w+)"'):
                 read.update(re.findall(pattern, source))
     built = set()
     for wire in (invite_bytes(), response_bytes(200, with_sdp=True)):
