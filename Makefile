@@ -8,10 +8,11 @@ install:
 	pip install -e . --no-build-isolation
 
 # Repo-wide static analysis gate: ruff + mypy when installed, with an
-# offline AST-based fallback otherwise, then checkpoint coverage
-# (docs/CODECHECK.md; see tools/lint.py).  Then the
+# offline AST-based fallback otherwise (see tools/lint.py).  Then the
 # proof that the package is standard-library only: -S hides site-packages,
-# so a third-party runtime import fails.
+# so a third-party runtime import fails.  Checkpoint coverage is checked by
+# restoring checkpoints, not by reading source: the restore tier of
+# tests/integration/test_tier_parity.py (docs/ROBUSTNESS.md).
 lint:
 	$(PYTHON) tools/lint.py
 	PYTHONPATH=src $(PYTHON) -S -c "import repro, repro.live, repro.cli"

@@ -1,5 +1,4 @@
-"""Statistics, reporting and figure-export helpers; checkpoint-coverage
-analysis lives in :mod:`repro.analysis.codecheck`."""
+"""Statistics, reporting and figure-export helpers."""
 
 from .figures import export_all, export_fig8, export_fig9, export_fig10
 from .report import format_table, paper_vs_measured, print_table

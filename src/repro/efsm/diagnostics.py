@@ -114,21 +114,15 @@ def diagnostics_to_dicts(diagnostics: Iterable[Diagnostic]) -> List[Dict[str, An
 
 
 def format_report(diagnostics: Iterable[Diagnostic],
-                  min_severity: Severity = Severity.INFO,
-                  label: str = "speclint") -> str:
-    """Human-readable report grouped by machine, worst findings first.
-
-    ``label`` names the producing linter in the summary lines: the same
-    Diagnostic vocabulary is shared by ``speclint`` (spec verification)
-    and ``codecheck`` (checkpoint coverage, run by ``make lint``).
-    """
+                  min_severity: Severity = Severity.INFO) -> str:
+    """Human-readable report grouped by machine, worst findings first."""
     shown = sorted(
         (d for d in diagnostics if d.severity >= min_severity),
         key=lambda d: (d.machine or "", -int(d.severity), d.rule,
                        d.state or "", d.message),
     )
     if not shown:
-        return f"{label}: no findings"
+        return "speclint: no findings"
     lines: List[str] = []
     current: Optional[str] = None   # group names are never empty
     for diagnostic in shown:
@@ -141,5 +135,5 @@ def format_report(diagnostics: Iterable[Diagnostic],
     summary = ", ".join(f"{counts[name]} {name.lower()}"
                         for name in ("ERROR", "WARNING", "INFO")
                         if name in counts)
-    lines.append(f"{label}: {summary}")
+    lines.append(f"speclint: {summary}")
     return "\n".join(lines)

@@ -27,7 +27,7 @@ from .events import Event
 __all__ = ["MISSING", "NOW", "Term", "Guard", "Statement", "x", "v",
            "helper", "truthy", "as_term", "write", "when", "start", "cancel",
            "compile_firing", "Decision", "decide", "DISJOINT", "OVERLAP",
-           "UNDECIDED", "MUTATING_METHODS"]
+           "UNDECIDED"]
 
 #: Default of a term declared without one.
 MISSING = object()

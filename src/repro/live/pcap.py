@@ -19,7 +19,7 @@ fragments any INVITE whose SDP pushes the UDP payload past ~1480 bytes.
 
 A writer half (:class:`PcapWriter`, :class:`PcapNgWriter`) round-trips
 simulator captures to disk — the parity harness in
-tests/integration/test_live_parity.py and the CI live-smoke job generate
+tests/integration/test_tier_parity.py and the CI live-smoke job generate
 their fixture pcaps with it, optionally pre-fragmented at a chosen MTU
 to exercise reassembly.
 """

@@ -5,7 +5,7 @@ The bridge between :mod:`repro.live.pcap` and
 timestamps onto the analysis clock, and drive the same batched ingestion
 path the simulator uses — so thresholds, timers, and alert content are
 directly comparable with simulated runs (the parity bar in
-tests/integration/test_live_parity.py).
+tests/integration/test_tier_parity.py).
 """
 
 from __future__ import annotations

@@ -2,16 +2,19 @@
 
 Routing invariants: SIP hashes on Call-ID; RTP/RTCP follows the media
 routing table that tracks negotiated SDP endpoints; orphan media falls to
-shard 0; the aggregate views merge per-shard state.  The full alert-multiset equivalence bar lives in
-tests/integration/test_sharded_equivalence.py.
+shard 0; the aggregate views merge per-shard state.  The alert-multiset
+equivalence bar for every tier lives in
+tests/integration/test_tier_parity.py.
 """
 
+from collections import Counter
 from zlib import crc32
 
 import pytest
 
 from repro.efsm import ManualClock
-from repro.vids import DEFAULT_CONFIG, ShardedVids, Vids, shard_for_call
+from repro.vids import (DEFAULT_CONFIG, ShardedVids, Vids, replay_trace,
+                        shard_for_call)
 
 from .test_ids import (
     CALL_ID,
@@ -320,3 +323,22 @@ class TestQuarantineMediaRetirement:
         sharded.collect_garbage()
         assert self.MEDIA_KEY not in sharded.media_routes
         assert sharded.metrics.quarantine_paroles == 0
+
+
+def test_sharding_absorbs_the_overload_a_single_pipeline_sheds(
+        mixed_capture):
+    """Under the default watermarks the INVITE flood of the mixed-attack
+    capture pushes one pipeline into shedding; spread across four shards
+    the same traffic stays under the per-shard watermark.  Apart from the
+    capacity alert, detection still agrees."""
+    plain = replay_trace(mixed_capture)
+    sharded = replay_trace(mixed_capture, shards=4)
+    assert plain.metrics.shed_events > 0
+    assert sharded.metrics.shed_events == 0
+
+    def detection(run):
+        return Counter((round(a.time, 6), a.attack_type, a.call_id,
+                        a.source, a.destination, a.machine, a.state)
+                       for a in run.alerts
+                       if a.attack_type.value != "overload-shed")
+    assert detection(sharded) == detection(plain)

@@ -13,10 +13,6 @@ degrades to a built-in fallback instead of skipping the gate entirely:
   assignment), and B006 (mutable default argument).  ``# noqa`` comments
   are honored per line, with or without rule codes (:func:`noqa_lines`).
 
-In *both* environments the script then runs the checkpoint-coverage
-analysis (:mod:`repro.analysis.codecheck`): it is repo-specific, so no
-external tool covers it.
-
 Exit status is non-zero when any check reports findings, so the Makefile
 target gates the same way in both environments.
 """
@@ -24,13 +20,10 @@ target gates the same way in both environments.
 from __future__ import annotations
 
 import ast
-import importlib
 import re
 import shutil
 import subprocess
-import sys
 from pathlib import Path
-from types import ModuleType
 from typing import Dict, List, Mapping, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -50,16 +43,6 @@ def python_files() -> List[Path]:
 def run_tool(command: List[str]) -> int:
     print(f"$ {' '.join(command)}", flush=True)
     return subprocess.call(command, cwd=REPO_ROOT)
-
-
-def from_src(name: str) -> ModuleType:
-    """Module ``name`` imported from ``src`` where a check needs it, so a
-    package that does not import fails only those checks."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        return importlib.import_module(name)
-    finally:
-        sys.path.pop(0)
 
 
 _NOQA_CODE = re.compile(r"[A-Z]+[0-9]+")
@@ -296,17 +279,6 @@ def fallback_check(files: List[Path]) -> int:
     return 1 if findings else 0
 
 
-def checkpoint_check() -> int:
-    """Run the checkpoint-coverage analysis over the shipped package."""
-    codecheck = from_src("repro.analysis.codecheck")
-    report = from_src("repro.efsm.diagnostics")
-    diagnostics = codecheck.analyze()
-    if diagnostics:
-        print(report.format_report(diagnostics, label="codecheck"))
-    print(f"codecheck: {len(diagnostics)} finding(s)")
-    return 1 if diagnostics else 0
-
-
 def main() -> int:
     status = 0
     ran_external = False
@@ -320,7 +292,6 @@ def main() -> int:
         print("ruff/mypy not installed; running built-in fallback checks "
               "(CI runs the real tools)")
         status = fallback_check(python_files())
-    status |= checkpoint_check()
     return status
 
 
