@@ -48,7 +48,7 @@ class _ScheduledEvent:
 
 
 class Timer:
-    """Handle to a scheduled event, allowing cancellation and rescheduling.
+    """Handle to a scheduled event, allowing cancellation.
 
     Timers are how protocol state machines (SIP transaction timers, the
     vids attack-pattern timers T and T1) interact with simulated time.
@@ -70,42 +70,9 @@ class Timer:
         """True while the timer is pending (not fired, not cancelled)."""
         return not self._event.cancelled and not self._event.fired
 
-    @property
-    def callback(self) -> Callable[..., None]:
-        """The callback this timer will invoke."""
-        return self._event.callback
-
     def cancel(self) -> None:
         """Cancel the timer; a no-op if it already fired or was cancelled."""
         self._sim._cancel(self._event)
-
-    def reschedule(self, delay: float) -> "Timer":
-        """Re-arm this timer ``delay`` seconds from now, reusing the handle.
-
-        The retransmission pattern (SIP timers A/E/G reset with a doubled
-        interval on every firing) would otherwise allocate a fresh heap
-        entry and a fresh :class:`Timer` per reset; an already-fired entry
-        is recycled in place and an unfired one is cancelled lazily.
-        Returns ``self`` so call sites can treat it like ``schedule``.
-        """
-        sim = self._sim
-        if delay < 0:
-            raise SimulationError(
-                f"cannot schedule into the past: delay={delay}")
-        event = self._event
-        if event.fired and not event.cancelled:
-            # The entry already left the heap: recycle it.
-            event.time = sim._now + delay
-            event.seq = sim._seq
-            sim._seq += 1
-            event.fired = False
-            heapq.heappush(sim._queue, event)
-            sim._pending += 1
-        else:
-            self.cancel()
-            self._event = sim._push(sim._now + delay, event.callback,
-                                    event.args, event.label)
-        return self
 
 
 class Simulator:
@@ -168,17 +135,13 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self._now})"
             )
-        return Timer(self, self._push(time, callback, args, label))
-
-    def _push(self, time: float, callback: Callable[..., None],
-              args: tuple, label: str) -> _ScheduledEvent:
         event = _ScheduledEvent(
             time=time, seq=self._seq, callback=callback, args=args, label=label
         )
         self._seq += 1
         heapq.heappush(self._queue, event)
         self._pending += 1
-        return event
+        return Timer(self, event)
 
     # -- cancellation ---------------------------------------------------------
 

@@ -64,7 +64,6 @@ from .transaction import (
     NonInviteServerTransaction,
     ServerTransaction,
     TransactionManager,
-    TransactionState,
 )
 from .transport import SipTransport
 from .uri import SipUri
@@ -117,7 +116,6 @@ __all__ = [
     "SipUri",
     "TimerTable",
     "TransactionManager",
-    "TransactionState",
     "UserAgent",
     "Via",
     "canonical_header_name",

@@ -1,40 +1,41 @@
 """SIP transaction layer (RFC 3261 §17) over unreliable (UDP) transport.
 
-Implements the four transaction state machines — INVITE/non-INVITE x
-client/server — with the retransmission and timeout timers that make SIP
-calls survive the testbed's 0.42 % Internet loss.  The 2xx-retransmission
-behaviour of the INVITE server transaction follows the RFC 6026 "ACCEPTED
-state" refinement so that 200 OK reliability lives inside the transaction.
+The four transaction machines — INVITE/non-INVITE x client/server — are
+Definition-1 EFSMs, the formalism of the vids machines on the other side of
+the wire: guards of :mod:`repro.efsm.guards` over the response status,
+Timers A–K as ``start``/``cancel`` and the A/E/G back-offs as ``write``s.
+The INVITE server has RFC 6026's ``accepted`` state, so 200 OK reliability
+lives inside the transaction.  docs/STATE_MACHINES.md ("The simulator's
+transaction machines") has their tables.
 
-The transaction layer talks to:
-
-- a *transport*: any object with ``sim`` (a :class:`~repro.netsim.Simulator`)
-  and ``send_message(message, destination)``;
-- a *transaction user* (TU): callbacks given at construction time.
+What a machine does to its environment is an output: a send on the
+``wire`` channel — the *transport*, any object with ``sim`` (a
+:class:`~repro.netsim.Simulator`) and ``send_message(message,
+destination)`` — or a callback on the ``tu`` channel to the *transaction
+user* (TU), given at construction time.  :class:`Transaction` delivers each
+event to its machine, then runs the outputs in order; the machine's timers
+run on the simulator.
 """
 
 from __future__ import annotations
 
-import enum
+from operator import mul
 from typing import Callable, Dict, Optional, Protocol, Tuple
 
+from ..efsm.events import TIMER_CHANNEL, Event
+from ..efsm.guards import Statement, cancel, helper, start, v, write, x
+from ..efsm.machine import Efsm, EfsmInstance, Output
 from ..netsim.address import Endpoint
-from ..netsim.engine import Timer
 from .constants import ACK, CANCEL, INVITE
 from .errors import SipProtocolError
-from .message import SipRequest, SipResponse
+from .message import SipMessage, SipRequest, SipResponse
 from .timers import DEFAULT_TIMERS, TimerTable
 
 __all__ = [
-    "Transport",
-    "TransactionState",
-    "ClientTransaction",
-    "InviteClientTransaction",
-    "NonInviteClientTransaction",
-    "ServerTransaction",
-    "InviteServerTransaction",
-    "NonInviteServerTransaction",
-    "TransactionManager",
+    "Transport", "Transaction", "ClientTransaction", "InviteClientTransaction",
+    "NonInviteClientTransaction", "ServerTransaction",
+    "InviteServerTransaction", "NonInviteServerTransaction",
+    "TransactionManager", "transaction_machines",
 ]
 
 
@@ -47,86 +48,220 @@ class Transport(Protocol):
     def send_message(self, message, destination: Endpoint) -> None: ...
 
 
-class TransactionState(enum.Enum):
-    """States of the four RFC 3261 transaction machines (plus RFC 6026's
-    ACCEPTED)."""
+# ---- the four machines (Definition 1, as data) ------------------------------
 
-    CALLING = "calling"
-    TRYING = "trying"
-    PROCEEDING = "proceeding"
-    ACCEPTED = "accepted"      # RFC 6026 (INVITE server with 2xx sent)
-    COMPLETED = "completed"
-    CONFIRMED = "confirmed"
-    TERMINATED = "terminated"
+#: Output channels: sends to the transport, callbacks to the TU.
+WIRE, TU = "wire", "tu"
+PROCEEDING, TERMINATED = "proceeding", "terminated"
+
+_STATUS = x("status")
+PROVISIONAL = _STATUS < 200
+SUCCESS = (_STATUS >= 200) & (_STATUS < 300)
+FINAL = _STATUS >= 200
+FAILURE = _STATUS >= 300
 
 
-class _TransactionBase:
-    """State/timer plumbing shared by all four transaction machines."""
+def _machine(name: str, initial: str, *states: str,
+             timers: Tuple[str, ...]) -> Efsm:
+    """A machine with ``terminated`` final and, as globals, the
+    :class:`TimerTable` durations it reads."""
+    machine = Efsm(name, initial)
+    for state in states:
+        machine.add_state(state)
+    machine.add_state(TERMINATED, final=True)
+    return machine.declare_global(**{
+        timer: getattr(DEFAULT_TIMERS, timer) for timer in timers
+    }).declare_channel(WIRE, TU)
 
-    def __init__(self, transport: Transport, timers: TimerTable):
+
+def _arm(timer: str) -> Tuple[Statement, ...]:
+    """Start a retransmission timer at T1."""
+    return write("interval", v("t1")), start(timer, v("t1"))
+
+
+def _backoff(timer: str, capped: bool = True) -> Tuple[Statement, ...]:
+    """Double the interval (up to T2 when ``capped``) and restart."""
+    doubled = helper(mul, v("interval"), 2)
+    return (write("interval", helper(min, doubled, v("t2")) if capped
+                  else doubled),
+            start(timer, v("interval")))
+
+
+def _invite_client() -> Efsm:
+    """RFC 3261 §17.1.1 (Figure 5)."""
+    m = _machine("invite-client", "init", "calling", PROCEEDING, "completed",
+                 timers=("t1", "timer_b", "timer_d")).declare(interval=0.0)
+    request, ack = Output(WIRE, "request"), Output(WIRE, ACK)
+    response, timeout = Output(TU, "response"), Output(TU, "timeout")
+    m.add_transition("init", "request", "calling",
+                     action=(*_arm("A"), start("B", v("timer_b"))),
+                     outputs=[request])
+    m.add_transition("calling", "A", "calling", action=_backoff("A", False),
+                     outputs=[request], channel=TIMER_CHANNEL)
+    for state in ("calling", PROCEEDING):
+        m.add_transition(state, "response", PROCEEDING, PROVISIONAL,
+                         cancel("A"), [response])
+        # The TU sends the 2xx ACK and absorbs 2xx retransmissions.
+        m.add_transition(state, "response", TERMINATED, SUCCESS,
+                         (cancel("A"), cancel("B")), [response])
+        m.add_transition(state, "response", "completed", FAILURE,
+                         (cancel("A"), cancel("B"), start("D", v("timer_d"))),
+                         [ack, response])
+        m.add_transition(state, "B", TERMINATED, action=cancel("A"),
+                         outputs=[timeout], channel=TIMER_CHANNEL)
+    m.add_transition("completed", "response", "completed", FAILURE,
+                     outputs=[ack])
+    m.add_transition("completed", "D", TERMINATED, channel=TIMER_CHANNEL)
+    return m
+
+
+def _non_invite_client() -> Efsm:
+    """RFC 3261 §17.1.2 (Figure 6)."""
+    m = _machine("non-invite-client", "init", "trying", PROCEEDING,
+                 "completed", timers=("t1", "t2", "timer_f", "timer_k")
+                 ).declare(interval=0.0)
+    request = Output(WIRE, "request")
+    response, timeout = Output(TU, "response"), Output(TU, "timeout")
+    m.add_transition("init", "request", "trying",
+                     action=(*_arm("E"), start("F", v("timer_f"))),
+                     outputs=[request])
+    m.add_transition("trying", "E", "trying", action=_backoff("E"),
+                     outputs=[request], channel=TIMER_CHANNEL)
+    m.add_transition(PROCEEDING, "E", PROCEEDING, action=start("E", v("t2")),
+                     outputs=[request], channel=TIMER_CHANNEL)
+    for state in ("trying", PROCEEDING):
+        m.add_transition(state, "response", PROCEEDING, PROVISIONAL,
+                         outputs=[response])
+        m.add_transition(state, "response", "completed", FINAL,
+                         (cancel("E"), cancel("F"), start("K", v("timer_k"))),
+                         [response])
+        m.add_transition(state, "F", TERMINATED, action=cancel("E"),
+                         outputs=[timeout], channel=TIMER_CHANNEL)
+    m.add_transition("completed", "response", "completed", FINAL)
+    m.add_transition("completed", "K", TERMINATED, channel=TIMER_CHANNEL)
+    return m
+
+
+def _invite_server() -> Efsm:
+    """RFC 3261 §17.2.1 (Figure 7) with RFC 6026's ``accepted``: a 2xx is
+    retransmitted on G until the ACK, and no non-2xx leaves ``accepted``
+    (a CANCEL that crosses the 200 has no effect, RFC 3261 §9.2)."""
+    m = _machine("invite-server", PROCEEDING, "accepted", "completed",
+                 "confirmed", timers=("t1", "t2", "timer_h", "timer_i")
+                 ).declare(interval=0.0)
+    response, resend = Output(WIRE, "response"), Output(WIRE, "resend")
+    arm = (*_arm("G"), start("H", v("timer_h")))
+    m.add_transition(PROCEEDING, "response", PROCEEDING, PROVISIONAL,
+                     outputs=[response])
+    for state in (PROCEEDING, "accepted"):
+        m.add_transition(state, "response", "accepted", SUCCESS, arm,
+                         [response])
+    m.add_transition(PROCEEDING, "response", "completed", FAILURE, arm,
+                     [response])
+    for state in (PROCEEDING, "accepted", "completed"):
+        m.add_transition(state, "request", state, outputs=[resend])
+    for state in ("accepted", "completed"):
+        m.add_transition(state, "G", state, action=_backoff("G"),
+                         outputs=[resend], channel=TIMER_CHANNEL)
+        m.add_transition(state, "H", TERMINATED, action=cancel("G"),
+                         outputs=[Output(TU, "failure")],
+                         channel=TIMER_CHANNEL)
+    m.add_transition("accepted", ACK, TERMINATED, action=(
+        cancel("G"), cancel("H")), outputs=[Output(TU, ACK)])
+    m.add_transition("completed", ACK, "confirmed", action=(
+        cancel("G"), cancel("H"), start("I", v("timer_i"))))
+    m.add_transition("confirmed", ACK, "confirmed")
+    m.add_transition("confirmed", "I", TERMINATED, channel=TIMER_CHANNEL)
+    return m
+
+
+def _non_invite_server() -> Efsm:
+    """RFC 3261 §17.2.2 (Figure 8)."""
+    m = _machine("non-invite-server", "trying", PROCEEDING, "completed",
+                 timers=("timer_j",))
+    response, resend = Output(WIRE, "response"), Output(WIRE, "resend")
+    for state in ("trying", PROCEEDING):
+        m.add_transition(state, "response", PROCEEDING, PROVISIONAL,
+                         outputs=[response])
+        m.add_transition(state, "response", "completed", FINAL,
+                         start("J", v("timer_j")), [response])
+    for state in (PROCEEDING, "completed"):
+        m.add_transition(state, "request", state, outputs=[resend])
+    m.add_transition("completed", "J", TERMINATED, channel=TIMER_CHANNEL)
+    return m
+
+
+_MACHINES: Dict[str, Efsm] = {}
+
+
+def transaction_machines() -> Dict[str, Efsm]:
+    """The four definitions by name, built and frozen once per process on
+    first use — not at import, whose cost every process start pays."""
+    if not _MACHINES:
+        _MACHINES.update((machine.name, machine.freeze()) for machine in (
+            _invite_client(), _non_invite_client(), _invite_server(),
+            _non_invite_server()))
+    return _MACHINES
+
+
+# ---- the environment: what each output does --------------------------------
+
+class Transaction:
+    """One running transaction machine: ``MACHINE`` names its definition,
+    ``_output(name, message)`` does what each of its outputs says."""
+
+    MACHINE = ""
+
+    def __init__(self, transport: Transport, request: SipRequest,
+                 timers: TimerTable):
         self.transport = transport
-        self.timers = timers
-        self.state: Optional[TransactionState] = None
-        self._timer_handles: Dict[str, Timer] = {}
-        self.on_terminated: Optional[Callable[["_TransactionBase"], None]] = None
+        self.request = request
+        definition = transaction_machines()[self.MACHINE]
+        sim = transport.sim
+        self.machine = EfsmInstance(
+            definition, {name: getattr(timers, name)
+                         for name in definition.global_variables},
+            clock_now=lambda: sim.now, timer_scheduler=sim.schedule)
+        self.machine.on_timer_event = self._handle
+        self.on_terminated: Optional[Callable[["Transaction"], None]] = None
 
     @property
-    def sim(self):
-        return self.transport.sim
-
-    def _start_timer(self, name: str, delay: float,
-                     callback: Callable[[], None]) -> None:
-        handle = self._timer_handles.get(name)
-        if handle is not None and handle.callback == callback:
-            # Retransmission reset (timers A/E/G/G2xx): re-arm the existing
-            # handle instead of allocating a fresh Timer per backoff step.
-            handle.reschedule(delay)
-            return
-        self._cancel_timer(name)
-        self._timer_handles[name] = self.sim.schedule(delay, callback,
-                                                      label=f"sip-{name}")
-
-    def _cancel_timer(self, name: str) -> None:
-        handle = self._timer_handles.pop(name, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _cancel_all_timers(self) -> None:
-        for name in list(self._timer_handles):
-            self._cancel_timer(name)
-
-    def _terminate(self) -> None:
-        self._cancel_all_timers()
-        if self.state is not TransactionState.TERMINATED:
-            self.state = TransactionState.TERMINATED
-            if self.on_terminated is not None:
-                self.on_terminated(self)
+    def state(self) -> str:
+        return self.machine.state
 
     @property
     def terminated(self) -> bool:
-        return self.state is TransactionState.TERMINATED
+        return self.machine.state == TERMINATED
+
+    def _handle(self, event: Event) -> None:
+        """Deliver ``event``, then run the firing's outputs in order.  An
+        event no transition takes is ignored."""
+        result = self.machine.deliver(event)
+        if (result.to_state == TERMINATED != result.from_state
+                and self.on_terminated is not None):
+            self.on_terminated(self)
+        for output in result.outputs:
+            self._output(output.name, output.get("message"))
+
+    def _handle_response(self, response: SipResponse) -> None:
+        self._handle(Event("response", {"status": response.status,
+                                        "message": response}))
 
 
-class ClientTransaction(_TransactionBase):
-    """Base client transaction: owns the request and the destination."""
+class ClientTransaction(Transaction):
+    """A client transaction: owns the request and the destination."""
 
-    def __init__(
-        self,
-        transport: Transport,
-        request: SipRequest,
-        destination: Endpoint,
-        on_response: Callable[[SipResponse], None],
-        on_timeout: Optional[Callable[[], None]] = None,
-        timers: TimerTable = DEFAULT_TIMERS,
-    ):
-        super().__init__(transport, timers)
+    def __init__(self, transport: Transport, request: SipRequest,
+                 destination: Endpoint,
+                 on_response: Callable[[SipResponse], None],
+                 on_timeout: Optional[Callable[[], None]] = None,
+                 timers: TimerTable = DEFAULT_TIMERS):
         if request.branch is None:
             raise SipProtocolError("client transaction request needs a Via branch")
-        self.request = request
+        super().__init__(transport, request, timers)
         self.destination = destination
         self.on_response = on_response
         self.on_timeout = on_timeout
-        self.retransmissions = 0
 
     @property
     def key(self) -> Tuple[str, str]:
@@ -134,140 +269,69 @@ class ClientTransaction(_TransactionBase):
         return (self.request.branch or "", cseq.method if cseq else self.request.method)
 
     def start(self) -> None:
-        raise NotImplementedError
+        """The TU hands the request to the transaction."""
+        self._handle(Event("request"))
 
-    def receive_response(self, response: SipResponse) -> None:
-        raise NotImplementedError
+    receive_response = Transaction._handle_response
 
-    def _send_request(self) -> None:
-        self.transport.send_message(self.request, self.destination)
-
-    def _timeout(self) -> None:
-        self._terminate()
-        if self.on_timeout is not None:
+    def _output(self, name: str, message: Optional[SipResponse]) -> None:
+        if name == "request":
+            self.transport.send_message(self.request, self.destination)
+        elif name == ACK:
+            self.transport.send_message(self._ack(message), self.destination)
+        elif name == "response":
+            self.on_response(message)
+        elif self.on_timeout is not None:
             self.on_timeout()
+
+    def _ack(self, response: SipResponse) -> SipRequest:
+        """ACK for a non-2xx final response (RFC 3261 §17.1.1.3)."""
+        ack = SipRequest(ACK, self.request.uri)
+        ack.set("Via", self.request.get("Via"))
+        ack.set("From", self.request.get("From"))
+        ack.set("To", response.get("To") or self.request.get("To"))
+        ack.set("Call-ID", self.request.call_id)
+        ack.set("CSeq", f"{self.request.cseq.number} {ACK}")
+        ack.set("Max-Forwards", 70)
+        return ack
 
 
 class InviteClientTransaction(ClientTransaction):
     """RFC 3261 §17.1.1."""
 
-    def start(self) -> None:
-        self.state = TransactionState.CALLING
-        self._send_request()
-        self._retransmit_interval = self.timers.t1
-        self._start_timer("A", self._retransmit_interval, self._on_timer_a)
-        self._start_timer("B", self.timers.timer_b, self._timeout)
-
-    def _on_timer_a(self) -> None:
-        if self.state is not TransactionState.CALLING:
-            return
-        self.retransmissions += 1
-        self._send_request()
-        self._retransmit_interval *= 2
-        self._start_timer("A", self._retransmit_interval, self._on_timer_a)
-
-    def receive_response(self, response: SipResponse) -> None:
-        if self.state in (TransactionState.TERMINATED, None):
-            return
-        if response.is_provisional:
-            if self.state is TransactionState.CALLING:
-                self.state = TransactionState.PROCEEDING
-                self._cancel_timer("A")
-            self.on_response(response)
-        elif response.is_success:
-            # 2xx: the transaction terminates; the TU sends the ACK and
-            # handles 200 retransmits at the dialog layer.
-            self._terminate()
-            self.on_response(response)
-        else:
-            first_final = self.state in (TransactionState.CALLING,
-                                         TransactionState.PROCEEDING)
-            self.state = TransactionState.COMPLETED
-            self._cancel_timer("A")
-            self._cancel_timer("B")
-            self._send_ack(response)
-            if first_final:
-                self._start_timer("D", self.timers.timer_d, self._terminate)
-                self.on_response(response)
-
-    def _send_ack(self, response: SipResponse) -> None:
-        """ACK for a non-2xx final response (RFC 3261 §17.1.1.3)."""
-        ack = SipRequest(ACK, self.request.uri)
-        ack.set("Via", self.request.get("Via"))
-        ack.set("From", self.request.get("From"))
-        to_value = response.get("To") or self.request.get("To")
-        ack.set("To", to_value)
-        ack.set("Call-ID", self.request.call_id)
-        cseq = self.request.cseq
-        ack.set("CSeq", f"{cseq.number} {ACK}")
-        ack.set("Max-Forwards", 70)
-        self.transport.send_message(ack, self.destination)
+    MACHINE = "invite-client"
 
 
 class NonInviteClientTransaction(ClientTransaction):
     """RFC 3261 §17.1.2."""
 
-    def start(self) -> None:
-        self.state = TransactionState.TRYING
-        self._send_request()
-        self._retransmit_interval = self.timers.t1
-        self._start_timer("E", self._retransmit_interval, self._on_timer_e)
-        self._start_timer("F", self.timers.timer_f, self._timeout)
-
-    def _on_timer_e(self) -> None:
-        if self.state not in (TransactionState.TRYING,
-                              TransactionState.PROCEEDING):
-            return
-        self.retransmissions += 1
-        self._send_request()
-        if self.state is TransactionState.TRYING:
-            self._retransmit_interval = min(self._retransmit_interval * 2,
-                                            self.timers.t2)
-        else:
-            self._retransmit_interval = self.timers.t2
-        self._start_timer("E", self._retransmit_interval, self._on_timer_e)
-
-    def receive_response(self, response: SipResponse) -> None:
-        if self.state in (TransactionState.TERMINATED, None):
-            return
-        if response.is_provisional:
-            if self.state is TransactionState.TRYING:
-                self.state = TransactionState.PROCEEDING
-            self.on_response(response)
-        else:
-            first_final = self.state in (TransactionState.TRYING,
-                                         TransactionState.PROCEEDING)
-            self.state = TransactionState.COMPLETED
-            self._cancel_timer("E")
-            self._cancel_timer("F")
-            if first_final:
-                self._start_timer("K", self.timers.timer_k, self._terminate)
-                self.on_response(response)
+    MACHINE = "non-invite-client"
 
 
-class ServerTransaction(_TransactionBase):
-    """Base server transaction: owns the original request and reply address."""
+def _server_key(request: SipRequest, method: str) -> Tuple[str, str, str]:
+    """(branch, top Via sent-by, method): how a server transaction is
+    matched (RFC 3261 §17.2.3)."""
+    via = request.top_via
+    return (request.branch or "", f"{via.host}:{via.port}" if via else "",
+            method)
 
-    def __init__(
-        self,
-        transport: Transport,
-        request: SipRequest,
-        source: Endpoint,
-        timers: TimerTable = DEFAULT_TIMERS,
-    ):
-        super().__init__(transport, timers)
-        self.request = request
+
+class ServerTransaction(Transaction):
+    """A server transaction: owns the original request and reply address."""
+
+    def __init__(self, transport: Transport, request: SipRequest,
+                 source: Endpoint, timers: TimerTable = DEFAULT_TIMERS,
+                 on_ack: Optional[Callable[[SipRequest], None]] = None,
+                 on_transport_failure: Optional[Callable[[], None]] = None):
+        super().__init__(transport, request, timers)
         self.source = source
         self.last_response: Optional[SipResponse] = None
+        self.on_ack = on_ack
+        self.on_transport_failure = on_transport_failure
 
     @property
     def key(self) -> Tuple[str, str, str]:
-        via = self.request.top_via
-        sent_by = f"{via.host}:{via.port}" if via else ""
-        method = self.request.method
-        if method == ACK:
-            method = INVITE
-        return (self.request.branch or "", sent_by, method)
+        return _server_key(self.request, self.request.method)
 
     def _reply_destination(self) -> Endpoint:
         """Responses go to the top Via sent-by address (RFC 3261 §18.2.2)."""
@@ -277,117 +341,40 @@ class ServerTransaction(_TransactionBase):
         host = via.params.get("received") or via.host
         return Endpoint(host, via.port)
 
-    def send_response(self, response: SipResponse) -> None:
-        raise NotImplementedError
+    send_response = Transaction._handle_response
 
     def receive_retransmission(self, request: SipRequest) -> None:
-        """Absorb a request retransmit by replaying the last response."""
-        if self.last_response is not None:
-            self.transport.send_message(self.last_response,
-                                        self._reply_destination())
+        """A request retransmit: replay the last response, if any."""
+        self._handle(Event("request"))
 
-    def _transmit(self, response: SipResponse) -> None:
-        self.last_response = response
-        self.transport.send_message(response, self._reply_destination())
+    def _output(self, name: str, message: Optional[SipMessage]) -> None:
+        if name == ACK:
+            if self.on_ack is not None:
+                self.on_ack(message)
+        elif name == "failure":
+            if self.on_transport_failure is not None:
+                self.on_transport_failure()
+        else:
+            if name == "response":
+                self.last_response = message
+            if self.last_response is not None:
+                self.transport.send_message(self.last_response,
+                                            self._reply_destination())
 
 
 class InviteServerTransaction(ServerTransaction):
-    """RFC 3261 §17.2.1 with the RFC 6026 ACCEPTED state."""
+    """RFC 3261 §17.2.1 with the RFC 6026 ``accepted`` state."""
 
-    def __init__(self, transport, request, source,
-                 timers: TimerTable = DEFAULT_TIMERS,
-                 on_ack: Optional[Callable[[SipRequest], None]] = None,
-                 on_transport_failure: Optional[Callable[[], None]] = None):
-        super().__init__(transport, request, source, timers)
-        self.state = TransactionState.PROCEEDING
-        self.on_ack = on_ack
-        self.on_transport_failure = on_transport_failure
-
-    def send_response(self, response: SipResponse) -> None:
-        if self.state is TransactionState.TERMINATED:
-            return
-        if response.is_provisional:
-            if self.state is TransactionState.PROCEEDING:
-                self._transmit(response)
-            return
-        if response.is_success:
-            self.state = TransactionState.ACCEPTED
-            self._transmit(response)
-            self._retransmit_interval = self.timers.t1
-            self._start_timer("G2xx", self._retransmit_interval,
-                              self._on_2xx_retransmit)
-            self._start_timer("H", self.timers.timer_h, self._ack_timeout)
-        else:
-            self.state = TransactionState.COMPLETED
-            self._transmit(response)
-            self._retransmit_interval = self.timers.t1
-            self._start_timer("G", self._retransmit_interval, self._on_timer_g)
-            self._start_timer("H", self.timers.timer_h, self._ack_timeout)
-
-    def _on_timer_g(self) -> None:
-        if self.state is not TransactionState.COMPLETED:
-            return
-        if self.last_response is not None:
-            self.transport.send_message(self.last_response,
-                                        self._reply_destination())
-        self._retransmit_interval = min(self._retransmit_interval * 2,
-                                        self.timers.t2)
-        self._start_timer("G", self._retransmit_interval, self._on_timer_g)
-
-    def _on_2xx_retransmit(self) -> None:
-        if self.state is not TransactionState.ACCEPTED:
-            return
-        if self.last_response is not None:
-            self.transport.send_message(self.last_response,
-                                        self._reply_destination())
-        self._retransmit_interval = min(self._retransmit_interval * 2,
-                                        self.timers.t2)
-        self._start_timer("G2xx", self._retransmit_interval,
-                          self._on_2xx_retransmit)
-
-    def _ack_timeout(self) -> None:
-        self._terminate()
-        if self.on_transport_failure is not None:
-            self.on_transport_failure()
+    MACHINE = "invite-server"
 
     def receive_ack(self, ack: SipRequest) -> None:
-        if self.state is TransactionState.COMPLETED:
-            self.state = TransactionState.CONFIRMED
-            self._cancel_timer("G")
-            self._cancel_timer("H")
-            self._start_timer("I", self.timers.timer_i, self._terminate)
-        elif self.state is TransactionState.ACCEPTED:
-            self._cancel_timer("G2xx")
-            self._cancel_timer("H")
-            self._terminate()
-            if self.on_ack is not None:
-                self.on_ack(ack)
-
-    def receive_retransmission(self, request: SipRequest) -> None:
-        if self.state in (TransactionState.PROCEEDING,
-                          TransactionState.COMPLETED,
-                          TransactionState.ACCEPTED):
-            super().receive_retransmission(request)
+        self._handle(Event(ACK, {"message": ack}))
 
 
 class NonInviteServerTransaction(ServerTransaction):
     """RFC 3261 §17.2.2."""
 
-    def __init__(self, transport, request, source,
-                 timers: TimerTable = DEFAULT_TIMERS):
-        super().__init__(transport, request, source, timers)
-        self.state = TransactionState.TRYING
-
-    def send_response(self, response: SipResponse) -> None:
-        if self.state is TransactionState.TERMINATED:
-            return
-        if response.is_provisional:
-            self.state = TransactionState.PROCEEDING
-            self._transmit(response)
-        else:
-            self.state = TransactionState.COMPLETED
-            self._transmit(response)
-            self._start_timer("J", self.timers.timer_j, self._terminate)
+    MACHINE = "non-invite-server"
 
 
 class TransactionManager:
@@ -402,13 +389,12 @@ class TransactionManager:
       client transaction (proxies forward these statelessly).
     """
 
-    def __init__(
-        self,
-        transport: Transport,
-        on_request: Callable[[SipRequest, Endpoint, Optional[ServerTransaction]], None],
-        on_stray_response: Optional[Callable[[SipResponse, Endpoint], None]] = None,
-        timers: TimerTable = DEFAULT_TIMERS,
-    ):
+    def __init__(self, transport: Transport,
+                 on_request: Callable[[SipRequest, Endpoint,
+                                       Optional[ServerTransaction]], None],
+                 on_stray_response: Optional[Callable[[SipResponse, Endpoint],
+                                                      None]] = None,
+                 timers: TimerTable = DEFAULT_TIMERS):
         self.transport = transport
         self.timers = timers
         self.on_request = on_request
@@ -416,34 +402,20 @@ class TransactionManager:
         self.client_transactions: Dict[Tuple[str, str], ClientTransaction] = {}
         self.server_transactions: Dict[Tuple[str, str, str], ServerTransaction] = {}
 
-    # -- client side --------------------------------------------------------
-
-    def send_request(
-        self,
-        request: SipRequest,
-        destination: Endpoint,
-        on_response: Callable[[SipResponse], None],
-        on_timeout: Optional[Callable[[], None]] = None,
-    ) -> ClientTransaction:
+    def send_request(self, request: SipRequest, destination: Endpoint,
+                     on_response: Callable[[SipResponse], None],
+                     on_timeout: Optional[Callable[[], None]] = None
+                     ) -> ClientTransaction:
         """Create, register, and start the right client transaction."""
         cls = (InviteClientTransaction if request.method == INVITE
                else NonInviteClientTransaction)
         transaction = cls(self.transport, request, destination,
                           on_response, on_timeout, timers=self.timers)
         self.client_transactions[transaction.key] = transaction
-        transaction.on_terminated = self._client_terminated
+        transaction.on_terminated = (
+            lambda done: self.client_transactions.pop(done.key, None))
         transaction.start()
         return transaction
-
-    def _client_terminated(self, transaction: "_TransactionBase") -> None:
-        assert isinstance(transaction, ClientTransaction)
-        self.client_transactions.pop(transaction.key, None)
-
-    def _server_terminated(self, transaction: "_TransactionBase") -> None:
-        assert isinstance(transaction, ServerTransaction)
-        self.server_transactions.pop(transaction.key, None)
-
-    # -- dispatch -------------------------------------------------------------
 
     def handle_response(self, response: SipResponse, source: Endpoint) -> None:
         branch = response.branch
@@ -457,18 +429,14 @@ class TransactionManager:
             self.on_stray_response(response, source)
 
     def handle_request(self, request: SipRequest, source: Endpoint) -> None:
-        via = request.top_via
-        sent_by = f"{via.host}:{via.port}" if via else ""
         method = request.method
-        lookup_method = INVITE if method == ACK else method
-        key = (request.branch or "", sent_by, lookup_method)
-        existing = self.server_transactions.get(key)
+        existing = self.server_transactions.get(
+            _server_key(request, INVITE if method == ACK else method))
 
         if method == ACK:
             if isinstance(existing, InviteServerTransaction):
                 existing.receive_ack(request)
-                if existing.state is TransactionState.TERMINATED and \
-                        existing.on_ack is None:
+                if existing.terminated and existing.on_ack is None:
                     # 2xx ACK with no transaction hook: give it to the TU.
                     self.on_request(request, source, None)
             else:
@@ -480,13 +448,11 @@ class TransactionManager:
             existing.receive_retransmission(request)
             return
 
-        if method == INVITE:
-            transaction: ServerTransaction = InviteServerTransaction(
-                self.transport, request, source, timers=self.timers)
-        else:
-            transaction = NonInviteServerTransaction(
-                self.transport, request, source, timers=self.timers)
-        transaction.on_terminated = self._server_terminated
+        cls = (InviteServerTransaction if method == INVITE
+               else NonInviteServerTransaction)
+        transaction = cls(self.transport, request, source, timers=self.timers)
+        transaction.on_terminated = (
+            lambda done: self.server_transactions.pop(done.key, None))
         self.server_transactions[transaction.key] = transaction
         self.on_request(request, source, transaction)
 
@@ -500,10 +466,7 @@ class TransactionManager:
         """
         if cancel.method != CANCEL:
             raise SipProtocolError("not a CANCEL request")
-        via = cancel.top_via
-        sent_by = f"{via.host}:{via.port}" if via else ""
-        key = (cancel.branch or "", sent_by, INVITE)
-        transaction = self.server_transactions.get(key)
+        transaction = self.server_transactions.get(_server_key(cancel, INVITE))
         if isinstance(transaction, InviteServerTransaction):
             return transaction
         return None

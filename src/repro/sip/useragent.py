@@ -27,6 +27,7 @@ from .message import SipRequest, SipResponse
 from .sdp import SDP_CONTENT_TYPE, SessionDescription
 from .timers import DEFAULT_TIMERS, TimerTable
 from .transaction import (
+    PROCEEDING,
     InviteServerTransaction,
     ServerTransaction,
     TransactionManager,
@@ -482,10 +483,12 @@ class UserAgent:
             return
         if transaction is not None:
             transaction.send_response(request.create_response(200))
+        # A CANCEL has no effect once a final response was sent (RFC 3261
+        # §9.2), whatever the call's state: a 200 may be awaiting its ACK.
         original = invite_transaction.request
         call = self.calls.get(original.call_id or "")
-        if call is not None and call.state in (CallState.INCOMING,
-                                               CallState.RINGING):
+        if call is not None and invite_transaction.state == PROCEEDING and \
+                call.state in (CallState.INCOMING, CallState.RINGING):
             tag = (call.dialog.local_addr.tag if call.dialog else new_tag())
             invite_transaction.send_response(
                 original.create_response(487, to_tag=tag))

@@ -225,49 +225,3 @@ def test_heap_compaction_under_mass_cancellation():
     assert len(sim._queue) <= 2 * sim.pending_events + 1
     sim.run()
     assert sim.events_processed == 100
-
-
-def test_reschedule_after_firing_reuses_handle():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule(1.0, fired.append, "x")
-    sim.run()
-    assert fired == ["x"]
-    assert not timer.active
-    timer.reschedule(2.0)
-    assert timer.active
-    assert timer.time == 3.0
-    sim.run()
-    assert fired == ["x", "x"]
-    assert not timer.active
-
-
-def test_reschedule_pending_timer_moves_fire_time():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule(1.0, fired.append, "x")
-    timer.reschedule(5.0)
-    assert timer.active
-    assert sim.pending_events == 1
-    sim.run()
-    assert fired == ["x"]
-    assert sim.now == 5.0
-
-
-def test_reschedule_negative_delay_rejected():
-    sim = Simulator()
-    timer = sim.schedule(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        timer.reschedule(-0.5)
-
-
-def test_reschedule_cancelled_timer_rearms():
-    sim = Simulator()
-    fired = []
-    timer = sim.schedule(1.0, fired.append, "x")
-    timer.cancel()
-    timer.reschedule(2.0)
-    assert timer.active
-    sim.run()
-    assert fired == ["x"]
-    assert sim.now == 2.0

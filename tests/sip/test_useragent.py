@@ -1,7 +1,7 @@
 """User agent tests: full signaling flows over the mini network."""
 
 
-from repro.sip import CallState
+from repro.sip import CallState, SipResponse
 
 
 class CalleeBehaviour:
@@ -104,6 +104,31 @@ def test_cancel_before_answer(mini_voip):
     assert call.state is CallState.CANCELLED
     assert callee.terminated == ["remote-cancel"]
 
+
+def test_cancel_crossing_the_200_leaves_the_call_up(mini_voip):
+    """A CANCEL that reaches the callee after its 200 and before the ACK
+    has no effect (RFC 3261 §9.2): both sides end established and no 487
+    goes on the wire."""
+    callee = CalleeBehaviour(mini_voip)
+    mini_voip.register_both()
+    call = place_call(mini_voip)
+    responses = []
+    transport = mini_voip.ua_b.transport
+    send = transport.send_message
+
+    def recording(message, destination):
+        if isinstance(message, SipResponse):
+            responses.append((message.status, message.cseq.method))
+            if responses == [(180, "INVITE"), (200, "INVITE")]:
+                mini_voip.sim.schedule(0.001, call.hangup)   # CANCEL
+        send(message, destination)
+
+    transport.send_message = recording
+    mini_voip.net.run(until=10.0)
+    assert responses == [(180, "INVITE"), (200, "INVITE"), (200, "CANCEL")]
+    assert call.state is CallState.ESTABLISHED
+    assert callee.incoming[0].state is CallState.ESTABLISHED
+    assert callee.terminated == []
 
 def test_unattended_callee_responds_480(mini_voip):
     mini_voip.register_both()   # ua_b has no application attached
