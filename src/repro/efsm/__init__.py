@@ -7,7 +7,7 @@ from .analysis import (
     reachable_states,
     summarize_machine,
 )
-from .channels import Channel, channel_name, parse_channel
+from .channels import channel_name, parse_channel
 from .diagnostics import (
     Diagnostic,
     Severity,
@@ -49,7 +49,6 @@ from .verify import RULES, verify_machine, verify_system
 
 __all__ = [
     "CallSequence",
-    "Channel",
     "DefinitionError",
     "Diagnostic",
     "Efsm",

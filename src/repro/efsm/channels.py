@@ -1,20 +1,17 @@
-"""FIFO synchronization channels between communicating EFSMs.
+"""Names of the synchronization channels between communicating EFSMs.
 
 The paper: "The synchronization messages are transmitted through the
 communication channels between protocol entities ... We assume that these
 communication channels are reliable and function as FIFO queues.  The
 synchronization events waiting in a FIFO queue have higher priority than the
-data packet events." (Section 4.2)
+data packet events." (Section 4.2)  An :class:`~repro.efsm.system.EfsmSystem`
+consumes every event a firing sends before its step returns, so no queue
+outlives a step and a channel is only a name.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional
-
-from .events import Event
-
-__all__ = ["Channel", "channel_name", "parse_channel"]
+__all__ = ["channel_name", "parse_channel"]
 
 
 def channel_name(sender: str, receiver: str) -> str:
@@ -36,25 +33,3 @@ def parse_channel(name: str) -> tuple:
     if not arrow or not sender or not receiver:
         return None, None
     return sender, receiver
-
-
-class Channel:
-    """A reliable FIFO queue carrying synchronization events one way."""
-
-    def __init__(self, sender: str, receiver: str):
-        self.sender = sender
-        self.receiver = receiver
-        self.name = channel_name(sender, receiver)
-        self._queue: Deque[Event] = deque()
-
-    def put(self, event: Event) -> None:
-        self._queue.append(event)
-
-    def get(self) -> Optional[Event]:
-        return self._queue.popleft() if self._queue else None
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def __bool__(self) -> bool:
-        return bool(self._queue)

@@ -2,10 +2,12 @@
 
 "We construct communicating finite state machines by connecting the output
 of one machine to the input of another machine" (Section 4).  An
-:class:`EfsmSystem` owns one instance of each protocol machine, the shared
-global variable vector, and the FIFO synchronization channels between them.
-Sync events waiting in channels are consumed **before** data-packet events,
-honouring the paper's priority rule.
+:class:`EfsmSystem` owns one instance of each protocol machine and the
+shared global variable vector.  Delivering an event is one macro-step: the
+firing's synchronization events are consumed, breadth-first in the order
+they were sent, before the step returns — so none is ever left waiting
+when the next data-packet event arrives, which is the paper's priority
+rule (Section 4.2) by construction.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import heapq
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from .channels import Channel, channel_name
+from .channels import parse_channel
 from .errors import DefinitionError
 from .events import Event
 from .machine import Efsm, EfsmInstance, FiringResult, copy_state
@@ -70,15 +72,15 @@ class ManualClock:
 
 
 class EfsmSystem:
-    """A set of interacting EFSM instances sharing globals and channels."""
+    """A set of interacting EFSM instances sharing globals."""
 
     #: One system per monitored call: ``__slots__`` keeps the per-call
     #: footprint at the attributes below (no instance dict for the cyclic
     #: GC to scan).  A firing is handed to ``on_result`` and returned by
     #: :meth:`inject`; the system itself retains none.
     __slots__ = (
-        "clock_now", "timer_scheduler", "machines", "channels",
-        "_channel_list", "globals", "deliveries", "on_result", "on_output",
+        "clock_now", "timer_scheduler", "machines", "globals", "deliveries",
+        "on_result", "on_quiet", "on_output",
     )
 
     def __init__(
@@ -89,17 +91,19 @@ class EfsmSystem:
         self.clock_now = clock_now
         self.timer_scheduler = timer_scheduler
         self.machines: Dict[str, EfsmInstance] = {}
-        self.channels: Dict[str, Channel] = {}
-        #: Flat view of ``channels.values()`` kept in sync by :meth:`connect`;
-        #: lets the per-packet empty-channel check skip dict-view creation.
-        self._channel_list: List[Channel] = []
         self.globals: Dict[str, Any] = {}
-        #: Total firings ever recorded by this system: the one firing
-        #: counter, and the change version checkpoints and size memos key on.
+        #: Total firings ever made by this system, quiet ones included: the
+        #: one firing counter, and the change version checkpoints and size
+        #: memos key on.
         self.deliveries: int = 0
         #: Hook invoked for every firing result (the vids analysis engine).
         self.on_result: Optional[Callable[[FiringResult], None]] = None
-        #: Hook invoked for every routed output event ``c!event(x)`` —
+        #: When set, a firing whose dispatch entry is not observable
+        #: (:meth:`~repro.efsm.machine.Efsm.freeze`) calls this instead:
+        #: it builds no result, reaches no ``on_result`` and is not
+        #: returned.  None materialises every firing.
+        self.on_quiet: Optional[Callable[[], Any]] = None
+        #: Hook invoked for every output event ``c!event(x)`` —
         #: the δ-messages between machines — with the sending machine's
         #: name.  Also fires for outputs addressed to the environment
         #: (no such machine here).  Used by call-scoped tracing.
@@ -120,91 +124,50 @@ class EfsmSystem:
         self.machines[definition.name] = instance
         return instance
 
-    def connect(self, sender: str, receiver: str) -> Channel:
-        """Create (or return) the FIFO channel from sender to receiver."""
-        name = channel_name(sender, receiver)
-        if name not in self.channels:
-            for machine in (sender, receiver):
-                if machine not in self.machines:
-                    raise DefinitionError(f"unknown machine: {machine}")
-            channel = Channel(sender, receiver)
-            self.channels[name] = channel
-            self._channel_list.append(channel)
-        return self.channels[name]
-
     # -- execution -----------------------------------------------------------
 
     def inject(self, machine: str, event: Event) -> List[FiringResult]:
-        """Deliver a data-packet event, honouring sync-queue priority.
+        """Deliver a data-packet event as one macro-step.
 
-        Any synchronization events already queued are drained first; the
-        data event is then fired; outputs it produces are routed onto their
-        channels and drained in turn.  Returns every firing this caused.
+        The event fires, then every δ it sends is consumed, and every δ
+        those firings send, breadth-first in the order they were sent,
+        before this returns.  A δ on a channel whose receiver is not in
+        this system goes to the environment: ``on_output`` sees it, no
+        machine does.  Returns the firings this materialised.
         """
-        fired: List[FiringResult] = []
-        self._drain_channels(fired)
-        self._fire(machine, event, fired)
-        self._drain_channels(fired)
-        return fired
-
-    def _deliver_timer(self, machine: str, event: Event) -> List[FiringResult]:
-        fired: List[FiringResult] = []
-        self._fire(machine, event, fired)
-        self._drain_channels(fired)
-        return fired
-
-    def _fire(self, machine: str, event: Event,
-              accumulator: List[FiringResult]) -> None:
-        instance = self.machines.get(machine)
+        machines = self.machines
+        instance = machines.get(machine)
         if instance is None:
             raise DefinitionError(f"unknown machine: {machine}")
-        result = instance.deliver(event)
-        accumulator.append(result)
-        self.deliveries += 1
-        if self.on_result is not None:
-            self.on_result(result)
-        for output in result.outputs:
-            self._route_output(machine, output)
+        quiet = self.on_quiet
+        fired: List[FiringResult] = []
+        # The δs this step has sent, in order; ``consumed`` of them fired.
+        sent: Optional[list] = None
+        consumed = 0
+        while True:
+            result, outputs = instance.step(event, quiet)
+            self.deliveries += 1
+            if result is not None:
+                fired.append(result)
+                if self.on_result is not None:
+                    self.on_result(result)
+            if outputs:
+                if sent is None:
+                    sent = []
+                for output in outputs:
+                    if self.on_output is not None:
+                        self.on_output(instance.definition.name, output)
+                    receiver = machines.get(parse_channel(output.channel)[1])
+                    if receiver is not None:
+                        sent.append((receiver, output))
+            if sent is None or consumed == len(sent):
+                return fired
+            instance, event = sent[consumed]
+            consumed += 1
 
-    def _route_output(self, sender: str, event: Event) -> None:
-        """Queue an output event onto its channel (created on demand).
-
-        An output addressed to a machine this system does not contain goes
-        to the environment: the hook sees it, nothing is queued.
-        """
-        if self.on_output is not None:
-            self.on_output(sender, event)
-        channel = self.channels.get(event.channel)
-        if channel is None:
-            sender_name, _, receiver = event.channel.partition("->")
-            if receiver not in self.machines:
-                return
-            channel = self.connect(sender_name, receiver)
-        channel.put(event)
-
-    def _drain_channels(self, accumulator: List[FiringResult]) -> None:
-        """Consume queued sync events until every channel is empty."""
-        # Fast path for the steady state (nothing queued): a plain loop over
-        # the flat channel list with C-level deque truthiness, run twice per
-        # injected data packet.
-        for channel in self._channel_list:
-            if channel._queue:
-                break
-        else:
-            return
-        # List iteration reads by index, so channels connected mid-drain
-        # (appended to the flat list) are reached on the same sweep.
-        channel_list = self._channel_list
-        progress = True
-        while progress:
-            progress = False
-            for channel in channel_list:
-                queue = channel._queue
-                while queue:
-                    event = channel.get()
-                    assert event is not None
-                    self._fire(channel.receiver, event, accumulator)
-                    progress = True
+    #: A timer expiry is the same macro-step; the second name keeps
+    #: :meth:`inject` the entry point of data-packet events alone.
+    _deliver_timer = inject
 
     # -- checkpoint / restore --------------------------------------------------
 
@@ -212,30 +175,21 @@ class EfsmSystem:
         """Serializable copy of the whole call's state.
 
         Captures the shared globals once, every machine's
-        :meth:`~repro.efsm.machine.EfsmInstance.snapshot`, any sync
-        events still queued on channels (normally empty at packet
-        boundaries, but checkpoints must not assume it), and the firing
+        :meth:`~repro.efsm.machine.EfsmInstance.snapshot`, and the firing
         count — the change version, which must not restart from zero and
-        climb back to a number an older snapshot was taken at.
+        climb back to a number an older snapshot was taken at.  No
+        synchronization event is ever pending between macro-steps, so
+        there is no queue to capture.
         """
-        channels: Dict[str, List[Dict[str, Any]]] = {}
-        for name, channel in self.channels.items():
-            if channel._queue:
-                channels[name] = [
-                    {"name": event.name, "args": copy_state(dict(event.args)),
-                     "time": event.time}
-                    for event in channel._queue
-                ]
         return {
             "globals": copy_state(self.globals),
             "machines": {name: instance.snapshot()
                          for name, instance in self.machines.items()},
-            "channels": channels,
             "deliveries": self.deliveries,
         }
 
     def restore(self, snapshot: Mapping[str, Any]) -> None:
-        """Rebuild machine states, globals, and channels from a snapshot.
+        """Rebuild machine states and globals from a snapshot.
 
         The shared globals dict is mutated *in place* — every machine's
         :class:`~repro.efsm.machine.Variables` holds a reference to it, so
@@ -248,16 +202,6 @@ class EfsmSystem:
             if instance is None:
                 raise DefinitionError(f"unknown machine: {name}")
             instance.restore(machine_snapshot)
-        for channel in self._channel_list:
-            channel._queue.clear()
-        for name, events in snapshot.get("channels", {}).items():
-            channel = self.channels.get(name)
-            if channel is None:
-                sender, _, receiver = name.partition("->")
-                channel = self.connect(sender, receiver)
-            for spec in events:
-                channel.put(Event(spec["name"], copy_state(spec["args"]),
-                                  channel=name, time=spec["time"]))
         self.deliveries = snapshot["deliveries"]
 
     # -- teardown / inspection -------------------------------------------------

@@ -3,15 +3,17 @@
 "The vids component, Call State Fact Base, stores the control state and its
 state variables and keeps track of the progress of state machines for each
 ongoing call."  One :class:`CallRecord` holds the per-call communicating-
-EFSM system (one SIP machine + one RTP machine sharing globals and the
-SIP→RTP FIFO channel).  "Once the calls have successfully reached the final
-state, the corresponding protocol state machines will be deleted from the
-memory" — deletion is driven by the IDS facade via :meth:`delete`, which
-also samples the per-call memory cost for the Section 7.3 accounting.
+EFSM system (one SIP machine + one RTP machine sharing globals, the SIP
+machine sending δs to the RTP machine).  "Once the calls have successfully
+reached the final state, the corresponding protocol state machines will be
+deleted from the memory" — deletion is driven by the IDS facade via
+:meth:`delete`, which also samples the per-call memory cost for the
+Section 7.3 accounting.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..efsm.machine import FiringResult
@@ -145,7 +147,8 @@ class CallStateFactBase:
         #: Media endpoints of quarantined calls, so their lingering RTP
         #: neither resurrects state nor feeds the orphan-media tracker.
         self.quarantined_media: Dict[MediaKey, str] = {}
-        #: Hook: called for every firing result of every call system.
+        #: Hook: called for every observable firing result of every call
+        #: system (every firing when tracing).
         self.on_result: Optional[Callable[[CallRecord, FiringResult], None]] = None
         #: Hook: media-index change notifications, ``hook(key, call_id)``
         #: when a negotiated (addr, port) endpoint is indexed to a call and
@@ -196,8 +199,6 @@ class CallStateFactBase:
     def _create(self, call_id: str, *, created_at: Optional[float] = None,
                 count: bool = True,
                 trace_kind: str = "call-created") -> CallRecord:
-        # Channels are not connected here: the first routed output creates
-        # its FIFO on demand, and most calls never use the reverse direction.
         system = EfsmSystem(clock_now=self.clock_now,
                             timer_scheduler=self.timer_scheduler)
         system.add_machine(self.spec.sip)
@@ -214,9 +215,14 @@ class CallStateFactBase:
 
         system.on_result = dispatch
         trace = self.trace
-        if trace is not None:
-            # δ-messages: every output event a machine sends down a FIFO
-            # channel (or to the environment) lands on the call's timeline.
+        if trace is None:
+            # A firing no analysis reads (no attack, no deviation, no entry
+            # into a final state) only leaves the record's size stale.
+            system.on_quiet = partial(self._dirty.add, record)
+        else:
+            # Traced, every firing reaches the hook, and every δ a machine
+            # sends (to the other or to the environment) the call's
+            # timeline.
             system.on_output = (
                 lambda sender, event, _cid=call_id, _trace=trace:
                 _trace.emit("delta", event.time, call_id=_cid,

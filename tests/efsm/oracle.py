@@ -1,20 +1,22 @@
 """The reference semantics, test side: tree interpreters for guards and
 statements, and a dispatch that shadows every delivery.
 
-``src/`` has one dispatch (the compiled tables of ``EfsmInstance.deliver``,
+``src/`` has one dispatch (the compiled tables of ``EfsmInstance.step``,
 first enabled guard fires) and one way to run a guard or a transition's
 statements (the functions ``Guard.compiled`` and ``compile_firing``
 generate).  This module is what they are checked against.
 :func:`interpret` walks a guard expression node by node and
 :func:`execute` a statement list — they share no code with the compiler or
 with the abstract evaluation inside ``guards.decide`` — and
-:func:`shadow_dispatch` wraps ``deliver`` so that, before the real delivery
+:func:`shadow_dispatch` wraps ``step`` so that, before the real firing
 runs, every candidate of the (state, event, channel) group is interpreted:
 two enabled candidates raise :class:`NondeterminismError` (Definition 1),
-and afterwards the transition the real ``deliver`` fired must be the one
-the interpreter enabled.  Both failures are raised again when the block
-ends, because a pipeline under test contains exceptions out of ``deliver``
-(layer-1 containment).
+and afterwards the transition the real ``step`` fired must be the one
+the interpreter enabled; a firing the interpreter deems quiet (no
+deviation, attack or entry into a final state) is then handed back as
+quiet.  Both failures are raised again when the block ends, because a
+pipeline under test contains exceptions out of ``step`` (layer-1
+containment).
 """
 
 import operator
@@ -115,17 +117,17 @@ def outputs_of(outputs, instance, event):
 
 @contextmanager
 def shadow_dispatch(firings=None):
-    """Check every delivery against the interpreter while the block runs.
+    """Check every firing against the interpreter while the block runs.
 
-    ``firings`` (a list) collects one record per delivery, in the shape
-    the dispatch-equivalence suite compares.  Yields a one-element list
-    holding the number of deliveries shadowed.
+    ``firings`` (a list) collects one record per firing, quiet ones
+    included, in the shape the dispatch-equivalence suite compares.
+    Yields a one-element list holding the number of firings shadowed.
     """
-    original = EfsmInstance.deliver
+    original = EfsmInstance.step
     shadowed = [0]
     failures = []
 
-    def deliver(self, event):
+    def step(self, event, quiet):
         enabled = [
             candidate for candidate
             in self.definition.transitions_from(self.state, event.name)
@@ -137,24 +139,30 @@ def shadow_dispatch(firings=None):
                 f"{self.name}: state {self.state!r} event {event.name!r} "
                 f"enables {[t.describe() for t in enabled]}"))
             raise failures[-1]
-        result = original(self, event)
+        result, outputs = original(self, event, None)
         if result.transition is not (enabled[0] if enabled else None):
             fired = result.transition and result.transition.describe()
             failures.append(AssertionError(
-                f"{self.name}: deliver fired {fired!r} from "
+                f"{self.name}: step fired {fired!r} from "
                 f"{result.from_state!r} on {event.name!r}; the interpreter "
                 f"enabled {[t.describe() for t in enabled]}"))
             raise failures[-1]
         shadowed[0] += 1
         if firings is not None:
             firings.append(firing_record(result))
-        return result
+        if quiet is not None and not (
+                result.deviation or result.attack
+                or (result.to_state != result.from_state and result.to_state
+                    in self.definition.final_states)):
+            quiet()
+            return None, outputs
+        return result, outputs
 
-    EfsmInstance.deliver = deliver
+    EfsmInstance.step = step
     try:
         yield shadowed
     finally:
-        EfsmInstance.deliver = original
+        EfsmInstance.step = original
     if failures:
         raise failures[0]
 

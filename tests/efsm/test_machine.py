@@ -201,9 +201,9 @@ def test_final_states():
     machine.add_state("done", final=True)
     machine.add_transition("s0", "finish", "done")
     instance = EfsmInstance(machine)
-    assert not instance.in_final_state
+    assert instance.state not in machine.final_states
     instance.deliver(Event("finish"))
-    assert instance.in_final_state
+    assert instance.state in machine.final_states
 
 
 def test_outputs_built_from_context():

@@ -1,9 +1,8 @@
-"""Unit tests for communicating EFSM systems: channels, priority, globals."""
+"""Unit tests for communicating EFSM systems: the macro-step, globals."""
 
 import pytest
 
 from repro.efsm import (
-    Channel,
     DefinitionError,
     Efsm,
     EfsmSystem,
@@ -11,6 +10,7 @@ from repro.efsm import (
     ManualClock,
     Output,
     channel_name,
+    parse_channel,
 )
 from repro.efsm.guards import start, v, write
 
@@ -27,7 +27,6 @@ def make_ping_pong():
     system = EfsmSystem()
     system.add_machine(a)
     system.add_machine(b)
-    system.connect("a", "b")
     return system
 
 
@@ -41,30 +40,53 @@ def test_output_events_flow_across_channel():
     b.add_transition("idle", "delta", "synced", channel="a->b")
     system.add_machine(a)
     system.add_machine(b)
-    system.connect("a", "b")
     fired = system.inject("a", Event("data"))
     assert system.states() == {"a": "s1", "b": "synced"}
     assert [f.machine for f in fired] == ["a", "b"]
 
 
-def test_sync_events_have_priority_over_data():
-    """A queued sync event is consumed before the next data event."""
-    system = EfsmSystem()
-    b = Efsm("b", "idle")
-    b.add_state("synced")
-    # In idle, a data packet is a deviation; after sync it is fine.
-    b.add_transition("idle", "delta", "synced", channel="a->b")
-    b.add_transition("synced", "packet", "synced")
+def three_machines():
+    """``a`` fans a data event out to ``b`` and ``c``; each answers with a
+    δ of its own, so the cascade nests two levels deep."""
     a = Efsm("a", "s0")
-    system.add_machine(a)
-    system.add_machine(b)
-    channel = system.connect("a", "b")
-    # The sync event is already waiting when the data packet arrives.
-    channel.put(Event("delta", channel="a->b"))
-    fired = system.inject("b", Event("packet"))
-    # delta processed first, then the packet: no deviation.
-    assert [f.event.name for f in fired] == ["delta", "packet"]
-    assert not any(f.deviation for f in fired)
+    a.add_state("s1")
+    a.add_transition("s0", "data", "s1",
+                     outputs=[Output("a->b", "d1"), Output("a->c", "d2")])
+    a.add_transition("s1", "data", "s1",
+                     outputs=[Output("a->b", "d1"), Output("a->c", "d2")])
+    b = Efsm("b", "s0")
+    b.add_transition("s0", "d1", "s0", channel="a->b",
+                     outputs=[Output("b->c", "d3"), Output("b->env", "out")])
+    b.add_transition("s0", "d4", "s0", channel="c->b")
+    c = Efsm("c", "s0")
+    c.add_transition("s0", "d2", "s0", channel="a->c",
+                     outputs=[Output("c->b", "d4")])
+    c.add_transition("s0", "d3", "s0", channel="b->c")
+    system = EfsmSystem()
+    for machine in (a, b, c):
+        system.add_machine(machine)
+    return system
+
+
+def test_every_delta_is_consumed_in_order_before_inject_returns():
+    """A firing's δs are consumed before ``inject`` returns, breadth
+    first in the order they were sent; a δ addressed to no machine of the
+    system goes to the environment (the output hook) only."""
+    system = three_machines()
+    sent = []
+    system.on_output = lambda sender, event: sent.append(
+        (sender, event.channel, event.name))
+    for _ in range(2):
+        sent.clear()
+        fired = system.inject("a", Event("data"))
+        assert [(f.machine, f.event.name) for f in fired] == [
+            ("a", "data"), ("b", "d1"), ("c", "d2"), ("c", "d3"),
+            ("b", "d4")]
+        assert not any(f.deviation for f in fired)
+        assert sent == [("a", "a->b", "d1"), ("a", "a->c", "d2"),
+                        ("b", "b->c", "d3"), ("b", "b->env", "out"),
+                        ("c", "c->b", "d4")]
+    assert system.deliveries == 10
 
 
 def test_globals_shared_between_machines():
@@ -133,8 +155,6 @@ def test_unknown_machine_rejected():
     system = EfsmSystem()
     with pytest.raises(DefinitionError):
         system.inject("ghost", Event("x"))
-    with pytest.raises(DefinitionError):
-        system.connect("ghost", "other")
 
 
 def test_timer_events_drain_channels():
@@ -151,7 +171,6 @@ def test_timer_events_drain_channels():
     b.add_transition("idle", "delta", "synced", channel="a->b")
     system.add_machine(a)
     system.add_machine(b)
-    system.connect("a", "b")
     system.inject("a", Event("go"))
     clock.advance(2.0)
     assert system.states() == {"a": "done", "b": "synced"}
@@ -171,22 +190,56 @@ def test_cancel_all_timers():
     assert system.states()["a"] == "s0"
 
 
-class TestChannel:
-    def test_fifo_order(self):
-        channel = Channel("a", "b")
-        for index in range(5):
-            channel.put(Event(f"e{index}", channel=channel.name))
-        names = []
-        while channel:
-            names.append(channel.get().name)
-        assert names == [f"e{index}" for index in range(5)]
-        assert channel.get() is None
+def test_channel_names_round_trip():
+    assert channel_name("sip", "rtp") == "sip->rtp"
+    assert parse_channel(channel_name("sip", "rtp")) == ("sip", "rtp")
+    assert parse_channel("timer") == (None, None)
 
-    def test_len_counts_queued_events(self):
-        channel = Channel("a", "b")
-        assert not channel and len(channel) == 0
-        channel.put(Event("x", channel=channel.name))
-        assert channel and len(channel) == 1
 
-    def test_channel_name_convention(self):
-        assert channel_name("sip", "rtp") == "sip->rtp"
+def quiet_system():
+    """``m`` moves s0 -> s1 quietly, then s1 -> end (final) and, from s1,
+    into an attack state; a quiet firing sends ``n`` a δ."""
+    m = Efsm("m", "s0")
+    m.add_state("s1")
+    m.add_state("end", final=True)
+    m.add_state("bad", attack=True)
+    m.add_transition("s0", "go", "s1", outputs=[Output("m->n", "delta")])
+    m.add_transition("s1", "tick", "s1")
+    m.add_transition("s1", "fin", "end")
+    m.add_transition("s1", "evil", "bad")
+    m.add_transition("end", "fin", "end")
+    n = Efsm("n", "idle")
+    n.add_state("synced")
+    n.add_transition("idle", "delta", "synced", channel="m->n")
+    system = EfsmSystem()
+    system.add_machine(m)
+    system.add_machine(n)
+    return system
+
+
+def test_a_quiet_firing_is_counted_but_not_materialised():
+    """With ``on_quiet`` set, a firing whose entry is not observable moves
+    the state, sends its δs and bumps ``deliveries``, but builds no result:
+    only attacks, deviations and entries into a final state reach
+    ``on_result`` and ``inject``'s caller."""
+    system = quiet_system()
+    quiet, seen = [], []
+    system.on_quiet = lambda: quiet.append(system.deliveries)
+    system.on_result = lambda result: seen.append(
+        (result.machine, result.event.name))
+    fired = []
+    for name in ("go", "tick", "nope", "fin", "fin"):
+        fired += system.inject("m", Event(name))
+    assert system.states() == {"m": "end", "n": "synced"}
+    assert system.deliveries == 6
+    # go, its δ, tick, and the self-loop in the final state are quiet.
+    assert quiet == [0, 1, 2, 5]
+    assert seen == [(f.machine, f.event.name) for f in fired] == [
+        ("m", "nope"), ("m", "fin")]
+    assert fired[0].deviation and not fired[1].deviation
+    system = quiet_system()
+    system.on_quiet = lambda: None
+    system.inject("m", Event("go"))
+    assert [f.attack for f in system.inject("m", Event("evil"))] == [True]
+
+

@@ -56,13 +56,14 @@ def poison_hook(poisoned):
                 return
             call_id = min(records)  # deterministic pick
 
-            def boom(result):
+            def boom(*result):
                 raise RuntimeError("chaos-poisoned transition")
 
-            # on_result is a declared slot, so it stays per-instance
-            # patchable now that EfsmSystem uses __slots__; it fires inside
-            # every inject for this call, poisoning exactly one record.
-            records[call_id].system.on_result = boom
+            # Both firing hooks are declared slots, so they stay
+            # per-instance patchable; one of them runs on every firing of
+            # this call, observable or quiet, poisoning exactly one record.
+            system = records[call_id].system
+            system.on_result = system.on_quiet = boom
             poisoned.append(call_id)
 
         sim.schedule_at(POISON_AT, poison)

@@ -2,8 +2,9 @@
 "Checkpoint coverage", docs/SCALING.md, docs/DEPLOYMENT.md).
 
 The seed-23 mixed-attack capture (``mixed_capture``, tests/conftest.py) is
-replayed through one ``Vids`` as the reference.  Every other tier — four
-shards, a supervised cluster, the pcap / pcapng decoders (also at a
+replayed through one ``Vids`` as the reference.  Every other tier — the
+traced pipeline (the one that materialises quiet firings), four shards, a
+supervised cluster, the pcap / pcapng decoders (also at a
 fragmenting MTU), the UDP front-end's datapath, and a pipeline
 checkpointed and restored every k packets — must reproduce its timed
 alert multiset and every counter in :data:`EXACT_COUNTERS`.  Shedding is
@@ -31,6 +32,7 @@ import pytest
 
 from repro.live import (DecodeStats, PcapNgWriter, UdpFrontend, replay_pcap,
                         write_pcap)
+from repro.obs import Observability
 from repro.vids import DEFAULT_CONFIG, build_pipeline, replay_trace
 from repro.vids.metrics import VidsMetrics
 from repro.vids.replay import drain_horizon
@@ -157,7 +159,19 @@ def frontend(capture, batch):
     return pipeline
 
 
+def traced(capture, tmp_path):
+    """The traced pipeline, the one path that materialises every firing:
+    quiet ones reach the timeline too."""
+    obs = Observability()
+    run = replay_trace(capture, config=NO_SHED, obs=obs)
+    assert any(event.kind == "fire" and not event.data["attack"]
+               and event.data["from_state"] == event.data["to_state"]
+               for event in obs.trace)
+    return run
+
+
 TIERS = {
+    "traced": traced,
     "sharded": sharded,
     "supervised": supervised,
     "pcap": pcap,
@@ -185,13 +199,6 @@ EXEMPT = {
     ("EfsmInstance", "_timer_meta"): (
         "allocated by the first timer: None and {} both mean none is armed",
         lambda meta: meta or {}),
-    ("EfsmSystem", "channels"): (
-        "a FIFO is created by the first output sent down it; an empty one "
-        "holds no state", lambda channels: {
-            name: channel for name, channel in channels.items() if channel}),
-    ("EfsmSystem", "_channel_list"): (
-        "the flat view of channels, compared the same way",
-        lambda channels: [channel for channel in channels if channel]),
     ("CallStateFactBase", "media_index"): (
         "a lookup table nothing iterates: restore rebuilds it call by call, "
         "so its insertion order is not state",
@@ -202,7 +209,8 @@ EXEMPT = {
 }
 
 #: A hook (closure, bound method, partial) is rebuilt with its owner, so it
-#: is compared by the code it runs, not by identity.
+#: is compared by what it calls — the code it runs, and the arguments a
+#: partial binds walked as state — not by identity.
 HOOKS = (types.FunctionType, types.MethodType, types.BuiltinFunctionType,
          functools.partial)
 
@@ -246,6 +254,10 @@ class StateWalk:
                 self.visited.update(cls.__name__ for cls in kind.__mro__)
             if old != new:
                 self.diffs.append(f"{path}: {old!r} != {new!r}")
+        elif isinstance(old, functools.partial):
+            self.compare(old.func, new.func, f"{path}.func")
+            self.compare(old.args, new.args, f"{path}.args")
+            self.compare(old.keywords, new.keywords, f"{path}.keywords")
         elif isinstance(old, HOOKS):
             if not same_code(old, new):
                 self.diffs.append(f"{path}: hook {old!r} != {new!r}")
@@ -307,10 +319,7 @@ def fields(obj):
 
 
 def same_code(old, new):
-    """Whether two hooks run the same code with the same bound arguments."""
-    if isinstance(old, functools.partial):
-        return (same_code(old.func, new.func) and old.args == new.args
-                and old.keywords == new.keywords)
+    """Whether two hooks that bind no arguments run the same code."""
     if isinstance(old, types.BuiltinFunctionType):
         return old.__name__ == new.__name__
     return getattr(old, "__func__", old).__code__ is \

@@ -16,7 +16,6 @@ def _fresh_system():
     system = EfsmSystem(clock_now=clock.now, timer_scheduler=clock.schedule)
     system.add_machine(build_sip_machine(DEFAULT_CONFIG))
     system.add_machine(build_rtp_machine(DEFAULT_CONFIG))
-    system.connect(SIP_MACHINE, RTP_MACHINE)
     return system
 
 
@@ -88,8 +87,7 @@ def test_rtp_machine_never_crashes(events):
     from repro.vids.sync import DELTA_SESSION_OFFER, SIP_TO_RTP
     system.globals.update(g_offer_pts=(18,), g_answer_pts=(18,),
                           g_ptime_ms=20)
-    system.connect(SIP_MACHINE, RTP_MACHINE).put(
-        E(DELTA_SESSION_OFFER, {}, channel=SIP_TO_RTP))
+    system.inject(RTP_MACHINE, E(DELTA_SESSION_OFFER, {}, channel=SIP_TO_RTP))
     for event in events:
         system.inject(RTP_MACHINE, event)
     machine = system.machines[RTP_MACHINE]

@@ -79,7 +79,6 @@ def test_legal_traces_produce_no_deviations_or_attacks(trace):
                              timer_scheduler=clock.schedule)
     system.add_machine(build_sip_machine(DEFAULT_CONFIG))
     system.add_machine(build_rtp_machine(DEFAULT_CONFIG))
-    system.connect(SIP_MACHINE, RTP_MACHINE)
 
     for event in sip_events:
         clock.advance(0.05)

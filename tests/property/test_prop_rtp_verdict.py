@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.efsm import EfsmSystem, Event, ManualClock
 from repro.vids import DEFAULT_CONFIG, build_rtp_machine, build_sip_machine
 from repro.vids.rtp_machine import ATTACK_CODEC, ATTACK_FLOOD, ATTACK_SPAM
-from repro.vids.sync import (DELTA_SESSION_OFFER, RTP_MACHINE, SIP_MACHINE,
-                             SIP_TO_RTP)
+from repro.vids.sync import DELTA_SESSION_OFFER, RTP_MACHINE, SIP_TO_RTP
 
 from ..efsm.oracle import shadow_dispatch
 
@@ -85,8 +84,8 @@ def drive(config, start, sequence):
     rtp = system.add_machine(build_rtp_machine(config))
     system.globals.update(g_offer_pts=NEGOTIATED, g_answer_pts=NEGOTIATED,
                           g_ptime_ms=PTIME_MS)
-    system.connect(SIP_MACHINE, RTP_MACHINE).put(
-        Event(DELTA_SESSION_OFFER, {}, channel=SIP_TO_RTP))
+    system.inject(RTP_MACHINE,
+                  Event(DELTA_SESSION_OFFER, {}, channel=SIP_TO_RTP))
     model = {}
     now = 0.0
     trail = []

@@ -3,7 +3,7 @@
 The compiled per-(state, event, channel) dispatch tables are the only
 delivery path in ``src/``; the reference — probe *every* candidate's guard
 with the tree interpreter, raise on two — shadows each delivery from the
-test side (``tests/efsm/oracle.py``) and asserts the real ``deliver`` fired
+test side (``tests/efsm/oracle.py``) and asserts the real ``step`` fired
 the transition it enabled.  Each scenario also runs once bare: identical
 alert multisets, identical firing sequences (machine, event, from-state,
 to-state, transition label, deviation/attack flags, outputs) and identical
@@ -25,19 +25,28 @@ from .test_ids import (ATTACKER, CALLEE, CALLER, PROXY_A, PROXY_B, ack_bytes,
 
 @contextmanager
 def capture_firings(log):
-    """Record every machine delivery of a bare (unshadowed) run."""
-    original = EfsmInstance.deliver
+    """Record every machine firing of a bare (unshadowed) run, quiet ones
+    included: each is materialised for the log, then handed back as the
+    compiled entry's own observable flag says."""
+    original = EfsmInstance.step
 
-    def recording_deliver(self, event):
-        result = original(self, event)
+    def recording_step(self, event, quiet):
+        candidates = self.definition._compiled.get(
+            (self.state, event.name, event.channel), ())
+        result, outputs = original(self, event, None)
         log.append(firing_record(result))
-        return result
+        if quiet is not None and any(
+                transition is result.transition and not observable
+                for _, transition, _, observable in candidates):
+            quiet()
+            return None, outputs
+        return result, outputs
 
-    EfsmInstance.deliver = recording_deliver
+    EfsmInstance.step = recording_step
     try:
         yield
     finally:
-        EfsmInstance.deliver = original
+        EfsmInstance.step = original
 
 
 def cancel_bytes(call_id, branch="z9hG4bKe1", src=ATTACKER):

@@ -103,10 +103,18 @@ def test_concurrency_metrics_track_peaks():
 
 
 def test_on_result_hook_wired_to_new_records():
+    """Every observable firing of a new record reaches the hook; a quiet
+    one (the INVITE opening the dialog) does not, but still leaves the
+    record's state size to be re-measured."""
     factbase, clock, _ = make_factbase()
     seen = []
     factbase.on_result = lambda record, result: seen.append(
-        (record.call_id, result.machine, result.event.name))
+        (record.call_id, result.machine, result.event.name,
+         result.deviation))
     record = factbase.get_or_create(CALL_ID)
+    factbase.total_state_bytes()
     record.system.inject(SIP_MACHINE, invite_event())
-    assert (CALL_ID, "sip", "INVITE") in seen
+    assert seen == [] and factbase._dirty == {record}
+    assert record.system.deliveries == 2     # the INVITE and its δ
+    record.system.inject(SIP_MACHINE, invite_event(branch="z9hG4bKother"))
+    assert seen == [(CALL_ID, "sip", "INVITE", True)]

@@ -80,20 +80,25 @@ class _Args(dict):
 
 def test_delivered_event_does_not_outlive_its_delivery():
     """A live call record keeps no firing log: once the caller drops a
-    delivered event, nothing in the record pins it or its args."""
+    delivered event — and the result of an observable firing, which holds
+    it — nothing in the record pins it or its args."""
     base, _ = make_factbase()
     record = base.get_or_create("held@x")
-    args = _Args(call_id="held@x", src_ip="10.1.0.11", branch="z9hG4bKh",
-                 sdp_addr="10.1.0.11", sdp_port=20_000, sdp_pts=(18,))
-    alive = weakref.ref(args)
-    fired = record.system.inject(SIP_MACHINE, Event("INVITE", args))
-    assert [(r.machine, r.deviation) for r in fired] == [
-        ("sip", False), ("rtp", False)]
-    del args, fired
+    alive = []
+    for branch, materialised in (("z9hG4bKh", []),
+                                 ("z9hG4bKx", [("sip", True)])):
+        args = _Args(call_id="held@x", src_ip="10.1.0.11", branch=branch,
+                     sdp_addr="10.1.0.11", sdp_port=20_000, sdp_pts=(18,))
+        alive.append(weakref.ref(args))
+        fired = record.system.inject(SIP_MACHINE, Event("INVITE", args))
+        # The opening INVITE (and its δ) is quiet; a second branch in the
+        # same dialog deviates, so its result reaches the caller.
+        assert [(r.machine, r.deviation) for r in fired] == materialised
+        del args, fired
     gc.collect()
-    assert alive() is None
+    assert [ref() for ref in alive] == [None, None]
     assert base.records["held@x"] is record
-    assert record.system.deliveries == 2
+    assert record.system.deliveries == 3
 
 
 def _flood(record, machine, make_event, count=5000):

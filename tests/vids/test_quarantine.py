@@ -53,12 +53,13 @@ def poison(vids, call_id):
     record = vids.factbase.get(call_id)
     assert record is not None
 
-    def boom(result):
+    def boom(*result):
         raise RuntimeError("poisoned transition")
 
-    # on_result is a declared slot (EfsmSystem uses __slots__), so it is
-    # per-instance patchable and fires inside every inject for this call.
-    record.system.on_result = boom
+    # Both firing hooks are declared slots (EfsmSystem uses __slots__), so
+    # they are per-instance patchable: one of them runs on every firing of
+    # this call, observable or quiet.
+    record.system.on_result = record.system.on_quiet = boom
     return record
 
 

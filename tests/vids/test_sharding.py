@@ -266,12 +266,13 @@ class TestQuarantineMediaRetirement:
         record = owner.factbase.get(CALL_ID)
         assert record is not None
 
-        def boom(result):
+        def boom(*result):
             raise RuntimeError("poisoned transition")
 
-        # on_result is a declared slot (EfsmSystem uses __slots__), so it
-        # is per-instance patchable and fires inside every inject.
-        record.system.on_result = boom
+        # Both firing hooks are declared slots (EfsmSystem uses
+        # __slots__), so they are per-instance patchable: one of them runs
+        # on every firing, observable or quiet.
+        record.system.on_result = record.system.on_quiet = boom
         clock.advance(0.05)
         sharded.process(dgram(bye_bytes(), CALLEE, CALLER), clock.now())
         assert owner.metrics.calls_quarantined == 1
@@ -310,12 +311,13 @@ class TestQuarantineMediaRetirement:
         establish_call(sharded, clock)
         record = sharded.shards[OWNER].factbase.get(CALL_ID)
 
-        def boom(result):
+        def boom(*result):
             raise RuntimeError("poisoned transition")
 
-        # on_result is a declared slot (EfsmSystem uses __slots__), so it
-        # is per-instance patchable and fires inside every inject.
-        record.system.on_result = boom
+        # Both firing hooks are declared slots (EfsmSystem uses
+        # __slots__), so they are per-instance patchable: one of them runs
+        # on every firing, observable or quiet.
+        record.system.on_result = record.system.on_quiet = boom
         clock.advance(0.05)
         sharded.process(dgram(bye_bytes(), CALLEE, CALLER), clock.now())
         assert sharded.media_routes.get(self.MEDIA_KEY) == OWNER

@@ -37,7 +37,6 @@ def make_system(config=DEFAULT_CONFIG):
                              timer_scheduler=clock.schedule)
     system.add_machine(build_sip_machine(config))
     system.add_machine(build_rtp_machine(config))
-    system.connect(SIP_MACHINE, RTP_MACHINE)
     return system, clock
 
 
