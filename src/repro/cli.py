@@ -15,8 +15,8 @@ Subcommands:
   observability and print the victim call's forensic timeline (classifier
   verdict → EFSM firings and δ channel messages → alert), with optional
   JSONL trace and Prometheus metrics export (docs/OBSERVABILITY.md);
-- ``mine`` / ``specdiff`` — learn EFSMs from a trace export and diff them
-  against the hand-written specifications (docs/MINING.md);
+- ``specdiff`` — read spec coverage and deviations off a trace export's
+  fire events (docs/SPECCHECK.md);
 - ``serve`` — bind real UDP sockets (passive tap) and feed received SIP/RTP
   traffic through the pipeline live, with graceful SIGTERM drain and an
   optional Prometheus metrics endpoint (docs/DEPLOYMENT.md);
@@ -99,38 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write per-machine Graphviz dot annotated "
                                "with the findings to DIR")
 
-    mine = sub.add_parser(
-        "mine",
-        help="learn EFSMs from a trace JSONL export (docs/MINING.md)")
-    mine.add_argument("--jsonl", metavar="PATH", required=True,
-                      help="trace export to learn from "
-                           "(trace --trace-variables --jsonl PATH)")
-    mine.add_argument("--machine", default=None,
-                      help="mine only this machine (default: every machine "
-                           "with training sequences)")
-    mine.add_argument("--k", type=int, default=2,
-                      help="k-tails merging depth (default 2)")
-    mine.add_argument("--include-attacks", action="store_true",
-                      help="keep calls with attack firings in the training "
-                           "corpus (default: exclude them)")
-    mine.add_argument("--json", action="store_true",
-                      help="emit machine and corpus summaries as JSON")
-    mine.add_argument("--dot", metavar="DIR", default=None,
-                      help="write each mined machine as Graphviz dot to DIR")
-    mine.add_argument("--strict", action="store_true",
-                      help="exit non-zero when any training sequence fails "
-                           "to replay or the corpus had truncated calls")
-
     specdiff = sub.add_parser(
         "specdiff",
-        help="diff mined machines against the hand-written specs")
+        help="diff a trace's fire events against the hand-written specs")
     specdiff.add_argument("--jsonl", metavar="PATH", required=True,
-                          help="trace export to mine the learned side from")
+                          help="trace export to read the firings from "
+                               "(trace --jsonl PATH)")
     specdiff.add_argument("--machine", default=None,
                           choices=("sip", "rtp"),
                           help="diff only this machine (default: both)")
-    specdiff.add_argument("--k", type=int, default=2,
-                          help="k-tails merging depth (default 2)")
     _add_findings_flags(specdiff)
     specdiff.add_argument("--no-cross-protocol", action="store_true",
                           help="diff against the cross_protocol=False "
@@ -163,11 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--mean-duration", type=float, default=400.0,
                        help="mean call duration in seconds (default 400; "
                             "lower it below the horizon so teardown paths "
-                            "appear in mined corpora)")
-    trace.add_argument("--trace-variables", action="store_true",
-                       help="attach bounded args/vars snapshots to fire "
-                            "events (feeds 'mine' guard synthesis; "
-                            "docs/MINING.md)")
+                            "appear in a specdiff corpus)")
     trace.add_argument("--metrics", metavar="PATH", default=None,
                        help="export the metrics registry as Prometheus text"
                             " ('-' for stdout)")
@@ -336,9 +309,8 @@ def _write_dots(directory: str, machines, diagnostics=None) -> None:
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _report_findings(args, diagnostics, extra: Optional[dict] = None) -> int:
-    """Print findings as text or JSON; returns the command's exit status.
-    ``extra`` adds keys to the JSON document."""
+def _report_findings(args, diagnostics) -> int:
+    """Print findings as text or JSON; returns the command's exit status."""
     from .efsm.diagnostics import (Severity, count_by_severity,
                                    diagnostics_to_dicts, format_report)
 
@@ -349,7 +321,6 @@ def _report_findings(args, diagnostics, extra: Optional[dict] = None) -> int:
             "findings": diagnostics_to_dicts(
                 d for d in diagnostics if d.severity >= min_severity),
             "counts": {str(sev): n for sev, n in sorted(counts.items())},
-            **(extra or {}),
         }, indent=2, sort_keys=True))
     else:
         print(format_report(diagnostics, min_severity=min_severity))
@@ -389,7 +360,6 @@ def _cmd_trace(args) -> int:
     from .obs import Observability
     from .telephony import (ScenarioParams, TestbedParams, WorkloadParams,
                             run_scenario)
-    from .vids import DEFAULT_CONFIG
 
     factories = {
         "bye": lambda: ByeTeardownAttack(40.0, spoof="none"),
@@ -404,8 +374,6 @@ def _cmd_trace(args) -> int:
     }
     obs = Observability(profile=args.profile,
                         trace_capacity=args.capacity)
-    vids_config = DEFAULT_CONFIG.with_overrides(
-        trace_variables=args.trace_variables)
     factory = factories[args.attack]
     attacks = (factory(),) if factory is not None else ()
     shard_fault_plan = None
@@ -423,7 +391,7 @@ def _cmd_trace(args) -> int:
         workload=WorkloadParams(mean_interarrival=25.0,
                                 mean_duration=args.mean_duration,
                                 horizon=args.horizon),
-        with_vids=True, vids_config=vids_config, attacks=attacks,
+        with_vids=True, attacks=attacks,
         drain_time=90.0, obs=obs,
         shards=args.shards, supervise=args.supervise,
         shard_fault_plan=shard_fault_plan))
@@ -463,89 +431,31 @@ def _load_export(path: str):
         export = from_jsonl(handle.read())
     if export.truncated:
         print(f"warning: export reports {export.dropped} events evicted "
-              "from the trace ring before the dump; calls with a truncated "
-              "head are excluded from training", file=sys.stderr)
+              "from the trace ring before the dump; the coverage it shows "
+              "is a lower bound", file=sys.stderr)
     return export
 
 
-def _cmd_mine(args) -> int:
-    """Learn EFSMs from a trace export and report the evidence."""
-    from .efsm.mine import extract_corpus, mine_machine, replay_sequence
-
-    export = _load_export(args.jsonl)
-    corpus = extract_corpus(export, include_attacks=args.include_attacks)
-    if args.machine is not None and args.machine not in corpus.sequences:
-        print(f"no training sequences for machine {args.machine!r} "
-              f"(available: {', '.join(corpus.machines()) or 'none'})",
-              file=sys.stderr)
-        return 2
-    names = [args.machine] if args.machine else corpus.machines()
-    mined = {name: mine_machine(corpus.sequences[name], name, k=args.k)
-             for name in names}
-
-    replay_failures = 0
-    replays = {}
-    for name, machine in mined.items():
-        deviations = 0
-        for sequence in corpus.sequences[name]:
-            deviations += sum(
-                1 for r in replay_sequence(machine.efsm, sequence)
-                if r.transition is None)
-        replays[name] = deviations
-        replay_failures += deviations
-
-    if args.json:
-        print(json.dumps({
-            "corpus": corpus.summary(),
-            "machines": {name: machine.summary()
-                         for name, machine in mined.items()},
-            "replay_deviations": replays,
-        }, indent=2, sort_keys=True))
-    else:
-        summary = corpus.summary()
-        print(f"corpus: {summary['calls_trained']} calls trained of "
-              f"{summary['calls_seen']} seen "
-              f"({summary['calls_truncated']} truncated, "
-              f"{summary['calls_excluded_attack']} attack-labelled)")
-        for name, machine in mined.items():
-            info = machine.summary()
-            print(f"{name}: {info['states']} states, "
-                  f"{info['transitions']} transitions "
-                  f"({info['guarded_transitions']} guarded) from "
-                  f"{info['sequences']} sequences / {info['steps']} steps; "
-                  f"replay deviations: {replays[name]}")
-    if args.dot:
-        _write_dots(args.dot, [machine.efsm for machine in mined.values()])
-    if args.strict and (replay_failures or corpus.calls_truncated):
-        return 1
-    return 0
-
-
 def _cmd_specdiff(args) -> int:
-    """Diff mined machines against the hand-written specifications."""
-    from .efsm.mine import extract_corpus, mine_machine
+    """Diff a trace's fire events against the hand-written specifications."""
     from .efsm.specdiff import specdiff
     from .vids.spec import CallSpec
 
     spec = CallSpec.build(_spec_config(args))
     specs = {"sip": spec.sip, "rtp": spec.rtp}
 
-    export = _load_export(args.jsonl)
-    corpus = extract_corpus(export)
-    names = [args.machine] if args.machine else sorted(
-        set(corpus.machines()) & set(specs))
+    events = _load_export(args.jsonl).events
+    fired = {event.data.get("machine") for event in events
+             if event.kind == "fire"}
+    names = [args.machine] if args.machine else sorted(fired & set(specs))
     diagnostics = []
     for name in names:
-        sequences = corpus.sequences.get(name)
-        if not sequences:
-            print(f"no training sequences for machine {name!r}; "
-                  "did the trace run with --trace-variables and a benign "
-                  "workload?", file=sys.stderr)
+        if name not in fired:
+            print(f"no fire events for machine {name!r} in {args.jsonl}",
+                  file=sys.stderr)
             return 2
-        mined = mine_machine(sequences, name, k=args.k)
-        diagnostics.extend(specdiff(mined, specs[name]))
-    return _report_findings(args, diagnostics,
-                            extra={"corpus": corpus.summary()})
+        diagnostics.extend(specdiff(events, specs[name]))
+    return _report_findings(args, diagnostics)
 
 
 def _parse_port_range(text: Optional[str]) -> List[int]:
@@ -693,8 +603,8 @@ def _cmd_replay(args) -> int:
 _COMMANDS = {
     "scenario": _cmd_scenario, "attack-matrix": _cmd_attack_matrix,
     "machines": _cmd_machines, "speclint": _cmd_speclint,
-    "trace": _cmd_trace, "mine": _cmd_mine,
-    "specdiff": _cmd_specdiff, "serve": _cmd_serve, "replay": _cmd_replay,
+    "trace": _cmd_trace, "specdiff": _cmd_specdiff,
+    "serve": _cmd_serve, "replay": _cmd_replay,
 }
 
 

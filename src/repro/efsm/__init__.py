@@ -33,22 +33,11 @@ from .machine import (
     Transition,
     Variables,
 )
-from .mine import (
-    CallSequence,
-    MinedMachine,
-    MiningCorpus,
-    StepRecord,
-    extract_corpus,
-    mine,
-    mine_machine,
-    replay_sequence,
-)
 from .specdiff import specdiff
 from .system import EfsmSystem, ManualClock
 from .verify import RULES, verify_machine, verify_system
 
 __all__ = [
-    "CallSequence",
     "DefinitionError",
     "Diagnostic",
     "Efsm",
@@ -58,9 +47,6 @@ __all__ = [
     "Event",
     "FiringResult",
     "ManualClock",
-    "MinedMachine",
-    "MiningCorpus",
-    "StepRecord",
     "NondeterminismError",
     "Output",
     "RULES",
@@ -76,14 +62,10 @@ __all__ = [
     "diagnostics_to_dicts",
     "errors_only",
     "event_coverage",
-    "extract_corpus",
     "format_report",
     "max_severity",
-    "mine",
-    "mine_machine",
     "parse_channel",
     "reachable_states",
-    "replay_sequence",
     "specdiff",
     "summarize_machine",
     "to_dot",

@@ -1,7 +1,8 @@
 """Transitions as data: the guard ``P_t`` and the update ``A_t`` of
-Definition 1 as expression trees, read by dispatch (compiled), speclint,
-specdiff, ``to_dot`` and the miner.  docs/STATE_MACHINES.md ("Transitions
-as data") has the grammar, the semantics and every shipped transition.
+Definition 1 as expression trees, read by dispatch (compiled), speclint
+and ``to_dot``; only dispatch runs them.  docs/STATE_MACHINES.md
+("Transitions as data") has the grammar, the semantics and every shipped
+transition.
 
 Terms: ``x(field, default)``, ``v(name, default)``, constants, :data:`NOW`
 and ``helper(fn, *terms)`` (a named pure function of the terms' values).

@@ -1,181 +1,102 @@
-"""specdiff: structural diff of mined machines against the specifications.
+"""specdiff: the specification's coverage and deviations, read off a trace.
 
-A mined machine (:mod:`repro.efsm.mine`) is evidence of what monitored
-calls *actually did*; the hand-written Figure-5/6 machines are what the
-specification *says* they may do.  Diffing the two finds spec gaps that
-static lint (``speclint``) cannot see, because they only show up against
-real traffic:
+Every traced firing is a ``fire`` event that names its machine, its event
+and channel, and the state it left and entered
+(docs/OBSERVABILITY.md).  A transition of a shipped machine is identified
+by its *firing key* ``(source, event, channel, target)`` — no two
+transitions of one machine share it (``tests/efsm/test_specdiff.py``) — so
+the fire events of a recorded run say exactly which transitions fired,
+with no guard run again and nothing learned.  Diffing them against the
+hand-written Figure-5/6 machines finds what static lint (``speclint``)
+cannot see, because it only shows up against real traffic:
 
-- **missing-transition** (ERROR): traces exercised an (state, event,
-  channel) the spec has no transition for — observed behaviour the
-  specification would call a deviation;
-- **guard-disagreement** (WARNING): the spec has a matching transition but
-  its guard rejects some (or all) recorded samples, or the guard accepts
-  them into a different target state than the one actually recorded;
-- **unexercised-transition** (INFO): spec transitions no training trace
-  ever took (expected for attack signatures over a benign corpus);
-- **unvisited-state** (INFO): spec states the corpus never reached.
-
-The diff never aligns mined states with spec states structurally — every
-training observation carries the spec machine's *recorded* state at firing
-time, so spec guards are probed exactly where the event actually arrived:
-every recorded observation of a group is run through each candidate's
-``Guard.compiled()`` on what the firing saw: its event (argument vector
-and time) and the variable vector — the declared defaults overwritten by
-the accumulated valuation (``VidsConfig.trace_variables``).  Nothing
-fires, and a guard that raises on the bounded, possibly partial recorded
-data counts as not enabled rather than crashing the diff.  A disagreement
-quotes the guards it probed.  Without recorded arguments the diff degrades
-to name-level structural checks and skips guard probing.
+- **missing-transition** (ERROR): recorded firings the specification has
+  no transition for — a ``deviation`` (no transition was enabled), a key
+  the spec lacks (the trace ran under another spec), or a state it does
+  not define;
+- **unexercised-transition** (INFO): spec transitions no recorded firing
+  took (expected for attack signatures over a benign corpus);
+- **unvisited-state** (INFO): spec states no recorded firing left or
+  entered.
 
 Findings reuse the speclint :class:`Diagnostic`/:func:`format_report`
 machinery, so the ``specdiff`` CLI renders and exits like ``speclint``.
-See docs/MINING.md for the rule catalog.
+See docs/SPECCHECK.md ("specdiff").
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..obs.trace import TraceEvent
 from .diagnostics import Diagnostic, Severity
-from .events import Event
-from .machine import Efsm, Transition, Variables
-from .mine import MinedMachine, Observation
+from .machine import Efsm, Transition
 
-__all__ = ["specdiff"]
+__all__ = ["firing_key", "specdiff"]
 
-
-class _Probe:
-    """The instance a guard reads on a recorded firing: its variable vector
-    — the declared defaults, overwritten by the recorded valuation.  No
-    instance ran the firing."""
-
-    __slots__ = ("variables",)
-
-    def __init__(self, spec: Efsm, valuation: Mapping[str, Any]) -> None:
-        self.variables = Variables(spec.variables,
-                                   dict(spec.global_variables))
-        for name, value in valuation.items():
-            self.variables[name] = value
+FiringKey = Tuple[str, str, Optional[str], str]
 
 
-def _holds(transition: Transition, probe: _Probe, event: Event) -> bool:
-    """Does the guard hold on a recorded observation?  One that raises on
-    the (possibly partial) record does not."""
-    try:
-        return (transition.predicate is None
-                or bool(transition.predicate.compiled()(probe, event)))
-    except Exception:
-        return False
+def firing_key(transition: Transition) -> FiringKey:
+    """``(source, event, channel, target)``: what a fire event records."""
+    return (transition.source, transition.event_name, transition.channel,
+            transition.target)
 
 
-def _sample_args(observations: List[Observation]) -> List[Dict[str, Any]]:
-    return [observation.args for observation in observations[:3]]
+def specdiff(events: Iterable[TraceEvent], spec: Efsm) -> List[Diagnostic]:
+    """Diff the ``fire`` events of one machine against its specification."""
+    fired: Counter = Counter()          # firing key -> count
+    deviations: Counter = Counter()     # (state, event, channel) -> count
+    for event in events:
+        data = event.data
+        if event.kind != "fire" or data.get("machine") != spec.name:
+            continue
+        key = (data.get("from_state", ""), data.get("event", ""),
+               data.get("channel"), data.get("to_state", ""))
+        if data.get("deviation"):
+            deviations[key[:3]] += 1
+        else:
+            fired[key] += 1
 
-
-def specdiff(mined: MinedMachine, spec: Efsm) -> List[Diagnostic]:
-    """Diff one mined machine against its specification machine."""
-    # Group every training observation by where it actually fired in the
-    # spec machine: (recorded spec state, event, channel).
-    groups: Dict[Tuple[str, str, Optional[str]], List[Observation]] = {}
-    for key, observations in mined.observations.items():
-        _, event_name, channel, _ = key
-        for observation in observations:
-            group_key = (observation.spec_from, event_name, channel)
-            groups.setdefault(group_key, []).append(observation)
+    keys = {firing_key(transition) for transition in spec.transitions}
+    visited = {state for key in fired for state in (key[0], key[3])}
+    visited.update(group[0] for group in deviations)
+    # Firings the spec has no transition for, per (state, event, channel).
+    unmatched: Dict[Tuple[str, str, Optional[str]], int] = Counter(deviations)
+    for key, count in fired.items():
+        if key not in keys:
+            unmatched[key[:3]] += count
 
     diagnostics: List[Diagnostic] = []
-    matched: set = set()
-    visited: set = set()
-
-    for (state, event_name, channel), observations in sorted(
-            groups.items(), key=lambda item: (item[0][0], item[0][1],
-                                              item[0][2] or "")):
-        visited.add(state)
-        for observation in observations:
-            if observation.spec_to:
-                visited.add(observation.spec_to)
+    for (state, event_name, channel), count in sorted(
+            unmatched.items(), key=lambda item: (item[0][0], item[0][1],
+                                                 item[0][2] or "")):
+        samples = {"samples": count,
+                   "deviations": deviations[(state, event_name, channel)]}
         if state not in spec.states:
             diagnostics.append(Diagnostic(
                 "missing-transition", Severity.ERROR,
                 f"traces record firings in state {state!r} which "
                 f"{spec.name!r} does not define",
                 machine=spec.name, state=state, event=event_name,
-                channel=channel,
-                data={"samples": len(observations)},
+                channel=channel, data=samples,
                 hint="the spec and the traced deployment disagree about "
-                     "the state space; re-mine against matching specs"))
+                     "the state space; diff against matching specs"))
             continue
-        candidates = [t for t in spec.transitions_from(state, event_name)
-                      if t.channel == channel]
-        if not candidates:
-            diagnostics.append(Diagnostic(
-                "missing-transition", Severity.ERROR,
-                f"{len(observations)} recorded firing(s) of {event_name!r} "
-                f"in state {state!r}"
-                + (f" on channel {channel!r}" if channel else "")
-                + f" have no matching transition in {spec.name!r}",
-                machine=spec.name, state=state, event=event_name,
-                channel=channel,
-                data={"samples": len(observations),
-                      "example_args": _sample_args(observations)},
-                hint="observed behaviour the specification would flag as a "
-                     "deviation: add the transition or investigate the "
-                     "traffic"))
-            continue
-        samples = [o for o in observations if o.args or o.valuation]
-        if not samples:
-            # trace_variables was off: structural name-level match only.
-            matched.update(id(t) for t in candidates)
-            continue
-        per_sample = []
-        for o in samples:
-            probe = _Probe(spec, o.valuation)
-            event = Event(event_name, o.args, channel=channel, time=o.time)
-            per_sample.append([t for t in candidates
-                               if _holds(t, probe, event)])
-        accepted = 0
-        mismatched: List[Observation] = []
-        for observation, enabled in zip(samples, per_sample):
-            if not enabled:
-                continue
-            accepted += 1
-            matched.add(id(enabled[0]))
-            if (observation.spec_to
-                    and enabled[0].target != observation.spec_to):
-                mismatched.append(observation)
-        if accepted < len(samples):
-            diagnostics.append(Diagnostic(
-                "guard-disagreement", Severity.WARNING,
-                f"guards of {spec.name!r} for {event_name!r} in state "
-                f"{state!r} " + (f"reject all {len(samples)}" if not accepted
-                                 else f"accept only {accepted} of "
-                                      f"{len(samples)}")
-                + " recorded sample(s)",
-                machine=spec.name, state=state, event=event_name,
-                channel=channel, transition=candidates[0].describe(),
-                data={"accepted": accepted, "samples": len(samples),
-                      "example_args": _sample_args(samples),
-                      "guards": [t.predicate.describe() for t in candidates
-                                 if t.predicate is not None]},
-                hint="the spec guard and the recorded traffic disagree: "
-                     "check its argument fields against the traced "
-                     "args/vars (a firing it rejects would deviate)"))
-        if mismatched:
-            diagnostics.append(Diagnostic(
-                "guard-disagreement", Severity.WARNING,
-                f"probing {event_name!r} in state {state!r} selects a "
-                f"different target than the {len(mismatched)} recorded "
-                f"firing(s) (recorded -> {mismatched[0].spec_to!r})",
-                machine=spec.name, state=state, event=event_name,
-                channel=channel,
-                data={"mismatched": len(mismatched),
-                      "example_args": _sample_args(mismatched)},
-                hint="guard overlap or bounded-valuation divergence; "
-                     "verify the guard's variable dependencies"))
+        diagnostics.append(Diagnostic(
+            "missing-transition", Severity.ERROR,
+            f"{count} recorded firing(s) of {event_name!r} "
+            f"in state {state!r}"
+            + (f" on channel {channel!r}" if channel else "")
+            + f" have no matching transition in {spec.name!r}",
+            machine=spec.name, state=state, event=event_name,
+            channel=channel, data=samples,
+            hint="observed behaviour the specification calls a deviation: "
+                 "add the transition or investigate the traffic"))
 
     for transition in spec.transitions:
-        if id(transition) in matched:
+        if firing_key(transition) in fired:
             continue
         is_attack = (transition.attack
                      or transition.target in spec.attack_states)

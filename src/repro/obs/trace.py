@@ -194,7 +194,8 @@ class TraceExport:
 
     ``dropped > 0`` means the ring evicted events before the export was
     taken — per-call timelines may be missing their head, and a consumer
-    (the miner, notably) must treat truncated calls accordingly.
+    must treat what it counts as a lower bound (``specdiff``'s coverage,
+    notably).
     """
 
     events: List[TraceEvent] = field(default_factory=list)

@@ -114,14 +114,6 @@ class VidsConfig:
     #: forever (docs/ROBUSTNESS.md "Quarantine parole").
     quarantine_ttl: Optional[float] = None
 
-    # -- Spec mining (docs/MINING.md) -----------------------------------------
-    #: Attach a bounded changed-variables snapshot (``vars``) and the event
-    #: arguments (``args``) to every ``fire`` trace event.  Off by default:
-    #: the disabled path is a single boolean test and allocates nothing.
-    #: Required for guard synthesis in ``repro.efsm.mine`` and for
-    #: ``specdiff`` guard probing.
-    trace_variables: bool = False
-
     # -- Housekeeping --------------------------------------------------------
     #: Idle seconds after which a call record is garbage-collected.
     call_record_ttl: float = 3600.0

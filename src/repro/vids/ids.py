@@ -47,49 +47,6 @@ _GC_EVERY = 5000
 #: cannot grow the table without bound.
 _MAX_MALFORMED_SOURCES = 4096
 
-#: Bounds on the per-fire variable snapshots (``trace_variables``): nesting
-#: depth, items per container, and string length.  Deep/wide values degrade
-#: to truncated ``str()`` renderings instead of growing the trace unboundedly.
-_VAR_SNAPSHOT_DEPTH = 3
-_VAR_SNAPSHOT_ITEMS = 8
-_VAR_SNAPSHOT_STR = 128
-
-#: Cap on (call_id, machine) entries in the changed-variable shadow before
-#: entries for dead calls are pruned.
-_MAX_VAR_SHADOW = 4096
-
-_SHADOW_MISS = object()
-
-
-def _bound_value(value: object, depth: int = _VAR_SNAPSHOT_DEPTH) -> object:
-    """Depth/width/length-bounded copy of one state-variable value."""
-    kind = type(value)
-    if value is None or kind is bool or kind is int or kind is float:
-        return value
-    if kind is str:
-        return value if len(value) <= _VAR_SNAPSHOT_STR \
-            else value[:_VAR_SNAPSHOT_STR]
-    if depth <= 0:
-        return str(value)[:_VAR_SNAPSHOT_STR]
-    if isinstance(value, (list, tuple)):
-        items = [_bound_value(item, depth - 1)
-                 for item in list(value)[:_VAR_SNAPSHOT_ITEMS]]
-        return tuple(items) if isinstance(value, tuple) else items
-    if isinstance(value, (set, frozenset)):
-        items = sorted(value, key=repr)[:_VAR_SNAPSHOT_ITEMS]
-        try:
-            return {_bound_value(item, depth - 1) for item in items}
-        except TypeError:  # bounded item became unhashable
-            return tuple(_bound_value(item, depth - 1) for item in items)
-    if isinstance(value, dict):
-        bounded: Dict[object, object] = {}
-        for index, (key, item) in enumerate(value.items()):
-            if index >= _VAR_SNAPSHOT_ITEMS:
-                break
-            bounded[key] = _bound_value(item, depth - 1)
-        return bounded
-    return str(value)[:_VAR_SNAPSHOT_STR]
-
 
 class Vids:
     """VoIP intrusion detection through interacting protocol state machines."""
@@ -145,13 +102,6 @@ class Vids:
         self.factbase.on_result = self._on_result
         if self._trace is not None:
             self.alert_manager.on_alert = self._trace_alert
-        #: Pre-resolved "attach vars/args snapshots to fire events" flag:
-        #: the disabled hot path is one boolean test, no allocation.
-        self._trace_vars = self._trace is not None and config.trace_variables
-        #: Last-emitted bounded valuation per (call_id, machine) — only
-        #: populated when ``trace_variables`` is on, so fire events can
-        #: carry just the *changed* variables (docs/MINING.md).
-        self._var_shadow: Dict[tuple, Dict[str, object]] = {}
         self.distributor = EventDistributor(
             config, self.factbase, self.engine, self.trackers, clock_now,
             trace=self._trace)
@@ -448,17 +398,12 @@ class Vids:
         traced path, which sees every firing, skips its self-loops too.
         """
         if self._trace is not None:
-            if self._trace_vars:
-                self._emit_fire_with_vars(record, result)
-            else:
-                self._trace.emit("fire", result.time, call_id=record.call_id,
-                                 machine=result.machine,
-                                 event=result.event.name,
-                                 channel=result.event.channel,
-                                 from_state=result.from_state,
-                                 to_state=result.to_state,
-                                 deviation=result.deviation,
-                                 attack=result.attack)
+            self._trace.emit("fire", result.time, call_id=record.call_id,
+                             machine=result.machine, event=result.event.name,
+                             channel=result.event.channel,
+                             from_state=result.from_state,
+                             to_state=result.to_state,
+                             deviation=result.deviation, attack=result.attack)
         self.engine.handle_result(record, result)
         if result.to_state != result.from_state:
             self._maybe_reap(record)
@@ -475,42 +420,6 @@ class Vids:
             lambda: self.factbase.delete(call_id))
 
     # -- observability ---------------------------------------------------------
-
-    def _emit_fire_with_vars(self, record, result) -> None:
-        """Fire event with bounded ``args``/``vars`` snapshots attached.
-
-        ``vars`` carries only the variables whose bounded rendering changed
-        since the last fire of the same (call, machine) — the miner
-        accumulates them back into full valuations for guard synthesis.
-        The first fire of a pair ships the full valuation as the baseline.
-        """
-        key = (record.call_id, result.machine)
-        merged = record.system.machines[result.machine].variables.snapshot()
-        bounded = {name: _bound_value(value)
-                   for name, value in merged.items()}
-        previous = self._var_shadow.get(key)
-        if previous is None:
-            changed = bounded
-            if len(self._var_shadow) >= _MAX_VAR_SHADOW:
-                live = self.factbase.records
-                self._var_shadow = {
-                    shadow_key: shadow
-                    for shadow_key, shadow in self._var_shadow.items()
-                    if shadow_key[0] in live}
-        else:
-            changed = {
-                name: value for name, value in bounded.items()
-                if previous.get(name, _SHADOW_MISS) != value}
-        self._var_shadow[key] = bounded
-        self._trace.emit(
-            "fire", result.time, call_id=record.call_id,
-            machine=result.machine, event=result.event.name,
-            channel=result.event.channel,
-            from_state=result.from_state, to_state=result.to_state,
-            deviation=result.deviation, attack=result.attack,
-            args={name: _bound_value(value)
-                  for name, value in result.event.args.items()},
-            vars=changed)
 
     def _trace_alert(self, alert: Alert) -> None:
         """AlertManager hook: put every raised alert on the call timeline."""

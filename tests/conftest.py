@@ -90,34 +90,25 @@ def build_mini_voip(seed=0, internet_delay=0.05, internet_loss=0.0):
 
 @pytest.fixture(scope="session")
 def benign_mining_run():
-    """One benign traced scenario with variable snapshots, mined once.
+    """One benign traced scenario, run once per session.
 
-    Shared by the mining and specdiff test modules — the scenario run
-    dominates their cost, so they both learn from the same corpus.
+    Shared by the specdiff tests — the scenario run dominates their cost.
     ``mean_duration`` sits well below the horizon so teardown
-    (BYE/200/Closed) paths appear in the training traces.
+    (BYE/200/Closed) paths appear in the trace.
     """
     from types import SimpleNamespace
 
-    from repro.efsm.mine import extract_corpus, mine_machine
     from repro.obs import Observability
     from repro.telephony import (ScenarioParams, TestbedParams,
                                  WorkloadParams, run_scenario)
-    from repro.vids.config import DEFAULT_CONFIG
 
     obs = Observability(trace_capacity=400_000)
     result = run_scenario(ScenarioParams(
         testbed=TestbedParams(seed=11, phones_per_network=4),
         workload=WorkloadParams(mean_interarrival=25.0, mean_duration=60.0,
                                 horizon=200.0),
-        with_vids=True,
-        vids_config=DEFAULT_CONFIG.with_overrides(trace_variables=True),
-        drain_time=90.0, obs=obs))
-    corpus = extract_corpus(obs.trace)
-    mined = {name: mine_machine(corpus.sequences[name], name)
-             for name in corpus.machines()}
-    return SimpleNamespace(obs=obs, result=result, corpus=corpus,
-                           mined=mined)
+        with_vids=True, drain_time=90.0, obs=obs))
+    return SimpleNamespace(obs=obs, result=result)
 
 
 @pytest.fixture(scope="session")

@@ -50,8 +50,8 @@ def test_contexts_are_built_only_by_the_machine_module():
 
 def test_no_throwaway_instance_is_pinned_to_a_state():
     """Building an ``EfsmInstance`` and assigning its ``state`` in the same
-    function is the probe idiom ``Efsm.enabled_at`` used; specdiff calls
-    the compiled guard on the recorded data instead."""
+    function is the probe idiom ``Efsm.enabled_at`` used; specdiff reads
+    the recorded firings instead."""
     pinned = []
     for rel, source in _sources():
         for node in ast.walk(ast.parse(source)):
@@ -76,10 +76,9 @@ def test_the_sampled_probe_and_the_second_dispatch_are_gone():
                    "allow_impure_guard", "GuardSpec", "samples=",
                    "enabled_at", "args_from", "_SAMPLES_PER_GROUP"):
         assert _files_with(needle) == [], needle
-    # Guards run as the function Guard.compiled() generates: dispatch
-    # entries ask for it, and specdiff on each recorded observation.
-    assert _files_with(".compiled()") == ["efsm/machine.py",
-                                          "efsm/specdiff.py"]
+    # Guards run as the function Guard.compiled() generates, and only
+    # dispatch entries ask for it.
+    assert _files_with(".compiled()") == ["efsm/machine.py"]
 
 
 def test_speclint_reads_the_data_and_mines_no_source():

@@ -41,25 +41,15 @@ class TestParser:
         assert not args.json and not args.strict
         assert not args.no_cross_protocol and args.dot is None
 
-    def test_trace_mining_flags(self):
+    def test_trace_mean_duration_flag(self):
         args = build_parser().parse_args(["trace"])
-        assert not args.trace_variables
         assert args.mean_duration == 400.0
-        args = build_parser().parse_args(
-            ["trace", "--trace-variables", "--mean-duration", "60"])
-        assert args.trace_variables and args.mean_duration == 60.0
+        args = build_parser().parse_args(["trace", "--mean-duration", "60"])
+        assert args.mean_duration == 60.0
 
-    def test_mine_defaults(self):
-        args = build_parser().parse_args(["mine", "--jsonl", "t.jsonl"])
-        assert args.command == "mine"
-        assert args.jsonl == "t.jsonl"
-        assert args.machine is None and args.k == 2
-        assert not args.json and not args.strict
-        assert not args.include_attacks and args.dot is None
-
-    def test_mine_requires_jsonl(self):
+    def test_specdiff_requires_jsonl(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["mine"])
+            build_parser().parse_args(["specdiff"])
 
     def test_specdiff_options(self):
         args = build_parser().parse_args(
@@ -113,6 +103,15 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_mining_flags_are_gone(self, capsys):
+        for argv in (["mine", "--jsonl", "t.jsonl"],
+                     ["specdiff", "--jsonl", "t.jsonl", "--k", "2"],
+                     ["trace", "--trace-variables"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(argv)
+            assert exit_info.value.code == 2
+        capsys.readouterr()
+
 
 def attack_capture():
     """A call in progress, a third-party BYE, then media that keeps
@@ -131,6 +130,16 @@ def attack_capture():
             rtp_bytes(seq=index + 1, ts=(index + 1) * 160),
             CALLER, CALLEE, 20_000, 20_002)))
     return capture
+
+
+@pytest.fixture(scope="module")
+def benign_trace(tmp_path_factory):
+    """CI's specdiff corpus: a benign seed-5 trace with teardowns."""
+    jsonl = tmp_path_factory.mktemp("specdiff") / "trace.jsonl"
+    assert main(["trace", "--attack", "none", "--horizon", "120",
+                 "--mean-duration", "40", "--seed", "5",
+                 "--jsonl", str(jsonl)]) == 0
+    return jsonl
 
 
 class TestCommands:
@@ -164,36 +173,64 @@ class TestCommands:
         written = {p.name for p in tmp_path.glob("*.dot")}
         assert {"sip.dot", "rtp.dot"} <= written
 
-    def test_trace_mine_specdiff_pipeline(self, capsys, tmp_path):
-        jsonl = tmp_path / "trace.jsonl"
-        assert main(["trace", "--attack", "none", "--trace-variables",
-                     "--horizon", "120", "--mean-duration", "40",
-                     "--seed", "5", "--jsonl", str(jsonl)]) == 0
-        capsys.readouterr()
-
-        assert main(["mine", "--jsonl", str(jsonl), "--strict",
+    def test_trace_specdiff_pipeline(self, capsys, benign_trace):
+        for machine in ("sip", "rtp"):
+            assert main(["specdiff", "--jsonl", str(benign_trace),
+                         "--machine", machine, "--strict"]) == 0
+            out = capsys.readouterr().out
+            assert "missing-transition" not in out
+            assert "unexercised-transition" in out
+        assert main(["specdiff", "--jsonl", str(benign_trace),
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["corpus"]["calls_trained"] > 0
-        assert set(payload["replay_deviations"].values()) == {0}
+        assert {f["machine"] for f in payload["findings"]} == {"sip", "rtp"}
+        assert set(payload["counts"]) == {"INFO"}
 
-        assert main(["mine", "--jsonl", str(jsonl),
-                     "--dot", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "mined-sip.dot").exists()
-        assert (tmp_path / "mined-rtp.dot").exists()
+    def test_specdiff_fails_on_a_gap_and_on_a_deviation(
+            self, capsys, monkeypatch, tmp_path, benign_trace):
+        """A benign trace that the spec cannot explain fails ``--strict``:
+        a spec missing a transition the trace fires (SIP Proceeding
+        --200-invite--> Answered), and a recorded deviation."""
+        from repro.obs import from_jsonl
+        from repro.vids import sip_machine
 
-        assert main(["specdiff", "--jsonl", str(jsonl),
-                     "--machine", "sip", "--strict"]) == 0
+        build_sip_machine = sip_machine.build_sip_machine
+
+        def gapped(config):
+            machine = build_sip_machine(config)
+            (answer,) = [t for t in machine.transitions
+                         if t.source == "Proceeding"
+                         and t.target == "Answered"]
+            machine.transitions.remove(answer)
+            return machine
+
+        monkeypatch.setattr(sip_machine, "build_sip_machine", gapped)
+        assert main(["specdiff", "--jsonl", str(benign_trace),
+                     "--machine", "sip", "--strict"]) == 1
         out = capsys.readouterr().out
-        assert "missing-transition" not in out
-        assert "guard-disagreement" not in out
+        assert "ERROR: [missing-transition] sip state=Proceeding " \
+               "event=RESPONSE" in out
+        monkeypatch.undo()
 
-    def test_mine_unknown_machine_fails(self, capsys, tmp_path):
+        export = from_jsonl(benign_trace.read_text())
+        fire = next(e for e in export.events if e.kind == "fire"
+                    and e.data["machine"] == "rtp")
+        deviation = dict(fire.to_dict(), seq=export.events[-1].seq + 1,
+                         to_state=fire.data["from_state"], deviation=True)
+        deviating = tmp_path / "deviating.jsonl"
+        deviating.write_text(benign_trace.read_text().rstrip("\n") + "\n"
+                             + json.dumps(deviation))
+        assert main(["specdiff", "--jsonl", str(deviating),
+                     "--machine", "rtp", "--strict"]) == 1
+        out = capsys.readouterr().out
+        assert "[missing-transition] rtp state=" \
+               f"{fire.data['from_state']}" in out
+
+    def test_specdiff_without_fire_events_fails(self, capsys, tmp_path):
         jsonl = tmp_path / "empty.jsonl"
         jsonl.write_text("")
-        assert main(["mine", "--jsonl", str(jsonl),
-                     "--machine", "bogus"]) == 2
+        assert main(["specdiff", "--jsonl", str(jsonl),
+                     "--machine", "sip"]) == 2
 
     def test_scenario_runs_and_exports(self, capsys, tmp_path):
         code = main(["scenario", "--horizon", "240", "--phones", "3",

@@ -147,6 +147,19 @@ def drive_premature_ack(vids, clock):
     vids.process(dgram(ack_bytes(), CALLER, CALLEE), clock.now())
 
 
+def drive_stray_response_in_setup(vids, clock):
+    """A 200 to a BYE nobody sent, while the INVITE is still proceeding:
+    no candidate of the (Proceeding, RESPONSE) group is enabled, so a
+    guard that dispatch holds true where the interpreter does not shows
+    here."""
+    vids.process(dgram(invite_bytes(), PROXY_A, PROXY_B), clock.now())
+    clock.advance(0.05)
+    vids.process(dgram(response_bytes(180), PROXY_B, PROXY_A), clock.now())
+    clock.advance(0.05)
+    vids.process(dgram(response_bytes(200, cseq="1 BYE"), PROXY_B, PROXY_A),
+                 clock.now())
+
+
 def drive_cancel_dos(vids, clock):
     vids.process(dgram(invite_bytes(), PROXY_A, PROXY_B), clock.now())
     clock.advance(0.05)
@@ -178,6 +191,7 @@ SCENARIOS = [
     drive_unsolicited_media,
     drive_stray_bye,
     drive_premature_ack,
+    drive_stray_response_in_setup,
     drive_cancel_dos,
     drive_hijack_invite,
 ]
