@@ -17,12 +17,13 @@ lint:
 	$(PYTHON) tools/lint.py
 	PYTHONPATH=src $(PYTHON) -S -c "import repro, repro.live, repro.cli"
 
-# Static verification of the EFSM specifications (docs/SPECCHECK.md).
-# --strict: a WARNING fails too, so a guard group that cannot be decided
-# (an ordering against a non-numeric constant, or a substring test) does
-# not pass.
+# Static verification of the EFSM specifications (docs/SPECCHECK.md), the
+# shipped config and the cross_protocol=False ablation.  --strict: a
+# WARNING fails too, so a guard group that cannot be decided (an ordering
+# against a non-numeric constant, or a substring test) does not pass.
 speclint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning
+	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning --no-cross-protocol
 
 test:
 	$(PYTHON) -m pytest tests/

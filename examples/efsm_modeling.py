@@ -4,15 +4,16 @@
 The paper's Definition 1 formal model is a reusable library: this example
 models a toy three-way-handshake protocol with a flooding attack state —
 its guards and actions written in the algebra of ``repro.efsm.guards`` —
-proves it is a deterministic EFSM (mutually disjoint predicates, decided
-exactly), runs a trace through it, and exports Graphviz for the
+spec-lints it (among other rules, that it is a deterministic EFSM:
+mutually disjoint predicates, decided exactly), runs a trace through it, and exports Graphviz for the
 paper-style state diagram.
 It also prints the dot for the actual vids SIP/RTP machines.
 
 Run:  python examples/efsm_modeling.py
 """
 
-from repro.efsm import Efsm, EfsmSystem, Event, ManualClock, Output, to_dot
+from repro.efsm import (Efsm, EfsmSystem, Event, ManualClock, Output,
+                        errors_only, format_report, to_dot, verify_machine)
 from repro.efsm.guards import cancel, helper, start, v, write, x
 from repro.vids import build_rtp_machine, build_sip_machine
 
@@ -54,18 +55,20 @@ def build_handshake_machine() -> Efsm:
         label="concurrent-syn")
     machine.add_transition(
         "SYN_RCVD", "handshake_timeout", "CLOSED", channel="timer")
-    machine.validate()
     return machine
 
 
 def main() -> None:
     machine = build_handshake_machine()
 
-    # Determinism (Definition 1: P_i ∧ P_j = ∅), decided on the guard
-    # expressions for every valuation, not sampled.
-    machine.check_determinism()
-    print("determinism check passed: same-(state, event) guards are "
-          "proven disjoint")
+    # Spec-lint: reachability, declared channels and determinism
+    # (Definition 1: P_i ∧ P_j = ∅, decided on the guard expressions for
+    # every valuation, not sampled).  An ERROR is a broken specification.
+    errors = errors_only(verify_machine(machine))
+    if errors:
+        raise SystemExit(format_report(errors))
+    print("spec-lint passed, determinism check passed: same-(state, "
+          "event) guards are proven disjoint")
 
     # Run a trace with a manual clock.
     clock = ManualClock()

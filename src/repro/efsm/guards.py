@@ -6,13 +6,13 @@ transition.
 
 Terms: ``x(field, default)``, ``v(name, default)``, constants, :data:`NOW`
 and ``helper(fn, *terms)`` (a named pure function of the terms' values).
-Atoms: comparisons, ``term.between(lo, hi)``, ``term.in_(container)``,
-``truthy(term)``; connectives ``& | ~``.  Statements: ``write(name,
-term)``, ``when(guard, *statements)``, ``start(timer, delay, **args)``,
-``cancel(timer)``.  A guard reads every term once before comparing; one
-whose *comparison* raises ``TypeError`` is not enabled.  Statements run in
-order, each reading the writes before it.  There is no other way to write
-a guard or a statement: every leaf is data.
+Atoms: comparisons, ``term.in_(container)``, ``truthy(term)``;
+connectives ``& | ~``.  Statements: ``write(name, term)``, ``when(guard,
+*statements)``, ``start(timer, delay, **args)``, ``cancel(timer)``.  A
+guard reads every term once before comparing; one whose *comparison*
+raises ``TypeError`` is not enabled.  Statements run in order, each
+reading the writes before it.  There is no other way to write a guard or
+a statement: every leaf is data.
 """
 
 from __future__ import annotations
@@ -144,12 +144,6 @@ class Term:
 
     __repr__ = describe
 
-    def between(self, lo: float, hi: float) -> "Guard":
-        """``lo <= self <= hi`` for a number; no bool is in any interval."""
-        if not all(isinstance(bound, (int, float)) for bound in (lo, hi)):
-            raise TypeError(f"interval bounds must be numbers: {lo!r}, {hi!r}")
-        return Guard("between", (self, as_term(lo), as_term(hi)))
-
     def in_(self, container: Any) -> "Guard":
         if not isinstance(container, Term):
             iter(container)         # a definition error, raised here
@@ -206,7 +200,7 @@ def truthy(term: Term) -> "Guard":
 
 class Guard:
     """One node of a predicate: ``op`` over ``args`` — terms under an atom
-    (``== != < <= > >= between in truthy``), guards under ``and`` / ``or``
+    (``== != < <= > >= in truthy``), guards under ``and`` / ``or``
     / ``not``."""
 
     __slots__ = ("op", "args", "_fn")
@@ -260,8 +254,6 @@ class Guard:
             parts = [f"({part.describe()})" if part.op in ("and", "or")
                      else part.describe() for part in args]
             return f"not {parts[0]}" if op == "not" else f" {op} ".join(parts)
-        if op == "between":
-            return "{1} <= {0} <= {2}".format(*(a.describe() for a in args))
         return f"{args[0].describe()} {op} {args[1].describe()}"
 
     def __repr__(self) -> str:
@@ -403,9 +395,6 @@ class _Source:
                 return parts[0]
             if node.op == "not":
                 return f"(not {parts[0]})"
-            if node.op == "between":
-                return ("({1} <= {0} <= {2} and {0}.__class__ is not bool)"
-                        .format(*parts))
             return "(" + f" {node.op} ".join(parts) + ")"
         if node.kind == "const":
             return self.bind(node.value)
@@ -551,9 +540,8 @@ _OTHERS = [_Other(True), _Other(False)]
 
 def _critical_points(constants: Sequence[Any]) -> List[Any]:
     """One value per class the atoms can tell apart: every constant, a
-    point between numeric neighbours, one beyond each end, the two bools
-    (numbers to every atom but ``between``), and a truthy and a falsy value
-    equal to no constant."""
+    point between numeric neighbours, one beyond each end, the two bools,
+    and a truthy and a falsy value equal to no constant."""
     numbers = sorted({c for c in constants if isinstance(c, (int, float))})
     points: List[Any] = []
     for constant in constants:
@@ -597,8 +585,6 @@ def decide(guards: Sequence[Optional[Guard]]) -> Decision:
         labels[free[0].key] = free[0].describe()
         if atom.op == "truthy":
             met.append(0)
-        elif atom.op == "between":
-            met.extend(fixed)
         elif atom.op == "in" and not isinstance(fixed[0], (str, bytes)):
             met.extend(fixed[0])
         elif atom.op in ("==", "!=") or (

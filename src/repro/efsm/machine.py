@@ -36,10 +36,9 @@ from typing import (
     Union,
 )
 
-from .analysis import reachable_states
 from .errors import DefinitionError, NondeterminismError
 from .events import TIMER_CHANNEL, Event
-from .guards import (_ATOMIC, DISJOINT, Decision, Guard, Statement, Term,
+from .guards import (_ATOMIC, Decision, Guard, Statement, Term,
                      _immutable, _key, as_term, compile_firing, decide)
 
 __all__ = [
@@ -237,8 +236,8 @@ class Efsm:
         #: Σ — event alphabet, accumulated from transitions.
         self.alphabet: set = set()
         #: Declared synchronization channels this machine may send or
-        #: receive on (the paper's FIFO queues).  The timer pseudo-channel
-        #: is always implicitly available.
+        #: receive on.  The timer pseudo-channel is always implicitly
+        #: available.
         self.channels: set = set()
 
     # -- construction ------------------------------------------------------
@@ -280,9 +279,10 @@ class Efsm:
     def declare_channel(self, *names: str) -> "Efsm":
         """Declare the sync channels this machine's transitions may use.
 
-        ``validate()`` rejects transitions whose inputs or outputs reference
-        a channel that was never declared — a typo'd channel name would
-        otherwise silently orphan the synchronization event at runtime.
+        Speclint's ``undeclared-channel`` rule is an ERROR for a transition
+        that receives or sends on a channel never declared: a typo'd
+        channel name would otherwise send the δ to the environment, or wait
+        for one nothing sends.
         """
         self._building()
         self.channels.update(names)
@@ -389,28 +389,6 @@ class Efsm:
         self.frozen = True
         return self
 
-    def validate(self) -> None:
-        """Sanity-check the definition; raises :class:`DefinitionError`."""
-        if self.initial_state not in self.states:
-            raise DefinitionError(f"{self.name}: missing initial state")
-        unreachable = set(self.states) - reachable_states(self)
-        if unreachable:
-            raise DefinitionError(
-                f"{self.name}: unreachable states: {sorted(unreachable)}")
-        for transition in self.transitions:
-            if (transition.channel not in (None, TIMER_CHANNEL)
-                    and transition.channel not in self.channels):
-                raise DefinitionError(
-                    f"{self.name}: transition {transition.describe()} "
-                    f"receives on undeclared channel {transition.channel!r} "
-                    f"(declare_channel it first)")
-            for output in transition.outputs:
-                if output.channel not in self.channels:
-                    raise DefinitionError(
-                        f"{self.name}: transition {transition.describe()} "
-                        f"sends {output.event_name!r} on undeclared channel "
-                        f"{output.channel!r} (declare_channel it first)")
-
     # -- analysis ------------------------------------------------------------
 
     def _groups(self) -> Dict[Tuple[str, str, Optional[str]],
@@ -429,17 +407,6 @@ class Efsm:
         :func:`~repro.efsm.guards.decide`'s verdict on its predicates."""
         return [(group, decide([t.predicate for t in group]))
                 for group in self._groups().values() if len(group) > 1]
-
-    def check_determinism(self) -> None:
-        """Raise :class:`NondeterminismError` unless every group's
-        predicates are proven mutually disjoint (``P_i ∧ P_j = ∅``)."""
-        for group, decision in self.decide_determinism():
-            if decision.status != DISJOINT:
-                detail = decision.reason or dict(decision.witness)
-                raise NondeterminismError(
-                    f"{self.name}: {[t.describe() for t in group]} from "
-                    f"state {group[0].source!r} on {group[0].event_name!r}: "
-                    f"{decision.status} ({detail})")
 
 
 class EfsmInstance:
@@ -595,8 +562,8 @@ class EfsmInstance:
         table, compiled when it froze: the first enabled candidate in
         declaration order fires — one call runs its statements and builds
         its outputs.  Overlapping predicates are excluded statically
-        (:meth:`Efsm.check_determinism`).  With ``quiet`` given, a firing
-        whose entry is not observable calls it and builds no result
+        (speclint's ``nondeterministic-overlap``).  With ``quiet`` given, a
+        firing whose entry is not observable calls it and builds no result
         (``None``): nobody reads one.
         """
         definition = self.definition

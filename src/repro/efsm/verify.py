@@ -17,10 +17,9 @@ Per-machine rules (:func:`verify_machine`):
   reachable (the call record could only ever leave memory via the TTL GC);
 - ``nondeterministic-overlap`` — same (state, event, channel) transitions
   whose guards are not mutually exclusive, decided exactly on the guard
-  expressions (:func:`~repro.efsm.guards.decide`, the decision
-  :meth:`Efsm.check_determinism` raises on too): an overlap is an ERROR
-  with a witness valuation, a group that cannot be decided (an ordering
-  against a non-numeric constant, a substring test) is a WARNING;
+  expressions (:func:`~repro.efsm.guards.decide`): an overlap is an
+  ERROR with a witness valuation, a group that cannot be decided (an
+  ordering against a non-numeric constant, a substring test) is a WARNING;
 - ``event-coverage-gap`` — alphabet events a state has no transition for
   (informational: deviations *are* the anomaly signal, but the table is how
   one audits specification completeness);
@@ -38,11 +37,11 @@ Cross-machine rules (:func:`verify_system`):
   of the system;
 - ``unmatched-send`` — a ``c!δ`` output no receiver ever consumes;
 - ``unmatched-receive`` — a ``c?δ`` transition nothing ever sends;
-- ``sync-deadlock`` / ``sync-unbounded`` — a bounded product-automaton pass
-  over the interacting system that flags reachable configurations where a
-  queued synchronization event can never be consumed (a wedged FIFO is a
-  runtime deviation on a *legitimate* trace) or where a FIFO can grow past
-  the exploration bound.
+- ``sync-deadlock`` / ``sync-unbounded`` — a product-automaton pass over
+  the macro-steps ``EfsmSystem.inject`` runs, which flags a reachable
+  configuration where a sent synchronization event has no consumer (a
+  runtime deviation on a *legitimate* trace) and a cascade of them that
+  never quiesces (``inject`` would never return).
 
 Nothing is executed: guards, statements and output arguments are data,
 and machine state is never advanced.  Every send is a declarative
@@ -53,7 +52,7 @@ all of them by construction.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from .analysis import (
     coreachable_states,
@@ -100,7 +99,8 @@ RULES: Dict[str, str] = {
     "unmatched-receive": "sync receive that no machine in the system sends",
     "sync-deadlock": "reachable configuration wedges a queued sync event the "
                      "receiver can never consume",
-    "sync-unbounded": "a sync FIFO can exceed the exploration bound",
+    "sync-unbounded": "a sync cascade never quiesces, so the macro-step "
+                      "never returns",
     "analysis-incomplete": "part of the specification could not be analyzed "
                            "statically",
 }
@@ -406,7 +406,7 @@ def _system_topology(machines: Sequence[Efsm]) -> List[Diagnostic]:
                 "unmatched-send", Severity.ERROR,
                 f"{machine.name!r} sends {event!r} on {channel!r} but "
                 f"{receiver!r} has no transition consuming it in any state: "
-                f"the δ would sit in the FIFO forever",
+                f"the receiver deviates on every one",
                 machine=machine.name, channel=channel, event=event,
                 transition=transition.describe(),
                 data={"witness": _send_witness(machine, transition,
@@ -442,38 +442,55 @@ def _send_witness(machine: Efsm, transition: Transition, channel: str,
                      f"{channel} ! {event} (never consumed)"]
 
 
-class _ProductExplorer:
-    """Bounded reachability over the product of the interacting machines.
+#: Consumes one macro-step may make on any branch: a cascade with δs still
+#: pending after this many is taken for a δ cycle (a ping-pong, or a
+#: consume that sends more than one δ), on which ``EfsmSystem.inject``
+#: never returns.
+_CASCADE_CAP = 64
+#: Configurations the product pass records before it stops with
+#: ``analysis-incomplete``.
+_MAX_CONFIGS = 20000
 
-    Models the runtime's semantics: data (and timer) events are *free* moves
-    whose guards are over-approximated as satisfiable; synchronization
-    events queue on their FIFO channel and are drained to empty — with
-    priority over data events — after every move.  A queued head event the
-    receiver cannot consume is exactly the runtime's "deviation on a sync
-    event" failure mode, reported as ``sync-deadlock``.
+
+class _ProductExplorer:
+    """Breadth-first reachability over the configurations of the
+    interacting machines, one macro-step of ``EfsmSystem.inject`` at a time.
+
+    A data or timer transition is a *free* move whose guard is
+    over-approximated as satisfiable.  The δs it sends go on one pending
+    list; each consume takes the front one and appends its own sends at the
+    back, until the list is empty — the runtime's order, so the
+    configurations recorded are those ``inject`` can return in.  A δ whose
+    receiver is not a machine of the system goes to the environment, and
+    every candidate of a ``(state, channel, event)`` group is a branch.  A
+    δ the receiver's state has no transition for is the runtime's deviation
+    on a δ, reported as ``sync-deadlock``; as in ``inject``, the step goes
+    on with the rest of the list.
     """
 
-    def __init__(self, machines: Sequence[Efsm], queue_bound: int,
-                 max_configs: int):
+    def __init__(self, machines: Sequence[Efsm]):
         self.machines = list(machines)
         self.names = [machine.name for machine in self.machines]
         self.index = {name: i for i, name in enumerate(self.names)}
-        self.queue_bound = queue_bound
-        self.max_configs = max_configs
-        #: Consume steps allowed in one drain cascade.  A cascade that emits
-        #: one sync per consume keeps the queue depth constant forever (a
-        #: ping-pong livelock the queue bound never catches), so cap the
-        #: steps as well.
-        self.drain_cap = 64
         self.diagnostics: List[Diagnostic] = []
         self._reported: Set[Tuple] = set()
-        self.truncated = False
+        #: Every configuration :meth:`explore` reached -> the shortest event
+        #: path to it (the first found, in BFS order).
+        self.paths: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         # (machine index, state) -> free-move transitions.
         self.free_moves: Dict[Tuple[int, str], List[Transition]] = {}
         # (machine index, state, channel, event) -> receiving transitions.
         self.receivers: Dict[Tuple[int, str, str, str], List[Transition]] = {}
+        # id(transition) -> (receiver, channel, event) of each δ a firing
+        # sends to a machine of the system, in send order.
+        self.sends: Dict[int, Tuple] = {}
         for i, machine in enumerate(self.machines):
             for transition in machine.transitions:
+                self.sends[id(transition)] = tuple(
+                    (self.index[receiver], output.channel, output.event_name)
+                    for output in transition.outputs
+                    for receiver in (parse_channel(output.channel)[1],)
+                    if receiver in self.index)
                 if transition.channel is None or \
                         transition.channel == TIMER_CHANNEL:
                     self.free_moves.setdefault(
@@ -503,149 +520,94 @@ class _ProductExplorer:
             hint=f"handle {event!r} in state {state!r} (even a self-loop "
                  f"documents the race) or stop sending it on this path"))
 
-    def _drain(self, states: Tuple[str, ...],
-               queues: Mapping[str, Tuple[str, ...]],
-               trigger: str, path: Tuple[str, ...] = (),
-               depth: int = 0) -> Dict[Tuple[str, ...], Tuple[str, ...]]:
-        """Quiescent state vectors reachable by consuming queued syncs.
-
-        Returns vector -> the event path that reached it (the first path
-        found per vector; with the BFS in :meth:`explore` feeding the
-        prefixes, that is a shortest witness up to drain ordering).
-        """
-        live = {channel: queue for channel, queue in queues.items() if queue}
-        if not live:
-            return {states: path}
-        if depth > self.drain_cap:
-            self._report_livelock(sorted(live), trigger, path)
-            return {}
-        results: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
-        for channel in sorted(live):
-            queue = live[channel]
-            event = queue[0]
-            receiver_name = parse_channel(channel)[1]
-            receiver_index = self.index.get(receiver_name)
-            if receiver_index is None:
-                continue          # reported by the topology pass
-            matches = self.receivers.get(
-                (receiver_index, states[receiver_index], channel, event), [])
-            if not matches:
-                self._report_stuck(receiver_index, states[receiver_index],
-                                   channel, event, trigger, path)
-                continue
-            for transition in matches:
-                new_states = list(states)
-                new_states[receiver_index] = transition.target
-                new_queues = dict(live)
-                new_queues[channel] = queue[1:]
-                step = (f"{self.names[receiver_index]}: "
-                        f"{channel} ? {event}")
-                overflow = False
-                for output in transition.outputs:
-                    extended = (new_queues.get(output.channel, ())
-                                + (output.event_name,))
-                    if len(extended) > self.queue_bound:
-                        self._report_overflow(output.channel, trigger,
-                                              path + (step,))
-                        overflow = True
-                        break
-                    new_queues[output.channel] = extended
-                if overflow:
-                    continue
-                for vector, sub_path in self._drain(
-                        tuple(new_states), new_queues, trigger,
-                        path + (step,), depth + 1).items():
-                    results.setdefault(vector, sub_path)
-        return results
-
-    def _report_livelock(self, channels: Sequence[str], trigger: str,
-                         path: Tuple[str, ...]) -> None:
-        key = ("livelock", tuple(channels))
+    def _report_unbounded(self, pending: Tuple, trigger: str,
+                          path: Tuple[str, ...]) -> None:
+        channels = sorted({channel for _, channel, _ in pending})
+        key = ("unbounded", tuple(channels))
         if key in self._reported:
             return
         self._reported.add(key)
         self.diagnostics.append(Diagnostic(
-            "sync-unbounded", Severity.WARNING,
-            f"sync cascade on channel(s) {list(channels)} did not quiesce "
-            f"within {self.drain_cap} consume steps (triggered by "
-            f"{trigger!r}): machines may exchange sync events forever",
+            "sync-unbounded", Severity.ERROR,
+            f"the macro-step triggered by {trigger!r} did not quiesce "
+            f"within {_CASCADE_CAP} consumes (δs still pending on "
+            f"{channels}): inject would never return",
             channel=channels[0],
             data={"trigger": trigger, "witness": list(path)},
             hint="break the send/receive cycle so every cascade terminates"))
 
-    def _report_overflow(self, channel: str, trigger: str,
-                         path: Tuple[str, ...]) -> None:
-        key = ("overflow", channel)
-        if key in self._reported:
-            return
-        self._reported.add(key)
-        self.diagnostics.append(Diagnostic(
-            "sync-unbounded", Severity.WARNING,
-            f"FIFO {channel!r} exceeded the exploration bound "
-            f"({self.queue_bound}) while draining (triggered by "
-            f"{trigger!r}): a send cycle may grow the queue without bound",
-            channel=channel,
-            data={"trigger": trigger, "witness": list(path)},
-            hint="break the sync cycle or raise the bound if intentional"))
+    def step(self, states: Tuple[str, ...], i: int, transition: Transition,
+             path: Tuple[str, ...] = ()
+             ) -> Dict[Tuple[str, ...], Tuple[str, ...]]:
+        """The configurations the macro-step of machine ``i`` firing the
+        free move ``transition`` in ``states`` can end in, each with the
+        event path to it (``path`` is the one to ``states``)."""
+        trigger = transition.describe()
+        moved = states[:i] + (transition.target,) + states[i + 1:]
+        # One consume per level; branches that meet are one item.
+        level = {(moved, self.sends[id(transition)]):
+                 path + (f"{self.names[i]}: {trigger}",)}
+        settled: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        depth = 0
+        while level:
+            following: Dict[Tuple, Tuple[str, ...]] = {}
+            for (states, pending), path in level.items():
+                if not pending:
+                    settled.setdefault(states, path)
+                    continue
+                if depth == _CASCADE_CAP:
+                    self._report_unbounded(pending, trigger, path)
+                    continue
+                (receiver, channel, event), rest = pending[0], pending[1:]
+                state = states[receiver]
+                consumers = self.receivers.get(
+                    (receiver, state, channel, event))
+                if consumers is None:
+                    self._report_stuck(receiver, state, channel, event,
+                                       trigger, path)
+                    following.setdefault((states, rest), path)
+                    continue
+                consume = f"{self.names[receiver]}: {channel} ? {event}"
+                for consumer in consumers:
+                    following.setdefault(
+                        (states[:receiver] + (consumer.target,)
+                         + states[receiver + 1:],
+                         rest + self.sends[id(consumer)]), path + (consume,))
+            level, depth = following, depth + 1
+        return settled
 
     def explore(self) -> None:
         initial = tuple(machine.initial_state for machine in self.machines)
-        visited: Set[Tuple[str, ...]] = {initial}
-        # Shortest known event path to each visited configuration: the BFS
-        # discovery order makes the first recorded path minimal in free
-        # moves, which keeps sync-deadlock witnesses short and stable.
-        paths: Dict[Tuple[str, ...], Tuple[str, ...]] = {initial: ()}
+        paths = self.paths = {initial: ()}
         frontier = deque([initial])
         while frontier:
-            if len(visited) > self.max_configs:
-                self.truncated = True
-                break
+            if len(paths) > _MAX_CONFIGS:
+                self.diagnostics.append(Diagnostic(
+                    "analysis-incomplete", Severity.INFO,
+                    f"product exploration truncated after {_MAX_CONFIGS} "
+                    f"configurations; sync-deadlock coverage is partial",
+                    hint="findings cover the explored configurations only"))
+                return
             states = frontier.popleft()
-            base = paths[states]
-            for i in range(len(self.machines)):
-                for transition in self.free_moves.get((i, states[i]), ()):
-                    moved = list(states)
-                    moved[i] = transition.target
-                    queues: Dict[str, Tuple[str, ...]] = {}
-                    for output in transition.outputs:
-                        queues[output.channel] = (
-                            queues.get(output.channel, ())
-                            + (output.event_name,))
-                    step = f"{self.names[i]}: {transition.describe()}"
-                    for result, sub_path in self._drain(
-                            tuple(moved), queues, transition.describe(),
-                            base + (step,)).items():
-                        if result not in visited:
-                            visited.add(result)
-                            paths[result] = sub_path
+            for i, state in enumerate(states):
+                for transition in self.free_moves.get((i, state), ()):
+                    for result, path in self.step(
+                            states, i, transition, paths[states]).items():
+                        if result not in paths:
+                            paths[result] = path
                             frontier.append(result)
-        if self.truncated:
-            self.diagnostics.append(Diagnostic(
-                "analysis-incomplete", Severity.INFO,
-                f"product exploration truncated after {self.max_configs} "
-                f"configurations; sync-deadlock coverage is partial",
-                hint="raise max_configs for exhaustive coverage"))
 
 
-def verify_system(machines: Iterable[Efsm],
-                  queue_bound: int = 4,
-                  max_configs: int = 20000,
-                  per_machine: bool = True) -> List[Diagnostic]:
-    """Verify an interacting system of machines (plus each machine alone).
-
-    Runs the cross-machine channel-topology rules and the bounded
-    product-automaton pass over sync channels; with ``per_machine`` (the
-    default) every :func:`verify_machine` rule runs first, so one call
-    yields the complete report for the system.
-    """
+def verify_system(machines: Iterable[Efsm]) -> List[Diagnostic]:
+    """Verify an interacting system of machines: every
+    :func:`verify_machine` rule on each machine, then the cross-machine
+    channel-topology rules and the product pass over the macro-steps, so
+    one call yields the complete report for the system."""
     machine_list = list(machines)
-    diagnostics: List[Diagnostic] = []
-    if per_machine:
-        for machine in machine_list:
-            diagnostics.extend(verify_machine(machine))
+    diagnostics = [diagnostic for machine in machine_list
+                   for diagnostic in verify_machine(machine)]
     diagnostics.extend(_system_topology(machine_list))
-    explorer = _ProductExplorer(machine_list, queue_bound=queue_bound,
-                                max_configs=max_configs)
+    explorer = _ProductExplorer(machine_list)
     explorer.explore()
     diagnostics.extend(explorer.diagnostics)
     return diagnostics

@@ -85,7 +85,6 @@ def build_invite_flood_machine(threshold: int, window: float,
     machine.add_transition(FLOOD_ATTACK, TIMER_T1, FLOOD_INIT,
                            channel=TIMER_CHANNEL, action=RESET,
                            label="re-arm")
-    machine.validate()
     return machine
 
 

@@ -72,7 +72,6 @@ def build_media_spam_machine(seq_gap: int, ts_gap: int,
                            predicate=spam, attack=True, label="spam")
     machine.add_transition(SPAM_ATTACK, "RTP_PACKET", SPAM_ATTACK,
                            label="absorbed")
-    machine.validate()
     return machine
 
 

@@ -131,7 +131,7 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
                            channel=SIP_TO_RTP, action=arm_inflight_timer,
                            label="bye")
     # Early media then CANCEL: the caller can push packets before any final
-    # response, and the CANCEL's δ must not wedge in the FIFO (spec-lint's
+    # response, and the CANCEL's δ must not be a deviation (spec-lint's
     # product pass caught this configuration).  In-flight media gets the
     # same Figure-5 grace timer as the BYE path.
     machine.add_transition(RTP_ACTIVE, DELTA_CANCELLED, RTP_AFTER_BYE,
@@ -245,8 +245,6 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
                                    channel=SIP_TO_RTP, label="absorbed")
         machine.add_transition(state, "T", state, channel=TIMER_CHANNEL,
                                label="absorbed")
-
-    machine.validate()
     return machine
 
 
@@ -254,18 +252,12 @@ def _build_disabled_rtp_machine() -> Efsm:
     """An inert RTP machine for the no-cross-protocol ablation.
 
     INIT is marked final so call records can still be reclaimed once the
-    SIP machine finishes; all events self-loop (no deviations, no attacks).
+    SIP machine finishes; every media packet self-loops (no deviations, no
+    attacks).  Nothing sends it a δ and it starts no timer, so it has no
+    other arm.
     """
     machine = Efsm(RTP_MACHINE, INIT)
     machine.add_state(INIT, final=True)
-    machine.declare_channel(SIP_TO_RTP)
     machine.declare_global(**MEDIA_GLOBALS)
     machine.add_transition(INIT, "RTP_PACKET", INIT, label="ignored")
-    for delta in (DELTA_SESSION_OFFER, DELTA_SESSION_ANSWER, DELTA_BYE,
-                  DELTA_CANCELLED):
-        machine.add_transition(INIT, delta, INIT, channel=SIP_TO_RTP,
-                               label="ignored")
-    machine.add_transition(INIT, "T", INIT, channel=TIMER_CHANNEL,
-                           label="ignored")
-    machine.validate()
     return machine

@@ -9,8 +9,8 @@ On the INVITE transition the machine stores the header-field values the
 paper names — Call-ID, the Via branch, From/To tags — in local variables
 (``v.l_*``) and writes the SDP media information (address, port, encoding
 schemes) into the **global** variables (``v.g_*``) shared with the RTP
-machine, then emits a ``δ_SIP→RTP`` synchronization event on the FIFO
-channel.  Likewise the 200 OK answer publishes the callee's media
+machine, then emits a ``δ_SIP→RTP`` synchronization event on the
+SIP→RTP channel.  Likewise the 200 OK answer publishes the callee's media
 description, and BYE emits the δ that arms the Figure-5 in-flight timer in
 the RTP machine.
 
@@ -314,6 +314,4 @@ def build_sip_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
     for state in SIP_ATTACK_STATES:
         for event in _ALL_EVENTS:
             machine.add_transition(state, event, state, label="absorbed")
-
-    machine.validate()
     return machine

@@ -14,7 +14,6 @@ __all__ = [
     "SIP_MACHINE",
     "RTP_MACHINE",
     "SIP_TO_RTP",
-    "RTP_TO_SIP",
     "DELTA_SESSION_OFFER",
     "DELTA_SESSION_ANSWER",
     "DELTA_BYE",
@@ -26,9 +25,8 @@ __all__ = [
 SIP_MACHINE = "sip"
 RTP_MACHINE = "rtp"
 
-#: Channel ids (the paper's queue_12 / queue_21).
+#: The one channel id (the paper's queue_12): the RTP machine sends no δ.
 SIP_TO_RTP = channel_name(SIP_MACHINE, RTP_MACHINE)
-RTP_TO_SIP = channel_name(RTP_MACHINE, SIP_MACHINE)
 
 #: δ events sent from the SIP machine to the RTP machine.
 DELTA_SESSION_OFFER = "delta_session_offer"    # INVITE carried an SDP offer

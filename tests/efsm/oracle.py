@@ -65,9 +65,6 @@ def _walk(guard, instance, event, called):
     values = [_value(term, instance, event, called) for term in args]
     if op == "truthy":
         return bool(values[0])
-    if op == "between":
-        value, lo, hi = values
-        return not isinstance(value, bool) and lo <= value <= hi
     if op == "in":
         return values[0] in values[1]
     return bool(_COMPARE[op](*values))

@@ -10,7 +10,10 @@ from repro.efsm import (
     ManualClock,
     NondeterminismError,
     Output,
+    Severity,
     TIMER_CHANNEL,
+    errors_only,
+    verify_machine,
 )
 from repro.efsm.guards import (cancel, helper, start, truthy, v, when, write,
                                x)
@@ -29,7 +32,7 @@ def turnstile():
     machine.add_transition("locked", "coin", "unlocked", action=count)
     machine.add_transition("unlocked", "push", "locked")
     machine.add_transition("unlocked", "coin", "unlocked", action=count)
-    machine.validate()
+    assert not errors_only(verify_machine(machine))
     return machine
 
 
@@ -124,15 +127,21 @@ def nd_machine(first, second):
     return machine
 
 
-def test_check_determinism_is_exact():
+def overlaps(machine):
+    return [(finding.severity, finding.message)
+            for finding in verify_machine(machine)
+            if finding.rule == "nondeterministic-overlap"]
+
+
+def test_verify_machine_decides_determinism_exactly():
     n = x("n", 0)
-    with pytest.raises(NondeterminismError, match="x.n"):
-        nd_machine(n > 0, n >= 1).check_determinism()
+    ((severity, message),) = overlaps(nd_machine(n > 0, n >= 1))
+    assert severity is Severity.ERROR and "x.n=" in message
     # Disjoint for every valuation, the boundary included.
-    nd_machine(n > 0, n <= 0).check_determinism()
+    assert overlaps(nd_machine(n > 0, n <= 0)) == []
     # An ordering against a string: determinism cannot be proven.
-    with pytest.raises(NondeterminismError, match="undecided"):
-        nd_machine(n > 0, n <= "a").check_determinism()
+    ((severity, message),) = overlaps(nd_machine(n > 0, n <= "a"))
+    assert severity is Severity.WARNING and "cannot be proven" in message
 
 
 def test_a_callable_is_refused_where_data_belongs():
@@ -157,32 +166,33 @@ def test_unknown_state_in_transition_rejected():
         machine.add_transition("s0", "e", "nowhere")
 
 
-def test_validate_rejects_unreachable_states():
+def rules_of_errors(machine):
+    return [finding.rule for finding in errors_only(verify_machine(machine))]
+
+
+def test_speclint_rejects_unreachable_states():
     machine = Efsm("m", "s0")
     machine.add_state("island")
-    with pytest.raises(DefinitionError):
-        machine.validate()
+    assert "unreachable-state" in rules_of_errors(machine)
 
 
-def test_validate_rejects_undeclared_input_channel():
+def test_speclint_rejects_undeclared_input_channel():
     machine = Efsm("m", "s0")
-    machine.add_state("s1")
+    machine.add_state("s1", final=True)
     machine.add_transition("s0", "sync", "s1", channel="peer->m")
-    with pytest.raises(DefinitionError):
-        machine.validate()
+    assert rules_of_errors(machine) == ["undeclared-channel"]
     machine.declare_channel("peer->m")
-    machine.validate()
+    assert rules_of_errors(machine) == []
 
 
-def test_validate_rejects_undeclared_output_channel():
+def test_speclint_rejects_undeclared_output_channel():
     machine = Efsm("m", "s0")
-    machine.add_state("s1")
+    machine.add_state("s1", final=True)
     machine.add_transition("s0", "go", "s1",
                            outputs=[Output("m->peer", "delta")])
-    with pytest.raises(DefinitionError):
-        machine.validate()
+    assert rules_of_errors(machine) == ["undeclared-channel"]
     machine.declare_channel("m->peer")
-    machine.validate()
+    assert rules_of_errors(machine) == []
 
 
 def test_channel_events_only_match_channel_transitions():

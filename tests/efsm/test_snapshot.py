@@ -19,6 +19,8 @@ from repro.efsm import (
     ManualClock,
     Output,
     TIMER_CHANNEL,
+    errors_only,
+    verify_machine,
 )
 from repro.efsm.guards import helper, start, v, write, x
 
@@ -41,7 +43,7 @@ def counting_machine(name="counter"):
              start("expire", 5.0, tag=tag))
     machine.add_transition("idle", "go", "busy", action=on_go)
     machine.add_transition("busy", "expire", "idle", channel=TIMER_CHANNEL)
-    machine.validate()
+    assert not errors_only(verify_machine(machine))
     return machine
 
 
@@ -153,7 +155,6 @@ def relay_system(clock):
         "start", "kick", "sent",
         action=write("sent", helper(plus_one, v("sent"))),
         outputs=[Output("ping->pong", "relay", {"n": v("sent")})])
-    ping.validate()
 
     pong = Efsm("pong", "waiting")
     pong.add_state("got")
@@ -164,7 +165,7 @@ def relay_system(clock):
                         action=on_relay)
     pong.add_transition("got", "relay", "got", channel="ping->pong",
                         action=on_relay)
-    pong.validate()
+    assert not errors_only(verify_machine(pong))
 
     system = EfsmSystem(clock_now=clock.now, timer_scheduler=clock.schedule)
     system.add_machine(ping)
@@ -249,7 +250,6 @@ def test_copy_state_rejects_uncheckpointable_values():
     # fails loudly at snapshot time, not silently at restore.
     machine = Efsm("tally", "idle")
     machine.declare(buckets=None)
-    machine.validate()
     instance = EfsmInstance(machine)
     instance.variables["buckets"] = defaultdict(int)
     with pytest.raises(TypeError, match="defaultdict"):

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from repro.efsm import Efsm, Severity
+from repro.efsm import Efsm, Severity, errors_only, verify_machine
 from repro.efsm.guards import x
 from repro.efsm.specdiff import firing_key, specdiff
 from repro.obs.trace import TraceEvent
@@ -44,7 +44,7 @@ def build_toy_spec(guard_status=None):
     if guard_status is not None:
         predicate = x("status", None) == guard_status
     spec.add_transition("Trying", "resp", "Up", predicate=predicate)
-    spec.validate()
+    assert not errors_only(verify_machine(spec))
     return spec
 
 

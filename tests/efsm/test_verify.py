@@ -8,6 +8,8 @@ stays quiet.
 
 from repro.efsm import (
     Efsm,
+    EfsmSystem,
+    Event,
     Output,
     Severity,
     TIMER_CHANNEL,
@@ -326,8 +328,7 @@ def test_unmatched_send_is_error():
     sender = _sender_machine()
     receiver = Efsm("b", "b0")
     receiver.add_transition("b0", "other", "b0")
-    findings = find(verify_system([sender, receiver], per_machine=False),
-                    "unmatched-send")
+    findings = find(verify_system([sender, receiver]), "unmatched-send")
     assert findings[0].severity is Severity.ERROR
     assert findings[0].event == "ping" and findings[0].channel == "a->b"
 
@@ -338,8 +339,7 @@ def test_unmatched_receive_is_warning():
     receiver = Efsm("b", "b0")
     receiver.declare_channel("a->b")
     receiver.add_transition("b0", "ping", "b0", channel="a->b")
-    (finding,) = find(verify_system([sender, receiver], per_machine=False),
-                      "unmatched-receive")
+    (finding,) = find(verify_system([sender, receiver]), "unmatched-receive")
     assert finding.severity is Severity.WARNING and finding.machine == "b"
 
 
@@ -347,7 +347,7 @@ def test_receive_from_outside_the_system_is_not_flagged():
     receiver = Efsm("b", "b0")
     receiver.declare_channel("ext->b")
     receiver.add_transition("b0", "ping", "b0", channel="ext->b")
-    diagnostics = verify_system([receiver], per_machine=False)
+    diagnostics = verify_system([receiver])
     assert "unmatched-receive" not in rules_of(diagnostics)
 
 
@@ -356,8 +356,7 @@ def test_unknown_channel_endpoint():
     machine.declare_channel("a->ghost")
     machine.add_transition("a0", "go", "a0",
                            outputs=[Output("a->ghost", "ping")])
-    (finding,) = find(verify_system([machine], per_machine=False),
-                      "unknown-channel-endpoint")
+    (finding,) = find(verify_system([machine]), "unknown-channel-endpoint")
     assert finding.severity is Severity.ERROR
 
 
@@ -370,8 +369,7 @@ def test_sync_deadlock_found_by_product_pass():
     receiver.declare_channel("a->b")
     receiver.add_transition("b0", "warmup", "b1")
     receiver.add_transition("b1", "ping", "b1", channel="a->b")
-    (finding,) = find(verify_system([sender, receiver], per_machine=False),
-                      "sync-deadlock")
+    (finding,) = find(verify_system([sender, receiver]), "sync-deadlock")
     assert finding.severity is Severity.ERROR
     assert finding.machine == "b" and finding.state == "b0"
     assert finding.event == "ping"
@@ -382,43 +380,64 @@ def test_sync_deadlock_absent_when_receive_total():
     receiver = Efsm("b", "b0")
     receiver.declare_channel("a->b")
     receiver.add_transition("b0", "ping", "b0", channel="a->b")
-    diagnostics = verify_system([sender, receiver], per_machine=False)
+    diagnostics = verify_system([sender, receiver])
     assert rules_of(diagnostics, Severity.WARNING) == set()
 
 
-def test_sync_pingpong_livelock_reported():
+def test_sync_deadlock_follows_the_runtime_send_order():
+    # a sends x to b, then y to c; b answers x with z to c.  The macro-step
+    # consumes x, y, z in that order, so c takes y before z and nothing
+    # deviates: only z before y would find c in c0 without a consumer.
+    a = Efsm("a", "a0")
+    a.add_state("a1", final=True)
+    a.declare_channel("a->b", "a->c")
+    a.add_transition("a0", "go", "a1", outputs=[Output("a->b", "x"),
+                                                Output("a->c", "y")])
+    b = Efsm("b", "b0")
+    b.declare_channel("a->b", "b->c")
+    b.add_transition("b0", "x", "b0", channel="a->b",
+                     outputs=[Output("b->c", "z")])
+    c = Efsm("c", "c0")
+    c.add_state("c1")
+    c.add_state("c2", final=True)
+    c.declare_channel("a->c", "b->c")
+    c.add_transition("c0", "y", "c1", channel="a->c")
+    c.add_transition("c1", "z", "c2", channel="b->c")
+    assert "sync-deadlock" not in rules_of(verify_system([a, b, c]))
+    system = EfsmSystem()
+    for machine in (a, b, c):
+        system.add_machine(machine)
+    fired = system.inject("a", Event("go"))
+    assert [result.deviation for result in fired] == [False] * 4
+    assert system.states() == {"a": "a1", "b": "b0", "c": "c2"}
+
+
+def sync_cycle(sends=1):
+    """``a`` answers every pong with ``sends`` pings, ``b`` every ping with
+    a pong: a kick starts a cascade that never ends."""
     left = Efsm("a", "a0")
     left.declare_channel("a->b", "b->a")
     left.add_transition("a0", "kick", "a0",
                         outputs=[Output("a->b", "ping")])
     left.add_transition("a0", "pong", "a0", channel="b->a",
-                        outputs=[Output("a->b", "ping")])
+                        outputs=[Output("a->b", "ping")] * sends)
     right = Efsm("b", "b0")
     right.declare_channel("a->b", "b->a")
     right.add_transition("b0", "ping", "b0", channel="a->b",
                          outputs=[Output("b->a", "pong")])
-    findings = find(verify_system([left, right], per_machine=False),
-                    "sync-unbounded")
-    assert findings[0].severity is Severity.WARNING
+    return left, right
 
 
-def test_sync_queue_overflow_reported():
-    # One consume fans out two sends back onto the same channel: the queue
-    # grows on every step and must trip the bound.
-    left = Efsm("a", "a0")
-    left.declare_channel("a->b", "b->a")
-    left.add_transition("a0", "kick", "a0",
-                        outputs=[Output("a->b", "ping")])
-    left.add_transition("a0", "pong", "a0", channel="b->a",
-                        outputs=[Output("a->b", "ping"),
-                                 Output("a->b", "ping")])
-    right = Efsm("b", "b0")
-    right.declare_channel("a->b", "b->a")
-    right.add_transition("b0", "ping", "b0", channel="a->b",
-                         outputs=[Output("b->a", "pong")])
-    findings = find(verify_system([left, right], per_machine=False),
-                    "sync-unbounded")
-    assert all(f.severity is Severity.WARNING for f in findings)
+def test_sync_pingpong_cycle_is_an_error():
+    (finding,) = find(verify_system(sync_cycle()), "sync-unbounded")
+    assert finding.severity is Severity.ERROR
+    assert "inject would never return" in finding.message
+
+
+def test_sync_fanout_cycle_is_an_error():
+    # One consume sends two δs: the pending list grows on every step.
+    (finding,) = find(verify_system(sync_cycle(sends=2)), "sync-unbounded")
+    assert finding.severity is Severity.ERROR
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +509,7 @@ def test_sync_deadlock_carries_witness_trace():
     receiver.declare_channel("a->b")
     receiver.add_transition("b0", "warmup", "b1")
     receiver.add_transition("b1", "ping", "b1", channel="a->b")
-    (finding,) = find(verify_system([sender, receiver], per_machine=False),
-                      "sync-deadlock")
+    (finding,) = find(verify_system([sender, receiver]), "sync-deadlock")
     witness = finding.data["witness"]
     assert isinstance(witness, list) and witness
     # The shortest path: a's free move emits the ping, which then has no
@@ -516,8 +534,7 @@ def test_sync_deadlock_witness_includes_consume_steps():
     right.declare_channel("a->b")
     right.add_transition("b0", "first", "b1", channel="a->b")
     # b1 has no consumer for "second".
-    findings = find(verify_system([left, right], per_machine=False),
-                    "sync-deadlock")
+    findings = find(verify_system([left, right]), "sync-deadlock")
     wedged = [f for f in findings if f.event == "second"]
     assert wedged
     witness = wedged[0].data["witness"]
@@ -533,8 +550,7 @@ def test_unmatched_send_carries_witness_trace():
     sender.add_transition("a1", "go", "a1", outputs=[Output("a->b", "ping")])
     receiver = Efsm("b", "b0")
     receiver.add_transition("b0", "other", "b0")
-    (finding,) = find(verify_system([sender, receiver], per_machine=False),
-                      "unmatched-send")
+    (finding,) = find(verify_system([sender, receiver]), "unmatched-send")
     witness = finding.data["witness"]
     # Path to the sending state, the firing itself, then the dangling send.
     assert witness[0] == "a: a0--warmup-->a1"
@@ -543,17 +559,6 @@ def test_unmatched_send_carries_witness_trace():
 
 
 def test_sync_unbounded_carries_witness_trace():
-    left = Efsm("a", "a0")
-    left.declare_channel("a->b", "b->a")
-    left.add_transition("a0", "kick", "a0",
-                        outputs=[Output("a->b", "ping")])
-    left.add_transition("a0", "pong", "a0", channel="b->a",
-                        outputs=[Output("a->b", "ping")])
-    right = Efsm("b", "b0")
-    right.declare_channel("a->b", "b->a")
-    right.add_transition("b0", "ping", "b0", channel="a->b",
-                         outputs=[Output("b->a", "pong")])
-    findings = find(verify_system([left, right], per_machine=False),
-                    "sync-unbounded")
+    findings = find(verify_system(sync_cycle()), "sync-unbounded")
     assert findings and all("witness" in f.data for f in findings)
     assert any(f.data["witness"] for f in findings)

@@ -157,9 +157,12 @@ class TestCommands:
         assert out.count("digraph") == 4
 
     def test_speclint_shipped_specs_pass(self, capsys):
-        assert main(["speclint", "--min-severity", "warning"]) == 0
-        out = capsys.readouterr().out
-        assert "no findings" in out
+        # The shipped config and the cross_protocol=False ablation, as
+        # `make speclint` runs them.
+        for ablation in ([], ["--no-cross-protocol"]):
+            assert main(["speclint", "--strict", "--min-severity", "warning",
+                         *ablation]) == 0
+            assert "no findings" in capsys.readouterr().out
 
     def test_speclint_json_output(self, capsys):
         assert main(["speclint", "--json"]) == 0

@@ -48,8 +48,6 @@ atoms = st.one_of(
     st.builds(compare, equalities, scalar_terms, st.one_of(numbers, words)),
     st.builds(compare, st.one_of(orderings, equalities), scalar_terms,
               scalar_terms),
-    st.builds(lambda term, lo, hi: term.between(lo, hi), scalar_terms,
-              numbers, numbers),
     st.builds(lambda term, items: term.in_(items), scalar_terms,
               st.one_of(st.frozensets(st.one_of(numbers, words), max_size=3),
                         st.lists(numbers, max_size=3))),
@@ -107,6 +105,10 @@ def test_a_raising_atom_disables_the_whole_guard():
     # Short-circuit first: an atom never reached cannot disable the guard.
     reached = (COUNTER == 0) | (FIELD_A > 1)
     assert reached.compiled()(*firing) and interpret(reached, *firing)
+    # A bool is a number to every atom: it is ordered, it raises nothing.
+    firing = context(True, ABSENT, 0, ())
+    assert (FIELD_A >= 0).compiled()(*firing)
+    assert interpret(FIELD_A >= 0, *firing)
 
 
 def test_a_helpers_own_type_error_is_not_swallowed():
@@ -132,25 +134,9 @@ def test_a_helpers_own_type_error_is_not_swallowed():
         EfsmInstance(machine).deliver(Event("e"))
 
 
-def test_no_bool_is_in_an_interval():
-    firing = context(True, 1, 0, ())
-    assert not FIELD_A.between(0, 5).compiled()(*firing)
-    assert not interpret(FIELD_A.between(0, 5), *firing)
-    assert FIELD_B.between(0, 5).compiled()(*firing)
-    assert (FIELD_A >= 0).compiled()(*firing)   # a number to every other atom
-    assert FIELD_A.between(1, 3).describe() == "1 <= x.a <= 3"
-    with pytest.raises(TypeError):
-        FIELD_A.between(0, COUNTER)         # constant bounds only
-    # decide tells the bool from the 1 it equals.
-    decision = decide([~FIELD_A.between(0, 5), FIELD_A == 1])
-    assert decision.status == OVERLAP and decision.witness == {"x.a": True}
-    assert decide([FIELD_A.between(0, 5), FIELD_A.between(6, 9),
-                   ~FIELD_A.between(0, 9)]).status == DISJOINT
-
-
 #: Brute-force domain: the constants of the vocabulary (-1..3, "p", "q",
-#: ""), values between and beyond them and the two bools (numbers to every
-#: atom but ``between``), per scalar; three containers.
+#: ""), values between and beyond them and the two bools, per scalar;
+#: three containers.
 _DOMAIN = (ABSENT, -2, -1, 0, 0.5, 1, 2, 2.5, 3, 4, True, False,
            "p", "q", "", "z")
 _CONTAINERS = ((), ("p", 1), (0, "z", 2.5))

@@ -5,6 +5,8 @@ multi-candidate group of theirs is *decided*, and (b) the registration
 gate fails fast on a broken specification, before anything is frozen.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
@@ -20,6 +22,8 @@ from repro.vids import (
     call_spec,
 )
 from repro.vids.factbase import CallStateFactBase
+
+from ..efsm.test_verify import sync_cycle
 
 
 def worst(diagnostics, min_severity):
@@ -112,7 +116,7 @@ class TestRegressionDetection:
             t for t in rtp.transitions
             if t.label not in ("cancelled-with-media", "answer-after-bye",
                                "answer-after-close")]
-        diagnostics = verify_system([sip, rtp], per_machine=False)
+        diagnostics = verify_system([sip, rtp])
         deadlocks = [d for d in diagnostics if d.rule == "sync-deadlock"]
         wedged = {(d.state, d.event) for d in deadlocks}
         assert ("RTP_Rcvd", "delta_cancelled") in wedged
@@ -159,6 +163,16 @@ class TestRegistrationGate:
                               lambda *args, **kwargs: None)
         # A refused spec is not memoised: the next call builds again.
         assert call_spec.cache_info().currsize == 0
+
+    def test_gate_refuses_a_sync_cycle(self):
+        # A cascade that never ends would hang inject on the first packet.
+        left, right = sync_cycle()
+        spec = dataclasses.replace(CallSpec.build(DEFAULT_CONFIG),
+                                   sip=left, rtp=right)
+        with pytest.raises(SpecVerificationError) as excinfo:
+            spec.verified()
+        assert [d.rule for d in excinfo.value.diagnostics] == [
+            "sync-unbounded"]
 
     def test_vids_constructs_with_gate_on(self):
         vids = Vids(config=DEFAULT_CONFIG, clock_now=lambda: 0.0,

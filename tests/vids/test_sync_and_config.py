@@ -9,7 +9,6 @@ from repro.vids.sync import (
     DELTA_SESSION_ANSWER,
     DELTA_SESSION_OFFER,
     RTP_MACHINE,
-    RTP_TO_SIP,
     SIP_MACHINE,
     SIP_TO_RTP,
 )
@@ -18,7 +17,6 @@ from repro.vids.sync import (
 class TestSyncVocabulary:
     def test_channel_naming_follows_queue_convention(self):
         assert SIP_TO_RTP == "sip->rtp"
-        assert RTP_TO_SIP == "rtp->sip"
         assert SIP_MACHINE == "sip"
         assert RTP_MACHINE == "rtp"
 
