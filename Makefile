@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint speclint test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
+.PHONY: install lint speclint sim-ident test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -24,6 +24,14 @@ lint:
 speclint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning
 	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning --no-cross-protocol
+
+# The simulator's output, pinned: packet count, pcap sha256 and
+# events_processed of four seeded recipes (tools/sim_ident.py).  The tier
+# harness replays whatever capture the simulator made, so a change to
+# netsim/, sip/, rtp/, telephony/ or attacks/ shows here and nowhere else.
+# The pin holds on Python 3.11: string hashing differs across versions.
+sim-ident:
+	$(PYTHON) tools/sim_ident.py | diff tools/sim_ident.expected -
 
 test:
 	$(PYTHON) -m pytest tests/

@@ -21,7 +21,14 @@ from .errors import DefinitionError
 from .events import Event
 from .machine import Efsm, EfsmInstance, FiringResult, copy_state
 
-__all__ = ["EfsmSystem", "ManualClock"]
+__all__ = ["EfsmSystem", "ManualClock", "CASCADE_CAP"]
+
+#: Consumes one macro-step may make.  A cascade with δs still pending after
+#: this many is a δ cycle (a ping-pong, or a consume that sends more than
+#: one δ) that would never quiesce: :meth:`EfsmSystem.inject` raises, and
+#: the ``sync-unbounded`` rule of :mod:`repro.efsm.verify` explores to the
+#: same depth.
+CASCADE_CAP = 64
 
 
 class _TimerHandle:
@@ -133,7 +140,9 @@ class EfsmSystem:
         those firings send, breadth-first in the order they were sent,
         before this returns.  A δ on a channel whose receiver is not in
         this system goes to the environment: ``on_output`` sees it, no
-        machine does.  Returns the firings this materialised.
+        machine does.  Returns the firings this materialised.  Raises
+        :class:`DefinitionError` once the step has consumed
+        :data:`CASCADE_CAP` δs and more are pending (a δ cycle).
         """
         machines = self.machines
         instance = machines.get(machine)
@@ -162,6 +171,12 @@ class EfsmSystem:
                         sent.append((receiver, output))
             if sent is None or consumed == len(sent):
                 return fired
+            if consumed == CASCADE_CAP:
+                receiver, pending = sent[consumed]
+                raise DefinitionError(
+                    f"δ cascade did not quiesce within {CASCADE_CAP} "
+                    f"consumes: {pending.name!r} still pending on "
+                    f"{pending.channel!r} for {receiver.definition.name!r}")
             instance, event = sent[consumed]
             consumed += 1
 

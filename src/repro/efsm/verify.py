@@ -41,7 +41,8 @@ Cross-machine rules (:func:`verify_system`):
   the macro-steps ``EfsmSystem.inject`` runs, which flags a reachable
   configuration where a sent synchronization event has no consumer (a
   runtime deviation on a *legitimate* trace) and a cascade of them that
-  never quiesces (``inject`` would never return).
+  never quiesces (``inject`` raises ``DefinitionError`` at its
+  ``CASCADE_CAP``).
 
 Nothing is executed: guards, statements and output arguments are data,
 and machine state is never advanced.  Every send is a declarative
@@ -65,6 +66,7 @@ from .diagnostics import Diagnostic, Severity
 from .events import TIMER_CHANNEL
 from .guards import DISJOINT, MISSING, UNDECIDED
 from .machine import Efsm, Transition
+from .system import CASCADE_CAP
 
 __all__ = ["verify_machine", "verify_system", "RULES"]
 
@@ -100,7 +102,7 @@ RULES: Dict[str, str] = {
     "sync-deadlock": "reachable configuration wedges a queued sync event the "
                      "receiver can never consume",
     "sync-unbounded": "a sync cascade never quiesces, so the macro-step "
-                      "never returns",
+                      "is refused at the runtime's consume cap",
     "analysis-incomplete": "part of the specification could not be analyzed "
                            "statically",
 }
@@ -442,11 +444,6 @@ def _send_witness(machine: Efsm, transition: Transition, channel: str,
                      f"{channel} ! {event} (never consumed)"]
 
 
-#: Consumes one macro-step may make on any branch: a cascade with δs still
-#: pending after this many is taken for a δ cycle (a ping-pong, or a
-#: consume that sends more than one δ), on which ``EfsmSystem.inject``
-#: never returns.
-_CASCADE_CAP = 64
 #: Configurations the product pass records before it stops with
 #: ``analysis-incomplete``.
 _MAX_CONFIGS = 20000
@@ -530,8 +527,8 @@ class _ProductExplorer:
         self.diagnostics.append(Diagnostic(
             "sync-unbounded", Severity.ERROR,
             f"the macro-step triggered by {trigger!r} did not quiesce "
-            f"within {_CASCADE_CAP} consumes (δs still pending on "
-            f"{channels}): inject would never return",
+            f"within {CASCADE_CAP} consumes (δs still pending on "
+            f"{channels}): inject would raise DefinitionError",
             channel=channels[0],
             data={"trigger": trigger, "witness": list(path)},
             hint="break the send/receive cycle so every cascade terminates"))
@@ -555,7 +552,7 @@ class _ProductExplorer:
                 if not pending:
                     settled.setdefault(states, path)
                     continue
-                if depth == _CASCADE_CAP:
+                if depth == CASCADE_CAP:
                     self._report_unbounded(pending, trigger, path)
                     continue
                 (receiver, channel, event), rest = pending[0], pending[1:]

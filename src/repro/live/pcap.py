@@ -528,10 +528,12 @@ def _mac_for_ip(ip: str) -> bytes:
     return b"\x02\x00" + octets.ljust(4, b"\x00")
 
 
+#: An option-less IPv4 header as the ten 16-bit words RFC 1071 sums.
+_IPV4_WORDS = struct.Struct("!10H")
+
+
 def _ip_checksum(header: bytes) -> int:
-    total = 0
-    for index in range(0, len(header), 2):
-        total += (header[index] << 8) | header[index + 1]
+    total = sum(_IPV4_WORDS.unpack(header))
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF

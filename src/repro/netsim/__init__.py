@@ -2,7 +2,9 @@
 
 Public surface:
 
-- :class:`Simulator`, :class:`Timer` — the event loop.
+- :class:`Simulator`, :class:`Timer` — the event loop.  A Timer is the
+  scheduled event itself (the heap holds ``(time, seq, timer)`` tuples)
+  and the handle that cancels it.
 - :class:`Network` — topology container and route computation.
 - :class:`Host`, :class:`Router`, :class:`Hub` — nodes.
 - :class:`Link` — duplex links with bandwidth/propagation/loss.

@@ -8,7 +8,9 @@ testbed shares one notion of time and one deterministic ordering of events.
 
 Events scheduled for the same instant fire in scheduling order (a per-event
 monotonically increasing sequence number breaks ties), which makes runs fully
-reproducible for a given seed.
+reproducible for a given seed.  The heap holds ``(time, seq, timer)``
+tuples, so every comparison a push or pop makes is done in C; ``seq`` is
+unique, so the :class:`Timer` itself is never compared.
 
 Cancellation is lazy (entries are flagged and skipped at pop time), but the
 engine keeps an exact live-event counter so :attr:`Simulator.pending_events`
@@ -20,8 +22,6 @@ long run drags a heap full of dead entries through every push and pop.
 from __future__ import annotations
 
 import heapq
-import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 __all__ = ["Simulator", "Timer", "SimulationError"]
@@ -34,45 +34,36 @@ class SimulationError(Exception):
     """Raised for invalid interactions with the simulation engine."""
 
 
-@dataclass(order=True, slots=True)
-class _ScheduledEvent:
-    """Internal heap entry: ordered by (time, seq)."""
-
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-    fired: bool = field(compare=False, default=False)
-    label: str = field(compare=False, default="")
-
-
 class Timer:
-    """Handle to a scheduled event, allowing cancellation.
+    """A scheduled event, and the handle that cancels it.
 
     Timers are how protocol state machines (SIP transaction timers, the
     vids attack-pattern timers T and T1) interact with simulated time.
+    The simulator's heap entry is ``(time, seq, timer)``; the timer holds
+    the callback and whether it is still pending.
     """
 
-    __slots__ = ("_sim", "_event")
+    __slots__ = ("time", "_callback", "_args", "_live", "_sim")
 
-    def __init__(self, sim: "Simulator", event: _ScheduledEvent):
+    def __init__(self, sim: "Simulator", time: float,
+                 callback: Callable[..., None], args: tuple) -> None:
+        #: Absolute simulation time at which the timer fires.
+        self.time = time
+        self._callback = callback
+        self._args = args
+        self._live = True
         self._sim = sim
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        """Absolute simulation time at which the timer fires."""
-        return self._event.time
 
     @property
     def active(self) -> bool:
         """True while the timer is pending (not fired, not cancelled)."""
-        return not self._event.cancelled and not self._event.fired
+        return self._live
 
     def cancel(self) -> None:
         """Cancel the timer; a no-op if it already fired or was cancelled."""
-        self._sim._cancel(self._event)
+        if self._live:
+            self._live = False
+            self._sim._note_cancel()
 
 
 class Simulator:
@@ -87,7 +78,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, Timer]] = []
         self._seq = 0
         self._running = False
         self._events_processed = 0
@@ -111,46 +102,32 @@ class Simulator:
         """Number of live (not cancelled) events still queued.  O(1)."""
         return self._pending
 
-    def schedule(
-        self,
-        delay: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
-    ) -> Timer:
+    def schedule(self, delay: float, callback: Callable[..., None],
+                 *args: Any) -> Timer:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_at(self._now + delay, callback, *args, label=label)
+        return self.schedule_at(self._now + delay, callback, *args)
 
-    def schedule_at(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args: Any,
-        label: str = "",
-    ) -> Timer:
+    def schedule_at(self, time: float, callback: Callable[..., None],
+                    *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if math.isnan(time) or time < self._now:
+        if not time >= self._now:   # also true for NaN
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self._now})"
             )
-        event = _ScheduledEvent(
-            time=time, seq=self._seq, callback=callback, args=args, label=label
-        )
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        timer = Timer(self, time, callback, args)
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, timer))
         self._pending += 1
-        return Timer(self, event)
+        return timer
 
     # -- cancellation ---------------------------------------------------------
 
-    def _cancel(self, event: _ScheduledEvent) -> None:
-        """Lazily cancel a queued event; compact the heap when it is mostly
-        dead weight."""
-        if event.cancelled or event.fired:
-            return
-        event.cancelled = True
+    def _note_cancel(self) -> None:
+        """Account for a queued timer cancelled in place (lazy deletion);
+        compact the heap when it is mostly dead weight."""
         self._pending -= 1
         self._cancelled_in_queue += 1
         if (len(self._queue) >= _COMPACT_MIN_QUEUE
@@ -163,19 +140,19 @@ class Simulator:
         In-place (slice assignment) so the run loop's local alias of the
         queue stays valid when a callback's cancel triggers compaction.
         """
-        self._queue[:] = [e for e in self._queue if not e.cancelled]
+        self._queue[:] = [entry for entry in self._queue if entry[2]._live]
         heapq.heapify(self._queue)
         self._cancelled_in_queue = 0
 
-    def _pop_live(self) -> Optional[_ScheduledEvent]:
+    def _pop_live(self) -> Optional[Timer]:
         """Pop the next non-cancelled event, shedding dead entries."""
         queue = self._queue
         while queue:
-            event = heapq.heappop(queue)
-            if event.cancelled:
+            timer = heapq.heappop(queue)[2]
+            if not timer._live:
                 self._cancelled_in_queue -= 1
                 continue
-            return event
+            return timer
         return None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -190,23 +167,24 @@ class Simulator:
         self._running = True
         dispatched = 0
         queue = self._queue
+        heappop = heapq.heappop
         try:
             while queue:
-                event = queue[0]
-                if event.cancelled:
-                    heapq.heappop(queue)
+                time, _, timer = queue[0]
+                if not timer._live:
+                    heappop(queue)
                     self._cancelled_in_queue -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     self._now = until
                     return
-                heapq.heappop(queue)
-                self._now = event.time
+                heappop(queue)
+                self._now = time
                 self._events_processed += 1
                 self._pending -= 1
-                event.fired = True
+                timer._live = False
                 dispatched += 1
-                event.callback(*event.args)
+                timer._callback(*timer._args)
                 if max_events is not None and dispatched >= max_events:
                     return
             if until is not None and until > self._now:
@@ -216,14 +194,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Dispatch exactly one event.  Returns False if the queue is empty."""
-        event = self._pop_live()
-        if event is None:
+        timer = self._pop_live()
+        if timer is None:
             return False
-        self._now = event.time
+        self._now = timer.time
         self._events_processed += 1
         self._pending -= 1
-        event.fired = True
-        event.callback(*event.args)
+        timer._live = False
+        timer._callback(*timer._args)
         return True
 
     def stats(self) -> dict:
@@ -237,7 +215,7 @@ class Simulator:
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
         queue = self._queue
-        while queue and queue[0].cancelled:
+        while queue and not queue[0][2]._live:
             heapq.heappop(queue)
             self._cancelled_in_queue -= 1
-        return queue[0].time if queue else None
+        return queue[0][0] if queue else None

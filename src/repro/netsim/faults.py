@@ -267,8 +267,7 @@ class FaultyLink:
             if trace is not None:
                 self._note("reorder", datagram, sim.now)
             delay = rng.uniform(0.0, plan.reorder_delay)
-            sim.schedule(delay, self._original_transmit, datagram, sender,
-                         label=f"reorder@{self.link.name}")
+            sim.schedule(delay, self._original_transmit, datagram, sender)
             return
 
         self.stats.delivered += 1

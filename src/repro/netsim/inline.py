@@ -102,8 +102,7 @@ class InlineDevice(Node):
         if done <= self.sim.now:
             out_link.transmit(datagram, self)
         else:
-            self.sim.schedule_at(done, out_link.transmit, datagram, self,
-                                 label=f"fwd@{self.name}")
+            self.sim.schedule_at(done, out_link.transmit, datagram, self)
 
     def cpu_utilization(self, until: Optional[float] = None) -> float:
         """Fraction of elapsed time the device CPU spent processing.

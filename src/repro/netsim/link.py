@@ -91,23 +91,25 @@ class Link:
         ``receive`` runs at the arrival instant.
         """
         sim = self.network.sim
-        stats = self.stats[sender.name]
-        serialization = datagram.size * 8.0 / self.bandwidth_bps
-        start = max(sim.now, self._busy_until[sender.name])
+        now = sim.now
+        name = sender.name
+        stats = self.stats[name]
+        size = datagram.size
+        busy = self._busy_until[name]
+        start = busy if busy > now else now
         if (self.max_queue_delay is not None
-                and start - sim.now > self.max_queue_delay):
+                and start - now > self.max_queue_delay):
             stats.packets_overflowed += 1
             return
-        stats.queueing_delay_total += start - sim.now
-        self._busy_until[sender.name] = start + serialization
-        arrival = start + serialization + self.propagation_delay
+        stats.queueing_delay_total += start - now
+        busy = self._busy_until[name] = start + size * 8.0 / self.bandwidth_bps
+        arrival = busy + self.propagation_delay
 
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
             stats.packets_dropped += 1
             return
         stats.packets_sent += 1
-        stats.bytes_sent += datagram.size
-        receiver = self.other(sender)
+        stats.bytes_sent += size
+        receiver = self.node_b if sender is self.node_a else self.other(sender)
         datagram.hops += 1
-        sim.schedule_at(arrival, receiver.receive, datagram, self,
-                        label=f"rx@{receiver.name}")
+        sim.schedule_at(arrival, receiver.receive, datagram, self)

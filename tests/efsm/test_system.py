@@ -13,6 +13,9 @@ from repro.efsm import (
     parse_channel,
 )
 from repro.efsm.guards import start, v, write
+from repro.efsm.system import CASCADE_CAP
+
+from .test_verify import sync_cycle
 
 
 def make_ping_pong():
@@ -155,6 +158,44 @@ def test_unknown_machine_rejected():
     system = EfsmSystem()
     with pytest.raises(DefinitionError):
         system.inject("ghost", Event("x"))
+
+
+@pytest.mark.parametrize("sends", [1, 2])
+def test_a_delta_cycle_is_refused_at_the_cascade_cap(sends):
+    # speclint's sync-unbounded pair, run without the spec gate: a kick
+    # starts a ping-pong (or a fan-out) that never quiesces.
+    system = EfsmSystem()
+    for machine in sync_cycle(sends=sends):
+        system.add_machine(machine)
+    with pytest.raises(DefinitionError, match=r"within 64 consumes: "
+                       r"'(ping|pong)' still pending on '(a->b|b->a)' "
+                       r"for '(a|b)'"):
+        system.inject("a", Event("kick"))
+    # The kick, then CASCADE_CAP consumes, and no more.
+    assert system.deliveries == 1 + CASCADE_CAP
+
+
+def fan_out(pings):
+    """``r`` answers a kick with ``pings`` δs; ``s`` swallows each."""
+    relay = Efsm("r", "r0")
+    relay.declare_channel("r->s")
+    relay.add_transition("r0", "kick", "r0",
+                         outputs=[Output("r->s", "ping")] * pings)
+    sink = Efsm("s", "s0")
+    sink.declare_channel("r->s")
+    sink.add_transition("s0", "ping", "s0", channel="r->s")
+    system = EfsmSystem()
+    system.add_machine(relay)
+    system.add_machine(sink)
+    return system
+
+
+def test_a_cascade_of_exactly_the_cap_returns():
+    system = fan_out(CASCADE_CAP)
+    system.inject("r", Event("kick"))
+    assert system.deliveries == 1 + CASCADE_CAP
+    with pytest.raises(DefinitionError, match="'ping' still pending"):
+        fan_out(CASCADE_CAP + 1).inject("r", Event("kick"))
 
 
 def test_timer_events_drain_channels():

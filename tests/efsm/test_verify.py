@@ -431,7 +431,7 @@ def sync_cycle(sends=1):
 def test_sync_pingpong_cycle_is_an_error():
     (finding,) = find(verify_system(sync_cycle()), "sync-unbounded")
     assert finding.severity is Severity.ERROR
-    assert "inject would never return" in finding.message
+    assert "inject would raise DefinitionError" in finding.message
 
 
 def test_sync_fanout_cycle_is_an_error():

@@ -4,6 +4,7 @@ import io
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.live.pcap import (
     DecodeStats,
@@ -16,6 +17,7 @@ from repro.live.pcap import (
     PcapNgWriter,
     PcapWriter,
     load_pcap,
+    _ip_checksum,
     write_pcap,
 )
 from repro.netsim import Datagram, Endpoint
@@ -510,3 +512,27 @@ def test_decoded_capture_equals_original(mixed_capture, tmp_path):
         assert got.datagram.src == want.datagram.src
         assert got.datagram.dst == want.datagram.dst
         assert abs(got.time - want.time) < 1e-9
+
+
+def rfc1071_checksum(header):
+    """The byte-pair loop RFC 1071 describes, kept as the oracle."""
+    total = 0
+    for index in range(0, len(header), 2):
+        total += (header[index] << 8) | header[index + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+@given(st.binary(min_size=20, max_size=20))
+def test_ip_checksum_is_rfc1071(header):
+    assert _ip_checksum(header) == rfc1071_checksum(header)
+
+
+def test_ip_checksum_of_a_checksummed_header_is_zero():
+    # RFC 1071: a header carrying its own checksum sums to 0xFFFF.
+    header = bytearray(bytes.fromhex("4500003c1c4640004006") + bytes(2)
+                       + bytes.fromhex("ac100a63ac100a0c"))
+    header[10:12] = _ip_checksum(bytes(header)).to_bytes(2, "big")
+    assert header[10:12] == bytes.fromhex("b1e6")
+    assert _ip_checksum(bytes(header)) == 0

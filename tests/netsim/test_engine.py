@@ -225,3 +225,175 @@ def test_heap_compaction_under_mass_cancellation():
     assert len(sim._queue) <= 2 * sim.pending_events + 1
     sim.run()
     assert sim.events_processed == 100
+
+
+def test_nan_time_rejected():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    assert sim.pending_events == 0
+
+
+# -- the ordering contract, against a reference model -------------------------
+
+#: Few distinct delays, so most events tie with another on time.
+TIE_DELAYS = (0.0, 0.5, 1.0)
+#: Events a program may schedule in total (callbacks schedule more).
+EVENT_LIMIT = 300
+
+
+class ReferenceEngine:
+    """The contract spelled out: of the live entries, the one with the least
+    (time, scheduling order) fires next."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.live = {}      # scheduling order -> (time, tag)
+        self.order = 0
+
+    def schedule(self, delay, tag):
+        self.live[self.order] = (self.now + delay, tag)
+        self.order += 1
+        return self.order - 1
+
+    def cancel(self, order):
+        self.live.pop(order, None)
+
+    def pop(self, until=None):
+        if not self.live:
+            return None
+        order = min(self.live, key=lambda key: (self.live[key][0], key))
+        time, tag = self.live[order]
+        if until is not None and time > until:
+            return None
+        del self.live[order]
+        self.now = time
+        return tag
+
+
+class Program:
+    """One engine driven by a drawn program; records every dispatch as
+    ``(tag, time, pending events seen inside the callback)``."""
+
+    def __init__(self, actions, schedule, cancel, pending):
+        self.actions, self._schedule, self._cancel = actions, schedule, cancel
+        self.pending = pending
+        self.handles = []
+        self.log = []
+
+    def schedule(self, delay):
+        if len(self.handles) < EVENT_LIMIT:
+            self.handles.append(self._schedule(delay, len(self.handles)))
+
+    def cancel(self, index):
+        if self.handles:
+            self._cancel(self.handles[index % len(self.handles)])
+
+    def fired(self, tag, now):
+        """A callback: log, then cancel and schedule as the tag's action
+        says."""
+        self.log.append((tag, now, self.pending()))
+        delays, target = self.actions[tag % len(self.actions)]
+        if target is not None:
+            self.cancel(target)
+        for delay in delays:
+            self.schedule(delay)
+
+
+def real_program(actions):
+    sim = Simulator()
+    compactions = []
+    compact = sim._compact
+    sim._compact = lambda: (compactions.append(len(sim._queue)), compact())
+    program = Program(
+        actions,
+        lambda delay, tag: sim.schedule(
+            delay, lambda: program.fired(tag, sim.now)),
+        lambda timer: timer.cancel(),
+        lambda: sim.pending_events)
+    return sim, program, compactions
+
+
+def reference_program(actions):
+    ref = ReferenceEngine()
+    program = Program(actions, ref.schedule, ref.cancel,
+                      lambda: len(ref.live))
+
+    def run(until=None, max_events=None):
+        dispatched = 0
+        while max_events is None or dispatched < max_events:
+            tag = ref.pop(until)
+            if tag is None:
+                if until is not None and until > ref.now:
+                    ref.now = until
+                return
+            dispatched += 1
+            program.fired(tag, ref.now)
+
+    return ref, program, run
+
+
+OPS = st.one_of(
+    st.tuples(st.just("schedule"), st.sampled_from(TIE_DELAYS)),
+    st.tuples(st.just("cancel"), st.integers(0, 10 ** 6)),
+    st.tuples(st.just("run"), st.sampled_from((0.0, 0.5, 1.0, 2.5))),
+    st.tuples(st.just("max_events"), st.integers(1, 5)),
+    st.tuples(st.just("step"), st.none()),
+)
+ACTIONS = st.lists(
+    st.tuples(st.lists(st.sampled_from(TIE_DELAYS), max_size=2),
+              st.none() | st.integers(0, 10 ** 6)),
+    min_size=1, max_size=8)
+
+
+@given(data=st.data())
+def test_property_dispatch_matches_reference_across_compaction(data):
+    actions = data.draw(ACTIONS, label="actions")
+    burst = data.draw(st.lists(st.sampled_from(TIE_DELAYS), min_size=64,
+                               max_size=96), label="burst")
+    doomed = data.draw(st.permutations(range(len(burst))), label="order")
+    doomed = doomed[:len(burst) // 2 + 1 + data.draw(
+        st.integers(0, len(burst) // 4), label="extra")]
+    ops = data.draw(st.lists(OPS, max_size=40), label="ops")
+
+    sim, real, compactions = real_program(actions)
+    ref, model, ref_run = reference_program(actions)
+
+    def check():
+        assert real.log == model.log
+        assert sim.now == ref.now
+        assert sim.pending_events == len(ref.live)
+        assert sim.events_processed == len(real.log)
+
+    for program in (real, model):
+        for delay in burst:
+            program.schedule(delay)
+        for index in doomed:
+            program.cancel(index)
+    check()
+    # More than half of a >= 64-entry queue was cancelled: it compacted.
+    assert compactions
+    for op, arg in ops:
+        if op == "schedule":
+            real.schedule(arg)
+            model.schedule(arg)
+        elif op == "cancel":
+            real.cancel(arg)
+            model.cancel(arg)
+        elif op == "run":
+            sim.run(until=sim.now + arg)
+            ref_run(until=ref.now + arg)
+        elif op == "max_events":
+            sim.run(max_events=arg)
+            ref_run(max_events=arg)
+        else:
+            dispatched = sim.step()
+            assert dispatched == bool(ref.live)
+            ref_run(max_events=1)
+        check()
+    sim.run()
+    ref_run()
+    check()
+    assert sim.pending_events == 0
