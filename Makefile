@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint speclint sim-ident test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
+.PHONY: install lint speclint sim-ident setup-split test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -32,6 +32,12 @@ speclint:
 # The pin holds on Python 3.11: string hashing differs across versions.
 sim-ident:
 	$(PYTHON) tools/sim_ident.py | diff tools/sim_ident.expected -
+
+# mixed_attack's set-up split into imports / capture / write_pcap / warm-up,
+# in raw seconds, with host µs per simulated event (tools/setup_split.py;
+# other workloads: python tools/setup_split.py rtp_steady 7).
+setup-split:
+	$(PYTHON) tools/setup_split.py mixed_attack 1
 
 test:
 	$(PYTHON) -m pytest tests/

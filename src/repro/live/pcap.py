@@ -522,13 +522,22 @@ def load_pcap(source: Union[str, BinaryIO],
 
 # -- frame building (shared by both writers) ----------------------------------
 
-def _mac_for_ip(ip: str) -> bytes:
-    """A deterministic locally-administered MAC for a synthetic frame."""
-    octets = bytes(int(part) & 0xFF for part in ip.split("."))[:4]
-    return b"\x02\x00" + octets.ljust(4, b"\x00")
+#: One address as the frames carry it: ``(MAC, 4-byte IPv4 address)``.
+_Address = Tuple[bytes, bytes]
 
 
-#: An option-less IPv4 header as the ten 16-bit words RFC 1071 sums.
+def _parse_address(addresses: Dict[str, _Address], ip: str) -> _Address:
+    """Parse ``ip`` into one writer's memo: a locally-administered MAC for
+    synthetic frames, and the address.  A bad quad raises, unremembered."""
+    octets = [int(part) for part in ip.split(".")]
+    mac = b"\x02\x00" + bytes(octet & 0xFF for octet in octets)[:4].ljust(4, b"\x00")
+    entry = addresses[ip] = (mac, bytes(octets))
+    return entry
+
+
+#: An option-less IPv4 header as the writers pack it, and as the ten
+#: 16-bit words RFC 1071 sums.
+_IPV4_WRITE = struct.Struct("!BBHHHBBH4s4s")
 _IPV4_WORDS = struct.Struct("!10H")
 
 
@@ -539,31 +548,27 @@ def _ip_checksum(header: bytes) -> int:
     return ~total & 0xFFFF
 
 
-def _ipv4_header(src: str, dst: str, payload_len: int, ident: int,
+def _ipv4_header(src: bytes, dst: bytes, payload_len: int, ident: int,
                  flags_frag: int) -> bytes:
-    header = bytearray(struct.pack(
-        "!BBHHHBBH4s4s", 0x45, 0, 20 + payload_len, ident, flags_frag,
-        64, _IPPROTO_UDP, 0,
-        bytes(int(p) for p in src.split(".")),
-        bytes(int(p) for p in dst.split("."))))
-    checksum = _ip_checksum(header)
-    header[10] = checksum >> 8
-    header[11] = checksum & 0xFF
-    return bytes(header)
+    unsummed = _IPV4_WRITE.pack(0x45, 0, 20 + payload_len, ident, flags_frag,
+                                64, _IPPROTO_UDP, 0, src, dst)
+    return _IPV4_WRITE.pack(0x45, 0, 20 + payload_len, ident, flags_frag,
+                            64, _IPPROTO_UDP, _ip_checksum(unsummed), src, dst)
 
 
-def _build_frames(packet: CapturedPacket, ident: int,
-                  mtu: Optional[int]) -> List[bytes]:
+def _build_frames(packet: CapturedPacket, ident: int, mtu: Optional[int],
+                  addresses: Dict[str, _Address]) -> List[bytes]:
     """Ethernet frame(s) for one datagram, fragmenting at ``mtu``."""
     datagram = packet.datagram
     src, dst = datagram.src, datagram.dst
     udp = struct.pack("!HHHH", src.port, dst.port,
                       8 + len(datagram.payload), 0) + datagram.payload
-    ether = _mac_for_ip(dst.ip) + _mac_for_ip(src.ip) + \
-        struct.pack("!H", _ETHERTYPE_IPV4)
+    dst_mac, dst_ip = addresses.get(dst.ip) or _parse_address(addresses, dst.ip)
+    src_mac, src_ip = addresses.get(src.ip) or _parse_address(addresses, src.ip)
+    ether = dst_mac + src_mac + struct.pack("!H", _ETHERTYPE_IPV4)
 
     if mtu is None or 20 + len(udp) <= mtu:
-        return [ether + _ipv4_header(src.ip, dst.ip, len(udp), ident, 0)
+        return [ether + _ipv4_header(src_ip, dst_ip, len(udp), ident, 0)
                 + udp]
     chunk = ((mtu - 20) // 8) * 8
     if chunk <= 0:
@@ -573,7 +578,7 @@ def _build_frames(packet: CapturedPacket, ident: int,
         piece = udp[offset:offset + chunk]
         more = 0x2000 if offset + len(piece) < len(udp) else 0
         frames.append(
-            ether + _ipv4_header(src.ip, dst.ip, len(piece), ident,
+            ether + _ipv4_header(src_ip, dst_ip, len(piece), ident,
                                  more | (offset // 8)) + piece)
     return frames
 
@@ -585,7 +590,8 @@ class PcapWriter:
 
     Synthesizes Ethernet/IPv4/UDP framing around each datagram; with
     ``mtu`` set, datagrams whose IP packet exceeds it are emitted as
-    standards-shaped fragments (the reader's reassembly fixture).
+    standards-shaped fragments (the reader's reassembly fixture).  Each
+    address is parsed once per writer, into a memo the writer owns.
     """
 
     def __init__(self, handle: BinaryIO, nanosecond: bool = True,
@@ -595,6 +601,7 @@ class PcapWriter:
         self.mtu = mtu
         self._frac_scale = 1e9 if nanosecond else 1e6
         self._ident = 0
+        self._addresses: Dict[str, _Address] = {}
         magic = _MAGIC_NSEC if nanosecond else _MAGIC_USEC
         handle.write(struct.pack("<IHHiIII", magic, 2, 4, 0, 0, snaplen,
                                  LINKTYPE_ETHERNET))
@@ -606,7 +613,8 @@ class PcapWriter:
         if frac >= self._frac_scale:  # rounding carried into the next second
             sec += 1
             frac = 0
-        for frame in _build_frames(packet, self._ident, self.mtu):
+        for frame in _build_frames(packet, self._ident, self.mtu,
+                                   self._addresses):
             self.handle.write(struct.pack("<IIII", sec, frac,
                                           len(frame), len(frame)))
             self.handle.write(frame)
@@ -641,6 +649,7 @@ class PcapNgWriter:
         self.handle = handle
         self.mtu = mtu
         self._ident = 0
+        self._addresses: Dict[str, _Address] = {}
         shb_body = struct.pack("<IHHq", _BYTE_ORDER_MAGIC, 1, 0, -1)
         self._write_block(_SHB_TYPE, shb_body)
         # IDB: Ethernet, unlimited snaplen, if_tsresol=9 (nanoseconds).
@@ -659,7 +668,8 @@ class PcapNgWriter:
     def write(self, packet: CapturedPacket) -> None:
         self._ident = (self._ident + 1) & 0xFFFF
         ticks = round(packet.time * 1e9)
-        for frame in _build_frames(packet, self._ident, self.mtu):
+        for frame in _build_frames(packet, self._ident, self.mtu,
+                                   self._addresses):
             body = struct.pack("<IIIII", 0, (ticks >> 32) & 0xFFFFFFFF,
                                ticks & 0xFFFFFFFF, len(frame), len(frame))
             self._write_block(_EPB_TYPE, body + frame)

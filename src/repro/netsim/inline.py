@@ -81,12 +81,13 @@ class InlineDevice(Node):
     def receive(self, datagram: Datagram, in_link: "Link") -> None:
         if len(self.links) != 2:
             raise RuntimeError(f"inline device {self.name} is not fully wired")
+        now = self.sim.now
         if self._started_at is None:
-            self._started_at = self.sim.now
+            self._started_at = now
         out_link = self.links[0] if in_link is self.links[1] else self.links[1]
 
         try:
-            service = self.processor.process(datagram, self.sim.now)
+            service = self.processor.process(datagram, now)
         except Exception:
             if not self.fail_open:
                 raise
@@ -94,12 +95,12 @@ class InlineDevice(Node):
             service = 0.0
         # A misbehaving processor must not run the device clock backwards.
         service = max(0.0, service)
-        start = max(self.sim.now, self._cpu_free_at)
+        start = max(now, self._cpu_free_at)
         done = start + service + self.forwarding_latency
         self._cpu_free_at = done
         self.busy_time += service + self.forwarding_latency
         self.packets_forwarded += 1
-        if done <= self.sim.now:
+        if done <= now:
             out_link.transmit(datagram, self)
         else:
             self.sim.schedule_at(done, out_link.transmit, datagram, self)

@@ -41,8 +41,22 @@ class LinkStats:
         return self.queueing_delay_total / self.packets_sent if self.packets_sent else 0.0
 
 
+@dataclass(slots=True)
+class _Port:
+    """One direction of a link: the sender's FIFO, its counters, the peer."""
+
+    busy_until: float
+    stats: LinkStats
+    peer: "Node"
+
+
 class Link:
-    """A duplex point-to-point link between two nodes."""
+    """A duplex point-to-point link between two nodes.
+
+    One port per direction, keyed by the sending node: one lookup per hop,
+    which raises ``KeyError`` for a node not attached, before anything is
+    counted or scheduled.  ``stats`` holds the same counters by node name.
+    """
 
     def __init__(
         self,
@@ -65,12 +79,12 @@ class Link:
         #: an unbounded buffer.
         self.max_queue_delay = max_queue_delay
         self.name = name or f"{node_a.name}<->{node_b.name}"
-        # Per-direction port state, keyed by sending node name.
-        self._busy_until: Dict[str, float] = {node_a.name: 0.0, node_b.name: 0.0}
-        self.stats: Dict[str, LinkStats] = {
-            node_a.name: LinkStats(),
-            node_b.name: LinkStats(),
+        self._ports: Dict["Node", _Port] = {
+            node_a: _Port(0.0, LinkStats(), node_b),
+            node_b: _Port(0.0, LinkStats(), node_a),
         }
+        self.stats: Dict[str, LinkStats] = {
+            node.name: port.stats for node, port in self._ports.items()}
         self._rng = network.streams.stream(f"link:{self.name}:loss")
         node_a.attach_link(self)
         node_b.attach_link(self)
@@ -92,17 +106,17 @@ class Link:
         """
         sim = self.network.sim
         now = sim.now
-        name = sender.name
-        stats = self.stats[name]
+        port = self._ports[sender]
+        stats = port.stats
         size = datagram.size
-        busy = self._busy_until[name]
+        busy = port.busy_until
         start = busy if busy > now else now
         if (self.max_queue_delay is not None
                 and start - now > self.max_queue_delay):
             stats.packets_overflowed += 1
             return
         stats.queueing_delay_total += start - now
-        busy = self._busy_until[name] = start + size * 8.0 / self.bandwidth_bps
+        busy = port.busy_until = start + size * 8.0 / self.bandwidth_bps
         arrival = busy + self.propagation_delay
 
         if self.loss_rate > 0 and self._rng.random() < self.loss_rate:
@@ -110,6 +124,5 @@ class Link:
             return
         stats.packets_sent += 1
         stats.bytes_sent += size
-        receiver = self.node_b if sender is self.node_a else self.other(sender)
         datagram.hops += 1
-        sim.schedule_at(arrival, receiver.receive, datagram, self)
+        sim.schedule_at(arrival, port.peer.receive, datagram, self)

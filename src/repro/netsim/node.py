@@ -22,26 +22,22 @@ UdpHandler = Callable[[Datagram], None]
 
 
 class Node:
-    """Base class for anything attached to links."""
+    """Base class for anything attached to links.  A plain node forwards
+    what arrives (``receive`` *is* ``forward``: one call per router hop);
+    the host, the inline device and the Internet cloud override ``receive``."""
 
     def __init__(self, network: "Network", name: str):
         self.network = network
+        #: The network's simulator, which is never rebound.
+        self.sim = network.sim
         self.name = name
         self.links: List["Link"] = []
         #: next-hop routing table: destination IP -> link to forward on
         self.routes: Dict[str, "Link"] = {}
         network.register_node(self)
 
-    @property
-    def sim(self):
-        return self.network.sim
-
     def attach_link(self, link: "Link") -> None:
         self.links.append(link)
-
-    def receive(self, datagram: Datagram, in_link: "Link") -> None:
-        """Handle an arriving datagram.  Default behaviour: forward."""
-        self.forward(datagram, in_link)
 
     def forward(self, datagram: Datagram, in_link: Optional["Link"]) -> None:
         """Forward ``datagram`` toward its destination via the routing table."""
@@ -50,6 +46,9 @@ class Node:
             self.network.count_drop(self.name, "no-route")
             return
         link.transmit(datagram, self)
+
+    #: Handle an arriving datagram.  Default behaviour: forward.
+    receive = forward
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"

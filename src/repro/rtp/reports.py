@@ -48,6 +48,7 @@ class RtcpReporter:
         interval: float = DEFAULT_RTCP_INTERVAL,
     ):
         self.host = host
+        self.sim = host.sim
         self.local_port = rtp_port + 1
         self.remote = Endpoint(remote_rtp.ip, remote_rtp.port + 1)
         self.sender = sender
@@ -60,10 +61,6 @@ class RtcpReporter:
         self._running = False
         if not host.is_bound(self.local_port):
             host.bind(self.local_port, self._on_datagram)
-
-    @property
-    def sim(self):
-        return self.host.sim
 
     def start(self) -> None:
         if self._running:

@@ -79,10 +79,13 @@ class RtpSender:
         vad: bool = True,
     ):
         self.host = host
+        self.sim = host.sim
         self.local_port = local_port
         self.remote = remote
         self.codec = codec
         self.ptime_ms = ptime_ms
+        #: Seconds between packets: the packetization interval.
+        self.interval = ptime_ms / 1000.0
         rng = rng or random.Random(0)
         self.ssrc = ssrc if ssrc is not None else rng.getrandbits(32)
         self.sequence_number = rng.getrandbits(16)
@@ -91,14 +94,6 @@ class RtpSender:
         self.packets_sent = 0
         self._timer: Optional[Timer] = None
         self._running = False
-
-    @property
-    def sim(self):
-        return self.host.sim
-
-    @property
-    def interval(self) -> float:
-        return self.ptime_ms / 1000.0
 
     def start(self) -> None:
         if self._running:
@@ -118,23 +113,23 @@ class RtpSender:
     def _tick(self) -> None:
         if not self._running:
             return
-        now = self.sim.now
-        talking = self.vad.is_talking(now) if self.vad is not None else True
+        sim, codec = self.sim, self.codec
+        talking = self.vad.is_talking(sim.now) if self.vad is not None else True
         # Timestamps advance with wall time even across silence (RFC 3550).
         self.timestamp = (self.timestamp +
-                          self.codec.timestamp_increment(self.ptime_ms)) % (1 << 32)
+                          codec.timestamp_increment(self.ptime_ms)) % (1 << 32)
         if talking:
             packet = RtpPacket(
-                payload_type=self.codec.payload_type,
+                payload_type=codec.payload_type,
                 sequence_number=self.sequence_number,
                 timestamp=self.timestamp,
                 ssrc=self.ssrc,
-                payload=bytes(self.codec.payload_bytes(self.ptime_ms)),
+                payload=bytes(codec.payload_bytes(self.ptime_ms)),
             )
             self.sequence_number = (self.sequence_number + 1) % (1 << 16)
             self.packets_sent += 1
             self.host.send_udp(self.remote, packet.serialize(), self.local_port)
-        self._timer = self.sim.schedule(self.interval, self._tick)
+        self._timer = sim.schedule(self.interval, self._tick)
 
 
 class RtpReceiver:
@@ -148,6 +143,7 @@ class RtpReceiver:
         on_packet: Optional[Callable[[RtpPacket, Datagram], None]] = None,
     ):
         self.host = host
+        self.sim = host.sim
         self.local_port = local_port
         self.codec = codec
         self.on_packet = on_packet
@@ -160,10 +156,6 @@ class RtpReceiver:
         self._expected_seq: Optional[int] = None
         self._ssrc: Optional[int] = None
         host.bind(local_port, self._on_datagram)
-
-    @property
-    def sim(self):
-        return self.host.sim
 
     def close(self) -> None:
         self.host.unbind(self.local_port)

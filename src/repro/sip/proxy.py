@@ -40,6 +40,7 @@ class ProxyServer:
         authenticator=None,
     ):
         self.host = host
+        self.sim = host.sim
         self.domain = domain.lower()
         self.dns = dns
         #: When set (a :class:`repro.sip.auth.Authenticator`), REGISTER
@@ -53,10 +54,6 @@ class ProxyServer:
         self.requests_forwarded = 0
         self.responses_forwarded = 0
         self.requests_rejected = 0
-
-    @property
-    def sim(self):
-        return self.host.sim
 
     @property
     def endpoint(self) -> Endpoint:

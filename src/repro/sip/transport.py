@@ -35,6 +35,7 @@ class SipTransport:
     def __init__(self, host: Host, port: int = DEFAULT_SIP_PORT,
                  max_datagram: int = MAX_SIP_DATAGRAM):
         self.host = host
+        self.sim = host.sim
         self.port = port
         self.max_datagram = max_datagram
         self._handler: Optional[MessageHandler] = None
@@ -49,10 +50,6 @@ class SipTransport:
         #: fuzzing campaign against this element.
         self.drops_by_source: Dict[str, int] = {}
         host.bind(port, self._on_datagram)
-
-    @property
-    def sim(self):
-        return self.host.sim
 
     @property
     def local_endpoint(self) -> Endpoint:

@@ -143,6 +143,7 @@ class UserAgent:
         timers: TimerTable = DEFAULT_TIMERS,
     ):
         self.host = host
+        self.sim = host.sim
         self.aor = aor if isinstance(aor, SipUri) else SipUri.parse(aor)
         self.display_name = display_name
         self.outbound_proxy = outbound_proxy
@@ -161,10 +162,6 @@ class UserAgent:
         self.credentials: Optional[DigestCredentials] = None
         #: Application hook: invoked with the new Call on incoming INVITE.
         self.on_incoming_call: Optional[Callable[[Call], None]] = None
-
-    @property
-    def sim(self):
-        return self.host.sim
 
     @property
     def contact_uri(self) -> SipUri:

@@ -130,6 +130,7 @@ class SoftPhone:
         timers: TimerTable = DEFAULT_TIMERS,
     ):
         self.host = host
+        self.sim = host.sim
         self.profile = profile or PhoneProfile()
         self.rng = rng or random.Random(0)
         self.ua = UserAgent(host, aor, outbound_proxy, timers=timers)
@@ -145,10 +146,6 @@ class SoftPhone:
     @property
     def aor(self) -> SipUri:
         return self.ua.aor
-
-    @property
-    def sim(self):
-        return self.host.sim
 
     def register(self, on_done: Optional[Callable[[bool], None]] = None) -> None:
         self.ua.register(on_done=on_done)

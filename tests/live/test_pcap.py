@@ -2,10 +2,12 @@
 
 import io
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.live import pcap
 from repro.live.pcap import (
     DecodeStats,
     LINKTYPE_ETHERNET,
@@ -536,3 +538,89 @@ def test_ip_checksum_of_a_checksummed_header_is_zero():
     header[10:12] = _ip_checksum(bytes(header)).to_bytes(2, "big")
     assert header[10:12] == bytes.fromhex("b1e6")
     assert _ip_checksum(bytes(header)) == 0
+
+
+# -- framing: each address parsed once per writer ----------------------------
+
+def per_packet_frames(packet, ident, mtu):
+    """The writers' frames built the per-packet way, kept as the oracle:
+    both addresses re-parsed for the MACs and again for the IP header."""
+    datagram = packet.datagram
+    src, dst = datagram.src, datagram.dst
+
+    def mac(ip):
+        octets = bytes(int(part) & 0xFF for part in ip.split("."))[:4]
+        return b"\x02\x00" + octets.ljust(4, b"\x00")
+
+    def ipv4(payload_len, flags_frag):
+        header = bytearray(struct.pack(
+            "!BBHHHBBH4s4s", 0x45, 0, 20 + payload_len, ident, flags_frag,
+            64, 17, 0, bytes(int(p) for p in src.ip.split(".")),
+            bytes(int(p) for p in dst.ip.split("."))))
+        header[10:12] = rfc1071_checksum(header).to_bytes(2, "big")
+        return bytes(header)
+
+    udp = struct.pack("!HHHH", src.port, dst.port,
+                      8 + len(datagram.payload), 0) + datagram.payload
+    ether = mac(dst.ip) + mac(src.ip) + b"\x08\x00"
+    if mtu is None or 20 + len(udp) <= mtu:
+        return [ether + ipv4(len(udp), 0) + udp]
+    chunk = ((mtu - 20) // 8) * 8
+    return [ether + ipv4(len(udp[offset:offset + chunk]),
+                         (0x2000 if offset + chunk < len(udp) else 0)
+                         | offset // 8) + udp[offset:offset + chunk]
+            for offset in range(0, len(udp), chunk)]
+
+
+def framing_capture():
+    """Repeated and distinct addresses, in both roles; a short quad (which
+    ``4s`` pads); payloads on both sides of a 576-byte MTU."""
+    hosts = [("10.0.0.1", 5060), ("10.0.0.2", 5060), ("10.0.1.7", 30_000),
+             ("192.168.255.254", 16_384), ("10.1.2", 7)]
+    return [packet(0.25 * index, bytes(range(256)) * (index % 4),
+                   src=hosts[index % len(hosts)],
+                   dst=hosts[(index * 3 + 1) % len(hosts)])
+            for index in range(40)]
+
+
+class TestFraming:
+    @pytest.mark.parametrize("mtu", [None, 576])
+    @pytest.mark.parametrize("writer", [PcapWriter, PcapNgWriter])
+    def test_writer_bytes_equal_the_per_packet_oracle(self, writer, mtu,
+                                                      monkeypatch):
+        capture = framing_capture()
+        written = io.BytesIO()
+        writer(written, mtu=mtu).write_all(capture)
+        monkeypatch.setattr(
+            pcap, "_build_frames",
+            lambda packet, ident, mtu, addresses:
+                per_packet_frames(packet, ident, mtu))
+        expected = io.BytesIO()
+        writer(expected, mtu=mtu).write_all(capture)
+        assert written.getvalue() == expected.getvalue()
+        frames = sum(len(per_packet_frames(p, 0, mtu)) for p in capture)
+        assert (frames > len(capture)) == (mtu is not None)
+
+    def test_two_writes_share_no_memo(self, tmp_path, monkeypatch):
+        """The memo belongs to one writer: no module state, and each
+        writer parses each address exactly once."""
+        parsed = []
+        parse = pcap._parse_address
+        monkeypatch.setattr(
+            pcap, "_parse_address",
+            lambda addresses, ip: parsed.append(ip) or parse(addresses, ip))
+        capture = framing_capture()
+        write_pcap(str(tmp_path / "one.pcap"), capture)
+        write_pcap(str(tmp_path / "two.pcap"), capture, mtu=576)
+        addresses = {ip for captured in capture for ip in
+                     (captured.datagram.src.ip, captured.datagram.dst.ip)}
+        assert Counter(parsed) == {ip: 2 for ip in addresses}
+
+    @pytest.mark.parametrize("writer", [PcapWriter, PcapNgWriter])
+    @pytest.mark.parametrize("role", ["src", "dst"])
+    def test_an_invalid_quad_raises_every_time(self, writer, role):
+        bad = {role: ("10.0.0.300", 5060)}
+        out = writer(io.BytesIO())
+        for _ in range(2):      # a failed parse is not remembered
+            with pytest.raises(ValueError, match="range"):
+                out.write(packet(1.0, b"x", **bad))

@@ -104,3 +104,29 @@ def test_other_rejects_foreign_node():
     c = Host(net, "c", "10.0.0.3")
     with pytest.raises(ValueError):
         link.other(c)
+
+
+def test_b_to_a_is_delivered_to_a_with_bs_stats():
+    net, a, b, link = make_pair(bandwidth=1_000_000, delay=0.0)
+    arrivals = []
+    a.bind(9, lambda d: arrivals.append((net.sim.now, d.payload, d.hops)))
+    link.transmit(Datagram(Endpoint("10.0.0.2", 9), Endpoint("10.0.0.1", 9),
+                           bytes(972)), b)
+    net.run()
+    assert arrivals == [(pytest.approx(0.008), bytes(972), 1)]
+    assert (link.stats["b"].packets_sent, link.stats["b"].bytes_sent) \
+        == (1, 1000)
+    assert link.stats["a"].packets_sent == 0
+
+
+def test_transmit_from_a_foreign_node_raises_and_schedules_nothing():
+    net, a, b, link = make_pair()
+    c = Host(net, "c", "10.0.0.3")
+    datagram = Datagram(Endpoint("10.0.0.3", 9), Endpoint("10.0.0.2", 9),
+                        b"x")
+    pending = net.sim.pending_events
+    with pytest.raises(KeyError):
+        link.transmit(datagram, c)
+    assert net.sim.pending_events == pending
+    assert datagram.hops == 0
+    assert all(stats.packets_sent == 0 for stats in link.stats.values())
