@@ -1,7 +1,8 @@
 """User agent tests: full signaling flows over the mini network."""
 
 
-from repro.sip import CallState, SipResponse
+from repro.netsim import Endpoint
+from repro.sip import CallState, SipRequest, SipResponse
 
 
 class CalleeBehaviour:
@@ -193,3 +194,88 @@ def test_concurrent_calls_are_independent(mini_voip):
     assert first.state is CallState.TERMINATED
     assert second.state is CallState.ESTABLISHED
     assert len(callee.incoming) == 2
+
+
+# -- replies the user agent makes outside the call leg ------------------------
+
+def _statuses_of(voip, request):
+    """Send ``request`` from ua_a straight to ua_b; collect the statuses."""
+    statuses = []
+    ua_b = voip.ua_b
+    voip.ua_a.manager.send_request(
+        request, Endpoint(ua_b.host.ip, ua_b.transport.port),
+        lambda response: statuses.append(response.status))
+    voip.net.run(until=voip.sim.now + 5.0)
+    return statuses
+
+
+def _stray_request(voip, method):
+    request = SipRequest(method, voip.ua_b.contact_uri)
+    voip.ua_a._stamp_request(request)
+    request.set("From", "<sip:alice@a.example.com>;tag=stray-from")
+    request.set("To", "<sip:bob@b.example.com>;tag=stray-to")
+    request.set("Call-ID", "stray@10.1.0.11")
+    request.set("CSeq", f"7 {method}")
+    return request
+
+
+def test_in_dialog_request_matching_no_dialog_gets_481(mini_voip):
+    mini_voip.register_both()
+    assert _statuses_of(mini_voip, _stray_request(mini_voip, "BYE")) == [481]
+    assert _statuses_of(mini_voip,
+                        _stray_request(mini_voip, "INVITE")) == [481]
+
+
+def test_bye_whose_cseq_does_not_increase_gets_500(mini_voip):
+    callee = CalleeBehaviour(mini_voip)
+    mini_voip.register_both()
+    call = place_call(mini_voip)
+    mini_voip.net.run(until=5.0)
+    bye = call.dialog.create_request("BYE")
+    bye.set("CSeq", f"{call.invite_request.cseq.number} BYE")
+    assert _statuses_of(mini_voip, bye) == [500]
+    assert callee.incoming[0].state is CallState.ESTABLISHED
+    assert callee.terminated == []
+
+
+def test_second_invite_reusing_a_live_call_id_gets_482(mini_voip):
+    callee = CalleeBehaviour(mini_voip)
+    mini_voip.register_both()
+    call = place_call(mini_voip)
+    mini_voip.net.run(until=5.0)
+    invite = SipRequest("INVITE", mini_voip.ua_b.contact_uri,
+                        body=call.invite_request.body)
+    mini_voip.ua_a._stamp_request(invite)
+    invite.set("From", "<sip:alice@a.example.com>;tag=second")
+    invite.set("To", "<sip:bob@b.example.com>")
+    invite.set("Call-ID", call.call_id)
+    invite.set("CSeq", "1 INVITE")
+    assert _statuses_of(mini_voip, invite) == [482]
+    assert len(callee.incoming) == 1
+    assert callee.incoming[0].state is CallState.ESTABLISHED
+
+
+def test_2xx_retransmitted_after_the_transaction_ended_is_re_acked(mini_voip):
+    """The caller's first ACK is lost: the callee retransmits its 200 on
+    Timer G, the caller's INVITE client transaction is gone, and the
+    caller ACKs the stray 200 again."""
+    callee = CalleeBehaviour(mini_voip)
+    mini_voip.register_both()
+    acks = []
+    transport = mini_voip.ua_a.transport
+    send = transport.send_message
+
+    def dropping_first_ack(message, destination):
+        if isinstance(message, SipRequest) and message.method == "ACK":
+            acks.append(mini_voip.sim.now)
+            if len(acks) == 1:
+                return
+        send(message, destination)
+
+    transport.send_message = dropping_first_ack
+    call = place_call(mini_voip)
+    mini_voip.net.run(until=10.0)
+    assert len(acks) == 2 and acks[1] > acks[0]
+    assert call.state is CallState.ESTABLISHED
+    assert callee.incoming[0].state is CallState.ESTABLISHED
+    assert len(callee.established) == 1
