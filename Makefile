@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint speclint sim-ident setup-split test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
+.PHONY: install lint speclint sim-ident sim-tables setup-split test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -32,6 +32,17 @@ speclint:
 # The pin holds on Python 3.11: string hashing differs across versions.
 sim-ident:
 	$(PYTHON) tools/sim_ident.py | diff tools/sim_ident.expected -
+
+# The seed-3 Figure 8-10, §7.3 and §7.5 tables, written to tables.out.  They
+# have no wall-clock column, so a change that keeps the simulated traffic
+# keeps the file byte for byte: run this in the parent's tree and in the
+# change's, and diff the two files (~1-2 min each).
+sim-tables:
+	PYTHONHASHSEED=0 PYTHONPATH=src:benchmarks $(PYTHON) -m pytest -q -s \
+	  -p no:cacheprovider --benchmark-disable \
+	  benchmarks/test_fig8_workload.py benchmarks/test_fig9_call_setup_delay.py \
+	  benchmarks/test_fig10_rtp_qos.py benchmarks/test_sec73_*.py \
+	  benchmarks/test_sec75_*.py > tables.out
 
 # mixed_attack's set-up split into imports / capture / write_pcap / warm-up,
 # in raw seconds, with host µs per simulated event (tools/setup_split.py;
@@ -93,5 +104,5 @@ serve-demo:
 	PYTHONPATH=src $(PYTHON) examples/live_demo.py
 
 clean:
-	rm -rf .pytest_cache .hypothesis figures test_output.txt bench_output.txt
+	rm -rf .pytest_cache .hypothesis figures test_output.txt bench_output.txt tables.out
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -39,7 +39,7 @@ def main() -> None:
     # 6. Run the world.
     testbed.network.run(until=120.0)
 
-    print(f"call state at caller: {call.state.value}"
+    print(f"call state at caller: {call.state}"
           f" (setup delay {call.setup_delay * 1000:.0f} ms)")
     print(f"attack launched: {attack.events}")
     print(f"vids processed {vids.metrics.packets_processed} packets "

@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple
 
 from ..netsim.link import BPS_100BASET
 from ..netsim.node import Host
-from ..sip.useragent import Call, CallState
+from ..sip.useragent import Call
 from ..telephony.enterprise import EnterpriseTestbed
 from ..telephony.phone import SoftPhone
 
@@ -81,11 +81,11 @@ def find_established_pair(
     """Locate an established A->B call and both its legs."""
     for callee_phone in testbed.phones_b:
         for call in callee_phone.ua.calls.values():
-            if call.state is not CallState.ESTABLISHED or call.is_caller:
+            if call.state != "established" or call.is_caller:
                 continue
             for caller_phone in testbed.phones_a:
                 peer = caller_phone.ua.calls.get(call.call_id)
-                if peer is not None and peer.state is CallState.ESTABLISHED:
+                if peer is not None and peer.state == "established":
                     return EstablishedPair(caller_phone, peer,
                                            callee_phone, call)
     return None

@@ -19,7 +19,6 @@ from typing import Optional
 
 from ..netsim.address import Endpoint
 from ..sip.message import SipRequest
-from ..sip.useragent import CallState
 from ..telephony.enterprise import EnterpriseTestbed
 from .base import Attack, attacker_host
 
@@ -60,7 +59,7 @@ class CancelDosAttack(Attack):
     def _find_ringing(testbed: EnterpriseTestbed):
         for phone in testbed.phones_b:
             for call in phone.ua.calls.values():
-                if call.state in (CallState.INCOMING, CallState.RINGING) \
+                if call.state in ("incoming", "ringing") \
                         and not call.is_caller and call.invite_request:
                     return phone, call
         return None

@@ -77,7 +77,9 @@ class Simulator:
     """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current simulation time in seconds.  A plain attribute, not a
+        #: property: the network reads it on every hop.
+        self.now = 0.0
         self._queue: list[tuple[float, int, Timer]] = []
         self._seq = 0
         self._running = False
@@ -86,11 +88,6 @@ class Simulator:
         self._pending = 0
         #: Cancelled entries still sitting in the heap (lazy deletion debt).
         self._cancelled_in_queue = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -107,14 +104,14 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past: delay={delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., None],
                     *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at absolute simulation ``time``."""
-        if not time >= self._now:   # also true for NaN
+        if not time >= self.now:   # also true for NaN
             raise SimulationError(
-                f"cannot schedule at t={time} (now={self._now})"
+                f"cannot schedule at t={time} (now={self.now})"
             )
         timer = Timer(self, time, callback, args)
         seq = self._seq
@@ -176,10 +173,10 @@ class Simulator:
                     self._cancelled_in_queue -= 1
                     continue
                 if until is not None and time > until:
-                    self._now = until
+                    self.now = until
                     return
                 heappop(queue)
-                self._now = time
+                self.now = time
                 self._events_processed += 1
                 self._pending -= 1
                 timer._live = False
@@ -187,8 +184,8 @@ class Simulator:
                 timer._callback(*timer._args)
                 if max_events is not None and dispatched >= max_events:
                     return
-            if until is not None and until > self._now:
-                self._now = until
+            if until is not None and until > self.now:
+                self.now = until
         finally:
             self._running = False
 
@@ -197,7 +194,7 @@ class Simulator:
         timer = self._pop_live()
         if timer is None:
             return False
-        self._now = timer.time
+        self.now = timer.time
         self._events_processed += 1
         self._pending -= 1
         timer._live = False
@@ -207,7 +204,7 @@ class Simulator:
     def stats(self) -> dict:
         """Point-in-time engine counters (metrics exposition)."""
         return {
-            "now": self._now,
+            "now": self.now,
             "events_processed": self._events_processed,
             "pending_events": self._pending,
         }

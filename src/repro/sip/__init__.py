@@ -33,7 +33,7 @@ from .constants import (
     SIP_VERSION,
     reason_phrase,
 )
-from .dialog import Dialog, DialogId, DialogState
+from .dialog import Dialog, DialogId
 from .dns import DomainDirectory
 from .errors import SipError, SipParseError, SipProtocolError
 from .headers import (
@@ -67,7 +67,7 @@ from .transaction import (
 )
 from .transport import SipTransport
 from .uri import SipUri
-from .useragent import Call, CallState, UserAgent
+from .useragent import CALL_LEG, Call, UserAgent
 
 __all__ = [
     "ACK",
@@ -82,13 +82,12 @@ __all__ = [
     "CANCEL",
     "CSeq",
     "Call",
-    "CallState",
+    "CALL_LEG",
     "ClientTransaction",
     "DEFAULT_SIP_PORT",
     "DEFAULT_TIMERS",
     "Dialog",
     "DialogId",
-    "DialogState",
     "DomainDirectory",
     "INVITE",
     "InviteClientTransaction",

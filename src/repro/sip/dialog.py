@@ -5,11 +5,15 @@ A dialog is the peer-to-peer call relationship identified by
 proxies do not record-route, so in-dialog requests (ACK, BYE, re-INVITE)
 flow directly between the user agents — exactly the end-to-end signaling
 path vids observes at the perimeter.
+
+A dialog here is identity and sequencing only: the identifiers, the
+remote target and the CSeq counters.  Whether the call it carries is early,
+confirmed or over is the call leg's state
+(:data:`repro.sip.useragent.CALL_LEG`).
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -20,7 +24,7 @@ from .headers import NameAddr, new_branch
 from .message import SipRequest, SipResponse
 from .uri import SipUri
 
-__all__ = ["DialogId", "DialogState", "Dialog"]
+__all__ = ["DialogId", "Dialog"]
 
 
 class DialogId(NamedTuple):
@@ -31,17 +35,9 @@ class DialogId(NamedTuple):
     remote_tag: str
 
 
-class DialogState(enum.Enum):
-    """RFC 3261 dialog lifecycle."""
-
-    EARLY = "early"
-    CONFIRMED = "confirmed"
-    TERMINATED = "terminated"
-
-
 @dataclass
 class Dialog:
-    """One side's view of an established (or early) dialog."""
+    """One side's view of a dialog."""
 
     call_id: str
     local_addr: NameAddr          # our From/To identity including tag
@@ -50,7 +46,6 @@ class Dialog:
     local_cseq: int
     remote_cseq: int
     is_uac: bool
-    state: DialogState = DialogState.EARLY
     via_host: str = ""
     via_port: int = 5060
 
@@ -63,12 +58,6 @@ class Dialog:
     def remote_endpoint(self) -> Endpoint:
         """Transport destination for in-dialog requests."""
         return Endpoint(self.remote_target.host, self.remote_target.effective_port)
-
-    def confirm(self) -> None:
-        self.state = DialogState.CONFIRMED
-
-    def terminate(self) -> None:
-        self.state = DialogState.TERMINATED
 
     # -- construction ----------------------------------------------------------
 
@@ -120,11 +109,7 @@ class Dialog:
 
     # -- request building ---------------------------------------------------
 
-    def create_request(self, method: str, body: str = "",
-                       content_type: Optional[str] = None) -> SipRequest:
-        """Build an in-dialog request (BYE, re-INVITE, ...)."""
-        if method != ACK:
-            self.local_cseq += 1
+    def _request(self, method: str, cseq: int) -> SipRequest:
         request = SipRequest(method, self.remote_target)
         request.set(
             "Via",
@@ -134,7 +119,15 @@ class Dialog:
         request.set("From", str(self.local_addr))
         request.set("To", str(self.remote_addr))
         request.set("Call-ID", self.call_id)
-        request.set("CSeq", f"{self.local_cseq} {method}")
+        request.set("CSeq", f"{cseq} {method}")
+        return request
+
+    def create_request(self, method: str, body: str = "",
+                       content_type: Optional[str] = None) -> SipRequest:
+        """Build an in-dialog request (BYE, re-INVITE, ...)."""
+        if method != ACK:
+            self.local_cseq += 1
+        request = self._request(method, self.local_cseq)
         request.set(
             "Contact",
             str(NameAddr(SipUri(self.local_addr.uri.user, self.via_host,
@@ -151,18 +144,9 @@ class Dialog:
 
         The ACK CSeq number equals the INVITE's, with method ACK.
         """
-        ack = SipRequest(ACK, self.remote_target)
-        ack.set(
-            "Via",
-            f"SIP/2.0/UDP {self.via_host}:{self.via_port};branch={new_branch()}",
-        )
-        ack.set("Max-Forwards", 70)
-        ack.set("From", str(self.local_addr))
-        ack.set("To", response.get("To") or str(self.remote_addr))
-        ack.set("Call-ID", self.call_id)
         cseq = response.cseq
-        number = cseq.number if cseq else self.local_cseq
-        ack.set("CSeq", f"{number} {ACK}")
+        ack = self._request(ACK, cseq.number if cseq else self.local_cseq)
+        ack.set("To", response.get("To") or str(self.remote_addr))
         return ack
 
     def accepts_remote_cseq(self, number: int) -> bool:

@@ -12,15 +12,15 @@ What a machine does to its environment is an output: a send on the
 ``wire`` channel — the *transport*, any object with ``sim`` (a
 :class:`~repro.netsim.Simulator`) and ``send_message(message,
 destination)`` — or a callback on the ``tu`` channel to the *transaction
-user* (TU), given at construction time.  :class:`Transaction` delivers each
-event to its machine, then runs the outputs in order; the machine's timers
-run on the simulator.
+user* (TU), given at construction time.  :class:`Runner` delivers each
+event to its machine, then runs the outputs in order (the user agent's
+call leg runs on it too); the machine's timers run on the simulator.
 """
 
 from __future__ import annotations
 
 from operator import mul
-from typing import Callable, Dict, Optional, Protocol, Tuple
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple
 
 from ..efsm.events import TIMER_CHANNEL, Event
 from ..efsm.guards import Statement, cancel, helper, start, v, write, x
@@ -28,11 +28,12 @@ from ..efsm.machine import Efsm, EfsmInstance, Output
 from ..netsim.address import Endpoint
 from .constants import ACK, CANCEL, INVITE
 from .errors import SipProtocolError
-from .message import SipMessage, SipRequest, SipResponse
+from .message import SipRequest, SipResponse
 from .timers import DEFAULT_TIMERS, TimerTable
 
 __all__ = [
-    "Transport", "Transaction", "ClientTransaction", "InviteClientTransaction",
+    "Transport", "Runner", "Transaction", "ClientTransaction",
+    "InviteClientTransaction",
     "NonInviteClientTransaction", "ServerTransaction",
     "InviteServerTransaction", "NonInviteServerTransaction",
     "TransactionManager", "transaction_machines",
@@ -206,9 +207,31 @@ def transaction_machines() -> Dict[str, Efsm]:
 
 # ---- the environment: what each output does --------------------------------
 
-class Transaction:
+class Runner:
+    """One running machine: :meth:`_handle` delivers an event, then calls
+    ``_output(output)`` for each output of the firing, in order; an event
+    no transition takes is ignored.  ``on_final(self)``, if set, runs first
+    when the firing enters a final state."""
+
+    machine: EfsmInstance
+    on_final: Optional[Callable[[Any], None]] = None
+
+    def _handle(self, event: Event) -> None:
+        result = self.machine.deliver(event)
+        if (self.on_final is not None and result.to_state != result.from_state
+                and result.to_state in self.machine.definition.final_states):
+            self.on_final(self)
+        for output in result.outputs:
+            self._output(output)
+
+    def _handle_response(self, response: SipResponse) -> None:
+        self._handle(Event("response", {"status": response.status,
+                                        "message": response}))
+
+
+class Transaction(Runner):
     """One running transaction machine: ``MACHINE`` names its definition,
-    ``_output(name, message)`` does what each of its outputs says."""
+    ``_output(output)`` does what each of its outputs says."""
 
     MACHINE = ""
 
@@ -223,7 +246,6 @@ class Transaction:
                          for name in definition.global_variables},
             clock_now=lambda: sim.now, timer_scheduler=sim.schedule)
         self.machine.on_timer_event = self._handle
-        self.on_terminated: Optional[Callable[["Transaction"], None]] = None
 
     @property
     def state(self) -> str:
@@ -232,20 +254,6 @@ class Transaction:
     @property
     def terminated(self) -> bool:
         return self.machine.state == TERMINATED
-
-    def _handle(self, event: Event) -> None:
-        """Deliver ``event``, then run the firing's outputs in order.  An
-        event no transition takes is ignored."""
-        result = self.machine.deliver(event)
-        if (result.to_state == TERMINATED != result.from_state
-                and self.on_terminated is not None):
-            self.on_terminated(self)
-        for output in result.outputs:
-            self._output(output.name, output.get("message"))
-
-    def _handle_response(self, response: SipResponse) -> None:
-        self._handle(Event("response", {"status": response.status,
-                                        "message": response}))
 
 
 class ClientTransaction(Transaction):
@@ -274,7 +282,8 @@ class ClientTransaction(Transaction):
 
     receive_response = Transaction._handle_response
 
-    def _output(self, name: str, message: Optional[SipResponse]) -> None:
+    def _output(self, output: Event) -> None:
+        name, message = output.name, output.get("message")
         if name == "request":
             self.transport.send_message(self.request, self.destination)
         elif name == ACK:
@@ -347,7 +356,8 @@ class ServerTransaction(Transaction):
         """A request retransmit: replay the last response, if any."""
         self._handle(Event("request"))
 
-    def _output(self, name: str, message: Optional[SipMessage]) -> None:
+    def _output(self, output: Event) -> None:
+        name, message = output.name, output.get("message")
         if name == ACK:
             if self.on_ack is not None:
                 self.on_ack(message)
@@ -412,7 +422,7 @@ class TransactionManager:
         transaction = cls(self.transport, request, destination,
                           on_response, on_timeout, timers=self.timers)
         self.client_transactions[transaction.key] = transaction
-        transaction.on_terminated = (
+        transaction.on_final = (
             lambda done: self.client_transactions.pop(done.key, None))
         transaction.start()
         return transaction
@@ -451,7 +461,7 @@ class TransactionManager:
         cls = (InviteServerTransaction if method == INVITE
                else NonInviteServerTransaction)
         transaction = cls(self.transport, request, source, timers=self.timers)
-        transaction.on_terminated = (
+        transaction.on_final = (
             lambda done: self.server_transactions.pop(done.key, None))
         self.server_transactions[transaction.key] = transaction
         self.on_request(request, source, transaction)

@@ -7,6 +7,13 @@ of the transaction layer: registration, outgoing INVITE with SDP offer,
 ringing/answer on the callee side, ACK, CANCEL, BYE, and re-INVITE, with
 dialogs tracked per RFC 3261 §12.
 
+A call leg — one call as one side sees it — is a Definition-1 EFSM,
+:data:`CALL_LEG`, run like the transactions below it by their
+:class:`~repro.sip.transaction.Runner`.  What is not call state stays in
+Python: dialog lookup, the CSeq check, the 481 / 482 / 500 / 501 replies,
+re-INVITE, OPTIONS and REGISTER.  docs/STATE_MACHINES.md ("The
+simulator's call leg") has its table.
+
 The higher-level "phone" behaviour (when to ring, when to answer, RTP
 streaming) lives in :mod:`repro.telephony.phone`; the hooks here are plain
 callbacks so the UA stays a protocol engine.
@@ -14,60 +21,143 @@ callbacks so the UA stays a protocol engine.
 
 from __future__ import annotations
 
-import enum
-from typing import Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
+from ..efsm.events import Event
+from ..efsm.guards import helper, truthy, v, write, x
+from ..efsm.machine import Efsm, EfsmInstance, Output
 from ..netsim.address import Endpoint
 from ..netsim.node import Host
 from .auth import DigestChallenge, DigestCredentials, build_authorization
 from .constants import ACK, BYE, CANCEL, DEFAULT_SIP_PORT, INVITE, REGISTER
-from .dialog import Dialog, DialogId, DialogState
+from .dialog import Dialog, DialogId
 from .headers import NameAddr, new_branch, new_call_id, new_tag
 from .message import SipRequest, SipResponse
 from .sdp import SDP_CONTENT_TYPE, SessionDescription
 from .timers import DEFAULT_TIMERS, TimerTable
 from .transaction import (
+    FAILURE,
     PROCEEDING,
+    SUCCESS,
+    TERMINATED,
+    TU,
+    WIRE,
     InviteServerTransaction,
+    Runner,
     ServerTransaction,
     TransactionManager,
 )
 from .transport import SipTransport
 from .uri import SipUri
 
-__all__ = ["CallState", "Call", "UserAgent"]
+__all__ = ["CALL_LEG", "Call", "UserAgent"]
 
 
-class CallState(enum.Enum):
-    """Lifecycle of one call leg as the UA sees it."""
+# ---- the call leg (Definition 1, as data) -----------------------------------
 
-    INIT = "init"
-    CALLING = "calling"          # UAC: INVITE sent
-    INCOMING = "incoming"        # UAS: INVITE received
-    RINGING = "ringing"          # 180 seen/sent
-    ESTABLISHED = "established"  # 200 + ACK exchanged
-    TERMINATED = "terminated"    # normal BYE completion
-    CANCELLED = "cancelled"      # CANCEL / 487
-    FAILED = "failed"            # non-2xx final or timeout
+CALLING, INCOMING, RINGING, ESTABLISHED = (
+    "calling", "incoming", "ringing", "established")
+CANCELLED, FAILED = "cancelled", "failed"
+
+_STATUS = x("status")
 
 
-class Call:
+def _rejected(status: int) -> str:
+    return f"rejected-{status}"
+
+
+def _reply(status: Any) -> Output:
+    """Answer the INVITE with ``status`` on its server transaction."""
+    return Output(WIRE, "reply", {"status": status})
+
+
+def _ended(reason: Any) -> Output:
+    """The ``on_terminated`` callback, with why the call ended."""
+    return Output(TU, "ended", {"reason": reason})
+
+
+def _call_leg() -> Efsm:
+    """One call leg, either role: ``v.caller`` is written when the caller
+    dials, and only the caller CANCELs on hang-up."""
+    m = Efsm("call-leg", "init").declare(caller=False).declare_channel(
+        WIRE, TU)
+    for state in (CALLING, INCOMING, RINGING, ESTABLISHED):
+        m.add_state(state)
+    for state in (TERMINATED, CANCELLED, FAILED):
+        m.add_state(state, final=True)
+    # Caller: the INVITE's responses and Timer B.
+    m.add_transition("init", "dial", CALLING, action=write("caller", True),
+                     outputs=[Output(WIRE, INVITE)])
+    m.add_transition(CALLING, "response", RINGING, _STATUS == 180,
+                     outputs=[Output(TU, "ringing")])
+    for state in (CALLING, RINGING):
+        m.add_transition(state, "response", ESTABLISHED, SUCCESS, outputs=[
+            Output(WIRE, ACK), Output(TU, "established")])
+        m.add_transition(state, "response", CANCELLED, _STATUS == 487,
+                         outputs=[_ended("cancelled")])
+        m.add_transition(state, "response", FAILED,
+                         FAILURE & (_STATUS != 487),
+                         outputs=[_ended(helper(_rejected, _STATUS))])
+        m.add_transition(state, "timeout", FAILED,
+                         outputs=[_ended("invite-timeout")])
+        m.add_transition(state, "hangup", state, truthy(v("caller")),
+                         outputs=[Output(WIRE, CANCEL)])
+    # Callee: the phone answers; a CANCEL counts only while the INVITE
+    # transaction has sent no final response (RFC 3261 §9.2), so one that
+    # crosses the 200 leaves the call to its ACK.
+    attended = truthy(x("attended"))
+    m.add_transition("init", INVITE, INCOMING, attended,
+                     outputs=[Output(TU, "incoming")])
+    m.add_transition("init", INVITE, FAILED, ~attended,
+                     outputs=[_reply(480), _ended("no-application")])
+    m.add_transition(INCOMING, "ring", RINGING, outputs=[_reply(180)])
+    for state in (INCOMING, RINGING):
+        m.add_transition(state, "accept", state,
+                         outputs=[Output(WIRE, "answer")])
+        m.add_transition(state, "reject", FAILED, outputs=[
+            _reply(_STATUS), _ended(helper(_rejected, _STATUS))])
+        m.add_transition(state, CANCEL, CANCELLED,
+                         x("transaction") == PROCEEDING,
+                         outputs=[_reply(487), _ended("remote-cancel")])
+        m.add_transition(state, ACK, ESTABLISHED,
+                         outputs=[Output(TU, "established")])
+        m.add_transition(state, BYE, TERMINATED,
+                         outputs=[_ended("remote-bye")])
+    # Either side, in the dialog.
+    m.add_transition(ESTABLISHED, "hangup", ESTABLISHED,
+                     outputs=[Output(WIRE, BYE)])
+    m.add_transition(ESTABLISHED, "response", TERMINATED,
+                     outputs=[_ended("local-bye")])
+    m.add_transition(ESTABLISHED, "timeout", TERMINATED,
+                     outputs=[_ended("bye-timeout")])
+    m.add_transition(ESTABLISHED, BYE, TERMINATED,
+                     outputs=[_ended("remote-bye")])
+    return m
+
+
+#: The call leg's definition; it compiles when the first call starts.
+CALL_LEG = _call_leg()
+
+_DIAL, _RING, _HANGUP, _TIMEOUT = map(Event, ("dial", "ring", "hangup",
+                                             "timeout"))
+_ACK, _BYE = Event(ACK), Event(BYE)
+
+
+class Call(Runner):
     """One call leg as seen by this user agent (caller or callee side)."""
 
-    def __init__(self, ua: "UserAgent", is_caller: bool, call_id: str):
+    def __init__(self, ua: "UserAgent", call_id: str,
+                 invite_request: SipRequest):
         self.ua = ua
-        self.is_caller = is_caller
         self.call_id = call_id
-        self.state = CallState.INIT
+        self.machine = EfsmInstance(CALL_LEG)
+        self.invite_request = invite_request
         self.dialog: Optional[Dialog] = None
         self.local_sdp: Optional[SessionDescription] = None
         self.remote_sdp: Optional[SessionDescription] = None
-        self.invite_request: Optional[SipRequest] = None
         self.server_transaction: Optional[InviteServerTransaction] = None
-        self.created_at = ua.sim.now
         self.invite_sent_at: Optional[float] = None
         self.ringing_at: Optional[float] = None
-        self.established_at: Optional[float] = None
         self.ended_at: Optional[float] = None
         self.end_reason: Optional[str] = None
         # Application hooks (set by the phone layer).
@@ -76,58 +166,114 @@ class Call:
         self.on_terminated: Optional[Callable[["Call", str], None]] = None
 
     @property
+    def state(self) -> str:
+        """The call leg's state: ``init``, ``calling``, ``incoming``,
+        ``ringing``, ``established``, or final ``terminated``,
+        ``cancelled``, ``failed``."""
+        return self.machine.state
+
+    @property
+    def is_caller(self) -> bool:
+        return self.machine.variables.local["caller"]
+
+    @property
     def setup_delay(self) -> Optional[float]:
         """INVITE-sent to 180-received interval: the paper's call setup time."""
         if self.invite_sent_at is None or self.ringing_at is None:
             return None
         return self.ringing_at - self.invite_sent_at
 
-    @property
-    def active(self) -> bool:
-        return self.state in (CallState.CALLING, CallState.INCOMING,
-                              CallState.RINGING, CallState.ESTABLISHED)
-
-    # -- caller-side actions -------------------------------------------------
+    # -- the phone's actions -------------------------------------------------
 
     def hangup(self) -> None:
         """Terminate the call: BYE if established, CANCEL if still pending."""
-        if self.state is CallState.ESTABLISHED:
-            self.ua._send_bye(self)
-        elif self.is_caller and self.state in (CallState.CALLING,
-                                               CallState.RINGING):
-            self.ua._send_cancel(self)
-
-    # -- callee-side actions -------------------------------------------------
+        self._handle(_HANGUP)
 
     def ring(self) -> None:
         """Send 180 Ringing (callee side)."""
-        self.ua._uas_ring(self)
+        self._handle(_RING)
 
     def accept(self, sdp: Optional[SessionDescription] = None) -> None:
-        """Answer with 200 OK (callee side)."""
-        self.ua._uas_accept(self, sdp)
+        """Answer with 200 OK (callee side); established on the ACK."""
+        self._handle(Event("accept", {"sdp": sdp}))
 
     def reject(self, status: int = 486) -> None:
         """Refuse the call with a final failure response (callee side)."""
-        self.ua._uas_reject(self, status)
+        self._handle(Event("reject", {"status": status}))
 
-    # -- bookkeeping -----------------------------------------------------------
+    # -- what each output of the call leg does -------------------------------
 
-    def _finish(self, state: CallState, reason: str) -> None:
-        if self.state in (CallState.TERMINATED, CallState.CANCELLED,
-                          CallState.FAILED):
-            return
-        self.state = state
-        self.ended_at = self.ua.sim.now
-        self.end_reason = reason
-        if self.dialog is not None:
-            self.dialog.terminate()
-        if self.on_terminated is not None:
-            self.on_terminated(self, reason)
+    def _output(self, output: Event) -> None:
+        name, ua = output.name, self.ua
+        if name == "reply":
+            self._reply(output["status"])
+        elif name == "answer":
+            if output["sdp"] is not None:
+                self.local_sdp = output["sdp"]
+            self._reply(200, self.local_sdp.serialize()
+                        if self.local_sdp else "")
+        elif name == "ended":
+            self.ended_at = ua.sim.now
+            self.end_reason = output["reason"]
+            if self.on_terminated is not None:
+                self.on_terminated(self, self.end_reason)
+        elif name == "established":
+            if self.on_established is not None:
+                self.on_established(self)
+        elif name == "ringing":
+            self.ringing_at = ua.sim.now
+            if self.on_ringing is not None:
+                self.on_ringing(self)
+        elif name == "incoming":
+            ua.on_incoming_call(self)
+        elif name == INVITE:
+            self.invite_sent_at = ua.sim.now
+            ua.manager.send_request(self.invite_request, ua.outbound_proxy,
+                                    self._handle_response,
+                                    lambda: self._handle(_TIMEOUT))
+        elif name == ACK:
+            self._ack(output["message"])
+        elif name == BYE:
+            dialog = self.dialog
+            ua.manager.send_request(dialog.create_request(BYE),
+                                    dialog.remote_endpoint,
+                                    self._handle_response,
+                                    lambda: self._handle(_TIMEOUT))
+        else:
+            ua.manager.send_request(self._cancel(), ua.outbound_proxy,
+                                    on_response=lambda response: None)
+
+    def _reply(self, status: int, body: str = "") -> None:
+        """Answer the INVITE on its server transaction."""
+        self.server_transaction.send_response(self.ua._response(
+            self.invite_request, status, self.dialog.local_addr.tag, body))
+
+    def _ack(self, response: SipResponse) -> None:
+        """The caller's dialog from the 2xx, and its ACK (RFC 3261 §13.2.2.4)."""
+        ua = self.ua
+        dialog = self.dialog = Dialog.from_uac(
+            self.invite_request, response, ua.host.ip, ua.transport.port)
+        ua.dialogs[dialog.id] = self
+        if response.body:
+            self.remote_sdp = SessionDescription.parse(response.body)
+        ua.transport.send_message(dialog.create_ack(response),
+                                  dialog.remote_endpoint)
+
+    def _cancel(self) -> SipRequest:
+        """CANCEL the pending INVITE (RFC 3261 §9.1: mirror its Via)."""
+        invite = self.invite_request
+        cancel = SipRequest(CANCEL, invite.uri)
+        cancel.set("Via", invite.get("Via"))
+        cancel.set("Max-Forwards", 70)
+        cancel.set("From", invite.get("From"))
+        cancel.set("To", invite.get("To"))
+        cancel.set("Call-ID", invite.call_id)
+        cancel.set("CSeq", f"{invite.cseq.number} {CANCEL}")
+        return cancel
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         role = "caller" if self.is_caller else "callee"
-        return f"<Call {self.call_id} {role} {self.state.value}>"
+        return f"<Call {self.call_id} {role} {self.state}>"
 
 
 class UserAgent:
@@ -238,10 +384,6 @@ class UserAgent:
         """Start a call to ``remote`` with an SDP offer; returns the Call."""
         remote_uri = remote if isinstance(remote, SipUri) else SipUri.parse(remote)
         call_id = new_call_id(self.host.ip)
-        call = Call(self, is_caller=True, call_id=call_id)
-        call.local_sdp = sdp
-        self.calls[call_id] = call
-
         request = SipRequest(INVITE, remote_uri, body=sdp.serialize())
         self._stamp_request(request)
         request.set("From", str(self._local_name_addr().with_tag(new_tag())))
@@ -250,86 +392,16 @@ class UserAgent:
         request.set("CSeq", f"1 {INVITE}")
         request.set("Contact", str(NameAddr(self.contact_uri)))
         request.set("Content-Type", SDP_CONTENT_TYPE)
-        call.invite_request = request
-        call.state = CallState.CALLING
-        call.invite_sent_at = self.sim.now
-
-        self.manager.send_request(
-            request,
-            self.outbound_proxy,
-            on_response=lambda response: self._uac_response(call, response),
-            on_timeout=lambda: call._finish(CallState.FAILED, "invite-timeout"),
-        )
+        call = self.calls[call_id] = Call(self, call_id, request)
+        call.local_sdp = sdp
+        call._handle(_DIAL)
         return call
-
-    def _uac_response(self, call: Call, response: SipResponse) -> None:
-        if response.is_provisional:
-            if response.status == 180 and call.state is CallState.CALLING:
-                call.state = CallState.RINGING
-                call.ringing_at = self.sim.now
-                if call.on_ringing is not None:
-                    call.on_ringing(call)
-            return
-        if response.is_success:
-            self._uac_established(call, response)
-        elif response.status == 487:
-            call._finish(CallState.CANCELLED, "cancelled")
-        else:
-            call._finish(CallState.FAILED, f"rejected-{response.status}")
-
-    def _uac_established(self, call: Call, response: SipResponse) -> None:
-        if call.invite_request is None:
-            return
-        dialog = Dialog.from_uac(call.invite_request, response,
-                                 self.host.ip, self.transport.port)
-        dialog.local_cseq = 1
-        dialog.confirm()
-        call.dialog = dialog
-        self.dialogs[dialog.id] = call
-        if response.body:
-            call.remote_sdp = SessionDescription.parse(response.body)
-        ack = dialog.create_ack(response)
-        self.transport.send_message(ack, dialog.remote_endpoint)
-        call.state = CallState.ESTABLISHED
-        call.established_at = self.sim.now
-        if call.on_established is not None:
-            call.on_established(call)
-
-    def _send_cancel(self, call: Call) -> None:
-        """CANCEL a pending INVITE (RFC 3261 §9.1: mirror the INVITE's Via)."""
-        invite = call.invite_request
-        if invite is None:
-            return
-        cancel = SipRequest(CANCEL, invite.uri)
-        cancel.set("Via", invite.get("Via"))
-        cancel.set("Max-Forwards", 70)
-        cancel.set("From", invite.get("From"))
-        cancel.set("To", invite.get("To"))
-        cancel.set("Call-ID", invite.call_id)
-        cseq = invite.cseq
-        cancel.set("CSeq", f"{cseq.number} {CANCEL}")
-        self.manager.send_request(cancel, self.outbound_proxy,
-                                  on_response=lambda response: None)
-
-    def _send_bye(self, call: Call) -> None:
-        dialog = call.dialog
-        if dialog is None or dialog.state is not DialogState.CONFIRMED:
-            return
-        bye = dialog.create_request(BYE)
-
-        def on_response(response: SipResponse) -> None:
-            call._finish(CallState.TERMINATED, "local-bye")
-
-        def on_timeout() -> None:
-            call._finish(CallState.TERMINATED, "bye-timeout")
-
-        self.manager.send_request(bye, dialog.remote_endpoint,
-                                  on_response, on_timeout)
 
     # -- incoming requests ---------------------------------------------------
 
     def _on_request(self, request: SipRequest, source: Endpoint,
                     transaction: Optional[ServerTransaction]) -> None:
+        """A new request; ``transaction`` is None only for a 2xx ACK."""
         method = request.method
         if method == INVITE:
             to_addr = request.to
@@ -345,97 +417,33 @@ class UserAgent:
             self._uas_cancel(request, transaction)
         elif method == "OPTIONS":
             # Capability query / keepalive ping (RFC 3261 §11).
-            if transaction is not None:
-                response = request.create_response(200, to_tag=new_tag())
-                response.set("Allow", "INVITE, ACK, BYE, CANCEL, OPTIONS")
-                response.set("Accept", "application/sdp")
-                transaction.send_response(response)
+            response = request.create_response(200, to_tag=new_tag())
+            response.set("Allow", "INVITE, ACK, BYE, CANCEL, OPTIONS")
+            response.set("Accept", "application/sdp")
+            transaction.send_response(response)
         else:
-            if transaction is not None:
-                transaction.send_response(request.create_response(501))
+            transaction.send_response(request.create_response(501))
 
     def _uas_new_invite(self, request: SipRequest,
-                        transaction: Optional[ServerTransaction]) -> None:
-        if not isinstance(transaction, InviteServerTransaction):
-            return
+                        transaction: InviteServerTransaction) -> None:
         call_id = request.call_id or new_call_id(self.host.ip)
-        if call_id in self.calls and self.calls[call_id].active:
+        live = self.calls.get(call_id)
+        if live is not None and live.ended_at is None:
             # Retransmission already absorbed by the transaction layer;
             # a *different* INVITE reusing a live Call-ID is rejected.
             transaction.send_response(request.create_response(482))
             return
-        call = Call(self, is_caller=False, call_id=call_id)
-        call.invite_request = request
+        call = self.calls[call_id] = Call(self, call_id, request)
         call.server_transaction = transaction
-        call.state = CallState.INCOMING
-        self.calls[call_id] = call
-        local_tag = new_tag()
-        dialog = Dialog.from_uas(request, local_tag,
-                                 self.host.ip, self.transport.port)
-        call.dialog = dialog
+        dialog = call.dialog = Dialog.from_uas(
+            request, new_tag(), self.host.ip, self.transport.port)
         self.dialogs[dialog.id] = call
         if request.body:
             call.remote_sdp = SessionDescription.parse(request.body)
-        transaction.on_ack = lambda ack: self._uas_established(call)
-        if self.on_incoming_call is not None:
-            self.on_incoming_call(call)
-        else:
-            # No application attached: behave like an unattended phone.
-            transaction.send_response(
-                request.create_response(480, to_tag=local_tag))
-            call._finish(CallState.FAILED, "no-application")
-
-    def _uas_ring(self, call: Call) -> None:
-        transaction = call.server_transaction
-        if transaction is None or call.invite_request is None or \
-                call.dialog is None:
-            return
-        if call.state is not CallState.INCOMING:
-            return
-        response = call.invite_request.create_response(
-            180, to_tag=call.dialog.local_addr.tag)
-        response.set("Contact", str(NameAddr(self.contact_uri)))
-        transaction.send_response(response)
-        call.state = CallState.RINGING
-        call.ringing_at = self.sim.now
-
-    def _uas_accept(self, call: Call,
-                    sdp: Optional[SessionDescription]) -> None:
-        transaction = call.server_transaction
-        if transaction is None or call.invite_request is None or \
-                call.dialog is None:
-            return
-        if call.state not in (CallState.INCOMING, CallState.RINGING):
-            return
-        if sdp is not None:
-            call.local_sdp = sdp
-        body = call.local_sdp.serialize() if call.local_sdp else ""
-        response = call.invite_request.create_response(
-            200, to_tag=call.dialog.local_addr.tag, body=body)
-        response.set("Contact", str(NameAddr(self.contact_uri)))
-        if body:
-            response.set("Content-Type", SDP_CONTENT_TYPE)
-        transaction.send_response(response)
-        # ESTABLISHED is entered when the ACK arrives (transaction on_ack).
-
-    def _uas_reject(self, call: Call, status: int) -> None:
-        transaction = call.server_transaction
-        if transaction is None or call.invite_request is None:
-            return
-        tag = call.dialog.local_addr.tag if call.dialog else new_tag()
-        transaction.send_response(
-            call.invite_request.create_response(status, to_tag=tag))
-        call._finish(CallState.FAILED, f"rejected-{status}")
-
-    def _uas_established(self, call: Call) -> None:
-        if call.state in (CallState.INCOMING, CallState.RINGING):
-            if call.dialog is not None:
-                call.dialog.confirm()
-                call.dialog.local_cseq = 0
-            call.state = CallState.ESTABLISHED
-            call.established_at = self.sim.now
-            if call.on_established is not None:
-                call.on_established(call)
+        transaction.on_ack = lambda ack: call._handle(_ACK)
+        # No application attached: the leg answers like an unattended phone.
+        call._handle(Event(INVITE, {
+            "attended": self.on_incoming_call is not None}))
 
     def _uas_ack(self, request: SipRequest) -> None:
         """A 2xx ACK delivered to the TU.
@@ -444,64 +452,41 @@ class UserAgent:
         never matches the INVITE server transaction — the TU correlates it
         via the dialog and must stop the 200 retransmissions itself.
         """
-        call = self._find_dialog_call(request)
+        call = self._dialog_call(request, request.to, request.from_)
         if call is None:
             return
         transaction = call.server_transaction
         if transaction is not None and not transaction.terminated:
             # Quenches the 2xx retransmit timer and fires on_ack, which
-            # marks the call established.
+            # hands the ACK to the call leg.
             transaction.receive_ack(request)
         else:
-            self._uas_established(call)
+            call._handle(_ACK)
 
     def _uas_bye(self, request: SipRequest,
-                 transaction: Optional[ServerTransaction]) -> None:
-        call = self._find_dialog_call(request)
-        if call is None or call.dialog is None:
-            if transaction is not None:
-                transaction.send_response(request.create_response(481))
-            return
-        cseq = request.cseq
-        if cseq is not None and not call.dialog.accepts_remote_cseq(cseq.number):
-            if transaction is not None:
-                transaction.send_response(request.create_response(500))
-            return
-        if transaction is not None:
+                 transaction: ServerTransaction) -> None:
+        call = self._in_dialog(request, transaction)
+        if call is not None:
+            # The dialog answers a BYE whatever the call's state.
             transaction.send_response(request.create_response(200))
-        call._finish(CallState.TERMINATED, "remote-bye")
+            call._handle(_BYE)
 
     def _uas_cancel(self, request: SipRequest,
-                    transaction: Optional[ServerTransaction]) -> None:
+                    transaction: ServerTransaction) -> None:
         invite_transaction = self.manager.find_invite_server_transaction(request)
         if invite_transaction is None:
-            if transaction is not None:
-                transaction.send_response(request.create_response(481))
+            transaction.send_response(request.create_response(481))
             return
-        if transaction is not None:
-            transaction.send_response(request.create_response(200))
-        # A CANCEL has no effect once a final response was sent (RFC 3261
-        # §9.2), whatever the call's state: a 200 may be awaiting its ACK.
-        original = invite_transaction.request
-        call = self.calls.get(original.call_id or "")
-        if call is not None and invite_transaction.state == PROCEEDING and \
-                call.state in (CallState.INCOMING, CallState.RINGING):
-            tag = (call.dialog.local_addr.tag if call.dialog else new_tag())
-            invite_transaction.send_response(
-                original.create_response(487, to_tag=tag))
-            call._finish(CallState.CANCELLED, "remote-cancel")
+        transaction.send_response(request.create_response(200))
+        call = self.calls.get(invite_transaction.request.call_id or "")
+        if call is not None:
+            call._handle(Event(CANCEL, {
+                "transaction": invite_transaction.state}))
 
     def _uas_reinvite(self, request: SipRequest,
-                      transaction: Optional[ServerTransaction]) -> None:
-        call = self._find_dialog_call(request)
-        if call is None or call.dialog is None or not isinstance(
-                transaction, InviteServerTransaction):
-            if transaction is not None:
-                transaction.send_response(request.create_response(481))
-            return
-        cseq = request.cseq
-        if cseq is not None and not call.dialog.accepts_remote_cseq(cseq.number):
-            transaction.send_response(request.create_response(500))
+                      transaction: InviteServerTransaction) -> None:
+        call = self._in_dialog(request, transaction)
+        if call is None:
             return
         # Accept the session update: answer with our current SDP.
         if request.body:
@@ -509,24 +494,35 @@ class UserAgent:
         contact = request.contact
         if contact is not None:
             call.dialog.remote_target = contact.uri
-        body = call.local_sdp.serialize() if call.local_sdp else ""
-        response = request.create_response(200, body=body)
-        response.set("Contact", str(NameAddr(self.contact_uri)))
-        if body:
-            response.set("Content-Type", SDP_CONTENT_TYPE)
         transaction.on_ack = lambda ack: None
-        transaction.send_response(response)
+        transaction.send_response(self._response(
+            request, 200, body=call.local_sdp.serialize()
+            if call.local_sdp else ""))
 
     # -- dialog lookup ---------------------------------------------------------
 
-    def _find_dialog_call(self, request: SipRequest) -> Optional[Call]:
-        to_addr = request.to
-        from_addr = request.from_
-        if to_addr is None or from_addr is None or request.call_id is None:
+    def _dialog_call(self, message, local: Optional[NameAddr],
+                     remote: Optional[NameAddr]) -> Optional[Call]:
+        """The call whose dialog has ``message``'s Call-ID and these tags."""
+        if local is None or remote is None or message.call_id is None:
             return None
-        dialog_id = DialogId(request.call_id, to_addr.tag or "",
-                             from_addr.tag or "")
-        return self.dialogs.get(dialog_id)
+        return self.dialogs.get(DialogId(message.call_id, local.tag or "",
+                                         remote.tag or ""))
+
+    def _in_dialog(self, request: SipRequest,
+                   transaction: ServerTransaction) -> Optional[Call]:
+        """The call an in-dialog request belongs to; None after answering
+        481 (no such dialog) or 500 (a CSeq that does not increase)."""
+        call = self._dialog_call(request, request.to, request.from_)
+        cseq = request.cseq
+        if call is None:
+            transaction.send_response(request.create_response(481))
+        elif cseq is not None and not call.dialog.accepts_remote_cseq(
+                cseq.number):
+            transaction.send_response(request.create_response(500))
+        else:
+            return call
+        return None
 
     def _on_stray_response(self, response: SipResponse,
                            source: Endpoint) -> None:
@@ -534,18 +530,23 @@ class UserAgent:
         cseq = response.cseq
         if cseq is None or cseq.method != INVITE or not response.is_success:
             return
-        to_addr = response.to
-        from_addr = response.from_
-        if to_addr is None or from_addr is None or response.call_id is None:
-            return
-        dialog_id = DialogId(response.call_id, from_addr.tag or "",
-                             to_addr.tag or "")
-        call = self.dialogs.get(dialog_id)
-        if call is not None and call.dialog is not None and call.is_caller:
+        call = self._dialog_call(response, response.from_, response.to)
+        if call is not None and call.is_caller:
             ack = call.dialog.create_ack(response)
             self.transport.send_message(ack, call.dialog.remote_endpoint)
 
     # -- helpers -------------------------------------------------------------
+
+    def _response(self, request: SipRequest, status: int,
+                  to_tag: Optional[str] = None, body: str = "") -> SipResponse:
+        """A response to an INVITE: a 1xx or 2xx carries our Contact, and a
+        body is SDP."""
+        response = request.create_response(status, to_tag=to_tag, body=body)
+        if status < 300:
+            response.set("Contact", str(NameAddr(self.contact_uri)))
+        if body:
+            response.set("Content-Type", SDP_CONTENT_TYPE)
+        return response
 
     def _local_name_addr(self) -> NameAddr:
         return NameAddr(self.aor, self.display_name)

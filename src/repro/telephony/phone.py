@@ -239,7 +239,7 @@ class SoftPhone:
         media.stop()
         record.ended_at = self.sim.now
         record.end_reason = reason
-        record.final_state = call.state.value
+        record.final_state = call.state
         receiver = media.receiver
         record.rtp_packets_received = receiver.packets_received
         record.rtp_mean_delay = receiver.delay_stats.mean

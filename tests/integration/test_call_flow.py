@@ -49,7 +49,7 @@ def test_busy_phone_rejects():
     testbed.phones_b[0].accept_calls = False
     call = testbed.phones_a[0].place_call("sip:b1@b.example.com", 10.0)
     testbed.network.run(until=20.0)
-    assert call.state.value == "failed"
+    assert call.state == "failed"
     assert call.end_reason == "rejected-486"
 
 

@@ -55,5 +55,5 @@ def test_caller_cancel_is_not_flagged():
     call = testbed.phones_a[0].place_call("sip:b1@b.example.com", 10.0)
     testbed.sim.schedule(3.0, call.hangup)
     testbed.network.run(until=60.0)
-    assert call.state.value == "cancelled"
+    assert call.state == "cancelled"
     assert vids.alerts == [], [str(a) for a in vids.alerts]

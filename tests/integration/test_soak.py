@@ -44,7 +44,7 @@ def test_chaotic_benign_traffic_clean(seed):
     assert len(calls) == 12
     terminal = {"terminated", "cancelled", "failed"}
     for call in calls:
-        assert call.state.value in terminal, call
+        assert call.state in terminal, call
     assert vids.alerts == [], [str(a) for a in vids.alerts]
     # Every record vids created was (or will be) reclaimed.
     assert vids.metrics.calls_created >= 10

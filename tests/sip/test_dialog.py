@@ -2,7 +2,7 @@
 
 
 from repro.netsim import Endpoint
-from repro.sip import Dialog, DialogState, SipRequest, parse_message
+from repro.sip import Dialog, SipRequest, parse_message
 
 
 def make_invite():
@@ -88,16 +88,6 @@ def test_remote_cseq_must_increase():
     assert not dialog.accepts_remote_cseq(2)   # replay
     assert not dialog.accepts_remote_cseq(1)   # stale
     assert dialog.accepts_remote_cseq(5)
-
-
-def test_state_transitions():
-    invite = make_invite()
-    dialog = Dialog.from_uac(invite, make_200(invite), "10.1.0.11", 5060)
-    assert dialog.state is DialogState.EARLY
-    dialog.confirm()
-    assert dialog.state is DialogState.CONFIRMED
-    dialog.terminate()
-    assert dialog.state is DialogState.TERMINATED
 
 
 def test_missing_contact_falls_back_to_request_uri():

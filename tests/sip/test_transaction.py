@@ -1,10 +1,13 @@
 """Unit tests for the four RFC 3261 transaction state machines."""
 
+import inspect
+
 import pytest
 
 from repro.efsm import EfsmInstance, Severity, verify_machine
 from repro.netsim import Endpoint, Simulator
 from repro.sip import (
+    CALL_LEG,
     SipRequest,
     SipResponse,
     TimerTable,
@@ -17,6 +20,8 @@ from repro.sip.transaction import (
     NonInviteServerTransaction,
     transaction_machines,
 )
+from tests.conftest import build_mini_voip
+from tests.sip import test_useragent
 
 TIMERS = TimerTable()  # default: T1=0.5, T2=4, T4=5
 DEST = Endpoint("10.0.0.2", 5060)
@@ -476,16 +481,21 @@ TESTED = (TestInviteClient, TestNonInviteClient, TestInviteServer,
           TestNonInviteServer, TestTransactionManager)
 
 
-@pytest.mark.parametrize("name", sorted(transaction_machines()))
+#: The simulator's machines: the four transactions and the call leg.
+MACHINES = {**transaction_machines(), CALL_LEG.name: CALL_LEG}
+
+
+@pytest.mark.parametrize("name", sorted(MACHINES))
 def test_machine_passes_speclint(name):
-    machine = transaction_machines()[name]
+    machine = MACHINES[name]
     findings = [d for d in verify_machine(machine)
                 if d.severity >= Severity.WARNING]
     assert findings == []
 
 
 def test_every_transition_is_taken(monkeypatch):
-    """The transitions are data: the tests above fire every one."""
+    """The transitions are data: the tests above fire every transaction
+    transition, and the user-agent tests every call-leg one."""
     fired = set()
     deliver = EfsmInstance.deliver
 
@@ -499,8 +509,12 @@ def test_every_transition_is_taken(monkeypatch):
         for name in dir(cls):
             if name.startswith("test_"):
                 getattr(cls(), name)()
+    for name, test in vars(test_useragent).items():
+        if name.startswith("test_") and list(
+                inspect.signature(test).parameters) == ["mini_voip"]:
+            test(build_mini_voip())
     untaken = [f"{machine.name}: {transition.describe()}"
-               for machine in transaction_machines().values()
+               for machine in MACHINES.values()
                for transition in machine.transitions
                if id(transition) not in fired]
     assert untaken == []
