@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint speclint sim-ident sim-tables setup-split test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
+.PHONY: install lint speclint size sim-ident sim-tables setup-split test chaos bench bench-e2e-quick bench-all bench-full figures examples serve-demo clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -24,6 +24,13 @@ lint:
 speclint:
 	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning
 	PYTHONPATH=src $(PYTHON) -m repro.cli speclint --strict --min-severity warning --no-cross-protocol
+
+# The size measure ROADMAP.md uses: wc lines of the Python files under
+# src/repro, tests/ and tools/.
+size:
+	@for dir in src/repro tests tools; do \
+	  printf '%-10s %6d\n' $$dir $$(find $$dir -name '*.py' -exec cat {} + | wc -l); \
+	done
 
 # The simulator's output, pinned: packet count, pcap sha256 and
 # events_processed of four seeded recipes (tools/sim_ident.py).  The tier

@@ -32,7 +32,7 @@ from .node import Host, Hub, Node, Router
 from .packet import IP_UDP_OVERHEAD, Datagram
 from .random import RandomStreams
 from .trace import PacketTrace, TraceRecord
-from .traffic import CbrTrafficSource, OnOffTrafficSource, TrafficSink
+from .traffic import CbrTrafficSource, TrafficSink
 
 __all__ = [
     "BPS_100BASET",
@@ -55,7 +55,6 @@ __all__ = [
     "Network",
     "Node",
     "NullProcessor",
-    "OnOffTrafficSource",
     "PacketProcessor",
     "PacketTrace",
     "RandomStreams",

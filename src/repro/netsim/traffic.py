@@ -4,17 +4,15 @@ The paper's opening premise: VoIP "shares the network resources with the
 regular Internet traffic".  These generators put that regular traffic on
 the wire so experiments can study voice QoS and vids behaviour under load:
 
-- :class:`CbrTrafficSource` — constant bit rate (e.g. a bulk transfer);
-- :class:`OnOffTrafficSource` — exponential on/off bursts (web-like).
+- :class:`CbrTrafficSource` — constant bit rate (e.g. a bulk transfer).
 
-Both send plain UDP datagrams with an arbitrary payload tag; the vids
+It sends plain UDP datagrams with an arbitrary payload tag; the vids
 classifier files them under OTHER, which is itself worth testing — the IDS
 must not choke on, or alert about, unrelated traffic.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from .address import Endpoint
@@ -22,7 +20,7 @@ from .engine import Timer
 from .node import Host
 from .packet import IP_UDP_OVERHEAD
 
-__all__ = ["CbrTrafficSource", "OnOffTrafficSource", "TrafficSink"]
+__all__ = ["CbrTrafficSource", "TrafficSink"]
 
 
 class TrafficSink:
@@ -82,74 +80,6 @@ class CbrTrafficSource:
 
     def _tick(self) -> None:
         if not self._running:
-            return
-        self.host.send_udp(self.remote, self._payload, self.local_port)
-        self.packets_sent += 1
-        self._timer = self.host.sim.schedule(self.interval, self._tick)
-
-
-class OnOffTrafficSource:
-    """Bursty traffic: exponential ON periods at peak rate, then silence."""
-
-    def __init__(
-        self,
-        host: Host,
-        remote: Endpoint,
-        peak_rate_bps: float,
-        mean_on: float = 1.0,
-        mean_off: float = 2.0,
-        packet_bytes: int = 1000,
-        local_port: int = 40_002,
-        rng: Optional[random.Random] = None,
-    ):
-        self.host = host
-        self.remote = remote
-        self.peak_rate_bps = float(peak_rate_bps)
-        self.mean_on = mean_on
-        self.mean_off = mean_off
-        self.packet_bytes = packet_bytes
-        self.local_port = local_port
-        self.packets_sent = 0
-        self._rng = rng or random.Random(0)
-        self._payload = b"\x00" * max(1, packet_bytes - IP_UDP_OVERHEAD)
-        self._timer: Optional[Timer] = None
-        self._running = False
-        self._on_until = 0.0
-
-    @property
-    def interval(self) -> float:
-        return self.packet_bytes * 8.0 / self.peak_rate_bps
-
-    @property
-    def mean_rate_bps(self) -> float:
-        duty = self.mean_on / (self.mean_on + self.mean_off)
-        return self.peak_rate_bps * duty
-
-    def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self._begin_on_period()
-
-    def stop(self) -> None:
-        self._running = False
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _begin_on_period(self) -> None:
-        if not self._running:
-            return
-        self._on_until = (self.host.sim.now
-                          + self._rng.expovariate(1.0 / self.mean_on))
-        self._tick()
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        if self.host.sim.now >= self._on_until:
-            off = self._rng.expovariate(1.0 / self.mean_off)
-            self._timer = self.host.sim.schedule(off, self._begin_on_period)
             return
         self.host.send_udp(self.remote, self._payload, self.local_port)
         self.packets_sent += 1

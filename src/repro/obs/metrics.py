@@ -367,32 +367,6 @@ class MetricsRegistry:
 
     # -- exposition -----------------------------------------------------------
 
-    def to_json(self) -> Dict[str, Any]:
-        """A JSON-serializable snapshot of every family and sample."""
-        out: Dict[str, Any] = {}
-        for metric in self._metrics.values():
-            samples: List[Dict[str, Any]] = []
-            for key, child in metric.collect():
-                labels = dict(zip(metric.labelnames, key))
-                if isinstance(child, _HistogramChild):
-                    samples.append({
-                        "labels": labels,
-                        "sum": child.sum,
-                        "count": child.count,
-                        "buckets": {
-                            _format_value(bound): count
-                            for bound, count in child.cumulative()
-                        },
-                    })
-                else:
-                    samples.append({"labels": labels, "value": child.value})
-            out[metric.name] = {
-                "type": metric.kind,
-                "help": metric.help,
-                "samples": samples,
-            }
-        return out
-
     def to_prometheus(self) -> str:
         """Prometheus text exposition format (version 0.0.4)."""
         lines: List[str] = []

@@ -99,17 +99,20 @@ def _invite_client() -> Efsm:
                      outputs=[request])
     m.add_transition("calling", "A", "calling", action=_backoff("A", False),
                      outputs=[request], channel=TIMER_CHANNEL)
+    # Timer B runs only in calling: the first provisional stops it too.
+    m.add_transition("calling", "response", PROCEEDING, PROVISIONAL,
+                     (cancel("A"), cancel("B")), [response])
+    m.add_transition(PROCEEDING, "response", PROCEEDING, PROVISIONAL,
+                     outputs=[response])
+    m.add_transition("calling", "B", TERMINATED, action=cancel("A"),
+                     outputs=[timeout], channel=TIMER_CHANNEL)
     for state in ("calling", PROCEEDING):
-        m.add_transition(state, "response", PROCEEDING, PROVISIONAL,
-                         cancel("A"), [response])
         # The TU sends the 2xx ACK and absorbs 2xx retransmissions.
         m.add_transition(state, "response", TERMINATED, SUCCESS,
                          (cancel("A"), cancel("B")), [response])
         m.add_transition(state, "response", "completed", FAILURE,
                          (cancel("A"), cancel("B"), start("D", v("timer_d"))),
                          [ack, response])
-        m.add_transition(state, "B", TERMINATED, action=cancel("A"),
-                         outputs=[timeout], channel=TIMER_CHANNEL)
     m.add_transition("completed", "response", "completed", FAILURE,
                      outputs=[ack])
     m.add_transition("completed", "D", TERMINATED, channel=TIMER_CHANNEL)

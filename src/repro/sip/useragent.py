@@ -90,6 +90,8 @@ def _call_leg() -> Efsm:
                      outputs=[Output(WIRE, INVITE)])
     m.add_transition(CALLING, "response", RINGING, _STATUS == 180,
                      outputs=[Output(TU, "ringing")])
+    m.add_transition(CALLING, "timeout", FAILED,
+                     outputs=[_ended("invite-timeout")])
     for state in (CALLING, RINGING):
         m.add_transition(state, "response", ESTABLISHED, SUCCESS, outputs=[
             Output(WIRE, ACK), Output(TU, "established")])
@@ -98,8 +100,6 @@ def _call_leg() -> Efsm:
         m.add_transition(state, "response", FAILED,
                          FAILURE & (_STATUS != 487),
                          outputs=[_ended(helper(_rejected, _STATUS))])
-        m.add_transition(state, "timeout", FAILED,
-                         outputs=[_ended("invite-timeout")])
         m.add_transition(state, "hangup", state, truthy(v("caller")),
                          outputs=[Output(WIRE, CANCEL)])
     # Callee: the phone answers; a CANCEL counts only while the INVITE

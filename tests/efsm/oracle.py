@@ -116,8 +116,8 @@ def outputs_of(outputs, instance, event):
 def shadow_dispatch(firings=None):
     """Check every firing against the interpreter while the block runs.
 
-    ``firings`` (a list) collects one record per firing, quiet ones
-    included, in the shape the dispatch-equivalence suite compares.
+    ``firings`` (a list) collects one :func:`firing_record` per firing,
+    quiet ones included.
     Yields a one-element list holding the number of firings shadowed.
     """
     original = EfsmInstance.step

@@ -3,8 +3,9 @@
 
 The seed-23 mixed-attack capture (``mixed_capture``, tests/conftest.py) is
 replayed through one ``Vids`` as the reference.  Every other tier — the
-traced pipeline (the one that materialises quiet firings), four shards, a
-supervised cluster, the pcap / pcapng decoders (also at a
+traced pipeline (the one that materialises quiet firings), the shadowed
+one (every firing checked against the test-side interpreter), four
+shards, a supervised cluster, the pcap / pcapng decoders (also at a
 fragmenting MTU), the UDP front-end's datapath, and a pipeline
 checkpointed and restored every k packets — must reproduce its timed
 alert multiset and every counter in :data:`EXACT_COUNTERS`.  Shedding is
@@ -33,9 +34,16 @@ import pytest
 from repro.live import (DecodeStats, PcapNgWriter, UdpFrontend, replay_pcap,
                         write_pcap)
 from repro.obs import Observability
+from repro.sip import SipRequest
 from repro.vids import DEFAULT_CONFIG, build_pipeline, replay_trace
 from repro.vids.metrics import VidsMetrics
 from repro.vids.replay import drain_horizon
+
+from ..efsm.oracle import shadow_dispatch
+from ..vids.test_ids import (ATTACKER, CALL_ID, CALLEE, CALLER, PROXY_A,
+                             PROXY_B, ack_bytes, bye_bytes, dgram,
+                             establish_call, invite_bytes, make_vids,
+                             response_bytes, rtp_bytes, stream_media)
 
 NO_SHED = DEFAULT_CONFIG.with_overrides(shed_high_watermark=1e9)
 
@@ -170,8 +178,107 @@ def traced(capture, tmp_path):
     return run
 
 
+# The dispatch outcomes the capture does not reach: a CANCEL while the
+# INVITE proceeds, a response no candidate takes, an ACK before any
+# response, an INVITE inside the dialog, media after a BYE (toll fraud),
+# a codec nobody offered and media nobody offered.
+
+def request_bytes(method, to_tag="", cseq=1):
+    """A request for the test_ids call, sent by the attacker."""
+    request = SipRequest(method, "sip:bob@b.example.com")
+    request.set("Via", f"SIP/2.0/UDP {ATTACKER}:5060;branch=z9hG4bKe1")
+    request.set("From", "<sip:alice@a.example.com>;tag=ft")
+    request.set("To", f"<sip:bob@b.example.com>{to_tag}")
+    request.set("Call-ID", CALL_ID)
+    request.set("CSeq", f"{cseq} {method}")
+    return request.serialize()
+
+
+def send(vids, clock, *packets):
+    """Each ``(payload, src, dst)`` 50 ms after the one before."""
+    for payload, src, dst in packets:
+        vids.process(dgram(payload, src, dst), clock.now())
+        clock.advance(0.05)
+
+
+def drive_cancel_dos(vids, clock):
+    send(vids, clock, (invite_bytes(), PROXY_A, PROXY_B),
+         (response_bytes(180), PROXY_B, PROXY_A),
+         (request_bytes("CANCEL"), ATTACKER, PROXY_B))
+
+
+def drive_stray_response(vids, clock):
+    """A 200 to a BYE nobody sent: no guard of (Proceeding, RESPONSE)
+    holds."""
+    send(vids, clock, (invite_bytes(), PROXY_A, PROXY_B),
+         (response_bytes(180), PROXY_B, PROXY_A),
+         (response_bytes(200, cseq="1 BYE"), PROXY_B, PROXY_A))
+
+
+def drive_premature_ack(vids, clock):
+    send(vids, clock, (invite_bytes(), PROXY_A, PROXY_B),
+         (ack_bytes(), CALLER, CALLEE))
+
+
+def drive_hijack_invite(vids, clock):
+    establish_call(vids, clock)
+    send(vids, clock, (request_bytes("INVITE", ";tag=tt", 2), ATTACKER,
+                       PROXY_B))
+
+
+def drive_toll_fraud(vids, clock):
+    establish_call(vids, clock)
+    stream_media(vids, clock, count=5)
+    send(vids, clock, (bye_bytes(), CALLEE, CALLER))
+    clock.advance(DEFAULT_CONFIG.bye_inflight_timer)
+    vids.process(dgram(rtp_bytes(ssrc=0xBBBB, seq=900, ts=90_000),
+                       CALLEE, CALLER, 20_002, 20_000), clock.now())
+
+
+def drive_codec_change(vids, clock):
+    establish_call(vids, clock)
+    stream_media(vids, clock, count=5)
+    stream_media(vids, clock, count=1, start_seq=6, pt=0)
+
+
+def drive_unsolicited_media(vids, clock):
+    for index in range(DEFAULT_CONFIG.unsolicited_media_threshold + 2):
+        clock.advance(0.02)
+        vids.process(dgram(rtp_bytes(seq=index, ts=index * 160),
+                           ATTACKER, CALLEE, 40_000, 31_337), clock.now())
+
+
+SCENARIOS = (drive_cancel_dos, drive_stray_response, drive_premature_ack,
+             drive_hijack_invite, drive_toll_fraud, drive_codec_change,
+             drive_unsolicited_media)
+
+
+def outcomes(firings):
+    """The dispatch outcomes ``firings`` reached: (machine, state, event)
+    and the label of the transition fired, ``None`` for a deviation."""
+    return {(machine, state, event, label)
+            for machine, event, state, _, label, *_ in firings}
+
+
+def shadowed(capture, tmp_path):
+    """Every firing checked against the test-side interpreter
+    (tests/efsm/oracle.py): two enabled candidates raise, and ``step``
+    must fire the one the interpreter enabled.  Each scenario above must
+    reach a dispatch outcome the capture does not."""
+    with shadow_dispatch(firings := []):
+        run = replay_trace(capture, config=NO_SHED)
+    for scenario in SCENARIOS:
+        with shadow_dispatch(driven := []):
+            scenario(*make_vids())
+        assert outcomes(driven) - outcomes(firings), scenario.__name__
+        firings += driven
+    assert len(outcomes(firings)) == 31
+    return run
+
+
 TIERS = {
     "traced": traced,
+    "shadowed": shadowed,
     "sharded": sharded,
     "supervised": supervised,
     "pcap": pcap,

@@ -1,7 +1,5 @@
 """Unit tests for background cross-traffic generators."""
 
-import random
-
 import pytest
 
 from repro.netsim import (
@@ -9,7 +7,6 @@ from repro.netsim import (
     Endpoint,
     Host,
     Network,
-    OnOffTrafficSource,
     TrafficSink,
 )
 
@@ -46,23 +43,6 @@ def test_cbr_stop():
     count = source.packets_sent
     net.run(until=5.0)
     assert source.packets_sent == count
-
-
-def test_onoff_mean_rate_below_peak():
-    net, a, b, sink = build_pair()
-    source = OnOffTrafficSource(a, Endpoint("10.0.0.2", 40_000),
-                                peak_rate_bps=2_000_000,
-                                mean_on=0.5, mean_off=1.0,
-                                local_port=40_000,
-                                rng=random.Random(4))
-    # Rebind: sink already owns 40_000 on b; source sends FROM a.
-    source.start()
-    net.run(until=60.0)
-    achieved_bps = sink.bytes * 8 / 60.0
-    assert achieved_bps < 0.55 * source.peak_rate_bps
-    assert achieved_bps > 0.1 * source.peak_rate_bps
-    # Configured duty cycle: 0.5/(0.5+1.0) = 1/3 of peak.
-    assert achieved_bps == pytest.approx(source.mean_rate_bps, rel=0.5)
 
 
 def test_cross_traffic_delays_competing_flow():

@@ -138,18 +138,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             registry.register(Counter("hits_total"))
 
-    def test_to_json_snapshot(self):
-        registry = MetricsRegistry()
-        registry.counter("hits_total", "hits").inc(3)
-        registry.histogram("lat_seconds", buckets=(1.0,)).observe(0.5)
-        snapshot = registry.to_json()
-        assert snapshot["hits_total"]["type"] == "counter"
-        assert snapshot["hits_total"]["samples"][0]["value"] == 3.0
-        hist = snapshot["lat_seconds"]["samples"][0]
-        assert hist["count"] == 1
-        assert hist["buckets"]["1"] == 1
-        assert hist["buckets"]["+Inf"] == 1
-
 
 class TestPrometheusExposition:
     def _registry(self):

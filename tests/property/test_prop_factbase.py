@@ -2,17 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.efsm import ManualClock
-from repro.vids import CallStateFactBase, DEFAULT_CONFIG, VidsMetrics
 from repro.vids.sync import SIP_MACHINE
 
 from tests.vids.helpers import answer_event, invite_event
-
-
-def make_factbase():
-    clock = ManualClock()
-    return CallStateFactBase(DEFAULT_CONFIG, clock.now, clock.schedule,
-                             VidsMetrics()), clock
+from tests.vids.test_checkpoint import make_factbase
 
 
 # Operations: (op, call_index)
@@ -29,7 +22,7 @@ def test_media_index_always_consistent(operations):
     """The one media table agrees with every live record's own view: each
     entry names a live record whose ``media_map`` holds that key with that
     direction, and each record's keys resolve back to it."""
-    factbase, clock = make_factbase()
+    factbase, clock, _ = make_factbase()
     for op, index in operations:
         call_id = f"c{index}@p"
         if op == "invite":
@@ -66,7 +59,7 @@ def test_media_index_always_consistent(operations):
 @given(_ops)
 @settings(max_examples=40, deadline=None)
 def test_metrics_accounting_invariants(operations):
-    factbase, clock = make_factbase()
+    factbase, clock, _ = make_factbase()
     metrics = factbase.metrics
     for op, index in operations:
         call_id = f"c{index}@p"

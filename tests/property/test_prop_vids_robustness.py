@@ -8,15 +8,9 @@ import string
 
 from hypothesis import given, settings, strategies as st
 
-from repro.efsm import ManualClock
 from repro.netsim import Datagram, Endpoint
-from repro.vids import DEFAULT_CONFIG, Vids
 
-
-def make_vids():
-    clock = ManualClock()
-    return Vids(config=DEFAULT_CONFIG, clock_now=clock.now,
-                timer_scheduler=clock.schedule), clock
+from ..vids.test_ids import make_vids
 
 
 _ips = st.sampled_from(["10.1.0.1", "10.2.0.11", "172.16.6.6", "8.8.8.8"])

@@ -186,7 +186,8 @@ class TestInviteClient:
         assert txn.state == "completed"
         assert transport.sent_methods() == ["INVITE", "ACK"]
 
-    def test_timer_b_gives_up_in_proceeding(self):
+    def test_timer_b_stops_in_proceeding(self):
+        """RFC 3261 §17.1.1.2: Timer B runs only in calling."""
         transport = FakeTransport()
         timeouts = []
         invite = make_invite()
@@ -197,7 +198,7 @@ class TestInviteClient:
         txn.start()
         txn.receive_response(invite.create_response(180, to_tag="t1"))
         transport.sim.run(until=TIMERS.timer_b + 1)
-        assert timeouts == [1] and txn.state == "terminated"
+        assert timeouts == [] and txn.state == "proceeding"
 
 
 class TestNonInviteClient:

@@ -323,16 +323,18 @@ def test_reject_after_ringing(mini_voip):
     assert callee.terminated == ["rejected-603"]
 
 
-def test_invite_times_out_while_ringing(mini_voip):
-    """Timer B runs on after the 180: a callee that rings and never
-    answers fails the caller's leg; the callee's leg keeps ringing."""
+def test_ringing_call_outlives_timer_b(mini_voip):
+    """The 180 stops Timer B: a callee that rings for longer than
+    64·T1 is still answered, and both legs are established."""
     callee = CalleeBehaviour(mini_voip, answer_after=100.0)
     mini_voip.register_both()
     call = place_call(mini_voip)
     mini_voip.net.run(until=60.0)
-    assert call.state == "failed" and call.end_reason == "invite-timeout"
-    assert call.ringing_at is not None
+    assert call.state == "ringing" and call.ringing_at is not None
     assert callee.incoming[0].state == "ringing"
+    mini_voip.net.run(until=110.0)
+    assert call.state == "established"
+    assert callee.incoming[0].state == "established"
 
 
 def test_bye_before_the_answer_ends_the_callee_leg(mini_voip):

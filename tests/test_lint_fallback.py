@@ -102,9 +102,10 @@ def test_b006_honors_noqa():
 
 def test_shipped_tree_passes_fallback_rules():
     # The full fallback pass over the repo's own files must stay clean —
-    # the same gate `make lint` applies offline.
-    status = lint_tool.fallback_check(lint_tool.python_files())
-    assert status == 0
+    # the same gate `make lint` applies offline — and so must the shape
+    # rules it applies with or without ruff.
+    assert lint_tool.fallback_check(lint_tool.python_files()) == 0
+    assert lint_tool.shape_check(lint_tool.python_files()) == 0
 
 
 def test_syntax_pass_writes_no_bytecode(tmp_path):

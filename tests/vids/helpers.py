@@ -1,4 +1,5 @@
-"""Builders for the event vocabulary the vids machines consume."""
+"""Builders for the event vocabulary the vids machines consume: the fields
+``sip_event_from_message`` / ``rtp_event_from_packet`` build, no others."""
 
 from repro.efsm import EfsmSystem, Event
 
@@ -32,95 +33,65 @@ class RecordingSystem(EfsmSystem):
         return [result for result in self.fired if result.attack]
 
 
-def invite_event(src_ip=PROXY_A_IP, dst_ip="10.2.0.1", branch="z9hG4bKi1",
-                 call_id=CALL_ID, from_tag="ft", to_tag=None,
-                 cseq_num=1, contact_host=CALLER_IP,
-                 via_hosts=(PROXY_A_IP, CALLER_IP),
-                 sdp_addr=CALLER_IP, sdp_port=20_000, sdp_pts=(18,),
-                 sdp_ptime=20, time=0.0):
-    args = {
-        "src_ip": src_ip, "src_port": 5060,
-        "dst_ip": dst_ip, "dst_port": 5060,
+def sip_event(name, src_ip, dst_ip, method, call_id=CALL_ID, from_tag="ft",
+              to_tag=None, branch="z9hG4bKi1", cseq_num=1,
+              contact_host=None, via_hosts=None, time=0.0, **fields):
+    """A SIP message's vector; ``fields`` adds URI, status or SDP ones
+    (the SDP ones only with an ``sdp_addr``)."""
+    return Event(name, {
+        "src_ip": src_ip, "src_port": 5060, "dst_ip": dst_ip,
         "call_id": call_id, "from_tag": from_tag, "to_tag": to_tag,
-        "branch": branch, "cseq_num": cseq_num, "cseq_method": "INVITE",
-        "contact_host": contact_host, "via_hosts": tuple(via_hosts),
-        "to_aor": "bob@b.example.com", "from_aor": "alice@a.example.com",
-        "uri_host": "b.example.com", "uri_user": "bob",
-    }
-    if sdp_addr:
-        args.update(sdp_addr=sdp_addr, sdp_port=sdp_port,
-                    sdp_pts=tuple(sdp_pts), sdp_ptime=sdp_ptime)
-    return Event("INVITE", args, time=time)
+        "branch": branch, "cseq_num": cseq_num, "cseq_method": method,
+        "contact_host": contact_host,
+        "via_hosts": (src_ip,) if via_hosts is None else tuple(via_hosts),
+        **{key: tuple(value) if key == "sdp_pts" else value
+           for key, value in fields.items() if value is not None
+           and (fields.get("sdp_addr") or not key.startswith("sdp_"))}},
+        time=time)
+
+
+def invite_event(src_ip=PROXY_A_IP, dst_ip="10.2.0.1", **fields):
+    return sip_event("INVITE", src_ip, dst_ip, "INVITE", **{
+        "contact_host": CALLER_IP, "via_hosts": (PROXY_A_IP, CALLER_IP),
+        "to_aor": "bob@b.example.com", "uri_host": "b.example.com",
+        "uri_user": "bob", "sdp_addr": CALLER_IP, "sdp_port": 20_000,
+        "sdp_pts": (18,), "sdp_ptime": 20, **fields})
 
 
 def response_event(status, cseq_method="INVITE", src_ip="10.2.0.1",
-                   dst_ip=PROXY_A_IP, call_id=CALL_ID, from_tag="ft",
-                   to_tag="tt", branch="z9hG4bKi1", cseq_num=1,
-                   contact_host=CALLEE_IP, sdp_addr=None, sdp_port=0,
-                   sdp_pts=(), sdp_ptime=None, time=0.0):
-    args = {
-        "src_ip": src_ip, "src_port": 5060,
-        "dst_ip": dst_ip, "dst_port": 5060,
-        "call_id": call_id, "from_tag": from_tag, "to_tag": to_tag,
-        "branch": branch, "cseq_num": cseq_num, "cseq_method": cseq_method,
-        "contact_host": contact_host, "via_hosts": (PROXY_A_IP, CALLER_IP),
-        "status": status,
-    }
-    if sdp_addr:
-        args.update(sdp_addr=sdp_addr, sdp_port=sdp_port,
-                    sdp_pts=tuple(sdp_pts))
-        if sdp_ptime:
-            args["sdp_ptime"] = sdp_ptime
-    return Event("RESPONSE", args, time=time)
+                   dst_ip=PROXY_A_IP, **fields):
+    return sip_event("RESPONSE", src_ip, dst_ip, cseq_method, **{
+        "to_tag": "tt", "contact_host": CALLEE_IP,
+        "via_hosts": (PROXY_A_IP, CALLER_IP), "status": status, **fields})
 
 
-def answer_event(time=0.0, **overrides):
+def answer_event(**overrides):
     """200 OK for the INVITE with the callee's SDP answer."""
-    defaults = dict(status=200, sdp_addr=CALLEE_IP, sdp_port=20_002,
-                    sdp_pts=(18,), sdp_ptime=20, time=time)
-    defaults.update(overrides)
-    return response_event(**defaults)
+    return response_event(**{"status": 200, "sdp_addr": CALLEE_IP,
+                             "sdp_port": 20_002, "sdp_pts": (18,),
+                             "sdp_ptime": 20, **overrides})
 
 
-def ack_event(src_ip=CALLER_IP, dst_ip=CALLEE_IP, call_id=CALL_ID,
-              branch="z9hG4bKa1", time=0.0):
-    return Event("ACK", {
-        "src_ip": src_ip, "src_port": 5060,
-        "dst_ip": dst_ip, "dst_port": 5060,
-        "call_id": call_id, "from_tag": "ft", "to_tag": "tt",
-        "branch": branch, "cseq_num": 1, "cseq_method": "ACK",
-        "contact_host": None, "via_hosts": (src_ip,),
-    }, time=time)
+def ack_event(src_ip=CALLER_IP, dst_ip=CALLEE_IP, branch="z9hG4bKa1",
+              **fields):
+    return sip_event("ACK", src_ip, dst_ip, "ACK", to_tag="tt",
+                     branch=branch, **fields)
 
 
-def bye_event(src_ip=CALLEE_IP, dst_ip=CALLER_IP, call_id=CALL_ID,
-              branch="z9hG4bKb1", cseq_num=2, time=0.0):
-    return Event("BYE", {
-        "src_ip": src_ip, "src_port": 5060,
-        "dst_ip": dst_ip, "dst_port": 5060,
-        "call_id": call_id, "from_tag": "tt", "to_tag": "ft",
-        "branch": branch, "cseq_num": cseq_num, "cseq_method": "BYE",
-        "contact_host": None, "via_hosts": (src_ip,),
-    }, time=time)
+def bye_event(src_ip=CALLEE_IP, dst_ip=CALLER_IP, branch="z9hG4bKb1",
+              cseq_num=2, **fields):
+    return sip_event("BYE", src_ip, dst_ip, "BYE", from_tag="tt",
+                     to_tag="ft", branch=branch, cseq_num=cseq_num, **fields)
 
 
-def cancel_event(src_ip=PROXY_A_IP, call_id=CALL_ID, branch="z9hG4bKi1",
-                 time=0.0):
-    return Event("CANCEL", {
-        "src_ip": src_ip, "src_port": 5060,
-        "dst_ip": CALLEE_IP, "dst_port": 5060,
-        "call_id": call_id, "from_tag": "ft", "to_tag": None,
-        "branch": branch, "cseq_num": 1, "cseq_method": "CANCEL",
-        "contact_host": None, "via_hosts": (src_ip,),
-    }, time=time)
+def cancel_event(src_ip=PROXY_A_IP, **fields):
+    return sip_event("CANCEL", src_ip, CALLEE_IP, "CANCEL", **fields)
 
 
-def rtp_event(src_ip=CALLER_IP, dst_ip=CALLEE_IP, dst_port=20_002,
-              ssrc=1111, seq=100, ts=16_000, pt=18,
-              direction="to_callee", time=0.0):
+def rtp_event(src_ip=CALLER_IP, dst_ip=CALLEE_IP, ssrc=1111, seq=100,
+              ts=16_000, pt=18, direction="to_callee", time=0.0):
     return Event("RTP_PACKET", {
-        "src_ip": src_ip, "src_port": 20_000,
-        "dst_ip": dst_ip, "dst_port": dst_port,
+        "src_ip": src_ip, "src_port": 20_000, "dst_ip": dst_ip,
         "ssrc": ssrc, "seq": seq, "ts": ts, "pt": pt,
-        "size": 32, "marker": False, "direction": direction,
+        "direction": direction,
     }, time=time)

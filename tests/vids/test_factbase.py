@@ -1,17 +1,10 @@
 """Unit tests for the Call State Fact Base."""
 
-from repro.efsm import ManualClock
-from repro.vids import CallStateFactBase, DEFAULT_CONFIG, VidsMetrics
+from repro.vids import DEFAULT_CONFIG
 from repro.vids.sync import SIP_MACHINE
 
 from .helpers import CALL_ID, answer_event, invite_event
-
-
-def make_factbase(config=DEFAULT_CONFIG):
-    clock = ManualClock()
-    metrics = VidsMetrics()
-    factbase = CallStateFactBase(config, clock.now, clock.schedule, metrics)
-    return factbase, clock, metrics
+from .test_checkpoint import make_factbase
 
 
 def test_get_or_create_and_lookup():

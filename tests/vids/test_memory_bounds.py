@@ -23,11 +23,11 @@ from repro.sip.message import _split_header_line
 from repro.sip.sdp import media_brief
 from repro.sip.uri import _parse_uri
 from repro.vids import DEFAULT_CONFIG, AttackType, Vids
-from repro.vids.factbase import CallStateFactBase
 from repro.vids.rtp_machine import ATTACK_CODEC
 from repro.vids.sync import RTP_MACHINE, SIP_MACHINE
 
 from .helpers import ack_event, answer_event, invite_event, rtp_event
+from .test_checkpoint import make_factbase
 
 
 def _sdp_body(n):
@@ -68,12 +68,6 @@ def test_parse_caches_hold_their_caps_under_unique_value_floods():
         assert info.currsize <= cap, function.__name__
 
 
-def make_factbase():
-    clock = ManualClock()
-    base = CallStateFactBase(DEFAULT_CONFIG, clock.now, clock.schedule)
-    return base, clock
-
-
 class _Args(dict):
     """An argument vector that can be weakly referenced (a dict cannot)."""
 
@@ -82,7 +76,7 @@ def test_delivered_event_does_not_outlive_its_delivery():
     """A live call record keeps no firing log: once the caller drops a
     delivered event — and the result of an observable firing, which holds
     it — nothing in the record pins it or its args."""
-    base, _ = make_factbase()
+    base, _, _ = make_factbase()
     record = base.get_or_create("held@x")
     alive = []
     for branch, materialised in (("z9hG4bKh", []),

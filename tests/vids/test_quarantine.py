@@ -8,44 +8,11 @@ blast radius is exactly that call.
 
 import pytest
 
-from repro.efsm import ManualClock
 from repro.netsim import Datagram, Endpoint
-from repro.sip.message import SipRequest
-from repro.sip.sdp import SDP_CONTENT_TYPE, SessionDescription
-from repro.vids import DEFAULT_CONFIG, AttackType, Vids
+from repro.vids import DEFAULT_CONFIG, AttackType
 
-PROXY_B = Endpoint("10.2.0.1", 5060)
-
-
-def make_vids(config=DEFAULT_CONFIG):
-    clock = ManualClock()
-    return Vids(config=config, clock_now=clock.now,
-                timer_scheduler=clock.schedule), clock
-
-
-def invite_datagram(call_id, to_user="b1", from_user="alice",
-                    src_ip="10.1.0.11", seq=1, media_port=20_000):
-    sdp = SessionDescription.for_audio(src_ip, media_port, 18, "G729")
-    request = SipRequest("INVITE", f"sip:{to_user}@b.example.com",
-                         body=sdp.serialize())
-    request.set("Via", f"SIP/2.0/UDP {src_ip}:5060;branch=z9hG4bK{call_id}{seq}")
-    request.set("From", f"<sip:{from_user}@a.example.com>;tag=tag-{call_id}")
-    request.set("To", f"<sip:{to_user}@b.example.com>")
-    request.set("Call-ID", call_id)
-    request.set("CSeq", f"{seq} INVITE")
-    request.set("Contact", f"<sip:{from_user}@{src_ip}:5060>")
-    request.set("Content-Type", SDP_CONTENT_TYPE)
-    return Datagram(Endpoint(src_ip, 5060), PROXY_B, request.serialize())
-
-
-def bye_datagram(call_id, src_ip="10.1.0.11", seq=2):
-    request = SipRequest("BYE", "sip:b1@b.example.com")
-    request.set("Via", f"SIP/2.0/UDP {src_ip}:5060;branch=z9hG4bKb{call_id}{seq}")
-    request.set("From", f"<sip:alice@a.example.com>;tag=tag-{call_id}")
-    request.set("To", "<sip:b1@b.example.com>;tag=remote")
-    request.set("Call-ID", call_id)
-    request.set("CSeq", f"{seq} BYE")
-    return Datagram(Endpoint(src_ip, 5060), PROXY_B, request.serialize())
+from .test_cluster import bye_datagram, invite_datagram
+from .test_ids import make_vids
 
 
 def poison(vids, call_id):

@@ -180,8 +180,7 @@ class TestMediaSpam:
                                      direction="to_callee"))
         inject_rtp(system, rtp_event(ssrc=2222, seq=5000, ts=999_000,
                                      direction="to_caller",
-                                     src_ip="10.2.0.11", dst_ip="10.1.0.11",
-                                     dst_port=20_000))
+                                     src_ip="10.2.0.11", dst_ip="10.1.0.11"))
         assert rtp_state(system) == "RTP_Rcvd"
         assert system.attack_matches == []
 

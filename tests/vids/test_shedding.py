@@ -7,12 +7,14 @@ observable in the metrics, so operators can see exactly when the IDS was
 running blind on media.
 """
 
-from repro.efsm import ManualClock
+import functools
+
 from repro.netsim import Datagram, Endpoint
 from repro.rtp.packet import RtpPacket
-from repro.vids import DEFAULT_CONFIG, AttackType, PacketKind, Vids
+from repro.vids import DEFAULT_CONFIG, AttackType, PacketKind
 
-from .test_quarantine import invite_datagram
+from . import test_ids
+from .test_cluster import invite_datagram
 
 CONFIG = DEFAULT_CONFIG.with_overrides(
     shed_high_watermark=0.2,   # four SIP messages at 0.05 s each
@@ -20,10 +22,7 @@ CONFIG = DEFAULT_CONFIG.with_overrides(
 )
 
 
-def make_vids(config=CONFIG):
-    clock = ManualClock()
-    return Vids(config=config, clock_now=clock.now,
-                timer_scheduler=clock.schedule), clock
+make_vids = functools.partial(test_ids.make_vids, CONFIG)
 
 
 def rtp_datagram(dst=("10.2.0.11", 30_000), seq=1):

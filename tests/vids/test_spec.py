@@ -6,6 +6,7 @@ the spec across processes and checkpoints; a restore under another digest
 is refused.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -20,10 +21,23 @@ from repro.vids import (DEFAULT_CONFIG, CallSpec, build_pipeline, call_spec,
 from repro.vids.sync import RTP_MACHINE, SIP_MACHINE
 
 from .test_cluster import FAST, calls_on_shard, invite_datagram
-from .test_lever_audit import load_workloads
 
 #: The benchmark's replay config.
 CONFIG = DEFAULT_CONFIG.with_overrides(shed_high_watermark=1e9)
+REPO = Path(__file__).resolve().parents[2]
+
+
+def load_workloads():
+    """benchmarks/e2e/workloads.py by file path, read only."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_workloads", REPO / "benchmarks" / "e2e" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
 
 
 def definitions(pipeline):
@@ -108,7 +122,7 @@ def test_the_digest_sees_what_the_helpers_close_over():
 
 
 def test_the_digest_is_the_same_in_every_process():
-    src = str(Path(__file__).resolve().parents[2] / "src")
+    src = str(REPO / "src")
     program = ("from repro.vids import CallSpec, DEFAULT_CONFIG; "
                "print(CallSpec.build(DEFAULT_CONFIG).digest)")
     digests = {subprocess.run(

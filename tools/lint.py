@@ -13,6 +13,14 @@ degrades to a built-in fallback instead of skipping the gate entirely:
   assignment), and B006 (mutable default argument).  ``# noqa`` comments
   are honored per line, with or without rule codes (:func:`noqa_lines`).
 
+Either way it then runs the repo's own shape rules over ``src/repro``,
+which no ruff rule covers (:func:`shape_check`): RP001, an import of
+anything but the standard library or ``repro`` (the package stays
+standard-library only), or of ``inspect`` (nothing reads source); RP002,
+``deepcopy`` (state values are copied by ``copy_state``, over a closed
+domain); RP003, an ``lru_cache`` without an integer ``maxsize`` (a memo
+that traffic can grow without bound).
+
 Exit status is non-zero when any check reports findings, so the Makefile
 target gates the same way in both environments.
 """
@@ -23,6 +31,7 @@ import ast
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, List, Mapping, Set, Tuple
 
@@ -279,6 +288,67 @@ def fallback_check(files: List[Path]) -> int:
     return 1 if findings else 0
 
 
+#: ``inspect`` too: nothing under src/repro reads source (speclint reads
+#: the definitions' data).
+_STANDARD = (sys.stdlib_module_names | {"repro"}) - {"inspect"}
+
+
+def _bounded(decorator: ast.expr) -> bool:
+    """Whether a decorator is anything but an ``lru_cache`` / ``cache``
+    without an integer ``maxsize``."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    if getattr(target, "attr", getattr(target, "id", None)) not in (
+            "lru_cache", "cache"):
+        return True
+    sizes = [*(call.args[:1] if call else ()),
+             *(k.value for k in (call.keywords if call else ())
+               if k.arg == "maxsize")]
+    return any(isinstance(size, ast.Constant) and type(size.value) is int
+               for size in sizes)
+
+
+def _shape_findings(tree: ast.Module) -> List[Tuple[int, str, str]]:
+    found: List[Tuple[int, str, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            names = []
+        found += [(node.lineno, "RP001", f"'{name}' is not allowed")
+                  for name in names if name.partition(".")[0] not in _STANDARD]
+        if getattr(node, "attr", getattr(node, "id", None)) == "deepcopy":
+            found.append((node.lineno, "RP002",
+                          "deepcopy: copy state values with copy_state"))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [(node.lineno, "RP003", "a memo needs an integer maxsize")
+                      for decorator in node.decorator_list
+                      if not _bounded(decorator)]
+    return found
+
+
+def shape_check(files: List[Path]) -> int:
+    """The repo's shape rules (module docstring) over ``src/repro``."""
+    findings: List[str] = []
+    package = REPO_ROOT / "src" / "repro"
+    for path in files:
+        if package not in path.parents:
+            continue
+        source = path.read_text(encoding="utf-8")
+        silenced = noqa_lines(source)
+        relative, shapes = (path.relative_to(REPO_ROOT),
+                            _shape_findings(ast.parse(source)))
+        findings += [f"{relative}:{line}: {code} {message}"
+                     for line, code, message in shapes
+                     if not is_silenced(silenced, line, code)]
+    for finding in findings:
+        print(finding)
+    print(f"shape rules: {len(findings)} finding(s)")
+    return 1 if findings else 0
+
+
 def main() -> int:
     status = 0
     ran_external = False
@@ -292,7 +362,7 @@ def main() -> int:
         print("ruff/mypy not installed; running built-in fallback checks "
               "(CI runs the real tools)")
         status = fallback_check(python_files())
-    return status
+    return status | shape_check(python_files())
 
 
 if __name__ == "__main__":
