@@ -26,21 +26,13 @@ simulation stand-in for an attacker who sniffed the signaling.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..netsim.address import Endpoint
-from ..sip.headers import new_branch
-from ..sip.message import SipRequest
-from ..telephony.enterprise import EnterpriseTestbed
-from .base import Attack, EstablishedPair, attacker_host, find_established_pair
+from .base import EstablishedPair, WaitingAttack, forge_in_dialog
 
 __all__ = ["ByeTeardownAttack"]
 
-#: How often to re-check for an established call to attack.
-RETRY_INTERVAL = 2.0
 
-
-class ByeTeardownAttack(Attack):
+class ByeTeardownAttack(WaitingAttack):
     """Tear down an established call with a forged BYE."""
 
     name = "bye-teardown"
@@ -49,50 +41,17 @@ class ByeTeardownAttack(Attack):
                  max_wait: float = 600.0):
         if spoof not in ("none", "peer"):
             raise ValueError(f"unknown spoof mode: {spoof!r}")
-        super().__init__(start_time)
+        super().__init__(start_time, max_wait)
         self.spoof = spoof
-        self.max_wait = max_wait
-        self.victim_call_id: Optional[str] = None
 
-    def install(self, testbed: EnterpriseTestbed) -> None:
-        host = attacker_host(testbed)
-        sim = testbed.sim
-        deadline = self.start_time + self.max_wait
-
-        def attempt() -> None:
-            pair = find_established_pair(testbed)
-            if pair is None:
-                if sim.now + RETRY_INTERVAL < deadline:
-                    sim.schedule(RETRY_INTERVAL, attempt)
-                return
-            self._strike(testbed, host, pair)
-
-        sim.schedule_at(max(self.start_time, sim.now), attempt)
-
-    def _strike(self, testbed: EnterpriseTestbed, host, pair:
-                EstablishedPair) -> None:
-        sim = testbed.sim
-        callee_dialog = pair.callee_call.dialog
-        assert callee_dialog is not None
+    def strike(self, sim, host, pair: EstablishedPair) -> None:
         self.victim_call_id = pair.callee_call.call_id
-
-        # Build the BYE exactly as the callee expects it from its peer.
-        caller_ip = pair.caller_phone.host.ip
-        bye = SipRequest("BYE", callee_dialog.local_addr.uri.with_params())
         if self.spoof == "none":
-            via_host = host.ip
-            src_ip: Optional[str] = None
+            via_host, src_ip = host.ip, None
         else:
             # Victim = callee; spoof its partner (the caller).
-            via_host = caller_ip
-            src_ip = caller_ip
-        bye.set("Via", f"SIP/2.0/UDP {via_host}:5060;branch={new_branch()}")
-        bye.set("Max-Forwards", 70)
-        bye.set("From", str(callee_dialog.remote_addr))
-        bye.set("To", str(callee_dialog.local_addr))
-        bye.set("Call-ID", callee_dialog.call_id)
-        bye.set("CSeq", f"{callee_dialog.remote_cseq + 1} BYE")
-
+            via_host = src_ip = pair.caller_phone.host.ip
+        bye = forge_in_dialog(pair.callee_call.dialog, "BYE", via_host)
         victim = Endpoint(pair.callee_phone.host.ip, 5060)
         host.send_udp(victim, bye.serialize(), 5060, src_ip=src_ip)
         self.log(sim.now, f"forged BYE ({self.spoof}) -> {victim} "

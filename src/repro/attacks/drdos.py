@@ -16,18 +16,15 @@ from __future__ import annotations
 
 import itertools
 
-from ..sip.headers import new_branch, new_call_id, new_tag
-from ..sip.message import SipRequest
-from ..sip.sdp import SDP_CONTENT_TYPE, SessionDescription
-from ..telephony.enterprise import EnterpriseTestbed
-from .base import Attack, attacker_host
+from .base import fresh_invite
+from .invite_flood import InviteFloodAttack
 
 __all__ = ["DrdosReflectionAttack"]
 
 _drdos_ids = itertools.count(1)
 
 
-class DrdosReflectionAttack(Attack):
+class DrdosReflectionAttack(InviteFloodAttack):
     """Use the enterprise proxy as a reflector against ``victim_ip``."""
 
     name = "drdos-reflection"
@@ -40,45 +37,16 @@ class DrdosReflectionAttack(Attack):
         interval: float = 0.02,
         callees: int = 10,
     ):
-        super().__init__(start_time)
+        super().__init__(start_time, count=count, interval=interval)
         self.victim_ip = victim_ip
-        self.count = count
-        self.interval = interval
         self.callees = callees
 
-    def install(self, testbed: EnterpriseTestbed) -> None:
-        host = attacker_host(testbed)
-        sim = testbed.sim
-        proxy = testbed.proxy_b.endpoint
-
-        def send_one(index: int) -> None:
-            callee = f"b{(index % self.callees) + 1}@b.example.com"
-            request = self._build_invite(callee, index)
-            # The whole point: the source is the victim, so the proxy's
-            # responses (and the callees' ringing) bounce at the victim.
-            host.send_udp(proxy, request.serialize(), 5060,
-                          src_ip=self.victim_ip)
-            self.log(sim.now, f"spoofed INVITE #{index} -> {callee} "
-                              f"(claimed source {self.victim_ip})")
-
-        base = max(self.start_time, sim.now)
-        for index in range(self.count):
-            sim.schedule_at(base + index * self.interval, send_one, index)
-
-    def _build_invite(self, callee: str, index: int) -> SipRequest:
+    def forge(self, attacker_ip, index):
+        # The whole point: the source is the victim, so the proxy's
+        # responses (and the callees' ringing) bounce at the victim.
         unique = next(_drdos_ids)
-        sdp = SessionDescription.for_audio(self.victim_ip,
-                                           30_000 + 2 * index, 18, "G729")
-        request = SipRequest("INVITE", f"sip:{callee}",
-                             body=sdp.serialize())
-        request.set("Via", f"SIP/2.0/UDP {self.victim_ip}:5060"
-                           f";branch={new_branch()}")
-        request.set("Max-Forwards", 70)
-        request.set("From", f"<sip:victim{unique}@{self.victim_ip}>"
-                            f";tag={new_tag()}")
-        request.set("To", f"<sip:{callee}>")
-        request.set("Call-ID", new_call_id(self.victim_ip))
-        request.set("CSeq", "1 INVITE")
-        request.set("Contact", f"<sip:victim@{self.victim_ip}:5060>")
-        request.set("Content-Type", SDP_CONTENT_TYPE)
-        return request
+        callee = f"b{(index % self.callees) + 1}@b.example.com"
+        return callee, self.victim_ip, fresh_invite(
+            callee, self.victim_ip, 30_000 + 2 * index,
+            f"victim{unique}@{self.victim_ip}",
+            f"victim@{self.victim_ip}:5060")

@@ -9,67 +9,31 @@ vids SIP machine's participant check catches (``ATTACK_Hijack``).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..netsim.address import Endpoint
-from ..sip.headers import new_branch
-from ..sip.message import SipRequest
 from ..sip.sdp import SDP_CONTENT_TYPE, SessionDescription
-from ..telephony.enterprise import EnterpriseTestbed
-from .base import Attack, attacker_host, find_established_pair
+from .base import WaitingAttack, forge_in_dialog
 
 __all__ = ["CallHijackAttack"]
 
-RETRY_INTERVAL = 2.0
 
-
-class CallHijackAttack(Attack):
+class CallHijackAttack(WaitingAttack):
     """Redirect an established call's media with an in-dialog INVITE."""
 
     name = "call-hijack"
 
     def __init__(self, start_time: float, media_port: int = 55_000,
                  max_wait: float = 600.0):
-        super().__init__(start_time)
+        super().__init__(start_time, max_wait)
         self.media_port = media_port
-        self.max_wait = max_wait
-        self.victim_call_id: Optional[str] = None
 
-    def install(self, testbed: EnterpriseTestbed) -> None:
-        host = attacker_host(testbed)
-        sim = testbed.sim
-        deadline = self.start_time + self.max_wait
-
-        def attempt() -> None:
-            pair = find_established_pair(testbed)
-            if pair is None:
-                if sim.now + RETRY_INTERVAL < deadline:
-                    sim.schedule(RETRY_INTERVAL, attempt)
-                return
-            self._strike(testbed, host, pair)
-
-        sim.schedule_at(max(self.start_time, sim.now), attempt)
-
-    def _strike(self, testbed, host, pair) -> None:
-        sim = testbed.sim
-        dialog = pair.callee_call.dialog
-        assert dialog is not None
+    def strike(self, sim, host, pair) -> None:
         self.victim_call_id = pair.callee_call.call_id
-
         sdp = SessionDescription.for_audio(host.ip, self.media_port,
                                            18, "G729")
-        reinvite = SipRequest("INVITE", dialog.local_addr.uri.with_params(),
-                              body=sdp.serialize())
-        reinvite.set("Via", f"SIP/2.0/UDP {host.ip}:5060"
-                            f";branch={new_branch()}")
-        reinvite.set("Max-Forwards", 70)
-        reinvite.set("From", str(dialog.remote_addr))
-        reinvite.set("To", str(dialog.local_addr))
-        reinvite.set("Call-ID", dialog.call_id)
-        reinvite.set("CSeq", f"{dialog.remote_cseq + 1} INVITE")
+        reinvite = forge_in_dialog(pair.callee_call.dialog, "INVITE",
+                                   host.ip, sdp.serialize())
         reinvite.set("Contact", f"<sip:hijack@{host.ip}:5060>")
         reinvite.set("Content-Type", SDP_CONTENT_TYPE)
-
         victim = Endpoint(pair.callee_phone.host.ip, 5060)
         host.send_udp(victim, reinvite.serialize(), 5060)
         self.log(sim.now, f"hijack re-INVITE -> {victim} "

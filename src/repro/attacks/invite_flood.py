@@ -12,13 +12,11 @@ emulate the distributed variant.
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Optional, Tuple
 
-from ..sip.headers import new_branch, new_call_id, new_tag
 from ..sip.message import SipRequest
-from ..sip.sdp import SDP_CONTENT_TYPE, SessionDescription
 from ..telephony.enterprise import EnterpriseTestbed
-from .base import Attack, attacker_host
+from .base import Attack, attacker_host, burst, fresh_invite
 
 __all__ = ["InviteFloodAttack"]
 
@@ -50,32 +48,21 @@ class InviteFloodAttack(Attack):
         proxy = testbed.proxy_b.endpoint
 
         def send_one(index: int) -> None:
-            request = self._build_invite(host.ip, index)
-            src_ip: Optional[str] = None
-            if self.spoof_sources:
-                src_ip = f"172.16.{index % self.spoof_sources}.99"
+            callee, src_ip, request = self.forge(host.ip, index)
             host.send_udp(proxy, request.serialize(), 5060, src_ip=src_ip)
-            self.log(sim.now, f"INVITE#{index} -> {self.target_aor}")
+            claimed = f" (claimed source {src_ip})" if src_ip else ""
+            self.log(sim.now, f"INVITE #{index} -> {callee}{claimed}")
 
-        base = max(self.start_time, sim.now)
-        for index in range(self.count):
-            sim.schedule_at(base + index * self.interval, send_one, index)
+        burst(sim, max(self.start_time, sim.now), self.count, self.interval,
+              send_one)
 
-    def _build_invite(self, attacker_ip: str, index: int) -> SipRequest:
-        user, _, domain = self.target_aor.partition("@")
+    def forge(self, attacker_ip: str,
+              index: int) -> Tuple[str, Optional[str], SipRequest]:
+        """INVITE ``index`` of the burst: its callee, spoofed source, request."""
         unique = next(_flood_ids)
-        sdp = SessionDescription.for_audio(attacker_ip, 40_000 + 2 * index,
-                                           18, "G729")
-        request = SipRequest("INVITE", f"sip:{self.target_aor}",
-                             body=sdp.serialize())
-        request.set("Via", f"SIP/2.0/UDP {attacker_ip}:5060"
-                           f";branch={new_branch()}")
-        request.set("Max-Forwards", 70)
-        request.set("From", f"<sip:flood{unique}@evil.example.net>"
-                            f";tag={new_tag()}")
-        request.set("To", f"<sip:{self.target_aor}>")
-        request.set("Call-ID", new_call_id(attacker_ip))
-        request.set("CSeq", "1 INVITE")
-        request.set("Contact", f"<sip:flood{unique}@{attacker_ip}:5060>")
-        request.set("Content-Type", SDP_CONTENT_TYPE)
-        return request
+        src_ip = (f"172.16.{index % self.spoof_sources}.99"
+                  if self.spoof_sources else None)
+        return self.target_aor, src_ip, fresh_invite(
+            self.target_aor, attacker_ip, 40_000 + 2 * index,
+            f"flood{unique}@evil.example.net",
+            f"flood{unique}@{attacker_ip}:5060")

@@ -13,19 +13,12 @@ from the legitimate sender's state, jumps well past them, and plays its own
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..netsim.address import Endpoint
-from ..rtp.packet import RtpPacket
-from ..telephony.enterprise import EnterpriseTestbed
-from .base import Attack, attacker_host, find_established_pair
+from .base import WaitingAttack, burst, forged_rtp
 
 __all__ = ["MediaSpamAttack"]
 
-RETRY_INTERVAL = 2.0
 
-
-class MediaSpamAttack(Attack):
+class MediaSpamAttack(WaitingAttack):
     """Inject fabricated RTP into an established call."""
 
     name = "media-spam"
@@ -40,44 +33,20 @@ class MediaSpamAttack(Attack):
         spoof_source: bool = True,
         max_wait: float = 600.0,
     ):
-        super().__init__(start_time)
+        super().__init__(start_time, max_wait)
         self.seq_jump = seq_jump
         self.ts_jump = ts_jump
         self.burst_packets = burst_packets
         self.burst_interval = burst_interval
         self.spoof_source = spoof_source
-        self.max_wait = max_wait
-        self.victim_call_id: Optional[str] = None
 
-    def install(self, testbed: EnterpriseTestbed) -> None:
-        host = attacker_host(testbed)
-        sim = testbed.sim
-        deadline = self.start_time + self.max_wait
-
-        def attempt() -> None:
-            pair = find_established_pair(testbed)
-            if pair is None:
-                if sim.now + RETRY_INTERVAL < deadline:
-                    sim.schedule(RETRY_INTERVAL, attempt)
-                return
-            self._strike(testbed, host, pair)
-
-        sim.schedule_at(max(self.start_time, sim.now), attempt)
-
-    def _strike(self, testbed, host, pair) -> None:
-        sim = testbed.sim
+    def strike(self, sim, host, pair) -> None:
         self.victim_call_id = pair.callee_call.call_id
         # Sniffed stream parameters: the caller's sender toward the callee.
-        sender = None
-        media = pair.caller_phone._media.get(pair.caller_call.call_id)
-        if media is not None:
-            sender = media.sender
-        if sender is None:
+        media = pair.media()
+        if media is None:
             return
-        victim_sdp = pair.caller_call.remote_sdp   # the callee's answer
-        if victim_sdp is None or victim_sdp.audio is None:
-            return
-        victim = Endpoint(victim_sdp.connection_address, victim_sdp.audio.port)
+        sender, victim = media
         ssrc = sender.ssrc
         seq = (sender.sequence_number + self.seq_jump) % (1 << 16)
         ts = (sender.timestamp + self.ts_jump) % (1 << 32)
@@ -85,17 +54,9 @@ class MediaSpamAttack(Attack):
         src_ip = pair.caller_phone.host.ip if self.spoof_source else None
 
         def send(index: int) -> None:
-            packet = RtpPacket(
-                payload_type=pt,
-                sequence_number=(seq + index) % (1 << 16),
-                timestamp=(ts + index * 160) % (1 << 32),
-                ssrc=ssrc,
-                payload=bytes(20),
-            )
-            host.send_udp(victim, packet.serialize(), victim.port,
-                          src_ip=src_ip)
+            host.send_udp(victim, forged_rtp(pt, ssrc, seq, ts, index),
+                          victim.port, src_ip=src_ip)
 
-        for index in range(self.burst_packets):
-            sim.schedule_at(sim.now + index * self.burst_interval, send, index)
+        burst(sim, sim.now, self.burst_packets, self.burst_interval, send)
         self.log(sim.now, f"spam burst -> {victim} ssrc={ssrc} "
                           f"call={self.victim_call_id}")

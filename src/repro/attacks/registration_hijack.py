@@ -40,20 +40,19 @@ class RegistrationHijackAttack(Attack):
         sim = testbed.sim
         proxy = testbed.proxy_b.endpoint
 
+        def check() -> None:
+            binding = testbed.proxy_b.location.lookup(self.victim_aor, sim.now)
+            self.succeeded = binding is not None and binding.host == host.ip
+
         def strike() -> None:
             request = self._build_register(host.ip)
             host.send_udp(proxy, request.serialize(), 5060)
             self.log(sim.now, f"forged REGISTER {self.victim_aor} -> "
                               f"{host.ip}")
             # Record the outcome once the registrar has had time to act.
-            sim.schedule(2.0, lambda: self._check(testbed, host.ip))
+            sim.schedule(2.0, check)
 
         sim.schedule_at(max(self.start_time, sim.now), strike)
-
-    def _check(self, testbed: EnterpriseTestbed, attacker_ip: str) -> None:
-        binding = testbed.proxy_b.location.lookup(self.victim_aor,
-                                                  testbed.sim.now)
-        self.succeeded = binding is not None and binding.host == attacker_ip
 
     def _build_register(self, attacker_ip: str) -> SipRequest:
         user, _, domain = self.victim_aor.partition("@")

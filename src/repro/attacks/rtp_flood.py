@@ -13,19 +13,12 @@ switches to an unnegotiated payload type (``mode="codec"``).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..netsim.address import Endpoint
-from ..rtp.packet import RtpPacket
-from ..telephony.enterprise import EnterpriseTestbed
-from .base import Attack, find_established_pair
+from .base import WaitingAttack, burst, forged_rtp
 
 __all__ = ["RtpFloodAttack"]
 
-RETRY_INTERVAL = 2.0
 
-
-class RtpFloodAttack(Attack):
+class RtpFloodAttack(WaitingAttack):
     """Flood the callee with media from a compromised caller endpoint."""
 
     name = "rtp-flood"
@@ -41,41 +34,21 @@ class RtpFloodAttack(Attack):
     ):
         if mode not in ("flood", "codec"):
             raise ValueError(f"unknown mode: {mode!r}")
-        super().__init__(start_time)
+        super().__init__(start_time, max_wait)
         self.mode = mode
         self.rate_pps = rate_pps
         self.duration = duration
         self.rogue_payload_type = rogue_payload_type
-        self.max_wait = max_wait
-        self.victim_call_id: Optional[str] = None
 
-    def install(self, testbed: EnterpriseTestbed) -> None:
-        sim = testbed.sim
-        deadline = self.start_time + self.max_wait
-
-        def attempt() -> None:
-            pair = find_established_pair(testbed)
-            if pair is None:
-                if sim.now + RETRY_INTERVAL < deadline:
-                    sim.schedule(RETRY_INTERVAL, attempt)
-                return
-            self._strike(testbed, pair)
-
-        sim.schedule_at(max(self.start_time, sim.now), attempt)
-
-    def _strike(self, testbed, pair) -> None:
-        sim = testbed.sim
+    def strike(self, sim, host, pair) -> None:
         self.victim_call_id = pair.callee_call.call_id
-        media = pair.caller_phone._media.get(pair.caller_call.call_id)
-        sender = media.sender if media is not None else None
-        victim_sdp = pair.caller_call.remote_sdp
-        if sender is None or victim_sdp is None or victim_sdp.audio is None:
+        media = pair.media()
+        if media is None:
             return
-        victim = Endpoint(victim_sdp.connection_address, victim_sdp.audio.port)
-
+        sender, victim = media
         # The compromised endpoint abandons well-behaved pacing.
         sender.stop()
-        host = pair.caller_phone.host
+        caller_host = pair.caller_phone.host
         ssrc = sender.ssrc
         seq = sender.sequence_number
         ts = sender.timestamp
@@ -90,16 +63,10 @@ class RtpFloodAttack(Attack):
             count = int(self.duration * self.rate_pps)
 
         def send(index: int) -> None:
-            packet = RtpPacket(
-                payload_type=payload_type,
-                sequence_number=(seq + index) % (1 << 16),
-                timestamp=(ts + index * 160) % (1 << 32),
-                ssrc=ssrc,
-                payload=bytes(20),
-            )
-            host.send_udp(victim, packet.serialize(), sender.local_port)
+            caller_host.send_udp(
+                victim, forged_rtp(payload_type, ssrc, seq, ts, index),
+                sender.local_port)
 
-        for index in range(count):
-            sim.schedule_at(sim.now + index * interval, send, index)
+        burst(sim, sim.now, count, interval, send)
         self.log(sim.now, f"{self.mode} burst ({count} pkts) -> {victim} "
                           f"call={self.victim_call_id}")

@@ -14,63 +14,27 @@ RTP_Close from the BYE sender's own address are attributed as toll fraud.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..netsim.address import Endpoint
-from ..sip.headers import new_branch
-from ..sip.message import SipRequest
-from ..telephony.enterprise import EnterpriseTestbed
-from .base import Attack, EstablishedPair, find_established_pair
+from .base import EstablishedPair, WaitingAttack, forge_in_dialog
 
 __all__ = ["TollFraudAttack"]
 
-RETRY_INTERVAL = 2.0
 
-
-class TollFraudAttack(Attack):
+class TollFraudAttack(WaitingAttack):
     """Stop billing with a BYE but keep the media flowing."""
 
     name = "toll-fraud"
 
     def __init__(self, start_time: float, extra_media_time: float = 30.0,
                  max_wait: float = 600.0):
-        super().__init__(start_time)
+        super().__init__(start_time, max_wait)
         #: How long the fraudulent media keeps flowing after the BYE.
         self.extra_media_time = extra_media_time
-        self.max_wait = max_wait
-        self.victim_call_id: Optional[str] = None
 
-    def install(self, testbed: EnterpriseTestbed) -> None:
-        sim = testbed.sim
-        deadline = self.start_time + self.max_wait
-
-        def attempt() -> None:
-            pair = find_established_pair(testbed)
-            if pair is None:
-                if sim.now + RETRY_INTERVAL < deadline:
-                    sim.schedule(RETRY_INTERVAL, attempt)
-                return
-            self._strike(testbed, pair)
-
-        sim.schedule_at(max(self.start_time, sim.now), attempt)
-
-    def _strike(self, testbed: EnterpriseTestbed,
-                pair: EstablishedPair) -> None:
-        sim = testbed.sim
-        callee_dialog = pair.callee_call.dialog
-        assert callee_dialog is not None
+    def strike(self, sim, host, pair: EstablishedPair) -> None:
         self.victim_call_id = pair.callee_call.call_id
         caller_host = pair.caller_phone.host
-
-        bye = SipRequest("BYE", callee_dialog.local_addr.uri.with_params())
-        bye.set("Via", f"SIP/2.0/UDP {caller_host.ip}:5060"
-                       f";branch={new_branch()}")
-        bye.set("Max-Forwards", 70)
-        bye.set("From", str(callee_dialog.remote_addr))
-        bye.set("To", str(callee_dialog.local_addr))
-        bye.set("Call-ID", callee_dialog.call_id)
-        bye.set("CSeq", f"{callee_dialog.remote_cseq + 1} BYE")
-
+        bye = forge_in_dialog(pair.callee_call.dialog, "BYE", caller_host.ip)
         victim = Endpoint(pair.callee_phone.host.ip, 5060)
         # Sent from the caller's own host: a genuine, billable-entity BYE.
         caller_host.send_udp(victim, bye.serialize(), 5061)
@@ -80,9 +44,9 @@ class TollFraudAttack(Attack):
         # The fraudster's endpoint deliberately ignores teardown: neuter the
         # sender's stop so the media keeps flowing for the fraud window even
         # if the phone's normal call logic tries to stop it.
-        media = pair.caller_phone._media.get(pair.caller_call.call_id)
-        if media is not None and media.sender is not None:
-            sender = media.sender
+        media = pair.media()
+        if media is not None:
+            sender = media[0]
             real_stop = sender.stop
             sender.stop = lambda: None   # compromised endpoint
             sim.schedule(self.extra_media_time, real_stop)

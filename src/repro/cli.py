@@ -63,6 +63,8 @@ def _add_topology_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .attacks import CATALOGUE
+
     parser = argparse.ArgumentParser(
         prog="vids-repro",
         description=("Reproduction of 'VoIP Intrusion Detection Through "
@@ -117,9 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="run a seeded attack scenario; print the forensic timeline")
     trace.add_argument("--attack", default="bye",
-                       choices=("bye", "bye-spoof", "cancel", "hijack",
-                                "toll-fraud", "media-spam", "rtp-flood",
-                                "invite-flood", "none"),
+                       choices=(*CATALOGUE, "none"),
                        help="attack to seed into the workload (default bye)")
     trace.add_argument("--seed", type=int, default=11)
     trace.add_argument("--horizon", type=float, default=150.0,
@@ -241,51 +241,30 @@ def _cmd_scenario(args) -> int:
 
 def _cmd_attack_matrix(args) -> int:
     from .analysis import format_table
-    from .attacks import (ByeTeardownAttack, CallHijackAttack,
-                          CancelDosAttack, DrdosReflectionAttack,
-                          InviteFloodAttack, MediaSpamAttack,
-                          RegistrationHijackAttack, RtpFloodAttack,
-                          TollFraudAttack)
+    from .attacks import CATALOGUE
     from .telephony import (ScenarioParams, TestbedParams, WorkloadParams,
                             run_scenario)
 
     workload = WorkloadParams(mean_interarrival=25.0, mean_duration=400.0,
                               horizon=150.0)
-    attacks = [
-        InviteFloodAttack(40.0, count=20),
-        ByeTeardownAttack(40.0, spoof="none"),
-        ByeTeardownAttack(40.0, spoof="peer"),
-        CancelDosAttack(40.0),
-        CallHijackAttack(40.0),
-        TollFraudAttack(40.0),
-        MediaSpamAttack(40.0),
-        RtpFloodAttack(40.0, mode="flood"),
-        RtpFloodAttack(40.0, mode="codec"),
-        DrdosReflectionAttack(40.0, count=20),
-        RegistrationHijackAttack(40.0),
-    ]
     rows = []
     detected = 0
-    for attack in attacks:
+    for label, (factory, expected) in CATALOGUE.items():
+        attack = factory(40.0)
         result = run_scenario(ScenarioParams(
             testbed=TestbedParams(seed=args.seed, phones_per_network=4),
             workload=workload, with_vids=True, attacks=(attack,),
             drain_time=90.0))
         kinds = sorted({a.attack_type.value for a in result.vids.alerts})
-        ok = attack.launched and bool(kinds)
+        ok = attack.launched and expected.value in kinds
         detected += ok
-        label = attack.name
-        if hasattr(attack, "mode"):
-            label += f" ({attack.mode})"
-        elif hasattr(attack, "spoof"):
-            label += f" (spoof={attack.spoof})"
         rows.append((label, "yes" if attack.launched else "NO TARGET",
-                     ", ".join(kinds) if kinds else "NOT DETECTED"))
+                     expected.value, ", ".join(kinds) or "none"))
         print(f"  {label}: {'detected' if ok else 'MISSED'}",
               file=sys.stderr)
-    print(format_table(("attack", "launched", "alerts"), rows))
-    print(f"\ndetected {detected}/{len(attacks)}")
-    return 0 if detected == len(attacks) else 1
+    print(format_table(("attack", "launched", "expected", "alerts"), rows))
+    print(f"\ndetected {detected}/{len(CATALOGUE)}")
+    return 0 if detected == len(CATALOGUE) else 1
 
 
 def _spec_config(args):
@@ -354,28 +333,15 @@ def _cmd_speclint(args) -> int:
 
 def _cmd_trace(args) -> int:
     """Run one observed scenario and render the forensic timeline."""
-    from .attacks import (ByeTeardownAttack, CallHijackAttack,
-                          CancelDosAttack, InviteFloodAttack,
-                          MediaSpamAttack, RtpFloodAttack, TollFraudAttack)
+    from .attacks import CATALOGUE
     from .obs import Observability
     from .telephony import (ScenarioParams, TestbedParams, WorkloadParams,
                             run_scenario)
 
-    factories = {
-        "bye": lambda: ByeTeardownAttack(40.0, spoof="none"),
-        "bye-spoof": lambda: ByeTeardownAttack(40.0, spoof="peer"),
-        "cancel": lambda: CancelDosAttack(40.0),
-        "hijack": lambda: CallHijackAttack(40.0),
-        "toll-fraud": lambda: TollFraudAttack(40.0),
-        "media-spam": lambda: MediaSpamAttack(40.0),
-        "rtp-flood": lambda: RtpFloodAttack(40.0, mode="flood"),
-        "invite-flood": lambda: InviteFloodAttack(40.0, count=20),
-        "none": None,
-    }
     obs = Observability(profile=args.profile,
                         trace_capacity=args.capacity)
-    factory = factories[args.attack]
-    attacks = (factory(),) if factory is not None else ()
+    attacks = (() if args.attack == "none"
+               else (CATALOGUE[args.attack][0](40.0),))
     shard_fault_plan = None
     if args.kill_shard is not None:
         if not args.supervise:

@@ -50,7 +50,7 @@ from .transaction import (
 from .transport import SipTransport
 from .uri import SipUri
 
-__all__ = ["CALL_LEG", "Call", "UserAgent"]
+__all__ = ["CALL_LEG", "Call", "UserAgent", "cancel_for"]
 
 
 # ---- the call leg (Definition 1, as data) -----------------------------------
@@ -141,6 +141,18 @@ CALL_LEG = _call_leg()
 _DIAL, _RING, _HANGUP, _TIMEOUT = map(Event, ("dial", "ring", "hangup",
                                              "timeout"))
 _ACK, _BYE = Event(ACK), Event(BYE)
+
+
+def cancel_for(invite: SipRequest) -> SipRequest:
+    """The CANCEL of ``invite`` (RFC 3261 §9.1: mirror its Via)."""
+    cancel = SipRequest(CANCEL, invite.uri)
+    cancel.set("Via", invite.get("Via"))
+    cancel.set("Max-Forwards", 70)
+    cancel.set("From", invite.get("From"))
+    cancel.set("To", invite.get("To"))
+    cancel.set("Call-ID", invite.call_id)
+    cancel.set("CSeq", f"{invite.cseq.number} {CANCEL}")
+    return cancel
 
 
 class Call(Runner):
@@ -240,7 +252,8 @@ class Call(Runner):
                                     self._handle_response,
                                     lambda: self._handle(_TIMEOUT))
         else:
-            ua.manager.send_request(self._cancel(), ua.outbound_proxy,
+            ua.manager.send_request(cancel_for(self.invite_request),
+                                    ua.outbound_proxy,
                                     on_response=lambda response: None)
 
     def _reply(self, status: int, body: str = "") -> None:
@@ -258,18 +271,6 @@ class Call(Runner):
             self.remote_sdp = SessionDescription.parse(response.body)
         ua.transport.send_message(dialog.create_ack(response),
                                   dialog.remote_endpoint)
-
-    def _cancel(self) -> SipRequest:
-        """CANCEL the pending INVITE (RFC 3261 §9.1: mirror its Via)."""
-        invite = self.invite_request
-        cancel = SipRequest(CANCEL, invite.uri)
-        cancel.set("Via", invite.get("Via"))
-        cancel.set("Max-Forwards", 70)
-        cancel.set("From", invite.get("From"))
-        cancel.set("To", invite.get("To"))
-        cancel.set("Call-ID", invite.call_id)
-        cancel.set("CSeq", f"{invite.cseq.number} {CANCEL}")
-        return cancel
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         role = "caller" if self.is_caller else "callee"

@@ -8,15 +8,7 @@ test_false_positives.py).
 
 import pytest
 
-from repro.attacks import (
-    ByeTeardownAttack,
-    CallHijackAttack,
-    CancelDosAttack,
-    InviteFloodAttack,
-    MediaSpamAttack,
-    RtpFloodAttack,
-    TollFraudAttack,
-)
+from repro.attacks import CATALOGUE, ByeTeardownAttack, CancelDosAttack
 from repro.telephony import (
     ScenarioParams,
     TestbedParams,
@@ -41,20 +33,7 @@ def run_attack(attack, seed=11):
     ))
 
 
-CASES = [
-    (InviteFloodAttack(40.0, count=20, interval=0.02),
-     AttackType.INVITE_FLOOD),
-    (ByeTeardownAttack(40.0, spoof="none"), AttackType.BYE_DOS),
-    # A peer-spoofed BYE is detected by the cross-protocol after-close
-    # signal; the attribution heuristic labels it toll-fraud-consistent.
-    (ByeTeardownAttack(40.0, spoof="peer"), AttackType.TOLL_FRAUD),
-    (CancelDosAttack(40.0), AttackType.CANCEL_DOS),
-    (CallHijackAttack(40.0), AttackType.CALL_HIJACK),
-    (TollFraudAttack(40.0), AttackType.TOLL_FRAUD),
-    (MediaSpamAttack(40.0), AttackType.MEDIA_SPAM),
-    (RtpFloodAttack(40.0, mode="flood"), AttackType.RTP_FLOOD),
-    (RtpFloodAttack(40.0, mode="codec"), AttackType.CODEC_CHANGE),
-]
+CASES = [(factory(40.0), expected) for factory, expected in CATALOGUE.values()]
 
 
 @pytest.mark.parametrize("attack,expected",

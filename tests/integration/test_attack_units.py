@@ -85,6 +85,16 @@ class TestRetryUntilTarget:
         assert attack.launched
         assert attack.events[0][0] > 10.0
 
+    def test_cancel_attack_polls_every_quarter_second(self):
+        # A call rings for about a second: a 2 s poll can miss it.
+        testbed = make_testbed()
+        attack = CancelDosAttack(3.0, max_wait=1.0)
+        polls = []
+        attack.find = lambda testbed: polls.append(testbed.sim.now)
+        attack.install(testbed)
+        testbed.network.run(until=10.0)
+        assert polls == [3.0, 3.25, 3.5, 3.75]
+
     def test_attack_gives_up_after_max_wait(self):
         testbed = make_testbed()
         attack = CancelDosAttack(3.0, max_wait=5.0)
