@@ -35,8 +35,9 @@ size:
 # The simulator's output, pinned: packet count, pcap sha256 and
 # events_processed of four seeded recipes (tools/sim_ident.py).  The tier
 # harness replays whatever capture the simulator made, so a change to
-# netsim/, sip/, rtp/, telephony/ or attacks/ shows here and nowhere else.
-# The pin holds on Python 3.11: string hashing differs across versions.
+# netsim/, sip/, rtp/, telephony/ or attacks/ shows here (and, for fixture23,
+# in tier-1).  All four run in one process; the lines were pinned on Python
+# 3.11, and other versions are untried.
 sim-ident:
 	$(PYTHON) tools/sim_ident.py | diff tools/sim_ident.expected -
 

@@ -154,12 +154,13 @@ def find_established_pair(
     return None
 
 
-def forge_in_dialog(dialog: Dialog, method: str, via_host: str,
-                    body: str = "") -> SipRequest:
+def forge_in_dialog(sim: Simulator, dialog: Dialog, method: str,
+                    via_host: str, body: str = "") -> SipRequest:
     """The next in-dialog request ``dialog``'s owner expects from its peer."""
     request = SipRequest(method, dialog.local_addr.uri.with_params(),
                          body=body)
-    request.set("Via", f"SIP/2.0/UDP {via_host}:5060;branch={new_branch()}")
+    request.set("Via",
+                f"SIP/2.0/UDP {via_host}:5060;branch={new_branch(sim)}")
     request.set("Max-Forwards", 70)
     request.set("From", str(dialog.remote_addr))
     request.set("To", str(dialog.local_addr))
@@ -168,16 +169,16 @@ def forge_in_dialog(dialog: Dialog, method: str, via_host: str,
     return request
 
 
-def fresh_invite(callee: str, ip: str, media_port: int, caller: str,
-                 contact: str) -> SipRequest:
+def fresh_invite(sim: Simulator, callee: str, ip: str, media_port: int,
+                 caller: str, contact: str) -> SipRequest:
     """A new call from ``caller`` at ``ip`` to ``callee``, offering G.729."""
     sdp = SessionDescription.for_audio(ip, media_port, 18, "G729")
     request = SipRequest("INVITE", f"sip:{callee}", body=sdp.serialize())
-    request.set("Via", f"SIP/2.0/UDP {ip}:5060;branch={new_branch()}")
+    request.set("Via", f"SIP/2.0/UDP {ip}:5060;branch={new_branch(sim)}")
     request.set("Max-Forwards", 70)
-    request.set("From", f"<sip:{caller}>;tag={new_tag()}")
+    request.set("From", f"<sip:{caller}>;tag={new_tag(sim)}")
     request.set("To", f"<sip:{callee}>")
-    request.set("Call-ID", new_call_id(ip))
+    request.set("Call-ID", new_call_id(sim, ip))
     request.set("CSeq", "1 INVITE")
     request.set("Contact", f"<sip:{contact}>")
     request.set("Content-Type", SDP_CONTENT_TYPE)

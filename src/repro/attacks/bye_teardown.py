@@ -51,7 +51,7 @@ class ByeTeardownAttack(WaitingAttack):
         else:
             # Victim = callee; spoof its partner (the caller).
             via_host = src_ip = pair.caller_phone.host.ip
-        bye = forge_in_dialog(pair.callee_call.dialog, "BYE", via_host)
+        bye = forge_in_dialog(sim, pair.callee_call.dialog, "BYE", via_host)
         victim = Endpoint(pair.callee_phone.host.ip, 5060)
         host.send_udp(victim, bye.serialize(), 5060, src_ip=src_ip)
         self.log(sim.now, f"forged BYE ({self.spoof}) -> {victim} "

@@ -14,14 +14,10 @@ and raises a reflection alert naming the claimed source (the victim).
 
 from __future__ import annotations
 
-import itertools
-
 from .base import fresh_invite
 from .invite_flood import InviteFloodAttack
 
 __all__ = ["DrdosReflectionAttack"]
-
-_drdos_ids = itertools.count(1)
 
 
 class DrdosReflectionAttack(InviteFloodAttack):
@@ -41,12 +37,12 @@ class DrdosReflectionAttack(InviteFloodAttack):
         self.victim_ip = victim_ip
         self.callees = callees
 
-    def forge(self, attacker_ip, index):
+    def forge(self, sim, attacker_ip, index):
         # The whole point: the source is the victim, so the proxy's
         # responses (and the callees' ringing) bounce at the victim.
-        unique = next(_drdos_ids)
+        unique = sim.next_id("drdos")
         callee = f"b{(index % self.callees) + 1}@b.example.com"
         return callee, self.victim_ip, fresh_invite(
-            callee, self.victim_ip, 30_000 + 2 * index,
+            sim, callee, self.victim_ip, 30_000 + 2 * index,
             f"victim{unique}@{self.victim_ip}",
             f"victim@{self.victim_ip}:5060")

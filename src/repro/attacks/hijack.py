@@ -30,7 +30,7 @@ class CallHijackAttack(WaitingAttack):
         self.victim_call_id = pair.callee_call.call_id
         sdp = SessionDescription.for_audio(host.ip, self.media_port,
                                            18, "G729")
-        reinvite = forge_in_dialog(pair.callee_call.dialog, "INVITE",
+        reinvite = forge_in_dialog(sim, pair.callee_call.dialog, "INVITE",
                                    host.ip, sdp.serialize())
         reinvite.set("Contact", f"<sip:hijack@{host.ip}:5060>")
         reinvite.set("Content-Type", SDP_CONTENT_TYPE)

@@ -11,16 +11,14 @@ emulate the distributed variant.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Tuple
 
+from ..netsim.engine import Simulator
 from ..sip.message import SipRequest
 from ..telephony.enterprise import EnterpriseTestbed
 from .base import Attack, attacker_host, burst, fresh_invite
 
 __all__ = ["InviteFloodAttack"]
-
-_flood_ids = itertools.count(1)
 
 
 class InviteFloodAttack(Attack):
@@ -48,7 +46,7 @@ class InviteFloodAttack(Attack):
         proxy = testbed.proxy_b.endpoint
 
         def send_one(index: int) -> None:
-            callee, src_ip, request = self.forge(host.ip, index)
+            callee, src_ip, request = self.forge(sim, host.ip, index)
             host.send_udp(proxy, request.serialize(), 5060, src_ip=src_ip)
             claimed = f" (claimed source {src_ip})" if src_ip else ""
             self.log(sim.now, f"INVITE #{index} -> {callee}{claimed}")
@@ -56,13 +54,13 @@ class InviteFloodAttack(Attack):
         burst(sim, max(self.start_time, sim.now), self.count, self.interval,
               send_one)
 
-    def forge(self, attacker_ip: str,
+    def forge(self, sim: Simulator, attacker_ip: str,
               index: int) -> Tuple[str, Optional[str], SipRequest]:
         """INVITE ``index`` of the burst: its callee, spoofed source, request."""
-        unique = next(_flood_ids)
+        unique = sim.next_id("invite-flood")
         src_ip = (f"172.16.{index % self.spoof_sources}.99"
                   if self.spoof_sources else None)
         return self.target_aor, src_ip, fresh_invite(
-            self.target_aor, attacker_ip, 40_000 + 2 * index,
+            sim, self.target_aor, attacker_ip, 40_000 + 2 * index,
             f"flood{unique}@evil.example.net",
             f"flood{unique}@{attacker_ip}:5060")

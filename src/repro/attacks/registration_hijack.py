@@ -45,7 +45,7 @@ class RegistrationHijackAttack(Attack):
             self.succeeded = binding is not None and binding.host == host.ip
 
         def strike() -> None:
-            request = self._build_register(host.ip)
+            request = self._build_register(sim, host.ip)
             host.send_udp(proxy, request.serialize(), 5060)
             self.log(sim.now, f"forged REGISTER {self.victim_aor} -> "
                               f"{host.ip}")
@@ -54,15 +54,15 @@ class RegistrationHijackAttack(Attack):
 
         sim.schedule_at(max(self.start_time, sim.now), strike)
 
-    def _build_register(self, attacker_ip: str) -> SipRequest:
+    def _build_register(self, sim, attacker_ip: str) -> SipRequest:
         user, _, domain = self.victim_aor.partition("@")
         request = SipRequest("REGISTER", f"sip:{domain}")
         request.set("Via", f"SIP/2.0/UDP {attacker_ip}:5060"
-                           f";branch={new_branch()}")
+                           f";branch={new_branch(sim)}")
         request.set("Max-Forwards", 70)
         request.set("To", f"<sip:{self.victim_aor}>")
-        request.set("From", f"<sip:{self.victim_aor}>;tag={new_tag()}")
-        request.set("Call-ID", new_call_id(attacker_ip))
+        request.set("From", f"<sip:{self.victim_aor}>;tag={new_tag(sim)}")
+        request.set("Call-ID", new_call_id(sim, attacker_ip))
         request.set("CSeq", "1 REGISTER")
         request.set("Contact", f"<sip:{user}@{attacker_ip}:5060>")
         request.set("Expires", self.expires)

@@ -34,7 +34,8 @@ class TollFraudAttack(WaitingAttack):
     def strike(self, sim, host, pair: EstablishedPair) -> None:
         self.victim_call_id = pair.callee_call.call_id
         caller_host = pair.caller_phone.host
-        bye = forge_in_dialog(pair.callee_call.dialog, "BYE", caller_host.ip)
+        bye = forge_in_dialog(sim, pair.callee_call.dialog, "BYE",
+                              caller_host.ip)
         victim = Endpoint(pair.callee_phone.host.ip, 5060)
         # Sent from the caller's own host: a genuine, billable-entity BYE.
         caller_host.send_udp(victim, bye.serialize(), 5061)

@@ -176,11 +176,12 @@ class UdpFrontend:
             return
         when = self._now()
         endpoints = self._endpoints
-        datagram = Datagram(endpoints[addr[0], addr[1]], endpoints[local],
-                            data, created_at=when)
-        self._pending.append((datagram, when))
-        self.metrics.datagrams_received += 1
-        self.metrics.bytes_received += len(data)
+        metrics = self.metrics
+        metrics.datagrams_received += 1
+        metrics.bytes_received += len(data)
+        self._pending.append((Datagram(
+            endpoints[addr[0], addr[1]], endpoints[local], data, when,
+            metrics.datagrams_received), when))
 
     def flush(self) -> int:
         """Drain the queue into one ``process_batch`` call.

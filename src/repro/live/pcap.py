@@ -308,7 +308,7 @@ def _decode_frame(linktype: int, ts: float, frame: bytes, stats: DecodeStats,
     stats.udp_datagrams += 1
     return CapturedPacket(ts, Datagram(
         endpoints[src, sport], endpoints[dst, dport],
-        frame[start + 8:start + udp_len], ts))
+        frame[start + 8:start + udp_len], ts, stats.udp_datagrams))
 
 
 # -- classic pcap reader ------------------------------------------------------

@@ -8,7 +8,10 @@ testbed shares one notion of time and one deterministic ordering of events.
 
 Events scheduled for the same instant fire in scheduling order (a per-event
 monotonically increasing sequence number breaks ties), which makes runs fully
-reproducible for a given seed.  The heap holds ``(time, seq, timer)``
+reproducible for a given seed.  The simulator also owns the run's id
+streams (branches, tags, Call-IDs, nonces, packet ids, ...), each counting
+from 1, so the bytes a run puts on the wire depend on its recipe alone and
+not on what else ran in the process.  The heap holds ``(time, seq, timer)``
 tuples, so every comparison a push or pop makes is done in C; ``seq`` is
 unique, so the :class:`Timer` itself is never compared.
 
@@ -22,6 +25,8 @@ long run drags a heap full of dead entries through every push and pop.
 from __future__ import annotations
 
 import heapq
+import itertools
+from collections import defaultdict
 from typing import Any, Callable, Optional
 
 __all__ = ["Simulator", "Timer", "SimulationError"]
@@ -88,6 +93,11 @@ class Simulator:
         self._pending = 0
         #: Cancelled entries still sitting in the heap (lazy deletion debt).
         self._cancelled_in_queue = 0
+        self._id_streams: defaultdict = defaultdict(lambda: itertools.count(1))
+
+    def next_id(self, stream: str) -> int:
+        """The next number of the id stream ``stream``: 1, 2, 3, ..."""
+        return next(self._id_streams[stream])
 
     @property
     def events_processed(self) -> int:

@@ -248,19 +248,16 @@ class FaultyLink:
             if trace is not None:
                 self._note("truncate", datagram, sim.now)
         if mutated:
-            # Keep the original packet_id: the mutated copy is still the
-            # same wire packet, and downstream trace points must correlate.
-            datagram = Datagram(src=datagram.src, dst=datagram.dst,
-                                payload=payload,
-                                created_at=datagram.created_at,
-                                packet_id=datagram.packet_id,
-                                hops=datagram.hops)
+            # The mutated copy is still the same wire packet: it keeps the
+            # packet_id, so downstream trace points correlate.
+            datagram = replace(datagram, payload=payload)
 
         if plan.duplicate_rate and rng.random() < plan.duplicate_rate:
             self.stats.duplicated += 1
             if trace is not None:
                 self._note("duplicate", datagram, sim.now)
-            self._original_transmit(datagram.copy(), sender)
+            self._original_transmit(
+                replace(datagram, packet_id=sim.next_id("packet")), sender)
 
         if plan.reorder_rate and rng.random() < plan.reorder_rate:
             self.stats.reordered += 1

@@ -112,6 +112,7 @@ class Host(Node):
             dst=dst,
             payload=payload,
             created_at=self.sim.now,
+            packet_id=self.sim.next_id("packet"),
         )
         if dst.ip == self.ip:
             # Loopback delivery: stays on-host.

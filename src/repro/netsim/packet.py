@@ -7,8 +7,7 @@ works from the same information a sniffer on the wire would see.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .address import Endpoint
 
@@ -16,8 +15,6 @@ __all__ = ["Datagram", "IP_UDP_OVERHEAD"]
 
 #: Bytes of IP (20) + UDP (8) header added to every payload on the wire.
 IP_UDP_OVERHEAD = 28
-
-_packet_ids = itertools.count(1)
 
 
 @dataclass
@@ -29,7 +26,9 @@ class Datagram:
         dst: destination endpoint (ip, port).
         payload: application bytes (SIP text or RTP binary).
         created_at: simulation time the datagram was handed to the stack.
-        packet_id: unique id for tracing.
+        packet_id: the id trace events correlate on: drawn from the
+            simulator's ``"packet"`` stream, or the running datagram count
+            of the pcap reader or live tap that decoded it; 0 when unset.
         hops: number of store-and-forward hops traversed so far.
     """
 
@@ -37,23 +36,13 @@ class Datagram:
     dst: Endpoint
     payload: bytes
     created_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = 0
     hops: int = 0
 
     @property
     def size(self) -> int:
         """Total on-the-wire size in bytes, including IP/UDP headers."""
         return len(self.payload) + IP_UDP_OVERHEAD
-
-    def copy(self) -> "Datagram":
-        """A duplicate of this datagram with a fresh packet id."""
-        return Datagram(
-            src=self.src,
-            dst=self.dst,
-            payload=self.payload,
-            created_at=self.created_at,
-            hops=self.hops,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         head = self.payload[:24]

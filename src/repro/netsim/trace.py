@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional
 
 from .packet import Datagram
@@ -39,14 +39,9 @@ class PacketTrace:
         if self.predicate is not None and not self.predicate(datagram):
             return
         if not self.keep_payloads:
-            # Keep the original packet_id and hops: the stripped copy must
-            # still correlate with observations of the same packet at other
-            # trace points (letting the field default would mint a fresh id
-            # from the global counter).
-            datagram = Datagram(datagram.src, datagram.dst, b"",
-                                created_at=datagram.created_at,
-                                packet_id=datagram.packet_id,
-                                hops=datagram.hops)
+            # The stripped copy keeps packet_id and hops, so it correlates
+            # with observations of the same packet at other trace points.
+            datagram = replace(datagram, payload=b"")
         self.records.append(TraceRecord(now, datagram, self.where))
 
     def __len__(self) -> int:

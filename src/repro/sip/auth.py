@@ -14,12 +14,14 @@ the paper's era actually spoke.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from .errors import SipParseError
 from .message import SipRequest, SipResponse
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..netsim.engine import Simulator
 
 __all__ = [
     "DigestChallenge",
@@ -121,14 +123,17 @@ def build_authorization(credentials: DigestCredentials,
     return _format_params(params)
 
 
-_nonce_counter = itertools.count(1)
-
-
 class Authenticator:
-    """Server side: issues challenges and verifies Authorization headers."""
+    """Server side: issues challenges and verifies Authorization headers.
 
-    def __init__(self, realm: str, secret: str = "vids-secret"):
+    Nonces count on ``sim``'s ``"nonce"`` stream, which every realm of
+    one simulator shares.
+    """
+
+    def __init__(self, realm: str, sim: "Simulator",
+                 secret: str = "vids-secret"):
         self.realm = realm
+        self._sim = sim
         self._secret = secret
         self._credentials: Dict[str, str] = {}   # username -> password
         self.challenges_issued = 0
@@ -139,7 +144,7 @@ class Authenticator:
         self._credentials[username] = password
 
     def new_nonce(self) -> str:
-        count = next(_nonce_counter)
+        count = self._sim.next_id("nonce")
         return _md5_hex(f"{self._secret}:{count}")[:24] + f".{count}"
 
     def challenge(self, request: SipRequest) -> SipResponse:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 from ..netsim.address import Endpoint
 from .constants import ACK
 from .errors import SipProtocolError
-from .headers import NameAddr, new_branch
+from .headers import NameAddr
 from .message import SipRequest, SipResponse
 from .uri import SipUri
 
@@ -109,12 +109,10 @@ class Dialog:
 
     # -- request building ---------------------------------------------------
 
-    def _request(self, method: str, cseq: int) -> SipRequest:
+    def _request(self, method: str, cseq: int, branch: str) -> SipRequest:
         request = SipRequest(method, self.remote_target)
         request.set(
-            "Via",
-            f"SIP/2.0/UDP {self.via_host}:{self.via_port};branch={new_branch()}",
-        )
+            "Via", f"SIP/2.0/UDP {self.via_host}:{self.via_port};branch={branch}")
         request.set("Max-Forwards", 70)
         request.set("From", str(self.local_addr))
         request.set("To", str(self.remote_addr))
@@ -122,12 +120,12 @@ class Dialog:
         request.set("CSeq", f"{cseq} {method}")
         return request
 
-    def create_request(self, method: str, body: str = "",
+    def create_request(self, method: str, branch: str, body: str = "",
                        content_type: Optional[str] = None) -> SipRequest:
-        """Build an in-dialog request (BYE, re-INVITE, ...)."""
+        """Build an in-dialog request (BYE, re-INVITE, ...) on ``branch``."""
         if method != ACK:
             self.local_cseq += 1
-        request = self._request(method, self.local_cseq)
+        request = self._request(method, self.local_cseq, branch)
         request.set(
             "Contact",
             str(NameAddr(SipUri(self.local_addr.uri.user, self.via_host,
@@ -139,13 +137,14 @@ class Dialog:
                 request.set("Content-Type", content_type)
         return request
 
-    def create_ack(self, response: SipResponse) -> SipRequest:
+    def create_ack(self, response: SipResponse, branch: str) -> SipRequest:
         """Build the ACK for a 2xx response (RFC 3261 §13.2.2.4).
 
         The ACK CSeq number equals the INVITE's, with method ACK.
         """
         cseq = response.cseq
-        ack = self._request(ACK, cseq.number if cseq else self.local_cseq)
+        ack = self._request(ACK, cseq.number if cseq else self.local_cseq,
+                            branch)
         ack.set("To", response.get("To") or str(self.remote_addr))
         return ack
 

@@ -8,15 +8,17 @@ To fields" (Section 4.2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from .constants import BRANCH_MAGIC_COOKIE, SIP_VERSION
 from .errors import SipParseError, wire_int
 from .uri import SipUri
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..netsim.engine import Simulator
 
 __all__ = [
     "Via",
@@ -222,21 +224,16 @@ class CSeq:
         return f"{self.number} {self.method}"
 
 
-_branch_counter = itertools.count(1)
-_tag_counter = itertools.count(1)
-_call_id_counter = itertools.count(1)
-
-
-def new_branch() -> str:
+def new_branch(sim: "Simulator") -> str:
     """A fresh RFC 3261 branch parameter (unique per transaction)."""
-    return f"{BRANCH_MAGIC_COOKIE}{next(_branch_counter):08x}"
+    return f"{BRANCH_MAGIC_COOKIE}{sim.next_id('branch'):08x}"
 
 
-def new_tag() -> str:
+def new_tag(sim: "Simulator") -> str:
     """A fresh From/To tag."""
-    return f"tag{next(_tag_counter):06x}"
+    return f"tag{sim.next_id('tag'):06x}"
 
 
-def new_call_id(host: str = "invalid") -> str:
+def new_call_id(sim: "Simulator", host: str = "invalid") -> str:
     """A fresh Call-ID, scoped to ``host`` as RFC 3261 suggests."""
-    return f"cid{next(_call_id_counter):08x}@{host}"
+    return f"cid{sim.next_id('call-id'):08x}@{host}"

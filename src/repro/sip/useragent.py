@@ -247,8 +247,8 @@ class Call(Runner):
             self._ack(output["message"])
         elif name == BYE:
             dialog = self.dialog
-            ua.manager.send_request(dialog.create_request(BYE),
-                                    dialog.remote_endpoint,
+            bye = dialog.create_request(BYE, new_branch(ua.sim))
+            ua.manager.send_request(bye, dialog.remote_endpoint,
                                     self._handle_response,
                                     lambda: self._handle(_TIMEOUT))
         else:
@@ -269,8 +269,9 @@ class Call(Runner):
         ua.dialogs[dialog.id] = self
         if response.body:
             self.remote_sdp = SessionDescription.parse(response.body)
-        ua.transport.send_message(dialog.create_ack(response),
-                                  dialog.remote_endpoint)
+        ua.transport.send_message(
+            dialog.create_ack(response, new_branch(ua.sim)),
+            dialog.remote_endpoint)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         role = "caller" if self.is_caller else "callee"
@@ -328,8 +329,9 @@ class UserAgent:
         request = SipRequest(REGISTER, SipUri(None, self.aor.host))
         self._stamp_request(request)
         request.set("To", str(NameAddr(self.aor)))
-        request.set("From", str(NameAddr(self.aor).with_tag(new_tag())))
-        request.set("Call-ID", new_call_id(self.host.ip))
+        request.set("From",
+                    str(NameAddr(self.aor).with_tag(new_tag(self.sim))))
+        request.set("Call-ID", new_call_id(self.sim, self.host.ip))
         request.set("CSeq", f"1 {REGISTER}")
         request.set("Contact", str(NameAddr(self.contact_uri)))
         request.set("Expires", int(expires))
@@ -384,10 +386,11 @@ class UserAgent:
                sdp: SessionDescription) -> Call:
         """Start a call to ``remote`` with an SDP offer; returns the Call."""
         remote_uri = remote if isinstance(remote, SipUri) else SipUri.parse(remote)
-        call_id = new_call_id(self.host.ip)
+        call_id = new_call_id(self.sim, self.host.ip)
         request = SipRequest(INVITE, remote_uri, body=sdp.serialize())
         self._stamp_request(request)
-        request.set("From", str(self._local_name_addr().with_tag(new_tag())))
+        request.set("From",
+                    str(self._local_name_addr().with_tag(new_tag(self.sim))))
         request.set("To", str(NameAddr(remote_uri)))
         request.set("Call-ID", call_id)
         request.set("CSeq", f"1 {INVITE}")
@@ -418,7 +421,7 @@ class UserAgent:
             self._uas_cancel(request, transaction)
         elif method == "OPTIONS":
             # Capability query / keepalive ping (RFC 3261 §11).
-            response = request.create_response(200, to_tag=new_tag())
+            response = request.create_response(200, to_tag=new_tag(self.sim))
             response.set("Allow", "INVITE, ACK, BYE, CANCEL, OPTIONS")
             response.set("Accept", "application/sdp")
             transaction.send_response(response)
@@ -427,7 +430,7 @@ class UserAgent:
 
     def _uas_new_invite(self, request: SipRequest,
                         transaction: InviteServerTransaction) -> None:
-        call_id = request.call_id or new_call_id(self.host.ip)
+        call_id = request.call_id or new_call_id(self.sim, self.host.ip)
         live = self.calls.get(call_id)
         if live is not None and live.ended_at is None:
             # Retransmission already absorbed by the transaction layer;
@@ -437,7 +440,7 @@ class UserAgent:
         call = self.calls[call_id] = Call(self, call_id, request)
         call.server_transaction = transaction
         dialog = call.dialog = Dialog.from_uas(
-            request, new_tag(), self.host.ip, self.transport.port)
+            request, new_tag(self.sim), self.host.ip, self.transport.port)
         self.dialogs[dialog.id] = call
         if request.body:
             call.remote_sdp = SessionDescription.parse(request.body)
@@ -533,7 +536,7 @@ class UserAgent:
             return
         call = self._dialog_call(response, response.from_, response.to)
         if call is not None and call.is_caller:
-            ack = call.dialog.create_ack(response)
+            ack = call.dialog.create_ack(response, new_branch(self.sim))
             self.transport.send_message(ack, call.dialog.remote_endpoint)
 
     # -- helpers -------------------------------------------------------------
@@ -556,6 +559,6 @@ class UserAgent:
         request.set(
             "Via",
             f"SIP/2.0/UDP {self.host.ip}:{self.transport.port}"
-            f";branch={new_branch()}",
+            f";branch={new_branch(self.sim)}",
         )
         request.set("Max-Forwards", 70)

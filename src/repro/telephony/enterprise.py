@@ -134,8 +134,8 @@ def build_testbed(params: Optional[TestbedParams] = None) -> EnterpriseTestbed:
     auth_a = auth_b = None
     if params.registrar_auth:
         from ..sip.auth import Authenticator
-        auth_a = Authenticator("a.example.com")
-        auth_b = Authenticator("b.example.com")
+        auth_a = Authenticator("a.example.com", net.sim)
+        auth_b = Authenticator("b.example.com", net.sim)
     proxy_a = ProxyServer(proxy_host_a, "a.example.com", dns,
                           authenticator=auth_a)
     proxy_b = ProxyServer(proxy_host_b, "b.example.com", dns,

@@ -18,6 +18,7 @@ from repro.sip import (
     SessionDescription,
     UserAgent,
 )
+from tests import load_module
 
 # Tier-1 is deterministic (ROADMAP): under the default ``tier1`` profile the
 # property suites draw the same examples on every run and keep no example
@@ -112,37 +113,17 @@ def benign_mining_run():
 
 
 @pytest.fixture(scope="session")
-def mixed_capture():
-    """The seed-23 mixed-attack capture, recorded once per session.
+def sim_ident():
+    """``tools/sim_ident.py``, the simulator's fingerprint tool."""
+    return load_module("tools/sim_ident.py")
 
-    A bare forwarding perimeter (no vids inline) records every datagram
-    while an INVITE flood, a DRDoS reflection, a BYE teardown and media
-    spam run over benign calls.  The tier-parity harness and the
-    failover contracts replay it; ``drain_time`` lets every call finish.
-    """
-    from repro.attacks import (ByeTeardownAttack, DrdosReflectionAttack,
-                               InviteFloodAttack, MediaSpamAttack)
-    from repro.telephony import (ScenarioParams, TestbedParams,
-                                 WorkloadParams, run_scenario)
-    from repro.vids import RecordingProcessor
 
-    recorder = RecordingProcessor()
-    run_scenario(ScenarioParams(
-        testbed=TestbedParams(seed=23, phones_per_network=4),
-        workload=WorkloadParams(mean_interarrival=15.0, mean_duration=120.0,
-                                horizon=100.0),
-        with_vids=False,
-        attacks=(
-            InviteFloodAttack(30.0, target_aor="b2@b.example.com", count=20),
-            DrdosReflectionAttack(40.0, count=20),
-            ByeTeardownAttack(55.0, spoof="none"),
-            MediaSpamAttack(70.0),
-        ),
-        drain_time=60.0,
-        hooks=(lambda testbed, vids, sim:
-               testbed.attach_processor(recorder),)))
-    assert len(recorder) > 200
-    return tuple(recorder.capture)
+@pytest.fixture(scope="session")
+def mixed_capture(sim_ident):
+    """The seed-23 mixed-attack capture that the tier-parity harness and
+    the failover contracts replay: ``tools/sim_ident.py``'s fixture23
+    recipe, recorded once per session."""
+    return tuple(sim_ident.scenario_capture())
 
 
 @pytest.fixture

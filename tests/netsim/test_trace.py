@@ -34,15 +34,14 @@ def test_keep_payloads_false_strips_bytes():
 
 
 def test_keep_payloads_false_preserves_packet_identity():
-    # Regression: the stripped copy used to mint a fresh packet_id from the
-    # global counter and reset hops, breaking correlation of the same
-    # packet across trace points.
+    # The stripped copy must still correlate with observations of the same
+    # packet at other trace points.
     trace = PacketTrace(keep_payloads=False)
     original = make_datagram()
-    original.hops = 3
+    original.packet_id, original.hops = 42, 3
     trace.observe(original, now=0.0)
     stripped = trace.records[0].datagram
-    assert stripped.packet_id == original.packet_id
+    assert stripped.packet_id == 42
     assert stripped.hops == 3
     assert stripped.created_at == original.created_at
 

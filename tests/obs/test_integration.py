@@ -35,7 +35,9 @@ def run_bye_attack():
     vids, clock, obs = traced_vids()
     establish_call(vids, clock)
     stream_media(vids, clock, count=3)
-    vids.process(dgram(bye_bytes(), ATTACKER, CALLER), clock.now())
+    bye = dgram(bye_bytes(), ATTACKER, CALLER)
+    bye.packet_id = 7       # the only numbered packet: the rest carry 0
+    vids.process(bye, clock.now())
     return vids, obs
 
 
@@ -79,9 +81,8 @@ class TestEvidenceChain:
                                                 call_id=CALL_ID)
                     if e.time == attack_time]
         assert classify, "attacking BYE classify event missing"
-        packet_id = classify[-1].packet_id
-        assert packet_id is not None
-        routed = obs.trace.events(kind="route", packet_id=packet_id)
+        assert classify[-1].packet_id == 7
+        routed = obs.trace.events(kind="route", packet_id=7)
         assert [e.data["outcome"] for e in routed] == ["inject"]
 
     def test_delta_channel_messages_traced(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.netsim import Simulator
 from repro.sip import (
     Authenticator,
     DigestChallenge,
@@ -69,7 +70,7 @@ class TestHeaderFormats:
 
 class TestAuthenticator:
     def make(self):
-        auth = Authenticator("b.example.com")
+        auth = Authenticator("b.example.com", Simulator())
         auth.add_user("b1", "secret")
         return auth
 
@@ -122,7 +123,7 @@ class TestAuthenticator:
 
 class TestEndToEndAuth:
     def test_ua_registers_through_challenge(self, mini_voip):
-        auth = Authenticator("b.example.com")
+        auth = Authenticator("b.example.com", mini_voip.sim)
         auth.add_user("bob", "bobpass")
         mini_voip.proxy_b.authenticator = auth
         mini_voip.ua_b.credentials = DigestCredentials(
@@ -138,7 +139,7 @@ class TestEndToEndAuth:
         assert binding is not None
 
     def test_registration_without_credentials_fails(self, mini_voip):
-        auth = Authenticator("b.example.com")
+        auth = Authenticator("b.example.com", mini_voip.sim)
         auth.add_user("bob", "bobpass")
         mini_voip.proxy_b.authenticator = auth
         outcome = []
@@ -150,7 +151,7 @@ class TestEndToEndAuth:
                                                  5.0) is None
 
     def test_wrong_password_fails(self, mini_voip):
-        auth = Authenticator("b.example.com")
+        auth = Authenticator("b.example.com", mini_voip.sim)
         auth.add_user("bob", "bobpass")
         mini_voip.proxy_b.authenticator = auth
         mini_voip.ua_b.credentials = DigestCredentials(

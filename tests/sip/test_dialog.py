@@ -48,21 +48,21 @@ def test_create_request_increments_cseq_and_carries_dialog_headers():
     invite = make_invite()
     dialog = Dialog.from_uac(invite, make_200(invite), "10.1.0.11", 5060)
     dialog.local_cseq = 1
-    bye = dialog.create_request("BYE")
+    bye = dialog.create_request("BYE", "z9hG4bKbye")
     assert bye.method == "BYE"
     assert bye.cseq.number == 2
     assert bye.call_id == dialog.call_id
     assert bye.from_.tag == "ftag"
     assert bye.to.tag == "ttag"
-    assert bye.branch.startswith("z9hG4bK")
-    second = dialog.create_request("INVITE")
+    assert bye.branch == "z9hG4bKbye"
+    second = dialog.create_request("INVITE", "z9hG4bKre")
     assert second.cseq.number == 3
 
 
 def test_create_request_serializes_cleanly():
     invite = make_invite()
     dialog = Dialog.from_uac(invite, make_200(invite), "10.1.0.11", 5060)
-    bye = dialog.create_request("BYE")
+    bye = dialog.create_request("BYE", "z9hG4bKbye")
     parsed = parse_message(bye.serialize())
     assert parsed.method == "BYE"
 
@@ -71,7 +71,7 @@ def test_create_ack_uses_invite_cseq_number():
     invite = make_invite()
     response = make_200(invite)
     dialog = Dialog.from_uac(invite, response, "10.1.0.11", 5060)
-    ack = dialog.create_ack(response)
+    ack = dialog.create_ack(response, "z9hG4bKack")
     assert ack.method == "ACK"
     assert ack.cseq.number == 1
     assert ack.cseq.method == "ACK"

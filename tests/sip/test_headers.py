@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.netsim import Simulator
 from repro.sip import (
     CSeq,
     NameAddr,
@@ -109,14 +110,20 @@ class TestCSeq:
 
 class TestGenerators:
     def test_branches_unique_and_rfc_prefixed(self):
-        branches = {new_branch() for _ in range(100)}
+        sim = Simulator()
+        branches = {new_branch(sim) for _ in range(100)}
         assert len(branches) == 100
         assert all(b.startswith("z9hG4bK") for b in branches)
 
     def test_tags_unique(self):
-        assert len({new_tag() for _ in range(100)}) == 100
+        sim = Simulator()
+        assert len({new_tag(sim) for _ in range(100)}) == 100
 
     def test_call_ids_unique_and_scoped(self):
-        cids = {new_call_id("10.0.0.1") for _ in range(100)}
+        sim = Simulator()
+        cids = {new_call_id(sim, "10.0.0.1") for _ in range(100)}
         assert len(cids) == 100
         assert all(c.endswith("@10.0.0.1") for c in cids)
+        first, second = Simulator(), Simulator()
+        assert ([new_branch(first), new_tag(first), new_call_id(first)]
+                == [new_branch(second), new_tag(second), new_call_id(second)])

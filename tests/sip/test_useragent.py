@@ -2,7 +2,7 @@
 
 
 from repro.netsim import Endpoint
-from repro.sip import SipRequest, SipResponse
+from repro.sip import SipRequest, SipResponse, new_branch
 
 
 class CalleeBehaviour:
@@ -180,7 +180,7 @@ def test_reinvite_updates_session(mini_voip):
     # Caller re-INVITEs with a new media port.
     new_sdp = mini_voip.sdp_for(mini_voip.ua_a, port=22_000)
     reinvite = call.dialog.create_request(
-        "INVITE", body=new_sdp.serialize(),
+        "INVITE", new_branch(mini_voip.sim), body=new_sdp.serialize(),
         content_type="application/sdp")
     responses = []
     mini_voip.ua_a.manager.send_request(
@@ -245,7 +245,7 @@ def test_bye_whose_cseq_does_not_increase_gets_500(mini_voip):
     mini_voip.register_both()
     call = place_call(mini_voip)
     mini_voip.net.run(until=5.0)
-    bye = call.dialog.create_request("BYE")
+    bye = call.dialog.create_request("BYE", new_branch(mini_voip.sim))
     bye.set("CSeq", f"{call.invite_request.cseq.number} BYE")
     assert _statuses_of(mini_voip, bye) == [500]
     assert callee.incoming[0].state == "established"

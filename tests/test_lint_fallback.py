@@ -6,15 +6,10 @@ handling) so the gate can be trusted.
 """
 
 import ast
-import importlib.util
-from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
+from tests import REPO_ROOT, load_module
 
-spec = importlib.util.spec_from_file_location(
-    "lint_tool", REPO_ROOT / "tools" / "lint.py")
-lint_tool = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(lint_tool)
+lint_tool = load_module("tools/lint.py")
 
 
 def run_checker(source: str, filename: str = "sample.py"):

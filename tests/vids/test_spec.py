@@ -6,11 +6,9 @@ the spec across processes and checkpoints; a restore under another digest
 is refused.
 """
 
-import importlib.util
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,25 +17,13 @@ from repro.netsim.faults import ShardFaultPlan
 from repro.vids import (DEFAULT_CONFIG, CallSpec, build_pipeline, call_spec,
                         replay_trace)
 from repro.vids.sync import RTP_MACHINE, SIP_MACHINE
+from tests import REPO_ROOT, load_module
 
 from .test_cluster import FAST, calls_on_shard, invite_datagram
 
 #: The benchmark's replay config.
 CONFIG = DEFAULT_CONFIG.with_overrides(shed_high_watermark=1e9)
-REPO = Path(__file__).resolve().parents[2]
-
-
-def load_workloads():
-    """benchmarks/e2e/workloads.py by file path, read only."""
-    spec = importlib.util.spec_from_file_location(
-        "e2e_workloads", REPO / "benchmarks" / "e2e" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads      # its dataclasses look it up
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
-    return workloads
+WORKLOADS = "benchmarks/e2e/workloads.py"
 
 
 def definitions(pipeline):
@@ -87,7 +73,7 @@ def test_every_shard_tracker_and_restarted_member_runs_the_one_spec():
 
 
 def test_no_packet_pays_a_compile(monkeypatch):
-    capture = load_workloads().mixed_capture(1, 1.0).capture
+    capture = load_module(WORKLOADS).mixed_capture(1, 1.0).capture
     call_spec(CONFIG)
     compiles = []
     define = guards._Source.define
@@ -122,7 +108,7 @@ def test_the_digest_sees_what_the_helpers_close_over():
 
 
 def test_the_digest_is_the_same_in_every_process():
-    src = str(REPO / "src")
+    src = str(REPO_ROOT / "src")
     program = ("from repro.vids import CallSpec, DEFAULT_CONFIG; "
                "print(CallSpec.build(DEFAULT_CONFIG).digest)")
     digests = {subprocess.run(
@@ -137,7 +123,7 @@ def test_a_restore_under_another_spec_is_refused():
     """Without the check, this restore was accepted and left 100 RTP
     instances in ``RTP_Rcvd``, a state the disabled machine does not have:
     the next 400 packets raised 100 false spec-deviation alerts."""
-    capture = load_workloads().rtp_steady(1, 1.0)
+    capture = load_module(WORKLOADS).rtp_steady(1, 1.0)
     pipeline, clock = build_pipeline(CONFIG)
     pipeline.process_batch(((packet.datagram, packet.time)
                             for packet in capture[:3000]), clock=clock)

@@ -7,19 +7,14 @@ true maximum over those instants, and the two totals the benchmark's
 ``sip_churn`` workload has reported since it was introduced.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from repro.vids import DEFAULT_CONFIG, replay_trace
 from repro.vids.ids import _GC_EVERY
 from repro.vids.metrics import estimate_state_bytes
+from tests import load_module
 
 from .test_ids import (CALLEE, CALLER, PROXY_A, PROXY_B, ack_bytes,
                        bye_bytes, dgram, invite_bytes, make_vids,
                        response_bytes, rtp_bytes, stream_media)
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 def establish(vids, clock, call_id):
@@ -114,15 +109,7 @@ def test_sip_churn_reports_the_totals_it_always_has():
     """Moving the samples off ``touch`` may not move the reported peak:
     19 032 B on one pipeline, 24 266 B summed over four supervised shards
     (the benchmark's ``sip_churn`` capture, seed 1)."""
-    spec = importlib.util.spec_from_file_location(
-        "e2e_workloads", REPO / "benchmarks" / "e2e" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads      # its dataclasses look it up
-    try:
-        spec.loader.exec_module(workloads)
-        capture = workloads.sip_churn(1, 1.0)
-    finally:
-        del sys.modules[spec.name]
+    capture = load_module("benchmarks/e2e/workloads.py").sip_churn(1, 1.0)
     config = DEFAULT_CONFIG.with_overrides(shed_high_watermark=1e9)
     single = replay_trace(capture, config=config)
     assert single.metrics.peak_state_bytes == 19_032

@@ -37,7 +37,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks/e2e")]
 
 import worker      # noqa: E402 - the benchmark's imports are a step
-from repro.netsim import engine  # noqa: E402
+from sim_ident import simulators_built  # noqa: E402 - beside this file
 
 IMPORTED = time.perf_counter()
 
@@ -56,20 +56,12 @@ def timed(seconds: dict, step: str, function):
 def split(workload: str, seed: int) -> dict:
     """Run ``prepare`` once; returns seconds per step, and the events."""
     seconds = {"imports": IMPORTED - STARTED}
-    sims = []
-    init = engine.Simulator.__init__
-
-    def recording_init(self) -> None:
-        init(self)
-        sims.append(self)
-
     capture = "mixed_capture" if workload.startswith("mixed_") else workload
-    engine.Simulator.__init__ = recording_init
     setattr(worker.workloads, capture, timed(
         seconds, "capture", getattr(worker.workloads, capture)))
     worker.write_pcap = timed(seconds, "write_pcap", worker.write_pcap)
     worker.replay_pcap = timed(seconds, "warmup", worker.replay_pcap)
-    with tempfile.TemporaryDirectory() as workdir:
+    with simulators_built() as sims, tempfile.TemporaryDirectory() as workdir:
         worker.prepare(workload, seed, 1.0, workdir)
     seconds["total"] = sum(seconds.values())
     return {"seconds": seconds,

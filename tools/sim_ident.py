@@ -1,26 +1,24 @@
 #!/usr/bin/env python3
 """Fingerprint the simulator's output, so a change to it shows.
 
-The tier harness replays whatever capture the simulator produced, so it
-cannot see a change to ``netsim/``, ``sip/``, ``rtp/``, ``telephony/`` or
-``attacks/``.  This script runs four seeded recipes and prints one line
-each: the recipe, the packet count of the pcap written from its capture,
-the pcap's sha256 and ``events_processed`` of every simulator it built::
+The tier harness replays whatever capture the simulator made, so only
+this sees a change to ``netsim/``, ``sip/``, ``rtp/``, ``telephony/`` or
+``attacks/``.  It prints one line per seeded recipe: the recipe, the packet
+count and sha256 of the pcap written from its capture, and
+``events_processed`` of every simulator it built::
 
     mixed1     benchmarks/e2e workloads.mixed_capture(1), the mixed_attack
                set-up capture
     mixed7     the same on seed 7
-    fixture23  tests/conftest.py's seed-23 mixed-attack capture
+    fixture23  ``scenario_capture()``, the capture tier-1 replays
     lossy      fixture23 over 300 s under a FaultPlan (loss, duplication,
                reordering)
 
-``make sim-ident`` diffs the output against ``tools/sim_ident.expected``.
-Call-IDs and branches come from process-wide counters and the set of
-string hashes, so each recipe runs in a fresh ``PYTHONHASHSEED=0``
-process, and the pinned lines hold for one interpreter version (CI pins
-them on Python 3.11)::
+``make sim-ident`` diffs the lines against ``tools/sim_ident.expected``,
+pinned on Python 3.11 (other versions are untried).  A simulator owns its
+id streams, so every recipe runs in this one process::
 
-    python tools/sim_ident.py                 # all four, ~1.5 min
+    python tools/sim_ident.py                 # all four, ~12 s
     python tools/sim_ident.py fixture23 lossy # the ones named
 """
 
@@ -28,26 +26,27 @@ from __future__ import annotations
 
 import hashlib
 import os
-import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECIPES = ("mixed1", "mixed7", "fixture23", "lossy")
 
 
-def capture_of(recipe: str) -> list:
-    if recipe.startswith("mixed"):
-        import workloads
-        return workloads.mixed_capture(int(recipe[5:]), 1.0).capture
+def scenario_capture(lossy: bool = False) -> list:
+    """The fixture23 (or lossy) capture: a bare forwarding perimeter
+    records an INVITE flood, a DRDoS reflection, a BYE teardown and media
+    spam over benign calls."""
     from repro.attacks import (ByeTeardownAttack, DrdosReflectionAttack,
                                InviteFloodAttack, MediaSpamAttack)
     from repro.netsim.faults import FaultPlan
     from repro.telephony import (ScenarioParams, TestbedParams,
                                  WorkloadParams, run_scenario)
     from repro.vids import RecordingProcessor
-    lossy, recorder = recipe == "lossy", RecordingProcessor()
+    recorder = RecordingProcessor()
     run_scenario(ScenarioParams(
         testbed=TestbedParams(seed=23, phones_per_network=4),
         workload=WorkloadParams(mean_interarrival=15.0, mean_duration=120.0,
@@ -64,13 +63,23 @@ def capture_of(recipe: str) -> list:
     return recorder.capture
 
 
-def ident(recipe: str) -> str:
-    """The fingerprint line of one recipe, run in this process."""
+def pcap_fingerprint(capture) -> Tuple[int, str]:
+    """The packet count and sha256 of the pcap written from ``capture``."""
     from repro.live.pcap import write_pcap
+
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "ident.pcap")
+        count = write_pcap(path, capture)
+        with open(path, "rb") as handle:
+            return count, hashlib.sha256(handle.read()).hexdigest()
+
+
+@contextmanager
+def simulators_built() -> Iterator[List]:
+    """Every :class:`~repro.netsim.engine.Simulator` built in the block."""
     from repro.netsim import engine
 
-    sims = []
-    init = engine.Simulator.__init__
+    sims, init = [], engine.Simulator.__init__
 
     def recording_init(self) -> None:
         init(self)
@@ -78,14 +87,20 @@ def ident(recipe: str) -> str:
 
     engine.Simulator.__init__ = recording_init
     try:
-        capture = capture_of(recipe)
+        yield sims
     finally:
         engine.Simulator.__init__ = init
-    with tempfile.TemporaryDirectory() as workdir:
-        path = os.path.join(workdir, "ident.pcap")
-        count = write_pcap(path, capture)
-        with open(path, "rb") as handle:
-            digest = hashlib.sha256(handle.read()).hexdigest()
+
+
+def ident(recipe: str) -> str:
+    """The fingerprint line of one recipe."""
+    with simulators_built() as sims:
+        if recipe.startswith("mixed"):
+            import workloads
+            capture = workloads.mixed_capture(int(recipe[5:]), 1.0).capture
+        else:
+            capture = scenario_capture(lossy=recipe == "lossy")
+    count, digest = pcap_fingerprint(capture)
     return f"{recipe} {count} {digest} {[sim.events_processed for sim in sims]}"
 
 
@@ -96,13 +111,9 @@ def main(argv: list) -> int:
         print(f"unknown recipe(s) {unknown}; choose from {RECIPES}",
               file=sys.stderr)
         return 2
-    if len(recipes) == 1 and os.environ.get("PYTHONHASHSEED") == "0":
-        sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks/e2e")]
-        print(ident(recipes[0]), flush=True)
-        return 0
-    env = dict(os.environ, PYTHONHASHSEED="0")
-    for recipe in recipes:     # one fresh process each
-        subprocess.run([sys.executable, __file__, recipe], env=env, check=True)
+    sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks/e2e")]
+    for recipe in recipes:
+        print(ident(recipe), flush=True)
     return 0
 
 
