@@ -43,8 +43,8 @@ sim-ident:
 
 # The seed-3 Figure 8-10, §7.3 and §7.5 tables, written to tables.out.  They
 # have no wall-clock column, so a change that keeps the simulated traffic
-# keeps the file byte for byte: run this in the parent's tree and in the
-# change's, and diff the two files (~1-2 min each).
+# keeps the committed file byte for byte (~1 min): CI's sim-tables job runs
+# this and then `git diff --exit-code tables.out`.
 sim-tables:
 	PYTHONHASHSEED=0 PYTHONPATH=src:benchmarks $(PYTHON) -m pytest -q -s \
 	  -p no:cacheprovider --benchmark-disable \

@@ -4,6 +4,12 @@ These are the header fields whose parameter values the vids predicates
 inspect: the paper's input vector ``x`` carries "Call-ID and branch
 parameters in the Via header field and tag parameter values in the From and
 To fields" (Section 4.2).
+
+A URI, a Via and a name-addr each have one splitter, the one place their
+text is validated, and one bounded ``lru_cache`` of its field tuples
+(:func:`~repro.sip.uri.uri_fields`, :func:`via_fields`,
+:func:`name_addr_fields`).  ``X.parse`` builds the simulated stack's typed
+value from them; the IDS's event builder reads them as they are.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
 from .constants import BRANCH_MAGIC_COOKIE, SIP_VERSION
 from .errors import SipParseError, wire_int
-from .uri import SipUri
+from .uri import SipUri, split_uri
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..netsim.engine import Simulator
@@ -23,6 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "Via",
     "NameAddr",
+    "via_fields",
+    "name_addr_fields",
     "CSeq",
     "canonical_header_name",
     "new_branch",
@@ -64,7 +72,13 @@ def canonical_header_name(name: str) -> str:
     return "-".join(part.capitalize() for part in name.split("-"))
 
 
-def _parse_params(text: str) -> Dict[str, Optional[str]]:
+_NO_PARAMS: Mapping[str, Optional[str]] = MappingProxyType({})
+
+
+def _parse_params(text: str) -> Mapping[str, Optional[str]]:
+    """Header parameters, read-only: the cached field tuples hold them."""
+    if not text:
+        return _NO_PARAMS
     params: Dict[str, Optional[str]] = {}
     for chunk in text.split(";"):
         key, sep, value = chunk.partition("=")
@@ -73,10 +87,7 @@ def _parse_params(text: str) -> Dict[str, Optional[str]]:
             params[key] = value.strip()
         elif key:
             params[key] = None
-    return params
-
-
-_NO_PARAMS: Mapping[str, Optional[str]] = MappingProxyType({})
+    return MappingProxyType(params)
 
 
 def _format_params(params: Mapping[str, Optional[str]]) -> str:
@@ -91,9 +102,10 @@ _VIA_PREFIX_LEN = len(_VIA_PREFIX)
 
 
 @lru_cache(maxsize=2048)
-def _parse_via(text: str) -> "Via":
-    """``Via.parse``.  Cached: instances are immutable, and a response
-    repeats its request's Via stack."""
+def via_fields(text: str) -> tuple:
+    """Split and validate a Via: ``(host, port, transport, params,
+    branch)``, :class:`Via`'s field order.  Cached: a response repeats its
+    request's Via stack."""
     text = text.strip()
     try:
         proto, sent_by = text.split(None, 1)
@@ -108,14 +120,15 @@ def _parse_via(text: str) -> "Via":
     port = wire_int("Via port", 0, 65535, port_text) if colon else 5060
     if not host:
         raise SipParseError(f"empty Via host: {text!r}")
-    return Via(host, port, transport,
-               _parse_params(param_text) if param_text else _NO_PARAMS)
+    params = _parse_params(param_text)
+    return host, port, transport, params, params.get("branch")
 
 
 @lru_cache(maxsize=2048)
-def _parse_name_addr(text: str) -> "NameAddr":
-    """``NameAddr.parse``.  Cached: instances are immutable, and every
-    message of a dialog repeats its From / To / Contact."""
+def name_addr_fields(text: str) -> tuple:
+    """Split and validate a From / To / Contact value: ``(uri,
+    display_name, params, tag)``, ``uri`` a :func:`split_uri` tuple.
+    Cached: every message of a dialog repeats its From / To / Contact."""
     text = text.strip()
     display: Optional[str] = None
     param_text = ""
@@ -126,8 +139,8 @@ def _parse_name_addr(text: str) -> "NameAddr":
     else:
         # addr-spec form: params after ; belong to the header.
         uri_text, _, param_text = text.partition(";")
-    return NameAddr(SipUri.parse(uri_text), display,
-                    _parse_params(param_text) if param_text else _NO_PARAMS)
+    params = _parse_params(param_text)
+    return split_uri(uri_text), display, params, params.get("tag")
 
 
 @lru_cache(maxsize=2048)
@@ -145,9 +158,8 @@ def _parse_cseq(text: str) -> "CSeq":
 class Via:
     """A Via header value: ``SIP/2.0/UDP host:port;branch=...``.
 
-    Immutable, so the one cached instance per header text can be shared:
-    ``params`` is a read-only view of a private copy, and ``branch`` is
-    read off it once, when the value is built.
+    Immutable: ``params`` is a read-only view of a private copy, and
+    ``branch`` is read off it once, when the value is built.
     """
 
     host: str
@@ -158,15 +170,16 @@ class Via:
     def __init__(self, host: str, port: int, transport: str = "UDP",
                  params: Mapping[str, Optional[str]] = _NO_PARAMS) -> None:
         # Straight into the instance dict: the generated frozen __init__
-        # goes through object.__setattr__ per field, at twice the cost, and
-        # every parse-cache miss on the packet path constructs one.
+        # goes through object.__setattr__ per field, at twice the cost.
         state = self.__dict__
         state["host"], state["port"] = host, port
         state["transport"] = transport
         params = state["params"] = MappingProxyType(dict(params))
         state["branch"] = params.get("branch")
 
-    parse = staticmethod(_parse_via)
+    @staticmethod
+    def parse(text: str) -> "Via":
+        return Via(*via_fields(text)[:4])
 
     def __str__(self) -> str:
         return (
@@ -179,8 +192,8 @@ class Via:
 class NameAddr:
     """A From/To/Contact value: ``"Display" <sip:uri>;tag=...``.
 
-    Immutable and shared like :class:`Via`, ``tag`` read off ``params``
-    once; :meth:`with_tag` returns a new value.
+    Immutable like :class:`Via`, ``tag`` read off ``params`` once;
+    :meth:`with_tag` returns a new value.
     """
 
     uri: SipUri
@@ -198,7 +211,10 @@ class NameAddr:
         return NameAddr(self.uri, self.display_name,
                         {**self.params, "tag": tag})
 
-    parse = staticmethod(_parse_name_addr)
+    @staticmethod
+    def parse(text: str) -> "NameAddr":
+        uri, display_name, params, _ = name_addr_fields(text)
+        return NameAddr(SipUri(*uri[:4]), display_name, params)
 
     def __str__(self) -> str:
         if self.display_name:

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple, Union
 from .constants import METHODS, SIP_VERSION, reason_phrase
 from .errors import SipParseError, wire_int
 from .headers import CSeq, NameAddr, Via, canonical_header_name
-from .uri import SipUri
+from .uri import SipUri, uri_fields
 
 __all__ = ["SipMessage", "SipRequest", "SipResponse", "parse_message", "is_sip_payload"]
 
@@ -27,10 +27,10 @@ class SipMessage:
     repeated headers (e.g. Via) keep their order, which matters for
     response routing.  It is the only store: look-ups scan it (a message
     has about eight headers) and the typed accessors (``from_``, ``cseq``,
-    ``vias``, ...) parse on access through the ``lru_cache``d parsers of
-    :mod:`repro.sip.headers`, so there is nothing to invalidate when a
-    header is mutated.  What they return is immutable and shared with
-    every other message carrying the same header text.
+    ``vias``, ...) parse on access, through the ``lru_cache``d field
+    splitters of :mod:`repro.sip.headers`, so there is nothing to
+    invalidate when a header is mutated.  What they return is immutable,
+    built fresh from the cached fields of the header text.
     """
 
     #: One message object per packet on the classifier hot path —
@@ -151,16 +151,34 @@ class SipMessage:
 
 
 class SipRequest(SipMessage):
-    """A SIP request: method, Request-URI, headers, body."""
+    """A SIP request: method, Request-URI, headers, body.  A Request-URI
+    text is validated at once but built into a ``SipUri`` on first read."""
 
-    __slots__ = ("method", "uri")
+    __slots__ = ("method", "_uri")
 
     def __init__(self, method: str, uri: Union[SipUri, str],
                  headers: Optional[List[Tuple[str, str]]] = None,
                  body: str = ""):
         super().__init__(headers, body)
         self.method = method.upper()
-        self.uri = uri if isinstance(uri, SipUri) else SipUri.parse(uri)
+        self.uri = uri
+
+    @property
+    def uri(self) -> SipUri:
+        uri = self._uri
+        if not isinstance(uri, SipUri):
+            uri = self._uri = SipUri(*uri[:4])
+        return uri
+
+    @uri.setter
+    def uri(self, uri: Union[SipUri, str]) -> None:
+        self._uri = uri if isinstance(uri, SipUri) else uri_fields(uri)
+
+    @property
+    def target(self) -> Tuple[Optional[str], str]:
+        """The Request-URI's ``(user, host)``."""
+        uri = self._uri
+        return (uri.user, uri.host) if isinstance(uri, SipUri) else uri[:2]
 
     @property
     def is_request(self) -> bool:
@@ -230,23 +248,24 @@ class SipResponse(SipMessage):
         return f"<SipResponse {self.status} {self.reason} cid={self.call_id}>"
 
 
+_METHOD_TOKENS = frozenset(method.encode() for method in METHODS)
+_STATUS_PREFIX = (SIP_VERSION + " ").encode()
+
+
 def is_sip_payload(payload: bytes) -> bool:
     """Cheap sniff: does this UDP payload look like a SIP message?
 
     Used by the vids packet classifier before committing to a full parse.
+    It reads the start-line token as bytes: a UTF-8 Request-URI or
+    Reason-Phrase after it is the parser's to judge.
     """
     if not payload or payload[0] >= 0x80:
         # SIP starts with an ASCII method or version token; RTP/RTCP start
-        # with 0x80/0x81 — reject without paying for a UnicodeDecodeError.
+        # with 0x80/0x81 — reject them on the first byte.
         return False
-    try:
-        head = payload[:64].decode("utf-8", errors="strict")
-    except UnicodeDecodeError:
-        return False
-    if head.startswith(SIP_VERSION + " "):
+    if payload.startswith(_STATUS_PREFIX):
         return True
-    first_word = head.split(" ", 1)[0]
-    return first_word in METHODS
+    return payload[:64].split(b" ", 1)[0] in _METHOD_TOKENS
 
 
 #: Head/body separator: a blank line in CRLF, bare-LF, or mixed endings.
@@ -354,7 +373,7 @@ def parse_message(data: Union[bytes, str]) -> Union[SipRequest, SipResponse]:
         method, uri_text, _ = parts
         if not method.isupper() or not method.isalpha():
             raise SipParseError(f"bad method: {method!r}")
-        message = SipRequest(method, SipUri.parse(uri_text), body=body)
+        message = SipRequest(method, uri_text, body=body)
     # The list was built here: the message takes it without a copy.
     message.headers = headers
     return message

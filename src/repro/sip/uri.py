@@ -9,13 +9,17 @@ from typing import Dict, Optional
 from .constants import DEFAULT_SIP_PORT
 from .errors import SipParseError, wire_int
 
-__all__ = ["SipUri"]
+__all__ = ["SipUri", "split_uri", "uri_fields"]
 
 
-@lru_cache(maxsize=2048)
-def _parse_uri(text: str) -> "SipUri":
-    """``SipUri.parse``.  Cached: instances are immutable and the same
-    From/To/Contact URIs recur on every message of a dialog."""
+def _uri_tuple(user: Optional[str], host: str, port: Optional[int],
+               params: tuple) -> tuple:
+    return user, host, port, params, f"{user}@{host}" if user else host
+
+
+def split_uri(text: str) -> tuple:
+    """Split and validate a ``sip:`` URI: ``(user, host, port, params,
+    address_of_record)``, :class:`SipUri`'s field order."""
     text = text.strip()
     if text.startswith("<") and text.endswith(">"):
         text = text[1:-1]
@@ -45,7 +49,12 @@ def _parse_uri(text: str) -> "SipUri":
         port = wire_int("URI port", 0, 65535, port_text)
     if not host:
         raise SipParseError(f"empty host in URI: {text!r}")
-    return SipUri(user, host, port, tuple(params.items()))
+    return _uri_tuple(user, host, port, tuple(params.items()))
+
+
+#: Cached: a dialog's requests repeat their Request-URI (a name-addr's URI
+#: is split inside the name-addr's own cache entry).
+uri_fields = lru_cache(maxsize=2048)(split_uri)
 
 
 @dataclass(frozen=True, init=False)
@@ -63,10 +72,13 @@ class SipUri:
 
     def __init__(self, user: Optional[str], host: str,
                  port: Optional[int] = None, params: tuple = ()) -> None:
-        state = self.__dict__   # straight in, as Via: a cache miss builds one
-        state["user"], state["host"] = user, host
-        state["port"], state["params"] = port, params
-        state["address_of_record"] = f"{user}@{host}" if user else host
+        state = self.__dict__   # straight in, as Via
+        (state["user"], state["host"], state["port"], state["params"],
+         state["address_of_record"]) = _uri_tuple(user, host, port, params)
+
+    @staticmethod
+    def parse(text: str) -> "SipUri":
+        return SipUri(*uri_fields(text)[:4])
 
     @property
     def effective_port(self) -> int:
@@ -83,8 +95,6 @@ class SipUri:
         merged = dict(self.params)
         merged.update(params)
         return SipUri(self.user, self.host, self.port, tuple(merged.items()))
-
-    parse = staticmethod(_parse_uri)
 
     def __str__(self) -> str:
         out = "sip:"

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 from ..efsm.events import Event
 from ..sip.constants import INVITE, OPTIONS, REGISTER
 from ..sip.errors import SipParseError
-from ..sip.headers import CSeq, NameAddr, Via
+from ..sip.headers import CSeq, name_addr_fields, via_fields
 from ..sip.message import SipRequest, SipResponse
 from ..sip.sdp import media_brief
 from .classifier import ClassifiedPacket, PacketKind
@@ -43,9 +43,10 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
 
     One walk over the parsed header list finds every header the vector
     reads (Call-ID and Content-Type too: nothing re-scans it), as the
-    shared, immutable values the simulated stack's typed accessors return.
-    An SDP body adds the first audio stream's ``media_brief``; one that
-    cannot be read is counted in ``metrics.sdp_parse_failures``.
+    cached field tuples the typed ``X.parse`` values are built from, so
+    no header object is built.  An SDP body adds the first audio stream's
+    ``media_brief``; one that cannot be read is counted in
+    ``metrics.sdp_parse_failures``.
     """
     from_value = to_value = cseq_value = contact_value = None
     call_id = content_type = None
@@ -53,10 +54,11 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
     branch = None
     for name, value in message.headers:
         if name == "Via":
-            via = Via.parse(value)
+            # (host, port, transport, params, branch)
+            via = via_fields(value)
             if not via_hosts:
-                branch = via.branch
-            via_hosts.append(via.host)
+                branch = via[4]
+            via_hosts.append(via[0])
         elif name == "From":
             if from_value is None:
                 from_value = value
@@ -75,22 +77,24 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
         elif name == "Content-Type":
             if content_type is None:
                 content_type = value
-    from_addr = NameAddr.parse(from_value) if from_value else None
-    to_addr = NameAddr.parse(to_value) if to_value else None
-    contact = NameAddr.parse(contact_value) if contact_value else None
+    # A name-addr is (uri, display_name, params, tag), its uri
+    # (user, host, port, params, address_of_record).
+    from_addr = name_addr_fields(from_value) if from_value else None
+    to_addr = name_addr_fields(to_value) if to_value else None
+    contact = name_addr_fields(contact_value) if contact_value else None
     cseq = CSeq.parse(cseq_value) if cseq_value else None
     args: Dict[str, Any] = {
         "src_ip": src[0],
         "src_port": src[1],
         "dst_ip": dst[0],
         "call_id": call_id or "",
-        "from_tag": from_addr.tag if from_addr else None,
-        "to_tag": to_addr.tag if to_addr else None,
-        "to_aor": to_addr.uri.address_of_record if to_addr else "",
+        "from_tag": from_addr[3] if from_addr else None,
+        "to_tag": to_addr[3] if to_addr else None,
+        "to_aor": to_addr[0][4] if to_addr else "",
         "branch": branch or "",
         "cseq_num": cseq.number if cseq else 0,
         "cseq_method": cseq.method if cseq else "",
-        "contact_host": contact.uri.host if contact else None,
+        "contact_host": contact[0][1] if contact else None,
         "via_hosts": tuple(via_hosts),
     }
     body = message.body
@@ -108,9 +112,8 @@ def sip_event_from_message(message: Union[SipRequest, SipResponse],
              args["sdp_ptime"]) = brief
     if isinstance(message, SipRequest):
         name = message.method
-        uri = message.uri
-        args["uri_host"] = uri.host
-        args["uri_user"] = uri.user or ""
+        user, args["uri_host"] = message.target
+        args["uri_user"] = user or ""
     else:
         name = "RESPONSE"
         args["status"] = message.status
@@ -204,10 +207,9 @@ class EventDistributor:
                     self._route(classified, now, "quarantined-drop",
                                 call_id)
                 return None
-        event = sip_event_from_message(
-            message, (datagram.src.ip, datagram.src.port),
-            (datagram.dst.ip, datagram.dst.port), now,
-            metrics=factbase.metrics)
+        # An Endpoint is the (ip, port) tuple the builder takes.
+        event = sip_event_from_message(message, datagram.src, datagram.dst,
+                                       now, metrics=factbase.metrics)
         call_id = event.args["call_id"]
         name = event.name           # the method, or RESPONSE
 

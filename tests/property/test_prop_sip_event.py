@@ -5,12 +5,17 @@
 messages in every shape the wire allows — compact and odd-case header
 names, several Vias on separate lines or comma-joined, folded and bare-LF
 heads, any of From / To / Contact / CSeq / Call-ID missing, malformed
-values, SDP bodies that are absent, malformed, or behind a non-SDP
-``Content-Type`` — both give the same ``Event``, or both refuse the
+values, the parameter shapes a field walk could read differently from the
+typed values (a repeated or valueless ``tag`` / ``branch``, blanks around
+``;`` and ``=``, an upper-case ``SIP:`` scheme, URI parameters inside
+``<...>``, header parameters on a name-addr without ``<>``, a ``<`` with
+no closing ``>``), SDP bodies that are absent, malformed, or behind a
+non-SDP ``Content-Type`` — both give the same ``Event``, or both refuse the
 message; and a pipeline fed the same bytes counts the same malformed SIP
 and the same SDP failures.
 """
 
+import re
 import string
 
 from hypothesis import given, settings, strategies as st
@@ -43,22 +48,35 @@ _NAMES = {
     "Subject": ("Subject", "s"),
 }
 
+
+def _header_params(key, value=_token):
+    """``;key=value`` header parameters, and the shapes a field walk could
+    read differently from the typed values: a repeated key (the last one
+    wins), a valueless one, blanks around ``;`` and ``=``."""
+    return st.one_of(
+        st.just(""),
+        value.map(f";{key}={{}}".format),
+        value.map(f";rport;{key}={{}};received=h".format),
+        st.builds(f";{key}={{}};{key}={{}}".format, value, value),
+        st.just(f";{key}"),
+        value.map(f" ; {key} = {{}}".format))
+
+
 _vias = st.builds("SIP/2.0/{} {}{}{}".format,
                   st.sampled_from(["UDP", "TCP", "udp"]), _hosts, _ports,
-                  st.one_of(st.just(""),
-                            _token.map(";branch=z9hG4bK{}".format),
-                            _token.map(";rport;branch=z9hG4bK{};received=h"
-                                       .format)))
-_uris = st.builds("sip:{}{}{}".format,
+                  _header_params("branch", _token.map("z9hG4bK{}".format)))
+_uris = st.builds("{}{}{}{}{}".format,
+                  st.sampled_from(["sip:", "sip:", "SIP:", "Sip:"]),
                   st.one_of(st.just(""), _token.map("{}@".format)), _hosts,
-                  _ports)
+                  _ports, st.sampled_from(["", "", ";lr", ";transport=udp"]))
 _name_addrs = st.one_of(
     st.builds("{}<{}>{}".format,
               st.sampled_from(["", '"Bob" ', "Alice ", '"A, B" ']), _uris,
-              st.one_of(st.just(""), _token.map(";tag={}".format),
-                        _token.map(";tag={};expires=60".format))),
-    st.builds("{}{}".format, _uris,
-              st.one_of(st.just(""), _token.map(";tag={}".format))))
+              _header_params("tag")),
+    # addr-spec form: the parameters are the header's, not the URI's.
+    st.builds("{}{}".format, _uris, _header_params("tag")),
+    # A "<" with no closing ">".
+    st.builds("<{}{}".format, _uris, _header_params("tag")))
 _cseqs = st.builds("{} {}".format, st.integers(0, 2 ** 32 - 1),
                    st.sampled_from(["INVITE", "BYE", "ack", "CANCEL"]))
 #: Values the builder refuses; a drawn quarter of the messages carries one.
@@ -190,8 +208,21 @@ def test_the_strategy_reaches_every_shape():
             ("comma-via", event and len(event[1]["via_hosts"]) > 1
              and "," in head),
             ("folded", "\n " in head or "\n\t" in head),
-            ("bare-lf", "\r" not in head)) if hit)
+            ("bare-lf", "\r" not in head),
+            ("repeated-param", re.search(r";(tag|branch)=\w*;\1=", head)),
+            ("valueless-param", re.search(r";(tag|branch)(\r?\n|,|$)", head)),
+            ("blank-param", " ; " in head),
+            ("upper-scheme", "SIP:" in head),
+            ("uri-param", ";lr>" in head or ";transport=udp>" in head),
+            ("bare-addr-params", re.search(
+                r"\n(From|f|FROM|To|t|to|Contact|m|contact): [^<\r\n]*;",
+                head)),
+            ("unclosed", re.search(r"<[^>\r\n]*(\r?\n|$)", head)))
+            if hit)
 
     collect()
     assert seen == {"refused", "sdp-failure", "sdp", "no-sdp", "response",
-                    "request", "compact", "comma-via", "folded", "bare-lf"}
+                    "request", "compact", "comma-via", "folded", "bare-lf",
+                    "repeated-param", "valueless-param", "blank-param",
+                    "upper-scheme", "uri-param", "bare-addr-params",
+                    "unclosed"}

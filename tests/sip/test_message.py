@@ -186,6 +186,31 @@ def test_is_sip_payload_sniffing():
     assert not is_sip_payload(b"GET / HTTP/1.1\r\n")
 
 
+def _straddling(wire):
+    """Whether byte 64 of ``wire`` falls inside a multi-byte character."""
+    return 0x80 <= wire[63] and (wire[64] & 0xC0) == 0x80
+
+
+def test_sniff_accepts_a_request_whose_uri_straddles_byte_64():
+    # "é" (2 bytes) at offsets 63-64 of the Request-URI.
+    user = "u" * (63 - len("OPTIONS sip:")) + "é"
+    wire = (f"OPTIONS sip:{user}@b.example.com SIP/2.0\r\n"
+            "Via: SIP/2.0/UDP 10.1.0.11:5060;branch=z9hG4bKsniff\r\n"
+            "Call-ID: sniff@x\r\nCSeq: 1 OPTIONS\r\n\r\n").encode()
+    assert _straddling(wire)
+    assert parse_message(wire).method == "OPTIONS"
+    assert is_sip_payload(wire)
+
+
+def test_sniff_accepts_a_response_whose_reason_phrase_straddles_byte_64():
+    # RFC 3261 §25.1: the Reason-Phrase is UTF-8 text.
+    reason = "Belegt " + "ü" * 28
+    wire = f"SIP/2.0 486 {reason}\r\nCall-ID: sniff@x\r\n\r\n".encode()
+    assert _straddling(wire)
+    assert parse_message(wire).reason == reason
+    assert is_sip_payload(wire)
+
+
 def test_status_classification():
     assert SipResponse(100).is_provisional
     assert SipResponse(200).is_success and SipResponse(200).is_final

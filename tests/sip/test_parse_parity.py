@@ -1,9 +1,10 @@
-"""Seeded read-order parity corpus, and the aliasing the shared values add.
+"""Seeded read-order parity corpus, and the aliasing the shared fields add.
 
-The typed accessors parse on access, and what they return — ``Via``,
-``NameAddr``, ``CSeq`` — is one immutable instance per distinct header
-text, shared by every message (and by the IDS's event builder) through the
-module-level caches.  None of that may be observable: touching accessors
+The typed accessors parse on access.  A ``Via`` or ``NameAddr`` is built
+fresh, its ``params`` copied, from its header text's field tuple, which
+the module-level caches share with every other message carrying that
+text (and with the IDS's event builder); a ``CSeq`` is itself the cached
+value.  None of that may be observable: touching accessors
 in any order, any number of times, yields the same values; a message
 mutated after some reads reserializes byte-identically to one mutated
 after all or none; and nothing one holder does to a message or a value
@@ -17,6 +18,7 @@ import random
 import pytest
 
 from repro.sip import NameAddr, SipResponse, Via, parse_message
+from repro.sip.headers import name_addr_fields
 
 SEED = 0x51B  # fixed: every run replays the same corpus
 TRIALS = 120
@@ -186,7 +188,7 @@ def test_roundtrip_without_mutation_is_byte_identical():
         assert reparsed.serialize() == wire
 
 
-# ---- aliasing: the typed values are shared between messages ---------------
+# ---- aliasing: the cached fields are shared between messages --------------
 
 SHARED_VIA = "SIP/2.0/UDP 10.0.0.7:5060;branch=z9hG4bKalias"
 SHARED_FROM = '"Alice" <sip:alice@a.example.com>;tag=shared'
@@ -202,7 +204,7 @@ def _carrying_shared_text(call_id):
 
 def test_mutating_one_message_leaves_its_text_twin_unchanged():
     first, second = _carrying_shared_text("a@x"), _carrying_shared_text("b@x")
-    assert first.from_ is second.from_ and first.top_via is second.top_via
+    assert first.from_ == second.from_ and first.top_via == second.top_via
     before = (repr(second.from_), repr(second.vias), second.serialize())
 
     first.set("From", "<sip:mallory@m.example.com>;tag=other")
@@ -240,5 +242,6 @@ def test_with_tag_returns_a_new_value_and_leaves_the_cached_one_intact():
     tagged = cached.with_tag("fresh")
     assert tagged.tag == "fresh" and tagged is not cached
     assert cached.tag is None and "tag" not in cached.params
-    assert NameAddr.parse("<sip:bob@b.example.com>") is cached
+    assert NameAddr.parse("<sip:bob@b.example.com>") == cached
+    assert name_addr_fields("<sip:bob@b.example.com>")[3] is None
     assert str(tagged) == "<sip:bob@b.example.com>;tag=fresh"

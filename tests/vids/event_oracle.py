@@ -4,11 +4,16 @@
 shipped before the signalling path was cut to one header walk: it reads
 every field through its own pass over the parsed header list, asks the
 message for ``Content-Type`` again, and gets the SDP attributes through a
-helper of its own.  It shares the parsed values (``Via.parse``,
-``NameAddr.parse``, ``CSeq.parse``, ``media_brief``) with the shipped
-builder and nothing else, so the event-vector parity property
-(``tests/property/test_prop_sip_event.py``) holds the two to the same
-``Event.name`` and ``args`` and the same malformed and SDP-failure counts.
+helper of its own.  It reaches the header values through the typed
+objects (``Via.parse``, ``NameAddr.parse``, ``CSeq.parse``), where the
+shipped builder reads the cached field tuples behind them, and it derives
+the branch, the tags and the address-of-record from those objects'
+``params``, ``user`` and ``host`` itself rather than taking the fields the
+splitters precompute.  So the two share the splitting and validation of
+the header text (and ``media_brief``) and nothing else; the event-vector
+parity property (``tests/property/test_prop_sip_event.py``) holds them to
+the same ``Event.name`` and ``args`` and the same malformed and
+SDP-failure counts.
 """
 
 from repro.efsm.events import Event
@@ -37,6 +42,10 @@ def _add_sdp_fields(args, message, metrics):
          args["sdp_ptime"]) = brief
 
 
+def _address_of_record(uri):
+    return f"{uri.user}@{uri.host}" if uri.user else uri.host
+
+
 def sip_event_from_message(message, src, dst, now, metrics=None):
     """Build the EFSM input vector x from a SIP message on the wire."""
     from_value = to_value = cseq_value = contact_value = found_call_id = None
@@ -46,7 +55,7 @@ def sip_event_from_message(message, src, dst, now, metrics=None):
         if name == "Via":
             via = Via.parse(value)
             if not via_hosts:
-                branch = via.branch
+                branch = via.params.get("branch")
             via_hosts.append(via.host)
         elif name == "From":
             if from_value is None:
@@ -72,9 +81,9 @@ def sip_event_from_message(message, src, dst, now, metrics=None):
         "src_port": src[1],
         "dst_ip": dst[0],
         "call_id": found_call_id or "",
-        "from_tag": from_addr.tag if from_addr else None,
-        "to_tag": to_addr.tag if to_addr else None,
-        "to_aor": to_addr.uri.address_of_record if to_addr else "",
+        "from_tag": from_addr.params.get("tag") if from_addr else None,
+        "to_tag": to_addr.params.get("tag") if to_addr else None,
+        "to_aor": _address_of_record(to_addr.uri) if to_addr else "",
         "branch": branch or "",
         "cseq_num": cseq.number if cseq else 0,
         "cseq_method": cseq.method if cseq else "",

@@ -17,11 +17,11 @@ import weakref
 from repro.efsm import Event, ManualClock
 from repro.netsim import Datagram, Endpoint
 from repro.sip import SipRequest, SipResponse
-from repro.sip.headers import (_parse_cseq, _parse_name_addr, _parse_via,
-                               canonical_header_name)
+from repro.sip.headers import (_parse_cseq, canonical_header_name,
+                               name_addr_fields, via_fields)
 from repro.sip.message import _split_header_line
 from repro.sip.sdp import media_brief
-from repro.sip.uri import _parse_uri
+from repro.sip.uri import uri_fields
 from repro.vids import DEFAULT_CONFIG, AttackType, Vids
 from repro.vids.rtp_machine import ATTACK_CODEC
 from repro.vids.sync import RTP_MACHINE, SIP_MACHINE
@@ -42,9 +42,9 @@ def _sdp_body(n):
 PARSE_CACHES = [
     (canonical_header_name, lambda n: f"X-Custom-{n}"),
     (_split_header_line, lambda n: f"X-Custom-{n}: value-{n}"),
-    (_parse_uri, lambda n: f"sip:user{n}@host{n}.example.com"),
-    (_parse_via, lambda n: f"SIP/2.0/UDP 10.9.0.1:5060;branch=z9hG4bKm{n}"),
-    (_parse_name_addr, lambda n: f"<sip:mu{n}@a.example.com>;tag=mt{n}"),
+    (uri_fields, lambda n: f"sip:user{n}@host{n}.example.com"),
+    (via_fields, lambda n: f"SIP/2.0/UDP 10.9.0.1:5060;branch=z9hG4bKm{n}"),
+    (name_addr_fields, lambda n: f"<sip:mu{n}@a.example.com>;tag=mt{n}"),
     (_parse_cseq, lambda n: f"{n} INVITE"),
     (media_brief, _sdp_body),
 ]
