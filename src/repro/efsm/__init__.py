@@ -15,7 +15,6 @@ from .diagnostics import (
     diagnostics_to_dicts,
     errors_only,
     format_report,
-    max_severity,
 )
 from .dot import to_dot
 from .errors import (
@@ -63,7 +62,6 @@ __all__ = [
     "errors_only",
     "event_coverage",
     "format_report",
-    "max_severity",
     "parse_channel",
     "reachable_states",
     "specdiff",

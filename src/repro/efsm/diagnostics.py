@@ -22,7 +22,6 @@ from typing import Any, Dict, Iterable, List, Optional
 __all__ = [
     "Severity",
     "Diagnostic",
-    "max_severity",
     "errors_only",
     "count_by_severity",
     "format_report",
@@ -89,12 +88,6 @@ class Diagnostic:
             "hint": self.hint,
             "data": dict(self.data),
         }
-
-
-def max_severity(diagnostics: Iterable[Diagnostic]) -> Optional[Severity]:
-    """The highest severity present, or None for an empty report."""
-    severities = [d.severity for d in diagnostics]
-    return max(severities) if severities else None
 
 
 def errors_only(diagnostics: Iterable[Diagnostic]) -> List[Diagnostic]:

@@ -555,6 +555,19 @@ def _critical_points(constants: Sequence[Any]) -> List[Any]:
     return points + [True, False] + _OTHERS
 
 
+def _distinct(key: Any, points: List[Any], atoms: Iterable[Guard]) -> List[Any]:
+    """One of ``points`` per class that every atom on the term ``key``
+    holds, fails or raises on alike, the first met: a guard reads a term
+    only through its atoms, so the others add no valuation."""
+    checks = [_compile(guard, abstract=True)
+              for atom in atoms for guard in (atom, ~atom)]
+    classes: Dict[Tuple[bool, ...], Any] = {}
+    for point in points:
+        valuation = {key: point}
+        classes.setdefault(tuple(check(valuation) for check in checks), point)
+    return list(classes.values())
+
+
 def decide(guards: Sequence[Optional[Guard]]) -> Decision:
     """Are the candidates of one group mutually disjoint (Definition 1)?
 
@@ -571,6 +584,7 @@ def decide(guards: Sequence[Optional[Guard]]) -> Decision:
     membership in a string (a substring test), is ``undecided``.
     """
     constants: Dict[Any, List[Any]] = {}
+    atoms: Dict[Any, Dict[Any, Guard]] = {}
     labels: Dict[Any, str] = {}
     for atom in (atom for guard in guards if guard is not None
                  for atom in guard.atoms()):
@@ -582,6 +596,7 @@ def decide(guards: Sequence[Optional[Guard]]) -> Decision:
             labels[atom.key] = atom.describe()      # a free boolean
             continue
         met = constants.setdefault(free[0].key, [])
+        atoms.setdefault(free[0].key, {})[atom.key] = atom
         labels[free[0].key] = free[0].describe()
         if atom.op == "truthy":
             met.append(0)
@@ -594,7 +609,8 @@ def decide(guards: Sequence[Optional[Guard]]) -> Decision:
             return Decision(UNDECIDED, reason=(
                 f"{atom.describe()} is an ordering against a non-numeric "
                 f"constant, or a substring test"))
-    spaces = [_critical_points(constants[key]) if key in constants
+    spaces = [_distinct(key, _critical_points(constants[key]),
+                        atoms[key].values()) if key in constants
               else [True, False] for key in labels]
     checks = [None if guard is None else _compile(guard, abstract=True)
               for guard in guards]

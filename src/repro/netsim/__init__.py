@@ -17,7 +17,7 @@ Public surface:
   (corruption, duplication, reordering, burst loss, link flaps).
 """
 
-from .address import Endpoint, parse_endpoint
+from .address import Endpoint
 from .engine import SimulationError, Simulator, Timer
 from .faults import FaultPlan, FaultStats, FaultyLink, inject_faults
 from .inline import InlineDevice, NullProcessor, PacketProcessor
@@ -65,5 +65,4 @@ __all__ = [
     "TraceRecord",
     "TrafficSink",
     "inject_faults",
-    "parse_endpoint",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple, Union
 
-__all__ = ["Endpoint", "EndpointTable", "parse_endpoint"]
+__all__ = ["Endpoint", "EndpointTable"]
 
 
 class Endpoint(NamedTuple):
@@ -41,11 +41,3 @@ class EndpointTable(dict):
         if len(self) < self.CAP:
             self[key] = endpoint
         return endpoint
-
-
-def parse_endpoint(text: str, default_port: int = 5060) -> Endpoint:
-    """Parse ``"ip[:port]"`` into an :class:`Endpoint`."""
-    if ":" in text:
-        host, _, port = text.partition(":")
-        return Endpoint(host, int(port))
-    return Endpoint(text, default_port)

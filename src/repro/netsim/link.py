@@ -36,10 +36,6 @@ class LinkStats:
     bytes_sent: int = 0
     queueing_delay_total: float = 0.0
 
-    @property
-    def mean_queueing_delay(self) -> float:
-        return self.queueing_delay_total / self.packets_sent if self.packets_sent else 0.0
-
 
 @dataclass(slots=True)
 class _Port:

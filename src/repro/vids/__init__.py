@@ -50,8 +50,8 @@ from .sharding import ShardedVids, shard_for_call
 from .rtp_machine import RTP_ATTACK_STATES, RTP_STATES, build_rtp_machine
 from .scenarios import (
     AttackScenario,
-    AttackScenarioDatabase,
     BUILTIN_SCENARIOS,
+    SCENARIOS,
 )
 from .sip_machine import SIP_ATTACK_STATES, SIP_STATES, build_sip_machine
 from .spec import CallSpec, call_spec
@@ -70,9 +70,9 @@ __all__ = [
     "AlertManager",
     "AnalysisEngine",
     "AttackScenario",
-    "AttackScenarioDatabase",
     "AttackType",
     "BUILTIN_SCENARIOS",
+    "SCENARIOS",
     "CallRecord",
     "CallSpec",
     "CapturedPacket",

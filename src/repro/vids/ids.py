@@ -96,7 +96,7 @@ class Vids:
         self.trackers = trackers if trackers is not None \
             else CrossCallTrackers(config, clock_now,
                                    engine=lambda: self.engine)
-        self.engine = AnalysisEngine(config, self.alert_manager, clock_now,
+        self.engine = AnalysisEngine(self.alert_manager, clock_now,
                                      self.trackers.first_stray,
                                      trace=self._trace)
         self.factbase.on_result = self._on_result

@@ -17,8 +17,8 @@ The remaining Section-3 attacks are detected by attack-annotated transitions
   attack signal (``repro.vids.rtp_machine``, state ``ATTACK_Media_After_
   Close``), and a BYE from a non-participant source is flagged directly
   (``repro.vids.sip_machine``, state ``ATTACK_Bye_DoS``);
-- **toll fraud** — the same after-close signal attributed to the BYE sender
-  (``repro.vids.engine`` performs the attribution);
+- **toll fraud** — the same after-close signal from the BYE sender, a
+  guard of the RTP machine (state ``ATTACK_Toll_Fraud``);
 - **CANCEL DoS** — a CANCEL that matches neither the INVITE branch nor a
   session participant (``ATTACK_Cancel_DoS``);
 - **call hijack** — an in-dialog INVITE from outside the participant set
@@ -39,6 +39,7 @@ from .media_spam import (
     SPAM_ATTACK,
     SPAM_COUNTING,
     SPAM_INIT,
+    SPAM_UNSOLICITED,
     OrphanMediaTracker,
     build_media_spam_machine,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "SPAM_ATTACK",
     "SPAM_COUNTING",
     "SPAM_INIT",
+    "SPAM_UNSOLICITED",
     "build_invite_flood_machine",
     "build_media_spam_machine",
 ]

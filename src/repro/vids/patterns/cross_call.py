@@ -50,11 +50,9 @@ class CrossCallTrackers:
             on_attack=lambda source, event:
                 engine().note_reflection(source, event))
         self.orphan_tracker = OrphanMediaTracker(
-            spec.media_spam, config.unsolicited_media_threshold, clock_now,
-            on_spam=lambda destination, event:
-                engine().note_orphan_spam(destination, event),
-            on_unsolicited=lambda destination, event:
-                engine().note_unsolicited(destination, event))
+            spec.media_spam, clock_now,
+            on_attack=lambda destination, event, state:
+                engine().note_orphan_media(destination, event, state))
         #: Stray requests and foreign REGISTERs already alerted on, oldest
         #: first.
         self._stray_keys: Dict[Tuple, None] = {}

@@ -9,8 +9,10 @@ when ``x.time_stamp_{i+1} - v.time_stamp_i > Δt`` or
 
 Inside vids the same Δt/Δn rules are embedded in the per-call RTP machine
 (where the negotiated session context is available); this standalone
-tracker is used for *orphan* streams — RTP arriving at destinations with no
-negotiated session — and doubles as the unsolicited-media detector.
+machine watches *orphan* streams — RTP arriving at destinations with no
+negotiated session — and doubles as the unsolicited-media detector: the
+in-profile packet that takes its count past a threshold enters
+``ATTACK_Unsolicited_Media``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ from ...efsm.machine import Efsm, EfsmInstance
 from .invite_flood import count
 
 __all__ = ["build_media_spam_machine", "OrphanMediaTracker",
-           "SPAM_INIT", "SPAM_COUNTING", "SPAM_ATTACK"]
+           "SPAM_INIT", "SPAM_COUNTING", "SPAM_UNSOLICITED", "SPAM_ATTACK"]
 
 SPAM_INIT = "INIT"
 SPAM_COUNTING = "Packet_Rcvd"
+SPAM_UNSOLICITED = "ATTACK_Unsolicited_Media"
 SPAM_ATTACK = "ATTACK_Media_Spam"
 
 _SEQ_MOD = 1 << 16
@@ -39,16 +42,23 @@ _MAX_ORPHAN_DESTINATIONS = 4096
 
 
 def build_media_spam_machine(seq_gap: int, ts_gap: int,
+                             unsolicited_threshold: int,
                              name: str = "media_spam") -> Efsm:
-    """The Figure-6 EFSM with thresholds Δn (seq) and Δt (timestamp)."""
+    """The Figure-6 EFSM with thresholds Δn (seq) and Δt (timestamp).
+
+    Every in-profile packet counts; the one that takes ``packets`` past
+    ``unsolicited_threshold`` enters ``ATTACK_Unsolicited_Media``, which
+    keeps counting and still leads on to ``ATTACK_Media_Spam``.
+    """
     machine = Efsm(name, SPAM_INIT)
-    machine.add_state(SPAM_COUNTING)
+    machine.add_state(SPAM_UNSOLICITED, attack=True)
     machine.add_state(SPAM_ATTACK, attack=True)
     machine.declare(ssrc=0, sequence_number=0, time_stamp=0, packets=0)
 
     ssrc, seq, ts = x("ssrc", 0), x("seq", 0), x("ts", 0)
     update = (write("sequence_number", helper(int, seq)),
               write("time_stamp", helper(int, ts)))
+    counted = update + (write("packets", helper(count, v("packets", 0))),)
 
     def is_spam(ssrc: Any, last_ssrc: Any, seq: Any, last_seq: Any,
                 ts: Any, last_ts: Any) -> bool:
@@ -57,19 +67,30 @@ def build_media_spam_machine(seq_gap: int, ts_gap: int,
         return ((int(seq) - int(last_seq)) % _SEQ_MOD > seq_gap
                 or (int(ts) - int(last_ts)) % _TS_MOD > ts_gap)
 
-    machine.add_transition(
-        SPAM_INIT, "RTP_PACKET", SPAM_COUNTING,
-        action=(write("ssrc", helper(int, ssrc)),) + update
-        + (write("packets", 1),), label="first-packet")
     # The gap arithmetic is modular, so it stays a named helper leaf.
     spam = truthy(helper(is_spam, ssrc, v("ssrc", 0), seq,
                          v("sequence_number", 0), ts, v("time_stamp", 0)))
-    machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_COUNTING,
-                           predicate=~spam, label="in-profile",
-                           action=update + (write("packets", helper(
-                               count, v("packets", 0))),))
-    machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_ATTACK,
-                           predicate=spam, attack=True, label="spam")
+    # The first packet is the first counted: past a threshold of 0 already.
+    first = SPAM_COUNTING if unsolicited_threshold > 0 else SPAM_UNSOLICITED
+    machine.add_state(first)
+    machine.add_transition(
+        SPAM_INIT, "RTP_PACKET", first,
+        action=(write("ssrc", helper(int, ssrc)),) + update
+        + (write("packets", 1),), label="first-packet")
+    if first == SPAM_COUNTING:
+        solicited = v("packets", 0) < unsolicited_threshold
+        machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_COUNTING,
+                               predicate=~spam & solicited, action=counted,
+                               label="in-profile")
+        machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_UNSOLICITED,
+                               predicate=~spam & ~solicited, action=counted,
+                               label="unsolicited")
+        machine.add_transition(SPAM_COUNTING, "RTP_PACKET", SPAM_ATTACK,
+                               predicate=spam, label="spam")
+    machine.add_transition(SPAM_UNSOLICITED, "RTP_PACKET", SPAM_UNSOLICITED,
+                           predicate=~spam, action=counted, label="in-profile")
+    machine.add_transition(SPAM_UNSOLICITED, "RTP_PACKET", SPAM_ATTACK,
+                           predicate=spam, label="spam")
     machine.add_transition(SPAM_ATTACK, "RTP_PACKET", SPAM_ATTACK,
                            label="absorbed")
     return machine
@@ -79,28 +100,24 @@ class OrphanMediaTracker:
     """Watches RTP streams that match no negotiated session.
 
     Applies the Figure-6 ``definition`` per destination (S, D implicit in
-    the stream), and raises an unsolicited-media signal once a destination has
-    absorbed more than ``unsolicited_threshold`` orphan packets.
+    the stream); ``on_attack(destination, event, state)`` hears each entry
+    into one of its attack states.
     """
 
     def __init__(
         self,
         definition: Efsm,
-        unsolicited_threshold: int,
         clock_now: Callable[[], float],
-        on_spam: Optional[Callable[[Tuple[str, int], Event], None]] = None,
-        on_unsolicited: Optional[Callable[[Tuple[str, int], Event], None]] = None,
+        on_attack: Optional[Callable[[Tuple[str, int], Event, str],
+                                     None]] = None,
     ):
         self._definition = definition
-        self.unsolicited_threshold = unsolicited_threshold
         self.clock_now = clock_now
-        self.on_spam = on_spam
-        self.on_unsolicited = on_unsolicited
+        self.on_attack = on_attack
         #: Least recently used first (``machine_for`` re-inserts).
         self.machines: Dict[Tuple[str, int], EfsmInstance] = {}
-        self._unsolicited_flagged: set = set()
-        #: Bumped on every change to the two tables above or to an instance
-        #: in them; checkpoints reuse the previous tracker snapshot while it
+        #: Bumped on every change to the table above or to an instance in
+        #: it; checkpoints reuse the previous tracker snapshot while it
         #: stands.
         self.version = 0
 
@@ -116,34 +133,25 @@ class OrphanMediaTracker:
         return instance
 
     def observe(self, destination: Tuple[str, int], event: Event) -> None:
-        instance = self.machine_for(destination)
-        result = instance.deliver(event)
+        result = self.machine_for(destination).deliver(event)
         self.version += 1
         if (result.attack and result.from_state != result.to_state
-                and self.on_spam is not None):
-            self.on_spam(destination, event)
-        packets = int(instance.variables.get("packets", 0))
-        if (packets > self.unsolicited_threshold
-                and destination not in self._unsolicited_flagged):
-            self._unsolicited_flagged.add(destination)
-            if self.on_unsolicited is not None:
-                self.on_unsolicited(destination, event)
+                and self.on_attack is not None):
+            self.on_attack(destination, event, result.to_state)
 
     def forget(self, destination: Tuple[str, int]) -> None:
         """Drop a destination's tracking state."""
         self.machines.pop(destination, None)
-        self._unsolicited_flagged.discard(destination)
         self.version += 1
 
     # -- checkpoint / restore -------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Serializable copy: every tracked stream (least recently used
-        first), the flagged destinations, and the change count."""
+        first), and the change count."""
         return {
             "machines": {destination: instance.snapshot()
                          for destination, instance in self.machines.items()},
-            "unsolicited_flagged": frozenset(self._unsolicited_flagged),
             "version": self.version,
         }
 
@@ -152,7 +160,5 @@ class OrphanMediaTracker:
         self.machines.clear()
         for destination, machine in snapshot["machines"].items():
             self.machine_for(destination).restore(machine)
-        self._unsolicited_flagged.clear()
-        self._unsolicited_flagged.update(snapshot["unsolicited_flagged"])
-        # Last: rebuilding the tables above counted as changes.
+        # Last: rebuilding the table above counted as changes.
         self.version = snapshot["version"]

@@ -12,8 +12,8 @@ Figures 5 and 6:
   stream is detected";
 - on ``δ_bye`` the machine starts timer T for in-flight packets; after T
   expires the machine sits in RTP_Close, where any further media is the
-  Figure-5 attack signal (BYE DoS, or toll fraud when the packets come from
-  the BYE sender itself);
+  Figure-5 attack signal: toll fraud when a guard finds the packet comes
+  from the BYE sender itself, BYE DoS otherwise;
 - payload types outside the negotiated set, and packet rates above
   ``rtp_flood_factor`` times the negotiated codec rate, mark the
   RTP-flooding / codec-change attacks of Section 3.2.
@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Tuple
 
 from ..efsm.events import TIMER_CHANNEL
-from ..efsm.guards import NOW, helper, start, v, when, write, x
+from ..efsm.guards import NOW, helper, start, truthy, v, when, write, x
 from ..efsm.machine import Efsm
 from .config import DEFAULT_CONFIG, VidsConfig
 from .sync import (
@@ -56,10 +56,11 @@ ATTACK_SPAM = "ATTACK_Media_Spam"
 ATTACK_FLOOD = "ATTACK_RTP_Flood"
 ATTACK_CODEC = "ATTACK_Codec_Change"
 ATTACK_AFTER_CLOSE = "ATTACK_Media_After_Close"
+ATTACK_TOLL_FRAUD = "ATTACK_Toll_Fraud"
 
 RTP_STATES = (INIT, RTP_OPEN, RTP_ACTIVE, RTP_AFTER_BYE, RTP_CLOSE)
 RTP_ATTACK_STATES = (ATTACK_SPAM, ATTACK_FLOOD, ATTACK_CODEC,
-                     ATTACK_AFTER_CLOSE)
+                     ATTACK_AFTER_CLOSE, ATTACK_TOLL_FRAUD)
 
 _SEQ_MOD = 1 << 16
 _TS_MOD = 1 << 32
@@ -232,8 +233,24 @@ def build_rtp_machine(config: VidsConfig = DEFAULT_CONFIG) -> Efsm:
 
     # ---- the Figure-5 attack signal ----------------------------------------
 
+    # Toll fraud when the media comes from the BYE *sender*: its IP, and
+    # its signalling port or a media port it negotiated at that IP (two UAs
+    # behind one NAT address differ only in port).  No recorded BYE port
+    # leaves the IP alone to decide.
+    bye_ip, bye_port = v("g_bye_src_ip", ""), v("g_bye_src_port", 0)
+    src_port = x("src_port", 0)
+    from_bye_sender = truthy(bye_ip) & (x("src_ip", "") == bye_ip) & (
+        (bye_port == 0) | (src_port == bye_port) | (truthy(src_port) & (
+            ((v("g_offer_addr", "") == bye_ip)
+             & (v("g_offer_port", 0) == src_port))
+            | ((v("g_answer_addr", "") == bye_ip)
+               & (v("g_answer_port", 0) == src_port)))))
+    machine.add_transition(RTP_CLOSE, "RTP_PACKET", ATTACK_TOLL_FRAUD,
+                           predicate=from_bye_sender, attack=True,
+                           label="toll-fraud")
     machine.add_transition(RTP_CLOSE, "RTP_PACKET", ATTACK_AFTER_CLOSE,
-                           attack=True, label="media-after-close")
+                           predicate=~from_bye_sender, attack=True,
+                           label="media-after-close")
 
     # ---- attack states absorb further traffic --------------------------------
 

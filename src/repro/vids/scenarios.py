@@ -1,30 +1,36 @@
-"""Attack Scenario database (the paper's Figure-3 component).
+"""Attack Scenario table (the paper's Figure-3 component).
 
 "The Attack Scenario component is a collection of known attack patterns,
 including the intermediate states and transitions that lead to attack
 states."  Each :class:`AttackScenario` documents one known pattern: which
 machine hosts it, which attack state marks the match, whether the
 cross-protocol interaction is required to see it, the paper section that
-describes the threat, and the recommended operator response.  The
-:class:`AttackScenarioDatabase` indexes scenarios by attack state so the
-Analysis Engine can type an alert and attach the scenario context.
+describes the threat, and the recommended operator response.
+:data:`SCENARIOS` is the one table from (machine, attack state) to the
+pattern entering that state matches: the Analysis Engine types every
+machine verdict there.  The Figure-4 machine hosts two patterns (per flood
+target and per claimed source) and the perimeter REGISTER check no machine,
+so those three are named instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 from .alerts import AttackType
+from .patterns.media_spam import SPAM_ATTACK, SPAM_UNSOLICITED
 from .rtp_machine import (
     ATTACK_AFTER_CLOSE,
     ATTACK_CODEC,
     ATTACK_FLOOD,
     ATTACK_SPAM,
+    ATTACK_TOLL_FRAUD,
 )
 from .sip_machine import ATTACK_BYE, ATTACK_CANCEL, ATTACK_HIJACK
 
-__all__ = ["AttackScenario", "AttackScenarioDatabase", "BUILTIN_SCENARIOS"]
+__all__ = ["AttackScenario", "BUILTIN_SCENARIOS", "SCENARIOS",
+           "INVITE_FLOOD", "DRDOS_REFLECTION", "REGISTRATION_HIJACK"]
 
 
 @dataclass(frozen=True)
@@ -45,19 +51,51 @@ class AttackScenario:
         return f"[{self.scenario_id}] {self.name} ({self.attack_type.value})"
 
 
+INVITE_FLOOD = AttackScenario(
+    scenario_id="S1",
+    name="INVITE request flooding",
+    attack_type=AttackType.INVITE_FLOOD,
+    machine="invite_flood",
+    attack_state="ATTACK_Invite_Flood",
+    paper_section="3.1 / 6 (Figure 4)",
+    cross_protocol=False,
+    description=("More than N INVITEs for one callee within window T1 "
+                 "— overwhelms a terminal or a proxy."),
+    response="Rate-limit or block the offending sources; notify callee.",
+)
+
+DRDOS_REFLECTION = AttackScenario(
+    scenario_id="S9",
+    name="DRDoS reflection via proxy",
+    attack_type=AttackType.DRDOS_REFLECTION,
+    machine="invite_flood",
+    attack_state="ATTACK_Invite_Flood",
+    paper_section="3.1",
+    cross_protocol=False,
+    description=("Spoofed requests fanned out through the proxy with "
+                 "the victim as claimed source, so the victim drowns in "
+                 "responses: many INVITEs from one claimed source to "
+                 "many different callees within the window."),
+    response="Drop requests from the claimed source; notify the victim.",
+)
+
+REGISTRATION_HIJACK = AttackScenario(
+    scenario_id="S10",
+    name="Registration hijacking",
+    attack_type=AttackType.REGISTRATION_HIJACK,
+    machine="distributor",
+    attack_state="-",
+    paper_section="extension (threat implied by §3.1's missing auth)",
+    cross_protocol=False,
+    description=("A REGISTER crossing the enterprise perimeter tries to "
+                 "rebind a local address-of-record to an outside "
+                 "contact; legitimate phones register from inside."),
+    response=("Drop perimeter REGISTERs; enable registrar digest "
+              "authentication (repro.sip.auth)."),
+)
+
 BUILTIN_SCENARIOS: Tuple[AttackScenario, ...] = (
-    AttackScenario(
-        scenario_id="S1",
-        name="INVITE request flooding",
-        attack_type=AttackType.INVITE_FLOOD,
-        machine="invite_flood",
-        attack_state="ATTACK_Invite_Flood",
-        paper_section="3.1 / 6 (Figure 4)",
-        cross_protocol=False,
-        description=("More than N INVITEs for one callee within window T1 "
-                     "— overwhelms a terminal or a proxy."),
-        response="Rate-limit or block the offending sources; notify callee.",
-    ),
+    INVITE_FLOOD,
     AttackScenario(
         scenario_id="S2",
         name="Third-party BYE teardown",
@@ -72,17 +110,16 @@ BUILTIN_SCENARIOS: Tuple[AttackScenario, ...] = (
     ),
     AttackScenario(
         scenario_id="S3",
-        name="BYE DoS / toll fraud (media after close)",
+        name="BYE DoS (media after close)",
         attack_type=AttackType.BYE_DOS,
         machine="rtp",
         attack_state=ATTACK_AFTER_CLOSE,
         paper_section="3.1 / 6 (Figure 5)",
         cross_protocol=True,
-        description=("RTP still arriving after the session closed and timer "
-                     "T expired: a spoofed BYE tore the call down, or the "
-                     "BYE sender keeps streaming to dodge billing."),
-        response=("Correlate the media source with the BYE sender; "
-                  "re-signal or bill accordingly."),
+        description=("RTP still arriving, from anyone but the BYE sender, "
+                     "after the session closed and timer T expired: a "
+                     "spoofed BYE tore the call down."),
+        response="Re-signal the call; drop BYEs from spoofed sources.",
     ),
     AttackScenario(
         scenario_id="S4",
@@ -146,69 +183,48 @@ BUILTIN_SCENARIOS: Tuple[AttackScenario, ...] = (
         response="Drop off-profile payloads; force renegotiation.",
     ),
     AttackScenario(
-        scenario_id="S10",
-        name="Registration hijacking",
-        attack_type=AttackType.REGISTRATION_HIJACK,
-        machine="distributor",
-        attack_state="-",
-        paper_section="extension (threat implied by §3.1's missing auth)",
-        cross_protocol=False,
-        description=("A REGISTER crossing the enterprise perimeter tries to "
-                     "rebind a local address-of-record to an outside "
-                     "contact; legitimate phones register from inside."),
-        response=("Drop perimeter REGISTERs; enable registrar digest "
-                  "authentication (repro.sip.auth)."),
+        scenario_id="S11",
+        name="Toll fraud (BYE sender keeps streaming)",
+        attack_type=AttackType.TOLL_FRAUD,
+        machine="rtp",
+        attack_state=ATTACK_TOLL_FRAUD,
+        paper_section="3.1 / 6 (Figure 5)",
+        cross_protocol=True,
+        description=("RTP after the session closed and timer T expired, from "
+                     "the BYE sender's address and its signalling or "
+                     "negotiated media port: billing stopped, media did not."),
+        response="Cut the stream at the perimeter; bill the session on.",
     ),
     AttackScenario(
-        scenario_id="S9",
-        name="DRDoS reflection via proxy",
-        attack_type=AttackType.DRDOS_REFLECTION,
-        machine="invite_flood",
-        attack_state="ATTACK_Invite_Flood",
-        paper_section="3.1",
+        scenario_id="S12",
+        name="Unsolicited media",
+        attack_type=AttackType.UNSOLICITED_MEDIA,
+        machine="media_spam",
+        attack_state=SPAM_UNSOLICITED,
+        paper_section="3.2 / 6 (Figure 6, extension)",
         cross_protocol=False,
-        description=("Spoofed requests fanned out through the proxy with "
-                     "the victim as claimed source, so the victim drowns in "
-                     "responses: many INVITEs from one claimed source to "
-                     "many different callees within the window."),
-        response="Drop requests from the claimed source; notify the victim.",
+        description=("More in-profile RTP than the threshold toward a "
+                     "destination no session negotiated."),
+        response="Drop media to un-negotiated destinations.",
     ),
+    AttackScenario(
+        scenario_id="S13",
+        name="Media spamming, orphan stream",
+        attack_type=AttackType.MEDIA_SPAM,
+        machine="media_spam",
+        attack_state=SPAM_ATTACK,
+        paper_section="3.2 / 6 (Figure 6)",
+        cross_protocol=False,
+        description=("A sequence number or timestamp jump beyond Δn/Δt (or a "
+                     "new SSRC) in a stream no session negotiated."),
+        response="Filter the stream by source.",
+    ),
+    DRDOS_REFLECTION,
+    REGISTRATION_HIJACK,
 )
 
-
-class AttackScenarioDatabase:
-    """Indexes known scenarios for the Analysis Engine."""
-
-    def __init__(self, scenarios: Iterable[AttackScenario] = BUILTIN_SCENARIOS):
-        self._by_id: Dict[str, AttackScenario] = {}
-        self._by_state: Dict[Tuple[str, str], AttackScenario] = {}
-        for scenario in scenarios:
-            self.register(scenario)
-
-    def register(self, scenario: AttackScenario) -> None:
-        if scenario.scenario_id in self._by_id:
-            raise ValueError(f"duplicate scenario id: {scenario.scenario_id}")
-        self._by_id[scenario.scenario_id] = scenario
-        self._by_state.setdefault(
-            (scenario.machine, scenario.attack_state), scenario)
-
-    def __len__(self) -> int:
-        return len(self._by_id)
-
-    def __iter__(self):
-        return iter(self._by_id.values())
-
-    def get(self, scenario_id: str) -> Optional[AttackScenario]:
-        return self._by_id.get(scenario_id)
-
-    def for_state(self, machine: str, state: str) -> Optional[AttackScenario]:
-        """The scenario matched by entering ``state`` on ``machine``."""
-        return self._by_state.get((machine, state))
-
-    def by_type(self, attack_type: AttackType) -> Tuple[AttackScenario, ...]:
-        return tuple(s for s in self._by_id.values()
-                     if s.attack_type is attack_type)
-
-    def cross_protocol_scenarios(self) -> Tuple[AttackScenario, ...]:
-        """The patterns that vanish without the SIP<->RTP interaction."""
-        return tuple(s for s in self._by_id.values() if s.cross_protocol)
+#: (machine, attack state) -> the pattern that entering the state matches.
+SCENARIOS: Dict[Tuple[str, str], AttackScenario] = {
+    (scenario.machine, scenario.attack_state): scenario
+    for scenario in BUILTIN_SCENARIOS
+    if scenario not in (INVITE_FLOOD, DRDOS_REFLECTION, REGISTRATION_HIJACK)}

@@ -63,7 +63,8 @@ class CallSpec:
             build_invite_flood_machine(config.invite_source_threshold,
                                        config.invite_flood_window),
             build_media_spam_machine(config.media_spam_seq_gap,
-                                     config.media_spam_ts_gap))
+                                     config.media_spam_ts_gap,
+                                     config.unsolicited_media_threshold))
         text = _canonical(tuple(machine.key for machine in machines))
         return cls(*machines, digest=hashlib.sha256(text.encode()).hexdigest())
 

@@ -35,8 +35,9 @@ DELTA_BYE = "delta_bye"                        # call teardown began
 DELTA_CANCELLED = "delta_cancelled"            # call setup abandoned
 
 #: The shared (``v.g_*``) variables of a call and their defaults: the media
-#: description the SIP machine publishes and the RTP machine and analysis
-#: engine read.  Both machine builders declare exactly this mapping.
+#: description and BYE source the SIP machine publishes and the RTP
+#: machine's guards read.  Both machine builders declare exactly this
+#: mapping.
 MEDIA_GLOBALS = dict(
     g_offer_addr="",
     g_offer_port=0,

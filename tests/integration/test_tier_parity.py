@@ -180,8 +180,9 @@ def traced(capture, tmp_path):
 
 # The dispatch outcomes the capture does not reach: a CANCEL while the
 # INVITE proceeds, a response no candidate takes, an ACK before any
-# response, an INVITE inside the dialog, media after a BYE (toll fraud),
-# a codec nobody offered and media nobody offered.
+# response, an INVITE inside the dialog, media after a BYE from its sender
+# (toll fraud) and from the other party (BYE DoS), a codec nobody offered
+# and media nobody offered.
 
 def request_bytes(method, to_tag="", cseq=1):
     """A request for the test_ids call, sent by the attacker."""
@@ -226,13 +227,17 @@ def drive_hijack_invite(vids, clock):
                        PROXY_B))
 
 
-def drive_toll_fraud(vids, clock):
+def drive_toll_fraud(vids, clock, media=(CALLEE, CALLER, 20_002, 20_000)):
     establish_call(vids, clock)
     stream_media(vids, clock, count=5)
     send(vids, clock, (bye_bytes(), CALLEE, CALLER))
     clock.advance(DEFAULT_CONFIG.bye_inflight_timer)
-    vids.process(dgram(rtp_bytes(ssrc=0xBBBB, seq=900, ts=90_000),
-                       CALLEE, CALLER, 20_002, 20_000), clock.now())
+    vids.process(dgram(rtp_bytes(ssrc=0xBBBB, seq=900, ts=90_000), *media),
+                 clock.now())
+
+
+def drive_media_after_close(vids, clock):
+    drive_toll_fraud(vids, clock, (CALLER, CALLEE, 20_000, 20_002))
 
 
 def drive_codec_change(vids, clock):
@@ -242,15 +247,16 @@ def drive_codec_change(vids, clock):
 
 
 def drive_unsolicited_media(vids, clock):
-    for index in range(DEFAULT_CONFIG.unsolicited_media_threshold + 2):
+    """Past the threshold, then a sequence jump."""
+    for seq in (*range(DEFAULT_CONFIG.unsolicited_media_threshold + 2), 900):
         clock.advance(0.02)
-        vids.process(dgram(rtp_bytes(seq=index, ts=index * 160),
+        vids.process(dgram(rtp_bytes(seq=seq, ts=seq * 160),
                            ATTACKER, CALLEE, 40_000, 31_337), clock.now())
 
 
 SCENARIOS = (drive_cancel_dos, drive_stray_response, drive_premature_ack,
-             drive_hijack_invite, drive_toll_fraud, drive_codec_change,
-             drive_unsolicited_media)
+             drive_hijack_invite, drive_toll_fraud, drive_media_after_close,
+             drive_codec_change, drive_unsolicited_media)
 
 
 def outcomes(firings):
@@ -272,7 +278,7 @@ def shadowed(capture, tmp_path):
             scenario(*make_vids())
         assert outcomes(driven) - outcomes(firings), scenario.__name__
         firings += driven
-    assert len(outcomes(firings)) == 31
+    assert len(outcomes(firings)) == 35
     return run
 
 

@@ -6,15 +6,21 @@ the slow, obvious way over per-direction dicts; generated packet sequences
 (sequence numbers wrapping at 2^16, timestamps at 2^32, SSRC changes, the
 flood window rolling over exactly at ``rtp_flood_window``, three streams
 interleaved) must drive machine and model through the same states and the
-same tracked values, under compiled and under probed dispatch.
+same tracked values, under compiled and under probed dispatch.  The
+Figure-5 split of media after close into toll fraud or BYE DoS is held to
+the Python rule it replaced.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.efsm import EfsmSystem, Event, ManualClock
-from repro.vids import DEFAULT_CONFIG, build_rtp_machine, build_sip_machine
-from repro.vids.rtp_machine import ATTACK_CODEC, ATTACK_FLOOD, ATTACK_SPAM
-from repro.vids.sync import DELTA_SESSION_OFFER, RTP_MACHINE, SIP_TO_RTP
+from repro.vids import (DEFAULT_CONFIG, build_rtp_machine, build_sip_machine,
+                        call_spec)
+from repro.vids.rtp_machine import (ATTACK_AFTER_CLOSE, ATTACK_CODEC,
+                                    ATTACK_FLOOD, ATTACK_SPAM,
+                                    ATTACK_TOLL_FRAUD)
+from repro.vids.sync import (DELTA_BYE, DELTA_SESSION_OFFER, RTP_MACHINE,
+                             SIP_TO_RTP)
 
 from ..efsm.oracle import shadow_dispatch
 
@@ -152,3 +158,47 @@ def test_the_generated_sequences_reach_every_verdict():
                                         0)])[0] == ATTACK_CODEC
     assert drive(NO_CODEC_CHECK, wrap, [clean, ("to_callee", 0.125, 1, 160,
                                                 False, 0)])[0] == "RTP_Rcvd"
+
+
+def reference_from_bye_sender(media, src_ip, src_port):
+    """Does after-close media come from the BYE sender?  Its IP, and its
+    signalling port or a media port it negotiated at that IP; no recorded
+    BYE port leaves the IP alone to decide."""
+    bye_ip, bye_port = media["g_bye_src_ip"], media["g_bye_src_port"]
+    if not bye_ip or src_ip != bye_ip:
+        return False
+    if not bye_port or src_port == bye_port:
+        return True
+    return bool(src_port) and any(
+        media[f"g_{side}_addr"] == bye_ip and media[f"g_{side}_port"] == src_port
+        for side in ("offer", "answer"))
+
+
+#: Few values, so the draws collide: the BYE sender's IP on the offer, the
+#: answer and the packet, its port as a negotiated media port, 0 everywhere.
+ADDRS = st.sampled_from(["", "10.1.0.11", "10.2.0.11"])
+PORTS = st.sampled_from([0, 5060, 20_000, 30_000])
+
+
+@given(st.fixed_dictionaries({name: ADDRS if name.endswith(("ip", "addr"))
+                              else PORTS for name in (
+                                  "g_bye_src_ip", "g_bye_src_port",
+                                  "g_offer_addr", "g_offer_port",
+                                  "g_answer_addr", "g_answer_port")}),
+       ADDRS, PORTS)
+@settings(max_examples=400, deadline=None)
+def test_after_close_attribution_matches_the_reference(media, src_ip,
+                                                       src_port):
+    spec, clock = call_spec(DEFAULT_CONFIG), ManualClock()
+    system = EfsmSystem(clock_now=clock.now, timer_scheduler=clock.schedule)
+    system.add_machine(spec.sip)
+    rtp = system.add_machine(spec.rtp)
+    system.globals.update(media)
+    for delta in (DELTA_SESSION_OFFER, DELTA_BYE):
+        system.inject(RTP_MACHINE, Event(delta, {}, channel=SIP_TO_RTP))
+    clock.advance(DEFAULT_CONFIG.bye_inflight_timer)
+    assert rtp.state == "RTP_Close"
+    system.inject(RTP_MACHINE, Event("RTP_PACKET", {
+        "src_ip": src_ip, "src_port": src_port, "dst_ip": "10.2.0.11"}))
+    assert rtp.state == (ATTACK_TOLL_FRAUD if reference_from_bye_sender(
+        media, src_ip, src_port) else ATTACK_AFTER_CLOSE)

@@ -1,34 +1,29 @@
 """The machines must stay aligned with docs/STATE_MACHINES.md's claims."""
 
 from repro.efsm import attack_paths, event_coverage
-from repro.vids import (
-    AttackScenarioDatabase,
-    build_rtp_machine,
-    build_sip_machine,
-)
+from repro.vids import SCENARIOS, build_rtp_machine, build_sip_machine, call_spec
 
 
 def test_documented_state_counts():
     sip = build_sip_machine()
     rtp = build_rtp_machine()
     assert len(sip.states) == 13
-    assert len(rtp.states) == 9
+    assert len(rtp.states) == 10
     assert sip.alphabet == {"INVITE", "ACK", "BYE", "CANCEL", "RESPONSE"}
 
 
 def test_every_embedded_attack_state_is_typed_and_catalogued():
-    """The scenario database is the one table from (machine, attack state)
-    to alert type: every attack state of the two per-call machines has
-    exactly one scenario there, and no scenario names a state they lack.
-    (ATTACK_Media_After_Close is catalogued as BYE DoS; the engine alone
-    re-attributes it to toll fraud when the BYE sender keeps streaming.)"""
-    database = AttackScenarioDatabase()
-    for machine in (build_sip_machine(), build_rtp_machine()):
-        catalogued = [scenario.attack_state for scenario in database
-                      if scenario.machine == machine.name]
+    """The scenario table is the one table from (machine, attack state)
+    to alert type: every attack state of the two per-call machines and of
+    the Figure-6 machine has exactly one row there, and no row names a
+    state they lack."""
+    spec = call_spec()
+    machines = (spec.sip, spec.rtp, spec.media_spam)
+    assert {machine for machine, _ in SCENARIOS} == {m.name for m in machines}
+    for machine in machines:
+        catalogued = [state for name, state in SCENARIOS
+                      if name == machine.name]
         assert sorted(catalogued) == sorted(machine.attack_states)
-        for state in machine.attack_states:
-            assert database.for_state(machine.name, state) is not None, state
 
 
 def test_attack_states_are_absorbing():

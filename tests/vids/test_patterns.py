@@ -8,6 +8,7 @@ from repro.vids.patterns import (
     InviteFloodTracker,
     OrphanMediaTracker,
     SPAM_ATTACK,
+    SPAM_UNSOLICITED,
     build_invite_flood_machine,
     build_media_spam_machine,
 )
@@ -152,7 +153,7 @@ class TestInviteFloodTracker:
 
 class TestMediaSpamMachine:
     def make(self, seq_gap=50, ts_gap=1000):
-        return EfsmInstance(build_media_spam_machine(seq_gap, ts_gap))
+        return EfsmInstance(build_media_spam_machine(seq_gap, ts_gap, 100))
 
     def test_steady_stream_self_loops(self):
         instance = self.make()
@@ -194,20 +195,23 @@ class TestOrphanMediaTracker:
         spams = []
         unsolicited = []
         tracker = OrphanMediaTracker(
-            build_media_spam_machine(50, 1000),
-            unsolicited_threshold=threshold,
-            clock_now=clock.now,
-            on_spam=lambda dst, event: spams.append(dst),
-            on_unsolicited=lambda dst, event: unsolicited.append(dst))
+            build_media_spam_machine(50, 1000, threshold), clock.now,
+            on_attack=lambda dst, event, state: (
+                unsolicited if state == SPAM_UNSOLICITED else spams
+            ).append(dst))
         return tracker, spams, unsolicited
 
     def test_unsolicited_alert_after_threshold(self):
-        tracker, spams, unsolicited = self.make(threshold=5)
+        """Flagged once, by exactly the packet past the threshold (the
+        first one under 0); spam still follows."""
         destination = ("10.2.0.11", 20_002)
-        for index in range(10):
-            tracker.observe(destination, rtp(seq=index, ts=index * 160))
-        assert unsolicited == [destination]   # flagged exactly once
-        assert spams == []
+        for threshold in range(6):
+            tracker, spams, unsolicited = self.make(threshold=threshold)
+            for index in range(threshold + 3):
+                tracker.observe(destination, rtp(seq=index, ts=index * 160))
+                assert unsolicited == [destination] * (index >= threshold)
+            tracker.observe(destination, rtp(seq=500, ts=0))
+            assert spams == [destination] and len(unsolicited) == 1
 
     def test_spam_rules_apply_to_orphans(self):
         tracker, spams, unsolicited = self.make()
@@ -238,7 +242,9 @@ class TestOrphanMediaTracker:
         before = tracker.version
         tracker.observe(d, rtp(seq=0, ts=0))        # past the cap: b goes
         assert list(tracker.machines) == [c, a, d]
-        assert tracker._unsolicited_flagged == {a, c}
+        assert {destination for destination, machine
+                in tracker.machines.items()
+                if machine.state == SPAM_UNSOLICITED} == {a, c}
         assert tracker.version > before
         assert spams == []
 

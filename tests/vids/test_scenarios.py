@@ -1,70 +1,45 @@
-"""Unit tests for the Attack Scenario database (Figure-3 component)."""
+"""Unit tests for the Attack Scenario table (Figure-3 component)."""
 
-import pytest
-
-from repro.vids import (
-    AttackScenario,
-    AttackScenarioDatabase,
-    AttackType,
-    BUILTIN_SCENARIOS,
-)
-from repro.vids.rtp_machine import ATTACK_AFTER_CLOSE, ATTACK_SPAM
+from repro.vids import AttackType, BUILTIN_SCENARIOS, SCENARIOS
+from repro.vids.rtp_machine import (ATTACK_AFTER_CLOSE, ATTACK_SPAM,
+                                    ATTACK_TOLL_FRAUD)
+from repro.vids.scenarios import INVITE_FLOOD
 from repro.vids.sip_machine import ATTACK_BYE, ATTACK_CANCEL, ATTACK_HIJACK
 
 
 def test_builtin_scenarios_cover_every_threat():
-    database = AttackScenarioDatabase()
-    types = {scenario.attack_type for scenario in database}
-    assert AttackType.INVITE_FLOOD in types
-    assert AttackType.BYE_DOS in types
-    assert AttackType.CANCEL_DOS in types
-    assert AttackType.CALL_HIJACK in types
-    assert AttackType.MEDIA_SPAM in types
-    assert AttackType.RTP_FLOOD in types
-    assert AttackType.CODEC_CHANGE in types
-    assert AttackType.DRDOS_REFLECTION in types
-    assert len(database) == len(BUILTIN_SCENARIOS)
+    assert set(AttackType) - {scenario.attack_type for scenario
+                              in BUILTIN_SCENARIOS} == {
+        AttackType.SPEC_DEVIATION, AttackType.PROTOCOL_FUZZING,
+        AttackType.OVERLOAD_SHED, AttackType.IDS_INTERNAL}
 
 
 def test_state_lookup_maps_machine_states():
-    database = AttackScenarioDatabase()
-    assert database.for_state("sip", ATTACK_BYE).attack_type \
-        is AttackType.BYE_DOS
-    assert database.for_state("sip", ATTACK_CANCEL).attack_type \
-        is AttackType.CANCEL_DOS
-    assert database.for_state("sip", ATTACK_HIJACK).attack_type \
-        is AttackType.CALL_HIJACK
-    assert database.for_state("rtp", ATTACK_SPAM).attack_type \
-        is AttackType.MEDIA_SPAM
-    assert database.for_state("rtp", ATTACK_AFTER_CLOSE) is not None
-    assert database.for_state("sip", "NoSuchState") is None
+    for key, attack_type in {
+            ("sip", ATTACK_BYE): AttackType.BYE_DOS,
+            ("sip", ATTACK_CANCEL): AttackType.CANCEL_DOS,
+            ("sip", ATTACK_HIJACK): AttackType.CALL_HIJACK,
+            ("rtp", ATTACK_SPAM): AttackType.MEDIA_SPAM,
+            ("rtp", ATTACK_AFTER_CLOSE): AttackType.BYE_DOS,
+            ("rtp", ATTACK_TOLL_FRAUD): AttackType.TOLL_FRAUD}.items():
+        assert SCENARIOS[key].attack_type is attack_type, key
+    assert ("sip", "NoSuchState") not in SCENARIOS
 
 
 def test_by_type_and_cross_protocol_views():
-    database = AttackScenarioDatabase()
-    bye_scenarios = database.by_type(AttackType.BYE_DOS)
-    assert len(bye_scenarios) == 2      # direct + cross-protocol variants
-    cross = database.cross_protocol_scenarios()
-    assert all(s.cross_protocol for s in cross)
-    assert {s.scenario_id for s in cross} >= {"S3", "S6", "S7", "S8"}
+    bye = [s for s in BUILTIN_SCENARIOS if s.attack_type is AttackType.BYE_DOS]
+    assert len(bye) == 2      # direct + cross-protocol variants
+    cross = {s.scenario_id for s in BUILTIN_SCENARIOS if s.cross_protocol}
+    assert cross == {"S3", "S6", "S7", "S8", "S11"}
+    assert all(s.machine == "rtp" for s in BUILTIN_SCENARIOS
+               if s.cross_protocol)
 
 
 def test_get_by_id():
-    database = AttackScenarioDatabase()
-    assert database.get("S1").name == "INVITE request flooding"
-    assert database.get("S99") is None
-
-
-def test_register_custom_scenario_and_duplicate_rejected():
-    database = AttackScenarioDatabase()
-    custom = AttackScenario(
-        scenario_id="X1", name="custom", attack_type=AttackType.SPEC_DEVIATION,
-        machine="sip", attack_state="ATTACK_Custom", paper_section="-",
-        cross_protocol=False, description="-", response="-")
-    database.register(custom)
-    assert database.get("X1") is custom
-    with pytest.raises(ValueError):
-        database.register(custom)
+    by_id = {scenario.scenario_id: scenario for scenario in BUILTIN_SCENARIOS}
+    assert len(by_id) == len(BUILTIN_SCENARIOS)     # ids are unique
+    assert by_id["S1"] is INVITE_FLOOD
+    assert INVITE_FLOOD.name == "INVITE request flooding"
 
 
 def test_engine_alerts_carry_scenario_ids():

@@ -70,7 +70,7 @@ class TestDeterminismIsDecided:
                       decision.status)
                      for machine in CallSpec.build().machines
                      for group, decision in machine.decide_determinism()]
-        assert len(decisions) == 13     # SIP 9, RTP 2, one per tracker
+        assert len(decisions) == 15     # SIP 9, RTP 3, flood 1, Fig-6 2
         assert {status for *_, status in decisions} == {DISJOINT}
 
     def test_participant_gated_pairs_are_syntactic_complements(self):
